@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .records import (
     TIER_ORDER,
     Triplet,
 )
-from .stores.base import MemoryStore, cosine
+from .stores.base import MemoryStore
 from .stream import InsertPayload
 from .text import index_tokens
 
@@ -152,19 +151,17 @@ def consolidate_none(store: MemoryStore, new_ids: list[str], now: int) -> list[s
 def _nearest_existing(store: MemoryStore, record: MemoryRecord,
                       exclude: set[str], limit: int) -> list[MemoryRecord]:
     """Top existing records by embedding cosine, lexical overlap fallback."""
-    pool = [r for r in store.all_records() if r.record_id not in exclude]
     if record.embedding is not None:
-        scored = [
-            (r, cosine(record.embedding, r.embedding))
-            for r in pool if r.embedding is not None
-        ]
-    else:
-        tokens = set(index_tokens(record.text))
-        scored = []
-        for r in pool:
-            overlap = len(tokens & set(index_tokens(r.text)))
-            if overlap:
-                scored.append((r, float(overlap)))
+        scored = store.nearest(record.embedding, exclude=exclude, top=limit)
+        return [r for r, _ in scored[:limit]]
+    tokens = set(index_tokens(record.text))
+    scored = []
+    for r in store.all_records():
+        if r.record_id in exclude:
+            continue
+        overlap = len(tokens & set(index_tokens(r.text)))
+        if overlap:
+            scored.append((r, float(overlap)))
     scored.sort(key=lambda item: (-item[1], item[0].record_id))
     return [r for r, _ in scored[:limit]]
 
@@ -285,13 +282,8 @@ def link_evolution(store: MemoryStore, new_ids: list[str],
         record = store.get(new_id)
         if record.embedding is None:
             continue
-        scored = [
-            (other, cosine(record.embedding, other.embedding))
-            for other in store.all_records()
-            if other.record_id not in exclude and other.embedding is not None
-        ]
-        scored = [(other, sim) for other, sim in scored if sim >= link_threshold]
-        scored.sort(key=lambda item: (-item[1], item[0].record_id))
+        scored = store.nearest(record.embedding, exclude=exclude,
+                               top=link_top_m, floor=link_threshold)
         for other, _sim in scored[:link_top_m]:
             record.links.add(other.record_id)
             other.links.add(new_id)
@@ -327,16 +319,10 @@ def semantic_consolidation(store: MemoryStore, new_ids: list[str],
         newer = store.get(new_id)
         if newer.tombstoned or newer.embedding is None:
             continue
-        best: Optional[MemoryRecord] = None
-        best_sim = -2.0
-        for older in store.all_records():
-            if older.record_id in exclude or older.embedding is None:
-                continue
-            sim = cosine(newer.embedding, older.embedding)
-            if sim > best_sim or (sim == best_sim and best is not None
-                                  and older.record_id < best.record_id):
-                best, best_sim = older, sim
-        if best is not None and best_sim >= dedup_threshold:
+        scored = store.nearest(newer.embedding, exclude=exclude, top=1,
+                               floor=dedup_threshold)
+        if scored:
+            best = scored[0][0]
             merge_records(store, best, newer)
             merged.append(f"MERGE {new_id}->{best.record_id}")
     return merged
@@ -351,8 +337,7 @@ def run_consolidate(store: MemoryStore, new_ids: list[str], now: int,
     if insert_index % cfg.every_n != 0:
         return ConsolidationOutcome()
     # capacity eviction during a multi-unit insert can take out a sibling
-    live = {record.record_id for record in store.all_records()}
-    new_ids = [record_id for record_id in new_ids if record_id in live]
+    new_ids = [record_id for record_id in new_ids if store.is_live(record_id)]
     if cfg.strategy == "crud":
         return consolidate_crud(store, new_ids, gateway)
     if cfg.strategy == "forgetting_curve":

@@ -77,6 +77,8 @@ class HistorySource:
     waiting, so the consumer's pace limits how far the stream runs ahead.
     ``high_water`` records the largest buffer occupancy ever observed
     (updated under the same lock that guards the buffer, so it is exact).
+    ``close`` releases a producer blocked on a full buffer once the consumer
+    stops early, e.g. when a run aborts.
     """
 
     def __init__(self, manifest: StreamManifest, buffer_capacity: int):
@@ -89,16 +91,21 @@ class HistorySource:
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
         self._thread: Optional[threading.Thread] = None
+        self._closed = False
         self.high_water = 0
 
-    def _put(self, item):
+    def _put(self, item) -> bool:
+        """Append under backpressure; False once the source is closed."""
         with self._not_full:
-            while len(self._items) >= self.capacity:
+            while len(self._items) >= self.capacity and not self._closed:
                 self._not_full.wait()
+            if self._closed:
+                return False
             self._items.append(item)
             if len(self._items) > self.high_water:
                 self.high_water = len(self._items)
             self._not_empty.notify()
+            return True
 
     def _get(self):
         with self._not_empty:
@@ -110,13 +117,22 @@ class HistorySource:
 
     def _produce(self):
         for request in self.manifest.requests:
-            self._put(request)
+            if not self._put(request):
+                return
         self._put(_END)
 
     def start(self):
         if self._thread is None:
             self._thread = threading.Thread(target=self._produce, daemon=True)
             self._thread.start()
+
+    def close(self):
+        """Stop the producer and wait for its thread to exit."""
+        with self._lock:
+            self._closed = True
+            self._not_full.notify_all()
+        if self._thread is not None:
+            self._thread.join()
 
     def buffered(self) -> int:
         with self._lock:
@@ -523,6 +539,8 @@ class _Pipeline:
         except StoreError as err:
             self.result.status = "aborted"
             self.result.error = f"{type(err).__name__}: {err}"
+        finally:
+            source.close()
         self.result.high_water = source.high_water
         return self.result
 

@@ -11,7 +11,21 @@ All backends guarantee, via this base class:
   scores divided by the list maximum);
 * access bookkeeping on hits: access_count += 1, last_access = now, and the
   retention strength multiplied by ``strength_gain``;
-* tombstoning that cleans every index (subclasses hook _forget_indexes).
+* tombstoning that cleans every index (subclasses hook _forget_indexes);
+* one shared embedding index behind every nearest-neighbour scan.
+
+The embedding index holds one float64 row per live embedded record, with the
+record's visibility ``ts`` and norm beside it; freed rows are reused. Upkeep
+is deferred: ``insert`` and ``reindex`` only queue the record and ``remove``
+clears its row, and queued rows are written in one batch at the next
+``nearest`` call, so a store that never runs a vector scan never builds the
+matrix. ``nearest`` screens with one matrix-vector product, keeping every
+visible row within ``SCREEN_MARGIN`` of the ``top``-th screened score, then
+rescores the survivors with the exact per-pair ``cosine`` and sorts them by
+descending score with record_id as the tie-break. A matrix product may
+differ from the per-pair dot product in the last ulp, so the screen alone
+would flip near-ties; the rescore keeps every score and order exactly those
+of a per-record scan.
 
 Insert and retrieve return a StageTiming covering exactly the state-update
 or search work, so the orchestrator can attribute wall time per stage.
@@ -72,6 +86,123 @@ def rank_candidates(scored: Iterable[tuple[MemoryRecord, float]], k: int,
     return [Candidate(record=rec, score=score, source=source) for rec, score in ordered[:k]]
 
 
+# Screened scores within this distance of a cut are rescored exactly; a
+# matrix product strays from the per-pair cosine by a few ulps at most.
+SCREEN_MARGIN = 1e-9
+
+
+def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
+    """Copy of ``array`` with its first axis zero-padded to ``capacity``."""
+    out = np.zeros((capacity,) + array.shape[1:], dtype=array.dtype)
+    out[:len(array)] = array
+    return out
+
+
+class EmbeddingIndex:
+    """Row-per-record embedding matrix with deferred upkeep (see module docstring)."""
+
+    def __init__(self):
+        self.matrix: Optional[np.ndarray] = None  # (capacity, dim), built on first flush
+        self.ts = np.zeros(0, dtype=np.int64)
+        self.norms = np.zeros(0)
+        self.live = np.zeros(0, dtype=bool)
+        self.records: list[Optional[MemoryRecord]] = []  # row -> record, None when free
+        self.row_of: dict[str, int] = {}
+        self._free: list[int] = []
+        self._pending: dict[str, MemoryRecord] = {}
+
+    def queue(self, record: MemoryRecord):
+        """Mark a record's row stale; it is rewritten at the next flush."""
+        self._pending[record.record_id] = record
+
+    def drop(self, record_id: str):
+        self._pending.pop(record_id, None)
+        row = self.row_of.pop(record_id, None)
+        if row is not None:
+            self.live[row] = False
+            self.records[row] = None
+            self._free.append(row)
+
+    def flush(self):
+        """Write every queued record's embedding, ts and norm in one batch."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, {}
+        rows, vectors = [], []
+        for record_id, record in pending.items():
+            if record.embedding is None:
+                self.drop(record_id)
+                continue
+            row = self.row_of.get(record_id)
+            if row is None:
+                row = self._allocate(record.embedding.shape[0])
+                self.row_of[record_id] = row
+            self.records[row] = record
+            self.ts[row] = record.ts
+            rows.append(row)
+            vectors.append(record.embedding)
+        if rows:
+            block = np.stack(vectors)
+            self.matrix[rows] = block
+            self.norms[rows] = np.linalg.norm(block, axis=1)
+            self.live[rows] = True
+
+    def _allocate(self, dim: int) -> int:
+        if self._free:
+            return self._free.pop()
+        if self.matrix is None:
+            self.matrix = np.zeros((0, dim))
+        row = len(self.records)
+        if row == self.matrix.shape[0]:
+            capacity = max(64, 2 * row)
+            self.matrix, self.ts, self.norms, self.live = (
+                _grown(a, capacity) for a in (self.matrix, self.ts, self.norms, self.live))
+        self.records.append(None)
+        return row
+
+    def screen(self, query: np.ndarray, now: Optional[int], exclude: Iterable[str],
+               top: Optional[int], floor: Optional[float], rows: Optional[Iterable[str]],
+               bonus: Optional[dict[str, float]]) -> list[MemoryRecord]:
+        """Visible records whose screened score may reach the exact top or floor."""
+        self.flush()
+        n = len(self.records)
+        if self.matrix is None or n == 0:
+            return []
+        if rows is None:
+            mask = self.live[:n].copy()
+        else:
+            mask = np.zeros(n, dtype=bool)
+            mask[[self.row_of[r] for r in rows if r in self.row_of]] = True
+            mask &= self.live[:n]
+        if now is not None:
+            mask &= self.ts[:n] < now
+        for record_id in exclude:
+            row = self.row_of.get(record_id)
+            if row is not None:
+                mask[row] = False
+        candidates = np.flatnonzero(mask)
+        if candidates.size == 0:
+            return []
+        denom = self.norms[candidates] * float(np.linalg.norm(query))
+        dots = self.matrix[:n] @ query
+        scores = np.divide(dots[candidates], denom, out=np.zeros(candidates.size),
+                           where=denom != 0.0)
+        if bonus is not None:
+            points = np.zeros(n)
+            for record_id, value in bonus.items():
+                row = self.row_of.get(record_id)
+                if row is not None:
+                    points[row] = value
+            scores = points[candidates] + (1.0 + scores) / 2.0
+        if floor is not None:
+            keep = scores >= floor - SCREEN_MARGIN
+            candidates, scores = candidates[keep], scores[keep]
+        if top is not None and candidates.size > top:
+            cut = scores[np.argpartition(scores, candidates.size - top)[candidates.size - top]]
+            candidates = candidates[scores >= cut - SCREEN_MARGIN]
+        return [self.records[row] for row in candidates]
+
+
 class MemoryStore(ABC):
     """Abstract backend. Subclasses implement _add_indexes/_forget_indexes/_search."""
 
@@ -86,6 +217,7 @@ class MemoryStore(ABC):
         self.embed_dim = embed_dim
         self.strength_gain = strength_gain
         self.evicted_total = 0
+        self._index = EmbeddingIndex()
 
     # ------------------------------------------------------------------
     # insertion
@@ -102,6 +234,7 @@ class MemoryStore(ABC):
             if record.kind == KIND_RAW:
                 self._turn_map[(record.session_id, record.turn_index)] = record.record_id
             self._add_indexes(record)
+            self._index.queue(record)
             self._after_add(record)
             ids.append(record.record_id)
         return ids, StageTiming(STAGE_STATE_UPDATE, time.perf_counter_ns() - t0)
@@ -165,6 +298,36 @@ class MemoryStore(ABC):
     def visible_records(self, now: Optional[int]) -> list[MemoryRecord]:
         return [r for r in self._records.values() if self._is_visible(r, now)]
 
+    def nearest(self, query: np.ndarray, now: Optional[int] = None,
+                exclude: Iterable[str] = (), top: Optional[int] = None,
+                floor: Optional[float] = None, rows: Optional[Iterable[str]] = None,
+                bonus: Optional[dict[str, float]] = None) -> list[tuple[MemoryRecord, float]]:
+        """Live embedded records by exact cosine to ``query``, best first.
+
+        Visible at ``now`` (all live records when None), minus ``exclude``,
+        restricted to the ids in ``rows`` when given. The result holds every
+        record with ``cosine >= floor`` that can rank among the ``top`` best,
+        plus any within ``SCREEN_MARGIN`` of that cut, so callers slice or
+        re-rank it. ``bonus`` (record_id -> points) makes the cut rank by
+        ``points + fold_cosine(cosine)`` instead; returned scores stay exact
+        cosines.
+        """
+        if top is not None and top < 1:
+            return []
+        survivors = self._index.screen(query, now, exclude, top, floor, rows, bonus)
+        scored = [(record, cosine(query, record.embedding)) for record in survivors]
+        if floor is not None:
+            scored = [(record, sim) for record, sim in scored if sim >= floor]
+        scored.sort(key=lambda item: (-item[1], item[0].record_id))
+        return scored
+
+    def _vector_search(self, signal: RetrievalSignal, k: int, now: Optional[int],
+                       rows: Optional[Iterable[str]] = None) -> list[Candidate]:
+        """Top ``k`` by folded cosine to the signal's embedding."""
+        scored = [(record, fold_cosine(sim))
+                  for record, sim in self.nearest(signal.embedding, now, top=k, rows=rows)]
+        return rank_candidates(scored, k, source="vector")
+
     # ------------------------------------------------------------------
     # maintenance surface (used by consolidation policies)
     # ------------------------------------------------------------------
@@ -178,11 +341,16 @@ class MemoryStore(ABC):
         """Live records in insertion order."""
         return [r for r in self._records.values() if not r.tombstoned]
 
+    def is_live(self, record_id: str) -> bool:
+        record = self._records.get(record_id)
+        return record is not None and not record.tombstoned
+
     def remove(self, record_id: str):
         """Tombstone a record and drop it from every index."""
         record = self.get(record_id)
         record.tombstoned = True
         self._forget_indexes(record)
+        self._index.drop(record_id)
         if record.kind == KIND_RAW:
             key = (record.session_id, record.turn_index)
             if self._turn_map.get(key) == record_id:
@@ -194,9 +362,13 @@ class MemoryStore(ABC):
         self.evicted_total += 1
 
     def reindex(self, record: MemoryRecord):
-        """Refresh index entries after an in-place text/embedding change."""
-        self._forget_indexes(record)
+        """Refresh index entries after an in-place text/embedding/ts change."""
         self._check_dim(record)
+        self._refresh_indexes(record)
+        self._index.queue(record)
+
+    def _refresh_indexes(self, record: MemoryRecord):
+        self._forget_indexes(record)
         self._add_indexes(record)
 
     def migrate(self, record_id: str, to_tier: str):

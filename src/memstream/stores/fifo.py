@@ -41,10 +41,9 @@ class FifoQueueStore(MemoryStore):
         except ValueError:
             pass
 
-    def reindex(self, record: MemoryRecord):
+    def _refresh_indexes(self, record: MemoryRecord):
         # content changed in place: refresh the token map without running
         # _forget_indexes, which would drop the record's queue position
-        self._check_dim(record)
         self._add_indexes(record)
 
     def _after_add(self, record: MemoryRecord):

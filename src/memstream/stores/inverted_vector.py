@@ -15,8 +15,6 @@ from ..records import Candidate, MemoryRecord, RetrievalSignal
 from ..text import index_tokens
 from .base import (
     MemoryStore,
-    cosine,
-    fold_cosine,
     lexical_scores,
     normalize_ratio,
     rank_candidates,
@@ -90,13 +88,8 @@ class InvertedVectorStore(MemoryStore):
                        pool: int) -> list[str]:
         if signal.embedding is None:
             return []
-        scored = []
-        for record in self.visible_records(now):
-            if record.embedding is None:
-                continue
-            scored.append((record.record_id, cosine(signal.embedding, record.embedding)))
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return [rec_id for rec_id, _ in scored[:pool]]
+        scored = self.nearest(signal.embedding, now, top=pool)
+        return [record.record_id for record, _ in scored[:pool]]
 
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
@@ -108,12 +101,7 @@ class InvertedVectorStore(MemoryStore):
         if self.mode == "vector":
             if signal.embedding is None:
                 return []
-            scored = [
-                (rec, fold_cosine(cosine(signal.embedding, rec.embedding)))
-                for rec in self.visible_records(now)
-                if rec.embedding is not None
-            ]
-            return rank_candidates(scored, k, source="vector")
+            return self._vector_search(signal, k, now)
 
         lexical = self._lexical_ranked(signal, now, pool)
         vector = self._vector_ranked(signal, now, pool)

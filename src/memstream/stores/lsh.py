@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import StoreError
 from ..records import Candidate, MemoryRecord, RetrievalSignal
-from .base import MemoryStore, cosine, fold_cosine, rank_candidates
+from .base import MemoryStore
 
 
 def lsh_signature(vector: np.ndarray, planes: np.ndarray) -> int:
@@ -75,13 +75,7 @@ class LshStore(MemoryStore):
         for t in range(self.tables):
             sig = lsh_signature(signal.embedding, self._planes[t])
             candidate_ids.update(self._buckets[t].get(sig, ()))
-        scored = []
-        for rec_id in candidate_ids:
-            record = self._records[rec_id]
-            if not self._is_visible(record, now):
-                continue
-            scored.append((record, fold_cosine(cosine(signal.embedding, record.embedding))))
-        return rank_candidates(scored, k, source="vector")
+        return self._vector_search(signal, k, now, rows=candidate_ids)
 
     def _index_sizes(self) -> dict[str, int]:
         return {

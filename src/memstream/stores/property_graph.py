@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..records import Candidate, MemoryRecord, RetrievalSignal
 from ..text import index_tokens
-from .base import MemoryStore, cosine, fold_cosine, normalize_ratio, rank_candidates
+from .base import MemoryStore, fold_cosine, normalize_ratio, rank_candidates
 
 
 def entity_keys(record: MemoryRecord) -> set[str]:
@@ -55,16 +55,21 @@ class PropertyGraphStore(MemoryStore):
 
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
-        query_entities = set(index_tokens(signal.lexical_text()))
-        scored = []
-        for record in self.visible_records(now):
-            bonus = float(len(query_entities & self._entity_of.get(record.record_id, set())))
-            sim = 0.0
-            if signal.embedding is not None and record.embedding is not None:
-                sim = fold_cosine(cosine(signal.embedding, record.embedding))
-            score = bonus + sim
-            if score > 0.0:
-                scored.append((record, score))
+        # one point per distinct query entity the record's triplet mentions
+        bonus: dict[str, float] = {}
+        for key in set(index_tokens(signal.lexical_text())):
+            for rec_id in self._entities.get(key, ()):
+                if self._is_visible(self._records[rec_id], now):
+                    bonus[rec_id] = bonus.get(rec_id, 0.0) + 1.0
+        scores: dict[str, float] = {}
+        if signal.embedding is not None:
+            for rec, sim in self.nearest(signal.embedding, now, top=k, bonus=bonus):
+                scores[rec.record_id] = bonus.get(rec.record_id, 0.0) + fold_cosine(sim)
+        for rec_id, points in bonus.items():
+            if signal.embedding is None or self._records[rec_id].embedding is None:
+                scores[rec_id] = points
+        scored = [(self._records[rec_id], score)
+                  for rec_id, score in scores.items() if score > 0.0]
         return rank_candidates(normalize_ratio(scored), k, source="graph")
 
     def _index_sizes(self) -> dict[str, int]:

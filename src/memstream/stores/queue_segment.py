@@ -25,8 +25,6 @@ from ..records import (
 from ..text import index_tokens
 from .base import (
     MemoryStore,
-    cosine,
-    fold_cosine,
     lexical_scores,
     normalize_ratio,
     rank_candidates,
@@ -64,10 +62,9 @@ class QueueSegmentStore(MemoryStore):
             overflow_id = self._short.popleft()
             self._records[overflow_id].tier = TIER_MID
 
-    def reindex(self, record: MemoryRecord):
+    def _refresh_indexes(self, record: MemoryRecord):
         # content changed in place: refresh the token map without running
         # _forget_indexes, which would evict the record from the short queue
-        self._check_dim(record)
         self._add_indexes(record)
 
     def migrate(self, record_id: str, to_tier: str):
@@ -96,14 +93,9 @@ class QueueSegmentStore(MemoryStore):
 
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
-        visible = self.visible_records(now)
         if signal.embedding is not None:
-            scored = [
-                (rec, fold_cosine(cosine(signal.embedding, rec.embedding)))
-                for rec in visible
-                if rec.embedding is not None
-            ]
-            return rank_candidates(scored, k, source="vector")
+            return self._vector_search(signal, k, now)
+        visible = self.visible_records(now)
         scored = normalize_ratio(lexical_scores(visible, signal, self._tokens))
         return rank_candidates(scored, k, source="lexical")
 

@@ -22,7 +22,7 @@ from ..records import (
     RetrievalSignal,
 )
 from ..text import split_sentences
-from .base import MemoryStore, cosine, fold_cosine, rank_candidates
+from .base import MemoryStore
 
 
 def mean_embedding(vectors: list[np.ndarray]) -> Optional[np.ndarray]:
@@ -97,6 +97,7 @@ class SummaryVectorStore(MemoryStore):
             )
             self._records[summary_id] = summary
             self._session_summary[session_id] = summary_id
+            self._index.queue(summary)
         else:
             summary = self._records[summary_id]
             summary.text = text
@@ -129,12 +130,7 @@ class SummaryVectorStore(MemoryStore):
                 now: Optional[int]) -> list[Candidate]:
         if signal.embedding is None:
             return []
-        scored = []
-        for record in self.visible_records(now):
-            if record.embedding is None:
-                continue
-            scored.append((record, fold_cosine(cosine(signal.embedding, record.embedding))))
-        return rank_candidates(scored, k, source="vector")
+        return self._vector_search(signal, k, now)
 
     def _index_sizes(self) -> dict[str, int]:
         return {"sessions": len(self._session_summary)}

@@ -4,6 +4,7 @@ stage-wall accounting."""
 
 import json
 import re
+import threading
 import time
 from pathlib import Path
 
@@ -251,6 +252,30 @@ def test_store_failure_mid_run_aborts_with_partial_results():
     # checkpoints flushed before the failure survive
     assert [r.inserts_consumed for r in result.reports] == [1, 2]
     assert result.high_water >= 1
+
+
+def test_aborted_runs_release_the_producer_thread():
+    # 30 requests through a 2-slot buffer: the producer is still blocked on
+    # a full buffer when the third insert overflows the store and aborts
+    manifest = make_manifest(n_inserts=30)
+    cfg = base_config(
+        store=StoreConfig(backend="fifo_queue",
+                          params={"capacity": 2, "overflow": "error"}),
+        checkpoint=CheckpointSchedule(every_n=1),
+        buffer_capacity=2,
+    )
+    before = threading.active_count()
+    for _ in range(3):
+        result = run_experiment(cfg, manifest, MockGateway(dim=32))
+        assert result.status == "aborted"
+    assert threading.active_count() == before
+
+
+def test_close_ends_a_producer_blocked_on_a_full_buffer():
+    source = HistorySource(make_manifest(n_inserts=10), buffer_capacity=1)
+    next(iter(source))
+    source.close()
+    assert source._thread is not None and not source._thread.is_alive()
 
 
 def test_run_experiment_rejects_invalid_stream():
