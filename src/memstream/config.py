@@ -263,11 +263,6 @@ def load_config_file(path: str | Path) -> dict:
     return data
 
 
-def dump_config(cfg: ExperimentConfig, path: str | Path):
-    with open(path, "w", encoding="utf-8") as handle:
-        yaml.safe_dump(config_to_dict(cfg), handle, sort_keys=True)
-
-
 def apply_override(data: dict, dotted_key: str, value: Any):
     """Set a nested key ('store.backend', 'operators.formulate.strategy')."""
     parts = dotted_key.split(".")

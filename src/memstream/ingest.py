@@ -144,10 +144,6 @@ class ConsolidationOutcome:
     flags: list[str] = field(default_factory=list)
 
 
-def consolidate_none(store: MemoryStore, new_ids: list[str], now: int) -> list[str]:
-    return []
-
-
 def _nearest_existing(store: MemoryStore, record: MemoryRecord,
                       exclude: set[str], limit: int) -> list[MemoryRecord]:
     """Top existing records by embedding cosine, lexical overlap fallback."""
@@ -333,7 +329,7 @@ def run_consolidate(store: MemoryStore, new_ids: list[str], now: int,
                     insert_index: int) -> ConsolidationOutcome:
     """Dispatch by strategy; fires only on every_n boundaries."""
     if cfg.strategy == "none":
-        return ConsolidationOutcome(actions=consolidate_none(store, new_ids, now))
+        return ConsolidationOutcome()
     if insert_index % cfg.every_n != 0:
         return ConsolidationOutcome()
     # capacity eviction during a multi-unit insert can take out a sibling

@@ -33,28 +33,14 @@ RETRIEVE_STAGES = (STAGE_PRE_RETRIEVE, STAGE_SEARCH, STAGE_POST_RETRIEVE)
 ALL_STAGES = INSERT_STAGES + RETRIEVE_STAGES + (STAGE_GENERATION,)
 
 
-@dataclass(frozen=True)
-class TokenSet:
-    """Normalized token multiset for one text."""
-
-    tokens: tuple[str, ...]
-
-    @classmethod
-    def from_text(cls, text: str) -> "TokenSet":
-        return cls(tokens=tuple(metric_tokens(text)))
-
-    def counter(self) -> Counter:
-        return Counter(self.tokens)
-
-
 def token_f1(prediction: str, gold: str) -> float:
     """Multiset-overlap F1 in [0, 1].
 
     Both sides empty after normalization -> 1.0 (vacuous match, used by
     abstention golds); exactly one side empty -> 0.0.
     """
-    pred = TokenSet.from_text(prediction).counter()
-    ref = TokenSet.from_text(gold).counter()
+    pred = Counter(metric_tokens(prediction))
+    ref = Counter(metric_tokens(gold))
     if not pred and not ref:
         return 1.0
     if not pred or not ref:

@@ -23,7 +23,7 @@ import json
 import math
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -61,6 +61,7 @@ from .stream import (
     Request,
     StreamManifest,
     validate_stream,
+    write_atomic,
 )
 
 _END = object()
@@ -133,10 +134,6 @@ class HistorySource:
             self._not_full.notify_all()
         if self._thread is not None:
             self._thread.join()
-
-    def buffered(self) -> int:
-        with self._lock:
-            return len(self._items)
 
     def __iter__(self) -> Iterator[Request]:
         self.start()
@@ -262,6 +259,26 @@ class CheckpointReport:
         }
 
 
+def rollup(results: list[QueryResult],
+           traces: list[RequestTrace]) -> tuple[dict[str, float], LatencyReport, dict[str, int]]:
+    """Per-category mean F1, per-stage latency and flag counts.
+
+    F1 comes from ``results``; stage walls and flags come from ``traces``,
+    one per request, so each request's flags count once.
+    """
+    by_category: dict[str, list[float]] = {}
+    for res in results:
+        by_category.setdefault(res.category, []).append(res.f1)
+    samples: dict[str, list[float]] = {}
+    flags: Counter = Counter()
+    for trace in traces:
+        for stage, ns in trace.stage_ns.items():
+            samples.setdefault(stage, []).append(ns / 1000.0)
+        flags.update(trace.flags)
+    category_f1 = {cat: sum(vals) / len(vals) for cat, vals in sorted(by_category.items())}
+    return category_f1, latency_aggregate(samples), dict(sorted(flags.items()))
+
+
 @dataclass
 class ExperimentResult:
     config: dict
@@ -284,21 +301,10 @@ class ExperimentResult:
             deg = degradation(round_means) if len(round_means) >= 2 else None
         except DegenerateInput:
             deg = None
-        by_category: dict[str, list[float]] = {}
-        flags: dict[str, int] = {}
-        for res in self.query_results:
-            by_category.setdefault(res.category, []).append(res.f1)
-            for flag in res.flags:
-                flags[flag] = flags.get(flag, 0) + 1
-        for trace in self.traces:
-            for flag in trace.flags:
-                flags[flag] = flags.get(flag, 0) + 1
-        samples: dict[str, list[float]] = {}
+        category_f1, latency, flags = rollup(self.query_results, self.traces)
         chat_us: dict[str, float] = {}
         embed_us: dict[str, float] = {}
         for trace in self.traces:
-            for stage, ns in trace.stage_ns.items():
-                samples.setdefault(stage, []).append(ns / 1000.0)
             for timing in trace.gateway_calls:
                 bucket = chat_us if timing.call_kind == "chat" else embed_us
                 bucket[timing.stage] = bucket.get(timing.stage, 0.0) + timing.wall_us
@@ -316,12 +322,10 @@ class ExperimentResult:
             "round_mean_f1": round_means,
             "mean_f1": mean_f1,
             "degradation_pct": deg,
-            "category_f1": {
-                cat: sum(vals) / len(vals) for cat, vals in sorted(by_category.items())
-            },
-            "flags": dict(sorted(flags.items())),
+            "category_f1": category_f1,
+            "flags": flags,
             "latency": {
-                "stages": latency_aggregate(samples).as_dict(),
+                "stages": latency.as_dict(),
                 "gateway_chat_us_by_stage": dict(sorted(chat_us.items())),
                 "gateway_embed_us_by_stage": dict(sorted(embed_us.items())),
                 "buffer_high_water": self.high_water,
@@ -389,7 +393,7 @@ class _Pipeline:
 
         self._assert_not_evaluating(STAGE_STATE_UPDATE)
         t1 = time.perf_counter_ns()
-        ids, _ = self.store.insert(units, now=request.ts)
+        ids = self.store.insert(units, now=request.ts)
 
         self._assert_not_evaluating(STAGE_POST_INSERT)
         t2 = time.perf_counter_ns()
@@ -489,24 +493,15 @@ class _Pipeline:
         self.pending.clear()
 
         mean_f1 = sum(r.f1 for r in results) / len(results) if results else 0.0
-        by_category: dict[str, list[float]] = {}
-        for res in results:
-            by_category.setdefault(res.category, []).append(res.f1)
-        samples: dict[str, list[float]] = {}
-        for trace in self.window_traces:
-            for stage, ns in trace.stage_ns.items():
-                samples.setdefault(stage, []).append(ns / 1000.0)
+        category_f1, latency, _ = rollup(results, self.window_traces)
         self.window_traces = []
         self.result.reports.append(CheckpointReport(
             checkpoint_index=index,
             inserts_consumed=self.inserts_consumed,
             results=results,
             mean_f1=mean_f1,
-            category_f1={
-                cat: sum(vals) / len(vals)
-                for cat, vals in sorted(by_category.items())
-            },
-            latency=latency_aggregate(samples),
+            category_f1=category_f1,
+            latency=latency,
             store=self.store.stats(),
         ))
         self.last_flush_progress = self.inserts_consumed
@@ -572,9 +567,10 @@ def experiment_sink(result: ExperimentResult, out_dir: str | Path,
                     force: bool = False) -> list[Path]:
     """Write checkpoints.jsonl / queries.jsonl / summary.json / actions.log.
 
-    Refuses to overwrite existing result files unless force is set. Wall
-    clock readings only ever appear under "latency" keys, so consumers can
-    strip those for byte comparisons.
+    Refuses to overwrite existing result files unless force is set. Each
+    file is replaced atomically, and the summary is computed before any file
+    is touched. Wall clock readings only ever appear under "latency" keys,
+    so consumers can strip those for byte comparisons.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -584,15 +580,9 @@ def experiment_sink(result: ExperimentResult, out_dir: str | Path,
         if existing:
             raise SinkExists(
                 f"refusing to overwrite {', '.join(existing)} (use --force)")
-    with open(targets[0], "w", encoding="utf-8") as handle:
-        for report in result.reports:
-            handle.write(_dump(report.as_dict()) + "\n")
-    with open(targets[1], "w", encoding="utf-8") as handle:
-        for res in result.query_results:
-            handle.write(_dump(res.as_dict()) + "\n")
-    with open(targets[2], "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(result.summary(), sort_keys=True, indent=2) + "\n")
-    with open(targets[3], "w", encoding="utf-8") as handle:
-        for line in result.action_log:
-            handle.write(line + "\n")
+    summary = json.dumps(result.summary(), sort_keys=True, indent=2)
+    write_atomic(targets[0], (_dump(report.as_dict()) for report in result.reports))
+    write_atomic(targets[1], (_dump(res.as_dict()) for res in result.query_results))
+    write_atomic(targets[2], [summary])
+    write_atomic(targets[3], result.action_log)
     return targets

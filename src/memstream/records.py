@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
@@ -71,32 +70,6 @@ class MemoryRecord:
         if self.last_access < self.ts:
             self.last_access = self.ts
 
-    def dump_line(self) -> str:
-        """JSON line mirroring the record fields; embedding as a float list."""
-        payload = {
-            "record_id": self.record_id,
-            "text": self.text,
-            "ts": self.ts,
-            "session_id": self.session_id,
-            "turn_index": self.turn_index,
-            "speaker": self.speaker,
-            "kind": self.kind,
-            "tier": self.tier,
-            "access_count": self.access_count,
-            "last_access": self.last_access,
-            "strength": self.strength,
-            "links": sorted(self.links),
-            "triplet": (
-                [self.triplet.subject, self.triplet.relation, self.triplet.object]
-                if self.triplet
-                else None
-            ),
-            "embedding": (
-                [float(x) for x in self.embedding] if self.embedding is not None else None
-            ),
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 @dataclass
 class RetrievalSignal:
@@ -135,18 +108,6 @@ class Candidate:
     @property
     def record_id(self) -> str:
         return self.record.record_id
-
-
-@dataclass(frozen=True)
-class StageTiming:
-    """Wall time of one pipeline stage for one call, integer nanoseconds."""
-
-    stage: str
-    wall_ns: int
-
-    @property
-    def wall_us(self) -> float:
-        return self.wall_ns / 1000.0
 
 
 @dataclass

@@ -26,8 +26,8 @@ from .records import (
     RetrievalSignal,
     ts_to_iso,
 )
-from .stores import fuse_scores
-from .stores.base import MemoryStore, normalize_ratio
+from .stores.base import MemoryStore
+from .stores.inverted_vector import fused_candidates
 from .stream import RetrievePayload
 
 US_PER_DAY = 86_400.0 * 1_000_000.0
@@ -150,23 +150,16 @@ def execute_search(store: MemoryStore, fq: FormulatedQuery, k: int,
                    now: Optional[int]) -> list[Candidate]:
     """Single retrieve, or per-sub-query retrieves fused by RRF."""
     if not fq.sub_signals:
-        candidates, _ = store.retrieve(fq.signal, k, now=now)
-        return candidates
+        return store.retrieve(fq.signal, k, now=now)
     per_sub = math.ceil(k / len(fq.sub_signals))
     rankings: list[list[str]] = []
-    by_id: dict[str, Candidate] = {}
+    records: dict[str, MemoryRecord] = {}
     for signal in fq.sub_signals:
-        candidates, _ = store.retrieve(signal, per_sub, now=now)
+        candidates = store.retrieve(signal, per_sub, now=now)
         rankings.append([c.record_id for c in candidates])
         for cand in candidates:
-            if cand.record_id not in by_id:
-                by_id[cand.record_id] = cand
-    fused = fuse_scores(rankings)
-    scored = [(by_id[rec_id].record, score) for rec_id, score in fused]
-    return [
-        Candidate(record=rec, score=score, source="decompose")
-        for rec, score in normalize_ratio(scored)
-    ][:k]
+            records.setdefault(cand.record_id, cand.record)
+    return fused_candidates(rankings, records, "decompose")[:k]
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +236,7 @@ def integrate_multi_query(query: str, cands: list[Candidate],
     """
     flags: list[str] = []
     rankings = [[c.record_id for c in cands]]
-    by_id: dict[str, Candidate] = {c.record_id: c for c in cands}
+    records: dict[str, MemoryRecord] = {c.record_id: c.record for c in cands}
     try:
         for index in range(n_queries):
             paraphrase = gateway.chat(
@@ -254,19 +247,14 @@ def integrate_multi_query(query: str, cands: list[Candidate],
                 continue
             embedding = gateway.embed([paraphrase], stage=STAGE_POST_RETRIEVE)[0]
             signal = RetrievalSignal(raw_query=paraphrase, embedding=embedding)
-            extra, _ = store.retrieve(signal, k, now=now)
+            extra = store.retrieve(signal, k, now=now)
             rankings.append([c.record_id for c in extra])
             for cand in extra:
-                by_id.setdefault(cand.record_id, cand)
+                records.setdefault(cand.record_id, cand.record)
     except GatewayError:
         flags.append("multi_query_fallback")
         return list(cands), flags
-    fused = fuse_scores(rankings)
-    scored = [(by_id[rec_id].record, score) for rec_id, score in fused]
-    return [
-        Candidate(record=rec, score=score, source="multi_query")
-        for rec, score in normalize_ratio(scored)
-    ][:max(k, len(cands))], flags
+    return fused_candidates(rankings, records, "multi_query")[:max(k, len(cands))], flags
 
 
 # ----------------------------------------------------------------------

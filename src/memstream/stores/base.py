@@ -27,13 +27,12 @@ differ from the per-pair dot product in the last ulp, so the screen alone
 would flip near-ties; the rescore keeps every score and order exactly those
 of a per-record scan.
 
-Insert and retrieve return a StageTiming covering exactly the state-update
-or search work, so the orchestrator can attribute wall time per stage.
+Insert returns the new record ids and retrieve the candidates; neither times
+itself, because the orchestrator times every stage at its own boundaries.
 """
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from collections import Counter
 from typing import Iterable, Optional, Sequence, Union
@@ -41,14 +40,12 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import DimensionMismatch, EmptySignal, StoreError, UnknownRecord, UnsupportedBackend
-from ..metrics import STAGE_SEARCH, STAGE_STATE_UPDATE
 from ..records import (
     KIND_RAW,
     KIND_TRIPLET,
     Candidate,
     MemoryRecord,
     RetrievalSignal,
-    StageTiming,
     StoreStats,
     TIER_FLAT,
     Triplet,
@@ -222,8 +219,7 @@ class MemoryStore(ABC):
     # ------------------------------------------------------------------
     # insertion
     # ------------------------------------------------------------------
-    def insert(self, units: Sequence[Unit], now: int) -> tuple[list[str], StageTiming]:
-        t0 = time.perf_counter_ns()
+    def insert(self, units: Sequence[Unit], now: int) -> list[str]:
         ids = []
         for unit in units:
             record = self._coerce(unit, now)
@@ -237,7 +233,7 @@ class MemoryStore(ABC):
             self._index.queue(record)
             self._after_add(record)
             ids.append(record.record_id)
-        return ids, StageTiming(STAGE_STATE_UPDATE, time.perf_counter_ns() - t0)
+        return ids
 
     def _coerce(self, unit: Unit, now: int) -> MemoryRecord:
         if isinstance(unit, Triplet):
@@ -271,10 +267,9 @@ class MemoryStore(ABC):
     # retrieval
     # ------------------------------------------------------------------
     def retrieve(self, signal: RetrievalSignal, k: int,
-                 now: Optional[int] = None) -> tuple[list[Candidate], StageTiming]:
-        t0 = time.perf_counter_ns()
+                 now: Optional[int] = None) -> list[Candidate]:
         if signal.skip:
-            return [], StageTiming(STAGE_SEARCH, time.perf_counter_ns() - t0)
+            return []
         if signal.is_empty():
             raise EmptySignal("retrieval signal carries no text, keywords or embedding")
         if k < 1:
@@ -282,7 +277,7 @@ class MemoryStore(ABC):
         candidates = self._search(signal, k, now)
         for cand in candidates:
             self._touch(cand.record, now)
-        return candidates, StageTiming(STAGE_SEARCH, time.perf_counter_ns() - t0)
+        return candidates
 
     def _touch(self, record: MemoryRecord, now: Optional[int]):
         record.access_count += 1
@@ -402,10 +397,6 @@ class MemoryStore(ABC):
             evicted_total=self.evicted_total,
             index_sizes=self._index_sizes(),
         )
-
-    def dump(self) -> list[str]:
-        """One JSON line per live record, insertion order (snapshot format)."""
-        return [r.dump_line() for r in self.all_records()]
 
     # ------------------------------------------------------------------
     # subclass surface

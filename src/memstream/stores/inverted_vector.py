@@ -9,7 +9,7 @@ by record_id. ``mode`` narrows retrieval to one signal ("lexical" or
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from ..records import Candidate, MemoryRecord, RetrievalSignal
 from ..text import index_tokens
@@ -36,6 +36,18 @@ def fuse_scores(rankings: Iterable[list[str]], k_rrf: int = DEFAULT_RRF_K) -> li
         for rank, doc_id in enumerate(ranking, start=1):
             fused[doc_id] = fused.get(doc_id, 0.0) + 1.0 / (k_rrf + rank)
     return sorted(fused.items(), key=lambda item: (-item[1], item[0]))
+
+
+def fused_candidates(rankings: Iterable[list[str]], records: Mapping[str, MemoryRecord],
+                     source: str, k_rrf: int = DEFAULT_RRF_K) -> list[Candidate]:
+    """RRF-fuse ranked id lists into candidates, best first.
+
+    ``records`` maps every ranked id to its record; scores are the fused
+    scores divided by the best one.
+    """
+    scored = [(records[rec_id], score) for rec_id, score in fuse_scores(rankings, k_rrf)]
+    return [Candidate(record=rec, score=score, source=source)
+            for rec, score in normalize_ratio(scored)]
 
 
 class InvertedVectorStore(MemoryStore):
@@ -105,9 +117,7 @@ class InvertedVectorStore(MemoryStore):
 
         lexical = self._lexical_ranked(signal, now, pool)
         vector = self._vector_ranked(signal, now, pool)
-        fused = fuse_scores([lexical, vector], self.rrf_k)
-        scored = normalize_ratio([(self._records[rec_id], score) for rec_id, score in fused])
-        return rank_candidates(scored, k, source="fused")
+        return fused_candidates([lexical, vector], self._records, "fused", self.rrf_k)[:k]
 
     def _index_sizes(self) -> dict[str, int]:
         return {

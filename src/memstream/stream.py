@@ -88,10 +88,6 @@ class StreamManifest:
     def insert_count(self) -> int:
         return sum(1 for r in self.requests if r.kind == KIND_INSERT)
 
-    @property
-    def retrieve_count(self) -> int:
-        return sum(1 for r in self.requests if r.kind == KIND_RETRIEVE)
-
 
 # ---------------------------------------------------------------------------
 # Inputs to the serializer
@@ -384,12 +380,25 @@ def line_to_request(line: str, lineno: int = 0) -> Request:
     return Request(seq=seq, ts=ts, kind=kind, payload=payload)
 
 
-def write_stream_file(manifest: StreamManifest, path: str):
+def write_atomic(path: str | os.PathLike, lines: Iterable[str]):
+    """Write ``lines`` (each newline-terminated) via a temp file and ``os.replace``.
+
+    Readers see the old file or the new one, never a partial write; the
+    temp file is removed when producing or writing the lines fails.
+    """
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for request in manifest.requests:
-            fh.write(request_to_line(request) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            for line in lines:
+                handle.write(line + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_stream_file(manifest: StreamManifest, path: str):
+    write_atomic(path, (request_to_line(request) for request in manifest.requests))
 
 
 def read_stream_file(path: str, source: Optional[str] = None) -> StreamManifest:

@@ -336,7 +336,7 @@ def hybrid_recall_at_5(mode):
         record = MemoryRecord(record_id="", text=text, ts=i, session_id="s",
                               turn_index=i,
                               embedding=mock_embed_text(text, HYBRID_DIM))
-        inserted, _ = store.insert([record], i + 1)
+        inserted = store.insert([record], i + 1)
         ids.append(inserted[0])
     hits = 0
     for i, (attr, entity, _value) in enumerate(facts):
@@ -345,7 +345,7 @@ def hybrid_recall_at_5(mode):
             query = apply_synonyms(query, SYNONYMS)
         signal = RetrievalSignal(raw_query=query,
                                  embedding=mock_embed_text(query, HYBRID_DIM))
-        candidates, _ = store.retrieve(signal, 5, None)
+        candidates = store.retrieve(signal, 5, None)
         if ids[i] in {c.record_id for c in candidates}:
             hits += 1
     return hits / len(facts)
@@ -430,7 +430,7 @@ def test_08_bucketed_index_matches_brute_force_neighbors():
         for i, v in enumerate(vectors):
             record = MemoryRecord(record_id="", text=f"vector {i}", ts=i,
                                   session_id="s", turn_index=i, embedding=v)
-            inserted, _ = store.insert([record], i + 1)
+            inserted = store.insert([record], i + 1)
             ids.append(inserted[0])
         matrix = np.stack(vectors)
         recalls = []
@@ -440,7 +440,7 @@ def test_08_bucketed_index_matches_brute_force_neighbors():
             q /= np.linalg.norm(q)
             oracle = {ids[j] for j in np.argsort(-(matrix @ q))[:10]}
             signal = RetrievalSignal(raw_query=f"q{qn}", embedding=q)
-            candidates, _ = store.retrieve(signal, 10, None)
+            candidates = store.retrieve(signal, 10, None)
             got = {c.record_id for c in candidates}
             recalls.append(len(got & oracle) / 10)
         mean_recall = sum(recalls) / len(recalls)
@@ -497,7 +497,7 @@ def test_10_retention_eviction_is_exact_and_permanent():
         for i, ratio in enumerate(AGE_RATIOS):
             record = MemoryRecord(record_id="", text=f"aged record {i}", ts=i,
                                   session_id="s", turn_index=i)
-            inserted, _ = store.insert([record], i + 1)
+            inserted = store.insert([record], i + 1)
             stored = store.get(inserted[0])
             stored.strength = strength
             stored.last_access = now - int(ratio * strength * 1_000_000)
@@ -520,7 +520,7 @@ def test_10_retention_eviction_is_exact_and_permanent():
                 record = MemoryRecord(record_id="", text=text, ts=counter,
                                       session_id="s", turn_index=counter,
                                       embedding=mock_embed_text(text, 16))
-                inserted, _ = fuzz_store.insert([record], counter + 1)
+                inserted = fuzz_store.insert([record], counter + 1)
                 live.add(inserted[0])
                 counter += 1
             records = list(fuzz_store.all_records())
@@ -535,7 +535,7 @@ def test_10_retention_eviction_is_exact_and_permanent():
                 query = f"{rng.choice(FUZZ_WORDS)} {rng.choice(FUZZ_WORDS)}"
                 signal = RetrievalSignal(raw_query=query,
                                          embedding=mock_embed_text(query, 16))
-                candidates, _ = fuzz_store.retrieve(signal, 5, None)
+                candidates = fuzz_store.retrieve(signal, 5, None)
                 returned = {c.record_id for c in candidates}
                 assert not returned & tombstones, cycle
                 assert returned <= live, cycle

@@ -71,7 +71,7 @@ def turn(text, sid="s1", ti=0, speaker=None):
 def put(store, text, *, ts=0, sid="s1", ti=0, embedding=None, **fields):
     record = MemoryRecord(record_id="", text=text, ts=ts, session_id=sid,
                           turn_index=ti, embedding=embedding)
-    ids, _ = store.insert([record], ts + 1)
+    ids = store.insert([record], ts + 1)
     stored = store.get(ids[0])
     for name, value in fields.items():
         setattr(stored, name, value)
@@ -509,7 +509,7 @@ def test_merge_records_absorbs_newer():
     with pytest.raises(UnknownRecord):
         store.get(new_id)
     # the survivor was reindexed under the absorbed tokens
-    hits, _ = store.retrieve(RetrievalSignal(raw_query="gamma delta"), 3, None)
+    hits = store.retrieve(RetrievalSignal(raw_query="gamma delta"), 3, None)
     assert hits and hits[0].record_id == old_id
 
 
@@ -553,7 +553,7 @@ def test_semantic_consolidation_ignores_unembedded():
 # dispatcher
 # ----------------------------------------------------------------------
 
-def test_run_consolidate_none_is_inert():
+def test_run_consolidate_strategy_none_is_inert():
     store = build_store("fifo_queue")
     put(store, "anything at all", ts=0)
     gw = MockGateway(dim=64)
@@ -624,7 +624,7 @@ def test_fuzz_removals_never_leak_into_retrieval():
             merge_records(store, store.get(older), store.get(newer))
         query = RetrievalSignal(raw_query=f"{rng.choice(words)} {rng.choice(words)}",
                                 embedding=mock_embed_text(rng.choice(words), 32))
-        hits, _ = store.retrieve(query, 5, None)
+        hits = store.retrieve(query, 5, None)
         assert {h.record_id for h in hits} <= set(live)
         for h in hits:
             assert not h.record.tombstoned

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from memstream.errors import DegenerateInput
 from memstream.metrics import (
-    TokenSet,
     degradation,
     latency_aggregate,
     percentile_nearest_rank,
     token_f1,
 )
 from memstream.porter import porter_stem
+from memstream.text import metric_tokens
 
 
 def oracle_normalize(text: str) -> list[str]:
@@ -101,8 +101,8 @@ def test_f1_hand_cases():
 
 def test_normalization_idempotent():
     for text in ("The cats were running!", "exceed", "ORGANIZED meetings, really?"):
-        once = TokenSet.from_text(text).tokens
-        twice = TokenSet.from_text(" ".join(once)).tokens
+        once = metric_tokens(text)
+        twice = metric_tokens(" ".join(once))
         assert once == twice
 
 

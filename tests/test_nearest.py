@@ -275,7 +275,7 @@ def test_nearest_matches_per_record_scan(config, strategy, ops):
                 continue
             clock += op[4]
             turn += 1
-            ids = [s.insert([make_record(op, clock, turn, lsh)], now=clock)[0] for s in stores]
+            ids = [s.insert([make_record(op, clock, turn, lsh)], now=clock) for s in stores]
             assert ids[0] == ids[1]
             if strategy != "none":
                 actions = ingest.run_consolidate(real, ids[0], clock, cfg, gateway, turn).actions
@@ -287,7 +287,7 @@ def test_nearest_matches_per_record_scan(config, strategy, ops):
             text = TEXTS[text_i]
             emb = mock_embed_text(text, DIM) if embedded else None
             now = {"now": clock, "past": clock - 2, "unbounded": None}[when]
-            got, _ = real.retrieve(RetrievalSignal(raw_query=text, embedding=emb), k, now=now)
+            got = real.retrieve(RetrievalSignal(raw_query=text, embedding=emb), k, now=now)
             want = ref_search(ref, RetrievalSignal(raw_query=text, embedding=emb), k, now)
             for cand in want:
                 ref._touch(cand.record, now)
@@ -326,7 +326,7 @@ def test_entity_bonus_lifts_a_far_embedding_past_the_cosine_cut():
         store.insert(units, now=1)
     query = "the size of the garden is blue."
     signal = RetrievalSignal(raw_query=query, embedding=mock_embed_text(query, DIM))
-    got, _ = real.retrieve(signal, k=1, now=2)
+    got = real.retrieve(signal, k=1, now=2)
     assert got[0].record.triplet == triplet
     assert as_bits(got) == as_bits(ref_search(ref, signal, 1, 2))
 

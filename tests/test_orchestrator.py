@@ -14,12 +14,15 @@ from memstream.config import (
     CheckpointSchedule,
     ExperimentConfig,
     GatewayConfig,
+    IntegrateConfig,
     OperatorConfig,
     StoreConfig,
 )
 from memstream.errors import SchemaError, SinkExists
 from memstream.gateway import MockGateway
 from memstream.metrics import (
+    ALL_STAGES,
+    INSERT_STAGES,
     STAGE_GENERATION,
     STAGE_POST_RETRIEVE,
     STAGE_PRE_INSERT,
@@ -45,6 +48,7 @@ from memstream.stream import (
     StreamManifest,
     Turn,
     serialize_stream,
+    write_atomic,
 )
 
 
@@ -307,6 +311,46 @@ def test_summary_counts_and_structure():
     assert summary["degradation_pct"] is not None
 
 
+def test_summary_counts_each_request_flags_once():
+    queries = [(f"q{i}", f"fact number {i}", f"fact number {i}", i + 1) for i in range(4)]
+    manifest = make_manifest(n_inserts=8, queries=queries)
+    # one context line costs more than 5 tokens, so every bundle truncates
+    cfg = base_config(operators=OperatorConfig(integrate=IntegrateConfig(budget_tokens=5)))
+    result = run_experiment(cfg, manifest, MockGateway(dim=32))
+    assert all("budget_truncated" in res.flags for res in result.query_results)
+    assert result.summary()["flags"] == {"budget_truncated": 4}
+
+
+def test_summary_rollup_agrees_with_checkpoints_and_traces():
+    golds = ("fact number 1", "nothing alike", "fact number 5", "fact")
+    specs = [
+        QuerySpec(payload=RetrievePayload(query=f"fact number {i}", gold_answer=golds[i % 4],
+                                          query_id=f"q{i}", category=f"cat{i % 3}"),
+                  trigger=AfterCount(count=i + 1))
+        for i in range(7)
+    ]
+    session = SessionTurns(session_id="s0", turns=tuple(
+        Turn(text=f"turn {t} fact number {t}") for t in range(9)), base_ts=0)
+    manifest = serialize_stream([session], specs)
+    cfg = base_config(checkpoint=CheckpointSchedule(every_n=2))
+    result = run_experiment(cfg, manifest, MockGateway(dim=32))
+    summary = result.summary()
+    assert len(result.reports) > 2
+    assert set(summary["latency"]["stages"]) == set(ALL_STAGES)
+    for stage, agg in summary["latency"]["stages"].items():
+        per_checkpoint = sum(report.latency.stages[stage].count
+                             for report in result.reports if stage in report.latency.stages)
+        kind = KIND_INSERT if stage in INSERT_STAGES else KIND_RETRIEVE
+        assert agg["count"] == per_checkpoint
+        assert agg["count"] == sum(1 for trace in result.traces if trace.kind == kind)
+    by_category = {}
+    for res in result.query_results:
+        by_category.setdefault(res.category, []).append(res.f1)
+    assert summary["category_f1"] == {
+        cat: sum(vals) / len(vals) for cat, vals in sorted(by_category.items())}
+    assert len(by_category) == 3
+
+
 def test_summary_degradation_needs_two_scored_rounds():
     manifest = make_manifest(n_inserts=4, queries=[("q0", "fact number 1", "x", 2)])
     cfg = base_config(checkpoint=CheckpointSchedule(fraction=0.5))
@@ -371,6 +415,35 @@ def test_sink_writes_all_files_and_refuses_overwrite(tmp_path):
     with pytest.raises(SinkExists, match="--force"):
         experiment_sink(result, out)
     experiment_sink(result, out, force=True)  # explicit overwrite allowed
+
+
+def test_sink_failure_keeps_previous_files_and_leaves_no_temp(tmp_path, monkeypatch):
+    out = run_small(tmp_path, "run1")
+    before = {name: (out / name).read_bytes() for name in SINK_FILES}
+    result = run_experiment(base_config(), make_manifest(n_inserts=2), MockGateway(dim=32))
+
+    def broken_summary():
+        raise RuntimeError("summary failed")
+
+    monkeypatch.setattr(result, "summary", broken_summary)
+    with pytest.raises(RuntimeError, match="summary failed"):
+        experiment_sink(result, out, force=True)
+    assert {name: (out / name).read_bytes() for name in SINK_FILES} == before
+    assert not list(out.glob("*.tmp"))
+
+
+def test_write_atomic_removes_its_temp_file_on_failure(tmp_path):
+    target = tmp_path / "out.jsonl"
+    target.write_text("old\n")
+
+    def lines():
+        yield "new"
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError, match="producer failed"):
+        write_atomic(target, lines())
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_sink_creates_nested_directories(tmp_path):

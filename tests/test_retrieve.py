@@ -69,7 +69,7 @@ def put(store, text, *, ts=0, sid="s1", ti=0, speaker=None, embed=False, dim=64,
                           turn_index=ti, speaker=speaker,
                           embedding=mock_embed_text(text, dim) if embed else None,
                           **fields)
-    ids, _ = store.insert([record], ts + 1)
+    ids = store.insert([record], ts + 1)
     if tier is not None:
         store.get(ids[0]).tier = tier
     return ids[0]

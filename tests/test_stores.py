@@ -55,13 +55,11 @@ def all_backends():
 def test_read_your_writes(name):
     store = build_store(name, embed_dim=DIM, seed=0)
     text = "the red ball is in the garden."
-    ids, timing = store.insert([record(text, ts=0)], now=0)
+    ids = store.insert([record(text, ts=0)], now=0)
     assert ids == ["m000001"]
-    assert timing.wall_ns >= 0
     # same text -> identical embedding, so even signature-bucketed backends
     # must land the hit; summary backends may rank extra derived records
-    hits, timing = store.retrieve(signal(text), k=3, now=10)
-    assert timing.stage == "Search"
+    hits = store.retrieve(signal(text), k=3, now=10)
     assert hits and hits[0].record_id == "m000001"
     assert 0.0 <= hits[0].score <= 1.0
 
@@ -71,17 +69,17 @@ def test_strictly_earlier_visibility(name):
     store = build_store(name, embed_dim=DIM, seed=0)
     text = "needle fact alpha."
     store.insert([record(text, ts=100)], now=100)
-    hits, _ = store.retrieve(signal(text), k=3, now=100)
+    hits = store.retrieve(signal(text), k=3, now=100)
     assert hits == []          # ts == now is NOT visible
-    hits, _ = store.retrieve(signal(text), k=3, now=101)
+    hits = store.retrieve(signal(text), k=3, now=101)
     assert "m000001" in [h.record_id for h in hits]
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_ids_are_sequential_and_preassigned_ids_rejected(name):
     store = build_store(name, embed_dim=DIM, seed=0)
-    ids1, _ = store.insert([record("first fact here.")], now=0)
-    ids2, _ = store.insert([record("second fact here.", turn=1)], now=1)
+    ids1 = store.insert([record("first fact here.")], now=0)
+    ids2 = store.insert([record("second fact here.", turn=1)], now=1)
     # ids grow monotonically; derived records (summaries) may claim ids in
     # between, so equality with m000002 is not part of the contract
     assert ids1 == ["m000001"]
@@ -96,11 +94,11 @@ def test_ids_are_sequential_and_preassigned_ids_rejected(name):
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_remove_tombstones_everywhere(name):
     store = build_store(name, embed_dim=DIM, seed=0)
-    (rid,), _ = store.insert([record("the doomed record.", ts=0)], now=0)
+    (rid,) = store.insert([record("the doomed record.", ts=0)], now=0)
     store.remove(rid)
     with pytest.raises(UnknownRecord):
         store.get(rid)
-    hits, _ = store.retrieve(signal("doomed record"), k=5, now=10)
+    hits = store.retrieve(signal("doomed record"), k=5, now=10)
     assert rid not in [h.record_id for h in hits]
     assert store.stats().record_count == 0
     assert store.evicted_total >= 1
@@ -112,7 +110,7 @@ def test_remove_tombstones_everywhere(name):
 def test_empty_and_skip_signals(name):
     store = build_store(name, embed_dim=DIM, seed=0)
     store.insert([record("something.")], now=0)
-    hits, _ = store.retrieve(RetrievalSignal(skip=True), k=3, now=5)
+    hits = store.retrieve(RetrievalSignal(skip=True), k=3, now=5)
     assert hits == []
     with pytest.raises(EmptySignal):
         store.retrieve(RetrievalSignal(), k=3, now=5)
@@ -123,7 +121,7 @@ def test_empty_and_skip_signals(name):
 def test_touch_bookkeeping():
     store = build_store("inverted_vector", embed_dim=DIM)
     store.strength_gain = 2.0
-    (rid,), _ = store.insert([record("tracked fact.", ts=0)], now=0)
+    (rid,) = store.insert([record("tracked fact.", ts=0)], now=0)
     rec = store.get(rid)
     base_strength = rec.strength
     store.retrieve(signal("tracked fact"), k=1, now=50)
@@ -145,7 +143,7 @@ def test_dimension_mismatch():
 
 def test_triplet_units_are_coerced():
     store = build_store("property_graph", embed_dim=DIM)
-    (rid,), _ = store.insert([Triplet("Alice", "likes", "tea")], now=5)
+    (rid,) = store.insert([Triplet("Alice", "likes", "tea")], now=5)
     rec = store.get(rid)
     assert rec.text == "alice likes tea"
     assert rec.kind == "triplet"
@@ -166,7 +164,7 @@ def test_turn_neighbors_window():
 def test_candidate_tie_break_is_record_id():
     store = build_store("fifo_queue", embed_dim=DIM)
     store.insert([record("twin fact."), record("twin fact.")], now=0)
-    hits, _ = store.retrieve(signal("twin fact"), k=2, now=5)
+    hits = store.retrieve(signal("twin fact"), k=2, now=5)
     assert [h.record_id for h in hits] == ["m000001", "m000002"]
     assert hits[0].score == hits[1].score == 1.0
 
@@ -222,7 +220,7 @@ def test_fifo_evicts_oldest():
                         params={"capacity": 3})
     for i in range(4):
         store.insert([record(f"unique{i} marker.", ts=i)], now=i)
-    hits, _ = store.retrieve(signal("unique0 marker"), k=4, now=10)
+    hits = store.retrieve(signal("unique0 marker"), k=4, now=10)
     assert all("unique0" not in h.record.text for h in hits)
     assert store.stats().record_count == 3
     assert store.evicted_total == 1
@@ -258,7 +256,7 @@ def test_queue_segment_migrate():
                         params={"short_capacity": 2})
     ids = []
     for i in range(3):
-        (rid,), _ = store.insert([record(f"fact {i}.", ts=i)], now=i)
+        (rid,) = store.insert([record(f"fact {i}.", ts=i)], now=i)
         ids.append(rid)
     # ids[0] overflowed to mid; promote it back and watch the bound hold
     store.migrate(ids[0], TIER_SHORT)
@@ -274,7 +272,7 @@ def test_queue_segment_migrate():
 
 def test_migrate_unsupported_on_flat_backends():
     store = build_store("fifo_queue", embed_dim=DIM)
-    (rid,), _ = store.insert([record("x.")], now=0)
+    (rid,) = store.insert([record("x.")], now=0)
     with pytest.raises(UnsupportedBackend):
         store.migrate(rid, TIER_SHORT)
 
@@ -300,7 +298,7 @@ def test_lsh_deterministic_per_seed():
         for i in range(20):
             store.insert([record(f"document number {i} about topic.", ts=i)],
                          now=i)
-        hits, _ = store.retrieve(signal("document about topic"), k=5, now=100)
+        hits = store.retrieve(signal("document about topic"), k=5, now=100)
         return [(h.record_id, h.score) for h in hits]
 
     assert run() == run()
@@ -309,7 +307,7 @@ def test_lsh_deterministic_per_seed():
 def test_lsh_without_query_embedding_returns_empty():
     store = build_store("lsh_hash", embed_dim=DIM)
     store.insert([record("anything at all.")], now=0)
-    hits, _ = store.retrieve(RetrievalSignal(raw_query="anything"), k=3, now=5)
+    hits = store.retrieve(RetrievalSignal(raw_query="anything"), k=3, now=5)
     assert hits == []
 
 
@@ -326,12 +324,12 @@ def test_inverted_lexical_mode_misses_paraphrase():
     store = build_store("inverted_vector", embed_dim=DIM,
                         params={"mode": "lexical"})
     corpus(store)
-    hits, _ = store.retrieve(signal("what is the colour of the sky"), k=1,
-                             now=10)
+    hits = store.retrieve(signal("what is the colour of the sky"), k=1,
+                          now=10)
     assert hits[0].record.turn_index == 0
     # "color" stems differently from "colour" and no other content word
     # overlaps: the lexical route comes back empty
-    hits, _ = store.retrieve(
+    hits = store.retrieve(
         RetrievalSignal(raw_query="what color please"), k=3, now=10)
     assert hits == []
 
@@ -340,8 +338,8 @@ def test_inverted_vector_mode_catches_paraphrase():
     store = build_store("inverted_vector", embed_dim=DIM,
                         params={"mode": "vector"})
     corpus(store)
-    hits, _ = store.retrieve(signal("what is the color of the sky"), k=1,
-                             now=10)
+    hits = store.retrieve(signal("what is the color of the sky"), k=1,
+                          now=10)
     assert hits[0].record.turn_index == 0
 
 
@@ -350,7 +348,7 @@ def test_inverted_fused_mode_handles_both():
     corpus(store)
     for query in ("what is the colour of the sky",
                   "what is the color of the sky"):
-        hits, _ = store.retrieve(signal(query), k=1, now=10)
+        hits = store.retrieve(signal(query), k=1, now=10)
         assert hits[0].record.turn_index == 0, query
     assert store.stats().index_sizes["vectors"] == 3
 
@@ -368,7 +366,7 @@ def test_property_graph_entity_bonus():
     rec = record("alice likes tea", ts=0, triplet=t)
     store.insert([rec], now=0)
     store.insert([record("the weather is mild today.", ts=1, turn=1)], now=1)
-    hits, _ = store.retrieve(signal("what does alice like"), k=2, now=10)
+    hits = store.retrieve(signal("what does alice like"), k=2, now=10)
     assert hits[0].record.triplet is not None
     assert hits[0].score == 1.0
     assert store.stats().index_sizes["entities"] == 2  # alice, tea
@@ -380,7 +378,7 @@ def test_property_graph_lexical_only_signal():
     store.insert([record("alice likes tea", triplet=Triplet("alice", "likes", "tea"))],
                  now=0)
     store.insert([record("plain sentence without entities.", turn=1)], now=0)
-    hits, _ = store.retrieve(RetrievalSignal(raw_query="alice"), k=5, now=10)
+    hits = store.retrieve(RetrievalSignal(raw_query="alice"), k=5, now=10)
     # without an embedding only entity matches can score
     assert len(hits) == 1
     assert hits[0].record.triplet is not None
@@ -411,9 +409,9 @@ def test_summary_vector_maintains_session_summaries():
 
 def test_summary_vector_refreshes_on_member_removal():
     store = build_store("summary_vector", embed_dim=DIM)
-    (a,), _ = store.insert([record("first turn.", ts=0, session="sA")], now=0)
-    (b,), _ = store.insert([record("second turn.", ts=1, session="sA", turn=1)],
-                           now=1)
+    (a,) = store.insert([record("first turn.", ts=0, session="sA")], now=0)
+    (b,) = store.insert([record("second turn.", ts=1, session="sA", turn=1)],
+                        now=1)
     store.remove(a)
     summaries = [r for r in store.all_records() if r.kind == KIND_SUMMARY]
     assert len(summaries) == 1
@@ -426,9 +424,9 @@ def test_summary_vector_refreshes_on_member_removal():
 def test_summary_vector_search_is_cosine_only():
     store = build_store("summary_vector", embed_dim=DIM)
     store.insert([record("gamma topic sentence.", ts=0)], now=0)
-    hits, _ = store.retrieve(RetrievalSignal(raw_query="gamma"), k=3, now=5)
+    hits = store.retrieve(RetrievalSignal(raw_query="gamma"), k=3, now=5)
     assert hits == []  # no query embedding, no results
-    hits, _ = store.retrieve(signal("gamma topic"), k=3, now=5)
+    hits = store.retrieve(signal("gamma topic"), k=3, now=5)
     assert hits
 
 
@@ -444,14 +442,14 @@ def test_reindex_after_text_change():
     # lexical mode makes index membership observable directly
     store = build_store("inverted_vector", embed_dim=DIM,
                         params={"mode": "lexical"})
-    (rid,), _ = store.insert([record("old topic words.", ts=0)], now=0)
+    (rid,) = store.insert([record("old topic words.", ts=0)], now=0)
     rec = store.get(rid)
     rec.text = "fresh subject matter."
     rec.embedding = mock_embed_text(rec.text, DIM)
     store.reindex(rec)
-    hits, _ = store.retrieve(signal("fresh subject matter"), k=1, now=5)
+    hits = store.retrieve(signal("fresh subject matter"), k=1, now=5)
     assert [h.record_id for h in hits] == [rid]
-    hits, _ = store.retrieve(signal("old topic words"), k=5, now=5)
+    hits = store.retrieve(signal("old topic words"), k=5, now=5)
     assert hits == []
 
 
@@ -470,7 +468,7 @@ def test_retrieval_contract_property(data):
         store.insert([record(" ".join(words) + ".", ts=i, turn=i)], now=i)
     k = data.draw(st.integers(1, 6))
     now = data.draw(st.integers(0, n + 2))
-    hits, _ = store.retrieve(signal("red ball in the sky"), k=k, now=now)
+    hits = store.retrieve(signal("red ball in the sky"), k=k, now=now)
     assert len(hits) <= k
     scores = [h.score for h in hits]
     assert all(0.0 <= s <= 1.0 for s in scores)
