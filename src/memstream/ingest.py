@@ -293,6 +293,8 @@ def merge_records(store: MemoryStore, older: MemoryRecord,
     older.access_count += newer.access_count
     older.last_access = max(older.last_access, newer.last_access)
     older.strength = max(older.strength, newer.strength)
+    # the merged content is visible only from its newest part's timestamp
+    older.ts = max(older.ts, newer.ts)
     if newer.text and newer.text != older.text:
         older.text = f"{older.text} {newer.text}"
     if older.embedding is not None and newer.embedding is not None:

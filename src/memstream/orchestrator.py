@@ -103,7 +103,8 @@ class HistorySource:
             if self._closed:
                 return False
             self._items.append(item)
-            if len(self._items) > self.high_water:
+            # the end-of-stream sentinel is not a buffered request
+            if item is not _END and len(self._items) > self.high_water:
                 self.high_water = len(self._items)
             self._not_empty.notify()
             return True
@@ -165,16 +166,20 @@ def fraction_boundaries(fraction: float, total_inserts: int) -> list[int]:
 
 
 def checkpoint_due(progress: int, schedule: CheckpointSchedule,
-                   total_inserts: int) -> bool:
+                   total_inserts: int, boundaries: Optional[set[int]] = None) -> bool:
     """True when an insert count lands on a schedule boundary.
 
     per_round boundaries are session transitions, which only the stream
-    consumer can see; this predicate returns False for them.
+    consumer can see; this predicate returns False for them. A run passes
+    its fraction ``boundaries``, computed once, instead of having them
+    rebuilt for every insert.
     """
     if progress <= 0:
         return False
     if schedule.fraction is not None:
-        return progress in fraction_boundaries(schedule.fraction, total_inserts)
+        if boundaries is None:
+            boundaries = set(fraction_boundaries(schedule.fraction, total_inserts))
+        return progress in boundaries
     if schedule.every_n is not None:
         return progress % schedule.every_n == 0
     return False
@@ -509,6 +514,8 @@ class _Pipeline:
     # -- main loop ----------------------------------------------------------
     def run(self) -> ExperimentResult:
         schedule = self.cfg.checkpoint
+        boundaries = (set(fraction_boundaries(schedule.fraction, self.total_inserts))
+                      if schedule.fraction is not None else None)
         source = HistorySource(self.manifest, self.cfg.buffer_capacity)
         try:
             for request in source:
@@ -523,7 +530,7 @@ class _Pipeline:
                     self._process_insert(request)
                     self.prev_session = session
                     if checkpoint_due(self.inserts_consumed, schedule,
-                                      self.total_inserts):
+                                      self.total_inserts, boundaries):
                         self.armed = True
                 else:
                     self.pending.append(request)

@@ -12,7 +12,8 @@ All backends guarantee, via this base class:
 * access bookkeeping on hits: access_count += 1, last_access = now, and the
   retention strength multiplied by ``strength_gain``;
 * tombstoning that cleans every index (subclasses hook _forget_indexes);
-* one shared embedding index behind every nearest-neighbour scan.
+* one shared embedding index behind every nearest-neighbour scan;
+* one lexical index type behind every term-frequency search.
 
 The embedding index holds one float64 row per live embedded record, with the
 record's visibility ``ts`` and norm beside it; freed rows are reused. Upkeep
@@ -26,6 +27,17 @@ descending score with record_id as the tie-break. A matrix product may
 differ from the per-pair dot product in the last ulp, so the screen alone
 would flip near-ties; the rescore keeps every score and order exactly those
 of a per-record scan.
+
+A ``LexicalIndex`` holds each record's index-token ``Counter`` plus postings
+(token -> {record_id: tf}). The stores that search by term frequency own
+one and keep it current eagerly in ``_add_indexes`` / ``_forget_indexes``,
+so a record's text is tokenized once per insert or reindex, never per
+query. ``MemoryStore._lexical_search``, behind every lexical search and
+inverted_vector's lexical ranking for fusion, hands ``lexical_scores`` only
+the visible records that share a query token, found through the postings;
+the others would score 0 and be dropped anyway, and ``rank_candidates``
+sorts on (-score, record_id), so the result is that of a scan over every
+record.
 
 Insert returns the new record ids and retrieve the candidates; neither times
 itself, because the orchestrator times every stage at its own boundaries.
@@ -200,6 +212,36 @@ class EmbeddingIndex:
         return [self.records[row] for row in candidates]
 
 
+class LexicalIndex:
+    """Per-record token counts plus postings (see module docstring)."""
+
+    def __init__(self):
+        self.counts: dict[str, Counter] = {}
+        self.postings: dict[str, dict[str, int]] = {}
+
+    def add(self, record: MemoryRecord):
+        """Index the record's current text, replacing any earlier entry."""
+        self.drop(record.record_id)
+        counts = Counter(index_tokens(record.text))
+        self.counts[record.record_id] = counts
+        for token, tf in counts.items():
+            self.postings.setdefault(token, {})[record.record_id] = tf
+
+    def drop(self, record_id: str):
+        for token in self.counts.pop(record_id, ()):
+            bucket = self.postings[token]
+            del bucket[record_id]
+            if not bucket:
+                del self.postings[token]
+
+    def matching(self, tokens: Iterable[str]) -> set[str]:
+        """Ids of the records holding at least one of ``tokens``."""
+        ids: set[str] = set()
+        for token in tokens:
+            ids.update(self.postings.get(token, ()))
+        return ids
+
+
 class MemoryStore(ABC):
     """Abstract backend. Subclasses implement _add_indexes/_forget_indexes/_search."""
 
@@ -315,6 +357,15 @@ class MemoryStore(ABC):
             scored = [(record, sim) for record, sim in scored if sim >= floor]
         scored.sort(key=lambda item: (-item[1], item[0].record_id))
         return scored
+
+    def _lexical_search(self, lexical: LexicalIndex, signal: RetrievalSignal, k: int,
+                        now: Optional[int]) -> list[Candidate]:
+        """Top ``k`` by term frequency over the visible records sharing a query token."""
+        hits = (self._records[record_id]
+                for record_id in lexical.matching(index_tokens(signal.lexical_text())))
+        visible = [record for record in hits if self._is_visible(record, now)]
+        scored = normalize_ratio(lexical_scores(visible, signal, lexical.counts))
+        return rank_candidates(scored, k, source="lexical")
 
     def _vector_search(self, signal: RetrievalSignal, k: int, now: Optional[int],
                        rows: Optional[Iterable[str]] = None) -> list[Candidate]:

@@ -8,13 +8,12 @@ anything evicted is unrecoverable by construction.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from typing import Optional
 
 from ..errors import CapacityExceeded
 from ..records import Candidate, MemoryRecord, RetrievalSignal
-from ..text import index_tokens
-from .base import MemoryStore, lexical_scores, normalize_ratio, rank_candidates
+from .base import LexicalIndex, MemoryStore
 
 
 class FifoQueueStore(MemoryStore):
@@ -29,20 +28,20 @@ class FifoQueueStore(MemoryStore):
         self.capacity = capacity
         self.overflow = overflow
         self._queue: deque[str] = deque()
-        self._tokens: dict[str, Counter] = {}
+        self._lexical = LexicalIndex()
 
     def _add_indexes(self, record: MemoryRecord):
-        self._tokens[record.record_id] = Counter(index_tokens(record.text))
+        self._lexical.add(record)
 
     def _forget_indexes(self, record: MemoryRecord):
-        self._tokens.pop(record.record_id, None)
+        self._lexical.drop(record.record_id)
         try:
             self._queue.remove(record.record_id)
         except ValueError:
             pass
 
     def _refresh_indexes(self, record: MemoryRecord):
-        # content changed in place: refresh the token map without running
+        # content changed in place: refresh the lexical index without running
         # _forget_indexes, which would drop the record's queue position
         self._add_indexes(record)
 
@@ -59,10 +58,8 @@ class FifoQueueStore(MemoryStore):
 
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
-        visible = [r for r in (self._records[i] for i in self._queue)
-                   if self._is_visible(r, now)]
-        scored = normalize_ratio(lexical_scores(visible, signal, self._tokens))
-        return rank_candidates(scored, k, source="lexical")
+        # the lexical index holds exactly the queued records
+        return self._lexical_search(self._lexical, signal, k, now)
 
     def _index_sizes(self) -> dict[str, int]:
         return {"queue": len(self._queue)}

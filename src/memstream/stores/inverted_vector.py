@@ -8,17 +8,10 @@ by record_id. ``mode`` narrows retrieval to one signal ("lexical" or
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Mapping, Optional
 
 from ..records import Candidate, MemoryRecord, RetrievalSignal
-from ..text import index_tokens
-from .base import (
-    MemoryStore,
-    lexical_scores,
-    normalize_ratio,
-    rank_candidates,
-)
+from .base import LexicalIndex, MemoryStore, normalize_ratio
 
 DEFAULT_RRF_K = 60
 
@@ -63,38 +56,17 @@ class InvertedVectorStore(MemoryStore):
             raise ValueError(f"mode must be fused/lexical/vector, got {mode!r}")
         self.rrf_k = rrf_k
         self.mode = mode
-        self._postings: dict[str, dict[str, int]] = {}
-        self._tokens: dict[str, Counter] = {}
+        self._lexical = LexicalIndex()
 
     def _add_indexes(self, record: MemoryRecord):
-        counts = Counter(index_tokens(record.text))
-        self._tokens[record.record_id] = counts
-        for token, tf in counts.items():
-            self._postings.setdefault(token, {})[record.record_id] = tf
+        self._lexical.add(record)
 
     def _forget_indexes(self, record: MemoryRecord):
-        counts = self._tokens.pop(record.record_id, None)
-        if not counts:
-            return
-        for token in counts:
-            bucket = self._postings.get(token)
-            if bucket is not None:
-                bucket.pop(record.record_id, None)
-                if not bucket:
-                    del self._postings[token]
+        self._lexical.drop(record.record_id)
 
     def _lexical_ranked(self, signal: RetrievalSignal, now: Optional[int],
                         pool: int) -> list[str]:
-        query_tokens = set(index_tokens(signal.lexical_text()))
-        if not query_tokens:
-            return []
-        scores: dict[str, float] = {}
-        for token in query_tokens:
-            for rec_id, tf in self._postings.get(token, {}).items():
-                if self._is_visible(self._records[rec_id], now):
-                    scores[rec_id] = scores.get(rec_id, 0.0) + tf
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-        return [rec_id for rec_id, _ in ranked[:pool]]
+        return [cand.record_id for cand in self._lexical_search(self._lexical, signal, pool, now)]
 
     def _vector_ranked(self, signal: RetrievalSignal, now: Optional[int],
                        pool: int) -> list[str]:
@@ -107,9 +79,7 @@ class InvertedVectorStore(MemoryStore):
                 now: Optional[int]) -> list[Candidate]:
         pool = max(k * self.POOL_FACTOR, self.POOL_MIN)
         if self.mode == "lexical":
-            visible = self.visible_records(now)
-            scored = normalize_ratio(lexical_scores(visible, signal, self._tokens))
-            return rank_candidates(scored, k, source="lexical")
+            return self._lexical_search(self._lexical, signal, k, now)
         if self.mode == "vector":
             if signal.embedding is None:
                 return []
@@ -121,6 +91,6 @@ class InvertedVectorStore(MemoryStore):
 
     def _index_sizes(self) -> dict[str, int]:
         return {
-            "tokens": len(self._postings),
+            "tokens": len(self._lexical.postings),
             "vectors": sum(1 for r in self.all_records() if r.embedding is not None),
         }

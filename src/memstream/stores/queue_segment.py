@@ -10,7 +10,7 @@ otherwise. Tier migration preserves records — nothing is evicted here.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from typing import Optional
 
 from ..errors import UnsupportedBackend
@@ -22,13 +22,7 @@ from ..records import (
     TIER_ORDER,
     TIER_SHORT,
 )
-from ..text import index_tokens
-from .base import (
-    MemoryStore,
-    lexical_scores,
-    normalize_ratio,
-    rank_candidates,
-)
+from .base import LexicalIndex, MemoryStore
 
 
 class QueueSegmentStore(MemoryStore):
@@ -41,16 +35,16 @@ class QueueSegmentStore(MemoryStore):
             raise ValueError(f"short_capacity must be >= 1, got {short_capacity}")
         self.short_capacity = short_capacity
         self._short: deque[str] = deque()
-        self._tokens: dict[str, Counter] = {}
+        self._lexical = LexicalIndex()
 
     def _default_tier(self) -> str:
         return TIER_SHORT
 
     def _add_indexes(self, record: MemoryRecord):
-        self._tokens[record.record_id] = Counter(index_tokens(record.text))
+        self._lexical.add(record)
 
     def _forget_indexes(self, record: MemoryRecord):
-        self._tokens.pop(record.record_id, None)
+        self._lexical.drop(record.record_id)
         try:
             self._short.remove(record.record_id)
         except ValueError:
@@ -63,7 +57,7 @@ class QueueSegmentStore(MemoryStore):
             self._records[overflow_id].tier = TIER_MID
 
     def _refresh_indexes(self, record: MemoryRecord):
-        # content changed in place: refresh the token map without running
+        # content changed in place: refresh the lexical index without running
         # _forget_indexes, which would evict the record from the short queue
         self._add_indexes(record)
 
@@ -95,9 +89,7 @@ class QueueSegmentStore(MemoryStore):
                 now: Optional[int]) -> list[Candidate]:
         if signal.embedding is not None:
             return self._vector_search(signal, k, now)
-        visible = self.visible_records(now)
-        scored = normalize_ratio(lexical_scores(visible, signal, self._tokens))
-        return rank_candidates(scored, k, source="lexical")
+        return self._lexical_search(self._lexical, signal, k, now)
 
     def _index_sizes(self) -> dict[str, int]:
         segments = len({(r.session_id) for r in self.all_records() if r.tier == TIER_MID})

@@ -38,7 +38,7 @@ from memstream.metrics import (
     degradation,
     token_f1,
 )
-from memstream.orchestrator import experiment_sink, run_experiment
+from memstream.orchestrator import _Pipeline, experiment_sink, run_experiment
 from memstream.porter import porter_stem
 from memstream.records import MemoryRecord, RetrievalSignal
 from memstream.stores import BACKENDS, build_store
@@ -50,7 +50,7 @@ from memstream.stream import (
     Turn,
     serialize_stream,
 )
-from memstream.text import SYNONYMS, apply_synonyms
+from memstream.text import SYNONYMS, apply_synonyms, split_sentences
 from memstream.workloads import SyntheticSpec, synth_workload
 
 
@@ -245,6 +245,34 @@ def test_03_no_retrieved_evidence_from_the_future():
                                          record_id, ts, res.ts)
                     provenance_rows += 1
         assert provenance_rows > 0
+
+
+def test_03_merged_content_stays_invisible_to_earlier_queries():
+    # a query parked at t=1 is scored after a t=10 s near-duplicate merged
+    # into the t=0 record; the merged text must not reach its answer
+    with criterion(3, "merged content is invisible to earlier queries"):
+        later = "the harbor password is zebra."
+        session = SessionTurns(session_id="s0", turns=(
+            Turn(text="the harbour password is tiger.", ts=0),
+            Turn(text=later, ts=10_000_000),
+        ))
+        query = QuerySpec(payload=RetrievePayload(query="what is the harbor password?",
+                                                  gold_answer="zebra", query_id="q0"),
+                          trigger=AfterCount(count=1))
+        manifest = serialize_stream([session], [query], source="merge-leak")
+        cfg = make_config(checkpoint=CheckpointSchedule(fraction=1.0))
+        cfg.operators.consolidate = ConsolidateConfig(
+            strategy="semantic_consolidation", dedup_threshold=0.5)
+        pipeline = _Pipeline(cfg, manifest, MockGateway(dim=32))
+        result = pipeline.run()
+        assert result.status == "complete" and len(result.reports) == 1
+        assert any(" MERGE " in line for line in result.action_log)
+        (res,) = result.query_results
+        assert res.ts == 1
+        assert res.f1 == 0.0, res.prediction
+        assert later not in res.prediction
+        for record_id, _score, _ts in res.provenance:
+            assert later not in split_sentences(pipeline.store.get(record_id).text)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,14 @@ def test_history_source_high_water_bounded(capacity):
     assert 1 <= source.high_water <= capacity
 
 
+def test_high_water_counts_requests_not_the_end_marker():
+    manifest = make_manifest(n_inserts=6, queries=[("q0", "fact number 2", "two", 3)])
+    source = HistorySource(manifest, buffer_capacity=len(manifest.requests) + 1)
+    source._produce()  # nothing consumes, so every request stays buffered
+    assert len(source._items) == len(manifest.requests) + 1
+    assert source.high_water == len(manifest.requests)
+
+
 def test_history_source_rejects_bad_capacity():
     manifest = make_manifest(n_inserts=2)
     with pytest.raises(ValueError):
@@ -143,6 +151,23 @@ def test_fraction_schedule_flushes_at_expected_inserts():
     result = run_experiment(cfg, manifest, MockGateway(dim=32))
     assert result.status == "complete"
     assert [r.inserts_consumed for r in result.reports] == [2, 4, 6, 8, 10]
+
+
+def test_run_builds_the_fraction_schedule_once(monkeypatch):
+    from memstream import orchestrator
+
+    calls = []
+    original = orchestrator.fraction_boundaries
+
+    def counted(fraction, total_inserts):
+        calls.append((fraction, total_inserts))
+        return original(fraction, total_inserts)
+
+    monkeypatch.setattr(orchestrator, "fraction_boundaries", counted)
+    cfg = base_config(checkpoint=CheckpointSchedule(fraction=0.2))
+    result = run_experiment(cfg, make_manifest(n_inserts=10), MockGateway(dim=32))
+    assert [r.inserts_consumed for r in result.reports] == [2, 4, 6, 8, 10]
+    assert calls == [(0.2, 10)]
 
 
 def test_every_n_schedule_with_ragged_tail():

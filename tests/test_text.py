@@ -3,6 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from memstream import text as text_module
 from memstream.text import (
     STOPWORDS,
     SYNONYMS,
@@ -111,3 +112,65 @@ def test_token_pipelines_are_idempotent(text):
 def test_split_sentences_loses_no_content(text):
     joined = "".join(split_sentences(text))
     assert "".join(joined.split()) == "".join(text.split())
+
+
+# ----------------------------------------------------------------------
+# the word memo against the strip-the-whole-string pipeline it replaced
+# ----------------------------------------------------------------------
+
+def ref_raw_tokens(text):
+    return strip_punctuation(text.lower()).split()
+
+
+def ref_metric_tokens(text):
+    return [stem for stem in map(stem_fixpoint, ref_raw_tokens(text)) if stem]
+
+
+def ref_index_tokens(text):
+    return [stem for stem in (stem_fixpoint(tok) for tok in ref_raw_tokens(text)
+                              if tok not in STOPWORDS) if stem]
+
+
+# letters, digits, stopwords, Unicode quotes and dashes, whitespace of
+# several kinds and words made only of punctuation
+WORDS = st.sampled_from((
+    "The", "running", "exceeded", "harbour", "is", "and", "A", "it's", "3.14",
+    "42", "don’t", "“quoted”", "co-op", "—", "...", "!?", "«»", "‘", "Σσς",
+    "İstanbul", "caf\u00e9", "x\u2013y", "\u00bf", "meetings,",
+))
+TEXTS = st.lists(st.one_of(WORDS, st.text(max_size=8)), max_size=12).flatmap(
+    lambda words: st.lists(st.sampled_from((" ", "  ", "\t", "\n", "\u00a0", "\u2003")),
+                           min_size=len(words), max_size=len(words)).map(
+        lambda gaps: "".join(w + g for w, g in zip(words, gaps))))
+
+
+@given(TEXTS)
+def test_memoized_pipelines_match_the_whole_string_reference(text):
+    for _ in range(2):  # the second pass is served from the memo
+        assert raw_tokens(text) == ref_raw_tokens(text)
+        assert metric_tokens(text) == ref_metric_tokens(text)
+        assert index_tokens(text) == ref_index_tokens(text)
+
+
+@given(st.text(max_size=40))
+def test_memoized_pipelines_match_the_reference_on_any_text(text):
+    assert raw_tokens(text) == ref_raw_tokens(text)
+    assert metric_tokens(text) == ref_metric_tokens(text)
+    assert index_tokens(text) == ref_index_tokens(text)
+
+
+def test_memo_misses_call_the_module_stem_fixpoint(monkeypatch):
+    # a wrapper on text.stem_fixpoint sees every stem the memo computes
+    text_module._word.cache_clear()
+    seen = []
+    original = text_module.stem_fixpoint
+
+    def counted(token):
+        seen.append(token)
+        return original(token)
+
+    monkeypatch.setattr(text_module, "stem_fixpoint", counted)
+    assert index_tokens("Running running the ...") == ["run", "run"]
+    assert metric_tokens("running the") == ["run", "the"]
+    assert seen == ["running", "the"]  # each distinct word once; "..." never
+    assert text_module._word.cache_info().maxsize == text_module.WORD_MEMO_SIZE
