@@ -4,15 +4,17 @@ A config file has sections ``store``, ``operators``, ``checkpoint``,
 ``gateway`` and run-level keys (seed, buffer_capacity, dataset, output_dir).
 An optional ``ablate`` section maps dotted keys to value lists; the grid is
 the cross product. Dotted ``--set key=value`` overrides apply on top of the
-file before expansion.
+file before expansion. Every value must fit its field's annotation (an int
+fits a float field), or ConfigError names the key.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -213,24 +215,47 @@ class ExperimentConfig:
 # dict <-> dataclass plumbing
 # ----------------------------------------------------------------------
 
+def _matches(value: Any, hint: Any) -> bool:
+    """Whether ``value`` fits the field annotation ``hint``; an int fits a float."""
+    origin = get_origin(hint)
+    if origin is Union:
+        return any(_matches(value, arg) for arg in get_args(hint))
+    if origin is dict:
+        key_hint, value_hint = get_args(hint)
+        return isinstance(value, dict) and all(
+            _matches(k, key_hint) and _matches(v, value_hint) for k, v in value.items())
+    if hint is Any:
+        return True
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+# resolving string annotations costs more than building the config
+_field_types = functools.lru_cache(maxsize=None)(get_type_hints)
+
+
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'} must be a mapping, got {type(data).__name__}")
-    known = {f.name: f for f in dc_fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {path + '.' if path else ''}{key}")
-        kwargs[key] = value
+    hints = _field_types(cls)
+    declared = {f.name: f.type for f in dc_fields(cls)}
     obj = cls()
-    for name, f in known.items():
-        if name not in kwargs:
-            continue
-        value = kwargs[name]
-        current = getattr(obj, name)
+    for key, value in data.items():
+        dotted = f"{path + '.' if path else ''}{key}"
+        if key not in declared:
+            raise ConfigError(f"unknown config key {dotted}")
+        current = getattr(obj, key)
         if hasattr(current, "validate") and hasattr(current, "__dataclass_fields__"):
-            value = _build(type(current), value, f"{path + '.' if path else ''}{name}")
-        setattr(obj, name, value)
+            value = _build(type(current), value, dotted)
+        elif not _matches(value, hints[key]):
+            raise ConfigError(f"{dotted} must be {declared[key]}, "
+                              f"got {type(value).__name__} {value!r}")
+        setattr(obj, key, value)
     return obj
 
 
@@ -293,7 +318,8 @@ def expand_ablation(data: dict) -> list[tuple[str, ExperimentConfig]]:
 
     Returns (variant_name, config) pairs; one pair named "base" when there is
     no ablate section. Variant names join 'lastkeypart-value' fragments in
-    declaration order and double as sink sub-directory names.
+    declaration order and double as sink sub-directory names, so two
+    variants of one name raise ConfigError.
     """
     ablate = data.get("ablate") or {}
     if not isinstance(ablate, dict):
@@ -317,5 +343,9 @@ def expand_ablation(data: dict) -> list[tuple[str, ExperimentConfig]]:
         for key, value in zip(keys, combo):
             apply_override(working, key, value)
             name_parts.append(f"{key.rsplit('.', 1)[-1]}-{value}")
-        variants.append(("_".join(name_parts), config_from_dict(working)))
+        name = "_".join(name_parts)
+        # two variants of one name would share, and overwrite, one sink directory
+        _require(all(name != other for other, _ in variants),
+                 f"ablate yields two variants named {name!r}")
+        variants.append((name, config_from_dict(working)))
     return variants

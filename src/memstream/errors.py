@@ -27,10 +27,6 @@ class DanglingEvidence(StreamError):
     """A query trigger points at a (session_id, turn_index) that does not exist."""
 
 
-class InvalidGap(StreamError):
-    """concat_streams called with a negative gap."""
-
-
 class SchemaError(StreamError):
     """An input file does not match the documented schema."""
 

@@ -11,9 +11,11 @@ All backends guarantee, via this base class:
   scores divided by the list maximum);
 * access bookkeeping on hits: access_count += 1, last_access = now, and the
   retention strength multiplied by ``strength_gain``;
-* tombstoning that cleans every index (subclasses hook _forget_indexes);
+* tombstoning that cleans every index, then calls ``_after_remove`` so a
+  backend can drop the record from its own queues;
 * one shared embedding index behind every nearest-neighbour scan;
-* one lexical index type behind every term-frequency search.
+* one postings index behind every keyed lookup: lexical search, graph
+  entities and LSH buckets.
 
 The embedding index holds one float64 row per live embedded record, with the
 record's visibility ``ts`` and norm beside it; freed rows are reused. Upkeep
@@ -28,16 +30,20 @@ differ from the per-pair dot product in the last ulp, so the screen alone
 would flip near-ties; the rescore keeps every score and order exactly those
 of a per-record scan.
 
-A ``LexicalIndex`` holds each record's index-token ``Counter`` plus postings
-(token -> {record_id: tf}). The stores that search by term frequency own
-one and keep it current eagerly in ``_add_indexes`` / ``_forget_indexes``,
-so a record's text is tokenized once per insert or reindex, never per
-query. ``MemoryStore._lexical_search``, behind every lexical search and
-inverted_vector's lexical ranking for fusion, hands ``lexical_scores`` only
-the visible records that share a query token, found through the postings;
-the others would score 0 and be dropped anyway, and ``rank_candidates``
-sorts on (-score, record_id), so the result is that of a scan over every
-record.
+``Postings`` holds each record's key ``Counter`` plus postings
+(key -> {record_id: count}). What a key is belongs to the backend: its
+``_index_keys(record)`` returns index tokens of the text (fifo_queue,
+queue_segment, inverted_vector), the triplet's entity tokens
+(property_graph), one ``(table, signature)`` pair per LSH table (lsh_hash),
+or nothing (summary_vector). The base keeps the postings current eagerly in
+``insert``, ``reindex`` and ``remove``, so a record is keyed once per write,
+never per query. ``MemoryStore._keyed_scores`` hands ``lexical_scores``
+only the visible records that share a key with the query's index tokens,
+found through the postings; the others would score 0 and be dropped anyway,
+and ``rank_candidates`` sorts on (-score, record_id), so lexical search
+returns what a scan over every record would. property_graph's entity keys
+are a set, so each count is 1 and a record's score is the number of
+distinct query entities it mentions.
 
 Insert returns the new record ids and retrieve the candidates; neither times
 itself, because the orchestrator times every stage at its own boundaries.
@@ -47,7 +53,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Hashable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -212,38 +218,40 @@ class EmbeddingIndex:
         return [self.records[row] for row in candidates]
 
 
-class LexicalIndex:
-    """Per-record token counts plus postings (see module docstring)."""
+class Postings:
+    """Per-record key counts plus postings (see module docstring)."""
 
     def __init__(self):
         self.counts: dict[str, Counter] = {}
-        self.postings: dict[str, dict[str, int]] = {}
+        self.postings: dict[Hashable, dict[str, int]] = {}
 
-    def add(self, record: MemoryRecord):
-        """Index the record's current text, replacing any earlier entry."""
-        self.drop(record.record_id)
-        counts = Counter(index_tokens(record.text))
-        self.counts[record.record_id] = counts
-        for token, tf in counts.items():
-            self.postings.setdefault(token, {})[record.record_id] = tf
+    def add(self, record_id: str, keys: Iterable[Hashable]):
+        """Index the record under ``keys``, replacing any earlier entry."""
+        self.drop(record_id)
+        counts = Counter(keys)
+        if not counts:
+            return
+        self.counts[record_id] = counts
+        for key, count in counts.items():
+            self.postings.setdefault(key, {})[record_id] = count
 
     def drop(self, record_id: str):
-        for token in self.counts.pop(record_id, ()):
-            bucket = self.postings[token]
+        for key in self.counts.pop(record_id, ()):
+            bucket = self.postings[key]
             del bucket[record_id]
             if not bucket:
-                del self.postings[token]
+                del self.postings[key]
 
-    def matching(self, tokens: Iterable[str]) -> set[str]:
-        """Ids of the records holding at least one of ``tokens``."""
+    def matching(self, keys: Iterable[Hashable]) -> set[str]:
+        """Ids of the records holding at least one of ``keys``."""
         ids: set[str] = set()
-        for token in tokens:
-            ids.update(self.postings.get(token, ()))
+        for key in keys:
+            ids.update(self.postings.get(key, ()))
         return ids
 
 
 class MemoryStore(ABC):
-    """Abstract backend. Subclasses implement _add_indexes/_forget_indexes/_search."""
+    """Abstract backend. Subclasses implement _search and usually _index_keys."""
 
     name = "abstract"
     supports_tiers = False
@@ -257,6 +265,7 @@ class MemoryStore(ABC):
         self.strength_gain = strength_gain
         self.evicted_total = 0
         self._index = EmbeddingIndex()
+        self._postings = Postings()
 
     # ------------------------------------------------------------------
     # insertion
@@ -271,7 +280,7 @@ class MemoryStore(ABC):
             self._records[record.record_id] = record
             if record.kind == KIND_RAW:
                 self._turn_map[(record.session_id, record.turn_index)] = record.record_id
-            self._add_indexes(record)
+            self._postings.add(record.record_id, self._index_keys(record))
             self._index.queue(record)
             self._after_add(record)
             ids.append(record.record_id)
@@ -358,13 +367,18 @@ class MemoryStore(ABC):
         scored.sort(key=lambda item: (-item[1], item[0].record_id))
         return scored
 
-    def _lexical_search(self, lexical: LexicalIndex, signal: RetrievalSignal, k: int,
+    def _keyed_scores(self, signal: RetrievalSignal,
+                      now: Optional[int]) -> list[tuple[MemoryRecord, float]]:
+        """Summed key counts of the visible records sharing a query token."""
+        hits = (self._records[record_id]
+                for record_id in self._postings.matching(index_tokens(signal.lexical_text())))
+        visible = [record for record in hits if self._is_visible(record, now)]
+        return lexical_scores(visible, signal, self._postings.counts)
+
+    def _lexical_search(self, signal: RetrievalSignal, k: int,
                         now: Optional[int]) -> list[Candidate]:
         """Top ``k`` by term frequency over the visible records sharing a query token."""
-        hits = (self._records[record_id]
-                for record_id in lexical.matching(index_tokens(signal.lexical_text())))
-        visible = [record for record in hits if self._is_visible(record, now)]
-        scored = normalize_ratio(lexical_scores(visible, signal, lexical.counts))
+        scored = normalize_ratio(self._keyed_scores(signal, now))
         return rank_candidates(scored, k, source="lexical")
 
     def _vector_search(self, signal: RetrievalSignal, k: int, now: Optional[int],
@@ -395,7 +409,7 @@ class MemoryStore(ABC):
         """Tombstone a record and drop it from every index."""
         record = self.get(record_id)
         record.tombstoned = True
-        self._forget_indexes(record)
+        self._postings.drop(record_id)
         self._index.drop(record_id)
         if record.kind == KIND_RAW:
             key = (record.session_id, record.turn_index)
@@ -406,16 +420,13 @@ class MemoryStore(ABC):
             if other is not None:
                 other.links.discard(record_id)
         self.evicted_total += 1
+        self._after_remove(record)
 
     def reindex(self, record: MemoryRecord):
         """Refresh index entries after an in-place text/embedding/ts change."""
         self._check_dim(record)
-        self._refresh_indexes(record)
+        self._postings.add(record.record_id, self._index_keys(record))
         self._index.queue(record)
-
-    def _refresh_indexes(self, record: MemoryRecord):
-        self._forget_indexes(record)
-        self._add_indexes(record)
 
     def migrate(self, record_id: str, to_tier: str):
         raise UnsupportedBackend(f"{self.name} has no tiers")
@@ -452,13 +463,12 @@ class MemoryStore(ABC):
     # ------------------------------------------------------------------
     # subclass surface
     # ------------------------------------------------------------------
-    @abstractmethod
-    def _add_indexes(self, record: MemoryRecord):
-        ...
+    def _index_keys(self, record: MemoryRecord) -> Iterable[Hashable]:
+        """The record's postings keys; default none."""
+        return ()
 
-    @abstractmethod
-    def _forget_indexes(self, record: MemoryRecord):
-        ...
+    def _after_remove(self, record: MemoryRecord):
+        """Bookkeeping hook, called last in ``remove``; default none."""
 
     @abstractmethod
     def _search(self, signal: RetrievalSignal, k: int,

@@ -13,7 +13,8 @@ from typing import Optional
 
 from ..errors import CapacityExceeded
 from ..records import Candidate, MemoryRecord, RetrievalSignal
-from .base import LexicalIndex, MemoryStore
+from ..text import index_tokens
+from .base import MemoryStore
 
 
 class FifoQueueStore(MemoryStore):
@@ -28,22 +29,15 @@ class FifoQueueStore(MemoryStore):
         self.capacity = capacity
         self.overflow = overflow
         self._queue: deque[str] = deque()
-        self._lexical = LexicalIndex()
 
-    def _add_indexes(self, record: MemoryRecord):
-        self._lexical.add(record)
+    def _index_keys(self, record: MemoryRecord) -> list[str]:
+        return index_tokens(record.text)
 
-    def _forget_indexes(self, record: MemoryRecord):
-        self._lexical.drop(record.record_id)
+    def _after_remove(self, record: MemoryRecord):
         try:
             self._queue.remove(record.record_id)
         except ValueError:
             pass
-
-    def _refresh_indexes(self, record: MemoryRecord):
-        # content changed in place: refresh the lexical index without running
-        # _forget_indexes, which would drop the record's queue position
-        self._add_indexes(record)
 
     def _after_add(self, record: MemoryRecord):
         self._queue.append(record.record_id)
@@ -58,8 +52,8 @@ class FifoQueueStore(MemoryStore):
 
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
-        # the lexical index holds exactly the queued records
-        return self._lexical_search(self._lexical, signal, k, now)
+        # the postings hold exactly the queued records
+        return self._lexical_search(signal, k, now)
 
     def _index_sizes(self) -> dict[str, int]:
         return {"queue": len(self._queue)}

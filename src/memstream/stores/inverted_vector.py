@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional
 
 from ..records import Candidate, MemoryRecord, RetrievalSignal
-from .base import LexicalIndex, MemoryStore, normalize_ratio
+from ..text import index_tokens
+from .base import MemoryStore, normalize_ratio
 
 DEFAULT_RRF_K = 60
 
@@ -56,17 +57,13 @@ class InvertedVectorStore(MemoryStore):
             raise ValueError(f"mode must be fused/lexical/vector, got {mode!r}")
         self.rrf_k = rrf_k
         self.mode = mode
-        self._lexical = LexicalIndex()
 
-    def _add_indexes(self, record: MemoryRecord):
-        self._lexical.add(record)
-
-    def _forget_indexes(self, record: MemoryRecord):
-        self._lexical.drop(record.record_id)
+    def _index_keys(self, record: MemoryRecord) -> list[str]:
+        return index_tokens(record.text)
 
     def _lexical_ranked(self, signal: RetrievalSignal, now: Optional[int],
                         pool: int) -> list[str]:
-        return [cand.record_id for cand in self._lexical_search(self._lexical, signal, pool, now)]
+        return [cand.record_id for cand in self._lexical_search(signal, pool, now)]
 
     def _vector_ranked(self, signal: RetrievalSignal, now: Optional[int],
                        pool: int) -> list[str]:
@@ -79,7 +76,7 @@ class InvertedVectorStore(MemoryStore):
                 now: Optional[int]) -> list[Candidate]:
         pool = max(k * self.POOL_FACTOR, self.POOL_MIN)
         if self.mode == "lexical":
-            return self._lexical_search(self._lexical, signal, k, now)
+            return self._lexical_search(signal, k, now)
         if self.mode == "vector":
             if signal.embedding is None:
                 return []
@@ -91,6 +88,6 @@ class InvertedVectorStore(MemoryStore):
 
     def _index_sizes(self) -> dict[str, int]:
         return {
-            "tokens": len(self._lexical.postings),
+            "tokens": len(self._postings.postings),
             "vectors": sum(1 for r in self.all_records() if r.embedding is not None),
         }

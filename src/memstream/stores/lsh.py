@@ -39,46 +39,23 @@ class LshStore(MemoryStore):
         self.tables = tables
         rng = np.random.default_rng(seed)
         self._planes = [rng.standard_normal((bits, dim)) for _ in range(tables)]
-        self._buckets: list[dict[int, list[str]]] = [{} for _ in range(tables)]
-        self._signatures: dict[str, list[int]] = {}
 
-    def _add_indexes(self, record: MemoryRecord):
+    def _bucket_keys(self, vector: np.ndarray) -> list[tuple[int, int]]:
+        """One (table, signature) pair per table."""
+        return [(t, lsh_signature(vector, planes)) for t, planes in enumerate(self._planes)]
+
+    def _index_keys(self, record: MemoryRecord) -> list[tuple[int, int]]:
         if record.embedding is None:
             raise StoreError("lsh_hash stores embedded records only")
-        sigs = []
-        for t in range(self.tables):
-            sig = lsh_signature(record.embedding, self._planes[t])
-            self._buckets[t].setdefault(sig, []).append(record.record_id)
-            sigs.append(sig)
-        self._signatures[record.record_id] = sigs
-
-    def _forget_indexes(self, record: MemoryRecord):
-        sigs = self._signatures.pop(record.record_id, None)
-        if not sigs:
-            return
-        for t, sig in enumerate(sigs):
-            bucket = self._buckets[t].get(sig)
-            if bucket:
-                try:
-                    bucket.remove(record.record_id)
-                except ValueError:
-                    pass
-                if not bucket:
-                    del self._buckets[t][sig]
+        return self._bucket_keys(record.embedding)
 
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
         if signal.embedding is None:
             # No embedding, no buckets to probe; deterministic empty result.
             return []
-        candidate_ids: set[str] = set()
-        for t in range(self.tables):
-            sig = lsh_signature(signal.embedding, self._planes[t])
-            candidate_ids.update(self._buckets[t].get(sig, ()))
+        candidate_ids = self._postings.matching(self._bucket_keys(signal.embedding))
         return self._vector_search(signal, k, now, rows=candidate_ids)
 
     def _index_sizes(self) -> dict[str, int]:
-        return {
-            "tables": self.tables,
-            "buckets": sum(len(b) for b in self._buckets),
-        }
+        return {"tables": self.tables, "buckets": len(self._postings.postings)}

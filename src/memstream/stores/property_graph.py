@@ -30,37 +30,13 @@ class PropertyGraphStore(MemoryStore):
     name = "property_graph"
     supports_links = True
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self._entities: dict[str, set[str]] = {}
-        self._entity_of: dict[str, set[str]] = {}
-
-    def _add_indexes(self, record: MemoryRecord):
-        keys = entity_keys(record)
-        if keys:
-            self._entity_of[record.record_id] = keys
-            for key in keys:
-                self._entities.setdefault(key, set()).add(record.record_id)
-
-    def _forget_indexes(self, record: MemoryRecord):
-        keys = self._entity_of.pop(record.record_id, None)
-        if not keys:
-            return
-        for key in keys:
-            members = self._entities.get(key)
-            if members is not None:
-                members.discard(record.record_id)
-                if not members:
-                    del self._entities[key]
+    def _index_keys(self, record: MemoryRecord) -> set[str]:
+        return entity_keys(record)
 
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
         # one point per distinct query entity the record's triplet mentions
-        bonus: dict[str, float] = {}
-        for key in set(index_tokens(signal.lexical_text())):
-            for rec_id in self._entities.get(key, ()):
-                if self._is_visible(self._records[rec_id], now):
-                    bonus[rec_id] = bonus.get(rec_id, 0.0) + 1.0
+        bonus = {record.record_id: points for record, points in self._keyed_scores(signal, now)}
         scores: dict[str, float] = {}
         if signal.embedding is not None:
             for rec, sim in self.nearest(signal.embedding, now, top=k, bonus=bonus):
@@ -74,6 +50,6 @@ class PropertyGraphStore(MemoryStore):
 
     def _index_sizes(self) -> dict[str, int]:
         return {
-            "entities": len(self._entities),
+            "entities": len(self._postings.postings),
             "linked_records": sum(1 for r in self.all_records() if r.links),
         }

@@ -22,7 +22,8 @@ from ..records import (
     TIER_ORDER,
     TIER_SHORT,
 )
-from .base import LexicalIndex, MemoryStore
+from ..text import index_tokens
+from .base import MemoryStore
 
 
 class QueueSegmentStore(MemoryStore):
@@ -35,16 +36,14 @@ class QueueSegmentStore(MemoryStore):
             raise ValueError(f"short_capacity must be >= 1, got {short_capacity}")
         self.short_capacity = short_capacity
         self._short: deque[str] = deque()
-        self._lexical = LexicalIndex()
 
     def _default_tier(self) -> str:
         return TIER_SHORT
 
-    def _add_indexes(self, record: MemoryRecord):
-        self._lexical.add(record)
+    def _index_keys(self, record: MemoryRecord) -> list[str]:
+        return index_tokens(record.text)
 
-    def _forget_indexes(self, record: MemoryRecord):
-        self._lexical.drop(record.record_id)
+    def _after_remove(self, record: MemoryRecord):
         try:
             self._short.remove(record.record_id)
         except ValueError:
@@ -55,11 +54,6 @@ class QueueSegmentStore(MemoryStore):
         while len(self._short) > self.short_capacity:
             overflow_id = self._short.popleft()
             self._records[overflow_id].tier = TIER_MID
-
-    def _refresh_indexes(self, record: MemoryRecord):
-        # content changed in place: refresh the lexical index without running
-        # _forget_indexes, which would evict the record from the short queue
-        self._add_indexes(record)
 
     def migrate(self, record_id: str, to_tier: str):
         """Move a record between tiers without losing it.
@@ -89,7 +83,7 @@ class QueueSegmentStore(MemoryStore):
                 now: Optional[int]) -> list[Candidate]:
         if signal.embedding is not None:
             return self._vector_search(signal, k, now)
-        return self._lexical_search(self._lexical, signal, k, now)
+        return self._lexical_search(signal, k, now)
 
     def _index_sizes(self) -> dict[str, int]:
         segments = len({(r.session_id) for r in self.all_records() if r.tier == TIER_MID})

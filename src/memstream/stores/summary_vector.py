@@ -45,12 +45,6 @@ class SummaryVectorStore(MemoryStore):
         self._session_summary: dict[str, str] = {}  # session_id -> summary record_id
         self._session_members: dict[str, list[str]] = {}
 
-    def _add_indexes(self, record: MemoryRecord):
-        pass  # flat scan; no auxiliary index
-
-    def _forget_indexes(self, record: MemoryRecord):
-        pass
-
     def _after_add(self, record: MemoryRecord):
         if record.kind != KIND_RAW or not record.session_id:
             return
@@ -82,7 +76,7 @@ class SummaryVectorStore(MemoryStore):
             summary_id = None
         if not members:
             if summary_id is not None:
-                # remove() drops the session mapping for summary records
+                # _after_remove drops the session mapping
                 self.remove(summary_id)
             return
         text = self._summary_text(members)
@@ -107,24 +101,16 @@ class SummaryVectorStore(MemoryStore):
                 summary.last_access = newest_ts
             self.reindex(summary)
 
-    def remove(self, record_id: str):
-        record = self._records.get(record_id)
-        was_member = (
-            record is not None
-            and record.kind == KIND_RAW
-            and record.session_id in self._session_members
-        )
-        session_id = record.session_id if was_member else None
-        super().remove(record_id)
-        if was_member:
+    def _after_remove(self, record: MemoryRecord):
+        session_id = record.session_id
+        if record.kind == KIND_RAW and session_id in self._session_members:
             self._session_members[session_id] = [
-                mid for mid in self._session_members[session_id] if mid != record_id
+                mid for mid in self._session_members[session_id] if mid != record.record_id
             ]
             self._refresh_summary(session_id)
-        elif record is not None and record.kind == KIND_SUMMARY:
-            for sid, sum_id in list(self._session_summary.items()):
-                if sum_id == record_id:
-                    del self._session_summary[sid]
+        elif self._session_summary.get(session_id) == record.record_id:
+            # matched by id: enrich normalization inserts summaries of its own
+            del self._session_summary[session_id]
 
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:

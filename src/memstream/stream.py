@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .errors import DanglingEvidence, InvalidGap, MissingTimestamp, SchemaError
+from .errors import DanglingEvidence, MissingTimestamp, SchemaError
 
 KIND_INSERT = "insert"
 KIND_RETRIEVE = "retrieve"
@@ -268,56 +268,6 @@ def validate_stream(manifest: StreamManifest) -> ValidationReport:
                 i, "payload_mismatch",
                 f"kind {request.kind} with {type(request.payload).__name__}"))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Concatenation
-# ---------------------------------------------------------------------------
-
-def concat_streams(manifests: list[StreamManifest], gap_us: int = TICK_US) -> StreamManifest:
-    """Chain manifests on one timeline.
-
-    Later manifests are shifted so each starts at least gap_us after the
-    previous one ends. With more than one input, session_ids and query_ids
-    get a 'k/' namespace prefix so identically named sessions stay
-    distinct; a single input comes back identical modulo seq renumbering.
-    """
-    if gap_us < 0:
-        raise InvalidGap(f"gap must be >= 0, got {gap_us}")
-    if not manifests:
-        return StreamManifest(requests=(), source="concat")
-    if len(manifests) == 1:
-        renumbered = tuple(
-            Request(seq=i, ts=r.ts, kind=r.kind, payload=r.payload)
-            for i, r in enumerate(manifests[0].requests)
-        )
-        return StreamManifest(requests=renumbered, source=manifests[0].source)
-
-    out: list[Request] = []
-    clock_end: Optional[int] = None
-    for k, manifest in enumerate(manifests):
-        if not manifest.requests:
-            continue
-        first_ts = manifest.requests[0].ts
-        shift = 0 if clock_end is None else max(0, clock_end + gap_us - first_ts)
-        for request in manifest.requests:
-            payload = request.payload
-            if isinstance(payload, InsertPayload):
-                payload = InsertPayload(context=payload.context,
-                                        session_id=f"{k}/{payload.session_id}",
-                                        speaker=payload.speaker,
-                                        turn_index=payload.turn_index)
-            else:
-                payload = RetrievePayload(query=payload.query,
-                                          gold_answer=payload.gold_answer,
-                                          query_id=f"{k}/{payload.query_id}",
-                                          category=payload.category,
-                                          session_id=(f"{k}/{payload.session_id}"
-                                                      if payload.session_id else ""))
-            out.append(Request(seq=len(out), ts=request.ts + shift,
-                               kind=request.kind, payload=payload))
-        clock_end = out[-1].ts
-    return StreamManifest(requests=tuple(out), source="concat")
 
 
 # ---------------------------------------------------------------------------

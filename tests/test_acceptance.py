@@ -43,6 +43,7 @@ from memstream.porter import porter_stem
 from memstream.records import MemoryRecord, RetrievalSignal
 from memstream.stores import BACKENDS, build_store
 from memstream.stream import (
+    KIND_INSERT,
     AfterCount,
     QuerySpec,
     RetrievePayload,
@@ -273,6 +274,72 @@ def test_03_merged_content_stays_invisible_to_earlier_queries():
         assert later not in res.prediction
         for record_id, _score, _ts in res.provenance:
             assert later not in split_sentences(pipeline.store.get(record_id).text)
+
+
+class ContextCapture(MockGateway):
+    """Mock gateway that keeps every context handed to ``answer``, in call order."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.contexts = []
+
+    def answer(self, query, context, **kwargs):
+        self.contexts.append(context)
+        return super().answer(query, context, **kwargs)
+
+
+def bundle_sentences(context):
+    """Sentences of each bundle line's text, without its '[ts=...] speaker: ' prefix."""
+    for line in context.splitlines():
+        yield from split_sentences(line.split("] ", 1)[1].split(": ", 1)[1])
+
+
+def test_03_bundle_sentences_come_from_earlier_inserts():
+    # what Generation reads, not only the provenance timestamps: every
+    # sentence of every bundle line must be a sentence some insert strictly
+    # before the query held; fraction checkpoints defer scoring past later
+    # inserts, merges, summaries and evictions
+    with criterion(3, "bundle sentences come from strictly earlier inserts"):
+        spec = SyntheticSpec(seed=3, n_facts=30, update_rate=0.5, n_sessions=2,
+                             rounds=3, queries_per_round=4, paraphrase_rate=0.25)
+        manifest, _ = synth_workload(spec)
+        first_seen = {}
+        for request in manifest.requests:
+            if request.kind == KIND_INSERT:
+                for sentence in split_sentences(request.payload.context):
+                    first_seen.setdefault(sentence, request.ts)
+        consolidate = ("none", "crud", "forgetting_curve", "heat_migration",
+                       "link_evolution", "semantic_consolidation")
+        runs = [(backend, strategy, normalize)
+                for backend in sorted(BACKENDS) for strategy in consolidate
+                for normalize in ("none", "enrich")
+                if (strategy != "heat_migration" or BACKENDS[backend].supports_tiers)
+                and (strategy != "link_evolution" or BACKENDS[backend].supports_links)]
+        queries = sentences = 0
+        for i, (backend, strategy, normalize) in enumerate(runs):
+            # checkpoints fall mid-round, so queries wait for later inserts
+            cfg = make_config(backend, dim=16, checkpoint=CheckpointSchedule(fraction=0.5))
+            cfg.operators = OperatorConfig(
+                normalize=NormalizeConfig(strategy=normalize),
+                consolidate=ConsolidateConfig(strategy=strategy, dedup_threshold=0.5,
+                                              link_threshold=0.3,
+                                              retention_threshold=0.5,
+                                              initial_strength_s=8.0),
+                integrate=IntegrateConfig(
+                    strategy=INTEGRATE_STRATEGIES[i % len(INTEGRATE_STRATEGIES)],
+                    multi_query_count=2),
+                k=4)
+            gateway = ContextCapture(dim=16)
+            result = run_experiment(cfg, manifest, gateway=gateway)
+            assert result.status == "complete", (backend, strategy, normalize, result.error)
+            assert len(gateway.contexts) == len(result.query_results)
+            for res, context in zip(result.query_results, gateway.contexts):
+                queries += 1
+                for sentence in bundle_sentences(context):
+                    sentences += 1
+                    assert first_seen.get(sentence, res.ts) < res.ts, (
+                        backend, strategy, normalize, res.query_id, sentence)
+        assert queries > 0 and sentences > queries
 
 
 # ---------------------------------------------------------------------------

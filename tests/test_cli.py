@@ -184,20 +184,43 @@ def test_run_set_overrides_apply(runner, tmp_path):
         "run", "-c", str(config),
         "--set", "operators.k=2",
         "--set", "checkpoint.fraction=1.0",
+        "--set", "operators.integrate.score_threshold=1",  # an int fits a float field
     ])
     assert result.exit_code == 0, result.output
     summary = json.loads((tmp_path / "results" / "summary.json").read_text())
     assert summary["config"]["operators"]["k"] == 2
+    assert summary["config"]["operators"]["integrate"]["score_threshold"] == 1
     assert summary["counts"]["checkpoints"] == 1
 
 
-def test_run_bad_override_is_config_error(runner, tmp_path):
+@pytest.mark.parametrize("option", [
+    "operators.k=-3",
+    # values of the wrong type name their key
+    "operators.k=abc",
+    "operators.k=2.5",
+    "operators.integrate.budget_tokens=1e3",  # YAML reads 1e3 as a string
+    "seed=abc",
+    "buffer_capacity=2.5",
+])
+def test_run_bad_override_is_config_error(runner, tmp_path, option):
     stream = make_stream(runner, tmp_path)
     config = make_config(tmp_path, stream)
-    result = runner.invoke(main, ["run", "-c", str(config),
-                                  "--set", "operators.k=-3"])
+    result = runner.invoke(main, ["run", "-c", str(config), "--set", option])
     assert result.exit_code == 2
     assert "config error" in result.output
+    assert option.split("=")[0] in result.output
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+def test_run_duplicate_variant_names_is_config_error(runner, tmp_path, force):
+    # both variants would be named backend-fifo_queue and share one directory
+    stream = make_stream(runner, tmp_path)
+    config = make_config(tmp_path, stream,
+                         ablate={"store.backend": ["fifo_queue", "fifo_queue"]})
+    result = runner.invoke(main, ["run", "-c", str(config)] + (["--force"] if force else []))
+    assert result.exit_code == 2
+    assert "config error" in result.output and "backend-fifo_queue" in result.output
+    assert not (tmp_path / "results").exists()
 
 
 def test_run_ablation_grid(runner, tmp_path):

@@ -1,12 +1,14 @@
-"""The shared lexical index against the full scan it replaced.
+"""The shared postings index against the scans and hand-kept indexes it replaced.
 
-fifo_queue, queue_segment and inverted_vector keep one ``LexicalIndex`` and
+``MemoryStore`` keeps one ``Postings`` index for every backend, fed by each
+backend's ``_index_keys``. fifo_queue, queue_segment and inverted_vector
 hand ``lexical_scores`` only the visible records that share a query token.
 The reference below keeps the old scan: every visible record, scored from
 token counts rebuilt from its current text. A store fed random inserts,
 queries, removals, in-place edits and merges must return the same candidate
-ids and bit-identical scores as the reference, and its index must always
-equal the one rebuilt from scratch.
+ids and bit-identical scores as the reference. On all six backends, under
+random operations and consolidation, the index must always equal the one
+rebuilt from each live record's keys, recomputed from scratch.
 """
 
 import dataclasses
@@ -17,13 +19,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from memstream import ingest
-from memstream.config import ConsolidateConfig
+from memstream.config import ConsolidateConfig, config_from_dict
 from memstream.gateway import MockGateway, mock_embed_text
-from memstream.records import MemoryRecord, RetrievalSignal
-from memstream.stores import base, build_store
+from memstream.orchestrator import run_experiment
+from memstream.records import KIND_RAW, KIND_SUMMARY, MemoryRecord, RetrievalSignal, Triplet
+from memstream.stores import BACKENDS, base, build_store
 from memstream.stores.base import lexical_scores, normalize_ratio, rank_candidates
 from memstream.stores.inverted_vector import InvertedVectorStore, fused_candidates
+from memstream.stores.lsh import LshStore, lsh_signature
+from memstream.stores.property_graph import PropertyGraphStore, entity_keys
+from memstream.stores.summary_vector import SummaryVectorStore
 from memstream.text import index_tokens
+from memstream.workloads import SyntheticSpec, synth_workload
 
 DIM = 32
 
@@ -79,9 +86,23 @@ def as_bits(candidates):
     return [(c.record_id, c.score.hex(), c.source) for c in candidates]
 
 
+def reference_keys(store, record):
+    """A record's postings keys, recomputed from scratch."""
+    if isinstance(store, LshStore):
+        return [(t, lsh_signature(record.embedding, planes))
+                for t, planes in enumerate(store._planes)]
+    if isinstance(store, PropertyGraphStore):
+        return entity_keys(record)
+    if isinstance(store, SummaryVectorStore):
+        return ()
+    return index_tokens(record.text)
+
+
 def assert_index_rebuilt(store):
-    index = store._lexical
-    assert index.counts == rebuilt_counts(store)
+    index = store._postings
+    rebuilt = {r.record_id: Counter(reference_keys(store, r)) for r in store.all_records()}
+    # a record without keys has no entry
+    assert index.counts == {record_id: counts for record_id, counts in rebuilt.items() if counts}
     postings = {}
     for record_id, counts in index.counts.items():
         for token, tf in counts.items():
@@ -161,3 +182,94 @@ def test_search_scores_only_records_sharing_a_query_token(monkeypatch):
     got = store.retrieve(RetrievalSignal(raw_query="the mill"), k=3, now=100)
     assert [c.record.text for c in got] == [TEXTS[5]]
     assert scored == [TEXTS[5]]
+
+
+# ----------------------------------------------------------------------
+# every backend: the postings equal the keys rebuilt from the live records
+# ----------------------------------------------------------------------
+
+# triplet records carry the entities property_graph keys on
+TRIPLETS = (Triplet("alice", "lives in", "paris"), Triplet("harbor", "has color", "red"))
+SECOND_US = 1_000_000
+# unsupported strategies raise UnsupportedBackend, so each runs where it applies
+KEY_CASES = [(name, strategy) for name in sorted(BACKENDS)
+             for strategy in ("none", "semantic_consolidation", "forgetting_curve",
+                              "link_evolution", "heat_migration")
+             if (strategy != "link_evolution" or BACKENDS[name].supports_links)
+             and (strategy != "heat_migration" or BACKENDS[name].supports_tiers)]
+KEY_PARAMS = {"fifo_queue": {"capacity": 4}, "queue_segment": {"short_capacity": 3},
+              "lsh_hash": {"bits": 4, "tables": 3}, "summary_vector": {"summary_max_sentences": 2}}
+
+KEY_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, len(TEXTS) + len(TRIPLETS) - 1),
+              st.sampled_from((KIND_RAW, KIND_SUMMARY)),  # enrich adds a summary per turn
+              st.booleans(),                              # carries an embedding
+              st.integers(0, 1),                          # session
+              st.integers(0, 2)),                         # clock advance in seconds
+    st.tuples(st.just("query"), st.integers(0, len(QUERIES) - 1)),
+    st.tuples(st.just("remove"), st.integers(0, 50)),
+    st.tuples(st.just("edit"), st.integers(0, 50), st.integers(0, len(TEXTS) - 1)),
+), min_size=1, max_size=30)
+
+
+def key_record(op, ts, turn, lsh):
+    _, text_i, kind, embedded, session, _ = op
+    triplet = TRIPLETS[text_i - len(TEXTS)] if text_i >= len(TEXTS) else None
+    text = triplet.linearize() if triplet else TEXTS[text_i]
+    return MemoryRecord(record_id="", text=text, ts=ts, session_id=f"s{session}",
+                        turn_index=turn, kind=kind, triplet=triplet, strength=3.0,
+                        embedding=mock_embed_text(text, DIM) if embedded or lsh else None)
+
+
+@pytest.mark.parametrize("name,strategy", KEY_CASES)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=KEY_OPS)
+def test_postings_equal_keys_rebuilt_on_every_backend(name, strategy, ops):
+    store = build_store(name, embed_dim=DIM, params=KEY_PARAMS.get(name))
+    gateway = MockGateway(dim=DIM)
+    # records unread for about two seconds fall below the retention threshold
+    cfg = dataclasses.replace(CONSOLIDATE, strategy=strategy, retention_threshold=0.5)
+    lsh = name == "lsh_hash"
+    clock, turn = 10 * SECOND_US, 0
+    for op in ops:
+        if op[0] == "insert":
+            clock += op[5] * SECOND_US
+            turn += 1
+            ids = store.insert([key_record(op, clock, turn, lsh)], now=clock)
+            ingest.run_consolidate(store, ids, clock, cfg, gateway, turn)
+        elif op[0] == "query":
+            text = QUERIES[op[1]]
+            store.retrieve(RetrievalSignal(raw_query=text, embedding=mock_embed_text(text, DIM)),
+                           k=3, now=clock)
+        else:
+            live = store.all_records()
+            if not live:
+                continue
+            record = live[op[1] % len(live)]
+            if op[0] == "remove":
+                store.remove(record.record_id)
+            else:
+                record.text = TEXTS[op[2]]
+                record.embedding = mock_embed_text(record.text, DIM)
+                store.reindex(record)
+        assert_index_rebuilt(store)
+
+
+def test_enrich_summaries_forgotten_on_summary_vector_keep_session_summaries():
+    # enrich inserts summary records of its own beside summary_vector's
+    # session summaries; forgetting one must leave the session mapping intact
+    manifest, _key = synth_workload(SyntheticSpec(seed=11, n_facts=40, rounds=2,
+                                                  queries_per_round=3, n_sessions=2))
+    cfg = config_from_dict({
+        "store": {"backend": "summary_vector"},
+        "operators": {"normalize": {"strategy": "enrich"},
+                      "consolidate": {"strategy": "forgetting_curve",
+                                      "retention_threshold": 0.5,
+                                      "initial_strength_s": 20.0}},
+        "checkpoint": {"fraction": 0.5},
+        "gateway": {"kind": "mock", "embed_dim": DIM},
+    })
+    result = run_experiment(cfg, manifest, MockGateway(dim=DIM))
+    assert result.status == "complete", result.error
+    assert any(" EVICT " in line for line in result.action_log)

@@ -27,7 +27,7 @@ from memstream.stores import BACKENDS, build_store
 from memstream.stores.base import cosine, fold_cosine, normalize_ratio, rank_candidates
 from memstream.stores.inverted_vector import InvertedVectorStore, fuse_scores
 from memstream.stores.lsh import LshStore, lsh_signature
-from memstream.stores.property_graph import PropertyGraphStore
+from memstream.stores.property_graph import PropertyGraphStore, entity_keys
 from memstream.stores.queue_segment import QueueSegmentStore
 from memstream.stores.summary_vector import SummaryVectorStore
 from memstream.text import index_tokens
@@ -102,21 +102,18 @@ def ref_search(store, signal, k, now):
     if isinstance(store, LshStore):
         if signal.embedding is None:
             return []
-        candidate_ids = set()
-        for t in range(store.tables):
-            sig = lsh_signature(signal.embedding, store._planes[t])
-            candidate_ids.update(store._buckets[t].get(sig, ()))
-        scored = []
-        for rec_id in candidate_ids:
-            record = store._records[rec_id]
-            if store._is_visible(record, now):
-                scored.append((record, fold_cosine(cosine(signal.embedding, record.embedding))))
+        # probed: the record shares the query's bucket in at least one table
+        query_sigs = [lsh_signature(signal.embedding, planes) for planes in store._planes]
+        scored = [(record, fold_cosine(cosine(signal.embedding, record.embedding)))
+                  for record in store.visible_records(now)
+                  if any(lsh_signature(record.embedding, planes) == sig
+                         for planes, sig in zip(store._planes, query_sigs))]
         return rank_candidates(scored, k, source="vector")
     if isinstance(store, PropertyGraphStore):
         query_entities = set(index_tokens(signal.lexical_text()))
         scored = []
         for record in store.visible_records(now):
-            bonus = float(len(query_entities & store._entity_of.get(record.record_id, set())))
+            bonus = float(len(query_entities & entity_keys(record)))
             sim = 0.0
             if signal.embedding is not None and record.embedding is not None:
                 sim = fold_cosine(cosine(signal.embedding, record.embedding))

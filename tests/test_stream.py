@@ -1,4 +1,4 @@
-"""Stream serialization, validation, concatenation, wire format."""
+"""Stream serialization, validation, wire format."""
 
 import pytest
 from hypothesis import given
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from memstream.errors import (
     DanglingEvidence,
-    InvalidGap,
     MissingTimestamp,
     SchemaError,
 )
@@ -24,7 +23,6 @@ from memstream.stream import (
     SessionTurns,
     StreamManifest,
     Turn,
-    concat_streams,
     logical_tick,
     read_stream_file,
     serialize_stream,
@@ -142,36 +140,6 @@ def test_validate_reports_all_violations():
     # the repeated seq trips both the duplicate and the ordering check
     assert kinds == ["kind_unknown", "payload_mismatch", "seq_duplicate",
                      "seq_order", "ts_order"]
-
-
-def test_concat_single_is_identity_modulo_seq():
-    manifest = serialize_stream([session("s0", 3)], [query("q0", [("s0", 0)])])
-    out = concat_streams([manifest])
-    assert len(out.requests) == len(manifest.requests)
-    for got, want in zip(out.requests, manifest.requests):
-        assert got.ts == want.ts
-        assert got.payload == want.payload
-
-
-def test_concat_namespaces_and_shifts():
-    a = serialize_stream([session("s0", 2, base=0)])
-    b = serialize_stream([session("s0", 2, base=0)],
-                         [query("q0", [("s0", 0)])])
-    out = concat_streams([a, b], gap_us=10)
-    assert validate_stream(out).ok
-    sids = [r.payload.session_id for r in out.requests
-            if r.kind == KIND_INSERT]
-    assert sids == ["0/s0", "0/s0", "1/s0", "1/s0"]
-    qids = [r.payload.query_id for r in out.requests
-            if r.kind == KIND_RETRIEVE]
-    assert qids == ["1/q0"]
-    # second stream starts gap_us after the first ends
-    assert out.requests[2].ts == out.requests[1].ts + 10
-
-
-def test_concat_rejects_negative_gap():
-    with pytest.raises(InvalidGap):
-        concat_streams([serialize_stream([session()])], gap_us=-1)
 
 
 def test_wire_format_round_trip(tmp_path):
