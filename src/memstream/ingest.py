@@ -222,14 +222,22 @@ def retention(record: MemoryRecord, now: int) -> float:
 
 def forgetting_curve(store: MemoryStore, now: int,
                      retention_threshold: float) -> list[str]:
-    """Evict every record whose retention dropped below the threshold."""
-    evicted = [
+    """Evict every record whose retention dropped below the threshold.
+
+    Returns the ids this pass removed. A victim already gone when its turn
+    comes is skipped: on summary_vector, removing a session's last member
+    also removes the session summary.
+    """
+    victims = [
         record.record_id
         for record in store.all_records()
         if retention(record, now) < retention_threshold
     ]
-    for record_id in evicted:
-        store.remove(record_id)
+    evicted = []
+    for record_id in victims:
+        if store.is_live(record_id):
+            store.remove(record_id)
+            evicted.append(record_id)
     return evicted
 
 

@@ -6,10 +6,12 @@ Execution model
 A producer thread feeds requests through a bounded buffer (capacity B, the
 backpressure knob); the consumer processes them one at a time. Every Insert
 runs normalize -> tentative insert -> consolidate to completion before the
-next request is taken. Retrieve requests are parked and evaluated at the
-next checkpoint boundary against the store state frozen at that point;
-their visibility filter (now = query ts) keeps them causal regardless of
-when they are scored.
+next request is taken. Every Retrieve is evaluated when it arrives, against
+the store as it stands then, so later inserts, evictions and merges cannot
+reach back into its answer and the answer does not depend on where the
+checkpoint boundaries fall. Its result is held until the next checkpoint
+boundary groups it into a report; the visibility filter (now = query ts)
+keeps retrieval causal on its own.
 
 Stage walls per request are measured at contiguous monotonic-clock
 boundaries, so the per-request stage sum equals end-to-end minus generation
@@ -367,7 +369,7 @@ class _Pipeline:
             seed=cfg.seed, params=cfg.store.params)
         self.store.strength_gain = cfg.operators.consolidate.strength_gain
         self.result = ExperimentResult(config=config_to_dict(cfg))
-        self.pending: list[Request] = []
+        self.pending: list[QueryResult] = []  # scored, not yet reported
         self.inserts_consumed = 0
         self.insert_index = 0
         self.last_flush_progress = -1
@@ -467,9 +469,6 @@ class _Pipeline:
         trace.gateway_calls = self.gateway.drain_timings()
         self.result.traces.append(trace)
         self.window_traces.append(trace)
-
-        self.result.action_log.append(
-            f"{request.seq} ts={request.ts} QUERY {payload.query_id} -> {prediction}")
         return QueryResult(
             query_id=payload.query_id,
             category=payload.category,
@@ -485,17 +484,21 @@ class _Pipeline:
             stage_us={stage: ns / 1000.0 for stage, ns in trace.stage_ns.items()},
         )
 
-    def _flush_checkpoint(self):
-        index = len(self.result.reports) + 1
-        self.result.action_log.append(
-            f"CHECKPOINT {index} inserts={self.inserts_consumed} "
-            f"queries={len(self.pending)}")
+    def _score_on_arrival(self, request: Request):
         self.eval_in_flight = True
         try:
-            results = [self._evaluate_query(req, index) for req in self.pending]
+            self.pending.append(self._evaluate_query(request, len(self.result.reports) + 1))
         finally:
             self.eval_in_flight = False
-        self.pending.clear()
+
+    def _flush_checkpoint(self):
+        index = len(self.result.reports) + 1
+        results, self.pending = self.pending, []
+        self.result.action_log.append(
+            f"CHECKPOINT {index} inserts={self.inserts_consumed} queries={len(results)}")
+        self.result.action_log.extend(
+            f"{res.seq} ts={res.ts} QUERY {res.query_id} -> {res.prediction}"
+            for res in results)
 
         mean_f1 = sum(r.f1 for r in results) / len(results) if results else 0.0
         category_f1, latency, _ = rollup(results, self.window_traces)
@@ -533,7 +536,7 @@ class _Pipeline:
                                       self.total_inserts, boundaries):
                         self.armed = True
                 else:
-                    self.pending.append(request)
+                    self._score_on_arrival(request)
             if self.armed or self.pending or (
                     self.inserts_consumed > 0
                     and self.last_flush_progress != self.inserts_consumed):

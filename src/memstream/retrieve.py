@@ -159,7 +159,7 @@ def execute_search(store: MemoryStore, fq: FormulatedQuery, k: int,
         rankings.append([c.record_id for c in candidates])
         for cand in candidates:
             records.setdefault(cand.record_id, cand.record)
-    return fused_candidates(rankings, records, "decompose")[:k]
+    return fused_candidates(rankings, records, "decompose", k)
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +254,7 @@ def integrate_multi_query(query: str, cands: list[Candidate],
     except GatewayError:
         flags.append("multi_query_fallback")
         return list(cands), flags
-    return fused_candidates(rankings, records, "multi_query")[:max(k, len(cands))], flags
+    return fused_candidates(rankings, records, "multi_query", max(k, len(cands))), flags
 
 
 # ----------------------------------------------------------------------

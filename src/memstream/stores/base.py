@@ -22,13 +22,16 @@ record's visibility ``ts`` and norm beside it; freed rows are reused. Upkeep
 is deferred: ``insert`` and ``reindex`` only queue the record and ``remove``
 clears its row, and queued rows are written in one batch at the next
 ``nearest`` call, so a store that never runs a vector scan never builds the
-matrix. ``nearest`` screens with one matrix-vector product, keeping every
-visible row within ``SCREEN_MARGIN`` of the ``top``-th screened score, then
-rescores the survivors with the exact per-pair ``cosine`` and sorts them by
-descending score with record_id as the tie-break. A matrix product may
-differ from the per-pair dot product in the last ulp, so the screen alone
-would flip near-ties; the rescore keeps every score and order exactly those
-of a per-record scan.
+matrix. Each row's norm is cached at that flush with the same 1-D
+``np.linalg.norm`` call ``cosine`` makes. ``nearest`` screens with one
+matrix-vector product, keeping every visible row within ``SCREEN_MARGIN`` of
+the ``top``-th screened score, then rescores the survivors with ``cosine``,
+handing it the query norm (computed once per call) and each row's cached
+norm, so the rescore costs one dot product per survivor. Survivors are
+sorted by descending score with record_id as the tie-break. A matrix product
+may differ from the per-pair dot product in the last ulp, so the screen
+alone would flip near-ties; the rescore keeps every score and order exactly
+those of a per-record scan.
 
 ``Postings`` holds each record's key ``Counter`` plus postings
 (key -> {record_id: count}). What a key is belongs to the backend: its
@@ -73,8 +76,19 @@ from ..text import index_tokens
 Unit = Union[MemoryRecord, Triplet]
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+def cosine(a: np.ndarray, b: np.ndarray, norm_a: Optional[float] = None,
+           norm_b: Optional[float] = None) -> float:
+    """Cosine similarity; 0.0 when either vector is zero.
+
+    ``norm_a`` and ``norm_b`` take norms already computed as
+    ``float(np.linalg.norm(v))``; a norm not passed is computed that way here,
+    so the result is the same bits either way.
+    """
+    if norm_a is None:
+        norm_a = float(np.linalg.norm(a))
+    if norm_b is None:
+        norm_b = float(np.linalg.norm(b))
+    denom = norm_a * norm_b
     if denom == 0:
         return 0.0
     return float(np.dot(a, b)) / denom
@@ -154,12 +168,12 @@ class EmbeddingIndex:
                 self.row_of[record_id] = row
             self.records[row] = record
             self.ts[row] = record.ts
+            # the 1-D call cosine makes, so the rescore can reuse it bit for bit
+            self.norms[row] = float(np.linalg.norm(record.embedding))
             rows.append(row)
             vectors.append(record.embedding)
         if rows:
-            block = np.stack(vectors)
-            self.matrix[rows] = block
-            self.norms[rows] = np.linalg.norm(block, axis=1)
+            self.matrix[rows] = np.stack(vectors)
             self.live[rows] = True
 
     def _allocate(self, dim: int) -> int:
@@ -175,10 +189,10 @@ class EmbeddingIndex:
         self.records.append(None)
         return row
 
-    def screen(self, query: np.ndarray, now: Optional[int], exclude: Iterable[str],
-               top: Optional[int], floor: Optional[float], rows: Optional[Iterable[str]],
-               bonus: Optional[dict[str, float]]) -> list[MemoryRecord]:
-        """Visible records whose screened score may reach the exact top or floor."""
+    def screen(self, query: np.ndarray, query_norm: float, now: Optional[int],
+               exclude: Iterable[str], top: Optional[int], floor: Optional[float],
+               rows: Optional[Iterable[str]], bonus: Optional[dict[str, float]]) -> list[int]:
+        """Rows of the visible records whose screened score may reach the exact top or floor."""
         self.flush()
         n = len(self.records)
         if self.matrix is None or n == 0:
@@ -198,7 +212,7 @@ class EmbeddingIndex:
         candidates = np.flatnonzero(mask)
         if candidates.size == 0:
             return []
-        denom = self.norms[candidates] * float(np.linalg.norm(query))
+        denom = self.norms[candidates] * query_norm
         dots = self.matrix[:n] @ query
         scores = np.divide(dots[candidates], denom, out=np.zeros(candidates.size),
                            where=denom != 0.0)
@@ -215,7 +229,7 @@ class EmbeddingIndex:
         if top is not None and candidates.size > top:
             cut = scores[np.argpartition(scores, candidates.size - top)[candidates.size - top]]
             candidates = candidates[scores >= cut - SCREEN_MARGIN]
-        return [self.records[row] for row in candidates]
+        return candidates.tolist()
 
 
 class Postings:
@@ -360,8 +374,13 @@ class MemoryStore(ABC):
         """
         if top is not None and top < 1:
             return []
-        survivors = self._index.screen(query, now, exclude, top, floor, rows, bonus)
-        scored = [(record, cosine(query, record.embedding)) for record in survivors]
+        index = self._index
+        query_norm = float(np.linalg.norm(query))
+        survivors = index.screen(query, query_norm, now, exclude, top, floor, rows, bonus)
+        scored = []
+        for row, norm in zip(survivors, index.norms[survivors].tolist()):
+            record = index.records[row]
+            scored.append((record, cosine(query, record.embedding, query_norm, norm)))
         if floor is not None:
             scored = [(record, sim) for record, sim in scored if sim >= floor]
         scored.sort(key=lambda item: (-item[1], item[0].record_id))

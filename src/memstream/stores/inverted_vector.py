@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Optional
 
 from ..records import Candidate, MemoryRecord, RetrievalSignal
 from ..text import index_tokens
-from .base import MemoryStore, normalize_ratio
+from .base import MemoryStore
 
 DEFAULT_RRF_K = 60
 
@@ -33,15 +33,19 @@ def fuse_scores(rankings: Iterable[list[str]], k_rrf: int = DEFAULT_RRF_K) -> li
 
 
 def fused_candidates(rankings: Iterable[list[str]], records: Mapping[str, MemoryRecord],
-                     source: str, k_rrf: int = DEFAULT_RRF_K) -> list[Candidate]:
-    """RRF-fuse ranked id lists into candidates, best first.
+                     source: str, limit: int, k_rrf: int = DEFAULT_RRF_K) -> list[Candidate]:
+    """RRF-fuse ranked id lists into the ``limit`` best candidates, best first.
 
     ``records`` maps every ranked id to its record; scores are the fused
-    scores divided by the best one.
+    scores divided by the best one. Only the first ``limit`` fused ids become
+    candidates.
     """
-    scored = [(records[rec_id], score) for rec_id, score in fuse_scores(rankings, k_rrf)]
-    return [Candidate(record=rec, score=score, source=source)
-            for rec, score in normalize_ratio(scored)]
+    fused = fuse_scores(rankings, k_rrf)
+    if not fused:
+        return []
+    top = fused[0][1]  # fuse_scores sorts by descending score
+    return [Candidate(record=records[rec_id], score=score / top, source=source)
+            for rec_id, score in fused[:limit]]
 
 
 class InvertedVectorStore(MemoryStore):
@@ -63,7 +67,11 @@ class InvertedVectorStore(MemoryStore):
 
     def _lexical_ranked(self, signal: RetrievalSignal, now: Optional[int],
                         pool: int) -> list[str]:
-        return [cand.record_id for cand in self._lexical_search(signal, pool, now)]
+        # the order _lexical_search gives: dividing positive scores by their
+        # maximum keeps it, so the ids need no normalised candidates
+        scored = sorted(self._keyed_scores(signal, now),
+                        key=lambda item: (-item[1], item[0].record_id))
+        return [record.record_id for record, _ in scored[:pool]]
 
     def _vector_ranked(self, signal: RetrievalSignal, now: Optional[int],
                        pool: int) -> list[str]:
@@ -84,7 +92,7 @@ class InvertedVectorStore(MemoryStore):
 
         lexical = self._lexical_ranked(signal, now, pool)
         vector = self._vector_ranked(signal, now, pool)
-        return fused_candidates([lexical, vector], self._records, "fused", self.rrf_k)[:k]
+        return fused_candidates([lexical, vector], self._records, "fused", k, self.rrf_k)
 
     def _index_sizes(self) -> dict[str, int]:
         return {

@@ -249,8 +249,8 @@ def test_03_no_retrieved_evidence_from_the_future():
 
 
 def test_03_merged_content_stays_invisible_to_earlier_queries():
-    # a query parked at t=1 is scored after a t=10 s near-duplicate merged
-    # into the t=0 record; the merged text must not reach its answer
+    # a t=10 s near-duplicate merges into the t=0 record after the t=1
+    # query arrived; the merged text must not reach that query's answer
     with criterion(3, "merged content is invisible to earlier queries"):
         later = "the harbor password is zebra."
         session = SessionTurns(session_id="s0", turns=(
@@ -264,7 +264,8 @@ def test_03_merged_content_stays_invisible_to_earlier_queries():
         cfg = make_config(checkpoint=CheckpointSchedule(fraction=1.0))
         cfg.operators.consolidate = ConsolidateConfig(
             strategy="semantic_consolidation", dedup_threshold=0.5)
-        pipeline = _Pipeline(cfg, manifest, MockGateway(dim=32))
+        gateway = ContextCapture(dim=32)
+        pipeline = _Pipeline(cfg, manifest, gateway)
         result = pipeline.run()
         assert result.status == "complete" and len(result.reports) == 1
         assert any(" MERGE " in line for line in result.action_log)
@@ -272,8 +273,10 @@ def test_03_merged_content_stays_invisible_to_earlier_queries():
         assert res.ts == 1
         assert res.f1 == 0.0, res.prediction
         assert later not in res.prediction
-        for record_id, _score, _ts in res.provenance:
-            assert later not in split_sentences(pipeline.store.get(record_id).text)
+        (context,) = gateway.contexts
+        sentences = list(bundle_sentences(context))
+        assert later not in sentences
+        assert "the harbour password is tiger." in sentences
 
 
 class ContextCapture(MockGateway):
@@ -297,8 +300,8 @@ def bundle_sentences(context):
 def test_03_bundle_sentences_come_from_earlier_inserts():
     # what Generation reads, not only the provenance timestamps: every
     # sentence of every bundle line must be a sentence some insert strictly
-    # before the query held; fraction checkpoints defer scoring past later
-    # inserts, merges, summaries and evictions
+    # before the query held, whatever later inserts, merges, summaries and
+    # evictions do to the store
     with criterion(3, "bundle sentences come from strictly earlier inserts"):
         spec = SyntheticSpec(seed=3, n_facts=30, update_rate=0.5, n_sessions=2,
                              rounds=3, queries_per_round=4, paraphrase_rate=0.25)
@@ -317,7 +320,7 @@ def test_03_bundle_sentences_come_from_earlier_inserts():
                 and (strategy != "link_evolution" or BACKENDS[backend].supports_links)]
         queries = sentences = 0
         for i, (backend, strategy, normalize) in enumerate(runs):
-            # checkpoints fall mid-round, so queries wait for later inserts
+            # checkpoints fall mid-round
             cfg = make_config(backend, dim=16, checkpoint=CheckpointSchedule(fraction=0.5))
             cfg.operators = OperatorConfig(
                 normalize=NormalizeConfig(strategy=normalize),
@@ -340,6 +343,43 @@ def test_03_bundle_sentences_come_from_earlier_inserts():
                     assert first_seen.get(sentence, res.ts) < res.ts, (
                         backend, strategy, normalize, res.query_id, sentence)
         assert queries > 0 and sentences > queries
+
+
+def test_03_answers_do_not_depend_on_checkpoint_placement():
+    # each query is scored against the store as it stood when it arrived, so
+    # moving the report boundaries (after every insert, mid-round, at session
+    # changes) must not change any answer, even where later inserts evict,
+    # forget, rewrite, merge or re-summarise the records it saw
+    with criterion(3, "answers identical under every_n 1, fraction 0.13 and per_round"):
+        spec = SyntheticSpec(seed=7, n_facts=80, rounds=3, queries_per_round=8,
+                             n_sessions=4, update_rate=0.2)
+        manifest, _ = synth_workload(spec)
+        schedules = (CheckpointSchedule(every_n=1), CheckpointSchedule(fraction=0.13),
+                     CheckpointSchedule(per_round=True))
+        consolidate = ("none", "crud", "forgetting_curve", "heat_migration",
+                       "link_evolution", "semantic_consolidation")
+        cases = 0
+        for backend in sorted(BACKENDS):
+            for strategy in consolidate:
+                if ((strategy == "heat_migration" and not BACKENDS[backend].supports_tiers)
+                        or (strategy == "link_evolution" and not BACKENDS[backend].supports_links)):
+                    continue
+                answers = []
+                for schedule in schedules:
+                    cfg = make_config(backend, dim=16, checkpoint=schedule)
+                    if backend == "fifo_queue":
+                        cfg.store.params = {"capacity": 16}  # evicts within a round
+                    cfg.operators.consolidate = ConsolidateConfig(
+                        strategy=strategy, dedup_threshold=0.85, initial_strength_s=30.0)
+                    result = run(cfg, manifest, dim=16)
+                    assert result.status == "complete", (backend, strategy, result.error)
+                    answers.append({res.query_id: (res.prediction, res.f1, res.provenance)
+                                    for res in result.query_results})
+                assert len(answers[0]) == spec.rounds * spec.queries_per_round
+                for schedule, got in zip(schedules[1:], answers[1:]):
+                    assert got == answers[0], (backend, strategy, schedule)
+                cases += 1
+        assert cases == 26
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,18 @@ def test_forgetting_curve_evicts_below_threshold():
         store.get(stale)
 
 
+def test_forgetting_curve_skips_a_summary_its_last_member_took_along():
+    # both records fall below the threshold; removing the session's only raw
+    # turn already removes its summary, which is also on the victim list
+    store = build_store("summary_vector", embed_dim=8)
+    turn = put(store, "the harbor is red.", embedding=mock_embed_text("the harbor is red.", 8),
+               strength=1.0)
+    (summary,) = [r.record_id for r in store.all_records() if r.kind == KIND_SUMMARY]
+    assert forgetting_curve(store, 10**12, 0.5) == [turn]
+    assert store.all_records() == []
+    assert not store.is_live(summary)
+
+
 def test_run_consolidate_forgetting_emits_evict_actions():
     store = build_store("fifo_queue")
     now = 100 * DAY_US

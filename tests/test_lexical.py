@@ -25,7 +25,7 @@ from memstream.orchestrator import run_experiment
 from memstream.records import KIND_RAW, KIND_SUMMARY, MemoryRecord, RetrievalSignal, Triplet
 from memstream.stores import BACKENDS, base, build_store
 from memstream.stores.base import lexical_scores, normalize_ratio, rank_candidates
-from memstream.stores.inverted_vector import InvertedVectorStore, fused_candidates
+from memstream.stores.inverted_vector import InvertedVectorStore, fuse_scores
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.property_graph import PropertyGraphStore, entity_keys
 from memstream.stores.summary_vector import SummaryVectorStore
@@ -77,7 +77,9 @@ def ref_search(store, signal, k, now):
                         key=lambda item: (-item[1], item[0].record_id))
         lexical = [record.record_id for record, _ in scored[:pool]]
         vector = store._vector_ranked(signal, now, pool)
-        return fused_candidates([lexical, vector], store._records, "fused", store.rrf_k)[:k]
+        fused = fuse_scores([lexical, vector], store.rrf_k)
+        scored = normalize_ratio([(store._records[rec_id], score) for rec_id, score in fused])
+        return rank_candidates(scored, k, source="fused")
     scored = normalize_ratio(ref_lexical_scored(store, signal, now))
     return rank_candidates(scored, k, source="lexical")
 

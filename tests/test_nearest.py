@@ -5,8 +5,8 @@ policies go through ``MemoryStore.nearest``. The reference implementations
 below keep the per-record cosine loop each of them replaced; two stores fed
 the same operations, one per implementation, must return the same candidate
 ids and bit-identical scores and log the same consolidation actions. A
-second property checks that the index rows always mirror the live embedded
-records.
+second property checks that the index rows, with their cached norms, always
+mirror the live embedded records.
 """
 
 import dataclasses
@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from memstream import ingest
@@ -339,14 +339,21 @@ def index_rows(store):
     for row in np.flatnonzero(index.live[:len(index.records)]):
         record = index.records[row]
         assert index.row_of[record.record_id] == row
-        rows[record.record_id] = (int(index.ts[row]), index.matrix[row].tobytes())
+        rows[record.record_id] = (int(index.ts[row]), index.matrix[row].tobytes(),
+                                  float(index.norms[row]))
     assert len(index.row_of) == len(rows)
     return rows
 
 
 def live_embedded(store):
-    return {r.record_id: (r.ts, np.asarray(r.embedding, dtype=np.float64).tobytes())
+    return {r.record_id: (r.ts, np.asarray(r.embedding, dtype=np.float64).tobytes(),
+                          float(np.linalg.norm(r.embedding)))
             for r in store.all_records() if r.embedding is not None}
+
+
+def scaled_embedding(text_i):
+    # mock embeddings have unit norm; a norm per text makes a stale cached norm show
+    return (text_i + 1) * mock_embed_text(TEXTS[text_i], DIM)
 
 
 COHERENCE_OPS = st.lists(st.one_of(
@@ -361,6 +368,9 @@ COHERENCE_OPS = st.lists(st.one_of(
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @settings(max_examples=40, deadline=None)
 @given(ops=COHERENCE_OPS)
+# a built row reindexed to another norm, then a freed row reused
+@example(ops=[("insert", 0, True), ("insert", 1, True), ("scan", 0), ("reindex", 0, 5, False),
+              ("remove", 1), ("insert", 7, True), ("scan", 0)])
 def test_index_rows_mirror_live_embedded_records(config, ops):
     name = config.split("/")[0]
     store = build_store(name, embed_dim=DIM, seed=0, **CONFIGS[config])
@@ -371,7 +381,7 @@ def test_index_rows_mirror_live_embedded_records(config, ops):
         live = store.all_records()
         if op[0] == "insert":
             # past the fifo_queue capacity every insert evicts the oldest record
-            embedding = mock_embed_text(TEXTS[op[1]], DIM) if op[2] or lsh else None
+            embedding = scaled_embedding(op[1]) if op[2] or lsh else None
             store.insert([MemoryRecord(record_id="", text=TEXTS[op[1]], ts=clock,
                                        session_id=f"s{op[1] % 2}", embedding=embedding)],
                          now=clock)
@@ -383,8 +393,7 @@ def test_index_rows_mirror_live_embedded_records(config, ops):
                 store.remove(record.record_id)
             else:
                 record.ts = clock
-                record.embedding = (None if op[3] and not lsh
-                                    else mock_embed_text(TEXTS[op[2]], DIM))
+                record.embedding = None if op[3] and not lsh else scaled_embedding(op[2])
                 store.reindex(record)
     assert index_rows(store) == live_embedded(store)
 
