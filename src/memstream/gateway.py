@@ -6,7 +6,9 @@ Two implementations share the interface:
   request's template_id to a fixed rule; embeddings hash character
   trigrams of the stemmed text into signed buckets. Same input, same
   output, across processes and platforms (hashing is crc32-based, not
-  Python's seeded hash()).
+  Python's seeded hash()). A text's trigrams are its tokens' padded
+  trigrams plus one gram across each joining space, so each token's codes
+  are hashed once and memoized (``TOKEN_CODE_MEMO_SIZE`` tokens at most).
 * RemoteGateway — OpenAI-compatible HTTP endpoints ({base}/chat/completions
   and {base}/embeddings) with retries, exponential backoff and a per-call
   deadline. Credentials come from NEUROMEM_API_KEY / NEUROMEM_BASE_URL
@@ -19,6 +21,7 @@ time can be separated from store time downstream.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -167,25 +170,57 @@ _SMALL_TALK = frozenset({
 })
 
 
+# Padded tokens whose trigram codes the embedding memo keeps, about 260
+# bytes each at dim 64, so 4-5 MB when full. A synthetic stream of 4,800
+# inserts embeds about 8,200 distinct tokens.
+TOKEN_CODE_MEMO_SIZE = 1 << 14
+
+
+def _gram_code(gram: str, dim: int) -> int:
+    """The trigram's crc32 bucket, offset by ``dim`` when its sign is negative."""
+    h = zlib.crc32(gram.encode("utf-8"))
+    return h % dim if (h >> 16) & 1 else h % dim + dim
+
+
+@functools.lru_cache(maxsize=TOKEN_CODE_MEMO_SIZE)
+def _token_codes(token: str, dim: int) -> tuple[int, ...]:
+    """Codes of every trigram of ``" " + token + " "``, in order."""
+    padded = f" {token} "
+    return tuple(_gram_code(padded[i:i + 3], dim) for i in range(len(padded) - 2))
+
+
 def mock_embed_text(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
     """Signed trigram-hash embedding of the stemmed text, L2-normalized.
 
     Pipeline: lowercase -> punctuation stripped -> tokens stemmed to a fixed
     point (stopwords kept) -> sliding character trigrams over the re-joined
     string -> each trigram adds +/-1 to a crc32 bucket -> unit norm. Texts
-    with no surviving characters map to the zero vector.
+    with no surviving characters map to the zero vector; a joined string
+    shorter than three characters is one gram.
+
+    The trigrams of ``" ".join(tokens)`` are those of ``" " + joined + " "``
+    minus its first and last, and those are, in order, each padded token's
+    trigrams with one ``t[-1] + " " + next[0]`` gram between neighbours. So
+    a token's codes are hashed once and memoized per ``(token, dim)``, up to
+    ``TOKEN_CODE_MEMO_SIZE`` tokens. Positive grams are counted in the first
+    ``dim`` slots and negative ones in the next ``dim``; each bucket's sum is
+    their difference, a small integer, so the float64 vector is the one
+    adding +/-1 per trigram gives.
     """
     tokens = metric_tokens(text)
     joined = " ".join(tokens)
-    vec = np.zeros(dim, dtype=np.float64)
     if not joined:
-        return vec
-    grams = [joined] if len(joined) < 3 else [joined[i:i + 3] for i in range(len(joined) - 2)]
-    for gram in grams:
-        h = zlib.crc32(gram.encode("utf-8"))
-        bucket = h % dim
-        sign = 1.0 if (h >> 16) & 1 else -1.0
-        vec[bucket] += sign
+        return np.zeros(dim, dtype=np.float64)
+    if len(joined) < 3:
+        codes = [_gram_code(joined, dim)]
+    else:
+        codes = list(_token_codes(tokens[0], dim))
+        for prev, token in zip(tokens, tokens[1:]):
+            codes.append(_gram_code(f"{prev[-1]} {token[0]}", dim))
+            codes.extend(_token_codes(token, dim))
+        codes = codes[1:-1]
+    counts = np.bincount(codes, minlength=2 * dim)
+    vec = (counts[:dim] - counts[dim:]).astype(np.float64)
     norm = float(np.linalg.norm(vec))
     if norm > 0:
         vec /= norm

@@ -77,7 +77,11 @@ class HistorySource:
     """Replays a manifest through a bounded buffer with backpressure.
 
     The producer thread blocks whenever ``buffer_capacity`` requests are
-    waiting, so the consumer's pace limits how far the stream runs ahead.
+    waiting, so the stream never runs more than ``buffer_capacity`` requests
+    ahead of the consumer. The consumer wakes a blocked producer only once
+    the buffer has drained to half of it (``capacity // 2``), so the
+    producer refills in one run per half buffer instead of waking, and
+    taking the GIL, between every two requests the consumer measures.
     ``high_water`` records the largest buffer occupancy ever observed
     (updated under the same lock that guards the buffer, so it is exact).
     ``close`` releases a producer blocked on a full buffer once the consumer
@@ -89,6 +93,7 @@ class HistorySource:
             raise ValueError(f"buffer_capacity must be >= 1, got {buffer_capacity}")
         self.manifest = manifest
         self.capacity = buffer_capacity
+        self._refill_at = buffer_capacity // 2
         self._items: deque = deque()
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
@@ -116,7 +121,8 @@ class HistorySource:
             while not self._items:
                 self._not_empty.wait()
             item = self._items.popleft()
-            self._not_full.notify()
+            if len(self._items) <= self._refill_at:
+                self._not_full.notify()
             return item
 
     def _produce(self):
@@ -368,6 +374,7 @@ class _Pipeline:
             cfg.store.backend, embed_dim=cfg.gateway.embed_dim,
             seed=cfg.seed, params=cfg.store.params)
         self.store.strength_gain = cfg.operators.consolidate.strength_gain
+        self.store.initial_strength_s = cfg.operators.consolidate.initial_strength_s
         self.result = ExperimentResult(config=config_to_dict(cfg))
         self.pending: list[QueryResult] = []  # scored, not yet reported
         self.inserts_consumed = 0

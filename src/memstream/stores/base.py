@@ -277,6 +277,9 @@ class MemoryStore(ABC):
         self._counter = 0
         self.embed_dim = embed_dim
         self.strength_gain = strength_gain
+        # strength of the records a backend builds itself (session summaries);
+        # a run sets it to consolidate.initial_strength_s, like its inserts'
+        self.initial_strength_s = MemoryRecord.strength
         self.evicted_total = 0
         self._index = EmbeddingIndex()
         self._postings = Postings()

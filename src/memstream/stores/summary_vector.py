@@ -88,6 +88,7 @@ class SummaryVectorStore(MemoryStore):
             summary = MemoryRecord(
                 record_id=summary_id, text=text, ts=newest_ts,
                 session_id=session_id, kind=KIND_SUMMARY, embedding=embedding,
+                strength=self.initial_strength_s,
             )
             self._records[summary_id] = summary
             self._session_summary[session_id] = summary_id

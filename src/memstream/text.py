@@ -26,6 +26,7 @@ the memo computes.
 from __future__ import annotations
 
 import functools
+import re
 import unicodedata
 
 from .porter import porter_stem
@@ -88,21 +89,13 @@ def index_tokens(text: str) -> list[str]:
             if stem and token not in STOPWORDS]
 
 
+# a run of non-terminators ending in one terminator, or the text's tail
+_SENTENCE = re.compile(r"[^.!?]*[.!?]|[^.!?]+\Z")
+
+
 def split_sentences(text: str) -> list[str]:
     """Split on ., ! and ? keeping the terminator. Whitespace-trimmed, no empties."""
-    sentences = []
-    buf = []
-    for ch in text:
-        buf.append(ch)
-        if ch in ".!?":
-            sentence = "".join(buf).strip()
-            if sentence:
-                sentences.append(sentence)
-            buf = []
-    tail = "".join(buf).strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
+    return [sentence for sentence in map(str.strip, _SENTENCE.findall(text)) if sentence]
 
 
 # Word -> variant pairs used by the deterministic paraphrase template and by

@@ -1,9 +1,12 @@
 """Mock gateway determinism, timing capture, template rules, rate limiting."""
 
 import time
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from memstream.errors import GatewayError
 from memstream.gateway import (
@@ -13,6 +16,7 @@ from memstream.gateway import (
     TokenBucket,
     mock_embed_text,
 )
+from memstream.text import metric_tokens
 
 
 def make_gateway(**kwargs):
@@ -82,6 +86,49 @@ def test_mock_embed_text_matches_gateway_path():
     gw = make_gateway(dim=32)
     direct = mock_embed_text("hello world", 32)
     assert np.array_equal(gw.embed(["hello world"], stage="PreIns")[0], direct)
+
+
+def trigram_loop_embed(text, dim):
+    """The per-trigram loop mock_embed_text replaced, kept as its reference."""
+    joined = " ".join(metric_tokens(text))
+    vec = np.zeros(dim, dtype=np.float64)
+    if not joined:
+        return vec
+    grams = [joined] if len(joined) < 3 else [joined[i:i + 3] for i in range(len(joined) - 2)]
+    for gram in grams:
+        h = zlib.crc32(gram.encode("utf-8"))
+        bucket = h % dim
+        sign = 1.0 if (h >> 16) & 1 else -1.0
+        vec[bucket] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
+# short words make one-character tokens and joined strings of 0-2
+# characters; punctuation (category P) is stripped, symbols (S) are kept;
+# lone surrogates (Cs) have no UTF-8 form to hash
+WORD = st.text(
+    alphabet=st.one_of(st.sampled_from("abcxyz09éß.,!?…—“”«»¿€©✓😀"),
+                       st.characters(exclude_categories=["Cs"])),
+    max_size=5)
+
+
+@example(text="", dim=7)
+@example(text="...", dim=64)
+@example(text="a", dim=64)
+@example(text="ab", dim=256)
+@example(text="a b", dim=1)
+@example(text="a b c d", dim=7)
+@example(text="€ ✓, x!", dim=64)
+@example(text="the colour of the harbour is red.", dim=64)
+@given(text=st.lists(WORD, max_size=8).map(" ".join), dim=st.sampled_from((1, 7, 64, 256)))
+def test_mock_embed_text_matches_trigram_loop(text, dim):
+    got = mock_embed_text(text, dim)
+    want = trigram_loop_embed(text, dim)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # -- timing capture -----------------------------------------------------------

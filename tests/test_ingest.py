@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memstream.config import ConsolidateConfig, NormalizeConfig
+from memstream.config import ConsolidateConfig, NormalizeConfig, config_from_dict
 from memstream.errors import (
     UnknownRecord,
     UnparseableExtraction,
@@ -32,6 +32,7 @@ from memstream.ingest import (
     semantic_consolidation,
 )
 from memstream.metrics import STAGE_POST_INSERT, STAGE_PRE_INSERT
+from memstream.orchestrator import _Pipeline
 from memstream.records import (
     KIND_SUMMARY,
     KIND_TRIPLET,
@@ -43,6 +44,7 @@ from memstream.records import (
 from memstream.stores import build_store
 from memstream.records import RetrievalSignal
 from memstream.stream import InsertPayload
+from memstream.workloads import SyntheticSpec, synth_workload
 
 US = 1_000_000
 DAY_S = 86400.0
@@ -364,6 +366,27 @@ def test_forgetting_curve_skips_a_summary_its_last_member_took_along():
     assert forgetting_curve(store, 10**12, 0.5) == [turn]
     assert store.all_records() == []
     assert not store.is_live(summary)
+
+
+def test_session_summaries_start_at_the_runs_initial_strength():
+    manifest, _key = synth_workload(SyntheticSpec(seed=7, n_facts=40, rounds=2,
+                                                  queries_per_round=3, n_sessions=2))
+    cfg = config_from_dict({
+        "store": {"backend": "summary_vector"},
+        "operators": {"consolidate": {"strategy": "forgetting_curve",
+                                      "retention_threshold": 0.5,
+                                      "initial_strength_s": 20.0}},
+        "checkpoint": {"fraction": 0.5},
+        "gateway": {"kind": "mock", "embed_dim": 32},
+    })
+    pipeline = _Pipeline(cfg, manifest, MockGateway(dim=32))
+    result = pipeline.run()
+    assert result.status == "complete", result.error
+    # live or removed, each summary started at 20 s and only doubled on hits
+    summaries = [r for r in pipeline.store._records.values() if r.kind == KIND_SUMMARY]
+    assert summaries
+    for summary in summaries:
+        assert math.log2(summary.strength / 20.0).is_integer(), summary.strength
 
 
 def test_run_consolidate_forgetting_emits_evict_actions():

@@ -4,12 +4,15 @@ Every backend's vector search and the three neighbour-scanning consolidation
 policies go through ``MemoryStore.nearest``. The reference implementations
 below keep the per-record cosine loop each of them replaced; two stores fed
 the same operations, one per implementation, must return the same candidate
-ids and bit-identical scores and log the same consolidation actions. A
+ids and bit-identical scores and log the same consolidation actions. The
+lexical parts of the references score every visible record from its
+current text, so a fault in the postings or in ``_lexical_ranked`` shows. A
 second property checks that the index rows, with their cached norms, always
 mirror the live embedded records.
 """
 
 import dataclasses
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -24,7 +27,13 @@ from memstream.gateway import MockGateway, mock_embed_text
 from memstream.orchestrator import _Pipeline
 from memstream.records import MemoryRecord, RetrievalSignal, Triplet
 from memstream.stores import BACKENDS, build_store
-from memstream.stores.base import cosine, fold_cosine, normalize_ratio, rank_candidates
+from memstream.stores.base import (
+    cosine,
+    fold_cosine,
+    lexical_scores,
+    normalize_ratio,
+    rank_candidates,
+)
 from memstream.stores.inverted_vector import InvertedVectorStore, fuse_scores
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.property_graph import PropertyGraphStore, entity_keys
@@ -72,10 +81,21 @@ def ref_vector_scored(store, signal, now):
     ]
 
 
+def ref_lexical_scored(store, signal, now):
+    """Term-frequency scores of every visible record, from its current text."""
+    counts = {rec.record_id: Counter(index_tokens(rec.text)) for rec in store.all_records()}
+    return lexical_scores(store.visible_records(now), signal, counts)
+
+
+def ref_lexical_search(store, signal, k, now):
+    return rank_candidates(normalize_ratio(ref_lexical_scored(store, signal, now)), k,
+                           source="lexical")
+
+
 def ref_search(store, signal, k, now):
     if isinstance(store, InvertedVectorStore):
         if store.mode == "lexical":
-            return store._search(signal, k, now)
+            return ref_lexical_search(store, signal, k, now)
         if store.mode == "vector":
             if signal.embedding is None:
                 return []
@@ -87,13 +107,15 @@ def ref_search(store, signal, k, now):
                       for rec in store.visible_records(now) if rec.embedding is not None]
             scored.sort(key=lambda item: (-item[1], item[0]))
             vector = [rec_id for rec_id, _ in scored[:pool]]
-        lexical = store._lexical_ranked(signal, now, pool)
+        scored = sorted(ref_lexical_scored(store, signal, now),
+                        key=lambda item: (-item[1], item[0].record_id))
+        lexical = [rec.record_id for rec, _ in scored[:pool]]
         fused = fuse_scores([lexical, vector], store.rrf_k)
         scored = normalize_ratio([(store._records[rec_id], score) for rec_id, score in fused])
         return rank_candidates(scored, k, source="fused")
     if isinstance(store, QueueSegmentStore):
         if signal.embedding is None:
-            return store._search(signal, k, now)
+            return ref_lexical_search(store, signal, k, now)
         return rank_candidates(ref_vector_scored(store, signal, now), k, source="vector")
     if isinstance(store, SummaryVectorStore):
         if signal.embedding is None:
@@ -120,7 +142,7 @@ def ref_search(store, signal, k, now):
             if bonus + sim > 0.0:
                 scored.append((record, bonus + sim))
         return rank_candidates(normalize_ratio(scored), k, source="graph")
-    return store._search(signal, k, now)  # fifo_queue: lexical only
+    return ref_lexical_search(store, signal, k, now)  # fifo_queue: lexical only
 
 
 def ref_nearest_existing(store, record, exclude, limit):

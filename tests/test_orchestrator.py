@@ -4,6 +4,7 @@ stage-wall accounting."""
 
 import json
 import re
+import sys
 import threading
 import time
 from pathlib import Path
@@ -103,6 +104,48 @@ def test_history_source_high_water_bounded(capacity):
         seen.append(request.seq)
     assert seen == [r.seq for r in manifest.requests]
     assert 1 <= source.high_water <= capacity
+
+
+class CountingCondition(threading.Condition):
+    """A condition that counts the returns from ``wait``."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.returns = 0
+
+    def wait(self, timeout=None):
+        woken = super().wait(timeout)
+        self.returns += 1
+        return woken
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 64])
+def test_producer_refills_in_runs_of_half_a_buffer(capacity):
+    manifest = make_manifest(n_inserts=1000)
+    source = HistorySource(manifest, buffer_capacity=capacity)
+    source._not_full = CountingCondition(source._lock)
+    seen = []
+
+    def consume():
+        for request in source:
+            time.sleep(0)  # hand the producer the GIL between requests
+            seen.append(request.seq)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out lost wake-ups
+    try:
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not consumer.is_alive(), "the stream stalled"
+    source.close()
+    assert seen == [r.seq for r in manifest.requests]
+    assert 1 <= source.high_water <= capacity
+    if capacity == 64:
+        # woken once per half buffer drained, not once per request (~935)
+        assert source._not_full.returns <= 1000 / 32 + 2, source._not_full.returns
 
 
 def test_high_water_counts_requests_not_the_end_marker():
@@ -429,6 +472,26 @@ def strip_latency(obj):
 def normalized_lines(path):
     return [strip_latency(json.loads(line))
             for line in path.read_text().splitlines()]
+
+
+def test_results_do_not_depend_on_buffer_capacity(tmp_path):
+    queries = [(f"q{i}", f"fact number {i * 7}", f"fact number {i * 7}", i * 10 + 10)
+               for i in range(8)]
+    manifest = make_manifest(n_inserts=90, queries=queries, sessions=3)
+
+    def outside_latency(capacity):
+        result = run_experiment(base_config(buffer_capacity=capacity), manifest,
+                                MockGateway(dim=32))
+        out = tmp_path / f"b{capacity}"
+        experiment_sink(result, out)
+        summary = strip_latency(json.loads((out / "summary.json").read_text()))
+        del summary["config"]["buffer_capacity"]  # the one input that differs
+        return (normalized_lines(out / "checkpoints.jsonl"),
+                normalized_lines(out / "queries.jsonl"),
+                (out / "actions.log").read_bytes(), summary)
+
+    first, *rest = map(outside_latency, (1, 3, 64))
+    assert all(other == first for other in rest)
 
 
 def test_sink_writes_all_files_and_refuses_overwrite(tmp_path):

@@ -1,6 +1,6 @@
 """Tokenization, stopword list, sentence splitting, synonym table."""
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from memstream import text as text_module
@@ -61,6 +61,33 @@ def test_split_sentences():
         "One.", "Two!", "Three?", "four"]
     assert split_sentences("   ") == []
     assert split_sentences("no terminator") == ["no terminator"]
+
+
+def loop_split_sentences(text):
+    """The character loop split_sentences replaced, kept as its reference."""
+    sentences = []
+    buf = []
+    for ch in text:
+        buf.append(ch)
+        if ch in ".!?":
+            sentence = "".join(buf).strip()
+            if sentence:
+                sentences.append(sentence)
+            buf = []
+    tail = "".join(buf).strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+@example("")
+@example("...")
+@example(" a.\n\nb! \u2003c? d\n")
+@example("tail\n")
+@given(st.text(alphabet=st.one_of(st.sampled_from(".!? \t\n\u00a0\u2003\u2026\u3002"),
+                                  st.characters()), max_size=40))
+def test_split_sentences_matches_character_loop(text):
+    assert split_sentences(text) == loop_split_sentences(text)
 
 
 def test_synonym_pairs_are_stem_disjoint_but_trigram_close():
