@@ -182,14 +182,6 @@ class CheckpointSchedule:
         if self.every_n is not None:
             _require(self.every_n >= 1, "checkpoint.every_n must be >= 1")
 
-    @property
-    def kind(self) -> str:
-        if self.fraction is not None:
-            return "fraction"
-        if self.every_n is not None:
-            return "every_n"
-        return "per_round"
-
 
 @dataclass
 class ExperimentConfig:

@@ -46,7 +46,8 @@ class DimensionMismatch(StoreError):
 
 
 class UnknownRecord(StoreError):
-    """Operation referenced a record_id that is absent or already tombstoned."""
+    """Operation referenced a record_id the store does not hold: never
+    inserted, or removed (removed records leave the store)."""
 
 
 class UnsupportedBackend(StoreError):

@@ -341,6 +341,8 @@ _MOCK_TEMPLATES: dict[str, Callable[[dict], str]] = {
 class MockGateway(Gateway):
     """Deterministic offline gateway.
 
+    Every text is embedded afresh with ``mock_embed_text``; only the
+    per-token trigram codes are memoized, so no vector outlives its call.
     ``failing`` holds template_ids whose chat calls raise GatewayError
     (fault injection for the fail-open paths); "embed" in the set makes
     embedding calls fail the same way.
@@ -352,19 +354,11 @@ class MockGateway(Gateway):
         super().__init__(rate_limit=rate_limit)
         self.dim = dim
         self.failing = set(failing or ())
-        self._embed_cache: dict[str, np.ndarray] = {}
 
     def _embed_impl(self, texts: list[str]) -> list[np.ndarray]:
         if "embed" in self.failing:
             raise GatewayError("injected", "embed fault injected")
-        out = []
-        for text in texts:
-            cached = self._embed_cache.get(text)
-            if cached is None:
-                cached = mock_embed_text(text, self.dim)
-                self._embed_cache[text] = cached
-            out.append(cached)
-        return out
+        return [mock_embed_text(text, self.dim) for text in texts]
 
     def _chat_impl(self, request: ChatRequest) -> tuple[str, int]:
         if request.template_id in self.failing:

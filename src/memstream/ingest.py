@@ -297,7 +297,7 @@ def link_evolution(store: MemoryStore, new_ids: list[str],
 
 def merge_records(store: MemoryStore, older: MemoryRecord,
                   newer: MemoryRecord):
-    """Older record absorbs the newer one; the newer id is tombstoned."""
+    """Older record absorbs the newer one; the newer one is removed."""
     older.access_count += newer.access_count
     older.last_access = max(older.last_access, newer.last_access)
     older.strength = max(older.strength, newer.strength)
@@ -323,7 +323,7 @@ def semantic_consolidation(store: MemoryStore, new_ids: list[str],
     exclude = set(new_ids)
     for new_id in new_ids:
         newer = store.get(new_id)
-        if newer.tombstoned or newer.embedding is None:
+        if newer.embedding is None:
             continue
         scored = store.nearest(newer.embedding, exclude=exclude, top=1,
                                floor=dedup_threshold)

@@ -28,9 +28,10 @@ STAGE_SEARCH = "Search"
 STAGE_POST_RETRIEVE = "PostRet"
 STAGE_GENERATION = "Generation"
 
+# each request kind's stages, in the order its wall is split into them
 INSERT_STAGES = (STAGE_PRE_INSERT, STAGE_STATE_UPDATE, STAGE_POST_INSERT)
-RETRIEVE_STAGES = (STAGE_PRE_RETRIEVE, STAGE_SEARCH, STAGE_POST_RETRIEVE)
-ALL_STAGES = INSERT_STAGES + RETRIEVE_STAGES + (STAGE_GENERATION,)
+QUERY_STAGES = (STAGE_PRE_RETRIEVE, STAGE_SEARCH, STAGE_POST_RETRIEVE, STAGE_GENERATION)
+ALL_STAGES = INSERT_STAGES + QUERY_STAGES
 
 
 def token_f1(prediction: str, gold: str) -> float:

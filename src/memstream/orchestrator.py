@@ -10,13 +10,19 @@ next request is taken. Every Retrieve is evaluated when it arrives, against
 the store as it stands then, so later inserts, evictions and merges cannot
 reach back into its answer and the answer does not depend on where the
 checkpoint boundaries fall. Its result is held until the next checkpoint
-boundary groups it into a report; the visibility filter (now = query ts)
-keeps retrieval causal on its own.
+groups it into a report; the visibility filter (now = query ts) keeps
+retrieval causal on its own.
+
+Checkpoints only group results, so they are planned before the run:
+``checkpoint_plan`` reads the schedule and the manifest once and returns
+the insert counts after which a checkpoint closes. The consumer closes one
+just before the insert that follows a planned count, so the queries that
+arrive after that count land in it, and once more at the end of the stream.
 
 Stage walls per request are measured at contiguous monotonic-clock
-boundaries, so the per-request stage sum equals end-to-end minus generation
-exactly. The logical clock handed to stores and policies is always the
-request timestamp, never the wall clock.
+boundaries, so the per-request stage sum equals end-to-end exactly. The
+logical clock handed to stores and policies is always the request
+timestamp, never the wall clock.
 """
 
 from __future__ import annotations
@@ -41,12 +47,11 @@ from .errors import (
 from .gateway import Gateway, GatewayTiming, MockGateway, RemoteGateway, TokenBucket
 from .ingest import run_consolidate, run_normalize
 from .metrics import (
+    INSERT_STAGES,
+    QUERY_STAGES,
     STAGE_GENERATION,
     STAGE_POST_INSERT,
-    STAGE_POST_RETRIEVE,
     STAGE_PRE_INSERT,
-    STAGE_PRE_RETRIEVE,
-    STAGE_SEARCH,
     STAGE_STATE_UPDATE,
     LatencyReport,
     degradation,
@@ -173,24 +178,24 @@ def fraction_boundaries(fraction: float, total_inserts: int) -> list[int]:
     return sorted(bounds)
 
 
-def checkpoint_due(progress: int, schedule: CheckpointSchedule,
-                   total_inserts: int, boundaries: Optional[set[int]] = None) -> bool:
-    """True when an insert count lands on a schedule boundary.
+def checkpoint_plan(schedule: CheckpointSchedule, manifest: StreamManifest) -> set[int]:
+    """Insert counts after which a checkpoint closes.
 
-    per_round boundaries are session transitions, which only the stream
-    consumer can see; this predicate returns False for them. A run passes
-    its fraction ``boundaries``, computed once, instead of having them
-    rebuilt for every insert.
+    fraction: ``fraction_boundaries``; every_n: the multiples of n;
+    per_round: the last insert of each run of inserts from one session. The
+    last insert always closes one, so no insert is left out of a report.
     """
-    if progress <= 0:
-        return False
+    sessions = [r.payload.session_id for r in manifest.requests if r.kind == KIND_INSERT]
+    total = len(sessions)
     if schedule.fraction is not None:
-        if boundaries is None:
-            boundaries = set(fraction_boundaries(schedule.fraction, total_inserts))
-        return progress in boundaries
-    if schedule.every_n is not None:
-        return progress % schedule.every_n == 0
-    return False
+        plan = set(fraction_boundaries(schedule.fraction, total))
+    elif schedule.every_n is not None:
+        plan = set(range(schedule.every_n, total + 1, schedule.every_n))
+    else:
+        plan = {n for n in range(1, total) if sessions[n - 1] != sessions[n]}
+    if total:
+        plan.add(total)
+    return plan
 
 
 # ----------------------------------------------------------------------
@@ -204,11 +209,10 @@ class RequestTrace:
     seq: int
     ts: int
     kind: str
-    stage_ns: dict[str, int] = field(default_factory=dict)
-    e2e_ns: int = 0
-    gateway_calls: list[GatewayTiming] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
-    actions: list[str] = field(default_factory=list)
+    stage_ns: dict[str, int]
+    e2e_ns: int
+    gateway_calls: list[GatewayTiming]
+    flags: list[str]
 
     def chat_ns_by_stage(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -378,13 +382,8 @@ class _Pipeline:
         self.result = ExperimentResult(config=config_to_dict(cfg))
         self.pending: list[QueryResult] = []  # scored, not yet reported
         self.inserts_consumed = 0
-        self.insert_index = 0
-        self.last_flush_progress = -1
-        self.armed = False
         self.eval_in_flight = False
         self.window_traces: list[RequestTrace] = []
-        self.prev_session: Optional[str] = None
-        self.total_inserts = manifest.insert_count
 
     # -- guards ---------------------------------------------------------
     def _assert_not_evaluating(self, stage: str):
@@ -392,90 +391,80 @@ class _Pipeline:
             raise RuntimeError(
                 f"blocking violation: {stage} entered during checkpoint evaluation")
 
+    # -- tracing ----------------------------------------------------------
+    def _close_request(self, request: Request, stages: tuple[str, ...],
+                       stamps: list[int], flags: list[str]) -> RequestTrace:
+        """Trace one finished request; ``stages[i]`` ran from ``stamps[i]`` to ``stamps[i + 1]``."""
+        trace = RequestTrace(
+            seq=request.seq, ts=request.ts, kind=request.kind,
+            stage_ns={stage: end - start
+                      for stage, start, end in zip(stages, stamps, stamps[1:])},
+            e2e_ns=stamps[-1] - stamps[0],
+            gateway_calls=self.gateway.drain_timings(),
+            flags=flags,
+        )
+        self.result.traces.append(trace)
+        self.window_traces.append(trace)
+        return trace
+
     # -- insert path ------------------------------------------------------
     def _process_insert(self, request: Request):
         payload = request.payload
         ops = self.cfg.operators
-        trace = RequestTrace(seq=request.seq, ts=request.ts, kind=KIND_INSERT)
 
         self._assert_not_evaluating(STAGE_PRE_INSERT)
-        t0 = time.perf_counter_ns()
+        stamps = [time.perf_counter_ns()]
         units, flags = run_normalize(payload, request.ts, ops.normalize, self.gateway)
-        trace.flags.extend(flags)
         for unit in units:
             unit.strength = ops.consolidate.initial_strength_s
 
         self._assert_not_evaluating(STAGE_STATE_UPDATE)
-        t1 = time.perf_counter_ns()
+        stamps.append(time.perf_counter_ns())
         ids = self.store.insert(units, now=request.ts)
 
         self._assert_not_evaluating(STAGE_POST_INSERT)
-        t2 = time.perf_counter_ns()
-        self.insert_index += 1
-        outcome = run_consolidate(self.store, ids, request.ts, ops.consolidate,
-                                  self.gateway, self.insert_index)
-        t3 = time.perf_counter_ns()
-
-        trace.stage_ns = {
-            STAGE_PRE_INSERT: t1 - t0,
-            STAGE_STATE_UPDATE: t2 - t1,
-            STAGE_POST_INSERT: t3 - t2,
-        }
-        trace.e2e_ns = t3 - t0
-        trace.flags.extend(outcome.flags)
-        trace.actions.extend(outcome.actions)
-        trace.gateway_calls = self.gateway.drain_timings()
-        self.result.traces.append(trace)
-        self.window_traces.append(trace)
+        stamps.append(time.perf_counter_ns())
         self.inserts_consumed += 1
+        outcome = run_consolidate(self.store, ids, request.ts, ops.consolidate,
+                                  self.gateway, self.inserts_consumed)
+        stamps.append(time.perf_counter_ns())
 
-        self.result.action_log.append(
-            f"{request.seq} ts={request.ts} INSERT {','.join(ids) if ids else '-'}")
-        for action in outcome.actions:
-            self.result.action_log.append(f"{request.seq} ts={request.ts} {action}")
+        self._close_request(request, INSERT_STAGES, stamps, flags + outcome.flags)
+        prefix = f"{request.seq} ts={request.ts}"
+        self.result.action_log.append(f"{prefix} INSERT {','.join(ids) if ids else '-'}")
+        self.result.action_log.extend(f"{prefix} {action}" for action in outcome.actions)
 
     # -- evaluation path --------------------------------------------------
     def _evaluate_query(self, request: Request, checkpoint_index: int) -> QueryResult:
         payload = request.payload
         ops = self.cfg.operators
-        trace = RequestTrace(seq=request.seq, ts=request.ts, kind=KIND_RETRIEVE)
         flags: list[str] = []
 
-        t0 = time.perf_counter_ns()
+        stamps = [time.perf_counter_ns()]
         fq = run_formulate(payload, ops.formulate, self.gateway)
         flags.extend(fq.flags)
 
-        t1 = time.perf_counter_ns()
+        stamps.append(time.perf_counter_ns())
         candidates = execute_search(self.store, fq, ops.k, now=request.ts)
 
-        t2 = time.perf_counter_ns()
+        stamps.append(time.perf_counter_ns())
         integration = run_integrate(payload.query, candidates, self.store,
                                     self.gateway, ops.integrate, ops.k,
                                     now=request.ts)
         flags.extend(integration.flags)
         bundle = integration.bundle
 
-        t3 = time.perf_counter_ns()
+        stamps.append(time.perf_counter_ns())
         try:
             prediction = self.gateway.answer(payload.query, bundle.text,
                                              stage=STAGE_GENERATION)
         except GatewayError:
             prediction = ""
             flags.append("answer_failed")
-        t4 = time.perf_counter_ns()
+        stamps.append(time.perf_counter_ns())
 
         f1 = token_f1(prediction, payload.gold_answer)
-        trace.stage_ns = {
-            STAGE_PRE_RETRIEVE: t1 - t0,
-            STAGE_SEARCH: t2 - t1,
-            STAGE_POST_RETRIEVE: t3 - t2,
-            STAGE_GENERATION: t4 - t3,
-        }
-        trace.e2e_ns = t4 - t0
-        trace.flags = list(flags)
-        trace.gateway_calls = self.gateway.drain_timings()
-        self.result.traces.append(trace)
-        self.window_traces.append(trace)
+        trace = self._close_request(request, QUERY_STAGES, stamps, list(flags))
         return QueryResult(
             query_id=payload.query_id,
             category=payload.category,
@@ -519,34 +508,20 @@ class _Pipeline:
             latency=latency,
             store=self.store.stats(),
         ))
-        self.last_flush_progress = self.inserts_consumed
 
     # -- main loop ----------------------------------------------------------
     def run(self) -> ExperimentResult:
-        schedule = self.cfg.checkpoint
-        boundaries = (set(fraction_boundaries(schedule.fraction, self.total_inserts))
-                      if schedule.fraction is not None else None)
+        plan = checkpoint_plan(self.cfg.checkpoint, self.manifest)
         source = HistorySource(self.manifest, self.cfg.buffer_capacity)
         try:
             for request in source:
                 if request.kind == KIND_INSERT:
-                    session = request.payload.session_id
-                    round_break = (schedule.per_round
-                                   and self.prev_session is not None
-                                   and session != self.prev_session)
-                    if self.armed or round_break:
+                    if self.inserts_consumed in plan:
                         self._flush_checkpoint()
-                        self.armed = False
                     self._process_insert(request)
-                    self.prev_session = session
-                    if checkpoint_due(self.inserts_consumed, schedule,
-                                      self.total_inserts, boundaries):
-                        self.armed = True
                 else:
                     self._score_on_arrival(request)
-            if self.armed or self.pending or (
-                    self.inserts_consumed > 0
-                    and self.last_flush_progress != self.inserts_consumed):
+            if self.inserts_consumed in plan or self.pending:
                 self._flush_checkpoint()
         except StoreError as err:
             self.result.status = "aborted"

@@ -11,8 +11,10 @@ All backends guarantee, via this base class:
   scores divided by the list maximum);
 * access bookkeeping on hits: access_count += 1, last_access = now, and the
   retention strength multiplied by ``strength_gain``;
-* tombstoning that cleans every index, then calls ``_after_remove`` so a
-  backend can drop the record from its own queues;
+* removal that takes the record out of the store and every index, then
+  calls ``_after_remove`` so a backend can drop it from its own queues; a
+  removed record is unknown from then on, and the store holds no reference
+  to it;
 * one shared embedding index behind every nearest-neighbour scan;
 * one postings index behind every keyed lookup: lexical search, graph
   entities and LSH buckets.
@@ -354,8 +356,6 @@ class MemoryStore(ABC):
         record.strength *= self.strength_gain
 
     def _is_visible(self, record: MemoryRecord, now: Optional[int]) -> bool:
-        if record.tombstoned:
-            return False
         return now is None or record.ts < now
 
     def visible_records(self, now: Optional[int]) -> list[MemoryRecord]:
@@ -415,22 +415,25 @@ class MemoryStore(ABC):
     # ------------------------------------------------------------------
     def get(self, record_id: str) -> MemoryRecord:
         record = self._records.get(record_id)
-        if record is None or record.tombstoned:
+        if record is None:
             raise UnknownRecord(record_id)
         return record
 
     def all_records(self) -> list[MemoryRecord]:
         """Live records in insertion order."""
-        return [r for r in self._records.values() if not r.tombstoned]
+        return list(self._records.values())
 
     def is_live(self, record_id: str) -> bool:
-        record = self._records.get(record_id)
-        return record is not None and not record.tombstoned
+        return record_id in self._records
 
     def remove(self, record_id: str):
-        """Tombstone a record and drop it from every index."""
+        """Take a record out of the store and every index.
+
+        The record is flagged ``tombstoned`` for callers that still hold it.
+        """
         record = self.get(record_id)
         record.tombstoned = True
+        del self._records[record_id]
         self._postings.drop(record_id)
         self._index.drop(record_id)
         if record.kind == KIND_RAW:

@@ -63,17 +63,11 @@ class SummaryVectorStore(MemoryStore):
         return " ".join(leads)
 
     def _refresh_summary(self, session_id: str):
-        member_ids = self._session_members.get(session_id, [])
-        members = [
-            self._records[mid]
-            for mid in member_ids
-            if mid in self._records and not self._records[mid].tombstoned
-        ]
+        # _after_remove drops removed members and an evicted summary's
+        # mapping, so every id here is live; an evicted summary is rebuilt
+        # under a fresh id
+        members = [self._records[mid] for mid in self._session_members.get(session_id, [])]
         summary_id = self._session_summary.get(session_id)
-        if summary_id is not None and self._records[summary_id].tombstoned:
-            # summary was evicted externally; rebuild under a fresh id
-            del self._session_summary[session_id]
-            summary_id = None
         if not members:
             if summary_id is not None:
                 # _after_remove drops the session mapping

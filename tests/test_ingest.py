@@ -382,7 +382,7 @@ def test_session_summaries_start_at_the_runs_initial_strength():
     pipeline = _Pipeline(cfg, manifest, MockGateway(dim=32))
     result = pipeline.run()
     assert result.status == "complete", result.error
-    # live or removed, each summary started at 20 s and only doubled on hits
+    # each summary the store still holds started at 20 s and only doubled on hits
     summaries = [r for r in pipeline.store._records.values() if r.kind == KIND_SUMMARY]
     assert summaries
     for summary in summaries:

@@ -33,7 +33,7 @@ from memstream.orchestrator import (
     HistorySource,
     SINK_FILES,
     _Pipeline,
-    checkpoint_due,
+    checkpoint_plan,
     experiment_sink,
     fraction_boundaries,
     run_experiment,
@@ -174,18 +174,20 @@ def test_fraction_boundaries_hand_values():
     assert fraction_boundaries(0.2, 0) == []
 
 
-def test_checkpoint_due_predicates():
+def test_checkpoint_plan():
     frac = CheckpointSchedule(fraction=0.5)
-    assert not checkpoint_due(0, frac, 10)
-    assert checkpoint_due(5, frac, 10) and checkpoint_due(10, frac, 10)
-    assert not checkpoint_due(4, frac, 10)
+    assert checkpoint_plan(frac, make_manifest(n_inserts=10)) == {5, 10}
 
+    # the remainder after the last multiple closes at the last insert
     every = CheckpointSchedule(every_n=3)
-    assert checkpoint_due(3, every, 10) and checkpoint_due(6, every, 10)
-    assert not checkpoint_due(4, every, 10)
+    assert checkpoint_plan(every, make_manifest(n_inserts=10)) == {3, 6, 9, 10}
+    assert checkpoint_plan(every, make_manifest(n_inserts=9)) == {3, 6, 9}
 
+    # the last insert of each session; queries between inserts do not count
+    manifest = make_manifest(n_inserts=12, sessions=3,
+                             queries=[("q0", "fact number 2", "two", 4)])
     per_round = CheckpointSchedule(per_round=True)
-    assert not checkpoint_due(5, per_round, 10)
+    assert checkpoint_plan(per_round, manifest) == {4, 8, 12}
 
 
 def test_fraction_schedule_flushes_at_expected_inserts():

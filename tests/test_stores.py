@@ -1,5 +1,8 @@
 """Backend contracts: visibility, eviction, tiers, indexes, rank fusion."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +229,19 @@ def test_fifo_evicts_oldest():
     assert store.evicted_total == 1
     with pytest.raises(UnknownRecord):
         store.get("m000001")
+
+
+def test_fifo_eviction_releases_the_record():
+    store = build_store("fifo_queue", embed_dim=DIM, params={"capacity": 2})
+    first = record("the first record.", ts=0)
+    store.insert([first], now=0)
+    evicted = weakref.ref(first)
+    del first
+    for i in (1, 2):
+        store.insert([record(f"record {i}.", ts=i, turn=i)], now=i)
+    assert store.evicted_total == 1
+    gc.collect()
+    assert evicted() is None
 
 
 def test_fifo_overflow_error_mode():
