@@ -10,6 +10,7 @@ fits a float field), or ConfigError names the key.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass, field, fields as dc_fields
@@ -327,10 +328,7 @@ def expand_ablation(data: dict) -> list[tuple[str, ExperimentConfig]]:
         value_lists.append(values)
     variants = []
     for combo in itertools.product(*value_lists):
-        base = {k: v for k, v in data.items() if k != "ablate"}
-        working = yaml.safe_load(yaml.safe_dump(base))  # deep copy via round-trip
-        if working is None:
-            working = {}
+        working = copy.deepcopy({k: v for k, v in data.items() if k != "ablate"})
         name_parts = []
         for key, value in zip(keys, combo):
             apply_override(working, key, value)

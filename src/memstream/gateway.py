@@ -15,8 +15,9 @@ Two implementations share the interface:
   unless passed explicitly.
 
 Every public call appends exactly one GatewayTiming — also on failure —
-with the pipeline stage set by the caller, so per-stage model-inference
-time can be separated from store time downstream.
+billed to ``Gateway.stage``. The orchestrator sets that attribute as each
+lifecycle stage opens, so per-stage model-inference time can be separated
+from store time downstream without any operator naming its stage.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ import os
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import GatewayError
-from .metrics import STAGE_GENERATION
 from .text import (
     STOPWORDS,
     SYNONYMS_BIDIRECTIONAL,
@@ -92,12 +92,17 @@ class TokenBucket:
 
 
 class Gateway:
-    """Shared plumbing: timing capture, rate limiting, the answer() helper."""
+    """Shared plumbing: timing capture, rate limiting, the answer() helper.
+
+    ``stage`` is the lifecycle stage every call is billed to until it is
+    set again; the orchestrator sets it at each stage boundary.
+    """
 
     def __init__(self, rate_limit: Optional[TokenBucket] = None):
         self._timings: list[GatewayTiming] = []
         self._timings_lock = threading.Lock()
         self.rate_limit = rate_limit
+        self.stage = ""
 
     # -- implemented by subclasses ------------------------------------
     def _embed_impl(self, texts: list[str]) -> list[np.ndarray]:
@@ -108,42 +113,41 @@ class Gateway:
         raise NotImplementedError
 
     # -- public surface -------------------------------------------------
-    def embed(self, texts: list[str], *, stage: str) -> list[np.ndarray]:
+    def embed(self, texts: list[str]) -> list[np.ndarray]:
         if self.rate_limit is not None:
             self.rate_limit.acquire()
         t0 = time.perf_counter_ns()
         try:
             vectors = self._embed_impl(texts)
         except GatewayError as err:
-            self._record("embed", stage, time.perf_counter_ns() - t0, ok=False,
+            self._record("embed", time.perf_counter_ns() - t0, ok=False,
                          retries=err.retries)
             raise
-        self._record("embed", stage, time.perf_counter_ns() - t0, ok=True)
+        self._record("embed", time.perf_counter_ns() - t0, ok=True)
         return vectors
 
-    def chat(self, request: ChatRequest, *, stage: str) -> str:
+    def chat(self, request: ChatRequest) -> str:
         if self.rate_limit is not None:
             self.rate_limit.acquire()
         t0 = time.perf_counter_ns()
         try:
             reply, retries = self._chat_impl(request)
         except GatewayError as err:
-            self._record("chat", stage, time.perf_counter_ns() - t0, ok=False,
+            self._record("chat", time.perf_counter_ns() - t0, ok=False,
                          retries=err.retries, template_id=request.template_id)
             raise
-        self._record("chat", stage, time.perf_counter_ns() - t0, ok=True,
+        self._record("chat", time.perf_counter_ns() - t0, ok=True,
                      retries=retries, template_id=request.template_id)
         return reply
 
-    def answer(self, query: str, context: str, *, stage: str = STAGE_GENERATION) -> str:
+    def answer(self, query: str, context: str) -> str:
         """Answer generation over an assembled context. Empty context is legal."""
-        request = ChatRequest("answer", {"query": query, "context": context})
-        return self.chat(request, stage=stage)
+        return self.chat(ChatRequest("answer", {"query": query, "context": context}))
 
     # -- timing capture ---------------------------------------------------
-    def _record(self, call_kind: str, stage: str, wall_ns: int, *, ok: bool,
+    def _record(self, call_kind: str, wall_ns: int, *, ok: bool,
                 retries: int = 0, template_id: Optional[str] = None):
-        timing = GatewayTiming(call_kind=call_kind, stage=stage, wall_ns=wall_ns,
+        timing = GatewayTiming(call_kind=call_kind, stage=self.stage, wall_ns=wall_ns,
                                ok=ok, retries=retries, template_id=template_id)
         with self._timings_lock:
             self._timings.append(timing)

@@ -1,24 +1,23 @@
 """Insertion-side operators: normalization strategies and consolidation
 policies, plus the pipeline wrappers the orchestrator calls.
 
-Normalization turns one inbound turn into storable units (records or
-triplets) before the tentative insert; consolidation mutates the store right
-after it. Gateway chat during normalization is attributed to the PreIns
-stage, during consolidation to PostIns; the orchestrator reads those stage
-tags off the gateway timing log.
+Normalization turns one inbound turn into records, each built by ``_unit``,
+before the tentative insert; consolidation mutates the store right after it.
+Operators call the gateway without naming a stage: the orchestrator bills
+their calls to the stage it has open.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .config import ConsolidateConfig, NormalizeConfig
 from .errors import GatewayError, UnparseableExtraction, UnsupportedBackend
 from .gateway import ChatRequest, Gateway
-from .metrics import STAGE_POST_INSERT, STAGE_PRE_INSERT
 from .records import (
     KIND_SUMMARY,
     KIND_TRIPLET,
@@ -37,44 +36,36 @@ US_PER_S = 1_000_000.0
 # normalization (runs before the tentative insert)
 # ----------------------------------------------------------------------
 
+def _unit(h: InsertPayload, ts: int, text: str, embedding: Optional[np.ndarray] = None,
+          **fields) -> MemoryRecord:
+    """A record of turn ``h`` holding ``text``; the store assigns its id."""
+    return MemoryRecord(record_id="", text=text, ts=ts, session_id=h.session_id,
+                        turn_index=h.turn_index, embedding=embedding, **fields)
+
+
 def normalize_none(h: InsertPayload, ts: int, gateway: Gateway) -> list[MemoryRecord]:
     """Store the turn verbatim with its embedding."""
-    embedding = gateway.embed([h.context], stage=STAGE_PRE_INSERT)[0]
-    return [MemoryRecord(
-        record_id="", text=h.context, ts=ts, session_id=h.session_id,
-        turn_index=h.turn_index, speaker=h.speaker, embedding=embedding,
-    )]
+    embedding = gateway.embed([h.context])[0]
+    return [_unit(h, ts, h.context, embedding, speaker=h.speaker)]
 
 
 def normalize_enrich(h: InsertPayload, ts: int, gateway: Gateway,
                      max_sentences: int) -> list[MemoryRecord]:
     """Raw record plus a gateway-written summary record."""
     summary_text = gateway.chat(
-        ChatRequest("summarize", {"text": h.context, "max_sentences": max_sentences}),
-        stage=STAGE_PRE_INSERT,
-    ).strip()
+        ChatRequest("summarize", {"text": h.context, "max_sentences": max_sentences})).strip()
     if not summary_text:
         raise GatewayError("empty", "summarizer returned an empty completion")
-    raw_vec, summary_vec = gateway.embed([h.context, summary_text],
-                                         stage=STAGE_PRE_INSERT)
-    raw = MemoryRecord(
-        record_id="", text=h.context, ts=ts, session_id=h.session_id,
-        turn_index=h.turn_index, speaker=h.speaker, embedding=raw_vec,
-    )
-    summary = MemoryRecord(
-        record_id="", text=summary_text, ts=ts, session_id=h.session_id,
-        turn_index=h.turn_index, kind=KIND_SUMMARY, embedding=summary_vec,
-    )
-    return [raw, summary]
+    raw_vec, summary_vec = gateway.embed([h.context, summary_text])
+    return [_unit(h, ts, h.context, raw_vec, speaker=h.speaker),
+            _unit(h, ts, summary_text, summary_vec, kind=KIND_SUMMARY)]
 
 
 def normalize_rewrite(h: InsertPayload, gateway: Gateway,
                       max_triplets: int) -> list[Triplet]:
     """Extract at most max_triplets facts; the raw text is NOT kept."""
     reply = gateway.chat(
-        ChatRequest("triplets", {"text": h.context, "max_triplets": max_triplets}),
-        stage=STAGE_PRE_INSERT,
-    ).strip()
+        ChatRequest("triplets", {"text": h.context, "max_triplets": max_triplets})).strip()
     if reply.lower() == "no facts" or not reply:
         return []
     source = f"turn/{h.session_id}/{h.turn_index}"
@@ -110,17 +101,12 @@ def run_normalize(h: InsertPayload, ts: int, cfg: NormalizeConfig,
     elif cfg.strategy == "rewrite":
         try:
             triplets = normalize_rewrite(h, gateway, cfg.max_triplets)
-            records = []
-            if triplets:
-                texts = [t.linearize() for t in triplets]
-                vectors = gateway.embed(texts, stage=STAGE_PRE_INSERT)
-                for triplet, vec in zip(triplets, vectors):
-                    records.append(MemoryRecord(
-                        record_id="", text=triplet.linearize(), ts=ts,
-                        session_id=h.session_id, turn_index=h.turn_index,
-                        kind=KIND_TRIPLET, triplet=triplet, embedding=vec,
-                    ))
-            return records, flags
+            if not triplets:
+                return [], flags
+            texts = [t.linearize() for t in triplets]
+            vectors = gateway.embed(texts)
+            return [_unit(h, ts, text, vec, kind=KIND_TRIPLET, triplet=triplet)
+                    for triplet, text, vec in zip(triplets, texts, vectors)], flags
         except (GatewayError, UnparseableExtraction):
             flags.append("rewrite_fallback")
     try:
@@ -128,10 +114,7 @@ def run_normalize(h: InsertPayload, ts: int, cfg: NormalizeConfig,
     except GatewayError:
         # embedding service down: keep the turn, lexical search still works
         flags.append("embed_failed")
-        return [MemoryRecord(
-            record_id="", text=h.context, ts=ts, session_id=h.session_id,
-            turn_index=h.turn_index, speaker=h.speaker,
-        )], flags
+        return [_unit(h, ts, h.context, speaker=h.speaker)], flags
 
 
 # ----------------------------------------------------------------------
@@ -178,9 +161,7 @@ def consolidate_crud(store: MemoryStore, new_ids: list[str], gateway: Gateway,
         neighbor_lines = "\n".join(f"{n.record_id}\t{n.text}" for n in neighbors)
         try:
             reply = gateway.chat(
-                ChatRequest("crud", {"new": record.text, "neighbors": neighbor_lines}),
-                stage=STAGE_POST_INSERT,
-            ).strip()
+                ChatRequest("crud", {"new": record.text, "neighbors": neighbor_lines})).strip()
         except GatewayError:
             outcome.actions.append(f"NOOP {new_id}")
             outcome.flags.append("crud_fallback")
@@ -192,19 +173,11 @@ def consolidate_crud(store: MemoryStore, new_ids: list[str], gateway: Gateway,
             outcome.actions.append(f"ADD {new_id}")
         elif verb == "NOOP":
             outcome.actions.append(f"NOOP {new_id}")
-        elif verb == "UPDATE" and target:
-            known = {n.record_id for n in neighbors}
-            if target in known:
+        elif verb in ("UPDATE", "DELETE") and target:
+            if target in {n.record_id for n in neighbors}:
                 store.remove(target)
-                outcome.actions.append(f"UPDATE {target}<-{new_id}")
-            else:
-                outcome.actions.append(f"NOOP {new_id}")
-                outcome.flags.append("crud_unknown_target")
-        elif verb == "DELETE" and target:
-            known = {n.record_id for n in neighbors}
-            if target in known:
-                store.remove(target)
-                outcome.actions.append(f"DELETE {target}")
+                outcome.actions.append(
+                    f"UPDATE {target}<-{new_id}" if verb == "UPDATE" else f"DELETE {target}")
             else:
                 outcome.actions.append(f"NOOP {new_id}")
                 outcome.flags.append("crud_unknown_target")

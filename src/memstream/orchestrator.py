@@ -20,9 +20,12 @@ just before the insert that follows a planned count, so the queries that
 arrive after that count land in it, and once more at the end of the stream.
 
 Stage walls per request are measured at contiguous monotonic-clock
-boundaries, so the per-request stage sum equals end-to-end exactly. The
-logical clock handed to stores and policies is always the request
-timestamp, never the wall clock.
+boundaries, so the per-request stage sum equals end-to-end exactly. Each
+boundary is opened by ``_Pipeline._enter``, which also points
+``Gateway.stage`` at the new stage, so every gateway call bills to the stage
+``_enter`` opened last and no operator names its own stage. The logical
+clock handed to stores and policies is always the request timestamp, never
+the wall clock.
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ from .metrics import (
     QUERY_STAGES,
     STAGE_GENERATION,
     STAGE_POST_INSERT,
+    STAGE_POST_RETRIEVE,
     STAGE_PRE_INSERT,
+    STAGE_PRE_RETRIEVE,
+    STAGE_SEARCH,
     STAGE_STATE_UPDATE,
     LatencyReport,
     degradation,
@@ -67,6 +73,7 @@ from .stream import (
     KIND_RETRIEVE,
     Request,
     StreamManifest,
+    fraction_count,
     validate_stream,
     write_atomic,
 )
@@ -165,17 +172,14 @@ class HistorySource:
 def fraction_boundaries(fraction: float, total_inserts: int) -> list[int]:
     """Insert counts at which a fraction schedule checkpoints.
 
-    f = 0.2 over 10 inserts gives [2, 4, 6, 8, 10]. Computed with a small
-    epsilon so exact decimal multiples survive float representation.
+    f = 0.2 over 10 inserts gives [2, 4, 6, 8, 10]: the ``fraction_count`` of
+    each multiple of f, so a checkpoint closes where an ``AtFraction``
+    trigger of that multiple anchors its query.
     """
     if total_inserts <= 0:
         return []
     steps = math.ceil(round(1.0 / fraction, 9))
-    bounds = set()
-    for j in range(1, steps + 1):
-        bound = math.ceil(j * fraction * total_inserts - 1e-9)
-        bounds.add(min(max(bound, 1), total_inserts))
-    return sorted(bounds)
+    return sorted({fraction_count(j * fraction, total_inserts) for j in range(1, steps + 1)})
 
 
 def checkpoint_plan(schedule: CheckpointSchedule, manifest: StreamManifest) -> set[int]:
@@ -392,6 +396,11 @@ class _Pipeline:
                 f"blocking violation: {stage} entered during checkpoint evaluation")
 
     # -- tracing ----------------------------------------------------------
+    def _enter(self, stage: str) -> int:
+        """Open ``stage``: bill the gateway calls that follow to it; returns its start stamp."""
+        self.gateway.stage = stage
+        return time.perf_counter_ns()
+
     def _close_request(self, request: Request, stages: tuple[str, ...],
                        stamps: list[int], flags: list[str]) -> RequestTrace:
         """Trace one finished request; ``stages[i]`` ran from ``stamps[i]`` to ``stamps[i + 1]``."""
@@ -413,17 +422,17 @@ class _Pipeline:
         ops = self.cfg.operators
 
         self._assert_not_evaluating(STAGE_PRE_INSERT)
-        stamps = [time.perf_counter_ns()]
+        stamps = [self._enter(STAGE_PRE_INSERT)]
         units, flags = run_normalize(payload, request.ts, ops.normalize, self.gateway)
         for unit in units:
             unit.strength = ops.consolidate.initial_strength_s
 
         self._assert_not_evaluating(STAGE_STATE_UPDATE)
-        stamps.append(time.perf_counter_ns())
-        ids = self.store.insert(units, now=request.ts)
+        stamps.append(self._enter(STAGE_STATE_UPDATE))
+        ids = self.store.insert(units)
 
         self._assert_not_evaluating(STAGE_POST_INSERT)
-        stamps.append(time.perf_counter_ns())
+        stamps.append(self._enter(STAGE_POST_INSERT))
         self.inserts_consumed += 1
         outcome = run_consolidate(self.store, ids, request.ts, ops.consolidate,
                                   self.gateway, self.inserts_consumed)
@@ -440,24 +449,23 @@ class _Pipeline:
         ops = self.cfg.operators
         flags: list[str] = []
 
-        stamps = [time.perf_counter_ns()]
+        stamps = [self._enter(STAGE_PRE_RETRIEVE)]
         fq = run_formulate(payload, ops.formulate, self.gateway)
         flags.extend(fq.flags)
 
-        stamps.append(time.perf_counter_ns())
+        stamps.append(self._enter(STAGE_SEARCH))
         candidates = execute_search(self.store, fq, ops.k, now=request.ts)
 
-        stamps.append(time.perf_counter_ns())
+        stamps.append(self._enter(STAGE_POST_RETRIEVE))
         integration = run_integrate(payload.query, candidates, self.store,
                                     self.gateway, ops.integrate, ops.k,
                                     now=request.ts)
         flags.extend(integration.flags)
         bundle = integration.bundle
 
-        stamps.append(time.perf_counter_ns())
+        stamps.append(self._enter(STAGE_GENERATION))
         try:
-            prediction = self.gateway.answer(payload.query, bundle.text,
-                                             stage=STAGE_GENERATION)
+            prediction = self.gateway.answer(payload.query, bundle.text)
         except GatewayError:
             prediction = ""
             flags.append("answer_failed")

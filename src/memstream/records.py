@@ -64,7 +64,6 @@ class MemoryRecord:
     last_access: int = 0  # microseconds; >= ts always
     strength: float = 604_800.0  # retention time constant, seconds
     links: set = field(default_factory=set)
-    tombstoned: bool = False
 
     def __post_init__(self):
         if self.last_access < self.ts:
@@ -82,7 +81,6 @@ class RetrievalSignal:
     raw_query: str = ""
     embedding: Optional[np.ndarray] = None
     keywords: tuple[str, ...] = ()
-    sub_queries: tuple[str, ...] = ()
     skip: bool = False
     flags: tuple[str, ...] = ()
 
@@ -135,7 +133,3 @@ class ContextBundle:
     text: str
     provenance: tuple[tuple[str, float, int], ...]  # (record_id, score, record_ts)
     token_estimate: int
-
-    @property
-    def empty(self) -> bool:
-        return not self.text

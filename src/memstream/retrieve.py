@@ -1,9 +1,11 @@
 """Retrieval-side operators: query formulation strategies, search execution,
 context integration strategies, and bundle assembly.
 
-Formulation produces RetrievalSignals (gateway work tagged PreRet), search
-runs against the store, integration reshapes the candidate list and builds
-the final ContextBundle (gateway work for multi_query tagged PostRet).
+Formulation produces RetrievalSignals, search runs against the store, and
+integration reshapes the candidate list and builds the final ContextBundle.
+Operators call the gateway without naming a stage: the orchestrator bills
+their calls to the stage it has open. Sub-query and paraphrase rankings are
+fused by ``fused_candidates``, the store layer's reciprocal-rank fusion.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Optional
 from .config import FormulateConfig, IntegrateConfig
 from .errors import GatewayError
 from .gateway import ChatRequest, Gateway
-from .metrics import STAGE_POST_RETRIEVE, STAGE_PRE_RETRIEVE
 from .records import (
     KIND_RAW,
     TIER_FLAT,
@@ -26,8 +27,7 @@ from .records import (
     RetrievalSignal,
     ts_to_iso,
 )
-from .stores.base import MemoryStore
-from .stores.inverted_vector import fused_candidates
+from .stores.base import MemoryStore, fused_candidates
 from .stream import RetrievePayload
 
 US_PER_DAY = 86_400.0 * 1_000_000.0
@@ -48,14 +48,13 @@ class FormulatedQuery:
 # ----------------------------------------------------------------------
 
 def formulate_none(q: RetrievePayload, gateway: Gateway) -> RetrievalSignal:
-    embedding = gateway.embed([q.query], stage=STAGE_PRE_RETRIEVE)[0]
+    embedding = gateway.embed([q.query])[0]
     return RetrievalSignal(raw_query=q.query, embedding=embedding)
 
 
 def formulate_validate(q: RetrievePayload, gateway: Gateway) -> RetrievalSignal:
     """Ask whether retrieval is needed at all; small talk skips the search."""
-    reply = gateway.chat(ChatRequest("validate", {"query": q.query}),
-                         stage=STAGE_PRE_RETRIEVE).strip().upper()
+    reply = gateway.chat(ChatRequest("validate", {"query": q.query})).strip().upper()
     if reply == "SKIP":
         return RetrievalSignal(raw_query=q.query, skip=True)
     return formulate_none(q, gateway)
@@ -69,9 +68,7 @@ def formulate_keyword(q: RetrievePayload, gateway: Gateway, max_keywords: int,
     the raw query plus the keywords (flagged so reports can tell).
     """
     reply = gateway.chat(
-        ChatRequest("keywords", {"query": q.query, "max_keywords": max_keywords}),
-        stage=STAGE_PRE_RETRIEVE,
-    ).strip()
+        ChatRequest("keywords", {"query": q.query, "max_keywords": max_keywords})).strip()
     if not reply:
         signal = formulate_none(q, gateway)
         return RetrievalSignal(
@@ -81,10 +78,10 @@ def formulate_keyword(q: RetrievePayload, gateway: Gateway, max_keywords: int,
     keywords = tuple(reply.split())
     if augments:
         joined = f"{q.query} {' '.join(keywords)}"
-        embedding = gateway.embed([joined], stage=STAGE_PRE_RETRIEVE)[0]
+        embedding = gateway.embed([joined])[0]
         return RetrievalSignal(raw_query=joined, embedding=embedding,
                                flags=("keyword_augmented",))
-    embedding = gateway.embed([" ".join(keywords)], stage=STAGE_PRE_RETRIEVE)[0]
+    embedding = gateway.embed([" ".join(keywords)])[0]
     return RetrievalSignal(raw_query=q.query, embedding=embedding,
                            keywords=keywords)
 
@@ -93,21 +90,17 @@ def formulate_decompose(q: RetrievePayload, gateway: Gateway,
                         max_subqueries: int) -> tuple[RetrievalSignal, tuple[RetrievalSignal, ...]]:
     """Split a compound question; each part gets its own embedded signal."""
     reply = gateway.chat(
-        ChatRequest("decompose", {"query": q.query, "max_subqueries": max_subqueries}),
-        stage=STAGE_PRE_RETRIEVE,
-    ).strip()
+        ChatRequest("decompose", {"query": q.query, "max_subqueries": max_subqueries})).strip()
     parts = [line.strip() for line in reply.splitlines() if line.strip()]
     if not parts:
         parts = [q.query]
     parts = parts[:max_subqueries]
-    vectors = gateway.embed(parts, stage=STAGE_PRE_RETRIEVE)
+    vectors = gateway.embed(parts)
     subs = tuple(
         RetrievalSignal(raw_query=part, embedding=vec)
         for part, vec in zip(parts, vectors)
     )
-    primary = RetrievalSignal(raw_query=q.query, embedding=vectors[0],
-                              sub_queries=tuple(parts))
-    return primary, subs
+    return RetrievalSignal(raw_query=q.query, embedding=vectors[0]), subs
 
 
 def run_formulate(q: RetrievePayload, cfg: FormulateConfig,
@@ -152,14 +145,9 @@ def execute_search(store: MemoryStore, fq: FormulatedQuery, k: int,
     if not fq.sub_signals:
         return store.retrieve(fq.signal, k, now=now)
     per_sub = math.ceil(k / len(fq.sub_signals))
-    rankings: list[list[str]] = []
-    records: dict[str, MemoryRecord] = {}
-    for signal in fq.sub_signals:
-        candidates = store.retrieve(signal, per_sub, now=now)
-        rankings.append([c.record_id for c in candidates])
-        for cand in candidates:
-            records.setdefault(cand.record_id, cand.record)
-    return fused_candidates(rankings, records, "decompose", k)
+    rankings = [[c.record_id for c in store.retrieve(signal, per_sub, now=now)]
+                for signal in fq.sub_signals]
+    return fused_candidates(rankings, store.get, "decompose", k)
 
 
 # ----------------------------------------------------------------------
@@ -236,25 +224,19 @@ def integrate_multi_query(query: str, cands: list[Candidate],
     """
     flags: list[str] = []
     rankings = [[c.record_id for c in cands]]
-    records: dict[str, MemoryRecord] = {c.record_id: c.record for c in cands}
     try:
         for index in range(n_queries):
             paraphrase = gateway.chat(
-                ChatRequest("paraphrase", {"query": query, "index": index}),
-                stage=STAGE_POST_RETRIEVE,
-            ).strip()
+                ChatRequest("paraphrase", {"query": query, "index": index})).strip()
             if not paraphrase:
                 continue
-            embedding = gateway.embed([paraphrase], stage=STAGE_POST_RETRIEVE)[0]
+            embedding = gateway.embed([paraphrase])[0]
             signal = RetrievalSignal(raw_query=paraphrase, embedding=embedding)
-            extra = store.retrieve(signal, k, now=now)
-            rankings.append([c.record_id for c in extra])
-            for cand in extra:
-                records.setdefault(cand.record_id, cand.record)
+            rankings.append([c.record_id for c in store.retrieve(signal, k, now=now)])
     except GatewayError:
         flags.append("multi_query_fallback")
         return list(cands), flags
-    return fused_candidates(rankings, records, "multi_query", max(k, len(cands))), flags
+    return fused_candidates(rankings, store.get, "multi_query", max(k, len(cands))), flags
 
 
 # ----------------------------------------------------------------------
@@ -287,10 +269,7 @@ def build_bundle(cands: list[Candidate],
             continue
         line = context_line(cand.record)
         cost = estimate_tokens(line)
-        if lines and used + cost > budget_tokens:
-            truncated = True
-            break
-        if not lines and cost > budget_tokens:
+        if used + cost > budget_tokens:
             truncated = True
             break
         seen.add(cand.record_id)
@@ -305,7 +284,6 @@ def build_bundle(cands: list[Candidate],
 @dataclass
 class IntegrationResult:
     bundle: ContextBundle
-    candidates: list[Candidate] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
 
 
@@ -333,4 +311,4 @@ def run_integrate(query: str, cands: list[Candidate], store: MemoryStore,
     bundle, truncated = build_bundle(working, cfg.budget_tokens)
     if truncated:
         flags.append("budget_truncated")
-    return IntegrationResult(bundle=bundle, candidates=working, flags=flags)
+    return IntegrationResult(bundle=bundle, flags=flags)

@@ -5,9 +5,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import StoreError
-from .base import MemoryStore, cosine, fold_cosine, lexical_scores, rank_candidates
+from .base import MemoryStore, cosine, fold_cosine, fuse_scores, lexical_scores, rank_candidates
 from .fifo import FifoQueueStore
-from .inverted_vector import InvertedVectorStore, fuse_scores
+from .inverted_vector import InvertedVectorStore
 from .lsh import LshStore, lsh_signature
 from .property_graph import PropertyGraphStore
 from .queue_segment import QueueSegmentStore

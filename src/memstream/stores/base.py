@@ -2,13 +2,16 @@
 
 All backends guarantee, via this base class:
 
-* deterministic record ids ("m000001", ...) in insertion order;
+* ``insert(records)`` takes ``MemoryRecord``s only, without ids, and
+  assigns deterministic record ids ("m000001", ...) in insertion order;
 * a strictly-earlier visibility rule — retrieval at time ``now`` never
   returns a record with ``record.ts >= now`` (causality is enforced here
   again, independently of the protocol's request ordering);
-* candidate ordering by descending score with record_id as the tie-break;
+* candidate ordering by descending score with record_id as the tie-break
+  (``rank_candidates``);
 * scores normalized to [0, 1] (cosine folded via (1+cos)/2, ratio-style
-  scores divided by the list maximum);
+  scores divided by the list maximum by ``normalize_ratio``, reciprocal-rank
+  fusion scores by the best one in ``fused_candidates``);
 * access bookkeeping on hits: access_count += 1, last_access = now, and the
   retention strength multiplied by ``strength_gain``;
 * removal that takes the record out of the store and every index, then
@@ -58,24 +61,22 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
-from typing import Hashable, Iterable, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..errors import DimensionMismatch, EmptySignal, StoreError, UnknownRecord, UnsupportedBackend
 from ..records import (
     KIND_RAW,
-    KIND_TRIPLET,
     Candidate,
     MemoryRecord,
     RetrievalSignal,
     StoreStats,
     TIER_FLAT,
-    Triplet,
 )
 from ..text import index_tokens
 
-Unit = Union[MemoryRecord, Triplet]
+DEFAULT_RRF_K = 60
 
 
 def cosine(a: np.ndarray, b: np.ndarray, norm_a: Optional[float] = None,
@@ -115,6 +116,38 @@ def rank_candidates(scored: Iterable[tuple[MemoryRecord, float]], k: int,
                     source: str) -> list[Candidate]:
     ordered = sorted(scored, key=lambda item: (-item[1], item[0].record_id))
     return [Candidate(record=rec, score=score, source=source) for rec, score in ordered[:k]]
+
+
+def fuse_scores(rankings: Iterable[list[str]], k_rrf: int = DEFAULT_RRF_K) -> list[tuple[str, float]]:
+    """Reciprocal-rank fusion over any number of ranked id lists.
+
+    score = sum over lists of 1 / (k_rrf + rank), ranks 1-based. Returns
+    (id, fused_score) sorted by descending score then id. A document at rank 1
+    in two lists scores 2/(k_rrf+1).
+    """
+    if k_rrf < 0:
+        raise ValueError(f"k_rrf must be >= 0, got {k_rrf}")
+    fused: dict[str, float] = {}
+    for ranking in rankings:
+        for rank, doc_id in enumerate(ranking, start=1):
+            fused[doc_id] = fused.get(doc_id, 0.0) + 1.0 / (k_rrf + rank)
+    return sorted(fused.items(), key=lambda item: (-item[1], item[0]))
+
+
+def fused_candidates(rankings: Iterable[list[str]], record_of: Callable[[str], MemoryRecord],
+                     source: str, limit: int, k_rrf: int = DEFAULT_RRF_K) -> list[Candidate]:
+    """RRF-fuse ranked id lists into the ``limit`` best candidates, best first.
+
+    ``record_of`` looks up a ranked id's record (``MemoryStore.get``); scores
+    are the fused scores divided by the best one. Only the first ``limit``
+    fused ids become candidates.
+    """
+    fused = fuse_scores(rankings, k_rrf)
+    if not fused:
+        return []
+    top = fused[0][1]  # fuse_scores sorts by descending score
+    return [Candidate(record=record_of(rec_id), score=score / top, source=source)
+            for rec_id, score in fused[:limit]]
 
 
 # Screened scores within this distance of a cut are rescored exactly; a
@@ -289,10 +322,14 @@ class MemoryStore(ABC):
     # ------------------------------------------------------------------
     # insertion
     # ------------------------------------------------------------------
-    def insert(self, units: Sequence[Unit], now: int) -> list[str]:
+    def insert(self, records: Sequence[MemoryRecord]) -> list[str]:
         ids = []
-        for unit in units:
-            record = self._coerce(unit, now)
+        for record in records:
+            if not isinstance(record, MemoryRecord):
+                raise StoreError(f"cannot insert {type(record).__name__}")
+            if record.record_id:
+                raise StoreError("records arrive without ids; the store assigns them")
+            record.tier = self._default_tier()
             self._check_dim(record)
             self._counter += 1
             record.record_id = f"m{self._counter:06d}"
@@ -304,19 +341,6 @@ class MemoryStore(ABC):
             self._after_add(record)
             ids.append(record.record_id)
         return ids
-
-    def _coerce(self, unit: Unit, now: int) -> MemoryRecord:
-        if isinstance(unit, Triplet):
-            return MemoryRecord(
-                record_id="", text=unit.linearize(), ts=now, session_id="",
-                kind=KIND_TRIPLET, triplet=unit, tier=self._default_tier(),
-            )
-        if not isinstance(unit, MemoryRecord):
-            raise StoreError(f"cannot insert {type(unit).__name__}")
-        if unit.record_id:
-            raise StoreError("records arrive without ids; the store assigns them")
-        unit.tier = self._default_tier()
-        return unit
 
     def _check_dim(self, record: MemoryRecord):
         if record.embedding is None:
@@ -427,12 +451,8 @@ class MemoryStore(ABC):
         return record_id in self._records
 
     def remove(self, record_id: str):
-        """Take a record out of the store and every index.
-
-        The record is flagged ``tombstoned`` for callers that still hold it.
-        """
+        """Take a record out of the store and every index."""
         record = self.get(record_id)
-        record.tombstoned = True
         del self._records[record_id]
         self._postings.drop(record_id)
         self._index.drop(record_id)

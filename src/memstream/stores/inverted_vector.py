@@ -1,51 +1,18 @@
 """Hybrid backend: lexical inverted index fused with a flat vector store.
 
-Both signals rank independently; reciprocal-rank fusion merges them
-(score = sum over lists of 1 / (k_rrf + rank), ranks 1-based), ties broken
-by record_id. ``mode`` narrows retrieval to one signal ("lexical" or
-"vector") which is how the signal-ablation comparisons are run.
+Both signals rank independently; reciprocal-rank fusion
+(``base.fused_candidates``) merges them, ties broken by record_id. ``mode``
+narrows retrieval to one signal ("lexical" or "vector") which is how the
+signal-ablation comparisons are run.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 from ..records import Candidate, MemoryRecord, RetrievalSignal
 from ..text import index_tokens
-from .base import MemoryStore
-
-DEFAULT_RRF_K = 60
-
-
-def fuse_scores(rankings: Iterable[list[str]], k_rrf: int = DEFAULT_RRF_K) -> list[tuple[str, float]]:
-    """Reciprocal-rank fusion over any number of ranked id lists.
-
-    Returns (id, fused_score) sorted by descending score then id. A document
-    at rank 1 in two lists scores 2/(k_rrf+1).
-    """
-    if k_rrf < 0:
-        raise ValueError(f"k_rrf must be >= 0, got {k_rrf}")
-    fused: dict[str, float] = {}
-    for ranking in rankings:
-        for rank, doc_id in enumerate(ranking, start=1):
-            fused[doc_id] = fused.get(doc_id, 0.0) + 1.0 / (k_rrf + rank)
-    return sorted(fused.items(), key=lambda item: (-item[1], item[0]))
-
-
-def fused_candidates(rankings: Iterable[list[str]], records: Mapping[str, MemoryRecord],
-                     source: str, limit: int, k_rrf: int = DEFAULT_RRF_K) -> list[Candidate]:
-    """RRF-fuse ranked id lists into the ``limit`` best candidates, best first.
-
-    ``records`` maps every ranked id to its record; scores are the fused
-    scores divided by the best one. Only the first ``limit`` fused ids become
-    candidates.
-    """
-    fused = fuse_scores(rankings, k_rrf)
-    if not fused:
-        return []
-    top = fused[0][1]  # fuse_scores sorts by descending score
-    return [Candidate(record=records[rec_id], score=score / top, source=source)
-            for rec_id, score in fused[:limit]]
+from .base import DEFAULT_RRF_K, MemoryStore, fused_candidates
 
 
 class InvertedVectorStore(MemoryStore):
@@ -92,7 +59,7 @@ class InvertedVectorStore(MemoryStore):
 
         lexical = self._lexical_ranked(signal, now, pool)
         vector = self._vector_ranked(signal, now, pool)
-        return fused_candidates([lexical, vector], self._records, "fused", k, self.rrf_k)
+        return fused_candidates([lexical, vector], self.get, "fused", k, self.rrf_k)
 
     def _index_sizes(self) -> dict[str, int]:
         return {

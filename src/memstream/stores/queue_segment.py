@@ -50,10 +50,13 @@ class QueueSegmentStore(MemoryStore):
             pass
 
     def _after_add(self, record: MemoryRecord):
-        self._short.append(record.record_id)
+        self._enter_short(record.record_id)
+
+    def _enter_short(self, record_id: str):
+        """Queue a short-term record, overflowing the oldest into mid-term past the bound."""
+        self._short.append(record_id)
         while len(self._short) > self.short_capacity:
-            overflow_id = self._short.popleft()
-            self._records[overflow_id].tier = TIER_MID
+            self._records[self._short.popleft()].tier = TIER_MID
 
     def migrate(self, record_id: str, to_tier: str):
         """Move a record between tiers without losing it.
@@ -74,10 +77,7 @@ class QueueSegmentStore(MemoryStore):
                 pass
         record.tier = to_tier
         if to_tier == TIER_SHORT:
-            self._short.append(record_id)
-            while len(self._short) > self.short_capacity:
-                demoted = self._short.popleft()
-                self._records[demoted].tier = TIER_MID
+            self._enter_short(record_id)
 
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:

@@ -77,16 +77,10 @@ class SummaryVectorStore(MemoryStore):
         embedding = mean_embedding([m.embedding for m in members if m.embedding is not None])
         newest_ts = max(m.ts for m in members)
         if summary_id is None:
-            self._counter += 1
-            summary_id = f"m{self._counter:06d}"
-            summary = MemoryRecord(
-                record_id=summary_id, text=text, ts=newest_ts,
-                session_id=session_id, kind=KIND_SUMMARY, embedding=embedding,
-                strength=self.initial_strength_s,
-            )
-            self._records[summary_id] = summary
-            self._session_summary[session_id] = summary_id
-            self._index.queue(summary)
+            (self._session_summary[session_id],) = self.insert([MemoryRecord(
+                record_id="", text=text, ts=newest_ts, session_id=session_id,
+                kind=KIND_SUMMARY, embedding=embedding, strength=self.initial_strength_s,
+            )])
         else:
             summary = self._records[summary_id]
             summary.text = text

@@ -142,6 +142,16 @@ class QuerySpec:
 # Serialization into a causal stream
 # ---------------------------------------------------------------------------
 
+def fraction_count(fraction: float, total: int) -> int:
+    """How many of ``total`` inserts make up ``fraction`` of them.
+
+    ``ceil(fraction * total)`` clamped to [1, total], less 1e-9 so an exact
+    decimal product survives float representation: 0.07 * 100 is
+    7.000000000000001 in binary, and still counts 7.
+    """
+    return min(max(math.ceil(fraction * total - 1e-9), 1), total)
+
+
 def serialize_stream(sessions: Iterable[SessionTurns],
                      queries: Iterable[QuerySpec] = (),
                      source: str = "inline") -> StreamManifest:
@@ -195,8 +205,7 @@ def serialize_stream(sessions: Iterable[SessionTurns],
                 raise SchemaError(f"fraction out of (0, 1]: {trigger.fraction}")
             if not inserts:
                 raise DanglingEvidence("fraction trigger on a stream with no inserts")
-            idx = max(1, math.ceil(trigger.fraction * len(inserts)))
-            anchor_ts = inserts[idx - 1][0]
+            anchor_ts = inserts[fraction_count(trigger.fraction, len(inserts)) - 1][0]
         elif isinstance(trigger, AfterCount):
             if not inserts:
                 raise DanglingEvidence("count trigger on a stream with no inserts")

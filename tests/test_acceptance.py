@@ -471,7 +471,7 @@ def hybrid_recall_at_5(mode):
         record = MemoryRecord(record_id="", text=text, ts=i, session_id="s",
                               turn_index=i,
                               embedding=mock_embed_text(text, HYBRID_DIM))
-        inserted = store.insert([record], i + 1)
+        inserted = store.insert([record])
         ids.append(inserted[0])
     hits = 0
     for i, (attr, entity, _value) in enumerate(facts):
@@ -565,7 +565,7 @@ def test_08_bucketed_index_matches_brute_force_neighbors():
         for i, v in enumerate(vectors):
             record = MemoryRecord(record_id="", text=f"vector {i}", ts=i,
                                   session_id="s", turn_index=i, embedding=v)
-            inserted = store.insert([record], i + 1)
+            inserted = store.insert([record])
             ids.append(inserted[0])
         matrix = np.stack(vectors)
         recalls = []
@@ -632,7 +632,7 @@ def test_10_retention_eviction_is_exact_and_permanent():
         for i, ratio in enumerate(AGE_RATIOS):
             record = MemoryRecord(record_id="", text=f"aged record {i}", ts=i,
                                   session_id="s", turn_index=i)
-            inserted = store.insert([record], i + 1)
+            inserted = store.insert([record])
             stored = store.get(inserted[0])
             stored.strength = strength
             stored.last_access = now - int(ratio * strength * 1_000_000)
@@ -655,7 +655,7 @@ def test_10_retention_eviction_is_exact_and_permanent():
                 record = MemoryRecord(record_id="", text=text, ts=counter,
                                       session_id="s", turn_index=counter,
                                       embedding=mock_embed_text(text, 16))
-                inserted = fuzz_store.insert([record], counter + 1)
+                inserted = fuzz_store.insert([record])
                 live.add(inserted[0])
                 counter += 1
             records = list(fuzz_store.all_records())

@@ -26,14 +26,14 @@ def make_gateway(**kwargs):
 # -- embeddings ---------------------------------------------------------------
 
 def test_embed_deterministic_across_instances():
-    a = make_gateway().embed(["the cat sat on the mat"], stage="PreIns")[0]
-    b = make_gateway().embed(["the cat sat on the mat"], stage="PreIns")[0]
+    a = make_gateway().embed(["the cat sat on the mat"])[0]
+    b = make_gateway().embed(["the cat sat on the mat"])[0]
     assert np.array_equal(a, b)
 
 
 def test_embed_unit_norm_and_dim():
     gw = make_gateway(dim=64)
-    vec = gw.embed(["some text with words"], stage="PreIns")[0]
+    vec = gw.embed(["some text with words"])[0]
     assert vec.shape == (64,)
     assert np.linalg.norm(vec) == pytest.approx(1.0)
 
@@ -41,15 +41,15 @@ def test_embed_unit_norm_and_dim():
 def test_embed_degenerate_text_is_zero_vector():
     gw = make_gateway()
     for text in ("", "...", "—"):
-        vec = gw.embed([text], stage="PreIns")[0]
+        vec = gw.embed([text])[0]
         assert np.linalg.norm(vec) == 0.0
 
 
 def test_embed_batch_order_preserved():
     gw = make_gateway()
     texts = ["first text", "second text", "third text"]
-    batch = gw.embed(texts, stage="PreIns")
-    singles = [gw.embed([t], stage="PreIns")[0] for t in texts]
+    batch = gw.embed(texts)
+    singles = [gw.embed([t])[0] for t in texts]
     for got, want in zip(batch, singles):
         assert np.array_equal(got, want)
 
@@ -59,7 +59,7 @@ def test_embed_similarity_orders_related_texts():
     base, near, far = gw.embed(
         ["the meeting is on friday morning",
          "the meetings are on friday mornings",
-         "quantum flux capacitor overload"], stage="PreIns")
+         "quantum flux capacitor overload"])
     assert float(base @ near) > float(base @ far)
 
 
@@ -74,18 +74,18 @@ def test_paraphrase_pairs_stay_close_in_embedding_space():
         ("a rumor about the harbor", "a rumour about the harbour"),
     ]
     for left, right in pairs:
-        a, b = gw.embed([left, right], stage="PreRet")
+        a, b = gw.embed([left, right])
         cos = float(a @ b)
         assert cos >= 0.55, (left, right, cos)
-    unrelated = gw.embed(["unrelated machinery manifest"], stage="PreRet")[0]
-    a = gw.embed([pairs[0][0]], stage="PreRet")[0]
+    unrelated = gw.embed(["unrelated machinery manifest"])[0]
+    a = gw.embed([pairs[0][0]])[0]
     assert float(a @ unrelated) < 0.4
 
 
 def test_mock_embed_text_matches_gateway_path():
     gw = make_gateway(dim=32)
     direct = mock_embed_text("hello world", 32)
-    assert np.array_equal(gw.embed(["hello world"], stage="PreIns")[0], direct)
+    assert np.array_equal(gw.embed(["hello world"])[0], direct)
 
 
 def trigram_loop_embed(text, dim):
@@ -135,8 +135,10 @@ def test_mock_embed_text_matches_trigram_loop(text, dim):
 
 def test_every_call_records_exactly_one_timing():
     gw = make_gateway()
-    gw.embed(["a"], stage="PreIns")
-    gw.chat(ChatRequest("summarize", {"text": "One. Two."}), stage="PreIns")
+    gw.stage = "PreIns"
+    gw.embed(["a"])
+    gw.chat(ChatRequest("summarize", {"text": "One. Two."}))
+    gw.stage = "Generation"
     gw.answer("q", "ctx sentence.")
     timings = gw.drain_timings()
     assert len(timings) == 3
@@ -150,11 +152,11 @@ def test_every_call_records_exactly_one_timing():
 def test_failed_calls_still_record_one_timing():
     gw = make_gateway(failing={"summarize", "embed"})
     with pytest.raises(GatewayError):
-        gw.chat(ChatRequest("summarize", {"text": "x."}), stage="PreIns")
+        gw.chat(ChatRequest("summarize", {"text": "x."}))
     with pytest.raises(GatewayError):
-        gw.embed(["x"], stage="PreRet")
+        gw.embed(["x"])
     with pytest.raises(GatewayError):
-        gw.chat(ChatRequest("no_such_template", {}), stage="PostRet")
+        gw.chat(ChatRequest("no_such_template", {}))
     timings = gw.drain_timings()
     assert len(timings) == 3
     assert [t.ok for t in timings] == [False, False, False]
@@ -164,7 +166,7 @@ def test_failed_calls_still_record_one_timing():
 # -- chat templates -----------------------------------------------------------
 
 def chat(gw, template_id, **variables):
-    return gw.chat(ChatRequest(template_id, variables), stage="PreIns")
+    return gw.chat(ChatRequest(template_id, variables))
 
 
 def test_summarize_returns_first_sentence():
@@ -259,7 +261,7 @@ def test_token_bucket_throttles():
     gw = make_gateway(rate_limit=bucket)
     t0 = time.monotonic()
     for _ in range(3):
-        gw.embed(["x"], stage="PreIns")
+        gw.embed(["x"])
     elapsed = time.monotonic() - t0
     # two refills at 100 tokens/s -> at least ~20 ms, allow scheduler slack
     assert elapsed >= 0.015
@@ -279,3 +281,98 @@ def test_remote_gateway_reads_env(monkeypatch):
     gw = RemoteGateway()
     assert gw.base_url == "http://localhost:9/v1"
     assert gw._session.headers["Authorization"] == "Bearer k-123"
+
+
+# -- remote HTTP path, offline ------------------------------------------------
+
+class FakeResponse:
+    def __init__(self, status_code, body=None):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        return dict(self._body)
+
+
+class FakeSession:
+    """Stands in for ``requests.Session``: answers each post with the next
+    scripted response, or raises it when it is an exception."""
+
+    def __init__(self, *responses):
+        self.responses = list(responses)
+        self.posts = []
+
+    def post(self, url, json, timeout):
+        self.posts.append((url, json))
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
+
+
+def remote(*responses, **kwargs):
+    gw = RemoteGateway(base_url="http://localhost:9/v1", backoff_s=0, **kwargs)
+    gw._session = FakeSession(*responses)
+    return gw
+
+
+def reply(content):
+    return FakeResponse(200, {"choices": [{"message": {"content": content}}]})
+
+
+def test_remote_retries_a_server_error_then_succeeds():
+    gw = remote(FakeResponse(500), reply("  Paris.  "))
+    assert gw.chat(ChatRequest("answer", {"query": "q", "context": "c"})) == "Paris."
+    (timing,) = gw.drain_timings()
+    assert timing.ok and timing.retries == 1
+    (url, payload), _ = gw._session.posts
+    assert url == "http://localhost:9/v1/chat/completions"
+    assert "Question: q" in payload["messages"][0]["content"]
+
+
+def test_remote_exhausted_retries_raise_http():
+    gw = remote(ConnectionError("refused"), FakeResponse(503), FakeResponse(503), retries=2)
+    with pytest.raises(GatewayError, match="http 503") as err:
+        gw.chat(ChatRequest("answer", {"query": "q", "context": "c"}))
+    assert err.value.kind == "http" and err.value.retries == 2
+    assert len(gw._session.posts) == 3
+    (timing,) = gw.drain_timings()
+    assert not timing.ok and timing.retries == 2
+
+
+def test_remote_spent_deadline_raises_timeout():
+    gw = remote(reply("never sent"), deadline_s=0)
+    with pytest.raises(GatewayError) as err:
+        gw.embed(["x"])
+    assert err.value.kind == "timeout"
+    assert gw._session.posts == []
+
+
+def test_remote_embeddings_are_sorted_by_index_and_unit_normalised():
+    rows = [{"index": 1, "embedding": [0.0, 2.0]}, {"index": 0, "embedding": [3.0, 4.0]}]
+    gw = remote(FakeResponse(200, {"data": rows}))
+    first, second = gw.embed(["a", "b"])
+    assert first.tolist() == [0.6, 0.8]
+    assert second.tolist() == [0.0, 1.0]
+    assert gw._session.posts[0][1]["input"] == ["a", "b"]
+
+
+@pytest.mark.parametrize("call, response", [
+    ("embed", FakeResponse(200, {"data": [{"index": 0, "embedding": [1.0]}]})),
+    ("chat", FakeResponse(200, {"id": "no choices"})),
+])
+def test_remote_malformed_responses(call, response):
+    gw = remote(response)
+    with pytest.raises(GatewayError) as err:
+        if call == "embed":
+            gw.embed(["a", "b"])
+        else:
+            gw.chat(ChatRequest("answer", {"query": "q", "context": "c"}))
+    assert err.value.kind == "malformed"
+
+
+def test_remote_blank_completion_raises_empty():
+    gw = remote(reply("   "))
+    with pytest.raises(GatewayError) as err:
+        gw.chat(ChatRequest("answer", {"query": "q", "context": "c"}))
+    assert err.value.kind == "empty"

@@ -43,7 +43,7 @@ from memstream.records import (
 )
 from memstream.stores import build_store
 from memstream.records import RetrievalSignal
-from memstream.stream import InsertPayload
+from memstream.stream import KIND_INSERT, InsertPayload, Request, StreamManifest
 from memstream.workloads import SyntheticSpec, synth_workload
 
 US = 1_000_000
@@ -73,11 +73,18 @@ def turn(text, sid="s1", ti=0, speaker=None):
 def put(store, text, *, ts=0, sid="s1", ti=0, embedding=None, **fields):
     record = MemoryRecord(record_id="", text=text, ts=ts, session_id=sid,
                           turn_index=ti, embedding=embedding)
-    ids = store.insert([record], ts + 1)
+    ids = store.insert([record])
     stored = store.get(ids[0])
     for name, value in fields.items():
         setattr(stored, name, value)
     return ids[0]
+
+
+def insert_pipeline(operators, gw):
+    """A pipeline over an empty stream, to drive single insert requests by hand."""
+    cfg = config_from_dict({"operators": operators,
+                            "gateway": {"kind": "mock", "embed_dim": gw.dim}})
+    return _Pipeline(cfg, StreamManifest(requests=()), gw)
 
 
 # ----------------------------------------------------------------------
@@ -213,12 +220,12 @@ def test_run_normalize_stacks_fallback_flags():
 
 def test_normalize_gateway_calls_are_pre_insert_stage():
     gw = MockGateway(dim=32)
-    gw.drain_timings()
-    run_normalize(turn("Alice moved to Oslo. She likes it."), 5,
-                  NormalizeConfig(strategy="enrich"), gw)
-    timings = gw.drain_timings()
-    assert timings
-    assert {t.stage for t in timings} == {STAGE_PRE_INSERT}
+    pipeline = insert_pipeline({"normalize": {"strategy": "enrich"}}, gw)
+    pipeline._process_insert(Request(seq=0, ts=5, kind=KIND_INSERT,
+                                     payload=turn("Alice moved to Oslo. She likes it.")))
+    (trace,) = pipeline.result.traces
+    assert trace.gateway_calls
+    assert {t.stage for t in trace.gateway_calls} == {STAGE_PRE_INSERT}
 
 
 # ----------------------------------------------------------------------
@@ -303,12 +310,13 @@ def test_crud_gateway_fault_keeps_everything():
 
 
 def test_crud_chat_is_post_insert_stage():
-    store = build_store("fifo_queue")
     gw = MockGateway(dim=64)
-    new_id = put(store, "alice | age | 31", ts=0, ti=0)
-    gw.drain_timings()
-    consolidate_crud(store, [new_id], gw)
-    chat = [t for t in gw.drain_timings() if t.call_kind == "chat"]
+    pipeline = insert_pipeline({"consolidate": {"strategy": "crud"}}, gw)
+    put(pipeline.store, "alice | age | 30", ts=0, ti=0)
+    pipeline._process_insert(Request(seq=0, ts=1, kind=KIND_INSERT,
+                                     payload=turn("alice | age | 31", ti=1)))
+    (trace,) = pipeline.result.traces
+    chat = [t for t in trace.gateway_calls if t.call_kind == "chat"]
     assert chat and all(t.stage == STAGE_POST_INSERT for t in chat)
 
 
@@ -661,6 +669,5 @@ def test_fuzz_removals_never_leak_into_retrieval():
                                 embedding=mock_embed_text(rng.choice(words), 32))
         hits = store.retrieve(query, 5, None)
         assert {h.record_id for h in hits} <= set(live)
-        for h in hits:
-            assert not h.record.tombstoned
+        assert all(store.is_live(h.record_id) for h in hits)
     assert {r.record_id for r in store.all_records()} == set(live)

@@ -23,9 +23,9 @@ from memstream.config import ConsolidateConfig, config_from_dict
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.orchestrator import run_experiment
 from memstream.records import KIND_RAW, KIND_SUMMARY, MemoryRecord, RetrievalSignal, Triplet
-from memstream.stores import BACKENDS, base, build_store
+from memstream.stores import BACKENDS, base, build_store, fuse_scores
 from memstream.stores.base import lexical_scores, normalize_ratio, rank_candidates
-from memstream.stores.inverted_vector import InvertedVectorStore, fuse_scores
+from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.property_graph import PropertyGraphStore, entity_keys
 from memstream.stores.summary_vector import SummaryVectorStore
@@ -143,7 +143,7 @@ def test_postings_search_matches_full_scan(config, merge, ops):
             clock += advance
             text = TEXTS[text_i]
             ids = store.insert([MemoryRecord(record_id="", text=text, ts=clock, session_id="s0",
-                                             embedding=mock_embed_text(text, DIM))], now=clock)
+                                             embedding=mock_embed_text(text, DIM))])
             ingest.run_consolidate(store, ids, clock, cfg, gateway, clock)
         elif op[0] == "query":
             _, text_i, when, k, embedded = op
@@ -171,7 +171,7 @@ def test_postings_search_matches_full_scan(config, merge, ops):
 def test_search_scores_only_records_sharing_a_query_token(monkeypatch):
     store = build_store("fifo_queue", params={"capacity": 8})
     for ts, text in enumerate(TEXTS[:6], start=1):
-        store.insert([MemoryRecord(record_id="", text=text, ts=ts, session_id="s0")], now=ts)
+        store.insert([MemoryRecord(record_id="", text=text, ts=ts, session_id="s0")])
     scored = []
     original = lexical_scores
 
@@ -238,7 +238,7 @@ def test_postings_equal_keys_rebuilt_on_every_backend(name, strategy, ops):
         if op[0] == "insert":
             clock += op[5] * SECOND_US
             turn += 1
-            ids = store.insert([key_record(op, clock, turn, lsh)], now=clock)
+            ids = store.insert([key_record(op, clock, turn, lsh)])
             ingest.run_consolidate(store, ids, clock, cfg, gateway, turn)
         elif op[0] == "query":
             text = QUERIES[op[1]]

@@ -25,8 +25,8 @@ from memstream.config import ConsolidateConfig, config_from_dict
 from memstream.errors import UnsupportedBackend
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.orchestrator import _Pipeline
-from memstream.records import MemoryRecord, RetrievalSignal, Triplet
-from memstream.stores import BACKENDS, build_store
+from memstream.records import KIND_TRIPLET, MemoryRecord, RetrievalSignal, Triplet
+from memstream.stores import BACKENDS, build_store, fuse_scores
 from memstream.stores.base import (
     cosine,
     fold_cosine,
@@ -34,7 +34,7 @@ from memstream.stores.base import (
     normalize_ratio,
     rank_candidates,
 )
-from memstream.stores.inverted_vector import InvertedVectorStore, fuse_scores
+from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.property_graph import PropertyGraphStore, entity_keys
 from memstream.stores.queue_segment import QueueSegmentStore
@@ -245,8 +245,10 @@ OPS = st.lists(st.integers(0, 9).flatmap(
 def make_record(op, ts, turn, lsh):
     _, text_i, kind, session, _ = op
     text = TEXTS[text_i]
-    if kind == "triplet":
-        return TRIPLETS[text_i % len(TRIPLETS)]  # coerced without an embedding
+    if kind == "triplet":  # a bare triplet: no session, no embedding
+        triplet = TRIPLETS[text_i % len(TRIPLETS)]
+        return MemoryRecord(record_id="", text=triplet.linearize(), ts=ts, session_id="",
+                            kind=KIND_TRIPLET, triplet=triplet)
     triplet = None
     if kind == "triplet_embedded":  # what the rewrite normalizer stores
         triplet = TRIPLETS[text_i % len(TRIPLETS)]
@@ -294,7 +296,7 @@ def test_nearest_matches_per_record_scan(config, strategy, ops):
                 continue
             clock += op[4]
             turn += 1
-            ids = [s.insert([make_record(op, clock, turn, lsh)], now=clock) for s in stores]
+            ids = [s.insert([make_record(op, clock, turn, lsh)]) for s in stores]
             assert ids[0] == ids[1]
             if strategy != "none":
                 actions = ingest.run_consolidate(real, ids[0], clock, cfg, gateway, turn).actions
@@ -342,7 +344,7 @@ def test_entity_bonus_lifts_a_far_embedding_past_the_cosine_cut():
         units.append(MemoryRecord(record_id="", text=triplet.linearize(), ts=1,
                                   session_id="s0", triplet=triplet,
                                   embedding=mock_embed_text(triplet.linearize(), DIM)))
-        store.insert(units, now=1)
+        store.insert(units)
     query = "the size of the garden is blue."
     signal = RetrievalSignal(raw_query=query, embedding=mock_embed_text(query, DIM))
     got = real.retrieve(signal, k=1, now=2)
@@ -405,8 +407,7 @@ def test_index_rows_mirror_live_embedded_records(config, ops):
             # past the fifo_queue capacity every insert evicts the oldest record
             embedding = scaled_embedding(op[1]) if op[2] or lsh else None
             store.insert([MemoryRecord(record_id="", text=TEXTS[op[1]], ts=clock,
-                                       session_id=f"s{op[1] % 2}", embedding=embedding)],
-                         now=clock)
+                                       session_id=f"s{op[1] % 2}", embedding=embedding)])
         elif op[0] == "scan":
             store.nearest(mock_embed_text(TEXTS[op[1]], DIM), now=clock)
         elif live:

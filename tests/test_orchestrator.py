@@ -13,9 +13,12 @@ import pytest
 
 from memstream.config import (
     CheckpointSchedule,
+    ConsolidateConfig,
     ExperimentConfig,
+    FormulateConfig,
     GatewayConfig,
     IntegrateConfig,
+    NormalizeConfig,
     OperatorConfig,
     StoreConfig,
 )
@@ -25,6 +28,7 @@ from memstream.metrics import (
     ALL_STAGES,
     INSERT_STAGES,
     STAGE_GENERATION,
+    STAGE_POST_INSERT,
     STAGE_POST_RETRIEVE,
     STAGE_PRE_INSERT,
     STAGE_PRE_RETRIEVE,
@@ -40,6 +44,7 @@ from memstream.orchestrator import (
 )
 from memstream.stream import (
     AfterCount,
+    AtFraction,
     KIND_INSERT,
     KIND_RETRIEVE,
     QuerySpec,
@@ -165,6 +170,25 @@ def test_history_source_rejects_bad_capacity():
 # ----------------------------------------------------------------------
 # checkpoint scheduling
 # ----------------------------------------------------------------------
+
+def test_at_fraction_queries_anchor_where_the_fraction_schedule_closes():
+    # a query placed at fraction f follows exactly the inserts a fraction-f
+    # schedule's first checkpoint closes over, for every f = i/100 and n < 200
+    fractions = [i / 100 for i in range(1, 101)]
+    specs = [QuerySpec(RetrievePayload(f"q{f}", "g", f"q{f}"), AtFraction(f))
+             for f in fractions]
+    for n in range(1, 200):
+        turns = tuple(Turn(text=f"turn {t}") for t in range(n))
+        manifest = serialize_stream([SessionTurns("s0", turns, base_ts=0)], specs)
+        inserts_before, seen = {}, 0
+        for request in manifest.requests:
+            if request.kind == KIND_INSERT:
+                seen += 1
+            else:
+                inserts_before[request.payload.query_id] = seen
+        for f in fractions:
+            assert inserts_before[f"q{f}"] == fraction_boundaries(f, n)[0], (f, n)
+
 
 def test_fraction_boundaries_hand_values():
     assert fraction_boundaries(0.2, 10) == [2, 4, 6, 8, 10]
@@ -307,6 +331,38 @@ def test_gateway_free_strategies_spend_no_chat_outside_generation():
     assert STAGE_PRE_RETRIEVE not in chat and STAGE_POST_RETRIEVE not in chat
     embed = summary["latency"]["gateway_embed_us_by_stage"]
     assert set(embed) <= {STAGE_PRE_INSERT, STAGE_PRE_RETRIEVE}
+
+
+def test_gateway_calls_bill_to_the_stage_the_orchestrator_opened():
+    queries = [(f"q{i}", f"fact number {i}", "x", i + 2) for i in range(3)]
+    manifest = make_manifest(n_inserts=8, queries=queries)
+    ops = OperatorConfig(normalize=NormalizeConfig(strategy="enrich"),
+                         consolidate=ConsolidateConfig(strategy="crud"),
+                         formulate=FormulateConfig(strategy="keyword"),
+                         integrate=IntegrateConfig(strategy="multi_query"))
+    result = run_experiment(base_config(operators=ops), manifest, MockGateway(dim=32))
+    calls = [timing for trace in result.traces for timing in trace.gateway_calls]
+    chat = {(t.template_id, t.stage) for t in calls if t.call_kind == "chat"}
+    assert chat == {("summarize", STAGE_PRE_INSERT), ("crud", STAGE_POST_INSERT),
+                    ("keywords", STAGE_PRE_RETRIEVE), ("paraphrase", STAGE_POST_RETRIEVE),
+                    ("answer", STAGE_GENERATION)}
+    embed = {t.stage for t in calls if t.call_kind == "embed"}
+    assert embed == {STAGE_PRE_INSERT, STAGE_PRE_RETRIEVE, STAGE_POST_RETRIEVE}
+
+
+def test_failed_answer_fails_open_to_an_empty_prediction():
+    queries = [(f"q{i}", f"fact number {i}", "x", i + 1) for i in range(4)]
+    manifest = make_manifest(n_inserts=6, queries=queries)
+    result = run_experiment(base_config(), manifest,
+                            MockGateway(dim=32, failing={"answer"}))
+    assert result.status == "complete"
+    assert len(result.query_results) == 4
+    for res in result.query_results:
+        assert res.prediction == "" and "answer_failed" in res.flags
+    assert result.summary()["flags"] == {"answer_failed": 4}
+    failed = [t for trace in result.traces for t in trace.gateway_calls if not t.ok]
+    assert len(failed) == 4
+    assert all(t.stage == STAGE_GENERATION for t in failed)
 
 
 # ----------------------------------------------------------------------

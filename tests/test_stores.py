@@ -26,9 +26,9 @@ from memstream.records import (
     TIER_SHORT,
     Triplet,
 )
-from memstream.stores import BACKENDS, build_store
+from memstream.stores import BACKENDS, build_store, fuse_scores
 from memstream.stores.base import cosine, fold_cosine, normalize_ratio
-from memstream.stores.inverted_vector import InvertedVectorStore, fuse_scores
+from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.queue_segment import QueueSegmentStore
 from memstream.stores.summary_vector import SummaryVectorStore, mean_embedding
@@ -58,7 +58,7 @@ def all_backends():
 def test_read_your_writes(name):
     store = build_store(name, embed_dim=DIM, seed=0)
     text = "the red ball is in the garden."
-    ids = store.insert([record(text, ts=0)], now=0)
+    ids = store.insert([record(text, ts=0)])
     assert ids == ["m000001"]
     # same text -> identical embedding, so even signature-bucketed backends
     # must land the hit; summary backends may rank extra derived records
@@ -71,7 +71,7 @@ def test_read_your_writes(name):
 def test_strictly_earlier_visibility(name):
     store = build_store(name, embed_dim=DIM, seed=0)
     text = "needle fact alpha."
-    store.insert([record(text, ts=100)], now=100)
+    store.insert([record(text, ts=100)])
     hits = store.retrieve(signal(text), k=3, now=100)
     assert hits == []          # ts == now is NOT visible
     hits = store.retrieve(signal(text), k=3, now=101)
@@ -81,8 +81,8 @@ def test_strictly_earlier_visibility(name):
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_ids_are_sequential_and_preassigned_ids_rejected(name):
     store = build_store(name, embed_dim=DIM, seed=0)
-    ids1 = store.insert([record("first fact here.")], now=0)
-    ids2 = store.insert([record("second fact here.", turn=1)], now=1)
+    ids1 = store.insert([record("first fact here.")])
+    ids2 = store.insert([record("second fact here.", turn=1)])
     # ids grow monotonically; derived records (summaries) may claim ids in
     # between, so equality with m000002 is not part of the contract
     assert ids1 == ["m000001"]
@@ -91,13 +91,13 @@ def test_ids_are_sequential_and_preassigned_ids_rejected(name):
     stray = record("smuggled.")
     stray.record_id = "m999999"
     with pytest.raises(StoreError):
-        store.insert([stray], now=2)
+        store.insert([stray])
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_remove_tombstones_everywhere(name):
     store = build_store(name, embed_dim=DIM, seed=0)
-    (rid,) = store.insert([record("the doomed record.", ts=0)], now=0)
+    (rid,) = store.insert([record("the doomed record.", ts=0)])
     store.remove(rid)
     with pytest.raises(UnknownRecord):
         store.get(rid)
@@ -112,7 +112,7 @@ def test_remove_tombstones_everywhere(name):
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_empty_and_skip_signals(name):
     store = build_store(name, embed_dim=DIM, seed=0)
-    store.insert([record("something.")], now=0)
+    store.insert([record("something.")])
     hits = store.retrieve(RetrievalSignal(skip=True), k=3, now=5)
     assert hits == []
     with pytest.raises(EmptySignal):
@@ -124,7 +124,7 @@ def test_empty_and_skip_signals(name):
 def test_touch_bookkeeping():
     store = build_store("inverted_vector", embed_dim=DIM)
     store.strength_gain = 2.0
-    (rid,) = store.insert([record("tracked fact.", ts=0)], now=0)
+    (rid,) = store.insert([record("tracked fact.", ts=0)])
     rec = store.get(rid)
     base_strength = rec.strength
     store.retrieve(signal("tracked fact"), k=1, now=50)
@@ -141,22 +141,13 @@ def test_dimension_mismatch():
     bad = MemoryRecord(record_id="", text="x.", ts=0, session_id="s",
                        embedding=np.ones(32))
     with pytest.raises(DimensionMismatch):
-        store.insert([bad], now=0)
-
-
-def test_triplet_units_are_coerced():
-    store = build_store("property_graph", embed_dim=DIM)
-    (rid,) = store.insert([Triplet("Alice", "likes", "tea")], now=5)
-    rec = store.get(rid)
-    assert rec.text == "alice likes tea"
-    assert rec.kind == "triplet"
-    assert rec.ts == 5
+        store.insert([bad])
 
 
 def test_turn_neighbors_window():
     store = build_store("inverted_vector", embed_dim=DIM)
     for i in range(5):
-        store.insert([record(f"turn number {i}.", ts=i, turn=i)], now=i)
+        store.insert([record(f"turn number {i}.", ts=i, turn=i)])
     mids = store.turn_neighbors("s0", 2, window=1)
     assert [r.turn_index for r in mids] == [1, 3]
     wide = store.turn_neighbors("s0", 2, window=2, now=4)
@@ -166,7 +157,7 @@ def test_turn_neighbors_window():
 
 def test_candidate_tie_break_is_record_id():
     store = build_store("fifo_queue", embed_dim=DIM)
-    store.insert([record("twin fact."), record("twin fact.")], now=0)
+    store.insert([record("twin fact."), record("twin fact.")])
     hits = store.retrieve(signal("twin fact"), k=2, now=5)
     assert [h.record_id for h in hits] == ["m000001", "m000002"]
     assert hits[0].score == hits[1].score == 1.0
@@ -222,7 +213,7 @@ def test_fifo_evicts_oldest():
     store = build_store("fifo_queue", embed_dim=DIM,
                         params={"capacity": 3})
     for i in range(4):
-        store.insert([record(f"unique{i} marker.", ts=i)], now=i)
+        store.insert([record(f"unique{i} marker.", ts=i)])
     hits = store.retrieve(signal("unique0 marker"), k=4, now=10)
     assert all("unique0" not in h.record.text for h in hits)
     assert store.stats().record_count == 3
@@ -234,11 +225,11 @@ def test_fifo_evicts_oldest():
 def test_fifo_eviction_releases_the_record():
     store = build_store("fifo_queue", embed_dim=DIM, params={"capacity": 2})
     first = record("the first record.", ts=0)
-    store.insert([first], now=0)
+    store.insert([first])
     evicted = weakref.ref(first)
     del first
     for i in (1, 2):
-        store.insert([record(f"record {i}.", ts=i, turn=i)], now=i)
+        store.insert([record(f"record {i}.", ts=i, turn=i)])
     assert store.evicted_total == 1
     gc.collect()
     assert evicted() is None
@@ -247,9 +238,9 @@ def test_fifo_eviction_releases_the_record():
 def test_fifo_overflow_error_mode():
     store = build_store("fifo_queue", embed_dim=DIM,
                         params={"capacity": 2, "overflow": "error"})
-    store.insert([record("a."), record("b.")], now=0)
+    store.insert([record("a."), record("b.")])
     with pytest.raises(CapacityExceeded):
-        store.insert([record("c.")], now=1)
+        store.insert([record("c.")])
     assert store.stats().record_count == 2  # tentative insert rolled back
 
 
@@ -259,7 +250,7 @@ def test_queue_segment_overflow_moves_to_mid_tier():
     store = build_store("queue_segment", embed_dim=DIM,
                         params={"short_capacity": 2})
     for i in range(4):
-        store.insert([record(f"fact number {i}.", ts=i, turn=i)], now=i)
+        store.insert([record(f"fact number {i}.", ts=i, turn=i)])
     stats = store.stats()
     assert stats.record_count == 4          # nothing evicted, only demoted
     assert stats.tier_counts == {TIER_SHORT: 2, TIER_MID: 2}
@@ -272,7 +263,7 @@ def test_queue_segment_migrate():
                         params={"short_capacity": 2})
     ids = []
     for i in range(3):
-        (rid,) = store.insert([record(f"fact {i}.", ts=i)], now=i)
+        (rid,) = store.insert([record(f"fact {i}.", ts=i)])
         ids.append(rid)
     # ids[0] overflowed to mid; promote it back and watch the bound hold
     store.migrate(ids[0], TIER_SHORT)
@@ -288,7 +279,7 @@ def test_queue_segment_migrate():
 
 def test_migrate_unsupported_on_flat_backends():
     store = build_store("fifo_queue", embed_dim=DIM)
-    (rid,) = store.insert([record("x.")], now=0)
+    (rid,) = store.insert([record("x.")])
     with pytest.raises(UnsupportedBackend):
         store.migrate(rid, TIER_SHORT)
 
@@ -298,7 +289,7 @@ def test_migrate_unsupported_on_flat_backends():
 def test_lsh_requires_embeddings():
     store = build_store("lsh_hash", embed_dim=DIM, seed=3)
     with pytest.raises(StoreError):
-        store.insert([record("no vector.", embed=False)], now=0)
+        store.insert([record("no vector.", embed=False)])
 
 
 def test_lsh_signature_packs_sign_bits():
@@ -312,8 +303,7 @@ def test_lsh_deterministic_per_seed():
     def run():
         store = build_store("lsh_hash", embed_dim=DIM, seed=11)
         for i in range(20):
-            store.insert([record(f"document number {i} about topic.", ts=i)],
-                         now=i)
+            store.insert([record(f"document number {i} about topic.", ts=i)])
         hits = store.retrieve(signal("document about topic"), k=5, now=100)
         return [(h.record_id, h.score) for h in hits]
 
@@ -322,7 +312,7 @@ def test_lsh_deterministic_per_seed():
 
 def test_lsh_without_query_embedding_returns_empty():
     store = build_store("lsh_hash", embed_dim=DIM)
-    store.insert([record("anything at all.")], now=0)
+    store.insert([record("anything at all.")])
     hits = store.retrieve(RetrievalSignal(raw_query="anything"), k=3, now=5)
     assert hits == []
 
@@ -330,10 +320,9 @@ def test_lsh_without_query_embedding_returns_empty():
 # -- inverted_vector --------------------------------------------------------------
 
 def corpus(store):
-    store.insert([record("the colour of the sky is azure.", ts=0, turn=0)],
-                 now=0)
-    store.insert([record("bicycles belong in the shed.", ts=1, turn=1)], now=1)
-    store.insert([record("the parrot speaks loudly.", ts=2, turn=2)], now=2)
+    store.insert([record("the colour of the sky is azure.", ts=0, turn=0)])
+    store.insert([record("bicycles belong in the shed.", ts=1, turn=1)])
+    store.insert([record("the parrot speaks loudly.", ts=2, turn=2)])
 
 
 def test_inverted_lexical_mode_misses_paraphrase():
@@ -380,8 +369,8 @@ def test_property_graph_entity_bonus():
     store = build_store("property_graph", embed_dim=DIM)
     t = Triplet("alice", "likes", "tea")
     rec = record("alice likes tea", ts=0, triplet=t)
-    store.insert([rec], now=0)
-    store.insert([record("the weather is mild today.", ts=1, turn=1)], now=1)
+    store.insert([rec])
+    store.insert([record("the weather is mild today.", ts=1, turn=1)])
     hits = store.retrieve(signal("what does alice like"), k=2, now=10)
     assert hits[0].record.triplet is not None
     assert hits[0].score == 1.0
@@ -391,9 +380,8 @@ def test_property_graph_entity_bonus():
 
 def test_property_graph_lexical_only_signal():
     store = build_store("property_graph", embed_dim=DIM)
-    store.insert([record("alice likes tea", triplet=Triplet("alice", "likes", "tea"))],
-                 now=0)
-    store.insert([record("plain sentence without entities.", turn=1)], now=0)
+    store.insert([record("alice likes tea", triplet=Triplet("alice", "likes", "tea"))])
+    store.insert([record("plain sentence without entities.", turn=1)])
     hits = store.retrieve(RetrievalSignal(raw_query="alice"), k=5, now=10)
     # without an embedding only entity matches can score
     assert len(hits) == 1
@@ -404,10 +392,9 @@ def test_property_graph_lexical_only_signal():
 
 def test_summary_vector_maintains_session_summaries():
     store = build_store("summary_vector", embed_dim=DIM)
-    store.insert([record("alpha fact one. extra detail.", ts=0, session="sA")],
-                 now=0)
-    store.insert([record("alpha fact two.", ts=1, session="sA", turn=1)], now=1)
-    store.insert([record("beta fact one.", ts=2, session="sB")], now=2)
+    store.insert([record("alpha fact one. extra detail.", ts=0, session="sA")])
+    store.insert([record("alpha fact two.", ts=1, session="sA", turn=1)])
+    store.insert([record("beta fact one.", ts=2, session="sB")])
     records = store.all_records()
     summaries = [r for r in records if r.kind == KIND_SUMMARY]
     assert len(summaries) == 2
@@ -425,9 +412,8 @@ def test_summary_vector_maintains_session_summaries():
 
 def test_summary_vector_refreshes_on_member_removal():
     store = build_store("summary_vector", embed_dim=DIM)
-    (a,) = store.insert([record("first turn.", ts=0, session="sA")], now=0)
-    (b,) = store.insert([record("second turn.", ts=1, session="sA", turn=1)],
-                        now=1)
+    (a,) = store.insert([record("first turn.", ts=0, session="sA")])
+    (b,) = store.insert([record("second turn.", ts=1, session="sA", turn=1)])
     store.remove(a)
     summaries = [r for r in store.all_records() if r.kind == KIND_SUMMARY]
     assert len(summaries) == 1
@@ -439,7 +425,7 @@ def test_summary_vector_refreshes_on_member_removal():
 
 def test_summary_vector_search_is_cosine_only():
     store = build_store("summary_vector", embed_dim=DIM)
-    store.insert([record("gamma topic sentence.", ts=0)], now=0)
+    store.insert([record("gamma topic sentence.", ts=0)])
     hits = store.retrieve(RetrievalSignal(raw_query="gamma"), k=3, now=5)
     assert hits == []  # no query embedding, no results
     hits = store.retrieve(signal("gamma topic"), k=3, now=5)
@@ -458,7 +444,7 @@ def test_reindex_after_text_change():
     # lexical mode makes index membership observable directly
     store = build_store("inverted_vector", embed_dim=DIM,
                         params={"mode": "lexical"})
-    (rid,) = store.insert([record("old topic words.", ts=0)], now=0)
+    (rid,) = store.insert([record("old topic words.", ts=0)])
     rec = store.get(rid)
     rec.text = "fresh subject matter."
     rec.embedding = mock_embed_text(rec.text, DIM)
@@ -481,7 +467,7 @@ def test_retrieval_contract_property(data):
         words = data.draw(st.lists(
             st.sampled_from(["red", "ball", "sky", "parrot", "shed", "tea"]),
             min_size=1, max_size=4))
-        store.insert([record(" ".join(words) + ".", ts=i, turn=i)], now=i)
+        store.insert([record(" ".join(words) + ".", ts=i, turn=i)])
     k = data.draw(st.integers(1, 6))
     now = data.draw(st.integers(0, n + 2))
     hits = store.retrieve(signal("red ball in the sky"), k=k, now=now)
