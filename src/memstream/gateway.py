@@ -12,10 +12,14 @@ Two implementations share the interface:
 * RemoteGateway — OpenAI-compatible HTTP endpoints ({base}/chat/completions
   and {base}/embeddings) with retries, exponential backoff and a per-call
   deadline. Credentials come from NEUROMEM_API_KEY / NEUROMEM_BASE_URL
-  unless passed explicitly.
+  unless passed explicitly. A 200 reply of the wrong shape raises
+  GatewayError("malformed"), so the fail-open paths catch it.
 
-Every public call appends exactly one GatewayTiming — also on failure —
-billed to ``Gateway.stage``. The orchestrator sets that attribute as each
+``embed`` and ``chat`` share one timed path, ``Gateway._call``: it takes the
+rate-limit token, runs the implementation and appends exactly one
+GatewayTiming, also on failure, billed to ``Gateway.stage``. Each
+implementation reports its own retries, as the second item of its return
+value or as ``GatewayError.retries``. The orchestrator sets ``stage`` as each
 lifecycle stage opens, so per-stage model-inference time can be separated
 from store time downstream without any operator naming its stage.
 """
@@ -50,8 +54,6 @@ DEFAULT_EMBED_DIM = 256
 class ChatRequest:
     template_id: str
     variables: dict
-    max_tokens: int = 256
-    temperature: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -104,53 +106,43 @@ class Gateway:
         self.rate_limit = rate_limit
         self.stage = ""
 
-    # -- implemented by subclasses ------------------------------------
-    def _embed_impl(self, texts: list[str]) -> list[np.ndarray]:
+    # -- implemented by subclasses: each returns (value, retries_used) ----
+    def _embed_impl(self, texts: list[str]) -> tuple[list[np.ndarray], int]:
         raise NotImplementedError
 
     def _chat_impl(self, request: ChatRequest) -> tuple[str, int]:
-        """Returns (reply, retries_used)."""
         raise NotImplementedError
 
     # -- public surface -------------------------------------------------
     def embed(self, texts: list[str]) -> list[np.ndarray]:
-        if self.rate_limit is not None:
-            self.rate_limit.acquire()
-        t0 = time.perf_counter_ns()
-        try:
-            vectors = self._embed_impl(texts)
-        except GatewayError as err:
-            self._record("embed", time.perf_counter_ns() - t0, ok=False,
-                         retries=err.retries)
-            raise
-        self._record("embed", time.perf_counter_ns() - t0, ok=True)
-        return vectors
+        return self._call("embed", self._embed_impl, texts, None)
 
     def chat(self, request: ChatRequest) -> str:
-        if self.rate_limit is not None:
-            self.rate_limit.acquire()
-        t0 = time.perf_counter_ns()
-        try:
-            reply, retries = self._chat_impl(request)
-        except GatewayError as err:
-            self._record("chat", time.perf_counter_ns() - t0, ok=False,
-                         retries=err.retries, template_id=request.template_id)
-            raise
-        self._record("chat", time.perf_counter_ns() - t0, ok=True,
-                     retries=retries, template_id=request.template_id)
-        return reply
+        return self._call("chat", self._chat_impl, request, request.template_id)
 
     def answer(self, query: str, context: str) -> str:
         """Answer generation over an assembled context. Empty context is legal."""
         return self.chat(ChatRequest("answer", {"query": query, "context": context}))
 
-    # -- timing capture ---------------------------------------------------
-    def _record(self, call_kind: str, wall_ns: int, *, ok: bool,
-                retries: int = 0, template_id: Optional[str] = None):
-        timing = GatewayTiming(call_kind=call_kind, stage=self.stage, wall_ns=wall_ns,
-                               ok=ok, retries=retries, template_id=template_id)
-        with self._timings_lock:
-            self._timings.append(timing)
+    # -- the one timed path -----------------------------------------------
+    def _call(self, kind: str, impl: Callable, arg, template_id: Optional[str]):
+        """Run ``impl(arg)`` under the rate limit and record exactly one timing."""
+        if self.rate_limit is not None:
+            self.rate_limit.acquire()
+        ok, retries = False, 0
+        t0 = time.perf_counter_ns()
+        try:
+            value, retries = impl(arg)
+            ok = True
+        except GatewayError as err:
+            retries = err.retries
+            raise
+        finally:
+            timing = GatewayTiming(kind, self.stage, time.perf_counter_ns() - t0,
+                                   ok, retries, template_id)
+            with self._timings_lock:
+                self._timings.append(timing)
+        return value
 
     def drain_timings(self) -> list[GatewayTiming]:
         """Return and clear the captured timings."""
@@ -359,10 +351,10 @@ class MockGateway(Gateway):
         self.dim = dim
         self.failing = set(failing or ())
 
-    def _embed_impl(self, texts: list[str]) -> list[np.ndarray]:
+    def _embed_impl(self, texts: list[str]) -> tuple[list[np.ndarray], int]:
         if "embed" in self.failing:
             raise GatewayError("injected", "embed fault injected")
-        return [mock_embed_text(text, self.dim) for text in texts]
+        return [mock_embed_text(text, self.dim) for text in texts], 0
 
     def _chat_impl(self, request: ChatRequest) -> tuple[str, int]:
         if request.template_id in self.failing:
@@ -441,7 +433,8 @@ class RemoteGateway(Gateway):
         if self.api_key:
             self._session.headers["Authorization"] = f"Bearer {self.api_key}"
 
-    def _post_with_retries(self, url: str, payload: dict) -> dict:
+    def _post_with_retries(self, url: str, payload: dict) -> tuple[object, int]:
+        """The parsed body of the first 200 reply and the retries it took."""
         deadline = time.monotonic() + self.deadline_s
         last_error = "unreachable"
         for attempt in range(self.retries + 1):
@@ -451,9 +444,7 @@ class RemoteGateway(Gateway):
             try:
                 response = self._session.post(url, json=payload, timeout=remaining)
                 if response.status_code == 200:
-                    body = response.json()
-                    body["_retries"] = attempt
-                    return body
+                    return response.json(), attempt
                 last_error = f"http {response.status_code}"
             except Exception as exc:  # connection errors, timeouts, bad JSON
                 last_error = str(exc)
@@ -462,23 +453,24 @@ class RemoteGateway(Gateway):
                                max(0.0, deadline - time.monotonic())))
         raise GatewayError("http", f"{last_error}: {url}", retries=self.retries)
 
-    def _embed_impl(self, texts: list[str]) -> list[np.ndarray]:
-        body = self._post_with_retries(
+    def _embed_impl(self, texts: list[str]) -> tuple[list[np.ndarray], int]:
+        body, retries = self._post_with_retries(
             f"{self.base_url}/embeddings",
             {"model": self.embed_model, "input": texts},
         )
         try:
             rows = sorted(body["data"], key=lambda d: d.get("index", 0))
             vectors = [np.asarray(row["embedding"], dtype=np.float64) for row in rows]
-        except (KeyError, TypeError) as exc:
-            raise GatewayError("malformed", f"embeddings response: {exc}") from exc
-        if len(vectors) != len(texts):
-            raise GatewayError("malformed", "embeddings response cardinality mismatch")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise GatewayError("malformed", f"embeddings response: {exc}", retries) from exc
+        if len(vectors) != len(texts) or any(vec.ndim != 1 for vec in vectors):
+            raise GatewayError("malformed", "embeddings response: not one vector per text",
+                               retries)
         out = []
         for vec in vectors:
             norm = float(np.linalg.norm(vec))
             out.append(vec / norm if norm > 0 else vec)
-        return out
+        return out, retries
 
     def _chat_impl(self, request: ChatRequest) -> tuple[str, int]:
         prompt = _REMOTE_PROMPTS.get(request.template_id)
@@ -488,20 +480,19 @@ class RemoteGateway(Gateway):
                                       "max_keywords": 5, "max_subqueries": 3,
                                       "index": 0},
                                    **request.variables})
-        body = self._post_with_retries(
+        body, retries = self._post_with_retries(
             f"{self.base_url}/chat/completions",
             {
                 "model": self.chat_model,
                 "messages": [{"role": "user", "content": content}],
-                "max_tokens": request.max_tokens,
-                "temperature": request.temperature,
+                "max_tokens": 256,
+                "temperature": 0.0,
             },
         )
         try:
-            choices = body["choices"]
-            reply = choices[0]["message"]["content"]
+            reply = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise GatewayError("malformed", f"chat response: {exc}") from exc
+            raise GatewayError("malformed", f"chat response: {exc}", retries) from exc
         if reply is None or not str(reply).strip():
-            raise GatewayError("empty", "empty completion")
-        return str(reply).strip(), int(body.get("_retries", 0))
+            raise GatewayError("empty", "empty completion", retries)
+        return str(reply).strip(), retries

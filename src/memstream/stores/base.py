@@ -13,7 +13,8 @@ All backends guarantee, via this base class:
   scores divided by the list maximum by ``normalize_ratio``, reciprocal-rank
   fusion scores by the best one in ``fused_candidates``);
 * access bookkeeping on hits: access_count += 1, last_access = now, and the
-  retention strength multiplied by ``strength_gain``;
+  retention strength multiplied by ``strength_gain`` (a run sets it to
+  ``operators.consolidate.strength_gain``);
 * removal that takes the record out of the store and every index, then
   calls ``_after_remove`` so a backend can drop it from its own queues; a
   removed record is unknown from then on, and the store holds no reference
@@ -39,19 +40,19 @@ alone would flip near-ties; the rescore keeps every score and order exactly
 those of a per-record scan.
 
 ``Postings`` holds each record's key ``Counter`` plus postings
-(key -> {record_id: count}). What a key is belongs to the backend: its
-``_index_keys(record)`` returns index tokens of the text (fifo_queue,
-queue_segment, inverted_vector), the triplet's entity tokens
-(property_graph), one ``(table, signature)`` pair per LSH table (lsh_hash),
-or nothing (summary_vector). The base keeps the postings current eagerly in
-``insert``, ``reindex`` and ``remove``, so a record is keyed once per write,
-never per query. ``MemoryStore._keyed_scores`` hands ``lexical_scores``
-only the visible records that share a key with the query's index tokens,
-found through the postings; the others would score 0 and be dropped anyway,
-and ``rank_candidates`` sorts on (-score, record_id), so lexical search
-returns what a scan over every record would. property_graph's entity keys
-are a set, so each count is 1 and a record's score is the number of
-distinct query entities it mentions.
+(key -> {record_id: count}). What a key is belongs to the backend:
+``_index_keys(record)`` returns the index tokens of the text by default
+(fifo_queue, queue_segment, inverted_vector); property_graph keys the
+triplet's entity tokens, lsh_hash one ``(table, signature)`` pair per LSH
+table, and summary_vector nothing. The base keeps the postings current
+eagerly in ``insert``, ``reindex`` and ``remove``, so a record is keyed once
+per write, never per query. ``MemoryStore._keyed_scores`` hands
+``lexical_scores`` only the visible records that share a key with the
+query's index tokens, found through the postings; the others would score
+0 and be dropped anyway, and ``rank_candidates`` sorts on (-score,
+record_id), so lexical search returns what a scan over every record would.
+property_graph's entity keys are a set, so each count is 1 and a record's
+score is the number of distinct query entities it mentions.
 
 Insert returns the new record ids and retrieve the candidates; neither times
 itself, because the orchestrator times every stage at its own boundaries.
@@ -300,20 +301,21 @@ class Postings:
 
 
 class MemoryStore(ABC):
-    """Abstract backend. Subclasses implement _search and usually _index_keys."""
+    """Abstract backend. Subclasses implement _search."""
 
     name = "abstract"
     supports_tiers = False
     supports_links = False
 
-    def __init__(self, embed_dim: Optional[int] = None, strength_gain: float = 2.0):
+    def __init__(self, embed_dim: Optional[int] = None):
         self._records: dict[str, MemoryRecord] = {}
         self._turn_map: dict[tuple[str, int], str] = {}
         self._counter = 0
         self.embed_dim = embed_dim
-        self.strength_gain = strength_gain
-        # strength of the records a backend builds itself (session summaries);
-        # a run sets it to consolidate.initial_strength_s, like its inserts'
+        # a run sets both from operators.consolidate: the gain a hit
+        # multiplies strength by, and the strength of the records a backend
+        # builds itself (session summaries), like its inserts'
+        self.strength_gain = 2.0
         self.initial_strength_s = MemoryRecord.strength
         self.evicted_total = 0
         self._index = EmbeddingIndex()
@@ -509,8 +511,8 @@ class MemoryStore(ABC):
     # subclass surface
     # ------------------------------------------------------------------
     def _index_keys(self, record: MemoryRecord) -> Iterable[Hashable]:
-        """The record's postings keys; default none."""
-        return ()
+        """The record's postings keys; default the index tokens of its text."""
+        return index_tokens(record.text)
 
     def _after_remove(self, record: MemoryRecord):
         """Bookkeeping hook, called last in ``remove``; default none."""

@@ -8,12 +8,10 @@ anything evicted is unrecoverable by construction.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from ..errors import CapacityExceeded
 from ..records import Candidate, MemoryRecord, RetrievalSignal
-from ..text import index_tokens
 from .base import MemoryStore
 
 
@@ -28,27 +26,15 @@ class FifoQueueStore(MemoryStore):
             raise ValueError(f"overflow must be 'evict' or 'error', got {overflow!r}")
         self.capacity = capacity
         self.overflow = overflow
-        self._queue: deque[str] = deque()
-
-    def _index_keys(self, record: MemoryRecord) -> list[str]:
-        return index_tokens(record.text)
-
-    def _after_remove(self, record: MemoryRecord):
-        try:
-            self._queue.remove(record.record_id)
-        except ValueError:
-            pass
 
     def _after_add(self, record: MemoryRecord):
-        self._queue.append(record.record_id)
-        while len(self._queue) > self.capacity:
+        # the live records, in insertion order, are the queue
+        while len(self._records) > self.capacity:
             if self.overflow == "error":
-                # undo the tentative append before failing
-                self._queue.pop()
                 self.remove(record.record_id)
                 raise CapacityExceeded(
                     f"fifo_queue at capacity {self.capacity} with overflow='error'")
-            self.remove(self._queue[0])
+            self.remove(next(iter(self._records)))
 
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
@@ -56,4 +42,4 @@ class FifoQueueStore(MemoryStore):
         return self._lexical_search(signal, k, now)
 
     def _index_sizes(self) -> dict[str, int]:
-        return {"queue": len(self._queue)}
+        return {"queue": len(self._records)}

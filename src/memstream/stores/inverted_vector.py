@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..records import Candidate, MemoryRecord, RetrievalSignal
-from ..text import index_tokens
+from ..records import Candidate, RetrievalSignal
 from .base import DEFAULT_RRF_K, MemoryStore, fused_candidates
 
 
@@ -28,9 +27,6 @@ class InvertedVectorStore(MemoryStore):
             raise ValueError(f"mode must be fused/lexical/vector, got {mode!r}")
         self.rrf_k = rrf_k
         self.mode = mode
-
-    def _index_keys(self, record: MemoryRecord) -> list[str]:
-        return index_tokens(record.text)
 
     def _lexical_ranked(self, signal: RetrievalSignal, now: Optional[int],
                         pool: int) -> list[str]:

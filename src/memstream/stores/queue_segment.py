@@ -22,7 +22,6 @@ from ..records import (
     TIER_ORDER,
     TIER_SHORT,
 )
-from ..text import index_tokens
 from .base import MemoryStore
 
 
@@ -39,9 +38,6 @@ class QueueSegmentStore(MemoryStore):
 
     def _default_tier(self) -> str:
         return TIER_SHORT
-
-    def _index_keys(self, record: MemoryRecord) -> list[str]:
-        return index_tokens(record.text)
 
     def _after_remove(self, record: MemoryRecord):
         try:

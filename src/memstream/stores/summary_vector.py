@@ -101,6 +101,10 @@ class SummaryVectorStore(MemoryStore):
             # matched by id: enrich normalization inserts summaries of its own
             del self._session_summary[session_id]
 
+    def _index_keys(self, record: MemoryRecord) -> tuple:
+        # retrieval ranks by cosine alone, so nothing is keyed
+        return ()
+
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
         if signal.embedding is None:

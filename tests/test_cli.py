@@ -163,6 +163,18 @@ def test_run_unknown_backend_lists_valid_names(runner, tmp_path):
     assert "fifo_queue" in result.output and "inverted_vector" in result.output
 
 
+def test_run_store_level_strength_gain_is_store_error(runner, tmp_path):
+    # retention parameters live under operators.consolidate only
+    stream = make_stream(runner, tmp_path)
+    config = make_config(
+        tmp_path, stream,
+        store={"backend": "fifo_queue", "params": {"strength_gain": 5}})
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 2
+    assert "store error" in result.output and "strength_gain" in result.output
+    assert not (tmp_path / "results" / "summary.json").exists()
+
+
 def test_run_mid_stream_store_failure_exits_3(runner, tmp_path):
     stream = make_stream(runner, tmp_path)
     config = make_config(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from memstream.config import CheckpointSchedule, ExperimentConfig, GatewayConfig, StoreConfig
 from memstream.errors import GatewayError
 from memstream.gateway import (
     ChatRequest,
@@ -15,6 +16,15 @@ from memstream.gateway import (
     RemoteGateway,
     TokenBucket,
     mock_embed_text,
+)
+from memstream.orchestrator import run_experiment
+from memstream.stream import (
+    AfterCount,
+    QuerySpec,
+    RetrievePayload,
+    SessionTurns,
+    Turn,
+    serialize_stream,
 )
 from memstream.text import metric_tokens
 
@@ -291,7 +301,7 @@ class FakeResponse:
         self._body = body
 
     def json(self):
-        return dict(self._body)
+        return self._body
 
 
 class FakeSession:
@@ -340,6 +350,16 @@ def test_remote_exhausted_retries_raise_http():
     assert not timing.ok and timing.retries == 2
 
 
+def test_remote_embed_records_its_retry():
+    body = {"data": [{"index": 0, "embedding": [3.0, 4.0]}]}
+    gw = remote(FakeResponse(500), FakeResponse(200, body))
+    (vec,) = gw.embed(["a"])
+    assert vec.tolist() == [0.6, 0.8]
+    (timing,) = gw.drain_timings()
+    assert timing.ok and timing.call_kind == "embed" and timing.retries == 1
+    assert body == {"data": [{"index": 0, "embedding": [3.0, 4.0]}]}  # reply untouched
+
+
 def test_remote_spent_deadline_raises_timeout():
     gw = remote(reply("never sent"), deadline_s=0)
     with pytest.raises(GatewayError) as err:
@@ -360,15 +380,55 @@ def test_remote_embeddings_are_sorted_by_index_and_unit_normalised():
 @pytest.mark.parametrize("call, response", [
     ("embed", FakeResponse(200, {"data": [{"index": 0, "embedding": [1.0]}]})),
     ("chat", FakeResponse(200, {"id": "no choices"})),
+    ("embed", FakeResponse(200, {"data": [[0.1, 0.2], [0.3, 0.4]]})),  # rows not objects
+    ("embed", FakeResponse(200, {"data": [{"index": 0, "embedding": "abc"},
+                                          {"index": 1, "embedding": [1.0]}]})),
+    ("embed", FakeResponse(200, {"data": [{"index": 0, "embedding": 0.5},
+                                          {"index": 1, "embedding": [1.0]}]})),
+    ("chat", FakeResponse(200, [1, 2])),  # body not an object
 ])
 def test_remote_malformed_responses(call, response):
-    gw = remote(response)
+    # a malformed reply is not retried and still records one timing
+    gw = remote(response, reply("never sent"), reply("never sent"))
     with pytest.raises(GatewayError) as err:
         if call == "embed":
             gw.embed(["a", "b"])
         else:
             gw.chat(ChatRequest("answer", {"query": "q", "context": "c"}))
-    assert err.value.kind == "malformed"
+    assert err.value.kind == "malformed" and err.value.retries == 0
+    assert len(gw._session.posts) == 1
+    (timing,) = gw.drain_timings()
+    assert not timing.ok and timing.call_kind == call and timing.retries == 0
+
+
+def test_remote_malformed_reply_after_a_retry_reports_the_retry():
+    gw = remote(FakeResponse(503), FakeResponse(200, {"data": [[0.1]]}))
+    with pytest.raises(GatewayError) as err:
+        gw.embed(["a"])
+    assert err.value.kind == "malformed" and err.value.retries == 1
+    (timing,) = gw.drain_timings()
+    assert not timing.ok and timing.retries == 1
+
+
+def test_remote_malformed_embed_fails_open_in_a_run():
+    manifest = serialize_stream(
+        [SessionTurns(session_id="s0", turns=(Turn(text="the sky is blue"),), base_ts=0)],
+        [QuerySpec(payload=RetrievePayload(query="sky colour", gold_answer="blue",
+                                           query_id="q0"),
+                   trigger=AfterCount(count=1))],
+        source="test")
+    cfg = ExperimentConfig(store=StoreConfig(backend="fifo_queue"),
+                           checkpoint=CheckpointSchedule(every_n=1),
+                           gateway=GatewayConfig(kind="remote", embed_dim=8),
+                           output_dir="unused")
+    gw = remote(FakeResponse(200, {"data": [[0.1]]}),  # the insert's embed
+                FakeResponse(200, {"data": [{"index": 0, "embedding": [1.0] * 8}]}),
+                reply("blue"))
+    result = run_experiment(cfg, manifest, gw)
+    assert result.status == "complete", result.error
+    assert result.summary()["flags"] == {"embed_failed": 1}
+    assert [res.prediction for res in result.query_results] == ["blue"]
+    assert len(gw._session.posts) == 3
 
 
 def test_remote_blank_completion_raises_empty():
