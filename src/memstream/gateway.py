@@ -12,8 +12,9 @@ Two implementations share the interface:
 * RemoteGateway — OpenAI-compatible HTTP endpoints ({base}/chat/completions
   and {base}/embeddings) with retries, exponential backoff and a per-call
   deadline. Credentials come from NEUROMEM_API_KEY / NEUROMEM_BASE_URL
-  unless passed explicitly. A 200 reply of the wrong shape raises
-  GatewayError("malformed"), so the fail-open paths catch it.
+  unless passed explicitly. A 200 reply that is not JSON or has the wrong
+  shape, including an embedding whose length is not ``dim``, is posted once
+  and raises GatewayError("malformed"), so the fail-open paths catch it.
 
 ``embed`` and ``chat`` share one timed path, ``Gateway._call``: it takes the
 rate-limit token, runs the implementation and appends exactly one
@@ -411,13 +412,17 @@ _REMOTE_PROMPTS: dict[str, str] = {
 
 
 class RemoteGateway(Gateway):
-    """OpenAI-compatible HTTP gateway with retry/backoff/deadline."""
+    """OpenAI-compatible HTTP gateway with retry/backoff/deadline.
+
+    ``dim`` is the embedding length every returned vector must have.
+    """
 
     def __init__(self, base_url: Optional[str] = None, api_key: Optional[str] = None,
                  chat_model: str = "default-chat", embed_model: str = "default-embed",
                  retries: int = 2, backoff_s: float = 0.25, deadline_s: float = 30.0,
-                 rate_limit: Optional[TokenBucket] = None):
+                 rate_limit: Optional[TokenBucket] = None, dim: int = DEFAULT_EMBED_DIM):
         super().__init__(rate_limit=rate_limit)
+        self.dim = dim
         self.base_url = (base_url or os.environ.get("NEUROMEM_BASE_URL", "")).rstrip("/")
         if not self.base_url:
             raise GatewayError("malformed", "no base URL: set NEUROMEM_BASE_URL or pass base_url")
@@ -443,11 +448,17 @@ class RemoteGateway(Gateway):
                 raise GatewayError("timeout", f"deadline exhausted: {url}", retries=attempt)
             try:
                 response = self._session.post(url, json=payload, timeout=remaining)
-                if response.status_code == 200:
-                    return response.json(), attempt
-                last_error = f"http {response.status_code}"
-            except Exception as exc:  # connection errors, timeouts, bad JSON
+            except Exception as exc:  # connection errors, timeouts
                 last_error = str(exc)
+            else:
+                if response.status_code == 200:
+                    # the server answered; a body that is not JSON is not retried
+                    try:
+                        return response.json(), attempt
+                    except ValueError as exc:
+                        raise GatewayError("malformed", f"reply is not JSON: {exc}: {url}",
+                                           attempt) from exc
+                last_error = f"http {response.status_code}"
             if attempt < self.retries:
                 time.sleep(min(self.backoff_s * (2 ** attempt),
                                max(0.0, deadline - time.monotonic())))
@@ -466,6 +477,9 @@ class RemoteGateway(Gateway):
         if len(vectors) != len(texts) or any(vec.ndim != 1 for vec in vectors):
             raise GatewayError("malformed", "embeddings response: not one vector per text",
                                retries)
+        if any(vec.shape[0] != self.dim for vec in vectors):
+            raise GatewayError("malformed",
+                               f"embeddings response: a vector is not {self.dim}-dim", retries)
         out = []
         for vec in vectors:
             norm = float(np.linalg.norm(vec))

@@ -218,13 +218,6 @@ class RequestTrace:
     gateway_calls: list[GatewayTiming]
     flags: list[str]
 
-    def chat_ns_by_stage(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for timing in self.gateway_calls:
-            if timing.call_kind == "chat":
-                out[timing.stage] = out.get(timing.stage, 0) + timing.wall_ns
-        return out
-
 
 @dataclass
 class QueryResult:
@@ -366,7 +359,7 @@ def build_gateway(cfg: ExperimentConfig) -> Gateway:
     if cfg.gateway.kind == "remote":
         return RemoteGateway(chat_model=cfg.gateway.chat_model,
                              embed_model=cfg.gateway.embed_model,
-                             rate_limit=bucket)
+                             rate_limit=bucket, dim=cfg.gateway.embed_dim)
     return MockGateway(dim=cfg.gateway.embed_dim, rate_limit=bucket)
 
 

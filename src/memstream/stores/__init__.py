@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import StoreError
-from .base import MemoryStore, cosine, fold_cosine, fuse_scores, lexical_scores, rank_candidates
+from .base import MemoryStore, cosine, fold_cosine, fuse_scores, rank_candidates
 from .fifo import FifoQueueStore
 from .inverted_vector import InvertedVectorStore
 from .lsh import LshStore, lsh_signature
@@ -61,7 +61,6 @@ __all__ = [
     "cosine",
     "fold_cosine",
     "fuse_scores",
-    "lexical_scores",
     "lsh_signature",
     "rank_candidates",
 ]

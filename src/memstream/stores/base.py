@@ -31,13 +31,15 @@ clears its row, and queued rows are written in one batch at the next
 matrix. Each row's norm is cached at that flush with the same 1-D
 ``np.linalg.norm`` call ``cosine`` makes. ``nearest`` screens with one
 matrix-vector product, keeping every visible row within ``SCREEN_MARGIN`` of
-the ``top``-th screened score, then rescores the survivors with ``cosine``,
-handing it the query norm (computed once per call) and each row's cached
-norm, so the rescore costs one dot product per survivor. Survivors are
-sorted by descending score with record_id as the tie-break. A matrix product
-may differ from the per-pair dot product in the last ulp, so the screen
-alone would flip near-ties; the rescore keeps every score and order exactly
-those of a per-record scan.
+the ``top``-th screened score, then rescores all survivors in one batch: a
+stacked ``np.matmul`` of each survivor row (1 x d) with the query (d x 1),
+divided by the query norm (computed once per call) times each row's cached
+norm. numpy computes each of those 1 x d by d x 1 products with the dot loop
+``np.dot`` uses, so every rescored score has the bits ``cosine`` gives for
+that pair. Survivors are sorted by descending score with record_id as the
+tie-break. A matrix-vector product may differ from the per-pair dot product
+in the last ulp, so the screen alone would flip near-ties; the rescore keeps
+every score and order exactly those of a per-record scan.
 
 ``Postings`` holds each record's key ``Counter`` plus postings
 (key -> {record_id: count}). What a key is belongs to the backend:
@@ -46,13 +48,15 @@ those of a per-record scan.
 triplet's entity tokens, lsh_hash one ``(table, signature)`` pair per LSH
 table, and summary_vector nothing. The base keeps the postings current
 eagerly in ``insert``, ``reindex`` and ``remove``, so a record is keyed once
-per write, never per query. ``MemoryStore._keyed_scores`` hands
-``lexical_scores`` only the visible records that share a key with the
-query's index tokens, found through the postings; the others would score
-0 and be dropped anyway, and ``rank_candidates`` sorts on (-score,
-record_id), so lexical search returns what a scan over every record would.
-property_graph's entity keys are a set, so each count is 1 and a record's
-score is the number of distinct query entities it mentions.
+per write, never per query. ``MemoryStore._keyed_scores`` sums the scores
+from the postings: for each distinct index token of the query it adds the
+counts in that token's postings to a running total per record, then keeps
+the visible records. That is each record's term-frequency sum over the
+query's distinct tokens, and only records sharing a token get a total; the
+others would score 0 and be dropped anyway. Every consumer sorts on
+(-score, record_id), so lexical search returns what a scan over every
+record would. property_graph's entity keys are a set, so each count is 1
+and a record's score is the number of distinct query entities it mentions.
 
 Insert returns the new record ids and retrieve the candidates; neither times
 itself, because the orchestrator times every stage at its own boundaries.
@@ -384,9 +388,6 @@ class MemoryStore(ABC):
     def _is_visible(self, record: MemoryRecord, now: Optional[int]) -> bool:
         return now is None or record.ts < now
 
-    def visible_records(self, now: Optional[int]) -> list[MemoryRecord]:
-        return [r for r in self._records.values() if self._is_visible(r, now)]
-
     def nearest(self, query: np.ndarray, now: Optional[int] = None,
                 exclude: Iterable[str] = (), top: Optional[int] = None,
                 floor: Optional[float] = None, rows: Optional[Iterable[str]] = None,
@@ -406,10 +407,14 @@ class MemoryStore(ABC):
         index = self._index
         query_norm = float(np.linalg.norm(query))
         survivors = index.screen(query, query_norm, now, exclude, top, floor, rows, bonus)
-        scored = []
-        for row, norm in zip(survivors, index.norms[survivors].tolist()):
-            record = index.records[row]
-            scored.append((record, cosine(query, record.embedding, query_norm, norm)))
+        if not survivors:
+            return []
+        # a stack of 1xd @ dx1 products: each goes through the dot loop
+        # np.dot uses, so every score has the bits of a per-pair cosine
+        dots = np.matmul(index.matrix[survivors][:, None, :], query[:, None])[:, 0, 0]
+        denom = query_norm * index.norms[survivors]
+        sims = np.divide(dots, denom, out=np.zeros(len(survivors)), where=denom != 0)
+        scored = list(zip([index.records[row] for row in survivors], sims.tolist()))
         if floor is not None:
             scored = [(record, sim) for record, sim in scored if sim >= floor]
         scored.sort(key=lambda item: (-item[1], item[0].record_id))
@@ -418,10 +423,14 @@ class MemoryStore(ABC):
     def _keyed_scores(self, signal: RetrievalSignal,
                       now: Optional[int]) -> list[tuple[MemoryRecord, float]]:
         """Summed key counts of the visible records sharing a query token."""
-        hits = (self._records[record_id]
-                for record_id in self._postings.matching(index_tokens(signal.lexical_text())))
-        visible = [record for record in hits if self._is_visible(record, now)]
-        return lexical_scores(visible, signal, self._postings.counts)
+        totals: dict[str, int] = {}
+        postings = self._postings.postings
+        for token in dict.fromkeys(index_tokens(signal.lexical_text())):
+            for record_id, count in postings.get(token, {}).items():
+                totals[record_id] = totals.get(record_id, 0) + count
+        records = self._records
+        return [(records[record_id], float(total)) for record_id, total in totals.items()
+                if self._is_visible(records[record_id], now)]
 
     def _lexical_search(self, signal: RetrievalSignal, k: int,
                         now: Optional[int]) -> list[Candidate]:
@@ -524,20 +533,3 @@ class MemoryStore(ABC):
 
     def _index_sizes(self) -> dict[str, int]:
         return {}
-
-
-def lexical_scores(records: Iterable[MemoryRecord], signal: RetrievalSignal,
-                   token_counts: dict[str, Counter]) -> list[tuple[MemoryRecord, float]]:
-    """Term-frequency scores over pre-tokenized records; positive scores only."""
-    query_tokens = set(index_tokens(signal.lexical_text()))
-    if not query_tokens:
-        return []
-    scored = []
-    for record in records:
-        counts = token_counts.get(record.record_id)
-        if not counts:
-            continue
-        score = float(sum(counts[t] for t in query_tokens if t in counts))
-        if score > 0:
-            scored.append((record, score))
-    return scored

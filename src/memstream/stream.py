@@ -84,10 +84,6 @@ class StreamManifest:
     requests: tuple[Request, ...]
     source: str = "unknown"
 
-    @property
-    def insert_count(self) -> int:
-        return sum(1 for r in self.requests if r.kind == KIND_INSERT)
-
 
 # ---------------------------------------------------------------------------
 # Inputs to the serializer

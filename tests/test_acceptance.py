@@ -53,6 +53,7 @@ from memstream.stream import (
 )
 from memstream.text import SYNONYMS, apply_synonyms, split_sentences
 from memstream.workloads import SyntheticSpec, synth_workload
+from reference import chat_ns_by_stage
 
 
 @contextmanager
@@ -605,7 +606,7 @@ def test_09_stage_walls_account_for_request_time():
             assert target > 0, trace.seq
             assert 0.95 * target <= staged <= target, \
                 (trace.seq, staged, target)
-            chat = trace.chat_ns_by_stage()
+            chat = chat_ns_by_stage(trace)
             assert chat.get(STAGE_PRE_RETRIEVE, 0) == 0, trace.seq
             assert chat.get(STAGE_POST_RETRIEVE, 0) == 0, trace.seq
 

@@ -5,6 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from memstream.gateway import (
     TokenBucket,
     mock_embed_text,
 )
-from memstream.orchestrator import run_experiment
+from memstream.orchestrator import build_gateway, run_experiment
 from memstream.stream import (
     AfterCount,
     QuerySpec,
@@ -304,6 +305,16 @@ class FakeResponse:
         return self._body
 
 
+class NotJson(FakeResponse):
+    """A 200 reply whose body does not parse, as ``requests`` reports it."""
+
+    def __init__(self):
+        super().__init__(200)
+
+    def json(self):
+        raise requests.exceptions.JSONDecodeError("Expecting value", "<html>", 0)
+
+
 class FakeSession:
     """Stands in for ``requests.Session``: answers each post with the next
     scripted response, or raises it when it is an exception."""
@@ -320,8 +331,8 @@ class FakeSession:
         return response
 
 
-def remote(*responses, **kwargs):
-    gw = RemoteGateway(base_url="http://localhost:9/v1", backoff_s=0, **kwargs)
+def remote(*responses, dim=2, **kwargs):
+    gw = RemoteGateway(base_url="http://localhost:9/v1", backoff_s=0, dim=dim, **kwargs)
     gw._session = FakeSession(*responses)
     return gw
 
@@ -378,7 +389,7 @@ def test_remote_embeddings_are_sorted_by_index_and_unit_normalised():
 
 
 @pytest.mark.parametrize("call, response", [
-    ("embed", FakeResponse(200, {"data": [{"index": 0, "embedding": [1.0]}]})),
+    ("embed", FakeResponse(200, {"data": [{"index": 0, "embedding": [1.0, 0.0]}]})),  # 1 row
     ("chat", FakeResponse(200, {"id": "no choices"})),
     ("embed", FakeResponse(200, {"data": [[0.1, 0.2], [0.3, 0.4]]})),  # rows not objects
     ("embed", FakeResponse(200, {"data": [{"index": 0, "embedding": "abc"},
@@ -386,6 +397,9 @@ def test_remote_embeddings_are_sorted_by_index_and_unit_normalised():
     ("embed", FakeResponse(200, {"data": [{"index": 0, "embedding": 0.5},
                                           {"index": 1, "embedding": [1.0]}]})),
     ("chat", FakeResponse(200, [1, 2])),  # body not an object
+    ("embed", FakeResponse(200, {"data": [{"index": 0, "embedding": [1.0] * 4},
+                                          {"index": 1, "embedding": [1.0] * 4}]})),  # not dim
+    ("chat", NotJson()),  # a proxy's HTML error page: the server did answer
 ])
 def test_remote_malformed_responses(call, response):
     # a malformed reply is not retried and still records one timing
@@ -410,25 +424,48 @@ def test_remote_malformed_reply_after_a_retry_reports_the_retry():
     assert not timing.ok and timing.retries == 1
 
 
-def test_remote_malformed_embed_fails_open_in_a_run():
-    manifest = serialize_stream(
+def one_query_manifest():
+    """One insert, then one query about it."""
+    return serialize_stream(
         [SessionTurns(session_id="s0", turns=(Turn(text="the sky is blue"),), base_ts=0)],
         [QuerySpec(payload=RetrievePayload(query="sky colour", gold_answer="blue",
                                            query_id="q0"),
                    trigger=AfterCount(count=1))],
         source="test")
-    cfg = ExperimentConfig(store=StoreConfig(backend="fifo_queue"),
-                           checkpoint=CheckpointSchedule(every_n=1),
-                           gateway=GatewayConfig(kind="remote", embed_dim=8),
-                           output_dir="unused")
+
+
+def one_query_config():
+    return ExperimentConfig(store=StoreConfig(backend="fifo_queue"),
+                            checkpoint=CheckpointSchedule(every_n=1),
+                            gateway=GatewayConfig(kind="remote", embed_dim=8),
+                            output_dir="unused")
+
+
+def test_remote_malformed_embed_fails_open_in_a_run():
+    manifest, cfg = one_query_manifest(), one_query_config()
     gw = remote(FakeResponse(200, {"data": [[0.1]]}),  # the insert's embed
                 FakeResponse(200, {"data": [{"index": 0, "embedding": [1.0] * 8}]}),
-                reply("blue"))
+                reply("blue"), dim=cfg.gateway.embed_dim)
     result = run_experiment(cfg, manifest, gw)
     assert result.status == "complete", result.error
     assert result.summary()["flags"] == {"embed_failed": 1}
     assert [res.prediction for res in result.query_results] == ["blue"]
     assert len(gw._session.posts) == 3
+
+
+def test_built_remote_gateway_fails_open_on_a_vector_of_another_length(monkeypatch):
+    monkeypatch.setenv("NEUROMEM_BASE_URL", "http://localhost:9/v1")
+    cfg = one_query_config()
+    gw = build_gateway(cfg)
+    assert gw.dim == 8
+    gw._session = FakeSession(
+        FakeResponse(200, {"data": [{"index": 0, "embedding": [1.0] * 4}]}),  # the insert's embed
+        FakeResponse(200, {"data": [{"index": 0, "embedding": [1.0] * 8}]}),
+        reply("blue"))
+    result = run_experiment(cfg, one_query_manifest(), gw)
+    assert result.status == "complete", result.error
+    assert result.summary()["flags"] == {"embed_failed": 1}
+    assert [res.prediction for res in result.query_results] == ["blue"]
 
 
 def test_remote_blank_completion_raises_empty():

@@ -2,9 +2,10 @@
 
 ``MemoryStore`` keeps one ``Postings`` index for every backend, fed by each
 backend's ``_index_keys``. fifo_queue, queue_segment and inverted_vector
-hand ``lexical_scores`` only the visible records that share a query token.
-The reference below keeps the old scan: every visible record, scored from
-token counts rebuilt from its current text. A store fed random inserts,
+sum each record's lexical score from the postings of the query's tokens, so
+only the records that share a query token are looked up. The reference
+below keeps the old scan: every visible record, scored from token counts
+rebuilt from its current text. A store fed random inserts,
 queries, removals, in-place edits and merges must return the same candidate
 ids and bit-identical scores as the reference. On all six backends, under
 random operations and consolidation, the index must always equal the one
@@ -23,14 +24,15 @@ from memstream.config import ConsolidateConfig, config_from_dict
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.orchestrator import run_experiment
 from memstream.records import KIND_RAW, KIND_SUMMARY, MemoryRecord, RetrievalSignal, Triplet
-from memstream.stores import BACKENDS, base, build_store, fuse_scores
-from memstream.stores.base import lexical_scores, normalize_ratio, rank_candidates
+from memstream.stores import BACKENDS, build_store, fuse_scores
+from memstream.stores.base import normalize_ratio, rank_candidates
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.property_graph import PropertyGraphStore, entity_keys
 from memstream.stores.summary_vector import SummaryVectorStore
 from memstream.text import index_tokens
 from memstream.workloads import SyntheticSpec, synth_workload
+from reference import lexical_scores, visible_records
 
 DIM = 32
 
@@ -67,7 +69,7 @@ def rebuilt_counts(store):
 
 
 def ref_lexical_scored(store, signal, now):
-    return lexical_scores(store.visible_records(now), signal, rebuilt_counts(store))
+    return lexical_scores(visible_records(store, now), signal, rebuilt_counts(store))
 
 
 def ref_search(store, signal, k, now):
@@ -168,22 +170,42 @@ def test_postings_search_matches_full_scan(config, merge, ops):
         assert_index_rebuilt(store)
 
 
-def test_search_scores_only_records_sharing_a_query_token(monkeypatch):
+class LookupLog(dict):
+    """A store's record table that logs the ids each read reaches; a scan reaches all."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        self.looked_up = []
+
+    def __getitem__(self, record_id):
+        self.looked_up.append(record_id)
+        return super().__getitem__(record_id)
+
+    def get(self, record_id, default=None):
+        self.looked_up.append(record_id)
+        return super().get(record_id, default)
+
+    def __iter__(self):
+        self.looked_up.extend(super().__iter__())
+        return super().__iter__()
+
+    def values(self):
+        self.looked_up.extend(super().__iter__())
+        return super().values()
+
+    def items(self):
+        self.looked_up.extend(super().__iter__())
+        return super().items()
+
+
+def test_search_scores_only_records_sharing_a_query_token():
     store = build_store("fifo_queue", params={"capacity": 8})
-    for ts, text in enumerate(TEXTS[:6], start=1):
-        store.insert([MemoryRecord(record_id="", text=text, ts=ts, session_id="s0")])
-    scored = []
-    original = lexical_scores
-
-    def counted(records, *args):
-        records = list(records)
-        scored.extend(r.text for r in records)
-        return original(records, *args)
-
-    monkeypatch.setattr(base, "lexical_scores", counted)
+    ids = [store.insert([MemoryRecord(record_id="", text=text, ts=ts, session_id="s0")])[0]
+           for ts, text in enumerate(TEXTS[:6], start=1)]
+    store._records = log = LookupLog(store._records)
     got = store.retrieve(RetrievalSignal(raw_query="the mill"), k=3, now=100)
     assert [c.record.text for c in got] == [TEXTS[5]]
-    assert scored == [TEXTS[5]]
+    assert set(log.looked_up) == {ids[5]}
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ from memstream.stores import BACKENDS, build_store, fuse_scores
 from memstream.stores.base import (
     cosine,
     fold_cosine,
-    lexical_scores,
     normalize_ratio,
     rank_candidates,
 )
@@ -41,6 +40,7 @@ from memstream.stores.queue_segment import QueueSegmentStore
 from memstream.stores.summary_vector import SummaryVectorStore
 from memstream.text import index_tokens
 from memstream.workloads import SyntheticSpec, synth_workload
+from reference import lexical_scores, visible_records
 
 DIM = 32
 
@@ -76,7 +76,7 @@ CONSOLIDATE = ConsolidateConfig(dedup_threshold=0.8, link_threshold=0.4, link_to
 def ref_vector_scored(store, signal, now):
     return [
         (rec, fold_cosine(cosine(signal.embedding, rec.embedding)))
-        for rec in store.visible_records(now)
+        for rec in visible_records(store, now)
         if rec.embedding is not None
     ]
 
@@ -84,7 +84,7 @@ def ref_vector_scored(store, signal, now):
 def ref_lexical_scored(store, signal, now):
     """Term-frequency scores of every visible record, from its current text."""
     counts = {rec.record_id: Counter(index_tokens(rec.text)) for rec in store.all_records()}
-    return lexical_scores(store.visible_records(now), signal, counts)
+    return lexical_scores(visible_records(store, now), signal, counts)
 
 
 def ref_lexical_search(store, signal, k, now):
@@ -104,7 +104,7 @@ def ref_search(store, signal, k, now):
         vector = []
         if signal.embedding is not None:
             scored = [(rec.record_id, cosine(signal.embedding, rec.embedding))
-                      for rec in store.visible_records(now) if rec.embedding is not None]
+                      for rec in visible_records(store, now) if rec.embedding is not None]
             scored.sort(key=lambda item: (-item[1], item[0]))
             vector = [rec_id for rec_id, _ in scored[:pool]]
         scored = sorted(ref_lexical_scored(store, signal, now),
@@ -127,14 +127,14 @@ def ref_search(store, signal, k, now):
         # probed: the record shares the query's bucket in at least one table
         query_sigs = [lsh_signature(signal.embedding, planes) for planes in store._planes]
         scored = [(record, fold_cosine(cosine(signal.embedding, record.embedding)))
-                  for record in store.visible_records(now)
+                  for record in visible_records(store, now)
                   if any(lsh_signature(record.embedding, planes) == sig
                          for planes, sig in zip(store._planes, query_sigs))]
         return rank_candidates(scored, k, source="vector")
     if isinstance(store, PropertyGraphStore):
         query_entities = set(index_tokens(signal.lexical_text()))
         scored = []
-        for record in store.visible_records(now):
+        for record in visible_records(store, now):
             bonus = float(len(query_entities & entity_keys(record)))
             sim = 0.0
             if signal.embedding is not None and record.embedding is not None:
@@ -436,3 +436,43 @@ def test_lexical_fifo_replay_never_builds_the_matrix():
     assert result.status == "complete" and result.reports
     assert pipeline.store.evicted_total > 0
     assert pipeline.store._index.matrix is None
+
+
+# ----------------------------------------------------------------------
+# the batched rescore against per-pair cosine, bit for bit
+# ----------------------------------------------------------------------
+
+def random_rows(rng, n, dim):
+    """Rows of varied scale, with zero rows and exact duplicates among them."""
+    rows = rng.normal(size=(n, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    rows[::7] = 0.0
+    rows[3::5] = rows[1::5][:len(rows[3::5])]
+    return rows
+
+
+@pytest.mark.parametrize("dim", [1, 3, 17, 64, 256])
+def test_batched_rescore_equals_per_pair_cosine_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    store = build_store("inverted_vector", embed_dim=dim, params={"mode": "vector"})
+    store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i, session_id="s0",
+                               embedding=row)
+                  for i, row in enumerate(random_rows(rng, 60, dim))])
+    store.nearest(rng.normal(size=dim))  # build the matrix before rows are freed
+    for record in store.all_records()[::3]:
+        store.remove(record.record_id)
+    # new inserts reuse the freed rows; reindexed records are rewritten in place
+    store.insert([MemoryRecord(record_id="", text=f"reused {i}", ts=100 + i, session_id="s0",
+                               embedding=row)
+                  for i, row in enumerate(random_rows(rng, 20, dim))])
+    for record, row in zip(store.all_records()[::4], random_rows(rng, 20, dim)):
+        record.embedding = row
+        store.reindex(record)
+    queries = list(random_rows(rng, 12, dim)) + [store.all_records()[1].embedding]
+    for query in queries:
+        want = sorted(((r.record_id, cosine(query, r.embedding)) for r in store.all_records()),
+                      key=lambda item: (-item[1], item[0]))
+        got = [(r.record_id, sim) for r, sim in store.nearest(query)]
+        assert [(i, s.hex()) for i, s in got] == [(i, s.hex()) for i, s in want]
+        top = store.nearest(query, top=5)
+        assert [(r.record_id, s.hex()) for r, s in top[:5]] == \
+               [(i, s.hex()) for i, s in want[:5]]

@@ -24,6 +24,7 @@ from memstream.workloads import (
     synth_workload,
     write_answer_key,
 )
+from reference import insert_count
 
 FACT_RE = re.compile(r"^the (\w+) of the (\w+) is (\w+)\.$")
 QUESTION_RE = re.compile(r"^what is the (\w+) of the (\w+)$")
@@ -95,7 +96,7 @@ def test_synth_updates_change_some_golds():
     updated, key = synth_workload(SyntheticSpec(seed=7, n_facts=20, rounds=2,
                                                 queries_per_round=10,
                                                 update_rate=0.5))
-    assert updated.insert_count == 30  # 20 facts + 10 overwrites
+    assert insert_count(updated) == 30  # 20 facts + 10 overwrites
     categories = {req.payload.category for req in updated.requests
                   if req.kind == KIND_RETRIEVE}
     assert categories == {"static", "updated"}
@@ -107,7 +108,7 @@ def test_synth_updates_change_some_golds():
 def test_synth_query_placement_and_distances():
     spec = SyntheticSpec(seed=3, n_facts=24, rounds=4, queries_per_round=6)
     manifest, key = synth_workload(spec)
-    total = manifest.insert_count
+    total = insert_count(manifest)
     for req in manifest.requests:
         if req.kind != KIND_RETRIEVE:
             continue
@@ -126,7 +127,7 @@ def test_synth_needle_depths_pin_distances():
     spec = SyntheticSpec(seed=5, n_facts=40, rounds=2, queries_per_round=3,
                          needle_depths=(0, 7, 150))
     manifest, key = synth_workload(spec)
-    total = manifest.insert_count
+    total = insert_count(manifest)
     for qid, entry in key.items():
         boundary = math.ceil(entry["round"] * total / spec.rounds)
         depth = (0, 7, 150)[int(qid.split("q")[1]) % 3]
@@ -312,7 +313,7 @@ def test_load_locomo_category_mapping(tmp_path):
 
 def test_load_locomo_accepts_single_sample_dict(tmp_path):
     manifest = load_locomo(write_locomo(tmp_path, locomo_sample()))
-    assert manifest.insert_count == 4
+    assert insert_count(manifest) == 4
 
 
 @pytest.mark.parametrize("mutate, message", [
