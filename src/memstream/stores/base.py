@@ -24,22 +24,27 @@ All backends guarantee, via this base class:
   entities and LSH buckets.
 
 The embedding index holds one float64 row per live embedded record, with the
-record's visibility ``ts`` and norm beside it; freed rows are reused. Upkeep
-is deferred: ``insert`` and ``reindex`` only queue the record and ``remove``
-clears its row, and queued rows are written in one batch at the next
-``nearest`` call, so a store that never runs a vector scan never builds the
-matrix. Each row's norm is cached at that flush with the same 1-D
-``np.linalg.norm`` call ``cosine`` makes. ``nearest`` screens with one
-matrix-vector product, keeping every visible row within ``SCREEN_MARGIN`` of
-the ``top``-th screened score, then rescores all survivors in one batch: a
-stacked ``np.matmul`` of each survivor row (1 x d) with the query (d x 1),
-divided by the query norm (computed once per call) times each row's cached
-norm. numpy computes each of those 1 x d by d x 1 products with the dot loop
-``np.dot`` uses, so every rescored score has the bits ``cosine`` gives for
-that pair. Survivors are sorted by descending score with record_id as the
-tie-break. A matrix-vector product may differ from the per-pair dot product
-in the last ulp, so the screen alone would flip near-ties; the rescore keeps
-every score and order exactly those of a per-record scan.
+record's visibility ``ts`` and norm beside it. A freed row's ts is
+``FREE_TS`` (the int64 maximum), which no ``now`` reaches, so the one test
+``ts < now`` keeps exactly the live, visible rows; freed rows are reused.
+Upkeep is deferred: ``insert`` and ``reindex`` only queue the record and
+``remove`` frees its row, and each queued row is written in place at the
+next ``nearest`` call (its embedding, ts and norm), so a store that never
+runs a vector scan never builds the matrix. The cached norm is
+``vector_norm`` of the written row, the bits of the ``np.linalg.norm`` call
+``cosine`` makes. ``nearest`` screens every row with one matrix-vector
+product divided by the query norm times the cached norms (0 where that is
+0, as in ``cosine``). The visibility test, ``exclude``, ``rows`` and the
+``floor`` (less ``SCREEN_MARGIN``) make one mask, and of the rows it keeps,
+those within ``SCREEN_MARGIN`` of the ``top``-th screened score survive. All
+survivors are then rescored in one batch: a stacked ``np.matmul`` of each
+survivor row (1 x d) with the query (d x 1), divided by the same
+denominator. numpy computes each of those 1 x d by d x 1 products with the
+dot loop ``np.dot`` uses, so every rescored score has the bits ``cosine``
+gives for that pair. Survivors are sorted by descending score with record_id
+as the tie-break. A matrix-vector product may differ from the per-pair dot
+product in the last ulp, so the screen alone would flip near-ties; the
+rescore keeps every score and order exactly those of a per-record scan.
 
 ``Postings`` holds each record's key ``Counter`` plus postings
 (key -> {record_id: count}). What a key is belongs to the backend:
@@ -64,6 +69,7 @@ itself, because the orchestrator times every stage at its own boundaries.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -159,6 +165,18 @@ def fused_candidates(rankings: Iterable[list[str]], record_of: Callable[[str], M
 # matrix product strays from the per-pair cosine by a few ulps at most.
 SCREEN_MARGIN = 1e-9
 
+# the ts of a free row: no ``now`` reaches it, so ``ts < now`` drops the row
+FREE_TS = np.iinfo(np.int64).max
+
+
+def vector_norm(vec: np.ndarray) -> float:
+    """``float(np.linalg.norm(vec))`` for a 1-D float64 ``vec``, bit for bit.
+
+    numpy computes that norm as ``sqrt(vec.dot(vec))``; this skips the
+    dispatch around it.
+    """
+    return math.sqrt(vec.dot(vec))
+
 
 def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
     """Copy of ``array`` with its first axis zero-padded to ``capacity``."""
@@ -172,9 +190,8 @@ class EmbeddingIndex:
 
     def __init__(self):
         self.matrix: Optional[np.ndarray] = None  # (capacity, dim), built on first flush
-        self.ts = np.zeros(0, dtype=np.int64)
+        self.ts = np.zeros(0, dtype=np.int64)  # FREE_TS on a free row
         self.norms = np.zeros(0)
-        self.live = np.zeros(0, dtype=bool)
         self.records: list[Optional[MemoryRecord]] = []  # row -> record, None when free
         self.row_of: dict[str, int] = {}
         self._free: list[int] = []
@@ -188,16 +205,15 @@ class EmbeddingIndex:
         self._pending.pop(record_id, None)
         row = self.row_of.pop(record_id, None)
         if row is not None:
-            self.live[row] = False
+            self.ts[row] = FREE_TS
             self.records[row] = None
             self._free.append(row)
 
     def flush(self):
-        """Write every queued record's embedding, ts and norm in one batch."""
+        """Write each queued record's embedding, ts and norm into its row."""
         if not self._pending:
             return
         pending, self._pending = self._pending, {}
-        rows, vectors = [], []
         for record_id, record in pending.items():
             if record.embedding is None:
                 self.drop(record_id)
@@ -207,14 +223,9 @@ class EmbeddingIndex:
                 row = self._allocate(record.embedding.shape[0])
                 self.row_of[record_id] = row
             self.records[row] = record
+            self.matrix[row] = record.embedding
             self.ts[row] = record.ts
-            # the 1-D call cosine makes, so the rescore can reuse it bit for bit
-            self.norms[row] = float(np.linalg.norm(record.embedding))
-            rows.append(row)
-            vectors.append(record.embedding)
-        if rows:
-            self.matrix[rows] = np.stack(vectors)
-            self.live[rows] = True
+            self.norms[row] = vector_norm(self.matrix[row])
 
     def _allocate(self, dim: int) -> int:
         if self._free:
@@ -224,8 +235,8 @@ class EmbeddingIndex:
         row = len(self.records)
         if row == self.matrix.shape[0]:
             capacity = max(64, 2 * row)
-            self.matrix, self.ts, self.norms, self.live = (
-                _grown(a, capacity) for a in (self.matrix, self.ts, self.norms, self.live))
+            self.matrix, self.ts, self.norms = (
+                _grown(a, capacity) for a in (self.matrix, self.ts, self.norms))
         self.records.append(None)
         return row
 
@@ -235,26 +246,21 @@ class EmbeddingIndex:
         """Rows of the visible records whose screened score may reach the exact top or floor."""
         self.flush()
         n = len(self.records)
-        if self.matrix is None or n == 0:
+        if n == 0:
             return []
-        if rows is None:
-            mask = self.live[:n].copy()
-        else:
-            mask = np.zeros(n, dtype=bool)
-            mask[[self.row_of[r] for r in rows if r in self.row_of]] = True
-            mask &= self.live[:n]
-        if now is not None:
-            mask &= self.ts[:n] < now
+        # live and visible in one test; clamped to FREE_TS, no now passes a free row
+        mask = np.less(self.ts[:n], FREE_TS if now is None else min(now, FREE_TS))
+        if rows is not None:
+            chosen = np.zeros(n, dtype=bool)
+            chosen[[self.row_of[r] for r in rows if r in self.row_of]] = True
+            mask &= chosen
         for record_id in exclude:
             row = self.row_of.get(record_id)
             if row is not None:
                 mask[row] = False
-        candidates = np.flatnonzero(mask)
-        if candidates.size == 0:
-            return []
-        denom = self.norms[candidates] * query_norm
-        dots = self.matrix[:n] @ query
-        scores = np.divide(dots[candidates], denom, out=np.zeros(candidates.size),
+        # the rescore's formula on every row, with the matrix-vector product
+        denom = self.norms[:n] * query_norm
+        scores = np.divide(self.matrix[:n].dot(query), denom, out=np.zeros(n),
                            where=denom != 0.0)
         if bonus is not None:
             points = np.zeros(n)
@@ -262,13 +268,14 @@ class EmbeddingIndex:
                 row = self.row_of.get(record_id)
                 if row is not None:
                     points[row] = value
-            scores = points[candidates] + (1.0 + scores) / 2.0
+            scores = points + (1.0 + scores) / 2.0
         if floor is not None:
-            keep = scores >= floor - SCREEN_MARGIN
-            candidates, scores = candidates[keep], scores[keep]
+            mask &= scores >= floor - SCREEN_MARGIN
+        candidates = mask.nonzero()[0]
         if top is not None and candidates.size > top:
-            cut = scores[np.argpartition(scores, candidates.size - top)[candidates.size - top]]
-            candidates = candidates[scores >= cut - SCREEN_MARGIN]
+            kept = scores[candidates]
+            cut = np.partition(kept, kept.size - top)[kept.size - top]
+            candidates = candidates[kept >= cut - SCREEN_MARGIN]
         return candidates.tolist()
 
 
@@ -405,7 +412,7 @@ class MemoryStore(ABC):
         if top is not None and top < 1:
             return []
         index = self._index
-        query_norm = float(np.linalg.norm(query))
+        query_norm = vector_norm(query)
         survivors = index.screen(query, query_norm, now, exclude, top, floor, rows, bonus)
         if not survivors:
             return []

@@ -8,7 +8,10 @@ ids and bit-identical scores and log the same consolidation actions. The
 lexical parts of the references score every visible record from its
 current text, so a fault in the postings or in ``_lexical_ranked`` shows. A
 second property checks that the index rows, with their cached norms, always
-mirror the live embedded records.
+mirror the live embedded records, and that every free row carries
+``FREE_TS``. The last tests pin the index's numerics on random rows: cached
+norms and rescored scores bit for bit, a floor at exactly the best cosine,
+and freed rows that never come back.
 """
 
 import dataclasses
@@ -28,6 +31,7 @@ from memstream.orchestrator import _Pipeline
 from memstream.records import KIND_TRIPLET, MemoryRecord, RetrievalSignal, Triplet
 from memstream.stores import BACKENDS, build_store, fuse_scores
 from memstream.stores.base import (
+    FREE_TS,
     cosine,
     fold_cosine,
     normalize_ratio,
@@ -360,8 +364,10 @@ def index_rows(store):
     index = store._index
     index.flush()
     rows = {}
-    for row in np.flatnonzero(index.live[:len(index.records)]):
-        record = index.records[row]
+    for row, record in enumerate(index.records):
+        if record is None:
+            assert index.ts[row] == FREE_TS  # no now reaches a free row
+            continue
         assert index.row_of[record.record_id] == row
         rows[record.record_id] = (int(index.ts[row]), index.matrix[row].tobytes(),
                                   float(index.norms[row]))
@@ -439,7 +445,7 @@ def test_lexical_fifo_replay_never_builds_the_matrix():
 
 
 # ----------------------------------------------------------------------
-# the batched rescore against per-pair cosine, bit for bit
+# the index against per-pair cosine and np.linalg.norm, bit for bit
 # ----------------------------------------------------------------------
 
 def random_rows(rng, n, dim):
@@ -450,9 +456,8 @@ def random_rows(rng, n, dim):
     return rows
 
 
-@pytest.mark.parametrize("dim", [1, 3, 17, 64, 256])
-def test_batched_rescore_equals_per_pair_cosine_bitwise(dim):
-    rng = np.random.default_rng(dim)
+def churned_store(rng, dim):
+    """A vector store whose rows were built, freed, reused and rewritten in place."""
     store = build_store("inverted_vector", embed_dim=dim, params={"mode": "vector"})
     store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i, session_id="s0",
                                embedding=row)
@@ -467,6 +472,16 @@ def test_batched_rescore_equals_per_pair_cosine_bitwise(dim):
     for record, row in zip(store.all_records()[::4], random_rows(rng, 20, dim)):
         record.embedding = row
         store.reindex(record)
+    return store
+
+
+DIMS = [1, 3, 17, 64, 256]
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_batched_rescore_equals_per_pair_cosine_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    store = churned_store(rng, dim)
     queries = list(random_rows(rng, 12, dim)) + [store.all_records()[1].embedding]
     for query in queries:
         want = sorted(((r.record_id, cosine(query, r.embedding)) for r in store.all_records()),
@@ -476,3 +491,86 @@ def test_batched_rescore_equals_per_pair_cosine_bitwise(dim):
         top = store.nearest(query, top=5)
         assert [(r.record_id, s.hex()) for r, s in top[:5]] == \
                [(i, s.hex()) for i, s in want[:5]]
+
+
+def flushed_norms(store):
+    index = store._index
+    index.flush()
+    return {record.record_id: index.norms[row].hex()
+            for row, record in enumerate(index.records) if record is not None}
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_cached_norms_have_the_bits_of_linalg_norm(dim):
+    rng = np.random.default_rng(100 + dim)
+    store = build_store("inverted_vector", embed_dim=dim, params={"mode": "vector"})
+    store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i, session_id="s0",
+                               embedding=row)
+                  for i, row in enumerate(random_rows(rng, 40, dim))])
+
+    def linalg_norms():
+        return {r.record_id: float(np.linalg.norm(r.embedding)).hex()
+                for r in store.all_records()}
+
+    assert flushed_norms(store) == linalg_norms()
+    store = churned_store(rng, dim)
+    assert flushed_norms(store) == linalg_norms()
+
+
+def best_by_cosine(store, query, exclude=()):
+    scored = [(r.record_id, cosine(query, r.embedding)) for r in store.all_records()
+              if r.record_id not in exclude]
+    return min(scored, key=lambda item: (-item[1], item[0]))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_screen_keeps_a_row_whose_cosine_equals_the_floor(dim):
+    # the call semantic_consolidation makes: the best row must survive a
+    # floor at exactly its cosine, and nothing may pass one ulp above it
+    rng = np.random.default_rng(200 + dim)
+    store = churned_store(rng, dim)
+    queries = list(random_rows(rng, 15, dim)) + [r.embedding for r in store.all_records()[:5]]
+    for query in queries:
+        best_id, _ = best_by_cosine(store, query)
+        for exclude in ((), (best_id,)):
+            want_id, c = best_by_cosine(store, query, exclude)
+            got = store.nearest(query, exclude=exclude, top=1, floor=c)
+            assert got[0][0].record_id == want_id and got[0][1].hex() == c.hex()
+            assert store.nearest(query, exclude=exclude, top=1,
+                                 floor=np.nextafter(c, np.inf)) == []
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_a_freed_row_never_comes_back(dim):
+    rng = np.random.default_rng(300 + dim)
+    store = build_store("inverted_vector", embed_dim=dim, params={"mode": "vector"})
+    store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i, session_id="s0",
+                               embedding=row)
+                  for i, row in enumerate(random_rows(rng, 30, dim))])
+    store.nearest(rng.normal(size=dim))  # build the matrix before rows are freed
+    removed = {}
+    for record in store.all_records()[1::2]:
+        removed[record.record_id] = record.embedding
+        store.remove(record.record_id)
+    # the last removal is queued for a rewrite first, so its row is stale too
+    last = store.all_records()[-1]
+    last.embedding = rng.normal(size=dim)
+    store.reindex(last)
+    removed[last.record_id] = last.embedding
+    store.remove(last.record_id)
+
+    def returned_ids():
+        ids = set()
+        for vector in removed.values():
+            for now in (None, 10 ** 6, 2 ** 70):  # past the int64 range too
+                for top in (None, 1):
+                    ids.update(r.record_id for r, _ in store.nearest(vector, now=now, top=top))
+        return ids
+
+    assert returned_ids() and not returned_ids() & set(removed)
+    # new records take the freed rows, with other vectors and later ts
+    store.insert([MemoryRecord(record_id="", text=f"reused {i}", ts=1000 + i, session_id="s0",
+                               embedding=row)
+                  for i, row in enumerate(random_rows(rng, len(removed), dim))])
+    assert not returned_ids() & set(removed)
+    assert store._index._free == []  # every freed row was reused
