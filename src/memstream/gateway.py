@@ -9,6 +9,8 @@ Two implementations share the interface:
   Python's seeded hash()). A text's trigrams are its tokens' padded
   trigrams plus one gram across each joining space, so each token's codes
   are hashed once and memoized (``TOKEN_CODE_MEMO_SIZE`` tokens at most).
+  The unit norm is ``math.sqrt(vec.dot(vec))``, which is how numpy computes
+  a 1-D float64 ``np.linalg.norm``, so the vector's bits are the same.
 * RemoteGateway — OpenAI-compatible HTTP endpoints ({base}/chat/completions
   and {base}/embeddings) with retries, exponential backoff and a per-call
   deadline. Credentials come from NEUROMEM_API_KEY / NEUROMEM_BASE_URL
@@ -18,7 +20,8 @@ Two implementations share the interface:
 
 ``embed`` and ``chat`` share one timed path, ``Gateway._call``: it takes the
 rate-limit token, runs the implementation and appends exactly one
-GatewayTiming, also on failure, billed to ``Gateway.stage``. Each
+GatewayTiming, also on failure, billed to ``Gateway.stage``. A GatewayTiming
+is an immutable ``NamedTuple``, cheap to build once per call. Each
 implementation reports its own retries, as the second item of its return
 value or as ``GatewayError.retries``. The orchestrator sets ``stage`` as each
 lifecycle stage opens, so per-stage model-inference time can be separated
@@ -28,12 +31,13 @@ from store time downstream without any operator naming its stage.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,8 +61,9 @@ class ChatRequest:
     variables: dict
 
 
-@dataclass(frozen=True)
-class GatewayTiming:
+class GatewayTiming(NamedTuple):
+    """One model call's wall time, outcome and the stage it was billed to."""
+
     call_kind: str  # "chat" | "embed"
     stage: str
     wall_ns: int
@@ -218,7 +223,8 @@ def mock_embed_text(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
         codes = codes[1:-1]
     counts = np.bincount(codes, minlength=2 * dim)
     vec = (counts[:dim] - counts[dim:]).astype(np.float64)
-    norm = float(np.linalg.norm(vec))
+    # how numpy computes a 1-D float64 np.linalg.norm, without its dispatch
+    norm = math.sqrt(vec.dot(vec))
     if norm > 0:
         vec /= norm
     return vec

@@ -7,11 +7,16 @@ All backends guarantee, via this base class:
 * a strictly-earlier visibility rule — retrieval at time ``now`` never
   returns a record with ``record.ts >= now`` (causality is enforced here
   again, independently of the protocol's request ordering);
-* candidate ordering by descending score with record_id as the tie-break
-  (``rank_candidates``);
-* scores normalized to [0, 1] (cosine folded via (1+cos)/2, ratio-style
-  scores divided by the list maximum by ``normalize_ratio``, reciprocal-rank
-  fusion scores by the best one in ``fused_candidates``);
+* candidate ordering by descending score with record_id as the tie-break.
+  Each ranking sorts decorated ``(-score, record_id)`` tuples once, with no
+  key function, and builds only what its caller reads: lexical search its
+  top ``k`` candidates, fusion its first ``limit`` (``rank_candidates``
+  ranks scored records the same way);
+* scores normalized to [0, 1]: cosine folded via (1+cos)/2; lexical totals
+  divided by the best one, for the ``k`` kept only (``float(total) /
+  float(top)``, the bits ``normalize_ratio`` gives); property_graph's scores
+  divided by the list maximum by ``normalize_ratio``; reciprocal-rank fusion
+  scores by the best one in ``fused_candidates``;
 * access bookkeeping on hits: access_count += 1, last_access = now, and the
   retention strength multiplied by ``strength_gain`` (a run sets it to
   ``operators.consolidate.strength_gain``);
@@ -32,19 +37,23 @@ Upkeep is deferred: ``insert`` and ``reindex`` only queue the record and
 next ``nearest`` call (its embedding, ts and norm), so a store that never
 runs a vector scan never builds the matrix. The cached norm is
 ``vector_norm`` of the written row, the bits of the ``np.linalg.norm`` call
-``cosine`` makes. ``nearest`` screens every row with one matrix-vector
-product divided by the query norm times the cached norms (0 where that is
-0, as in ``cosine``). The visibility test, ``exclude``, ``rows`` and the
-``floor`` (less ``SCREEN_MARGIN``) make one mask, and of the rows it keeps,
-those within ``SCREEN_MARGIN`` of the ``top``-th screened score survive. All
-survivors are then rescored in one batch: a stacked ``np.matmul`` of each
-survivor row (1 x d) with the query (d x 1), divided by the same
-denominator. numpy computes each of those 1 x d by d x 1 products with the
-dot loop ``np.dot`` uses, so every rescored score has the bits ``cosine``
-gives for that pair. Survivors are sorted by descending score with record_id
-as the tie-break. A matrix-vector product may differ from the per-pair dot
-product in the last ulp, so the screen alone would flip near-ties; the
-rescore keeps every score and order exactly those of a per-record scan.
+``cosine`` makes. The visibility test, ``exclude`` and ``rows`` make one
+mask. ``nearest`` screens the rows it keeps with a matrix-vector product
+divided by the query norm times the cached norms (0 where that is 0, as in
+``cosine``). The product spans every row, or only the kept rows when
+``rows`` restricts the scan, so lsh_hash's bucket candidates do not pay for
+the whole store. Of the screened rows at or above the ``floor`` (less
+``SCREEN_MARGIN``), those within ``SCREEN_MARGIN`` of the ``top``-th
+screened score survive. All survivors are then rescored in one batch: a
+stacked ``np.matmul`` of each survivor row (1 x d) with the query (d x 1),
+divided by the same denominator. numpy computes each of those 1 x d by
+d x 1 products with the dot loop ``np.dot`` uses, so every rescored score
+has the bits ``cosine`` gives for that pair. Survivors are sorted by
+descending score with record_id as the tie-break. A matrix-vector product
+may differ from the per-pair dot product in the last ulp, and a product
+over some rows from one over all of them, so the screen alone would flip
+near-ties; the rescore keeps every score and order exactly those of a
+per-record scan.
 
 ``Postings`` holds each record's key ``Counter`` plus postings
 (key -> {record_id: count}). What a key is belongs to the backend:
@@ -53,15 +62,16 @@ rescore keeps every score and order exactly those of a per-record scan.
 triplet's entity tokens, lsh_hash one ``(table, signature)`` pair per LSH
 table, and summary_vector nothing. The base keeps the postings current
 eagerly in ``insert``, ``reindex`` and ``remove``, so a record is keyed once
-per write, never per query. ``MemoryStore._keyed_scores`` sums the scores
-from the postings: for each distinct index token of the query it adds the
-counts in that token's postings to a running total per record, then keeps
-the visible records. That is each record's term-frequency sum over the
-query's distinct tokens, and only records sharing a token get a total; the
-others would score 0 and be dropped anyway. Every consumer sorts on
-(-score, record_id), so lexical search returns what a scan over every
-record would. property_graph's entity keys are a set, so each count is 1
-and a record's score is the number of distinct query entities it mentions.
+per write, never per query. ``MemoryStore._key_totals`` sums the scores from
+the postings: for each distinct index token of the query it adds the counts
+in that token's postings to a running total per record. That is each
+record's term-frequency sum over the query's distinct tokens, and only
+records sharing a token get a total; the others would score 0 and be dropped
+anyway. ``_lexical_ranking`` keeps the visible totals (``ts < now``) and
+sorts them as ``(-total, record_id)``, so lexical search returns what a scan
+over every record would. ``_keyed_scores`` maps the visible records to
+their totals; property_graph's entity keys are a set, so each count is 1 and a
+record's score is the number of distinct query entities it mentions.
 
 Insert returns the new record ids and retrieve the candidates; neither times
 itself, because the orchestrator times every stage at its own boundaries.
@@ -125,40 +135,34 @@ def normalize_ratio(scored: list[tuple[MemoryRecord, float]]) -> list[tuple[Memo
 
 def rank_candidates(scored: Iterable[tuple[MemoryRecord, float]], k: int,
                     source: str) -> list[Candidate]:
-    ordered = sorted(scored, key=lambda item: (-item[1], item[0].record_id))
-    return [Candidate(record=rec, score=score, source=source) for rec, score in ordered[:k]]
-
-
-def fuse_scores(rankings: Iterable[list[str]], k_rrf: int = DEFAULT_RRF_K) -> list[tuple[str, float]]:
-    """Reciprocal-rank fusion over any number of ranked id lists.
-
-    score = sum over lists of 1 / (k_rrf + rank), ranks 1-based. Returns
-    (id, fused_score) sorted by descending score then id. A document at rank 1
-    in two lists scores 2/(k_rrf+1).
-    """
-    if k_rrf < 0:
-        raise ValueError(f"k_rrf must be >= 0, got {k_rrf}")
-    fused: dict[str, float] = {}
-    for ranking in rankings:
-        for rank, doc_id in enumerate(ranking, start=1):
-            fused[doc_id] = fused.get(doc_id, 0.0) + 1.0 / (k_rrf + rank)
-    return sorted(fused.items(), key=lambda item: (-item[1], item[0]))
+    """The ``k`` best of distinct records by descending score, then record_id."""
+    ranked = sorted([(-score, record.record_id, record) for record, score in scored])
+    return [Candidate(record=record, score=-negated, source=source)
+            for negated, _, record in ranked[:k]]
 
 
 def fused_candidates(rankings: Iterable[list[str]], record_of: Callable[[str], MemoryRecord],
                      source: str, limit: int, k_rrf: int = DEFAULT_RRF_K) -> list[Candidate]:
     """RRF-fuse ranked id lists into the ``limit`` best candidates, best first.
 
-    ``record_of`` looks up a ranked id's record (``MemoryStore.get``); scores
-    are the fused scores divided by the best one. Only the first ``limit``
-    fused ids become candidates.
+    A ranked id scores sum over lists of 1 / (k_rrf + rank), ranks 1-based,
+    so a document at rank 1 in two lists scores 2/(k_rrf+1). Ids are ordered
+    by descending fused score, then id; ``record_of`` looks up the first
+    ``limit`` ids' records (``MemoryStore.get``) and their scores are divided
+    by the best one.
     """
-    fused = fuse_scores(rankings, k_rrf)
+    if k_rrf < 0:
+        raise ValueError(f"k_rrf must be >= 0, got {k_rrf}")
+    fused: dict[str, float] = {}
+    for ranking in rankings:
+        for rank, doc_id in enumerate(ranking, start=k_rrf + 1):
+            fused[doc_id] = fused.get(doc_id, 0.0) + 1.0 / rank
     if not fused:
         return []
-    top = fused[0][1]  # fuse_scores sorts by descending score
-    return [Candidate(record=record_of(rec_id), score=score / top, source=source)
-            for rec_id, score in fused[:limit]]
+    ranked = sorted([(-score, doc_id) for doc_id, score in fused.items()])
+    top = -ranked[0][0]
+    return [Candidate(record=record_of(doc_id), score=-negated / top, source=source)
+            for negated, doc_id in ranked[:limit]]
 
 
 # Screened scores within this distance of a cut are rescored exactly; a
@@ -258,17 +262,20 @@ class EmbeddingIndex:
             row = self.row_of.get(record_id)
             if row is not None:
                 mask[row] = False
-        # the rescore's formula on every row, with the matrix-vector product
-        denom = self.norms[:n] * query_norm
-        scores = np.divide(self.matrix[:n].dot(query), denom, out=np.zeros(n),
+        # the rescore's formula with a matrix-vector product: over every row,
+        # or over the kept rows only when ``rows`` restricts the scan
+        span = slice(0, n) if rows is None else mask.nonzero()[0]
+        denom = self.norms[span] * query_norm
+        scores = np.divide(self.matrix[span].dot(query), denom, out=np.zeros(denom.size),
                            where=denom != 0.0)
+        mask = mask[span]
         if bonus is not None:
             points = np.zeros(n)
             for record_id, value in bonus.items():
                 row = self.row_of.get(record_id)
                 if row is not None:
                     points[row] = value
-            scores = points + (1.0 + scores) / 2.0
+            scores = points[span] + (1.0 + scores) / 2.0
         if floor is not None:
             mask &= scores >= floor - SCREEN_MARGIN
         candidates = mask.nonzero()[0]
@@ -276,7 +283,7 @@ class EmbeddingIndex:
             kept = scores[candidates]
             cut = np.partition(kept, kept.size - top)[kept.size - top]
             candidates = candidates[kept >= cut - SCREEN_MARGIN]
-        return candidates.tolist()
+        return (candidates if rows is None else span[candidates]).tolist()
 
 
 class Postings:
@@ -427,23 +434,41 @@ class MemoryStore(ABC):
         scored.sort(key=lambda item: (-item[1], item[0].record_id))
         return scored
 
-    def _keyed_scores(self, signal: RetrievalSignal,
-                      now: Optional[int]) -> list[tuple[MemoryRecord, float]]:
-        """Summed key counts of the visible records sharing a query token."""
+    def _key_totals(self, signal: RetrievalSignal) -> dict[str, int]:
+        """Summed key counts of every record sharing a query token, visible or not."""
         totals: dict[str, int] = {}
         postings = self._postings.postings
         for token in dict.fromkeys(index_tokens(signal.lexical_text())):
             for record_id, count in postings.get(token, {}).items():
                 totals[record_id] = totals.get(record_id, 0) + count
+        return totals
+
+    def _keyed_scores(self, signal: RetrievalSignal, now: Optional[int]) -> dict[str, float]:
+        """record_id -> summed key counts, for the visible records sharing a query token."""
         records = self._records
-        return [(records[record_id], float(total)) for record_id, total in totals.items()
-                if self._is_visible(records[record_id], now)]
+        return {record_id: float(total) for record_id, total in self._key_totals(signal).items()
+                if self._is_visible(records[record_id], now)}
+
+    def _lexical_ranking(self, signal: RetrievalSignal,
+                         now: Optional[int]) -> list[tuple[int, str]]:
+        """``(-total, record_id)`` of the visible records sharing a query token, best first."""
+        records = self._records
+        ranked = [(-total, record_id) for record_id, total in self._key_totals(signal).items()
+                  if now is None or records[record_id].ts < now]
+        ranked.sort()
+        return ranked
 
     def _lexical_search(self, signal: RetrievalSignal, k: int,
                         now: Optional[int]) -> list[Candidate]:
-        """Top ``k`` by term frequency over the visible records sharing a query token."""
-        scored = normalize_ratio(self._keyed_scores(signal, now))
-        return rank_candidates(scored, k, source="lexical")
+        """Top ``k`` by term frequency, divided by the best total."""
+        ranked = self._lexical_ranking(signal, now)
+        if not ranked:
+            return []
+        top = float(-ranked[0][0])
+        records = self._records
+        return [Candidate(record=records[record_id], score=float(-negated) / top,
+                          source="lexical")
+                for negated, record_id in ranked[:k]]
 
     def _vector_search(self, signal: RetrievalSignal, k: int, now: Optional[int],
                        rows: Optional[Iterable[str]] = None) -> list[Candidate]:

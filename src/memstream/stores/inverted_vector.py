@@ -30,11 +30,8 @@ class InvertedVectorStore(MemoryStore):
 
     def _lexical_ranked(self, signal: RetrievalSignal, now: Optional[int],
                         pool: int) -> list[str]:
-        # the order _lexical_search gives: dividing positive scores by their
-        # maximum keeps it, so the ids need no normalised candidates
-        scored = sorted(self._keyed_scores(signal, now),
-                        key=lambda item: (-item[1], item[0].record_id))
-        return [record.record_id for record, _ in scored[:pool]]
+        # the order _lexical_search gives, without normalised candidates
+        return [record_id for _, record_id in self._lexical_ranking(signal, now)[:pool]]
 
     def _vector_ranked(self, signal: RetrievalSignal, now: Optional[int],
                        pool: int) -> list[str]:

@@ -36,7 +36,7 @@ class PropertyGraphStore(MemoryStore):
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
         # one point per distinct query entity the record's triplet mentions
-        bonus = {record.record_id: points for record, points in self._keyed_scores(signal, now)}
+        bonus = self._keyed_scores(signal, now)
         scores: dict[str, float] = {}
         if signal.embedding is not None:
             for rec, sim in self.nearest(signal.embedding, now, top=k, bonus=bonus):

@@ -142,7 +142,36 @@ def test_mock_embed_text_matches_trigram_loop(text, dim):
     assert got.tobytes() == want.tobytes()
 
 
+# texts with no surviving characters embed to the zero vector
+@pytest.mark.parametrize("dim", [1, 8, 64, 256])
+@pytest.mark.parametrize("text", ["", "...", "a", "the colour of the harbour is red.",
+                                  "alice | lives in | paris", "€ ✓, x!"])
+def test_mock_embed_text_norm_has_the_bits_of_linalg_norm(text, dim):
+    joined = " ".join(metric_tokens(text))
+    raw = np.zeros(dim)
+    if joined:
+        for i in range(max(1, len(joined) - 2)):
+            h = zlib.crc32(joined[i:i + 3].encode("utf-8"))
+            raw[h % dim] += 1.0 if (h >> 16) & 1 else -1.0
+    norm = float(np.linalg.norm(raw))
+    want = raw / norm if norm > 0 else raw
+    got = mock_embed_text(text, dim)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
 # -- timing capture -----------------------------------------------------------
+
+def test_gateway_timing_is_immutable():
+    gw = make_gateway()
+    gw.embed(["a"])
+    (timing,) = gw.drain_timings()
+    assert timing.wall_us == timing.wall_ns / 1000.0
+    for field in ("call_kind", "stage", "wall_ns", "ok", "retries", "template_id"):
+        with pytest.raises(AttributeError):
+            setattr(timing, field, None)
+    with pytest.raises(AttributeError):
+        timing.extra = 1
+
 
 def test_every_call_records_exactly_one_timing():
     gw = make_gateway()

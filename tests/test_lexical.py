@@ -4,12 +4,15 @@
 backend's ``_index_keys``. fifo_queue, queue_segment and inverted_vector
 sum each record's lexical score from the postings of the query's tokens, so
 only the records that share a query token are looked up. The reference
-below keeps the old scan: every visible record, scored from token counts
-rebuilt from its current text. A store fed random inserts,
-queries, removals, in-place edits and merges must return the same candidate
-ids and bit-identical scores as the reference. On all six backends, under
-random operations and consolidation, the index must always equal the one
-rebuilt from each live record's keys, recomputed from scratch.
+(``reference.ref_retrieve``) keeps the old scan: every visible record,
+scored from token counts rebuilt from its current text or by its cosine,
+then a plain full sort, 1-based reciprocal-rank fusion and division by the
+top score. A store fed random inserts, queries, removals, in-place edits and
+merges must return the same candidate ids and bit-identical scores as the
+reference, and so must fused retrieves and multi_query and decompose fusion
+over ties and edge cases. On all six backends, under random operations and
+consolidation, the index must always equal the one rebuilt from each live
+record's keys, recomputed from scratch.
 """
 
 import dataclasses
@@ -21,18 +24,17 @@ from hypothesis import strategies as st
 
 from memstream import ingest
 from memstream.config import ConsolidateConfig, config_from_dict
-from memstream.gateway import MockGateway, mock_embed_text
+from memstream.gateway import ChatRequest, MockGateway, mock_embed_text
 from memstream.orchestrator import run_experiment
 from memstream.records import KIND_RAW, KIND_SUMMARY, MemoryRecord, RetrievalSignal, Triplet
-from memstream.stores import BACKENDS, build_store, fuse_scores
-from memstream.stores.base import normalize_ratio, rank_candidates
-from memstream.stores.inverted_vector import InvertedVectorStore
+from memstream.retrieve import FormulatedQuery, execute_search, integrate_multi_query
+from memstream.stores import BACKENDS, build_store
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.property_graph import PropertyGraphStore, entity_keys
 from memstream.stores.summary_vector import SummaryVectorStore
 from memstream.text import index_tokens
 from memstream.workloads import SyntheticSpec, synth_workload
-from reference import lexical_scores, visible_records
+from reference import ref_fused, ref_lexical_search, ref_retrieve
 
 DIM = 32
 
@@ -58,32 +60,6 @@ CONFIGS = {
     "inverted_vector/fused": {},
 }
 CONSOLIDATE = ConsolidateConfig(strategy="semantic_consolidation", dedup_threshold=0.8)
-
-
-# ----------------------------------------------------------------------
-# reference: the full scan the postings replaced
-# ----------------------------------------------------------------------
-
-def rebuilt_counts(store):
-    return {r.record_id: Counter(index_tokens(r.text)) for r in store.all_records()}
-
-
-def ref_lexical_scored(store, signal, now):
-    return lexical_scores(visible_records(store, now), signal, rebuilt_counts(store))
-
-
-def ref_search(store, signal, k, now):
-    if isinstance(store, InvertedVectorStore) and store.mode == "fused":
-        pool = max(k * store.POOL_FACTOR, store.POOL_MIN)
-        scored = sorted(ref_lexical_scored(store, signal, now),
-                        key=lambda item: (-item[1], item[0].record_id))
-        lexical = [record.record_id for record, _ in scored[:pool]]
-        vector = store._vector_ranked(signal, now, pool)
-        fused = fuse_scores([lexical, vector], store.rrf_k)
-        scored = normalize_ratio([(store._records[rec_id], score) for rec_id, score in fused])
-        return rank_candidates(scored, k, source="fused")
-    scored = normalize_ratio(ref_lexical_scored(store, signal, now))
-    return rank_candidates(scored, k, source="lexical")
 
 
 def as_bits(candidates):
@@ -149,13 +125,11 @@ def test_postings_search_matches_full_scan(config, merge, ops):
             ingest.run_consolidate(store, ids, clock, cfg, gateway, clock)
         elif op[0] == "query":
             _, text_i, when, k, embedded = op
-            if config == "queue_segment":
-                embedded = False  # an embedded signal takes the vector path
             text = QUERIES[text_i]
             signal = RetrievalSignal(raw_query=text,
                                      embedding=mock_embed_text(text, DIM) if embedded else None)
             now = {"now": clock, "past": clock - 2, "unbounded": None}[when]
-            want = ref_search(store, signal, k, now)
+            want = ref_retrieve(store, signal, k, now)
             assert as_bits(store.retrieve(signal, k, now=now)) == as_bits(want)
         else:
             live = store.all_records()
@@ -168,6 +142,81 @@ def test_postings_search_matches_full_scan(config, merge, ops):
                 record.text = TEXTS[op[2]]
                 store.reindex(record)
         assert_index_rebuilt(store)
+
+
+# ----------------------------------------------------------------------
+# ties and edges: equal totals, equal cosines, now=None, k past the matches
+# ----------------------------------------------------------------------
+
+# each text twice over: repeated texts tie on their lexical totals and their
+# identical embeddings tie on cosine
+TIE_TEXTS = ("the harbor is red.", "the harbor is red red.", "the garden is red.",
+             "red harbor and red garden.", "it is what it is.") * 2
+TIE_QUERIES = ("harbor red", "the garden is red.", "red", "nothing matches here",
+               "the harbor and the garden")
+TIE_CONFIGS = {
+    "fifo_queue": dict(params={"capacity": 16}),
+    "queue_segment": dict(params={"short_capacity": 3}),
+    "inverted_vector/lexical": dict(params={"mode": "lexical"}),
+    "inverted_vector/vector": dict(params={"mode": "vector"}),
+    "inverted_vector/fused": {},
+}
+
+
+def tie_store(config):
+    store = build_store(config.split("/")[0], embed_dim=DIM, **TIE_CONFIGS[config])
+    store.insert([MemoryRecord(record_id="", text=text, ts=ts, session_id="s0",
+                               embedding=mock_embed_text(text, DIM))
+                  for ts, text in enumerate(TIE_TEXTS, start=1)])
+    return store
+
+
+def tie_signal(text, embedded=True):
+    return RetrievalSignal(raw_query=text, embedding=mock_embed_text(text, DIM) if embedded
+                           else None)
+
+
+@pytest.mark.parametrize("config", sorted(TIE_CONFIGS))
+def test_ties_and_edges_match_the_reference(config):
+    store = tie_store(config)
+    for text in TIE_QUERIES:
+        for embedded in (False, True):
+            signal = tie_signal(text, embedded)
+            for now in (None, 1, 4, 7, 100):
+                for k in (1, 2, 3, 50):  # 50: more than every match
+                    want = ref_retrieve(store, signal, k, now)
+                    assert as_bits(store.retrieve(signal, k, now=now)) == as_bits(want)
+                    assert as_bits(store._lexical_search(signal, k, now)) == as_bits(
+                        ref_lexical_search(store, signal, k, now))
+
+
+@pytest.mark.parametrize("config", sorted(TIE_CONFIGS))
+def test_multi_query_and_decompose_fusion_match_the_reference(config):
+    store = tie_store(config)
+    gateway = MockGateway(dim=DIM)
+    for text in TIE_QUERIES:
+        for now in (None, 4, 100):
+            for k in (1, 3, 50):
+                cands = store.retrieve(tie_signal(text), k, now=now)
+                got, flags = integrate_multi_query(text, cands, store, gateway, 3, k, now)
+                rankings = [[c.record_id for c in cands]]
+                for index in range(3):
+                    paraphrase = gateway.chat(ChatRequest(
+                        "paraphrase", {"query": text, "index": index})).strip()
+                    rankings.append([c.record_id for c in ref_retrieve(
+                        store, tie_signal(paraphrase), k, now)])
+                want = ref_fused(rankings, store.get, "multi_query", max(k, len(cands)))
+                assert not flags and as_bits(got) == as_bits(want)
+
+                subs = tuple(tie_signal(part) for part in text.split(" and "))
+                if len(subs) < 2:
+                    subs = (tie_signal(text), tie_signal("red"))
+                got = execute_search(store, FormulatedQuery(signal=subs[0], sub_signals=subs),
+                                     k, now)
+                per_sub = -(-k // len(subs))
+                rankings = [[c.record_id for c in ref_retrieve(store, sub, per_sub, now)]
+                            for sub in subs]
+                assert as_bits(got) == as_bits(ref_fused(rankings, store.get, "decompose", k))
 
 
 class LookupLog(dict):

@@ -2,20 +2,22 @@
 
 Every backend's vector search and the three neighbour-scanning consolidation
 policies go through ``MemoryStore.nearest``. The reference implementations
-below keep the per-record cosine loop each of them replaced; two stores fed
-the same operations, one per implementation, must return the same candidate
-ids and bit-identical scores and log the same consolidation actions. The
-lexical parts of the references score every visible record from its
-current text, so a fault in the postings or in ``_lexical_ranked`` shows. A
+below and in ``reference.py`` keep the per-record cosine loop each of them
+replaced; two stores fed the same operations, one per implementation, must
+return the same candidate ids and bit-identical scores and log the same
+consolidation actions. The lexical parts of the references score every
+visible record from its current text, so a fault in the postings or in
+``_lexical_ranked`` shows. A
 second property checks that the index rows, with their cached norms, always
 mirror the live embedded records, and that every free row carries
 ``FREE_TS``. The last tests pin the index's numerics on random rows: cached
 norms and rescored scores bit for bit, a floor at exactly the best cosine,
-and freed rows that never come back.
+freed rows that never come back, and a screen restricted to some rows that
+multiplies only those rows and returns what the all-rows screen keeps of
+them.
 """
 
 import dataclasses
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -29,14 +31,9 @@ from memstream.errors import UnsupportedBackend
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.orchestrator import _Pipeline
 from memstream.records import KIND_TRIPLET, MemoryRecord, RetrievalSignal, Triplet
-from memstream.stores import BACKENDS, build_store, fuse_scores
-from memstream.stores.base import (
-    FREE_TS,
-    cosine,
-    fold_cosine,
-    normalize_ratio,
-    rank_candidates,
-)
+from memstream.stores import BACKENDS, build_store
+from memstream.stores.base import FREE_TS, cosine
+from memstream.stores.fifo import FifoQueueStore
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.property_graph import PropertyGraphStore, entity_keys
@@ -44,7 +41,15 @@ from memstream.stores.queue_segment import QueueSegmentStore
 from memstream.stores.summary_vector import SummaryVectorStore
 from memstream.text import index_tokens
 from memstream.workloads import SyntheticSpec, synth_workload
-from reference import lexical_scores, visible_records
+from reference import (
+    as_candidates,
+    divided_by_top,
+    ranked,
+    ref_cosine,
+    ref_retrieve,
+    ref_vector_search,
+    visible_records,
+)
 
 DIM = 32
 
@@ -77,76 +82,31 @@ CONSOLIDATE = ConsolidateConfig(dedup_threshold=0.8, link_threshold=0.4, link_to
 # reference: the per-record scans the index replaced
 # ----------------------------------------------------------------------
 
-def ref_vector_scored(store, signal, now):
-    return [
-        (rec, fold_cosine(cosine(signal.embedding, rec.embedding)))
-        for rec in visible_records(store, now)
-        if rec.embedding is not None
-    ]
-
-
-def ref_lexical_scored(store, signal, now):
-    """Term-frequency scores of every visible record, from its current text."""
-    counts = {rec.record_id: Counter(index_tokens(rec.text)) for rec in store.all_records()}
-    return lexical_scores(visible_records(store, now), signal, counts)
-
-
-def ref_lexical_search(store, signal, k, now):
-    return rank_candidates(normalize_ratio(ref_lexical_scored(store, signal, now)), k,
-                           source="lexical")
-
-
 def ref_search(store, signal, k, now):
-    if isinstance(store, InvertedVectorStore):
-        if store.mode == "lexical":
-            return ref_lexical_search(store, signal, k, now)
-        if store.mode == "vector":
-            if signal.embedding is None:
-                return []
-            return rank_candidates(ref_vector_scored(store, signal, now), k, source="vector")
-        pool = max(k * store.POOL_FACTOR, store.POOL_MIN)
-        vector = []
-        if signal.embedding is not None:
-            scored = [(rec.record_id, cosine(signal.embedding, rec.embedding))
-                      for rec in visible_records(store, now) if rec.embedding is not None]
-            scored.sort(key=lambda item: (-item[1], item[0]))
-            vector = [rec_id for rec_id, _ in scored[:pool]]
-        scored = sorted(ref_lexical_scored(store, signal, now),
-                        key=lambda item: (-item[1], item[0].record_id))
-        lexical = [rec.record_id for rec, _ in scored[:pool]]
-        fused = fuse_scores([lexical, vector], store.rrf_k)
-        scored = normalize_ratio([(store._records[rec_id], score) for rec_id, score in fused])
-        return rank_candidates(scored, k, source="fused")
-    if isinstance(store, QueueSegmentStore):
-        if signal.embedding is None:
-            return ref_lexical_search(store, signal, k, now)
-        return rank_candidates(ref_vector_scored(store, signal, now), k, source="vector")
+    if isinstance(store, (FifoQueueStore, InvertedVectorStore, QueueSegmentStore)):
+        return ref_retrieve(store, signal, k, now)
+    if signal.embedding is None and not isinstance(store, PropertyGraphStore):
+        return []
     if isinstance(store, SummaryVectorStore):
-        if signal.embedding is None:
-            return []
-        return rank_candidates(ref_vector_scored(store, signal, now), k, source="vector")
+        return ref_vector_search(store, signal, k, now)
     if isinstance(store, LshStore):
-        if signal.embedding is None:
-            return []
         # probed: the record shares the query's bucket in at least one table
         query_sigs = [lsh_signature(signal.embedding, planes) for planes in store._planes]
-        scored = [(record, fold_cosine(cosine(signal.embedding, record.embedding)))
+        scored = [(record, (1.0 + ref_cosine(signal.embedding, record.embedding)) / 2.0)
                   for record in visible_records(store, now)
                   if any(lsh_signature(record.embedding, planes) == sig
                          for planes, sig in zip(store._planes, query_sigs))]
-        return rank_candidates(scored, k, source="vector")
-    if isinstance(store, PropertyGraphStore):
-        query_entities = set(index_tokens(signal.lexical_text()))
-        scored = []
-        for record in visible_records(store, now):
-            bonus = float(len(query_entities & entity_keys(record)))
-            sim = 0.0
-            if signal.embedding is not None and record.embedding is not None:
-                sim = fold_cosine(cosine(signal.embedding, record.embedding))
-            if bonus + sim > 0.0:
-                scored.append((record, bonus + sim))
-        return rank_candidates(normalize_ratio(scored), k, source="graph")
-    return ref_lexical_search(store, signal, k, now)  # fifo_queue: lexical only
+        return as_candidates(ranked(scored)[:k], "vector")
+    query_entities = set(index_tokens(signal.lexical_text()))  # property_graph
+    scored = []
+    for record in visible_records(store, now):
+        bonus = float(len(query_entities & entity_keys(record)))
+        sim = 0.0
+        if signal.embedding is not None and record.embedding is not None:
+            sim = (1.0 + ref_cosine(signal.embedding, record.embedding)) / 2.0
+        if bonus + sim > 0.0:
+            scored.append((record, bonus + sim))
+    return as_candidates(ranked(divided_by_top(scored))[:k], "graph")
 
 
 def ref_nearest_existing(store, record, exclude, limit):
@@ -574,3 +534,46 @@ def test_a_freed_row_never_comes_back(dim):
                   for i, row in enumerate(random_rows(rng, len(removed), dim))])
     assert not returned_ids() & set(removed)
     assert store._index._free == []  # every freed row was reused
+
+
+class ProductLog(np.ndarray):
+    """An index matrix that logs how many rows each matrix-vector product spans."""
+
+    spans: list = []
+
+    def dot(self, other, *args, **kwargs):
+        ProductLog.spans.append(self.shape[0])
+        return np.asarray(self).dot(other, *args, **kwargs)
+
+
+def test_restricted_screen_multiplies_only_the_chosen_rows():
+    rng = np.random.default_rng(7)
+    store = build_store("lsh_hash", embed_dim=DIM, seed=0, params={"bits": 3, "tables": 2})
+    store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i + 1, session_id="s0",
+                               embedding=row)
+                  for i, row in enumerate(random_rows(rng, 200, DIM))])
+    store.nearest(rng.normal(size=DIM))  # build the matrix
+    index = store._index
+    index.matrix = index.matrix.view(ProductLog)
+    ids = [r.record_id for r in store.all_records()]
+    for query in list(random_rows(rng, 20, DIM)) + [store.all_records()[5].embedding]:
+        for rows in (ids[::7], ids[3:40], [ids[11]], [], ids):
+            for now, top in ((None, None), (150, 3), (None, 1)):
+                ProductLog.spans = []
+                got = store.nearest(query, now=now, top=top, rows=rows)
+                # bit for bit the all-rows screen with the other rows left out
+                chosen = set(rows)
+                want = [(r, s) for r, s in store.nearest(query, now=now)
+                        if r.record_id in chosen]
+                want_top = want if top is None else want[:top]
+                assert [(r.record_id, s.hex()) for r, s in got[:len(want_top)]] == \
+                       [(r.record_id, s.hex()) for r, s in want_top]
+                visible = sum(1 for r in store.all_records()
+                              if r.record_id in chosen and (now is None or r.ts < now))
+                assert ProductLog.spans[0] == visible
+    # what an LSH query probes: its buckets' candidates only
+    query = store.all_records()[0].embedding
+    probed = store._postings.matching(store._bucket_keys(query))
+    ProductLog.spans = []
+    store.retrieve(RetrievalSignal(raw_query="q", embedding=query), k=3, now=None)
+    assert ProductLog.spans[0] == len(probed) < len(ids)

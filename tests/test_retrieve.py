@@ -2,6 +2,7 @@
 integration strategies, and context bundle assembly."""
 
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from memstream.records import (
     TIER_LONG,
     TIER_MID,
     TIER_SHORT,
+    TS_MEMO_SIZE,
     ts_to_iso,
 )
 from memstream.retrieve import (
@@ -363,6 +365,34 @@ def test_context_line_formats_speaker_and_time():
     assert context_line(rec) == f"[ts={ts_to_iso(0)}] alice: hello there"
     rec.speaker = None
     assert context_line(rec) == f"[ts={ts_to_iso(0)}] unknown: hello there"
+
+
+def iso_formula(ts_us):
+    """The datetime formula ``ts_to_iso`` memoizes."""
+    dt = datetime.fromtimestamp(ts_us / 1_000_000, tz=timezone.utc)
+    return dt.isoformat().replace("+00:00", "Z")
+
+
+@pytest.mark.parametrize("ts_us", [
+    0,
+    1_700_000_000 * 1_000_000,           # whole seconds: no fraction printed
+    -1_500_000,                          # before the epoch
+    1_700_000_000_123_457,               # an odd microsecond
+    (2 ** 31 + 5) * 1_000_000 + 999_999,  # past the 32-bit seconds range
+])
+def test_memoized_ts_to_iso_equals_the_datetime_formula(ts_us):
+    want = iso_formula(ts_us)
+    assert ts_to_iso(ts_us) == want
+    hits = ts_to_iso.cache_info().hits
+    assert ts_to_iso(ts_us) == want  # the second lookup is a memo hit
+    assert ts_to_iso.cache_info().hits == hits + 1
+
+
+def test_ts_to_iso_memo_is_bounded():
+    assert ts_to_iso(0) == "1970-01-01T00:00:00Z"
+    assert ts_to_iso(1_000_000) == "1970-01-01T00:00:01Z"
+    assert ts_to_iso.cache_info().maxsize == TS_MEMO_SIZE
+    assert 0 < TS_MEMO_SIZE <= 1 << 16
 
 
 def test_build_bundle_within_budget():

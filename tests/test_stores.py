@@ -26,8 +26,8 @@ from memstream.records import (
     TIER_SHORT,
     Triplet,
 )
-from memstream.stores import BACKENDS, build_store, fuse_scores
-from memstream.stores.base import cosine, fold_cosine, normalize_ratio
+from memstream.stores import BACKENDS, build_store
+from memstream.stores.base import cosine, fold_cosine, fused_candidates, normalize_ratio
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.queue_segment import QueueSegmentStore
@@ -197,14 +197,20 @@ def test_normalize_ratio():
 
 
 def test_fuse_scores_rrf():
-    fused = dict(fuse_scores([["a", "b"], ["a", "c"]], k_rrf=60))
-    assert fused["a"] == pytest.approx(2.0 / 61.0)
-    assert fused["b"] == pytest.approx(1.0 / 62.0)
-    assert fused["c"] == pytest.approx(1.0 / 62.0)
-    ordered = [rid for rid, _ in fuse_scores([["a", "b"], ["a", "c"]])]
-    assert ordered == ["a", "b", "c"]  # tie between b and c broken by id
+    records = {rid: record(f"{rid}.") for rid in "abc"}
+    for rid, rec in records.items():
+        rec.record_id = rid
+    fused = fused_candidates([["a", "b"], ["a", "c"]], records.__getitem__, "fused", 3,
+                             k_rrf=60)
+    # a at rank 1 twice, b and c at rank 2 once: tie broken by id
+    assert [c.record_id for c in fused] == ["a", "b", "c"]
+    tail = (1.0 / 62.0) / (2.0 / 61.0)
+    assert [c.score for c in fused] == [1.0, tail, tail]
+    assert [c.record_id for c in fused_candidates([["a", "b"], ["a", "c"]],
+                                                  records.__getitem__, "fused", 2)] == ["a", "b"]
+    assert fused_candidates([[], []], records.__getitem__, "fused", 3) == []
     with pytest.raises(ValueError):
-        fuse_scores([["a"]], k_rrf=-1)
+        fused_candidates([["a"]], records.__getitem__, "fused", 1, k_rrf=-1)
 
 
 # -- fifo_queue ---------------------------------------------------------------
