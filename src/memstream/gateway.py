@@ -7,10 +7,13 @@ Two implementations share the interface:
   trigrams of the stemmed text into signed buckets. Same input, same
   output, across processes and platforms (hashing is crc32-based, not
   Python's seeded hash()). A text's trigrams are its tokens' padded
-  trigrams plus one gram across each joining space, so each token's codes
-  are hashed once and memoized (``TOKEN_CODE_MEMO_SIZE`` tokens at most).
-  The unit norm is ``math.sqrt(vec.dot(vec))``, which is how numpy computes
-  a 1-D float64 ``np.linalg.norm``, so the vector's bits are the same.
+  trigrams plus one gram across each joining space. Each token's codes, led
+  by the gram joining it to the token before, are hashed once and memoized
+  per previous character, token and dim (``TOKEN_CODE_MEMO_SIZE`` entries at
+  most), so a text is one memo lookup per token and hashes only the tokens
+  not yet seen after the same character. The unit norm is ``math.sqrt(vec.dot(vec))``,
+  which is how numpy computes a 1-D float64 ``np.linalg.norm``, so the
+  vector's bits are the same.
 * RemoteGateway — OpenAI-compatible HTTP endpoints ({base}/chat/completions
   and {base}/embeddings) with retries, exponential backoff and a per-call
   deadline. Credentials come from NEUROMEM_API_KEY / NEUROMEM_BASE_URL
@@ -31,6 +34,7 @@ from store time downstream without any operator naming its stage.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -172,9 +176,10 @@ _SMALL_TALK = frozenset({
 })
 
 
-# Padded tokens whose trigram codes the embedding memo keeps, about 260
-# bytes each at dim 64, so 4-5 MB when full. A synthetic stream of 4,800
-# inserts embeds about 8,200 distinct tokens.
+# Entries the embedding memo keeps, each keyed on a token, the character
+# before it and ``dim``: about 270 bytes each at dim 64, so 4-5 MB when full.
+# A synthetic stream of 4,800 inserts embeds about 8,200 distinct tokens in
+# about 8,250 entries.
 TOKEN_CODE_MEMO_SIZE = 1 << 14
 
 
@@ -185,10 +190,16 @@ def _gram_code(gram: str, dim: int) -> int:
 
 
 @functools.lru_cache(maxsize=TOKEN_CODE_MEMO_SIZE)
-def _token_codes(token: str, dim: int) -> tuple[int, ...]:
-    """Codes of every trigram of ``" " + token + " "``, in order."""
-    padded = f" {token} "
-    return tuple(_gram_code(padded[i:i + 3], dim) for i in range(len(padded) - 2))
+def _token_codes(left: str, token: str, dim: int) -> bytes:
+    """Codes of every trigram of ``left + " " + token + " "``, in order, as intp bytes.
+
+    With ``left`` the previous token's last character, the first code is the
+    gram joining the two tokens; with ``left`` empty, the codes are those of
+    the padded token alone.
+    """
+    padded = f"{left} {token} "
+    return np.array([_gram_code(padded[i:i + 3], dim) for i in range(len(padded) - 2)],
+                    dtype=np.intp).tobytes()
 
 
 def mock_embed_text(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
@@ -201,26 +212,30 @@ def mock_embed_text(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
     shorter than three characters is one gram.
 
     The trigrams of ``" ".join(tokens)`` are those of ``" " + joined + " "``
-    minus its first and last, and those are, in order, each padded token's
-    trigrams with one ``t[-1] + " " + next[0]`` gram between neighbours. So
-    a token's codes are hashed once and memoized per ``(token, dim)``, up to
-    ``TOKEN_CODE_MEMO_SIZE`` tokens. Positive grams are counted in the first
-    ``dim`` slots and negative ones in the next ``dim``; each bucket's sum is
-    their difference, a small integer, so the float64 vector is the one
-    adding +/-1 per trigram gives.
+    minus its first and last, and those are, in order, the first padded
+    token's trigrams, then for each later token the ``prev[-1] + " " +
+    token[0]`` gram joining it to its neighbour followed by its own padded
+    trigrams. So each token's codes, led by its joining gram, are hashed once
+    and memoized per ``(prev[-1], token, dim)`` (``""`` for the first token),
+    up to ``TOKEN_CODE_MEMO_SIZE`` entries, as the bytes of an intp array: a
+    text is one memo lookup per token and one ``bytes.join``. Positive grams
+    are counted in the first ``dim`` slots and negative ones in the next
+    ``dim``; each bucket's sum is their difference, a small integer, so the
+    float64 vector is the one adding +/-1 per trigram gives.
     """
     tokens = metric_tokens(text)
-    joined = " ".join(tokens)
-    if not joined:
+    if not tokens:
         return np.zeros(dim, dtype=np.float64)
-    if len(joined) < 3:
-        codes = [_gram_code(joined, dim)]
+    if len(tokens) == 1 and len(tokens[0]) < 3:
+        # the joined string is shorter than three characters
+        codes = [_gram_code(tokens[0], dim)]
     else:
-        codes = list(_token_codes(tokens[0], dim))
-        for prev, token in zip(tokens, tokens[1:]):
-            codes.append(_gram_code(f"{prev[-1]} {token[0]}", dim))
-            codes.extend(_token_codes(token, dim))
-        codes = codes[1:-1]
+        # "" before the first token, then each token's last character; the
+        # map stops at the last token, so the final character goes unused
+        lefts = [""]
+        lefts += [token[-1] for token in tokens]
+        chunks = b"".join(map(_token_codes, lefts, tokens, itertools.repeat(dim)))
+        codes = np.frombuffer(chunks, dtype=np.intp)[1:-1]
     counts = np.bincount(codes, minlength=2 * dim)
     vec = (counts[:dim] - counts[dim:]).astype(np.float64)
     # how numpy computes a 1-D float64 np.linalg.norm, without its dispatch
@@ -345,7 +360,8 @@ class MockGateway(Gateway):
     """Deterministic offline gateway.
 
     Every text is embedded afresh with ``mock_embed_text``; only the
-    per-token trigram codes are memoized, so no vector outlives its call.
+    per-token trigram codes, joining gram included, are memoized, so no
+    vector outlives its call.
     ``failing`` holds template_ids whose chat calls raise GatewayError
     (fault injection for the fail-open paths); "embed" in the set makes
     embedding calls fail the same way.

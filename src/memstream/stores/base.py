@@ -48,26 +48,27 @@ screened score survive. All survivors are then rescored in one batch: a
 stacked ``np.matmul`` of each survivor row (1 x d) with the query (d x 1),
 divided by the same denominator. numpy computes each of those 1 x d by
 d x 1 products with the dot loop ``np.dot`` uses, so every rescored score
-has the bits ``cosine`` gives for that pair. Survivors are sorted by
+has the bits ``cosine`` gives for that pair. Survivors are sorted as
+decorated ``(-score, record_id, row)`` tuples, with no key function, so by
 descending score with record_id as the tie-break. A matrix-vector product
 may differ from the per-pair dot product in the last ulp, and a product
 over some rows from one over all of them, so the screen alone would flip
 near-ties; the rescore keeps every score and order exactly those of a
 per-record scan.
 
-``Postings`` holds each record's key ``Counter`` plus postings
-(key -> {record_id: count}). What a key is belongs to the backend:
-``_index_keys(record)`` returns the index tokens of the text by default
-(fifo_queue, queue_segment, inverted_vector); property_graph keys the
-triplet's entity tokens, lsh_hash one ``(table, signature)`` pair per LSH
-table, and summary_vector nothing. The base keeps the postings current
-eagerly in ``insert``, ``reindex`` and ``remove``, so a record is keyed once
-per write, never per query. ``MemoryStore._key_totals`` sums the scores from
-the postings: for each distinct index token of the query it adds the counts
-in that token's postings to a running total per record. That is each
-record's term-frequency sum over the query's distinct tokens, and only
-records sharing a token get a total; the others would score 0 and be dropped
-anyway. ``_lexical_ranking`` keeps the visible totals (``ts < now``) and
+``Postings`` holds each record's key counts, a plain dict counted in one
+pass over its keys, plus postings (key -> {record_id: count}). What a key
+is belongs to the backend: ``_index_keys(record)`` returns the index
+tokens of the text by default (fifo_queue, queue_segment, inverted_vector);
+property_graph keys the triplet's entity tokens, lsh_hash one ``(table,
+signature)`` pair per LSH table, and summary_vector nothing. The base keeps
+the postings current eagerly in ``insert``, ``reindex`` and ``remove``, so a
+record is keyed once per write, never per query. ``MemoryStore._key_totals``
+sums the scores from the postings: for each distinct index token of the
+query it adds the counts in that token's postings to a running total per
+record. That is each record's term-frequency sum over the query's distinct
+tokens, and only records sharing a token get a total; the others would
+score 0 and be dropped anyway. ``_lexical_ranking`` keeps the visible totals (``ts < now``) and
 sorts them as ``(-total, record_id)``, so lexical search returns what a scan
 over every record would. ``_keyed_scores`` maps the visible records to
 their totals; property_graph's entity keys are a set, so each count is 1 and a
@@ -290,13 +291,15 @@ class Postings:
     """Per-record key counts plus postings (see module docstring)."""
 
     def __init__(self):
-        self.counts: dict[str, Counter] = {}
+        self.counts: dict[str, dict[Hashable, int]] = {}
         self.postings: dict[Hashable, dict[str, int]] = {}
 
     def add(self, record_id: str, keys: Iterable[Hashable]):
         """Index the record under ``keys``, replacing any earlier entry."""
         self.drop(record_id)
-        counts = Counter(keys)
+        counts: dict[Hashable, int] = {}
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
         if not counts:
             return
         self.counts[record_id] = counts
@@ -428,11 +431,11 @@ class MemoryStore(ABC):
         dots = np.matmul(index.matrix[survivors][:, None, :], query[:, None])[:, 0, 0]
         denom = query_norm * index.norms[survivors]
         sims = np.divide(dots, denom, out=np.zeros(len(survivors)), where=denom != 0)
-        scored = list(zip([index.records[row] for row in survivors], sims.tolist()))
-        if floor is not None:
-            scored = [(record, sim) for record, sim in scored if sim >= floor]
-        scored.sort(key=lambda item: (-item[1], item[0].record_id))
-        return scored
+        records = index.records
+        ranked = sorted([(-sim, records[row].record_id, row)
+                         for row, sim in zip(survivors, sims.tolist())
+                         if floor is None or sim >= floor])
+        return [(records[row], -negated) for negated, _, row in ranked]
 
     def _key_totals(self, signal: RetrievalSignal) -> dict[str, int]:
         """Summed key counts of every record sharing a query token, visible or not."""

@@ -4,6 +4,7 @@ Each reads only record, trace and request fields, never a store's indexes,
 so a fault in an index or a fast path cannot hide in its own reference.
 """
 
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,7 @@ from memstream.records import Candidate
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.queue_segment import QueueSegmentStore
 from memstream.stream import KIND_INSERT
-from memstream.text import index_tokens
+from memstream.text import index_tokens, metric_tokens
 
 DEFAULT_RRF_K = 60
 
@@ -124,6 +125,24 @@ def ref_retrieve(store, signal, k, now):
     if isinstance(store, QueueSegmentStore) and signal.embedding is not None:
         return ref_vector_search(store, signal, k, now)
     return ref_lexical_search(store, signal, k, now)  # fifo_queue
+
+
+def trigram_loop_embed(text, dim):
+    """The mock embedding as one +/-1 per trigram of the joined tokens, L2-normalized."""
+    joined = " ".join(metric_tokens(text))
+    vec = np.zeros(dim, dtype=np.float64)
+    if not joined:
+        return vec
+    grams = [joined] if len(joined) < 3 else [joined[i:i + 3] for i in range(len(joined) - 2)]
+    for gram in grams:
+        h = zlib.crc32(gram.encode("utf-8"))
+        bucket = h % dim
+        sign = 1.0 if (h >> 16) & 1 else -1.0
+        vec[bucket] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0:
+        vec /= norm
+    return vec
 
 
 def chat_ns_by_stage(trace) -> dict[str, int]:

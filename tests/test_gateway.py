@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from memstream.config import CheckpointSchedule, ExperimentConfig, GatewayConfig, StoreConfig
 from memstream.errors import GatewayError
 from memstream.gateway import (
+    TOKEN_CODE_MEMO_SIZE,
     ChatRequest,
     MockGateway,
     RemoteGateway,
     TokenBucket,
+    _token_codes,
     mock_embed_text,
 )
 from memstream.orchestrator import build_gateway, run_experiment
@@ -28,6 +30,7 @@ from memstream.stream import (
     serialize_stream,
 )
 from memstream.text import metric_tokens
+from reference import trigram_loop_embed
 
 
 def make_gateway(**kwargs):
@@ -99,24 +102,6 @@ def test_mock_embed_text_matches_gateway_path():
     assert np.array_equal(gw.embed(["hello world"])[0], direct)
 
 
-def trigram_loop_embed(text, dim):
-    """The per-trigram loop mock_embed_text replaced, kept as its reference."""
-    joined = " ".join(metric_tokens(text))
-    vec = np.zeros(dim, dtype=np.float64)
-    if not joined:
-        return vec
-    grams = [joined] if len(joined) < 3 else [joined[i:i + 3] for i in range(len(joined) - 2)]
-    for gram in grams:
-        h = zlib.crc32(gram.encode("utf-8"))
-        bucket = h % dim
-        sign = 1.0 if (h >> 16) & 1 else -1.0
-        vec[bucket] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm > 0:
-        vec /= norm
-    return vec
-
-
 # short words make one-character tokens and joined strings of 0-2
 # characters; punctuation (category P) is stripped, symbols (S) are kept;
 # lone surrogates (Cs) have no UTF-8 form to hash
@@ -140,6 +125,23 @@ def test_mock_embed_text_matches_trigram_loop(text, dim):
     want = trigram_loop_embed(text, dim)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_token_memo_keys_on_dim():
+    # "the harbor" and "the hat" share the joining gram "e h" and the token
+    # "the"; embedding them at interleaved dims must not reuse one dim's codes
+    _token_codes.cache_clear()
+    texts = ["the harbor", "the hat is red", "a red hat", "the harbor hat"]
+    for dim in (7, 64, 7, 256, 64, 1):
+        for text in texts:
+            want = trigram_loop_embed(text, dim)
+            assert mock_embed_text(text, dim).tobytes() == want.tobytes(), (text, dim)
+
+
+def test_token_memo_is_bounded():
+    assert _token_codes.cache_info().maxsize == TOKEN_CODE_MEMO_SIZE > 0
+    mock_embed_text(" ".join(f"w{i}" for i in range(64)), 64)
+    assert 0 < _token_codes.cache_info().currsize <= TOKEN_CODE_MEMO_SIZE
 
 
 # texts with no surviving characters embed to the zero vector

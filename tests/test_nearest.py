@@ -536,6 +536,32 @@ def test_a_freed_row_never_comes_back(dim):
     assert store._index._free == []  # every freed row was reused
 
 
+def test_exact_cosine_ties_rank_by_record_id():
+    # duplicate embeddings tie exactly; a reused row puts a later record id
+    # above earlier ones in the matrix, so row order is not id order
+    rng = np.random.default_rng(11)
+    shared, near, far = rng.normal(size=(3, DIM))
+    store = build_store("inverted_vector", embed_dim=DIM, params={"mode": "vector"})
+    store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i, session_id="s0",
+                               embedding=vector.copy())
+                  for i, vector in enumerate([shared, shared, far, shared, shared])])
+    store.nearest(shared)  # build the matrix before a row is freed
+    store.remove("m000001")
+    store.insert([MemoryRecord(record_id="", text="reused", ts=9, session_id="s0",
+                               embedding=shared.copy())])
+    store.insert([MemoryRecord(record_id="", text="near", ts=10, session_id="s0",
+                               embedding=shared + 1e-3 * near)])
+    tied = ["m000002", "m000004", "m000005", "m000006"]
+    got = store.nearest(shared)
+    assert store._index.row_of["m000006"] == 0
+    assert [r.record_id for r, _ in got] == tied + ["m000007", "m000003"]
+    assert len({sim.hex() for _, sim in got[:4]}) == 1
+    assert [r.record_id for r, _ in store.nearest(shared, top=2)][:2] == tied[:2]
+    assert [r.record_id for r, _ in store.nearest(shared, floor=got[0][1])] == tied
+    assert [r.record_id for r, _ in store.nearest(shared, exclude=["m000004"], top=3)][:3] \
+        == ["m000002", "m000005", "m000006"]
+
+
 class ProductLog(np.ndarray):
     """An index matrix that logs how many rows each matrix-vector product spans."""
 

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from memstream.records import (
     Triplet,
 )
 from memstream.stores import BACKENDS, build_store
-from memstream.stores.base import cosine, fold_cosine, fused_candidates, normalize_ratio
+from memstream.stores.base import (
+    Postings,
+    cosine,
+    fold_cosine,
+    fused_candidates,
+    normalize_ratio,
+)
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.queue_segment import QueueSegmentStore
@@ -211,6 +218,32 @@ def test_fuse_scores_rrf():
     assert fused_candidates([[], []], records.__getitem__, "fused", 3) == []
     with pytest.raises(ValueError):
         fused_candidates([["a"]], records.__getitem__, "fused", 1, k_rrf=-1)
+
+
+POSTINGS_KEYS = ["b", "a", "b", (0, 5), "c", "b", (0, 5)]
+
+
+@pytest.mark.parametrize("shape", [list, set, lambda keys: (key for key in keys)],
+                         ids=["list", "set", "generator"])
+def test_postings_count_keys_like_a_counter(shape):
+    index = Postings()
+    index.add("m1", shape(POSTINGS_KEYS))
+    index.add("m2", shape(["b", "d", "d"]))
+    want = Counter(shape(POSTINGS_KEYS))
+    assert index.counts["m1"] == dict(want)
+    assert index.counts["m2"] == dict(Counter(shape(["b", "d", "d"])))
+    for key, count in want.items():
+        assert index.postings[key]["m1"] == count
+    # re-adding replaces the entry: old keys are dropped, other records kept
+    index.add("m1", shape(["d", "e", "e"]))
+    assert index.counts["m1"] == dict(Counter(shape(["d", "e", "e"])))
+    assert set(index.postings) == {"b", "d", "e"}
+    assert index.postings["b"] == {"m2": index.counts["m2"]["b"]}
+    assert index.postings["d"] == {"m1": 1, "m2": index.counts["m2"]["d"]}
+    # no keys, no entry
+    index.add("m1", shape([]))
+    assert "m1" not in index.counts
+    assert set(index.postings) == {"b", "d"}
 
 
 # -- fifo_queue ---------------------------------------------------------------
