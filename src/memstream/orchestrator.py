@@ -3,10 +3,10 @@ insert/evaluate cycle, checkpoint scheduling, and result persistence.
 
 Execution model
 ---------------
-A producer thread feeds requests through a bounded buffer (capacity B, the
-backpressure knob); the consumer processes them one at a time. Every Insert
-runs normalize -> tentative insert -> consolidate to completion before the
-next request is taken. Every Retrieve is evaluated when it arrives, against
+A run has one thread of control. Requests reach it through a bounded
+buffer (capacity B) that refills from the manifest on that same thread, and
+are processed one at a time. Every Insert runs normalize -> tentative
+insert -> consolidate to completion before the next request is taken. Every Retrieve is evaluated when it arrives, against
 the store as it stands then, so later inserts, evictions and merges cannot
 reach back into its answer and the answer does not depend on where the
 checkpoint boundaries fall. Its result is held until the next checkpoint
@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -78,26 +78,21 @@ from .stream import (
     write_atomic,
 )
 
-_END = object()
-
 
 # ----------------------------------------------------------------------
 # bounded streaming source
 # ----------------------------------------------------------------------
 
 class HistorySource:
-    """Replays a manifest through a bounded buffer with backpressure.
+    """Replays a manifest through a bounded buffer on the consumer's thread.
 
-    The producer thread blocks whenever ``buffer_capacity`` requests are
-    waiting, so the stream never runs more than ``buffer_capacity`` requests
-    ahead of the consumer. The consumer wakes a blocked producer only once
-    the buffer has drained to half of it (``capacity // 2``), so the
-    producer refills in one run per half buffer instead of waking, and
-    taking the GIL, between every two requests the consumer measures.
-    ``high_water`` records the largest buffer occupancy ever observed
-    (updated under the same lock that guards the buffer, so it is exact).
-    ``close`` releases a producer blocked on a full buffer once the consumer
-    stops early, e.g. when a run aborts.
+    The buffer never holds more than ``buffer_capacity`` requests, so the
+    stream never runs more than that far ahead of the consumer. Once the
+    consumer has drained it to half (``capacity // 2``) or below, the next
+    read refills it to ``capacity`` from the manifest in one run, so the
+    manifest is read in runs of half a buffer rather than one request at a
+    time. ``high_water`` records the largest occupancy, which is
+    ``min(capacity, len(manifest.requests))`` once iteration has started.
     """
 
     def __init__(self, manifest: StreamManifest, buffer_capacity: int):
@@ -106,63 +101,18 @@ class HistorySource:
         self.manifest = manifest
         self.capacity = buffer_capacity
         self._refill_at = buffer_capacity // 2
-        self._items: deque = deque()
-        self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
-        self._not_empty = threading.Condition(self._lock)
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
         self.high_water = 0
 
-    def _put(self, item) -> bool:
-        """Append under backpressure; False once the source is closed."""
-        with self._not_full:
-            while len(self._items) >= self.capacity and not self._closed:
-                self._not_full.wait()
-            if self._closed:
-                return False
-            self._items.append(item)
-            # the end-of-stream sentinel is not a buffered request
-            if item is not _END and len(self._items) > self.high_water:
-                self.high_water = len(self._items)
-            self._not_empty.notify()
-            return True
-
-    def _get(self):
-        with self._not_empty:
-            while not self._items:
-                self._not_empty.wait()
-            item = self._items.popleft()
-            if len(self._items) <= self._refill_at:
-                self._not_full.notify()
-            return item
-
-    def _produce(self):
-        for request in self.manifest.requests:
-            if not self._put(request):
-                return
-        self._put(_END)
-
-    def start(self):
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._produce, daemon=True)
-            self._thread.start()
-
-    def close(self):
-        """Stop the producer and wait for its thread to exit."""
-        with self._lock:
-            self._closed = True
-            self._not_full.notify_all()
-        if self._thread is not None:
-            self._thread.join()
-
     def __iter__(self) -> Iterator[Request]:
-        self.start()
+        pending = iter(self.manifest.requests)
+        items: deque = deque()
         while True:
-            item = self._get()
-            if item is _END:
-                return
-            yield item
+            if len(items) <= self._refill_at:
+                items.extend(islice(pending, self.capacity - len(items)))
+                self.high_water = max(self.high_water, len(items))
+                if not items:
+                    return
+            yield items.popleft()
 
 
 # ----------------------------------------------------------------------
@@ -527,8 +477,6 @@ class _Pipeline:
         except StoreError as err:
             self.result.status = "aborted"
             self.result.error = f"{type(err).__name__}: {err}"
-        finally:
-            source.close()
         self.result.high_water = source.high_water
         return self.result
 

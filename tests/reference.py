@@ -6,10 +6,14 @@ so a fault in an index or a fast path cannot hide in its own reference.
 
 import zlib
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 
+from memstream import ingest
+from memstream.errors import UnsupportedBackend
 from memstream.records import Candidate
+from memstream.stores.base import cosine
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.queue_segment import QueueSegmentStore
 from memstream.stream import KIND_INSERT
@@ -125,6 +129,85 @@ def ref_retrieve(store, signal, k, now):
     if isinstance(store, QueueSegmentStore) and signal.embedding is not None:
         return ref_vector_search(store, signal, k, now)
     return ref_lexical_search(store, signal, k, now)  # fifo_queue
+
+
+def ref_nearest_existing(store, record, exclude, limit):
+    """Top ``limit`` records by cosine, or by index-token overlap without an embedding."""
+    pool = [r for r in store.all_records() if r.record_id not in exclude]
+    if record.embedding is not None:
+        scored = [(r, cosine(record.embedding, r.embedding))
+                  for r in pool if r.embedding is not None]
+    else:
+        tokens = set(index_tokens(record.text))
+        scored = []
+        for r in pool:
+            overlap = len(tokens & set(index_tokens(r.text)))
+            if overlap:
+                scored.append((r, float(overlap)))
+    scored.sort(key=lambda item: (-item[1], item[0].record_id))
+    return [r for r, _ in scored[:limit]]
+
+
+def ref_link_evolution(store, new_ids, link_top_m, link_threshold):
+    """Link each new record to its ``link_top_m`` nearest at or above the threshold."""
+    if not store.supports_links:
+        raise UnsupportedBackend(store.name)
+    created = []
+    exclude = set(new_ids)
+    for new_id in new_ids:
+        record = store.get(new_id)
+        if record.embedding is None:
+            continue
+        scored = [(other, cosine(record.embedding, other.embedding))
+                  for other in store.all_records()
+                  if other.record_id not in exclude and other.embedding is not None]
+        scored = [(other, sim) for other, sim in scored if sim >= link_threshold]
+        scored.sort(key=lambda item: (-item[1], item[0].record_id))
+        for other, _sim in scored[:link_top_m]:
+            record.links.add(other.record_id)
+            other.links.add(new_id)
+            created.append(f"LINK {new_id}<->{other.record_id}")
+    return created
+
+
+def ref_semantic_consolidation(store, new_ids, dedup_threshold):
+    """Merge each new record into its nearest older one at or above the threshold."""
+    merged = []
+    exclude = set(new_ids)
+    for new_id in new_ids:
+        newer = store.get(new_id)
+        if newer.embedding is None:
+            continue
+        best, best_sim = None, -2.0
+        for older in store.all_records():
+            if older.record_id in exclude or older.embedding is None:
+                continue
+            sim = cosine(newer.embedding, older.embedding)
+            if sim > best_sim or (sim == best_sim and best is not None
+                                  and older.record_id < best.record_id):
+                best, best_sim = older, sim
+        if best is not None and best_sim >= dedup_threshold:
+            ingest.merge_records(store, best, newer)
+            merged.append(f"MERGE {new_id}->{best.record_id}")
+    return merged
+
+
+def ref_consolidate(store, new_ids, cfg, gateway):
+    """The action lines of ``cfg.strategy`` over the live ``new_ids``, by
+    per-record scans; crud keeps its own code with the reference neighbours."""
+    live = {record.record_id for record in store.all_records()}
+    new_ids = [record_id for record_id in new_ids if record_id in live]
+    if cfg.strategy == "crud":
+        with mock.patch.object(ingest, "_nearest_existing", ref_nearest_existing):
+            return ingest.consolidate_crud(store, new_ids, gateway).actions
+    if cfg.strategy == "link_evolution":
+        return ref_link_evolution(store, new_ids, cfg.link_top_m, cfg.link_threshold)
+    return ref_semantic_consolidation(store, new_ids, cfg.dedup_threshold)
+
+
+def as_bits(candidates):
+    """Candidates as (record id, exact score bits, source) triples."""
+    return [(c.record_id, c.score.hex(), c.source) for c in candidates]
 
 
 def trigram_loop_embed(text, dim):

@@ -235,19 +235,42 @@ def test_run_duplicate_variant_names_is_config_error(runner, tmp_path, force):
     assert not (tmp_path / "results").exists()
 
 
+def strip_latency(obj):
+    if isinstance(obj, dict):
+        return {k: strip_latency(v) for k, v in obj.items() if k != "latency"}
+    if isinstance(obj, list):
+        return [strip_latency(v) for v in obj]
+    return obj
+
+
+def variant_results(variant_dir):
+    """A variant's result files outside ``latency`` keys, less its output path."""
+    summary = strip_latency(json.loads((variant_dir / "summary.json").read_text()))
+    del summary["config"]["output_dir"]
+    jsonl = {name: [strip_latency(json.loads(line))
+                    for line in (variant_dir / name).read_text().splitlines()]
+             for name in ("checkpoints.jsonl", "queries.jsonl")}
+    return summary, jsonl, (variant_dir / "actions.log").read_bytes()
+
+
 def test_run_ablation_grid(runner, tmp_path):
     stream = make_stream(runner, tmp_path)
     config = make_config(
         tmp_path, stream,
         ablate={"store.backend": ["fifo_queue", "inverted_vector"],
                 "operators.k": [2, 4]})
-    result = runner.invoke(main, ["run", "-c", str(config), "--jobs", "4"])
-    assert result.exit_code == 0, result.output
-    variant_dirs = sorted(p.name for p in (tmp_path / "results").iterdir())
-    assert len(variant_dirs) == 4
-    assert all((tmp_path / "results" / d / "summary.json").exists()
-               for d in variant_dirs)
-    assert result.output.count("complete ->") == 4
+    results = {}
+    for jobs in ("1", "4"):
+        out = tmp_path / f"results-{jobs}"
+        result = runner.invoke(main, ["run", "-c", str(config), "--jobs", jobs,
+                                      "--set", f"output_dir={out}"])
+        assert result.exit_code == 0, result.output
+        assert result.output.count("complete ->") == 4
+        variant_dirs = sorted(out.iterdir())
+        assert len(variant_dirs) == 4
+        results[jobs] = {d.name: variant_results(d) for d in variant_dirs}
+    # threads change only wall-clock fields
+    assert results["1"] == results["4"]
 
 
 # ----------------------------------------------------------------------

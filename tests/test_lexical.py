@@ -34,7 +34,7 @@ from memstream.stores.property_graph import PropertyGraphStore, entity_keys
 from memstream.stores.summary_vector import SummaryVectorStore
 from memstream.text import index_tokens
 from memstream.workloads import SyntheticSpec, synth_workload
-from reference import ref_fused, ref_lexical_search, ref_retrieve
+from reference import as_bits, ref_fused, ref_lexical_search, ref_retrieve
 
 DIM = 32
 
@@ -60,10 +60,6 @@ CONFIGS = {
     "inverted_vector/fused": {},
 }
 CONSOLIDATE = ConsolidateConfig(strategy="semantic_consolidation", dedup_threshold=0.8)
-
-
-def as_bits(candidates):
-    return [(c.record_id, c.score.hex(), c.source) for c in candidates]
 
 
 def reference_keys(store, record):

@@ -2,23 +2,21 @@
 
 Every backend's vector search and the three neighbour-scanning consolidation
 policies go through ``MemoryStore.nearest``. The reference implementations
-below and in ``reference.py`` keep the per-record cosine loop each of them
-replaced; two stores fed the same operations, one per implementation, must
-return the same candidate ids and bit-identical scores and log the same
-consolidation actions. The lexical parts of the references score every
-visible record from its current text, so a fault in the postings or in
-``_lexical_ranked`` shows. A
-second property checks that the index rows, with their cached norms, always
-mirror the live embedded records, and that every free row carries
-``FREE_TS``. The last tests pin the index's numerics on random rows: cached
-norms and rescored scores bit for bit, a floor at exactly the best cosine,
-freed rows that never come back, and a screen restricted to some rows that
-multiplies only those rows and returns what the all-rows screen keeps of
-them.
+in ``reference.py`` and ``ref_search`` below keep the per-record cosine loop
+each of them replaced; two stores fed the same operations, one per
+implementation, must return the same candidate ids and bit-identical scores
+and log the same consolidation actions. The lexical parts of the
+references score every visible record from its current text, so a fault in
+the postings or in ``_lexical_ranked`` shows. A second property checks
+that the index rows, with their cached norms, always mirror the live
+embedded records, and that every free row carries ``FREE_TS``. The last
+tests pin the index's numerics on random rows: cached norms and rescored
+scores bit for bit, a floor at exactly the best cosine, freed rows that
+never come back, and a screen restricted to some rows that multiplies only
+those rows and returns what the all-rows screen keeps of them.
 """
 
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +25,6 @@ from hypothesis import strategies as st
 
 from memstream import ingest
 from memstream.config import ConsolidateConfig, config_from_dict
-from memstream.errors import UnsupportedBackend
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.orchestrator import _Pipeline
 from memstream.records import KIND_TRIPLET, MemoryRecord, RetrievalSignal, Triplet
@@ -42,9 +39,11 @@ from memstream.stores.summary_vector import SummaryVectorStore
 from memstream.text import index_tokens
 from memstream.workloads import SyntheticSpec, synth_workload
 from reference import (
+    as_bits,
     as_candidates,
     divided_by_top,
     ranked,
+    ref_consolidate,
     ref_cosine,
     ref_retrieve,
     ref_vector_search,
@@ -109,76 +108,6 @@ def ref_search(store, signal, k, now):
     return as_candidates(ranked(divided_by_top(scored))[:k], "graph")
 
 
-def ref_nearest_existing(store, record, exclude, limit):
-    pool = [r for r in store.all_records() if r.record_id not in exclude]
-    if record.embedding is not None:
-        scored = [(r, cosine(record.embedding, r.embedding))
-                  for r in pool if r.embedding is not None]
-    else:
-        tokens = set(index_tokens(record.text))
-        scored = []
-        for r in pool:
-            overlap = len(tokens & set(index_tokens(r.text)))
-            if overlap:
-                scored.append((r, float(overlap)))
-    scored.sort(key=lambda item: (-item[1], item[0].record_id))
-    return [r for r, _ in scored[:limit]]
-
-
-def ref_link_evolution(store, new_ids, link_top_m, link_threshold):
-    if not store.supports_links:
-        raise UnsupportedBackend(store.name)
-    created = []
-    exclude = set(new_ids)
-    for new_id in new_ids:
-        record = store.get(new_id)
-        if record.embedding is None:
-            continue
-        scored = [(other, cosine(record.embedding, other.embedding))
-                  for other in store.all_records()
-                  if other.record_id not in exclude and other.embedding is not None]
-        scored = [(other, sim) for other, sim in scored if sim >= link_threshold]
-        scored.sort(key=lambda item: (-item[1], item[0].record_id))
-        for other, _sim in scored[:link_top_m]:
-            record.links.add(other.record_id)
-            other.links.add(new_id)
-            created.append(f"LINK {new_id}<->{other.record_id}")
-    return created
-
-
-def ref_semantic_consolidation(store, new_ids, dedup_threshold):
-    merged = []
-    exclude = set(new_ids)
-    for new_id in new_ids:
-        newer = store.get(new_id)
-        if newer.embedding is None:
-            continue
-        best, best_sim = None, -2.0
-        for older in store.all_records():
-            if older.record_id in exclude or older.embedding is None:
-                continue
-            sim = cosine(newer.embedding, older.embedding)
-            if sim > best_sim or (sim == best_sim and best is not None
-                                  and older.record_id < best.record_id):
-                best, best_sim = older, sim
-        if best is not None and best_sim >= dedup_threshold:
-            ingest.merge_records(store, best, newer)
-            merged.append(f"MERGE {new_id}->{best.record_id}")
-    return merged
-
-
-def ref_consolidate(store, new_ids, strategy, gateway):
-    live = {record.record_id for record in store.all_records()}
-    new_ids = [record_id for record_id in new_ids if record_id in live]
-    if strategy == "crud":
-        with mock.patch.object(ingest, "_nearest_existing", ref_nearest_existing):
-            return ingest.consolidate_crud(store, new_ids, gateway).actions
-    if strategy == "link_evolution":
-        return ref_link_evolution(store, new_ids, CONSOLIDATE.link_top_m,
-                                  CONSOLIDATE.link_threshold)
-    return ref_semantic_consolidation(store, new_ids, CONSOLIDATE.dedup_threshold)
-
-
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
@@ -232,10 +161,6 @@ def same_records(a, b):
             assert ra.embedding.tobytes() == rb.embedding.tobytes()
 
 
-def as_bits(candidates):
-    return [(c.record_id, c.score.hex(), c.source) for c in candidates]
-
-
 # link_evolution raises UnsupportedBackend unless the backend keeps links
 CASES = [(c, s) for c in CONFIGS for s in STRATEGIES
          if s != "link_evolution" or BACKENDS[c.split("/")[0]].supports_links]
@@ -264,7 +189,7 @@ def test_nearest_matches_per_record_scan(config, strategy, ops):
             assert ids[0] == ids[1]
             if strategy != "none":
                 actions = ingest.run_consolidate(real, ids[0], clock, cfg, gateway, turn).actions
-                assert actions == ref_consolidate(ref, ids[1], strategy, gateway)
+                assert actions == ref_consolidate(ref, ids[1], cfg, gateway)
         elif kind == "query":
             _, text_i, when, k, embedded = op
             if not embedded and lsh:

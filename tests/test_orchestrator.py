@@ -4,10 +4,10 @@ stage-wall accounting."""
 
 import json
 import re
-import sys
+import math
 import threading
-import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -102,62 +102,53 @@ def base_config(**overrides):
 def test_history_source_high_water_bounded(capacity):
     manifest = make_manifest(n_inserts=30)
     source = HistorySource(manifest, buffer_capacity=capacity)
-    seen = []
-    for i, request in enumerate(source):
-        if i < 5:
-            time.sleep(0.002)  # let the producer run ahead as far as it can
-        seen.append(request.seq)
-    assert seen == [r.seq for r in manifest.requests]
-    assert 1 <= source.high_water <= capacity
+    assert [r.seq for r in source] == [r.seq for r in manifest.requests]
+    # 30 requests: more than capacities 1 and 4 hold, fewer than 64 does
+    assert source.high_water == min(capacity, len(manifest.requests))
 
 
-class CountingCondition(threading.Condition):
-    """A condition that counts the returns from ``wait``."""
+class CountingRequests:
+    """A request sequence that logs how many requests the consumer had
+    taken each time the source pulled one."""
 
-    def __init__(self, lock):
-        super().__init__(lock)
-        self.returns = 0
+    def __init__(self, n):
+        self.n = n
+        self.taken = 0
+        self.pulled_at: list[int] = []
 
-    def wait(self, timeout=None):
-        woken = super().wait(timeout)
-        self.returns += 1
-        return woken
+    def __iter__(self):
+        for seq in range(self.n):
+            self.pulled_at.append(self.taken)
+            yield seq
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 3, 64])
 def test_producer_refills_in_runs_of_half_a_buffer(capacity):
-    manifest = make_manifest(n_inserts=1000)
-    source = HistorySource(manifest, buffer_capacity=capacity)
-    source._not_full = CountingCondition(source._lock)
+    n = 1000
+    requests = CountingRequests(n)
+    source = HistorySource(SimpleNamespace(requests=requests), buffer_capacity=capacity)
     seen = []
-
-    def consume():
-        for request in source:
-            time.sleep(0)  # hand the producer the GIL between requests
-            seen.append(request.seq)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, to shake out lost wake-ups
-    try:
-        consumer = threading.Thread(target=consume, daemon=True)
-        consumer.start()
-        consumer.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not consumer.is_alive(), "the stream stalled"
-    source.close()
-    assert seen == [r.seq for r in manifest.requests]
-    assert 1 <= source.high_water <= capacity
-    if capacity == 64:
-        # woken once per half buffer drained, not once per request (~935)
-        assert source._not_full.returns <= 1000 / 32 + 2, source._not_full.returns
+    for seq in source:
+        seen.append(seq)
+        requests.taken += 1
+    assert seen == list(range(n))
+    # the (i + 1)-th pull comes at most one buffer ahead of the consumer
+    assert all(i + 1 <= taken + capacity
+               for i, taken in enumerate(requests.pulled_at))
+    # pulled in runs: each refill tops up at least capacity - capacity // 2
+    refills = len(set(requests.pulled_at))
+    assert refills <= math.ceil(n / (capacity - capacity // 2)) + 1, refills
+    assert source.high_water == capacity
 
 
 def test_high_water_counts_requests_not_the_end_marker():
     manifest = make_manifest(n_inserts=6, queries=[("q0", "fact number 2", "two", 3)])
     source = HistorySource(manifest, buffer_capacity=len(manifest.requests) + 1)
-    source._produce()  # nothing consumes, so every request stays buffered
-    assert len(source._items) == len(manifest.requests) + 1
+    stream = iter(source)
+    first = next(stream)  # the first read buffers every request at once
+    assert source.high_water == len(manifest.requests)
+    assert [first.seq] + [r.seq for r in stream] == [r.seq for r in manifest.requests]
+    # reaching the end of the stream adds nothing to the occupancy
     assert source.high_water == len(manifest.requests)
 
 
@@ -384,28 +375,36 @@ def test_store_failure_mid_run_aborts_with_partial_results():
     assert result.high_water >= 1
 
 
-def test_aborted_runs_release_the_producer_thread():
-    # 30 requests through a 2-slot buffer: the producer is still blocked on
-    # a full buffer when the third insert overflows the store and aborts
-    manifest = make_manifest(n_inserts=30)
+class ThreadCountingGateway(MockGateway):
+    """Mock gateway that records the live thread count at every call."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.thread_counts = []
+
+    def _call(self, *args):
+        self.thread_counts.append(threading.active_count())
+        return super()._call(*args)
+
+
+@pytest.mark.parametrize("store_capacity, status", [(64, "complete"), (2, "aborted")])
+def test_runs_start_no_thread(store_capacity, status):
+    # 30 requests through a 2-slot buffer; a 2-record store that refuses to
+    # overflow aborts the run on its third insert
+    manifest = make_manifest(n_inserts=30, queries=[("q0", "fact number 1", "1", 2)])
     cfg = base_config(
         store=StoreConfig(backend="fifo_queue",
-                          params={"capacity": 2, "overflow": "error"}),
+                          params={"capacity": store_capacity, "overflow": "error"}),
         checkpoint=CheckpointSchedule(every_n=1),
         buffer_capacity=2,
     )
+    gateway = ThreadCountingGateway(dim=32)
     before = threading.active_count()
-    for _ in range(3):
-        result = run_experiment(cfg, manifest, MockGateway(dim=32))
-        assert result.status == "aborted"
+    result = run_experiment(cfg, manifest, gateway)
+    assert result.status == status
+    assert gateway.thread_counts
+    assert set(gateway.thread_counts) == {before}
     assert threading.active_count() == before
-
-
-def test_close_ends_a_producer_blocked_on_a_full_buffer():
-    source = HistorySource(make_manifest(n_inserts=10), buffer_capacity=1)
-    next(iter(source))
-    source.close()
-    assert source._thread is not None and not source._thread.is_alive()
 
 
 def test_run_experiment_rejects_invalid_stream():
