@@ -4,6 +4,7 @@ Each reads only record, trace and request fields, never a store's indexes,
 so a fault in an index or a fast path cannot hide in its own reference.
 """
 
+import json
 import zlib
 from collections import Counter
 from unittest import mock
@@ -11,13 +12,20 @@ from unittest import mock
 import numpy as np
 
 from memstream import ingest
-from memstream.errors import UnsupportedBackend
-from memstream.records import Candidate
+from memstream.errors import SchemaError, UnsupportedBackend
+from memstream.records import KIND_RAW, TIER_ORDER, Candidate
 from memstream.stores.base import cosine
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.queue_segment import QueueSegmentStore
-from memstream.stream import KIND_INSERT
-from memstream.text import index_tokens, metric_tokens
+from memstream.stream import (
+    KIND_INSERT,
+    KIND_RETRIEVE,
+    InsertPayload,
+    Payload,
+    Request,
+    RetrievePayload,
+)
+from memstream.text import index_tokens, metric_tokens, split_sentences
 
 DEFAULT_RRF_K = 60
 
@@ -203,6 +211,103 @@ def ref_consolidate(store, new_ids, cfg, gateway):
     if cfg.strategy == "link_evolution":
         return ref_link_evolution(store, new_ids, cfg.link_top_m, cfg.link_threshold)
     return ref_semantic_consolidation(store, new_ids, cfg.dedup_threshold)
+
+
+def ref_forgetting_curve(store, now, retention_threshold):
+    """Evict every record whose retention fell below the threshold, in store order."""
+    victims = [record.record_id for record in store.all_records()
+               if ingest.retention(record, now) < retention_threshold]
+    evicted = []
+    for record_id in victims:
+        if store.is_live(record_id):  # a summary its last member took along
+            store.remove(record_id)
+            evicted.append(record_id)
+    return evicted
+
+
+def ref_heat_migration(store, now, cfg):
+    """Move each tiered record one tier up when hot or one down when cold, in store order."""
+    if not store.supports_tiers:
+        raise UnsupportedBackend(store.name)
+    migrations = []
+    for record in store.all_records():
+        if record.tier not in TIER_ORDER:
+            continue
+        idx = TIER_ORDER.index(record.tier)
+        score = ingest.heat(record, now, cfg.heat_alpha, cfg.heat_beta, cfg.heat_tau_s)
+        if score >= cfg.hot_heat and idx > 0:
+            target = TIER_ORDER[idx - 1]
+        elif score < cfg.cold_heat and idx < len(TIER_ORDER) - 1:
+            target = TIER_ORDER[idx + 1]
+        else:
+            continue
+        origin = record.tier
+        store.migrate(record.record_id, target)
+        migrations.append(f"MIGRATE {record.record_id} {origin}->{target}")
+    return migrations
+
+
+def ref_session_summary(store, session_id, max_sentences):
+    """(text, ts, embedding) of a session summary rebuilt from its live raw
+    turns; None for a session without any."""
+    members = [record for record in store.all_records()
+               if record.kind == KIND_RAW and record.session_id == session_id]
+    if not members:
+        return None
+    leads = []
+    for member in members:
+        sentences = split_sentences(member.text)
+        if sentences:
+            leads.append(sentences[0])
+        if len(leads) >= max_sentences:
+            break
+    vectors = [member.embedding for member in members if member.embedding is not None]
+    embedding = None
+    if vectors:
+        mean = np.mean(np.stack(vectors), axis=0)
+        norm = float(np.linalg.norm(mean))
+        if norm != 0.0:
+            embedding = (mean / norm).astype(np.float64)
+    return " ".join(leads), max(m.ts for m in members), embedding
+
+
+def ref_line_to_request(line, lineno=0):
+    """One wire-format line as a Request, through ``json.loads`` and keyword calls."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"line {lineno}: not valid JSON: {exc}") from exc
+    if not isinstance(row, dict):
+        raise SchemaError(f"line {lineno}: expected an object")
+    try:
+        seq = int(row["seq"])
+        ts = int(row["ts_us"])
+        kind = row["kind"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"line {lineno}: missing/invalid seq, ts_us or kind") from exc
+    try:
+        if kind == KIND_INSERT:
+            payload: Payload = InsertPayload(
+                context=row["context"],
+                session_id=row["session_id"],
+                speaker=row.get("speaker"),
+                turn_index=int(row.get("turn_index", 0)),
+            )
+        elif kind == KIND_RETRIEVE:
+            payload = RetrievePayload(
+                query=row["query"],
+                gold_answer=row.get("gold_answer", ""),
+                query_id=row["query_id"],
+                category=row.get("category", "unknown"),
+                session_id=row.get("session_id", ""),
+            )
+        else:
+            raise SchemaError(f"line {lineno}: unknown kind {kind!r}")
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"line {lineno}: bad {kind} payload: {exc}") from exc
+    return Request(seq=seq, ts=ts, kind=kind, payload=payload)
 
 
 def as_bits(candidates):

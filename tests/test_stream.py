@@ -1,5 +1,7 @@
 """Stream serialization, validation, wire format."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,12 +25,15 @@ from memstream.stream import (
     SessionTurns,
     StreamManifest,
     Turn,
+    line_to_request,
     logical_tick,
     read_stream_file,
+    request_to_line,
     serialize_stream,
     validate_stream,
     write_stream_file,
 )
+from reference import ref_line_to_request
 
 
 def session(sid="s0", n=4, base=0):
@@ -165,6 +170,122 @@ def test_read_stream_file_rejects_garbage(tmp_path):
         read_stream_file(str(path))
     path.write_text('{"seq": 0, "ts_us": 1, "kind": "martian"}\n')
     with pytest.raises(SchemaError):
+        read_stream_file(str(path))
+
+
+INSERT_ROW = {"context": "the harbor is red.", "kind": "insert", "seq": 3, "session_id": "s0",
+              "speaker": "narrator", "ts_us": 2000000, "turn_index": 2}
+RETRIEVE_ROW = {"category": "static", "gold_answer": "red", "kind": "retrieve",
+                "query": "what color is the harbor", "query_id": "q0", "seq": 4,
+                "session_id": "", "ts_us": 2000001}
+
+
+def row(base, **changes):
+    """``base`` with ``changes`` applied (a None value drops the key), as one line."""
+    out = {key: value for key, value in {**base, **changes}.items() if value is not None}
+    return json.dumps(out, sort_keys=True, ensure_ascii=False)
+
+
+INSERT = row(INSERT_ROW)
+RETRIEVE = row(RETRIEVE_ROW)
+PARSER_CORPUS = [
+    # valid rows, with and without the optional keys
+    INSERT,
+    RETRIEVE,
+    row(INSERT_ROW, speaker=None, turn_index=None),
+    row(RETRIEVE_ROW, gold_answer=None, category="abstention", session_id=None),
+    row(RETRIEVE_ROW, category=None),
+    json.dumps(INSERT_ROW, indent=1).replace("\n", " "),
+    # whitespace around an object, passed in directly
+    f"  {INSERT}  ",
+    f"\t{RETRIEVE}",
+    f"{INSERT} ",
+    # trailing data and two objects on one line
+    f"{INSERT} x",
+    f"{INSERT}{RETRIEVE}",
+    f"{INSERT} {RETRIEVE}",
+    f"{INSERT},",
+    # a byte order mark
+    "\ufeff" + INSERT,
+    # not an object, or not JSON
+    "[]",
+    '"x"',
+    "null",
+    "3",
+    "",
+    " ",
+    "{not json",
+    INSERT[:-1],
+    "{'seq': 0}",
+    # non-finite numbers and a raw U+2028 inside a string
+    INSERT.replace('"seq": 3', '"seq": NaN'),
+    INSERT.replace('"turn_index": 2', '"turn_index": NaN'),
+    INSERT.replace('"ts_us": 2000000', '"ts_us": Infinity'),
+    row(INSERT_ROW, context="the harbor\u2028is red."),
+    # missing and ill-typed keys
+    row(INSERT_ROW, seq=None),
+    row(INSERT_ROW, ts_us=None),
+    row(INSERT_ROW, kind=None),
+    row(INSERT_ROW, context=None),
+    row(INSERT_ROW, session_id=None),
+    row(RETRIEVE_ROW, query=None),
+    row(RETRIEVE_ROW, query_id=None),
+    row(INSERT_ROW, seq="3"),
+    row(INSERT_ROW, seq="three"),
+    row(INSERT_ROW, seq=[3]),
+    row(INSERT_ROW, ts_us=2.5),
+    row(INSERT_ROW, turn_index="two"),
+    row(INSERT_ROW, turn_index=-1),
+    row(INSERT_ROW, context="   "),
+    row(INSERT_ROW, session_id=""),
+    row(RETRIEVE_ROW, gold_answer=""),
+    row(RETRIEVE_ROW, query_id=""),
+    row(INSERT_ROW, context=5),
+    row(INSERT_ROW, session_id=7),
+    row(RETRIEVE_ROW, query=["what"]),
+    # an unknown kind
+    row(INSERT_ROW, kind="martian"),
+    row(INSERT_ROW, kind=7),
+    # not a str
+    INSERT.encode("utf-8"),
+    bytearray(RETRIEVE.encode("utf-8")),
+    ("  " + INSERT).encode("utf-8"),
+    b"\xff",
+    None,
+    7,
+]
+
+
+def parse_outcome(parse, line):
+    """What ``parse`` makes of ``line``: its Request, or its error's type and text."""
+    try:
+        request = parse(line, 12)
+    except Exception as exc:  # the type is part of the outcome
+        return type(exc).__name__, str(exc)
+    return "Request", request, repr(request)
+
+
+@pytest.mark.parametrize("line", PARSER_CORPUS, ids=range(len(PARSER_CORPUS)))
+def test_line_parser_matches_reference(line):
+    assert parse_outcome(line_to_request, line) == parse_outcome(ref_line_to_request, line)
+
+
+def test_crlf_endings_and_blank_lines_read_like_lf(tmp_path):
+    manifest = serialize_stream([session("s0", 3)], [query("q0", [("s0", 1)])])
+    lines = [line.encode("utf-8") for line in map(request_to_line, manifest.requests)]
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    lf.write_bytes(b"".join(line + b"\n" for line in lines))
+    crlf.write_bytes(b"\r\n" + b"\r\n\r\n".join(lines) + b"\r\n  \r\n")
+    assert read_stream_file(str(crlf), source="s") == read_stream_file(str(lf), source="s")
+    assert read_stream_file(str(lf)).requests == manifest.requests
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
+def test_errors_name_the_physical_line_counting_blank_ones(tmp_path, ending):
+    good = request_to_line(serialize_stream([session("s0", 1)]).requests[0]).encode("utf-8")
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(ending.join([good, b"", b"   ", good + b" x", good]) + ending)
+    with pytest.raises(SchemaError, match=r"^line 4: not valid JSON: Extra data"):
         read_stream_file(str(path))
 
 
