@@ -260,14 +260,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
+def _plain(obj):
+    """``obj`` with every dataclass in it turned into a dict, recursively."""
+    if hasattr(obj, "__dataclass_fields__"):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dc_fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    return obj
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    def as_dict(obj):
-        if hasattr(obj, "__dataclass_fields__"):
-            return {f.name: as_dict(getattr(obj, f.name)) for f in dc_fields(obj)}
-        if isinstance(obj, dict):
-            return {k: as_dict(v) for k, v in obj.items()}
-        return obj
-    return as_dict(cfg)
+    # a module-level walker: a nested recursive function is a reference
+    # cycle (function -> closure cell -> function), which a run must not make
+    return _plain(cfg)
 
 
 def load_config_file(path: str | Path) -> dict:

@@ -39,6 +39,7 @@ import math
 import os
 import threading
 import time
+import traceback
 import zlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -433,6 +434,25 @@ _REMOTE_PROMPTS: dict[str, str] = {
 }
 
 
+def _clear_chain_frames(exc: BaseException):
+    """Clear the locals of every frame along ``exc``'s cause/context chain.
+
+    requests wraps a refused connection in several exceptions whose
+    tracebacks' frames hold the exceptions in turn, which leaves dozens of
+    objects in reference cycles per failed post. ``run_experiment`` runs
+    with the cyclic collector off, so the caller keeps only the message and
+    breaks the cycles here.
+    """
+    pending, seen = [exc], set()
+    while pending:
+        err = pending.pop()
+        if err is None or id(err) in seen:
+            continue
+        seen.add(id(err))
+        traceback.clear_frames(err.__traceback__)
+        pending += (err.__cause__, err.__context__)
+
+
 class RemoteGateway(Gateway):
     """OpenAI-compatible HTTP gateway with retry/backoff/deadline.
 
@@ -472,6 +492,7 @@ class RemoteGateway(Gateway):
                 response = self._session.post(url, json=payload, timeout=remaining)
             except Exception as exc:  # connection errors, timeouts
                 last_error = str(exc)
+                _clear_chain_frames(exc)
             else:
                 if response.status_code == 200:
                     # the server answered; a body that is not JSON is not retried

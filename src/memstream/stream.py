@@ -14,9 +14,12 @@ ordered (inserts first, then retrieves) and tie-broken by
 Validation findings are data, not exceptions: validate_stream returns every
 violation it can find rather than stopping at the first.
 
-Wire format: one JSON object per line, UTF-8. ``read_stream_file`` strips
-each line and skips blank ones; a malformed line raises SchemaError naming
-its physical line number, blank lines counted. ``line_to_request`` first
+Wire format: one JSON object per line, UTF-8. ``read_stream_file`` skips a
+byte order mark at the start of the file, strips each line and skips blank
+ones; a malformed line raises SchemaError naming its physical line number,
+blank lines counted. A payload's text fields (context, session_id, speaker,
+query, gold_answer, query_id, category) must be strings, speaker may be
+null, and any other value is a malformed line. ``line_to_request`` first
 decodes a line with one ``raw_decode`` call and takes the value only when it
 spans the whole line. Any other input (surrounding whitespace, trailing data,
 a byte order mark, invalid JSON, bytes) goes through ``json.loads``, which
@@ -44,6 +47,16 @@ def logical_tick(index: int) -> int:
     return index * TICK_US
 
 
+def _not_a_string(payload, *names: str) -> TypeError:
+    """The error for the first of ``names`` whose value on ``payload`` is not a str.
+
+    Called only once a payload's own check has failed, so an optional field
+    that holds None is never reached before the field that failed.
+    """
+    name = next(name for name in names if not isinstance(getattr(payload, name), str))
+    return TypeError(f"{name} must be a string, got {type(getattr(payload, name)).__name__}")
+
+
 @dataclass(frozen=True)
 class InsertPayload:
     context: str
@@ -52,7 +65,10 @@ class InsertPayload:
     turn_index: int = 0
 
     def __post_init__(self):
-        if not self.context or not self.context.strip():
+        if not (isinstance(self.context, str) and isinstance(self.session_id, str)
+                and (self.speaker is None or isinstance(self.speaker, str))):
+            raise _not_a_string(self, "context", "session_id", "speaker")
+        if not self.context.strip():
             raise ValueError("insert context must be non-empty after trimming")
         if not self.session_id:
             raise ValueError("insert session_id must be non-empty")
@@ -69,7 +85,12 @@ class RetrievePayload:
     session_id: str = ""
 
     def __post_init__(self):
-        if not self.query or not self.query.strip():
+        if not (isinstance(self.query, str) and isinstance(self.gold_answer, str)
+                and isinstance(self.query_id, str) and isinstance(self.category, str)
+                and isinstance(self.session_id, str)):
+            raise _not_a_string(self, "query", "gold_answer", "query_id", "category",
+                                "session_id")
+        if not self.query.strip():
             raise ValueError("query must be non-empty after trimming")
         if not self.query_id:
             raise ValueError("query_id must be non-empty")
@@ -372,7 +393,7 @@ def write_stream_file(manifest: StreamManifest, path: str):
 
 def read_stream_file(path: str, source: Optional[str] = None) -> StreamManifest:
     requests = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # skips a leading byte order mark
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -271,8 +271,19 @@ def ref_session_summary(store, session_id, max_sentences):
     return " ".join(leads), max(m.ts for m in members), embedding
 
 
+# a payload's text fields in field order; speaker alone may be None
+REF_TEXT_FIELDS = {
+    KIND_INSERT: ("context", "session_id", "speaker"),
+    KIND_RETRIEVE: ("query", "gold_answer", "query_id", "category", "session_id"),
+}
+
+
 def ref_line_to_request(line, lineno=0):
-    """One wire-format line as a Request, through ``json.loads`` and keyword calls."""
+    """One wire-format line as a Request, through ``json.loads`` and keyword calls.
+
+    A text field that holds anything but a string is a bad payload, named
+    before the payload's own checks run.
+    """
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -287,14 +298,14 @@ def ref_line_to_request(line, lineno=0):
         raise SchemaError(f"line {lineno}: missing/invalid seq, ts_us or kind") from exc
     try:
         if kind == KIND_INSERT:
-            payload: Payload = InsertPayload(
+            cls, fields = InsertPayload, dict(
                 context=row["context"],
                 session_id=row["session_id"],
                 speaker=row.get("speaker"),
                 turn_index=int(row.get("turn_index", 0)),
             )
         elif kind == KIND_RETRIEVE:
-            payload = RetrievePayload(
+            cls, fields = RetrievePayload, dict(
                 query=row["query"],
                 gold_answer=row.get("gold_answer", ""),
                 query_id=row["query_id"],
@@ -303,6 +314,11 @@ def ref_line_to_request(line, lineno=0):
             )
         else:
             raise SchemaError(f"line {lineno}: unknown kind {kind!r}")
+        for name in REF_TEXT_FIELDS[kind]:
+            value = fields[name]
+            if not isinstance(value, str) and not (name == "speaker" and value is None):
+                raise TypeError(f"{name} must be a string, got {type(value).__name__}")
+        payload: Payload = cls(**fields)
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,6 +1,7 @@
 """Exit codes and output of the four subcommands, driven through click's
 test runner against real files in temporary directories."""
 
+import gc
 import json
 
 import pytest
@@ -109,6 +110,33 @@ def test_validate_garbage_file(runner, tmp_path):
     result = runner.invoke(main, ["validate", str(path)])
     assert result.exit_code == 2
     assert "invalid stream" in result.output
+
+
+@pytest.mark.parametrize("key, value", [("context", 5), ("query", ["what"]),
+                                        ("gold_answer", 5), ("session_id", 7)])
+def test_validate_names_the_line_of_a_non_string_text_field(runner, tmp_path, key, value):
+    stream = make_stream(runner, tmp_path)
+    lines = stream.read_text().splitlines()
+    kind = "insert" if key in ("context", "session_id") else "retrieve"
+    at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+    row = json.loads(lines[at])
+    row[key] = value
+    lines[at] = json.dumps(row)
+    stream.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["validate", str(stream)])
+    assert result.exit_code == 2, result.output
+    assert f"invalid stream: line {at + 1}: bad {kind} payload: {key} must be a string" \
+        in result.output
+
+
+def test_validate_reads_a_byte_order_mark_like_its_absence(runner, tmp_path):
+    stream = make_stream(runner, tmp_path)
+    bom = tmp_path / "bom.jsonl"
+    bom.write_bytes(b"\xef\xbb\xbf" + stream.read_bytes())
+    plain = runner.invoke(main, ["validate", str(stream)])
+    marked = runner.invoke(main, ["validate", str(bom)])
+    assert (marked.exit_code, marked.output) == (plain.exit_code, plain.output)
+    assert plain.output.startswith("ok: ")
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +297,8 @@ def test_run_ablation_grid(runner, tmp_path):
         variant_dirs = sorted(out.iterdir())
         assert len(variant_dirs) == 4
         results[jobs] = {d.name: variant_results(d) for d in variant_dirs}
+        # each run turns the shared collector off; the threads' runs leave it on
+        assert gc.isenabled()
     # threads change only wall-clock fields
     assert results["1"] == results["4"]
 

@@ -243,6 +243,20 @@ PARSER_CORPUS = [
     row(INSERT_ROW, context=5),
     row(INSERT_ROW, session_id=7),
     row(RETRIEVE_ROW, query=["what"]),
+    # every other text field holding something else, null included
+    row(INSERT_ROW, speaker=5),
+    INSERT.replace('"speaker": "narrator"', '"speaker": null'),
+    INSERT.replace('"context": "the harbor is red."', '"context": null'),
+    row(INSERT_ROW, context={"text": "red"}),
+    row(INSERT_ROW, session_id=True),
+    row(RETRIEVE_ROW, gold_answer=5),
+    row(RETRIEVE_ROW, gold_answer=0.5, category="abstention"),
+    RETRIEVE.replace('"gold_answer": "red"', '"gold_answer": null'),
+    row(RETRIEVE_ROW, query_id=7),
+    row(RETRIEVE_ROW, category=3),
+    row(RETRIEVE_ROW, session_id=7),
+    # a type error and a missing key: the missing key is named
+    row(RETRIEVE_ROW, gold_answer=5, query_id=None),
     # an unknown kind
     row(INSERT_ROW, kind="martian"),
     row(INSERT_ROW, kind=7),
@@ -278,6 +292,14 @@ def test_crlf_endings_and_blank_lines_read_like_lf(tmp_path):
     crlf.write_bytes(b"\r\n" + b"\r\n\r\n".join(lines) + b"\r\n  \r\n")
     assert read_stream_file(str(crlf), source="s") == read_stream_file(str(lf), source="s")
     assert read_stream_file(str(lf)).requests == manifest.requests
+
+
+def test_a_leading_byte_order_mark_reads_like_its_absence(tmp_path):
+    manifest = serialize_stream([session("s0", 3)], [query("q0", [("s0", 1)])])
+    plain, marked = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+    write_stream_file(manifest, str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_stream_file(str(marked), source="s") == read_stream_file(str(plain), source="s")
 
 
 @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
