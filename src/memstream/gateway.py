@@ -13,7 +13,14 @@ Two implementations share the interface:
   most), so a text is one memo lookup per token and hashes only the tokens
   not yet seen after the same character. The unit norm is ``math.sqrt(vec.dot(vec))``,
   which is how numpy computes a 1-D float64 ``np.linalg.norm``, so the
-  vector's bits are the same.
+  vector's bits are the same. Each instance also keeps a template memo of at
+  most ``TEMPLATE_MEMO_SIZE`` entries: the answer template's analysis of a
+  context line (its ``(sentence, index-token frozenset)`` pairs, keyed on the
+  line) and the paraphrase template's synonym-swapped words (keyed on
+  ``("paraphrase", query)``). A full memo is emptied before the next entry
+  goes in. The memo lives on the instance, not the process: a run builds its
+  own gateway, so its latency does not depend on what ran before it in the
+  same process. Replies are those of the memo-free templates.
 * RemoteGateway — OpenAI-compatible HTTP endpoints ({base}/chat/completions
   and {base}/embeddings) with retries, exponential backoff and a per-call
   deadline. Credentials come from NEUROMEM_API_KEY / NEUROMEM_BASE_URL
@@ -184,6 +191,12 @@ _SMALL_TALK = frozenset({
 TOKEN_CODE_MEMO_SIZE = 1 << 14
 
 
+# Entries a MockGateway's template memo keeps: context lines for the answer
+# template and queries for the paraphrase template, each well under 1 KB. A
+# synthetic stream of 500 queries over 2,500 bundle lines fills about 830.
+TEMPLATE_MEMO_SIZE = 1 << 12
+
+
 def _gram_code(gram: str, dim: int) -> int:
     """The trigram's crc32 bucket, offset by ``dim`` when its sign is negative."""
     h = zlib.crc32(gram.encode("utf-8"))
@@ -256,12 +269,12 @@ def _strip_context_prefix(line: str) -> str:
     return body
 
 
-def _tpl_summarize(variables: dict) -> str:
+def _tpl_summarize(variables: dict, _memo: dict) -> str:
     sentences = split_sentences(variables.get("text", ""))
     return sentences[0] if sentences else ""
 
 
-def _tpl_triplets(variables: dict) -> str:
+def _tpl_triplets(variables: dict, _memo: dict) -> str:
     max_triplets = int(variables.get("max_triplets", 5))
     lines = []
     for sentence in split_sentences(variables.get("text", "")):
@@ -273,7 +286,7 @@ def _tpl_triplets(variables: dict) -> str:
     return "\n".join(lines) if lines else "no facts"
 
 
-def _tpl_crud(variables: dict) -> str:
+def _tpl_crud(variables: dict, _memo: dict) -> str:
     new_text = variables.get("new", "")
     new_fields = [f.strip() for f in new_text.split(" | ")]
     for line in variables.get("neighbors", "").splitlines():
@@ -288,7 +301,7 @@ def _tpl_crud(variables: dict) -> str:
     return "ADD"
 
 
-def _tpl_keywords(variables: dict) -> str:
+def _tpl_keywords(variables: dict, _memo: dict) -> str:
     max_keywords = int(variables.get("max_keywords", 5))
     tokens = index_tokens(variables.get("query", ""))
     counts: dict[str, int] = {}
@@ -300,7 +313,7 @@ def _tpl_keywords(variables: dict) -> str:
     return " ".join(ranked[:max_keywords])
 
 
-def _tpl_validate(variables: dict) -> str:
+def _tpl_validate(variables: dict, _memo: dict) -> str:
     tokens = raw_tokens(variables.get("query", ""))
     content = [t for t in tokens if t not in STOPWORDS]
     if not content or all(t in _SMALL_TALK for t in content):
@@ -308,7 +321,7 @@ def _tpl_validate(variables: dict) -> str:
     return "RETRIEVE"
 
 
-def _tpl_decompose(variables: dict) -> str:
+def _tpl_decompose(variables: dict, _memo: dict) -> str:
     query = variables.get("query", "")
     max_subqueries = int(variables.get("max_subqueries", 3))
     parts = [p.strip() for p in query.split(" and ") if p.strip()]
@@ -317,18 +330,29 @@ def _tpl_decompose(variables: dict) -> str:
     return "\n".join(parts[:max_subqueries])
 
 
-def _tpl_paraphrase(variables: dict) -> str:
+def _remember(memo: dict, key, value):
+    """Store ``value`` under ``key``, emptying a full memo first."""
+    if len(memo) >= TEMPLATE_MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _tpl_paraphrase(variables: dict, memo: dict) -> str:
     query = variables.get("query", "")
     index = int(variables.get("index", 0))
-    swapped = apply_synonyms(query, SYNONYMS_BIDIRECTIONAL)
-    words = swapped.split()
+    key = ("paraphrase", query)
+    words = memo.get(key)
+    if words is None:
+        words = _remember(memo, key,
+                          tuple(apply_synonyms(query, SYNONYMS_BIDIRECTIONAL).split()))
     if index > 0 and len(words) > 1:
         shift = index % len(words)
         words = words[shift:] + words[:shift]
     return " ".join(words)
 
 
-def _tpl_answer(variables: dict) -> str:
+def _tpl_answer(variables: dict, memo: dict) -> str:
     context = variables.get("context", "")
     if not context.strip():
         return "unknown"
@@ -336,16 +360,22 @@ def _tpl_answer(variables: dict) -> str:
     best_sentence = None
     best_score = -1
     for line in context.splitlines():
-        body = _strip_context_prefix(line)
-        for sentence in split_sentences(body):
-            score = len(query_tokens & set(index_tokens(sentence)))
+        pairs = memo.get(line)
+        if pairs is None:
+            pairs = _remember(memo, line, tuple(
+                (sentence, frozenset(index_tokens(sentence)))
+                for sentence in split_sentences(_strip_context_prefix(line))))
+        for sentence, tokens in pairs:
+            score = len(query_tokens & tokens)
             if score > best_score:
                 best_score = score
                 best_sentence = sentence
     return best_sentence if best_sentence is not None else "unknown"
 
 
-_MOCK_TEMPLATES: dict[str, Callable[[dict], str]] = {
+# Each template takes the request's variables and the gateway's template
+# memo; only answer and paraphrase use the memo.
+_MOCK_TEMPLATES: dict[str, Callable[[dict, dict], str]] = {
     "summarize": _tpl_summarize,
     "triplets": _tpl_triplets,
     "crud": _tpl_crud,
@@ -362,7 +392,9 @@ class MockGateway(Gateway):
 
     Every text is embedded afresh with ``mock_embed_text``; only the
     per-token trigram codes, joining gram included, are memoized, so no
-    vector outlives its call.
+    vector outlives its call. ``_memo`` is this instance's template memo
+    (see the module docstring); it starts empty and holds at most
+    ``TEMPLATE_MEMO_SIZE`` entries.
     ``failing`` holds template_ids whose chat calls raise GatewayError
     (fault injection for the fail-open paths); "embed" in the set makes
     embedding calls fail the same way.
@@ -374,6 +406,7 @@ class MockGateway(Gateway):
         super().__init__(rate_limit=rate_limit)
         self.dim = dim
         self.failing = set(failing or ())
+        self._memo: dict = {}
 
     def _embed_impl(self, texts: list[str]) -> tuple[list[np.ndarray], int]:
         if "embed" in self.failing:
@@ -386,7 +419,7 @@ class MockGateway(Gateway):
         template = _MOCK_TEMPLATES.get(request.template_id)
         if template is None:
             raise GatewayError("malformed", f"unregistered template: {request.template_id}")
-        return template(request.variables), 0
+        return template(request.variables, self._memo), 0
 
 
 # ---------------------------------------------------------------------------

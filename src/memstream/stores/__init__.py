@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import StoreError
-from .base import MemoryStore, cosine, fold_cosine, rank_candidates
+from .base import MemoryStore, fold_cosine, rank_candidates
 from .fifo import FifoQueueStore
 from .inverted_vector import InvertedVectorStore
 from .lsh import LshStore, lsh_signature
@@ -58,7 +58,6 @@ __all__ = [
     "QueueSegmentStore",
     "SummaryVectorStore",
     "build_store",
-    "cosine",
     "fold_cosine",
     "lsh_signature",
     "rank_candidates",

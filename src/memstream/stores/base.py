@@ -36,20 +36,21 @@ Upkeep is deferred: ``insert`` and ``reindex`` only queue the record and
 ``remove`` frees its row, and each queued row is written in place at the
 next ``nearest`` call (its embedding, ts and norm), so a store that never
 runs a vector scan never builds the matrix. The cached norm is
-``vector_norm`` of the written row, the bits of the ``np.linalg.norm`` call
-``cosine`` makes. The visibility test, ``exclude`` and ``rows`` make one
-mask. ``nearest`` screens the rows it keeps with a matrix-vector product
-divided by the query norm times the cached norms (0 where that is 0, as in
-``cosine``). The product spans every row, or only the kept rows when
-``rows`` restricts the scan, so lsh_hash's bucket candidates do not pay for
-the whole store. Of the screened rows at or above the ``floor`` (less
-``SCREEN_MARGIN``), those within ``SCREEN_MARGIN`` of the ``top``-th
-screened score survive. All survivors are then rescored in one batch: a
-stacked ``np.matmul`` of each survivor row (1 x d) with the query (d x 1),
-divided by the same denominator. numpy computes each of those 1 x d by
-d x 1 products with the dot loop ``np.dot`` uses, so every rescored score
-has the bits ``cosine`` gives for that pair. Survivors are sorted as
-decorated ``(-score, record_id, row)`` tuples, with no key function, so by
+``vector_norm`` of the written row, the bits of ``float(np.linalg.norm(row))``.
+The visibility test, ``exclude`` and ``rows`` make one mask. ``nearest``
+screens the rows it keeps with a matrix-vector product divided by the query
+norm times the cached norms (0 where that is 0, as in a per-pair cosine). The
+product spans every row, or only the kept rows when ``rows`` restricts the
+scan, so lsh_hash's bucket candidates do not pay for the whole store. Of the
+screened rows at or above the ``floor`` (less ``SCREEN_MARGIN``), those
+within ``SCREEN_MARGIN`` of the ``top``-th screened score survive. All
+survivors are then rescored in one batch: a stacked ``np.matmul`` of each
+survivor row (1 x d) with the query (d x 1), divided by the same
+denominator. numpy computes each of those 1 x d by d x 1 products with the
+dot loop ``np.dot`` uses, so every rescored score has the bits of the
+per-pair cosine, ``float(np.dot(a, b))`` divided by
+``float(np.linalg.norm(a)) * float(np.linalg.norm(b))``. Survivors are sorted
+as decorated ``(-score, record_id, row)`` tuples, with no key function, so by
 descending score with record_id as the tie-break. A matrix-vector product
 may differ from the per-pair dot product in the last ulp, and a product
 over some rows from one over all of them, so the screen alone would flip
@@ -99,24 +100,6 @@ from ..records import (
 from ..text import index_tokens
 
 DEFAULT_RRF_K = 60
-
-
-def cosine(a: np.ndarray, b: np.ndarray, norm_a: Optional[float] = None,
-           norm_b: Optional[float] = None) -> float:
-    """Cosine similarity; 0.0 when either vector is zero.
-
-    ``norm_a`` and ``norm_b`` take norms already computed as
-    ``float(np.linalg.norm(v))``; a norm not passed is computed that way here,
-    so the result is the same bits either way.
-    """
-    if norm_a is None:
-        norm_a = float(np.linalg.norm(a))
-    if norm_b is None:
-        norm_b = float(np.linalg.norm(b))
-    denom = norm_a * norm_b
-    if denom == 0:
-        return 0.0
-    return float(np.dot(a, b)) / denom
 
 
 def fold_cosine(value: float) -> float:

@@ -19,12 +19,16 @@ byte order mark at the start of the file, strips each line and skips blank
 ones; a malformed line raises SchemaError naming its physical line number,
 blank lines counted. A payload's text fields (context, session_id, speaker,
 query, gold_answer, query_id, category) must be strings, speaker may be
-null, and any other value is a malformed line. ``line_to_request`` first
-decodes a line with one ``raw_decode`` call and takes the value only when it
-spans the whole line. Any other input (surrounding whitespace, trailing data,
-a byte order mark, invalid JSON, bytes) goes through ``json.loads``, which
-either accepts it or raises the error it always has, so the fast path never
-changes what a line parses to or the message a bad line gets.
+null, and any other value is a malformed line. The clock fields (seq, ts_us
+and an insert's turn_index) must be JSON integers: a bool, a float (2.0 and
+NaN included) or a string is a malformed line, never truncated or converted,
+because a truncated timestamp can change which inserts a retrieve may see.
+``line_to_request`` first decodes a line with one ``raw_decode`` call and
+takes the value only when it spans the whole line. Any other input
+(surrounding whitespace, trailing data, a byte order mark, invalid JSON,
+bytes) goes through ``json.loads``, which either accepts it or raises the
+error it always has, so the fast path never changes what a line parses to
+or the message a bad line gets.
 """
 
 from __future__ import annotations
@@ -332,6 +336,10 @@ def request_to_line(request: Request) -> str:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+def _not_an_integer(name: str, value) -> str:
+    return f"{name} must be an integer, got {type(value).__name__}"
+
+
 def line_to_request(line: str, lineno: int = 0) -> Request:
     try:
         row, end = _raw_decode(line)
@@ -346,17 +354,24 @@ def line_to_request(line: str, lineno: int = 0) -> Request:
     if not isinstance(row, dict):
         raise SchemaError(f"line {lineno}: expected an object")
     try:
-        seq = int(row["seq"])
-        ts = int(row["ts_us"])
+        seq = row["seq"]
+        ts = row["ts_us"]
         kind = row["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"line {lineno}: missing/invalid seq, ts_us or kind") from exc
+    except KeyError as exc:
+        raise SchemaError(f"line {lineno}: missing seq, ts_us or kind") from exc
+    # exactly int: bool is an int subclass, and int() would truncate a float
+    if type(seq) is not int:
+        raise SchemaError(f"line {lineno}: {_not_an_integer('seq', seq)}")
+    if type(ts) is not int:
+        raise SchemaError(f"line {lineno}: {_not_an_integer('ts_us', ts)}")
     # positional arguments in field order: keywords cost a third more per call
     try:
         if kind == KIND_INSERT:
+            turn_index = row.get("turn_index", 0)
+            if type(turn_index) is not int:
+                raise TypeError(_not_an_integer("turn_index", turn_index))
             payload: Payload = InsertPayload(row["context"], row["session_id"],
-                                             row.get("speaker"),
-                                             int(row.get("turn_index", 0)))
+                                             row.get("speaker"), turn_index)
         elif kind == KIND_RETRIEVE:
             payload = RetrievePayload(row["query"], row.get("gold_answer", ""),
                                       row["query_id"], row.get("category", "unknown"),

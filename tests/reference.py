@@ -14,7 +14,6 @@ import numpy as np
 from memstream import ingest
 from memstream.errors import SchemaError, UnsupportedBackend
 from memstream.records import KIND_RAW, TIER_ORDER, Candidate
-from memstream.stores.base import cosine
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.queue_segment import QueueSegmentStore
 from memstream.stream import (
@@ -25,7 +24,13 @@ from memstream.stream import (
     Request,
     RetrievePayload,
 )
-from memstream.text import index_tokens, metric_tokens, split_sentences
+from memstream.text import (
+    SYNONYMS_BIDIRECTIONAL,
+    apply_synonyms,
+    index_tokens,
+    metric_tokens,
+    split_sentences,
+)
 
 DEFAULT_RRF_K = 60
 
@@ -52,7 +57,11 @@ def lexical_scores(records, signal, token_counts: dict[str, Counter]):
 
 
 def ref_cosine(a, b) -> float:
-    """Cosine similarity from ``np.linalg.norm``; 0.0 when either vector is zero."""
+    """Cosine similarity from ``np.linalg.norm``; 0.0 when either vector is zero.
+
+    The per-pair cosine the stores' batched ``nearest`` rescore matches bit
+    for bit.
+    """
     denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
     if denom == 0:
         return 0.0
@@ -143,7 +152,7 @@ def ref_nearest_existing(store, record, exclude, limit):
     """Top ``limit`` records by cosine, or by index-token overlap without an embedding."""
     pool = [r for r in store.all_records() if r.record_id not in exclude]
     if record.embedding is not None:
-        scored = [(r, cosine(record.embedding, r.embedding))
+        scored = [(r, ref_cosine(record.embedding, r.embedding))
                   for r in pool if r.embedding is not None]
     else:
         tokens = set(index_tokens(record.text))
@@ -166,7 +175,7 @@ def ref_link_evolution(store, new_ids, link_top_m, link_threshold):
         record = store.get(new_id)
         if record.embedding is None:
             continue
-        scored = [(other, cosine(record.embedding, other.embedding))
+        scored = [(other, ref_cosine(record.embedding, other.embedding))
                   for other in store.all_records()
                   if other.record_id not in exclude and other.embedding is not None]
         scored = [(other, sim) for other, sim in scored if sim >= link_threshold]
@@ -190,7 +199,7 @@ def ref_semantic_consolidation(store, new_ids, dedup_threshold):
         for older in store.all_records():
             if older.record_id in exclude or older.embedding is None:
                 continue
-            sim = cosine(newer.embedding, older.embedding)
+            sim = ref_cosine(newer.embedding, older.embedding)
             if sim > best_sim or (sim == best_sim and best is not None
                                   and older.record_id < best.record_id):
                 best, best_sim = older, sim
@@ -278,11 +287,20 @@ REF_TEXT_FIELDS = {
 }
 
 
+def ref_integer(name, value):
+    """``value`` when it is a JSON integer, else a TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    return value
+
+
 def ref_line_to_request(line, lineno=0):
     """One wire-format line as a Request, through ``json.loads`` and keyword calls.
 
-    A text field that holds anything but a string is a bad payload, named
-    before the payload's own checks run.
+    seq and ts_us must be JSON integers, and so must an insert's turn_index,
+    which is checked before the payload's other keys are looked up. A text
+    field that holds anything but a string is a bad payload, named before the
+    payload's own checks run.
     """
     try:
         row = json.loads(line)
@@ -290,19 +308,22 @@ def ref_line_to_request(line, lineno=0):
         raise SchemaError(f"line {lineno}: not valid JSON: {exc}") from exc
     if not isinstance(row, dict):
         raise SchemaError(f"line {lineno}: expected an object")
+    if not {"seq", "ts_us", "kind"} <= row.keys():
+        raise SchemaError(f"line {lineno}: missing seq, ts_us or kind")
     try:
-        seq = int(row["seq"])
-        ts = int(row["ts_us"])
-        kind = row["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"line {lineno}: missing/invalid seq, ts_us or kind") from exc
+        seq = ref_integer("seq", row["seq"])
+        ts = ref_integer("ts_us", row["ts_us"])
+    except TypeError as exc:
+        raise SchemaError(f"line {lineno}: {exc}") from exc
+    kind = row["kind"]
     try:
         if kind == KIND_INSERT:
+            turn_index = ref_integer("turn_index", row.get("turn_index", 0))
             cls, fields = InsertPayload, dict(
                 context=row["context"],
                 session_id=row["session_id"],
                 speaker=row.get("speaker"),
-                turn_index=int(row.get("turn_index", 0)),
+                turn_index=turn_index,
             )
         elif kind == KIND_RETRIEVE:
             cls, fields = RetrievePayload, dict(
@@ -324,6 +345,46 @@ def ref_line_to_request(line, lineno=0):
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"line {lineno}: bad {kind} payload: {exc}") from exc
     return Request(seq=seq, ts=ts, kind=kind, payload=payload)
+
+
+def ref_strip_context_prefix(line):
+    """Drop the '[ts=...] speaker: ' prefix a context line carries, if any."""
+    body = line
+    if body.startswith("[") and "]" in body:
+        body = body.split("]", 1)[1].lstrip()
+    if ": " in body:
+        body = body.split(": ", 1)[1]
+    return body
+
+
+def ref_tpl_answer(variables):
+    """The mock answer template with no memo: every line's sentences rescored afresh."""
+    context = variables.get("context", "")
+    if not context.strip():
+        return "unknown"
+    query_tokens = set(index_tokens(variables.get("query", "")))
+    best_sentence = None
+    best_score = -1
+    for line in context.splitlines():
+        body = ref_strip_context_prefix(line)
+        for sentence in split_sentences(body):
+            score = len(query_tokens & set(index_tokens(sentence)))
+            if score > best_score:
+                best_score = score
+                best_sentence = sentence
+    return best_sentence if best_sentence is not None else "unknown"
+
+
+def ref_tpl_paraphrase(variables):
+    """The mock paraphrase template with no memo: synonyms swapped, then rotated by index."""
+    query = variables.get("query", "")
+    index = int(variables.get("index", 0))
+    swapped = apply_synonyms(query, SYNONYMS_BIDIRECTIONAL)
+    words = swapped.split()
+    if index > 0 and len(words) > 1:
+        shift = index % len(words)
+        words = words[shift:] + words[:shift]
+    return " ".join(words)
 
 
 def as_bits(candidates):

@@ -129,6 +129,19 @@ def test_validate_names_the_line_of_a_non_string_text_field(runner, tmp_path, ke
         in result.output
 
 
+def test_validate_names_the_line_of_a_fractional_timestamp(runner, tmp_path):
+    # truncated to 2, the third line's ts once read as a ts_order violation
+    stream = make_stream(runner, tmp_path)
+    lines = stream.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["ts_us"] = 2.5
+    lines[2] = json.dumps(row)
+    stream.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["validate", str(stream)])
+    assert result.exit_code == 2, result.output
+    assert "invalid stream: line 3: ts_us must be an integer, got float" in result.output
+
+
 def test_validate_reads_a_byte_order_mark_like_its_absence(runner, tmp_path):
     stream = make_stream(runner, tmp_path)
     bom = tmp_path / "bom.jsonl"

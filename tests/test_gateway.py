@@ -1,7 +1,8 @@
-"""Mock gateway determinism, timing capture, template rules, rate limiting."""
+"""Mock gateway determinism, timing capture, template rules and memo, rate limiting."""
 
 import time
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from memstream.config import CheckpointSchedule, ExperimentConfig, GatewayConfig, StoreConfig
 from memstream.errors import GatewayError
+from memstream import gateway
 from memstream.gateway import (
+    TEMPLATE_MEMO_SIZE,
     TOKEN_CODE_MEMO_SIZE,
     ChatRequest,
     MockGateway,
@@ -30,7 +33,7 @@ from memstream.stream import (
     serialize_stream,
 )
 from memstream.text import metric_tokens
-from reference import trigram_loop_embed
+from reference import ref_tpl_answer, ref_tpl_paraphrase, trigram_loop_embed
 
 
 def make_gateway(**kwargs):
@@ -294,6 +297,92 @@ def test_answer_tie_prefers_earliest_sentence():
     gw = make_gateway()
     context = "Zeta fact one. Zeta fact two."
     assert gw.answer("zeta", context) == "Zeta fact one."
+
+
+# -- the per-instance template memo ----------------------------------------------
+
+# stopwords, a synonym pair, punctuation and mixed case, so sentences tie,
+# overlap partly and reduce to no index tokens at all
+WORDS = ["the", "is", "of", "Color", "colour", "harbor", "red", "Red", "blue", "sky",
+         "grass", "alice", "it's", "tea", "green", "—", "...", "?!"]
+word = st.sampled_from(WORDS)
+sentence = st.builds(lambda words, end: " ".join(words) + end,
+                     st.lists(word, min_size=1, max_size=6), st.sampled_from(["", ".", "!", "?"]))
+prefix = st.sampled_from(["", "[ts=2026-01-01T00:00:00] alice: ", "[ts=1] ", "bob: ",
+                          "[unclosed: ", "[ts=2] carol: note: "])
+context_line = st.one_of(
+    st.builds(lambda head, body: head + " ".join(body), prefix,
+              st.lists(sentence, min_size=0, max_size=3)),
+    st.sampled_from(["", "   ", "...", "?!", "—", "[ts=3] dan: ..."]),
+)
+query = st.builds(" ".join, st.lists(word, min_size=0, max_size=5))
+
+
+@st.composite
+def contexts(draw):
+    """Contexts whose lines repeat within and across contexts, plus empty ones."""
+    pool = draw(st.lists(context_line, min_size=1, max_size=6))
+    pick = st.lists(st.sampled_from(pool), min_size=0, max_size=8)
+    return [draw(st.sampled_from(["\n", "\r\n"])).join(draw(pick))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@given(contexts(), st.lists(query, min_size=1, max_size=3), st.integers(1, 5))
+@example(["", "  \n ", "...\n?!"], ["sky"], 1)
+@example(["[ts=1] a: Red sky. Red sky.\nRed sky."] * 2, ["red sky", "the"], 2)
+def test_answer_with_the_memo_equals_the_memo_free_template(context_list, queries, bound):
+    # the real bound and one small enough to empty the memo mid-context
+    for size in (TEMPLATE_MEMO_SIZE, bound):
+        gw = make_gateway()
+        with mock.patch.object(gateway, "TEMPLATE_MEMO_SIZE", size):
+            for context in context_list:
+                for q in queries:
+                    want = ref_tpl_answer({"query": q, "context": context})
+                    assert gw.answer(q, context) == want
+                    assert len(gw._memo) <= size
+
+
+@given(st.lists(st.tuples(query, st.integers(0, 7)), min_size=1, max_size=12),
+       st.integers(1, 4))
+@example([("the color of it", 0), ("the color of it", 1), ("the color of it", 1),
+          ("the color of it", 9)], 1)
+def test_paraphrase_with_the_memo_equals_the_memo_free_template(calls, bound):
+    for size in (TEMPLATE_MEMO_SIZE, bound):
+        gw = make_gateway()
+        with mock.patch.object(gateway, "TEMPLATE_MEMO_SIZE", size):
+            for _ in range(2):  # every call again, now from the memo
+                for q, index in calls:
+                    want = ref_tpl_paraphrase({"query": q, "index": index})
+                    assert chat(gw, "paraphrase", query=q, index=index) == want
+                    assert len(gw._memo) <= size
+
+
+def test_a_query_equal_to_a_context_line_keeps_both_entries_apart():
+    gw = make_gateway()
+    line = "the colour of the harbor. Red sky."
+    assert gw.answer("red sky", line) == "Red sky."
+    assert chat(gw, "paraphrase", query=line, index=1) == \
+        ref_tpl_paraphrase({"query": line, "index": 1})
+    assert gw.answer("harbor", line) == "the colour of the harbor."
+
+
+def test_each_gateway_has_its_own_bounded_template_memo():
+    first, second = make_gateway(), make_gateway()
+    assert first._memo == {} and second._memo == {}
+    assert first._memo is not second._memo
+    first.answer("red sky", "Red sky.\nBlue sea.")
+    chat(first, "paraphrase", query="the color", index=1)
+    assert len(first._memo) == 3
+    assert second._memo == {}
+    assert make_gateway()._memo == {}
+    # every run builds its own gateway, so each run starts with an empty memo
+    cfg = ExperimentConfig(output_dir="unused")
+    runs = [build_gateway(cfg), build_gateway(cfg)]
+    assert runs[0]._memo == {} and runs[0]._memo is not runs[1]._memo
+    # a context of more distinct lines than the memo holds
+    lines = [f"fact number {i}." for i in range(TEMPLATE_MEMO_SIZE + 10)]
+    assert first.answer("number 7", "\n".join(lines)) == "fact number 7."
+    assert 0 < len(first._memo) <= TEMPLATE_MEMO_SIZE
 
 
 # -- rate limiting ------------------------------------------------------------

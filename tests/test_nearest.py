@@ -29,7 +29,7 @@ from memstream.gateway import MockGateway, mock_embed_text
 from memstream.orchestrator import _Pipeline
 from memstream.records import KIND_TRIPLET, MemoryRecord, RetrievalSignal, Triplet
 from memstream.stores import BACKENDS, build_store
-from memstream.stores.base import FREE_TS, cosine
+from memstream.stores.base import FREE_TS
 from memstream.stores.fifo import FifoQueueStore
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.lsh import LshStore, lsh_signature
@@ -369,7 +369,7 @@ def test_batched_rescore_equals_per_pair_cosine_bitwise(dim):
     store = churned_store(rng, dim)
     queries = list(random_rows(rng, 12, dim)) + [store.all_records()[1].embedding]
     for query in queries:
-        want = sorted(((r.record_id, cosine(query, r.embedding)) for r in store.all_records()),
+        want = sorted(((r.record_id, ref_cosine(query, r.embedding)) for r in store.all_records()),
                       key=lambda item: (-item[1], item[0]))
         got = [(r.record_id, sim) for r, sim in store.nearest(query)]
         assert [(i, s.hex()) for i, s in got] == [(i, s.hex()) for i, s in want]
@@ -403,7 +403,7 @@ def test_cached_norms_have_the_bits_of_linalg_norm(dim):
 
 
 def best_by_cosine(store, query, exclude=()):
-    scored = [(r.record_id, cosine(query, r.embedding)) for r in store.all_records()
+    scored = [(r.record_id, ref_cosine(query, r.embedding)) for r in store.all_records()
               if r.record_id not in exclude]
     return min(scored, key=lambda item: (-item[1], item[0]))
 

@@ -234,6 +234,9 @@ PARSER_CORPUS = [
     row(INSERT_ROW, seq="three"),
     row(INSERT_ROW, seq=[3]),
     row(INSERT_ROW, ts_us=2.5),
+    row(INSERT_ROW, seq=True),
+    row(INSERT_ROW, turn_index=2.9),
+    row(INSERT_ROW, ts_us="2000000"),
     row(INSERT_ROW, turn_index="two"),
     row(INSERT_ROW, turn_index=-1),
     row(INSERT_ROW, context="   "),
@@ -282,6 +285,29 @@ def parse_outcome(parse, line):
 @pytest.mark.parametrize("line", PARSER_CORPUS, ids=range(len(PARSER_CORPUS)))
 def test_line_parser_matches_reference(line):
     assert parse_outcome(line_to_request, line) == parse_outcome(ref_line_to_request, line)
+
+
+# a clock value the old int() coercion truncated or converted silently
+NON_INTEGER_CLOCKS = [
+    ("ts_us", 2.5, "float"),
+    ("ts_us", 2000000.0, "float"),
+    ("ts_us", "2000000", "str"),
+    ("seq", True, "bool"),
+    ("seq", 3.0, "float"),
+    ("turn_index", 2.9, "float"),
+    ("turn_index", False, "bool"),
+    ("turn_index", "2", "str"),
+]
+
+
+@pytest.mark.parametrize("field,value,type_name", NON_INTEGER_CLOCKS,
+                         ids=[f"{f}={v!r}" for f, v, _ in NON_INTEGER_CLOCKS])
+def test_a_clock_field_that_is_not_an_integer_fails_its_line(field, value, type_name):
+    line = row(INSERT_ROW, **{field: value})
+    payload = "bad insert payload: " if field == "turn_index" else ""
+    with pytest.raises(SchemaError) as err:
+        line_to_request(line, 12)
+    assert str(err.value) == f"line 12: {payload}{field} must be an integer, got {type_name}"
 
 
 def test_crlf_endings_and_blank_lines_read_like_lf(tmp_path):
