@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 validation/config/sink problems, 3 runtime abort,
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -59,11 +58,9 @@ def main():
               type=click.Path(dir_okay=False), help="experiment config (yaml)")
 @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
               help="override a config key, e.g. store.backend=fifo_queue")
-@click.option("--jobs", default=1, show_default=True,
-              help="parallel experiments for grid runs")
 @click.option("--force", is_flag=True, help="overwrite existing result files")
-def run(config_path, overrides, jobs, force):
-    """Run the experiment (or grid) described by a config file."""
+def run(config_path, overrides, force):
+    """Run the experiment (or each grid variant in turn) from a config file."""
     try:
         data = load_config_file(config_path)
         for option in overrides:
@@ -101,18 +98,17 @@ def run(config_path, overrides, jobs, force):
         if blocked:
             _fail("refusing to overwrite " + ", ".join(blocked) + " (use --force)", 2)
 
-    def execute(item):
-        name, cfg, out_dir = item
-        result = run_experiment(cfg, manifests[cfg.dataset])
-        experiment_sink(result, out_dir, force=force)
-        return name, out_dir, result
-
+    lines = []
+    aborted = False
     try:
-        if jobs > 1 and len(work) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(execute, work))
-        else:
-            outcomes = [execute(item) for item in work]
+        for name, cfg, out_dir in work:
+            result = run_experiment(cfg, manifests[cfg.dataset])
+            experiment_sink(result, out_dir, force=force)
+            line = f"{name}: {result.status} -> {out_dir}"
+            if result.status != "complete":
+                aborted = True
+                line += f" ({result.error})"
+            lines.append(line)
     except StoreError as err:
         # raised while building the store, before any request is consumed
         _fail(f"store error: {err}", 2)
@@ -120,14 +116,7 @@ def run(config_path, overrides, jobs, force):
         _fail(f"stream error: {err}", 2)
     except SinkExists as err:
         _fail(str(err), 2)
-
-    aborted = False
-    for name, out_dir, result in outcomes:
-        line = f"{name}: {result.status} -> {out_dir}"
-        if result.status != "complete":
-            aborted = True
-            line += f" ({result.error})"
-        click.echo(line)
+    click.echo("\n".join(lines))
     sys.exit(3 if aborted else 0)
 
 

@@ -19,6 +19,8 @@ from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
+from .records import TIER_NAMES
+
 NORMALIZE_STRATEGIES = ("none", "enrich", "rewrite")
 CONSOLIDATE_STRATEGIES = (
     "none", "crud", "forgetting_curve", "heat_migration",
@@ -120,6 +122,8 @@ class IntegrateConfig:
         _require(self.budget_tokens >= 1, "integrate.budget_tokens must be >= 1")
         if self.tier_quotas is not None:
             for tier, quota in self.tier_quotas.items():
+                _require(tier in TIER_NAMES, f"integrate.tier_quotas key {tier!r} names "
+                         f"no tier; valid tiers are {TIER_NAMES}")
                 _require(quota >= 0, f"integrate.tier_quotas[{tier!r}] must be >= 0")
 
 

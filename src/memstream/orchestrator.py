@@ -39,10 +39,10 @@ so turning the collector off is safe only because a run makes no reference
 cycles. ``tests/test_gc.py`` pins that: it replays a grid of configs, with
 and without injected gateway faults, and a full collection afterwards must
 find nothing. A change that makes a run build a cycle per request fails that
-test rather than growing memory unseen. The collector's state is process
-wide: ``memstream run --jobs N`` runs its variants on threads that share
-it, so the run that turned it off turns it back on when that run ends, and
-a variant still running on another thread then finishes with it on.
+test rather than growing memory unseen. The switch is process wide, and
+``_COLLECTOR_LOCK`` serves library callers who run experiments on their own
+threads (``memstream run`` starts none): the run that turned it off turns
+it back on when it ends, so a run on another thread may finish with it on.
 """
 
 from __future__ import annotations

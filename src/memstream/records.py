@@ -15,6 +15,7 @@ TIER_MID = "mid_term"
 TIER_LONG = "long_term"
 TIER_FLAT = "flat"
 TIER_ORDER = (TIER_SHORT, TIER_MID, TIER_LONG)
+TIER_NAMES = (*TIER_ORDER, TIER_FLAT)  # every tier a record can carry
 
 KIND_RAW = "raw_turn"
 KIND_SUMMARY = "summary"

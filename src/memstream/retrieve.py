@@ -19,8 +19,7 @@ from .errors import GatewayError
 from .gateway import ChatRequest, Gateway
 from .records import (
     KIND_RAW,
-    TIER_FLAT,
-    TIER_ORDER,
+    TIER_NAMES,
     Candidate,
     ContextBundle,
     MemoryRecord,
@@ -180,7 +179,7 @@ def integrate_multi_tier(cands: list[Candidate],
     for cand in cands:
         by_tier.setdefault(cand.record.tier, []).append(cand)
     best: dict[str, Candidate] = {}
-    for tier in (*TIER_ORDER, TIER_FLAT):
+    for tier in TIER_NAMES:
         quota = quotas.get(tier, 0)
         for cand in by_tier.get(tier, [])[:quota]:
             held = best.get(cand.record_id)
@@ -300,7 +299,7 @@ def run_integrate(query: str, cands: list[Candidate], store: MemoryStore,
     elif cfg.strategy == "multi_tier":
         quotas = cfg.tier_quotas
         if quotas is None:
-            quotas = {tier: k for tier in (*TIER_ORDER, TIER_FLAT)}
+            quotas = {tier: k for tier in TIER_NAMES}
         working = integrate_multi_tier(working, quotas)
     elif cfg.strategy == "augment":
         working = integrate_augment(working, store, cfg.augment_window, now)

@@ -97,6 +97,7 @@ from ..records import (
     StoreStats,
     TIER_FLAT,
 )
+from ..stream import TS_END
 from ..text import index_tokens
 
 DEFAULT_RRF_K = 60
@@ -154,7 +155,7 @@ def fused_candidates(rankings: Iterable[list[str]], record_of: Callable[[str], M
 SCREEN_MARGIN = 1e-9
 
 # the ts of a free row: no ``now`` reaches it, so ``ts < now`` drops the row
-FREE_TS = np.iinfo(np.int64).max
+FREE_TS = TS_END
 
 
 def vector_norm(vec: np.ndarray) -> float:

@@ -6,10 +6,10 @@ purely an ordering property: a retrieve placed at timestamp T may observe
 only inserts with strictly earlier timestamps (ties are NOT visible — the
 stores enforce the same rule again with a visibility filter).
 
-Timestamps are integer microseconds since the epoch. Synthetic workloads
-use logical ticks (request index * 1 second). Equal-timestamp requests are
-ordered (inserts first, then retrieves) and tie-broken by
-(session_id lexicographic, turn_index).
+Timestamps are integer microseconds since the epoch in [TS_MIN, TS_END),
+the int64 range less the stores' free-row mark. Synthetic workloads use
+logical ticks (request index * 1 second). Equal-timestamp requests are
+ordered (inserts first, then retrieves), then by (session_id, turn_index).
 
 Validation findings are data, not exceptions: validate_stream returns every
 violation it can find rather than stopping at the first.
@@ -45,6 +45,8 @@ KIND_INSERT = "insert"
 KIND_RETRIEVE = "retrieve"
 
 TICK_US = 1_000_000  # one logical tick = one second
+TS_MIN = -(2 ** 63)
+TS_END = 2 ** 63 - 1
 
 
 def logical_tick(index: int) -> int:
@@ -293,10 +295,12 @@ def validate_stream(manifest: StreamManifest) -> ValidationReport:
             report.violations.append(Violation(i, "seq_order",
                                                f"seq {request.seq} after {prev_seq}"))
         prev_seq = request.seq
-        if prev_ts is not None and request.ts < prev_ts:
-            report.violations.append(Violation(i, "ts_order",
-                                               f"ts {request.ts} after {prev_ts}"))
-        prev_ts = request.ts
+        ts = request.ts
+        if not TS_MIN <= ts < TS_END:
+            report.violations.append(Violation(i, "ts_range", f"ts {ts} outside [{TS_MIN}, {TS_END})"))
+        if prev_ts is not None and ts < prev_ts:
+            report.violations.append(Violation(i, "ts_order", f"ts {ts} after {prev_ts}"))
+        prev_ts = ts
         expected = InsertPayload if request.kind == KIND_INSERT else (
             RetrievePayload if request.kind == KIND_RETRIEVE else None)
         if expected is None:

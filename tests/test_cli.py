@@ -142,6 +142,30 @@ def test_validate_names_the_line_of_a_fractional_timestamp(runner, tmp_path):
     assert "invalid stream: line 3: ts_us must be an integer, got float" in result.output
 
 
+def test_a_timestamp_outside_int64_fails_validate_and_run(runner, tmp_path):
+    # once accepted by validate, it then broke the run on the stores' int64 column
+    rows = [
+        {"seq": 0, "ts_us": 0, "kind": "insert", "session_id": "s", "turn_index": 0,
+         "context": "alice lives in paris"},
+        {"seq": 1, "ts_us": 2 ** 63, "kind": "insert", "session_id": "s", "turn_index": 1,
+         "context": "bob eats pears"},
+        {"seq": 2, "ts_us": 2 ** 63 + 1, "kind": "retrieve", "session_id": "s",
+         "query": "where does alice live", "gold_answer": "paris", "category": "single_hop",
+         "query_id": "q0"},
+    ]
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    result = runner.invoke(main, ["validate", str(stream)])
+    assert result.exit_code == 2, result.output
+    assert "[ts_range] index 1: ts 9223372036854775808 outside" in result.output
+    config = make_config(tmp_path, stream, store={"backend": "inverted_vector"})
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "[ts_range] index 1" in result.output
+    assert not (tmp_path / "results").exists()
+
+
 def test_validate_reads_a_byte_order_mark_like_its_absence(runner, tmp_path):
     stream = make_stream(runner, tmp_path)
     bom = tmp_path / "bom.jsonl"
@@ -300,20 +324,35 @@ def test_run_ablation_grid(runner, tmp_path):
         tmp_path, stream,
         ablate={"store.backend": ["fifo_queue", "inverted_vector"],
                 "operators.k": [2, 4]})
-    results = {}
-    for jobs in ("1", "4"):
-        out = tmp_path / f"results-{jobs}"
-        result = runner.invoke(main, ["run", "-c", str(config), "--jobs", jobs,
-                                      "--set", f"output_dir={out}"])
+    out = tmp_path / "grid"
+    result = runner.invoke(main, ["run", "-c", str(config), "--set", f"output_dir={out}"])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("complete ->") == 4
+    variant_dirs = sorted(out.iterdir())
+    assert [d.name for d in variant_dirs] == [
+        "k-2_backend-fifo_queue", "k-2_backend-inverted_vector",
+        "k-4_backend-fifo_queue", "k-4_backend-inverted_vector"]
+    # each run turns the collector off and back on
+    assert gc.isenabled()
+    # a variant run after others writes what it writes when run alone
+    for variant_dir in variant_dirs:
+        summary = json.loads((variant_dir / "summary.json").read_text())
+        alone = tmp_path / f"alone-{variant_dir.name}"
+        single = make_config(tmp_path, stream, out_name=alone.name,
+                             store={"backend": summary["config"]["store"]["backend"]},
+                             operators={"k": summary["config"]["operators"]["k"]})
+        result = runner.invoke(main, ["run", "-c", str(single)])
         assert result.exit_code == 0, result.output
-        assert result.output.count("complete ->") == 4
-        variant_dirs = sorted(out.iterdir())
-        assert len(variant_dirs) == 4
-        results[jobs] = {d.name: variant_results(d) for d in variant_dirs}
-        # each run turns the shared collector off; the threads' runs leave it on
-        assert gc.isenabled()
-    # threads change only wall-clock fields
-    assert results["1"] == results["4"]
+        assert variant_results(alone) == variant_results(variant_dir)
+
+
+def test_run_has_no_jobs_option(runner, tmp_path):
+    stream = make_stream(runner, tmp_path)
+    config = make_config(tmp_path, stream)
+    result = runner.invoke(main, ["run", "-c", str(config), "--jobs", "2"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert not (tmp_path / "results").exists()
 
 
 # ----------------------------------------------------------------------

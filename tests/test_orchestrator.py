@@ -446,6 +446,16 @@ def test_summary_counts_each_request_flags_once():
     assert result.summary()["flags"] == {"budget_truncated": 4}
 
 
+def test_summary_counts_every_keyword_augmented_query():
+    queries = [(f"q{i}", f"where is fact number {i}", f"fact number {i}", i + 1)
+               for i in range(4)]
+    manifest = make_manifest(n_inserts=8, queries=queries)
+    ops = OperatorConfig(formulate=FormulateConfig(strategy="keyword", keyword_augments=True))
+    summary = run_experiment(base_config(operators=ops), manifest, MockGateway(dim=32)).summary()
+    assert summary["counts"]["retrieves"] == 4
+    assert summary["flags"] == {"keyword_augmented": 4}
+
+
 def test_summary_rollup_agrees_with_checkpoints_and_traces():
     golds = ("fact number 1", "nothing alike", "fact number 5", "fact")
     specs = [

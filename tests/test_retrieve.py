@@ -7,7 +7,12 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from memstream.config import FormulateConfig, IntegrateConfig, config_from_dict
+from memstream.config import (
+    ConfigError,
+    FormulateConfig,
+    IntegrateConfig,
+    config_from_dict,
+)
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.metrics import STAGE_PRE_RETRIEVE
 from memstream.orchestrator import _Pipeline
@@ -130,6 +135,17 @@ def test_formulate_keyword_augment_mode_extends_query():
     assert signal.raw_query == "alpha beta alpha alpha beta"
     assert signal.flags == ("keyword_augmented",)
     assert np.allclose(signal.embedding, mock_embed_text(signal.raw_query, 64))
+    # the same through the config key
+    cfg = config_from_dict({"operators": {"formulate": {
+        "strategy": "keyword", "keyword_augments": True}}}).operators.formulate
+    q = query("where does alice live now")
+    keywords = formulate_keyword(q, gw, max_keywords=cfg.max_keywords).keywords
+    assert keywords and " ".join(keywords) != q.query
+    fq = run_formulate(q, cfg, gw)
+    joined = f"{q.query} {' '.join(keywords)}"
+    assert fq.signal.raw_query == joined and fq.signal.keywords == ()
+    assert np.array_equal(fq.signal.embedding, mock_embed_text(joined, 64))
+    assert fq.flags == fq.signal.flags == ("keyword_augmented",)
 
 
 def test_formulate_keyword_empty_reply_falls_back():
@@ -283,6 +299,16 @@ def test_integrate_multi_tier_applies_quotas():
     quotas = {TIER_SHORT: 1, TIER_MID: 1, TIER_LONG: 0, TIER_FLAT: 1}
     out = integrate_multi_tier(cands, quotas)
     assert [c.record_id for c in out] == ["r1", "r3", "r5"]
+
+
+def test_tier_quotas_name_only_tiers_a_record_can_carry():
+    # a misspelt tier once left every bundle empty without a word
+    with pytest.raises(ConfigError, match=r"integrate.tier_quotas key 'short' names no "
+                       r"tier; valid tiers are \('short_term', 'mid_term', 'long_term', 'flat'\)"):
+        config_from_dict({"operators": {"integrate": {
+            "strategy": "multi_tier", "tier_quotas": {"short": 3}}}})
+    IntegrateConfig(strategy="multi_tier",
+                    tier_quotas={TIER_SHORT: 1, TIER_MID: 1, TIER_LONG: 0, TIER_FLAT: 1}).validate()
 
 
 def test_integrate_multi_tier_dedups_by_max_score():

@@ -15,6 +15,8 @@ from memstream.stream import (
     KIND_INSERT,
     KIND_RETRIEVE,
     TICK_US,
+    TS_END,
+    TS_MIN,
     AfterCount,
     AfterEvidence,
     AtFraction,
@@ -25,6 +27,7 @@ from memstream.stream import (
     SessionTurns,
     StreamManifest,
     Turn,
+    Violation,
     line_to_request,
     logical_tick,
     read_stream_file,
@@ -33,6 +36,7 @@ from memstream.stream import (
     validate_stream,
     write_stream_file,
 )
+from memstream.stores.base import FREE_TS
 from reference import ref_line_to_request
 
 
@@ -145,6 +149,22 @@ def test_validate_reports_all_violations():
     # the repeated seq trips both the duplicate and the ordering check
     assert kinds == ["kind_unknown", "payload_mismatch", "seq_duplicate",
                      "seq_order", "ts_order"]
+
+
+@pytest.mark.parametrize("ts, ok", [
+    (-2 ** 63, True), (2 ** 63 - 2, True),
+    (2 ** 63 - 1, False),  # the stores' free-row mark
+    (2 ** 63, False), (-2 ** 63 - 1, False),
+])
+def test_validate_keeps_timestamps_inside_int64_and_below_the_free_row_mark(ts, ok):
+    assert (TS_MIN, TS_END) == (-2 ** 63, FREE_TS)
+    payload = InsertPayload(context="x.", session_id="s")
+    report = validate_stream(StreamManifest(requests=(Request(0, ts, KIND_INSERT, payload),)))
+    if ok:
+        assert report.ok
+    else:
+        assert report.violations == [Violation(
+            0, "ts_range", f"ts {ts} outside [-9223372036854775808, 9223372036854775807)")]
 
 
 def test_wire_format_round_trip(tmp_path):
