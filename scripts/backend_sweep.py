@@ -63,7 +63,7 @@ def main():
           f"({args.facts} facts, {args.rounds} rounds)")
 
     header = (f"{'backend':<18} {'mean_f1':>8} {'drift_%':>8} "
-              f"{'search_p95_us':>14} {'e2e_p95_us':>11} {'high_water':>10}")
+              f"{'search_p95_us':>14} {'e2e_p95_us':>11}")
     print(header)
     print("-" * len(header))
     for backend in backends:
@@ -87,8 +87,7 @@ def main():
         drift = summary["degradation_pct"]
         drift_text = f"{drift:>8.1f}" if drift is not None else f"{'n/a':>8}"
         print(f"{backend:<18} {summary['mean_f1']:>8.3f} {drift_text} "
-              f"{search_p95:>14.1f} {e2e_p95:>11.1f} "
-              f"{summary['latency']['buffer_high_water']:>10}")
+              f"{search_p95:>14.1f} {e2e_p95:>11.1f}")
         if args.out:
             paths = experiment_sink(result, Path(args.out) / backend, force=True)
             print(f"{'':<18} wrote {paths[0].parent}")

@@ -36,12 +36,7 @@ from .errors import (
 )
 from .gateway import Gateway, MockGateway, RemoteGateway, TokenBucket
 from .metrics import latency_aggregate, token_f1
-from .orchestrator import (
-    ExperimentResult,
-    HistorySource,
-    experiment_sink,
-    run_experiment,
-)
+from .orchestrator import ExperimentResult, experiment_sink, run_experiment
 from .stores import BACKENDS, build_store
 from .stream import (
     StreamManifest,
@@ -65,7 +60,6 @@ __all__ = [
     "Gateway",
     "GatewayConfig",
     "GatewayError",
-    "HistorySource",
     "IntegrateConfig",
     "MemstreamError",
     "MissingFiles",

@@ -1,7 +1,7 @@
 """Experiment configuration: typed dataclasses plus the YAML file format.
 
 A config file has sections ``store``, ``operators``, ``checkpoint``,
-``gateway`` and run-level keys (seed, buffer_capacity, dataset, output_dir).
+``gateway`` and run-level keys (seed, dataset, output_dir).
 An optional ``ablate`` section maps dotted keys to value lists; the grid is
 the cross product. Dotted ``--set key=value`` overrides apply on top of the
 file before expansion. Every value must fit its field's annotation (an int
@@ -195,7 +195,6 @@ class ExperimentConfig:
     checkpoint: CheckpointSchedule = field(default_factory=lambda: CheckpointSchedule(fraction=0.2))
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
     seed: int = 0
-    buffer_capacity: int = 64
     dataset: str = ""
     output_dir: str = ""
 
@@ -204,8 +203,6 @@ class ExperimentConfig:
         self.operators.validate()
         self.checkpoint.validate()
         self.gateway.validate()
-        _require(self.buffer_capacity >= 1,
-                 f"buffer_capacity must be >= 1, got {self.buffer_capacity}")
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,22 @@
-"""The main pipeline: bounded-buffer streaming, the strictly blocking
+"""The main pipeline: one loop over the stream, the strictly blocking
 insert/evaluate cycle, checkpoint scheduling, and result persistence.
 
 Execution model
 ---------------
-A run has one thread of control. Requests reach it through a bounded
-buffer (capacity B) that refills from the manifest on that same thread, and
-are processed one at a time. Every Insert runs normalize -> tentative
-insert -> consolidate to completion before the next request is taken. Every Retrieve is evaluated when it arrives, against
-the store as it stands then, so later inserts, evictions and merges cannot
-reach back into its answer and the answer does not depend on where the
-checkpoint boundaries fall. Its result is held until the next checkpoint
+A run is one ``for`` loop, on one thread, over the manifest's requests in
+stream order. Every Insert runs normalize -> tentative insert -> consolidate
+to completion before the loop takes the next request, so no insert can run
+while a query is evaluated. Every Retrieve is evaluated when it arrives,
+against the store as it stands then, so later inserts, evictions and merges
+cannot reach back into its answer and the answer does not depend on where
+the checkpoint boundaries fall. Its result is held until the next checkpoint
 groups it into a report; the visibility filter (now = query ts) keeps
-retrieval causal on its own.
+retrieval causal on its own. Acceptance criterion 4 replays prefixes of a
+stream to check that no query's result depends on a later request.
 
 Checkpoints only group results, so they are planned before the run:
 ``checkpoint_plan`` reads the schedule and the manifest once and returns
-the insert counts after which a checkpoint closes. The consumer closes one
+the insert counts after which a checkpoint closes. The loop closes one
 just before the insert that follows a planned count, so the queries that
 arrive after that count land in it, and once more at the end of the stream.
 
@@ -52,11 +53,10 @@ import json
 import math
 import threading
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from .config import CheckpointSchedule, ExperimentConfig, config_to_dict
 from .errors import (
@@ -96,42 +96,6 @@ from .stream import (
     validate_stream,
     write_atomic,
 )
-
-
-# ----------------------------------------------------------------------
-# bounded streaming source
-# ----------------------------------------------------------------------
-
-class HistorySource:
-    """Replays a manifest through a bounded buffer on the consumer's thread.
-
-    The buffer never holds more than ``buffer_capacity`` requests, so the
-    stream never runs more than that far ahead of the consumer. Once the
-    consumer has drained it to half (``capacity // 2``) or below, the next
-    read refills it to ``capacity`` from the manifest in one run, so the
-    manifest is read in runs of half a buffer rather than one request at a
-    time. ``high_water`` records the largest occupancy, which is
-    ``min(capacity, len(manifest.requests))`` once iteration has started.
-    """
-
-    def __init__(self, manifest: StreamManifest, buffer_capacity: int):
-        if buffer_capacity < 1:
-            raise ValueError(f"buffer_capacity must be >= 1, got {buffer_capacity}")
-        self.manifest = manifest
-        self.capacity = buffer_capacity
-        self._refill_at = buffer_capacity // 2
-        self.high_water = 0
-
-    def __iter__(self) -> Iterator[Request]:
-        pending = iter(self.manifest.requests)
-        items: deque = deque()
-        while True:
-            if len(items) <= self._refill_at:
-                items.extend(islice(pending, self.capacity - len(items)))
-                self.high_water = max(self.high_water, len(items))
-                if not items:
-                    return
-            yield items.popleft()
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +234,6 @@ class ExperimentResult:
     action_log: list[str] = field(default_factory=list)
     status: str = "complete"
     error: Optional[str] = None
-    high_water: int = 0
 
     @property
     def query_results(self) -> list[QueryResult]:
@@ -311,7 +274,6 @@ class ExperimentResult:
                 "stages": latency.as_dict(),
                 "gateway_chat_us_by_stage": dict(sorted(chat_us.items())),
                 "gateway_embed_us_by_stage": dict(sorted(embed_us.items())),
-                "buffer_high_water": self.high_water,
             },
         }
 
@@ -348,14 +310,7 @@ class _Pipeline:
         self.result = ExperimentResult(config=config_to_dict(cfg))
         self.pending: list[QueryResult] = []  # scored, not yet reported
         self.inserts_consumed = 0
-        self.eval_in_flight = False
         self.window_traces: list[RequestTrace] = []
-
-    # -- guards ---------------------------------------------------------
-    def _assert_not_evaluating(self, stage: str):
-        if self.eval_in_flight:
-            raise RuntimeError(
-                f"blocking violation: {stage} entered during checkpoint evaluation")
 
     # -- tracing ----------------------------------------------------------
     def _enter(self, stage: str) -> int:
@@ -383,17 +338,14 @@ class _Pipeline:
         payload = request.payload
         ops = self.cfg.operators
 
-        self._assert_not_evaluating(STAGE_PRE_INSERT)
         stamps = [self._enter(STAGE_PRE_INSERT)]
         units, flags = run_normalize(payload, request.ts, ops.normalize, self.gateway)
         for unit in units:
             unit.strength = ops.consolidate.initial_strength_s
 
-        self._assert_not_evaluating(STAGE_STATE_UPDATE)
         stamps.append(self._enter(STAGE_STATE_UPDATE))
         ids = self.store.insert(units)
 
-        self._assert_not_evaluating(STAGE_POST_INSERT)
         stamps.append(self._enter(STAGE_POST_INSERT))
         self.inserts_consumed += 1
         outcome = run_consolidate(self.store, ids, request.ts, ops.consolidate,
@@ -450,13 +402,6 @@ class _Pipeline:
             stage_us={stage: ns / 1000.0 for stage, ns in trace.stage_ns.items()},
         )
 
-    def _score_on_arrival(self, request: Request):
-        self.eval_in_flight = True
-        try:
-            self.pending.append(self._evaluate_query(request, len(self.result.reports) + 1))
-        finally:
-            self.eval_in_flight = False
-
     def _flush_checkpoint(self):
         index = len(self.result.reports) + 1
         results, self.pending = self.pending, []
@@ -482,21 +427,20 @@ class _Pipeline:
     # -- main loop ----------------------------------------------------------
     def run(self) -> ExperimentResult:
         plan = checkpoint_plan(self.cfg.checkpoint, self.manifest)
-        source = HistorySource(self.manifest, self.cfg.buffer_capacity)
         try:
-            for request in source:
+            for request in self.manifest.requests:
                 if request.kind == KIND_INSERT:
                     if self.inserts_consumed in plan:
                         self._flush_checkpoint()
                     self._process_insert(request)
                 else:
-                    self._score_on_arrival(request)
+                    self.pending.append(
+                        self._evaluate_query(request, len(self.result.reports) + 1))
             if self.inserts_consumed in plan or self.pending:
                 self._flush_checkpoint()
         except StoreError as err:
             self.result.status = "aborted"
             self.result.error = f"{type(err).__name__}: {err}"
-        self.result.high_water = source.high_water
         return self.result
 
 

@@ -30,8 +30,9 @@ All backends guarantee, via this base class:
 
 The embedding index holds one float64 row per live embedded record, with the
 record's visibility ``ts`` and norm beside it. A freed row's ts is
-``FREE_TS`` (the int64 maximum), which no ``now`` reaches, so the one test
-``ts < now`` keeps exactly the live, visible rows; freed rows are reused.
+``FREE_TS`` (``stream.TS_END``, past every valid timestamp), which no
+``now`` reaches, so the one test ``ts < now`` keeps exactly the live,
+visible rows; freed rows are reused.
 Upkeep is deferred: ``insert`` and ``reindex`` only queue the record and
 ``remove`` frees its row, and each queued row is written in place at the
 next ``nearest`` call (its embedding, ts and norm), so a store that never

@@ -7,9 +7,11 @@ only inserts with strictly earlier timestamps (ties are NOT visible — the
 stores enforce the same rule again with a visibility filter).
 
 Timestamps are integer microseconds since the epoch in [TS_MIN, TS_END),
-the int64 range less the stores' free-row mark. Synthetic workloads use
-logical ticks (request index * 1 second). Equal-timestamp requests are
-ordered (inserts first, then retrieves), then by (session_id, turn_index).
+the years 1 to 9999: each prints as an ISO-8601 date, fits the stores'
+int64 column and stays below their free-row mark, TS_END. Synthetic
+workloads use logical ticks (request index * 1 second). Equal-timestamp
+requests are ordered (inserts first, then retrieves), then by (session_id,
+turn_index).
 
 Validation findings are data, not exceptions: validate_stream returns every
 violation it can find rather than stopping at the first.
@@ -45,8 +47,8 @@ KIND_INSERT = "insert"
 KIND_RETRIEVE = "retrieve"
 
 TICK_US = 1_000_000  # one logical tick = one second
-TS_MIN = -(2 ** 63)
-TS_END = 2 ** 63 - 1
+TS_MIN = -62_135_596_800_000_000  # 0001-01-01T00:00:00Z
+TS_END = 253_402_300_800_000_000  # 10000-01-01T00:00:00Z
 
 
 def logical_tick(index: int) -> int:

@@ -10,6 +10,7 @@ import json
 import random
 import unicodedata
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from memstream.config import (
     GatewayConfig,
     INTEGRATE_STRATEGIES,
     IntegrateConfig,
+    NORMALIZE_STRATEGIES,
     FormulateConfig,
     NormalizeConfig,
     ConsolidateConfig,
@@ -44,10 +46,12 @@ from memstream.records import MemoryRecord, RetrievalSignal
 from memstream.stores import BACKENDS, build_store
 from memstream.stream import (
     KIND_INSERT,
+    KIND_RETRIEVE,
     AfterCount,
     QuerySpec,
     RetrievePayload,
     SessionTurns,
+    StreamManifest,
     Turn,
     serialize_stream,
 )
@@ -384,28 +388,78 @@ def test_03_answers_do_not_depend_on_checkpoint_placement():
 
 
 # ---------------------------------------------------------------------------
-# 4. Producer/consumer buffer never exceeds its configured bound.
+# 4. Prefix causality: no query's result depends on any request after it.
+#    Replaying a prefix of the stream, or the same stream with everything
+#    after the prefix swapped for other facts, must leave every query in
+#    the prefix and every action of the prefix's requests unchanged.
 # ---------------------------------------------------------------------------
 
-def test_04_buffer_high_water_respects_capacity():
-    with criterion(4, "buffer high-water <= capacity for B in {1,4,64}"):
-        session = SessionTurns(
-            session_id="s0",
-            turns=tuple(Turn(text=f"fact number {t}") for t in range(80)),
-            base_ts=0)
-        queries = [
-            QuerySpec(payload=RetrievePayload(query=f"fact number {n}",
-                                              gold_answer=str(n),
-                                              query_id=f"q{n}"),
-                      trigger=AfterCount(count=n + 10))
-            for n in range(4)
-        ]
-        manifest = serialize_stream([session], queries, source="backpressure")
-        for capacity in (1, 4, 64):
-            cfg = make_config("fifo_queue", buffer_capacity=capacity)
-            result = run(cfg, manifest)
-            assert result.status == "complete"
-            assert 1 <= result.high_water <= capacity, (capacity, result.high_water)
+def actions_by_seq(action_log, last_seq):
+    """Action-log lines of each seq <= ``last_seq``, without CHECKPOINT lines.
+
+    A query's QUERY line is written at its checkpoint, after the lines of
+    later inserts, so the log of a prefix run is not a prefix of the log.
+    """
+    lines = {}
+    for line in action_log:
+        if not line.startswith("CHECKPOINT "):
+            seq = int(line.split(" ", 1)[0])
+            if seq <= last_seq:
+                lines.setdefault(seq, []).append(line)
+    return lines
+
+
+def prefix_outcome(result, last_seq):
+    assert result.status == "complete", result.error
+    queries = {res.seq: strip_latency(res.as_dict())
+               for res in result.query_results if res.seq <= last_seq}
+    return queries, actions_by_seq(result.action_log, last_seq)
+
+
+def test_04_no_query_depends_on_a_later_request():
+    with criterion(4, "prefix causality: 26 pairs x 4 cuts, truncated and swapped tails"):
+        spec = SyntheticSpec(seed=5, n_facts=40, update_rate=0.4, paraphrase_rate=0.25)
+        manifest, _ = synth_workload(spec)
+        other, _ = synth_workload(replace(spec, seed=6))  # other facts, same kinds and times
+        assert [(r.seq, r.ts, r.kind) for r in other.requests] == [
+            (r.seq, r.ts, r.kind) for r in manifest.requests]
+        retrieves = [i for i, r in enumerate(manifest.requests) if r.kind == KIND_RETRIEVE]
+        consolidate = ("none", "crud", "forgetting_curve", "heat_migration",
+                       "link_evolution", "semantic_consolidation")
+        pairs = [(backend, strategy) for backend in sorted(BACKENDS) for strategy in consolidate
+                 if (strategy != "heat_migration" or BACKENDS[backend].supports_tiers)
+                 and (strategy != "link_evolution" or BACKENDS[backend].supports_links)]
+        assert len(pairs) == 26
+        for i, (backend, strategy) in enumerate(pairs):
+            cfg = make_config(backend, dim=16, checkpoint=CheckpointSchedule(every_n=7))
+            if backend == "fifo_queue":
+                cfg.store.params = {"capacity": 16}  # evicts within the stream
+            cfg.operators = OperatorConfig(
+                normalize=NormalizeConfig(strategy=NORMALIZE_STRATEGIES[i % 3]),
+                consolidate=ConsolidateConfig(strategy=strategy, dedup_threshold=0.85,
+                                              link_threshold=0.3, retention_threshold=0.5,
+                                              initial_strength_s=8.0),
+                formulate=FormulateConfig(strategy=FORMULATE_STRATEGIES[i % 4]),
+                integrate=IntegrateConfig(strategy=INTEGRATE_STRATEGIES[i % 6],
+                                          multi_query_count=2),
+                k=4)
+            full = run(cfg, manifest, dim=16)
+            # two cuts inside a round's run of queries, two at a round's last
+            # query, where an insert comes next
+            for j in (3, 15, 21, 31):
+                cut = retrieves[j]
+                last_seq = manifest.requests[cut].seq
+                expected = prefix_outcome(full, last_seq)
+                assert len(expected[0]) == j + 1
+                head = manifest.requests[:cut + 1]
+                swapped = head + tuple(
+                    replace(r, payload=o.payload)
+                    for r, o in zip(manifest.requests[cut + 1:], other.requests[cut + 1:]))
+                assert swapped != manifest.requests
+                for requests in (head, swapped):
+                    cut_run = run(cfg, StreamManifest(requests, source="prefix"), dim=16)
+                    assert prefix_outcome(cut_run, last_seq) == expected, (
+                        backend, strategy, cut, len(requests))
 
 
 # ---------------------------------------------------------------------------

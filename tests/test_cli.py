@@ -142,14 +142,15 @@ def test_validate_names_the_line_of_a_fractional_timestamp(runner, tmp_path):
     assert "invalid stream: line 3: ts_us must be an integer, got float" in result.output
 
 
-def test_a_timestamp_outside_int64_fails_validate_and_run(runner, tmp_path):
-    # once accepted by validate, it then broke the run on the stores' int64 column
+def check_timestamp_fails_validate_and_run(runner, tmp_path, ts):
+    """A stream whose second and third requests sit at ``ts`` and ``ts + 1``
+    fails ``validate`` and ``run`` with exit 2, naming the range."""
     rows = [
         {"seq": 0, "ts_us": 0, "kind": "insert", "session_id": "s", "turn_index": 0,
          "context": "alice lives in paris"},
-        {"seq": 1, "ts_us": 2 ** 63, "kind": "insert", "session_id": "s", "turn_index": 1,
+        {"seq": 1, "ts_us": ts, "kind": "insert", "session_id": "s", "turn_index": 1,
          "context": "bob eats pears"},
-        {"seq": 2, "ts_us": 2 ** 63 + 1, "kind": "retrieve", "session_id": "s",
+        {"seq": 2, "ts_us": ts + 1, "kind": "retrieve", "session_id": "s",
          "query": "where does alice live", "gold_answer": "paris", "category": "single_hop",
          "query_id": "q0"},
     ]
@@ -157,13 +158,24 @@ def test_a_timestamp_outside_int64_fails_validate_and_run(runner, tmp_path):
     stream.write_text("".join(json.dumps(row) + "\n" for row in rows))
     result = runner.invoke(main, ["validate", str(stream)])
     assert result.exit_code == 2, result.output
-    assert "[ts_range] index 1: ts 9223372036854775808 outside" in result.output
+    assert f"[ts_range] index 1: ts {ts} outside" in result.output
     config = make_config(tmp_path, stream, store={"backend": "inverted_vector"})
     result = runner.invoke(main, ["run", "-c", str(config)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "[ts_range] index 1" in result.output
     assert not (tmp_path / "results").exists()
+
+
+def test_a_timestamp_outside_int64_fails_validate_and_run(runner, tmp_path):
+    # once accepted by validate, it then broke the run on the stores' int64 column
+    check_timestamp_fails_validate_and_run(runner, tmp_path, 2 ** 63)
+
+
+def test_a_timestamp_past_year_9999_fails_validate_and_run(runner, tmp_path):
+    # inside int64, but once accepted by validate, the run failed to print
+    # its ISO stamp on a bundle line
+    check_timestamp_fails_validate_and_run(runner, tmp_path, 253402300800000000)
 
 
 def test_validate_reads_a_byte_order_mark_like_its_absence(runner, tmp_path):
@@ -277,7 +289,7 @@ def test_run_set_overrides_apply(runner, tmp_path):
     "operators.k=2.5",
     "operators.integrate.budget_tokens=1e3",  # YAML reads 1e3 as a string
     "seed=abc",
-    "buffer_capacity=2.5",
+    "seed=2.5",
 ])
 def test_run_bad_override_is_config_error(runner, tmp_path, option):
     stream = make_stream(runner, tmp_path)
@@ -286,6 +298,16 @@ def test_run_bad_override_is_config_error(runner, tmp_path, option):
     assert result.exit_code == 2
     assert "config error" in result.output
     assert option.split("=")[0] in result.output
+
+
+def test_run_config_file_with_a_removed_key_is_config_error(runner, tmp_path):
+    stream = make_stream(runner, tmp_path)
+    config = make_config(tmp_path, stream, buffer_capacity=64)
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 2
+    assert "config error" in result.output
+    assert "unknown config key buffer_capacity" in result.output
+    assert not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])

@@ -1,13 +1,10 @@
-"""Pipeline protocol tests: bounded-buffer backpressure, checkpoint
-scheduling, abort semantics, determinism of persisted results, and
-stage-wall accounting."""
+"""Pipeline protocol tests: checkpoint scheduling, abort semantics,
+determinism of persisted results, and stage-wall accounting."""
 
 import json
 import re
-import math
 import threading
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -34,9 +31,7 @@ from memstream.metrics import (
     STAGE_PRE_RETRIEVE,
 )
 from memstream.orchestrator import (
-    HistorySource,
     SINK_FILES,
-    _Pipeline,
     checkpoint_plan,
     experiment_sink,
     fraction_boundaries,
@@ -92,70 +87,6 @@ def base_config(**overrides):
     for name, value in overrides.items():
         setattr(cfg, name, value)
     return cfg
-
-
-# ----------------------------------------------------------------------
-# bounded buffer
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("capacity", [1, 4, 64])
-def test_history_source_high_water_bounded(capacity):
-    manifest = make_manifest(n_inserts=30)
-    source = HistorySource(manifest, buffer_capacity=capacity)
-    assert [r.seq for r in source] == [r.seq for r in manifest.requests]
-    # 30 requests: more than capacities 1 and 4 hold, fewer than 64 does
-    assert source.high_water == min(capacity, len(manifest.requests))
-
-
-class CountingRequests:
-    """A request sequence that logs how many requests the consumer had
-    taken each time the source pulled one."""
-
-    def __init__(self, n):
-        self.n = n
-        self.taken = 0
-        self.pulled_at: list[int] = []
-
-    def __iter__(self):
-        for seq in range(self.n):
-            self.pulled_at.append(self.taken)
-            yield seq
-
-
-@pytest.mark.parametrize("capacity", [1, 2, 3, 64])
-def test_producer_refills_in_runs_of_half_a_buffer(capacity):
-    n = 1000
-    requests = CountingRequests(n)
-    source = HistorySource(SimpleNamespace(requests=requests), buffer_capacity=capacity)
-    seen = []
-    for seq in source:
-        seen.append(seq)
-        requests.taken += 1
-    assert seen == list(range(n))
-    # the (i + 1)-th pull comes at most one buffer ahead of the consumer
-    assert all(i + 1 <= taken + capacity
-               for i, taken in enumerate(requests.pulled_at))
-    # pulled in runs: each refill tops up at least capacity - capacity // 2
-    refills = len(set(requests.pulled_at))
-    assert refills <= math.ceil(n / (capacity - capacity // 2)) + 1, refills
-    assert source.high_water == capacity
-
-
-def test_high_water_counts_requests_not_the_end_marker():
-    manifest = make_manifest(n_inserts=6, queries=[("q0", "fact number 2", "two", 3)])
-    source = HistorySource(manifest, buffer_capacity=len(manifest.requests) + 1)
-    stream = iter(source)
-    first = next(stream)  # the first read buffers every request at once
-    assert source.high_water == len(manifest.requests)
-    assert [first.seq] + [r.seq for r in stream] == [r.seq for r in manifest.requests]
-    # reaching the end of the stream adds nothing to the occupancy
-    assert source.high_water == len(manifest.requests)
-
-
-def test_history_source_rejects_bad_capacity():
-    manifest = make_manifest(n_inserts=2)
-    with pytest.raises(ValueError):
-        HistorySource(manifest, buffer_capacity=0)
 
 
 # ----------------------------------------------------------------------
@@ -292,15 +223,6 @@ def test_provenance_is_strictly_causal():
     assert checked > 0
 
 
-def test_insert_guard_rejects_reentry_during_evaluation():
-    manifest = make_manifest(n_inserts=2)
-    pipeline = _Pipeline(base_config(), manifest, MockGateway(dim=32))
-    pipeline.eval_in_flight = True
-    insert_request = manifest.requests[0]
-    with pytest.raises(RuntimeError, match="blocking violation"):
-        pipeline._process_insert(insert_request)
-
-
 def test_stage_walls_sum_to_end_to_end_exactly():
     queries = [(f"q{i}", f"fact number {i}", "x", i + 1) for i in range(5)]
     manifest = make_manifest(n_inserts=10, queries=queries)
@@ -372,7 +294,6 @@ def test_store_failure_mid_run_aborts_with_partial_results():
     assert "CapacityExceeded" in result.error
     # checkpoints flushed before the failure survive
     assert [r.inserts_consumed for r in result.reports] == [1, 2]
-    assert result.high_water >= 1
 
 
 class ThreadCountingGateway(MockGateway):
@@ -389,14 +310,13 @@ class ThreadCountingGateway(MockGateway):
 
 @pytest.mark.parametrize("store_capacity, status", [(64, "complete"), (2, "aborted")])
 def test_runs_start_no_thread(store_capacity, status):
-    # 30 requests through a 2-slot buffer; a 2-record store that refuses to
-    # overflow aborts the run on its third insert
+    # a 2-record store that refuses to overflow aborts the run on its third
+    # insert
     manifest = make_manifest(n_inserts=30, queries=[("q0", "fact number 1", "1", 2)])
     cfg = base_config(
         store=StoreConfig(backend="fifo_queue",
                           params={"capacity": store_capacity, "overflow": "error"}),
         checkpoint=CheckpointSchedule(every_n=1),
-        buffer_capacity=2,
     )
     gateway = ThreadCountingGateway(dim=32)
     before = threading.active_count()
@@ -425,13 +345,12 @@ def test_summary_counts_and_structure():
     queries = [("q0", "fact number 1", "fact number 1", 2),
                ("q1", "fact number 3", "fact number 3", 4)]
     manifest = make_manifest(n_inserts=6, queries=queries)
-    cfg = base_config(checkpoint=CheckpointSchedule(fraction=0.5), buffer_capacity=4)
+    cfg = base_config(checkpoint=CheckpointSchedule(fraction=0.5))
     result = run_experiment(cfg, manifest, MockGateway(dim=32))
     summary = result.summary()
     assert summary["status"] == "complete" and summary["error"] is None
     assert summary["counts"] == {"inserts": 6, "retrieves": 2, "checkpoints": 2}
     assert len(summary["round_mean_f1"]) == 2
-    assert summary["latency"]["buffer_high_water"] == result.high_water
     assert isinstance(summary["flags"], dict)
     assert summary["degradation_pct"] is not None
 
@@ -539,26 +458,6 @@ def strip_latency(obj):
 def normalized_lines(path):
     return [strip_latency(json.loads(line))
             for line in path.read_text().splitlines()]
-
-
-def test_results_do_not_depend_on_buffer_capacity(tmp_path):
-    queries = [(f"q{i}", f"fact number {i * 7}", f"fact number {i * 7}", i * 10 + 10)
-               for i in range(8)]
-    manifest = make_manifest(n_inserts=90, queries=queries, sessions=3)
-
-    def outside_latency(capacity):
-        result = run_experiment(base_config(buffer_capacity=capacity), manifest,
-                                MockGateway(dim=32))
-        out = tmp_path / f"b{capacity}"
-        experiment_sink(result, out)
-        summary = strip_latency(json.loads((out / "summary.json").read_text()))
-        del summary["config"]["buffer_capacity"]  # the one input that differs
-        return (normalized_lines(out / "checkpoints.jsonl"),
-                normalized_lines(out / "queries.jsonl"),
-                (out / "actions.log").read_bytes(), summary)
-
-    first, *rest = map(outside_latency, (1, 3, 64))
-    assert all(other == first for other in rest)
 
 
 def test_sink_writes_all_files_and_refuses_overwrite(tmp_path):

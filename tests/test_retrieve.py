@@ -47,7 +47,14 @@ from memstream.retrieve import (
     run_integrate,
 )
 from memstream.stores import build_store
-from memstream.stream import KIND_RETRIEVE, Request, RetrievePayload, StreamManifest
+from memstream.stream import (
+    KIND_RETRIEVE,
+    TS_END,
+    TS_MIN,
+    Request,
+    RetrievePayload,
+    StreamManifest,
+)
 
 US_PER_DAY = 86_400 * 1_000_000
 
@@ -394,8 +401,9 @@ def test_context_line_formats_speaker_and_time():
 
 
 def iso_formula(ts_us):
-    """The datetime formula ``ts_to_iso`` memoizes."""
-    dt = datetime.fromtimestamp(ts_us / 1_000_000, tz=timezone.utc)
+    """``ts_to_iso`` spelled another way: whole seconds, then the microseconds."""
+    seconds, micros = divmod(ts_us, 1_000_000)
+    dt = datetime.fromtimestamp(seconds, tz=timezone.utc).replace(microsecond=micros)
     return dt.isoformat().replace("+00:00", "Z")
 
 
@@ -412,6 +420,18 @@ def test_memoized_ts_to_iso_equals_the_datetime_formula(ts_us):
     hits = ts_to_iso.cache_info().hits
     assert ts_to_iso(ts_us) == want  # the second lookup is a memo hit
     assert ts_to_iso.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("ts_us, iso", [
+    (TS_MIN, "0001-01-01T00:00:00Z"),
+    (-53_638_660_039_347_140, "0270-04-05T04:12:40.652860Z"),
+    (157_092_766_320_308_697, "6948-01-27T07:32:00.308697Z"),
+    (TS_END - 1, "9999-12-31T23:59:59.999999Z"),
+])
+def test_ts_to_iso_is_exact_to_the_microsecond_in_years_1_to_9999(ts_us, iso):
+    # a float division by 1e6 is off in the last digits far from 1970, and
+    # rounds the last microsecond of year 9999 up into year 10000
+    assert ts_to_iso(ts_us) == iso
 
 
 def test_ts_to_iso_memo_is_bounded():

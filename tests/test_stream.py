@@ -152,19 +152,21 @@ def test_validate_reports_all_violations():
 
 
 @pytest.mark.parametrize("ts, ok", [
-    (-2 ** 63, True), (2 ** 63 - 2, True),
-    (2 ** 63 - 1, False),  # the stores' free-row mark
-    (2 ** 63, False), (-2 ** 63 - 1, False),
+    (-62_135_596_800_000_000, True), (253_402_300_799_999_999, True),
+    (253_402_300_800_000_000, False),  # year 10000, the stores' free-row mark
+    (-62_135_596_800_000_001, False),  # before year 1
+    (2 ** 63, False), (-2 ** 63, False),  # int64 ends, far outside
 ])
 def test_validate_keeps_timestamps_inside_int64_and_below_the_free_row_mark(ts, ok):
-    assert (TS_MIN, TS_END) == (-2 ** 63, FREE_TS)
+    # years 1-9999, what a bundle line's ISO stamp can print
+    assert (TS_MIN, TS_END) == (-62_135_596_800_000_000, FREE_TS)
     payload = InsertPayload(context="x.", session_id="s")
     report = validate_stream(StreamManifest(requests=(Request(0, ts, KIND_INSERT, payload),)))
     if ok:
         assert report.ok
     else:
         assert report.violations == [Violation(
-            0, "ts_range", f"ts {ts} outside [-9223372036854775808, 9223372036854775807)")]
+            0, "ts_range", f"ts {ts} outside [-62135596800000000, 253402300800000000)")]
 
 
 def test_wire_format_round_trip(tmp_path):
