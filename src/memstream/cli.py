@@ -41,6 +41,13 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
+def _fail_variant(done: list[str], name: str, message: str):
+    """Print the lines of the variants already written, then fail on this one."""
+    if done:
+        click.echo("\n".join(done))
+    _fail(f"variant {name}: {message}", 2)
+
+
 def load_dataset(path: str):
     """Manifest for a dataset path; a 'locomo:' prefix picks that loader."""
     if path.startswith(LOCOMO_PREFIX):
@@ -100,22 +107,22 @@ def run(config_path, overrides, force):
 
     lines = []
     aborted = False
-    try:
-        for name, cfg, out_dir in work:
+    for name, cfg, out_dir in work:
+        try:
             result = run_experiment(cfg, manifests[cfg.dataset])
             experiment_sink(result, out_dir, force=force)
-            line = f"{name}: {result.status} -> {out_dir}"
-            if result.status != "complete":
-                aborted = True
-                line += f" ({result.error})"
-            lines.append(line)
-    except StoreError as err:
-        # raised while building the store, before any request is consumed
-        _fail(f"store error: {err}", 2)
-    except SchemaError as err:
-        _fail(f"stream error: {err}", 2)
-    except SinkExists as err:
-        _fail(str(err), 2)
+        except StoreError as err:
+            # raised while building the store, before any request is consumed
+            _fail_variant(lines, name, f"store error: {err}")
+        except SchemaError as err:
+            _fail_variant(lines, name, f"stream error: {err}")
+        except SinkExists as err:
+            _fail_variant(lines, name, str(err))
+        line = f"{name}: {result.status} -> {out_dir}"
+        if result.status != "complete":
+            aborted = True
+            line += f" ({result.error})"
+        lines.append(line)
     click.echo("\n".join(lines))
     sys.exit(3 if aborted else 0)
 
@@ -144,7 +151,7 @@ def validate(stream):
 @click.option("--format", "fmt", type=click.Choice(["csv", "md"]),
               default="md", show_default=True)
 def report(results_dir, fmt):
-    """Print round-wise F1 and stage latency tables for finished runs."""
+    """Print round-wise F1, stage latency and cost-by-side tables for finished runs."""
     try:
         click.echo(render_report(results_dir, fmt), nl=False)
     except MissingFiles as err:

@@ -317,8 +317,9 @@ def expand_ablation(data: dict) -> list[tuple[str, ExperimentConfig]]:
 
     Returns (variant_name, config) pairs; one pair named "base" when there is
     no ablate section. Variant names join 'lastkeypart-value' fragments in
-    declaration order and double as sink sub-directory names, so two
-    variants of one name raise ConfigError.
+    declaration order, with each '/' of a value written as '_', and double
+    as sink sub-directory names, so two variants of one name raise
+    ConfigError.
     """
     ablate = data.get("ablate") or {}
     if not isinstance(ablate, dict):
@@ -338,7 +339,8 @@ def expand_ablation(data: dict) -> list[tuple[str, ExperimentConfig]]:
         name_parts = []
         for key, value in zip(keys, combo):
             apply_override(working, key, value)
-            name_parts.append(f"{key.rsplit('.', 1)[-1]}-{value}")
+            # one path component, so a dataset path names no nested directory
+            name_parts.append(f"{key.rsplit('.', 1)[-1]}-{value}".replace("/", "_"))
         name = "_".join(name_parts)
         # two variants of one name would share, and overwrite, one sink directory
         _require(all(name != other for other, _ in variants),

@@ -1,4 +1,4 @@
-"""Turn sink files into round-wise F1 and per-stage latency tables.
+"""Turn sink files into round-wise F1, per-stage latency and cost-by-side tables.
 
 Works on a single run directory (holding checkpoints.jsonl + summary.json)
 or on a parent directory of such runs (one table row per sub-run). Output
@@ -8,10 +8,11 @@ is csv or markdown text; byte-deterministic for a given input.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 from .errors import MissingFiles
-from .metrics import ALL_STAGES
+from .metrics import ALL_STAGES, INSERT_STAGES, QUERY_STAGES
 
 
 def _is_run_dir(path: Path) -> bool:
@@ -100,19 +101,52 @@ def latency_table(runs: list[tuple[str, dict, list[dict]]], fmt: str) -> str:
     return _table(headers, rows, fmt)
 
 
+def _per_request(stage_us: dict, stages: tuple[str, ...], requests: int) -> str:
+    if not requests:
+        return "-"
+    return _fmt(sum(stage_us.get(stage, 0.0) for stage in stages) / requests, 1)
+
+
+def cost_table(runs: list[tuple[str, dict, list[dict]]], fmt: str) -> str:
+    """One row per run: wall and gateway µs per insert and per query, F1, flags.
+
+    A side's wall is the sum of its stages' mean × count; gateway time is
+    the part of it billed to model calls.
+    """
+    headers = ["run", "status", "us_per_insert", "gateway_us_per_insert",
+               "us_per_query", "gateway_us_per_query", "mean_f1", "flags"]
+    rows = []
+    for name, summary, _ in runs:
+        latency = summary.get("latency", {})
+        wall = {stage: agg.get("mean_us", 0.0) * agg.get("count", 0)
+                for stage, agg in latency.get("stages", {}).items()}
+        gateway = Counter(latency.get("gateway_embed_us_by_stage", {}))
+        gateway.update(latency.get("gateway_chat_us_by_stage", {}))
+        counts = summary.get("counts", {})
+        inserts, queries = counts.get("inserts", 0), counts.get("retrieves", 0)
+        rows.append([
+            name, summary.get("status", "-"),
+            _per_request(wall, INSERT_STAGES, inserts),
+            _per_request(gateway, INSERT_STAGES, inserts),
+            _per_request(wall, QUERY_STAGES, queries),
+            _per_request(gateway, QUERY_STAGES, queries),
+            _fmt(summary.get("mean_f1")),
+            ";".join(sorted(summary.get("flags", {}))) or "-",
+        ])
+    return _table(headers, rows, fmt)
+
+
 def render_report(results_dir: str | Path, fmt: str = "md") -> str:
     if fmt not in ("csv", "md"):
         raise ValueError(f"format must be csv or md, got {fmt!r}")
     runs = gather_runs(results_dir)
     parts = []
-    if fmt == "md":
-        parts.append("## Token F1 by round")
-        parts.append(f1_table(runs, fmt))
-        parts.append("")
-        parts.append("## Stage latency")
-        parts.append(latency_table(runs, fmt))
-    else:
-        parts.append(f1_table(runs, fmt))
-        parts.append("")
-        parts.append(latency_table(runs, fmt))
+    for title, table in (("Token F1 by round", f1_table),
+                         ("Stage latency", latency_table),
+                         ("Cost by side", cost_table)):
+        if parts:
+            parts.append("")
+        if fmt == "md":
+            parts.append(f"## {title}")
+        parts.append(table(runs, fmt))
     return "\n".join(parts) + "\n"

@@ -322,6 +322,40 @@ def test_run_duplicate_variant_names_is_config_error(runner, tmp_path, force):
     assert not (tmp_path / "results").exists()
 
 
+def test_run_dataset_grid_writes_one_directory_per_variant(runner, tmp_path, monkeypatch):
+    # a value holding '/' must not name a nested directory that report cannot read
+    monkeypatch.chdir(tmp_path)
+    for sub in ("d1", "d2"):
+        (tmp_path / sub).mkdir()
+        make_stream(runner, tmp_path, name=f"{sub}/s.jsonl")
+    config = make_config(tmp_path, "unused",
+                         ablate={"dataset": ["d1/s.jsonl", "d2/s.jsonl"]})
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "results"
+    assert sorted(d.name for d in out.iterdir()) == [
+        "dataset-d1_s.jsonl", "dataset-d2_s.jsonl"]
+    report = runner.invoke(main, ["report", str(out)])
+    assert report.exit_code == 0, report.output
+    assert "| dataset-d1_s.jsonl | complete |" in report.output
+    assert "| dataset-d2_s.jsonl | complete |" in report.output
+
+
+def test_run_store_error_in_a_later_variant_names_it(runner, tmp_path):
+    # fifo_queue takes a capacity, inverted_vector does not
+    stream = make_stream(runner, tmp_path)
+    config = make_config(tmp_path, stream,
+                         store={"backend": "fifo_queue", "params": {"capacity": 8}},
+                         ablate={"store.backend": ["fifo_queue", "inverted_vector"]})
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 2
+    out = tmp_path / "results"
+    assert f"backend-fifo_queue: complete -> {out / 'backend-fifo_queue'}" in result.output
+    assert "variant backend-inverted_vector: store error: bad parameters" in result.output
+    assert (out / "backend-fifo_queue" / "summary.json").exists()
+    assert not (out / "backend-inverted_vector").exists()
+
+
 def strip_latency(obj):
     if isinstance(obj, dict):
         return {k: strip_latency(v) for k, v in obj.items() if k != "latency"}
@@ -394,13 +428,21 @@ def test_report_markdown_and_csv_agree(runner, tmp_path):
     assert md.exit_code == 0
     assert "## Token F1 by round" in md.output
     assert "## Stage latency" in md.output
+    assert "## Cost by side" in md.output
     csv = runner.invoke(main, ["report", str(results), "--format", "csv"])
     assert csv.exit_code == 0
     md_cells = [c.strip() for c in md.output.splitlines()
                 if c.startswith("|") and "F1" not in c and "---" not in c]
     # every numeric cell printed in csv shows up in the md table too
     csv_rows = [line for line in csv.output.splitlines() if line.startswith("run,")]
-    assert csv_rows  # header rows for both tables
+    assert csv_rows  # header rows for all three tables
+    assert "run,status,us_per_insert," in csv.output
+    cost_md = [line for line in md.output.splitlines()
+               if line.startswith("| run | complete |")]
+    cost_csv = [line for line in csv.output.splitlines()
+                if line.startswith("run,complete,")]
+    assert len(cost_md) == 1
+    assert ["| " + " | ".join(line.split(",")) + " |" for line in cost_csv] == cost_md
     summary = json.loads((results / "summary.json").read_text())
     mean = f"{summary['mean_f1']:.3f}"
     assert any(mean in line for line in md.output.splitlines())
@@ -420,3 +462,46 @@ def test_report_aggregates_grid_variants(runner, tmp_path):
     result = runner.invoke(main, ["report", str(tmp_path / "results")])
     assert result.exit_code == 0
     assert "k-2" in result.output and "k-4" in result.output
+
+
+def write_run(run_dir, **summary):
+    run_dir.mkdir(parents=True)
+    (run_dir / "checkpoints.jsonl").write_text("")
+    (run_dir / "summary.json").write_text(json.dumps(summary))
+
+
+def test_report_cost_by_side_arithmetic(runner, tmp_path):
+    stages = {"PreIns": (4, 10.0), "StateUpdate": (4, 2.5), "PostIns": (2, 7.0),
+              "PreRet": (2, 3.0), "Search": (2, 20.0), "PostRet": (2, 1.5),
+              "Generation": (2, 50.0)}
+    write_run(tmp_path / "grid" / "a", status="complete", mean_f1=0.4567,
+              counts={"inserts": 4, "retrieves": 2},
+              flags={"embed_failed": 1, "bundle_truncated": 2},
+              latency={"stages": {stage: {"count": count, "mean_us": mean}
+                                  for stage, (count, mean) in stages.items()},
+                       "gateway_chat_us_by_stage": {"Generation": 90.0, "PostIns": 2.0},
+                       "gateway_embed_us_by_stage": {"PreIns": 8.0, "PreRet": 3.0}})
+    # no retrieves: the query side has nothing to divide by
+    write_run(tmp_path / "grid" / "b", status="aborted", mean_f1=0.0,
+              counts={"inserts": 2, "retrieves": 0}, flags={},
+              latency={"stages": {"PreIns": {"count": 2, "mean_us": 5.0}},
+                       "gateway_chat_us_by_stage": {},
+                       "gateway_embed_us_by_stage": {}})
+    md = runner.invoke(main, ["report", str(tmp_path / "grid")])
+    assert md.exit_code == 0, md.output
+    assert md.output.endswith(
+        "## Cost by side\n"
+        "| run | status | us_per_insert | gateway_us_per_insert | us_per_query"
+        " | gateway_us_per_query | mean_f1 | flags |\n"
+        "| --- | --- | --- | --- | --- | --- | --- | --- |\n"
+        "| a | complete | 16.0 | 2.5 | 74.5 | 46.5 | 0.457 | bundle_truncated;embed_failed |\n"
+        "| b | aborted | 5.0 | 0.0 | - | - | 0.000 | - |\n")
+    csv = runner.invoke(main, ["report", str(tmp_path / "grid"), "--format", "csv"])
+    assert csv.exit_code == 0, csv.output
+    assert csv.output.endswith(
+        "run,status,us_per_insert,gateway_us_per_insert,us_per_query,"
+        "gateway_us_per_query,mean_f1,flags\n"
+        "a,complete,16.0,2.5,74.5,46.5,0.457,bundle_truncated;embed_failed\n"
+        "b,aborted,5.0,0.0,-,-,0.000,-\n")
+    again = runner.invoke(main, ["report", str(tmp_path / "grid")])
+    assert again.output == md.output
