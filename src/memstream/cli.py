@@ -3,7 +3,7 @@
 Four subcommands: run an experiment (or ablation grid) from a config file,
 validate a stream file, format result tables, and synthesize workloads.
 Exit codes: 0 success, 2 validation/config/sink problems, 3 runtime abort,
-1 plain IO failures (validate only).
+1 plain IO failures (validate and synth).
 """
 
 from __future__ import annotations
@@ -192,9 +192,12 @@ def synth(seed, facts, update_rate, sessions, turns_per_session, rounds,
         manifest, key = synth_workload(spec)
     except ValueError as err:
         _fail(f"invalid spec: {err}", 2)
-    write_stream_file(manifest, out)
     key_path = f"{out}.key.json"
-    write_answer_key(key, key_path)
+    try:
+        write_stream_file(manifest, out)
+        write_answer_key(key, key_path)
+    except OSError as err:
+        _fail(f"io error: {err}", 1)
     click.echo(f"wrote {out} ({len(manifest.requests)} requests) and {key_path}")
 
 

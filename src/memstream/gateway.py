@@ -36,6 +36,13 @@ implementation reports its own retries, as the second item of its return
 value or as ``GatewayError.retries``. The orchestrator sets ``stage`` as each
 lifecycle stage opens, so per-stage model-inference time can be separated
 from store time downstream without any operator naming its stage.
+
+Operators ask for vectors through ``Gateway.vectors_for``, which calls
+``embed`` only when ``Gateway.vectors`` is true. The orchestrator sets
+``vectors`` for each run: when no stage of the run reads a vector,
+``vectors_for`` returns one ``None`` per text and does nothing else, with no
+model call, no timing and no rate-limit token. ``embed`` itself always calls
+the model, so every ``embed`` call still records exactly one timing.
 """
 
 from __future__ import annotations
@@ -115,7 +122,10 @@ class Gateway:
     """Shared plumbing: timing capture, rate limiting, the answer() helper.
 
     ``stage`` is the lifecycle stage every call is billed to until it is
-    set again; the orchestrator sets it at each stage boundary.
+    set again; the orchestrator sets it at each stage boundary. ``vectors``
+    says whether anything reads the embeddings: when it is false,
+    ``vectors_for`` returns ``None`` for each text without calling the
+    model. The orchestrator sets it once per run.
     """
 
     def __init__(self, rate_limit: Optional[TokenBucket] = None):
@@ -123,6 +133,7 @@ class Gateway:
         self._timings_lock = threading.Lock()
         self.rate_limit = rate_limit
         self.stage = ""
+        self.vectors = True
 
     # -- implemented by subclasses: each returns (value, retries_used) ----
     def _embed_impl(self, texts: list[str]) -> tuple[list[np.ndarray], int]:
@@ -134,6 +145,12 @@ class Gateway:
     # -- public surface -------------------------------------------------
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         return self._call("embed", self._embed_impl, texts, None)
+
+    def vectors_for(self, texts: list[str]) -> list[Optional[np.ndarray]]:
+        """``embed(texts)`` when the run reads vectors, else one ``None`` per text."""
+        if not self.vectors:
+            return [None] * len(texts)
+        return self.embed(texts)
 
     def chat(self, request: ChatRequest) -> str:
         return self._call("chat", self._chat_impl, request, request.template_id)

@@ -45,7 +45,7 @@ def _unit(h: InsertPayload, ts: int, text: str, embedding: Optional[np.ndarray] 
 
 def normalize_none(h: InsertPayload, ts: int, gateway: Gateway) -> list[MemoryRecord]:
     """Store the turn verbatim with its embedding."""
-    embedding = gateway.embed([h.context])[0]
+    embedding = gateway.vectors_for([h.context])[0]
     return [_unit(h, ts, h.context, embedding, speaker=h.speaker)]
 
 
@@ -56,7 +56,7 @@ def normalize_enrich(h: InsertPayload, ts: int, gateway: Gateway,
         ChatRequest("summarize", {"text": h.context, "max_sentences": max_sentences})).strip()
     if not summary_text:
         raise GatewayError("empty", "summarizer returned an empty completion")
-    raw_vec, summary_vec = gateway.embed([h.context, summary_text])
+    raw_vec, summary_vec = gateway.vectors_for([h.context, summary_text])
     return [_unit(h, ts, h.context, raw_vec, speaker=h.speaker),
             _unit(h, ts, summary_text, summary_vec, kind=KIND_SUMMARY)]
 
@@ -104,7 +104,7 @@ def run_normalize(h: InsertPayload, ts: int, cfg: NormalizeConfig,
             if not triplets:
                 return [], flags
             texts = [t.linearize() for t in triplets]
-            vectors = gateway.embed(texts)
+            vectors = gateway.vectors_for(texts)
             return [_unit(h, ts, text, vec, kind=KIND_TRIPLET, triplet=triplet)
                     for triplet, text, vec in zip(triplets, texts, vectors)], flags
         except (GatewayError, UnparseableExtraction):
@@ -120,6 +120,11 @@ def run_normalize(h: InsertPayload, ts: int, cfg: NormalizeConfig,
 # ----------------------------------------------------------------------
 # consolidation (runs right after the tentative insert)
 # ----------------------------------------------------------------------
+
+# The policies that read embeddings, through ``MemoryStore.nearest``: a run
+# with one of them embeds even on a store whose search reads no vectors.
+VECTOR_POLICIES = frozenset({"crud", "semantic_consolidation", "link_evolution"})
+
 
 @dataclass
 class ConsolidationOutcome:

@@ -28,6 +28,14 @@ boundary is opened by ``_Pipeline._enter``, which also points
 clock handed to stores and policies is always the request timestamp, never
 the wall clock.
 
+A run embeds only what some stage reads. ``_Pipeline`` sets
+``Gateway.vectors`` when it builds the store: true when the store's search
+reads vectors (``MemoryStore.reads_vectors``) or the consolidation policy
+does (``ingest.VECTOR_POLICIES``). When it is false, the operators'
+``Gateway.vectors_for`` calls return ``None`` vectors without calling the
+model, as if the embedder had failed open, but unflagged and untimed, so a
+``fifo_queue`` run with no such policy bills no embedding time to any stage.
+
 Garbage collection
 ------------------
 ``run_experiment`` turns CPython's automatic cyclic collector off for the
@@ -67,7 +75,7 @@ from .errors import (
     StoreError,
 )
 from .gateway import Gateway, GatewayTiming, MockGateway, RemoteGateway, TokenBucket
-from .ingest import run_consolidate, run_normalize
+from .ingest import VECTOR_POLICIES, run_consolidate, run_normalize
 from .metrics import (
     INSERT_STAGES,
     QUERY_STAGES,
@@ -305,6 +313,10 @@ class _Pipeline:
         self.store: MemoryStore = build_store(
             cfg.store.backend, embed_dim=cfg.gateway.embed_dim,
             seed=cfg.seed, params=cfg.store.params)
+        # set on every run, like ``stage``: an injected gateway may serve
+        # several runs
+        self.gateway.vectors = (self.store.reads_vectors
+                                or cfg.operators.consolidate.strategy in VECTOR_POLICIES)
         self.store.strength_gain = cfg.operators.consolidate.strength_gain
         self.store.initial_strength_s = cfg.operators.consolidate.initial_strength_s
         self.result = ExperimentResult(config=config_to_dict(cfg))

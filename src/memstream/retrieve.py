@@ -47,7 +47,7 @@ class FormulatedQuery:
 # ----------------------------------------------------------------------
 
 def formulate_none(q: RetrievePayload, gateway: Gateway) -> RetrievalSignal:
-    embedding = gateway.embed([q.query])[0]
+    embedding = gateway.vectors_for([q.query])[0]
     return RetrievalSignal(raw_query=q.query, embedding=embedding)
 
 
@@ -77,10 +77,10 @@ def formulate_keyword(q: RetrievePayload, gateway: Gateway, max_keywords: int,
     keywords = tuple(reply.split())
     if augments:
         joined = f"{q.query} {' '.join(keywords)}"
-        embedding = gateway.embed([joined])[0]
+        embedding = gateway.vectors_for([joined])[0]
         return RetrievalSignal(raw_query=joined, embedding=embedding,
                                flags=("keyword_augmented",))
-    embedding = gateway.embed([" ".join(keywords)])[0]
+    embedding = gateway.vectors_for([" ".join(keywords)])[0]
     return RetrievalSignal(raw_query=q.query, embedding=embedding,
                            keywords=keywords)
 
@@ -94,7 +94,7 @@ def formulate_decompose(q: RetrievePayload, gateway: Gateway,
     if not parts:
         parts = [q.query]
     parts = parts[:max_subqueries]
-    vectors = gateway.embed(parts)
+    vectors = gateway.vectors_for(parts)
     subs = tuple(
         RetrievalSignal(raw_query=part, embedding=vec)
         for part, vec in zip(parts, vectors)
@@ -229,7 +229,7 @@ def integrate_multi_query(query: str, cands: list[Candidate],
                 ChatRequest("paraphrase", {"query": query, "index": index})).strip()
             if not paraphrase:
                 continue
-            embedding = gateway.embed([paraphrase])[0]
+            embedding = gateway.vectors_for([paraphrase])[0]
             signal = RetrievalSignal(raw_query=paraphrase, embedding=embedding)
             rankings.append([c.record_id for c in store.retrieve(signal, k, now=now)])
     except GatewayError:

@@ -307,11 +307,17 @@ class Postings:
 
 
 class MemoryStore(ABC):
-    """Abstract backend. Subclasses implement _search."""
+    """Abstract backend. Subclasses implement _search.
+
+    ``reads_vectors`` says whether the backend's search may read a record's
+    or a signal's embedding; a run on a backend that never does, with no
+    consolidation policy that does either, embeds nothing.
+    """
 
     name = "abstract"
     supports_tiers = False
     supports_links = False
+    reads_vectors = True
 
     def __init__(self, embed_dim: Optional[int] = None):
         self._records: dict[str, MemoryRecord] = {}

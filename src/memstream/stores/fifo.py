@@ -3,7 +3,8 @@
 Keeps at most ``capacity`` records; inserting past the bound evicts the
 oldest (or raises CapacityExceeded when ``overflow="error"``). Retrieval
 is a term-frequency scan over whatever still sits in the queue, so
-anything evicted is unrecoverable by construction.
+anything evicted is unrecoverable by construction. The scan never reads an
+embedding, so the store declares ``reads_vectors = False``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .base import MemoryStore
 
 class FifoQueueStore(MemoryStore):
     name = "fifo_queue"
+    reads_vectors = False
 
     def __init__(self, capacity: int = 128, overflow: str = "evict", **kwargs):
         super().__init__(**kwargs)

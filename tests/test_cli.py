@@ -77,6 +77,19 @@ def test_synth_rejects_malformed_depths(runner, tmp_path):
     assert "--depths" in result.output
 
 
+@pytest.mark.parametrize("blocked", ["stream", "key"])
+def test_synth_unwritable_output_is_io_error(runner, tmp_path, blocked):
+    out = tmp_path / "s.jsonl"
+    if blocked == "stream":
+        out = tmp_path / "missing_dir" / "s.jsonl"
+    else:
+        (tmp_path / "s.jsonl.key.json").mkdir()  # a directory where the key goes
+    result = runner.invoke(main, ["synth", "--out", str(out), "--facts", "6"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.startswith("io error: ")
+
+
 # ----------------------------------------------------------------------
 # validate
 # ----------------------------------------------------------------------

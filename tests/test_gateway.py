@@ -554,10 +554,11 @@ def one_query_manifest():
         source="test")
 
 
-def one_query_config():
-    return ExperimentConfig(store=StoreConfig(backend="fifo_queue"),
+def one_query_config(backend="inverted_vector", kind="remote"):
+    # the default store's search reads vectors, so its run embeds
+    return ExperimentConfig(store=StoreConfig(backend=backend),
                             checkpoint=CheckpointSchedule(every_n=1),
-                            gateway=GatewayConfig(kind="remote", embed_dim=8),
+                            gateway=GatewayConfig(kind=kind, embed_dim=8),
                             output_dir="unused")
 
 
@@ -586,6 +587,48 @@ def test_built_remote_gateway_fails_open_on_a_vector_of_another_length(monkeypat
     assert result.status == "complete", result.error
     assert result.summary()["flags"] == {"embed_failed": 1}
     assert [res.prediction for res in result.query_results] == ["blue"]
+
+
+def test_a_remote_fifo_run_posts_no_embeddings_request():
+    # fifo_queue's search reads no vectors, so only the answer is posted
+    gw = remote(reply("blue"), dim=8)
+    result = run_experiment(one_query_config("fifo_queue"), one_query_manifest(), gw)
+    assert result.status == "complete", result.error
+    assert [res.prediction for res in result.query_results] == ["blue"]
+    assert [url.rsplit("/", 1)[1] for url, _ in gw._session.posts] == ["completions"]
+    assert result.summary()["latency"]["gateway_embed_us_by_stage"] == {}
+
+
+def test_a_fifo_run_with_a_failing_embedder_is_not_flagged():
+    gw = MockGateway(dim=8, failing={"embed"})
+    result = run_experiment(one_query_config("fifo_queue", "mock"), one_query_manifest(), gw)
+    assert result.status == "complete", result.error
+    assert result.summary()["flags"] == {}
+    assert [res.prediction for res in result.query_results] == ["the sky is blue"]
+
+
+def test_a_gateway_reused_across_runs_embeds_for_the_run_that_reads_vectors():
+    gw = MockGateway(dim=8)
+    manifest = one_query_manifest()
+    for backend, embeds in [("fifo_queue", 0), ("lsh_hash", 2), ("fifo_queue", 0)]:
+        result = run_experiment(one_query_config(backend, "mock"), manifest, gw)
+        assert result.status == "complete", (backend, result.error)
+        kinds = [t.call_kind for trace in result.traces for t in trace.gateway_calls]
+        assert kinds.count("embed") == embeds, backend
+
+
+def test_vectors_for_calls_the_model_only_when_the_run_reads_vectors():
+    bucket = mock.Mock(spec=TokenBucket)
+    gw = MockGateway(dim=8, rate_limit=bucket, failing={"embed"})
+    gw.vectors = False
+    assert gw.vectors_for(["a", "b"]) == [None, None]
+    assert gw.drain_timings() == []
+    bucket.acquire.assert_not_called()
+    gw.vectors = True
+    with pytest.raises(GatewayError):
+        gw.vectors_for(["a"])
+    assert [t.call_kind for t in gw.drain_timings()] == ["embed"]
+    bucket.acquire.assert_called_once()
 
 
 def test_remote_blank_completion_raises_empty():

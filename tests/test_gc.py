@@ -6,10 +6,17 @@ the collector's state afterwards (see "Garbage collection" in
 run drops, which holds only while nothing a run builds sits in a cycle. The
 oracle below replays a grid of configs and asks a full collection after each
 run to find nothing.
+
+The same grid, with every fifo_queue operator combination added, checks that
+a run embeds only what some stage reads: a run whose store and consolidation
+policy read no vectors makes no embedding call, and its results equal those
+of the same run with every backend declared to read vectors.
 """
 
 import gc
+import hashlib
 import itertools
+import json
 import socket
 import sys
 import threading
@@ -34,6 +41,7 @@ from memstream.config import (
 )
 from memstream.errors import GatewayError, StoreError
 from memstream.gateway import _MOCK_TEMPLATES, MockGateway, RemoteGateway
+from memstream.ingest import VECTOR_POLICIES
 from memstream.orchestrator import run_experiment
 from memstream.stores import BACKENDS
 from memstream.workloads import SyntheticSpec, synth_workload
@@ -47,24 +55,85 @@ def small_stream(n_facts=40):
     return manifest
 
 
+def make_config(backend, consolidate, normalize, formulate, integrate):
+    return ExperimentConfig(
+        store=StoreConfig(backend),
+        operators=OperatorConfig(
+            normalize=NormalizeConfig(strategy=normalize),
+            consolidate=ConsolidateConfig(strategy=consolidate),
+            formulate=FormulateConfig(strategy=formulate),
+            integrate=IntegrateConfig(strategy=integrate),
+        ),
+        checkpoint=CheckpointSchedule(per_round=True),
+        gateway=GatewayConfig(embed_dim=DIM),
+        output_dir="unused",
+    )
+
+
 def grid_configs():
     """backend x consolidation x normalize, with formulate x integrate cycled: 108 configs."""
     cycled = itertools.cycle(itertools.product(FORMULATE_STRATEGIES, INTEGRATE_STRATEGIES))
     for backend, consolidate, normalize in itertools.product(
             sorted(BACKENDS), CONSOLIDATE_STRATEGIES, NORMALIZE_STRATEGIES):
-        formulate, integrate = next(cycled)
-        yield ExperimentConfig(
-            store=StoreConfig(backend),
-            operators=OperatorConfig(
-                normalize=NormalizeConfig(strategy=normalize),
-                consolidate=ConsolidateConfig(strategy=consolidate),
-                formulate=FormulateConfig(strategy=formulate),
-                integrate=IntegrateConfig(strategy=integrate),
-            ),
-            checkpoint=CheckpointSchedule(per_round=True),
-            gateway=GatewayConfig(embed_dim=DIM),
-            output_dir="unused",
-        )
+        yield make_config(backend, consolidate, normalize, *next(cycled))
+
+
+def fifo_configs():
+    """fifo_queue, consolidating with none or forgetting_curve, x every
+    normalize x formulate x integrate: 144 configs."""
+    for consolidate, *operators in itertools.product(
+            ("none", "forgetting_curve"), NORMALIZE_STRATEGIES,
+            FORMULATE_STRATEGIES, INTEGRATE_STRATEGIES):
+        yield make_config("fifo_queue", consolidate, *operators)
+
+
+def _strip_latency(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_latency(v) for k, v in obj.items() if k != "latency"}
+    if isinstance(obj, list):
+        return [_strip_latency(v) for v in obj]
+    return obj
+
+
+def result_digest(result):
+    """Hash of every result file's content outside ``latency`` keys, as perfbench takes it."""
+    h = hashlib.sha256()
+    for report in result.reports:
+        h.update(json.dumps(_strip_latency(report.as_dict()), sort_keys=True).encode())
+    for res in result.query_results:
+        h.update(json.dumps(_strip_latency(res.as_dict()), sort_keys=True).encode())
+    h.update(json.dumps(_strip_latency(result.summary()), sort_keys=True).encode())
+    h.update("\n".join(result.action_log).encode())
+    return h.hexdigest()
+
+
+def embed_calls(result):
+    return sum(timing.call_kind == "embed"
+               for trace in result.traces for timing in trace.gateway_calls)
+
+
+def test_a_run_embeds_only_what_it_reads(monkeypatch):
+    manifest = small_stream()
+    vector_less = 0
+    for cfg in itertools.chain(grid_configs(), fifo_configs()):
+        declared = run_experiment(cfg, manifest)
+        with monkeypatch.context() as patch:
+            # every backend declared to read vectors, so every run embeds
+            for cls in BACKENDS.values():
+                patch.setattr(cls, "reads_vectors", True)
+            embedding = run_experiment(cfg, manifest)
+        where = (cfg.store.backend, cfg.operators)
+        assert declared.status == embedding.status, where
+        assert result_digest(declared) == result_digest(embedding), where
+        assert declared.action_log == embedding.action_log, where
+        if declared.status == "complete":
+            reads = (BACKENDS[cfg.store.backend].reads_vectors
+                     or cfg.operators.consolidate.strategy in VECTOR_POLICIES)
+            assert (embed_calls(declared) > 0) is reads, where
+            assert embed_calls(embedding) > 0, where
+            vector_less += not reads
+    # fifo_queue's none and forgetting_curve runs: 6 in the grid, 144 added
+    assert vector_less == 150
 
 
 @contextmanager
@@ -119,7 +188,8 @@ def aborted_config():
 
 
 class InterruptingGateway(MockGateway):
-    def _embed_impl(self, texts):
+    # every run reaches a chat call, the answer, whatever its store embeds
+    def _chat_impl(self, request):
         raise KeyboardInterrupt
 
 
