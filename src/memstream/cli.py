@@ -76,6 +76,8 @@ def run(config_path, overrides, force):
         variants = expand_ablation(data)
     except FileNotFoundError:
         _fail(f"config error ({config_path}): file not found", 2)
+    except UnicodeDecodeError as err:
+        _fail(f"config error ({config_path}): not valid UTF-8: {err}", 2)
     except (ConfigError, yaml.YAMLError) as err:
         _fail(f"config error ({config_path}): {err}", 2)
 
@@ -91,6 +93,8 @@ def run(config_path, overrides, force):
                 manifests[cfg.dataset] = load_dataset(cfg.dataset)
             except FileNotFoundError:
                 _fail(f"dataset error ({cfg.dataset}): file not found", 2)
+            except OSError as err:
+                _fail(f"dataset error ({cfg.dataset}): {err.strerror or err}", 2)
             except StreamError as err:
                 _fail(f"dataset error ({cfg.dataset}): {err}", 2)
         out_dir = Path(cfg.output_dir)

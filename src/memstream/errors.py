@@ -90,4 +90,5 @@ class SinkExists(MemstreamError):
 
 
 class MissingFiles(MemstreamError):
-    """Report asked for a results directory without the expected files."""
+    """Report asked for a results directory without the expected files, or
+    with one that does not parse."""

@@ -14,7 +14,6 @@ N sorted samples is the ceil(p/100 * N)-th smallest, 1-indexed. For samples
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import ceil
 
 from .errors import DegenerateInput
@@ -80,42 +79,17 @@ def percentile_nearest_rank(samples: list[int | float], p: float) -> int | float
     return ordered[rank - 1]
 
 
-@dataclass
-class StageAggregate:
-    count: int
-    mean_us: float
-    p50_us: int | float
-    p95_us: int | float
+def latency_aggregate(samples_by_stage: dict[str, list[int | float]]) -> dict[str, dict]:
+    """Per-stage ``{"count", "mean_us", "p50_us", "p95_us"}`` of wall-time samples.
 
-
-@dataclass
-class LatencyReport:
-    """Per-stage aggregates; stages with no samples are absent, not zero."""
-
-    stages: dict[str, StageAggregate] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            stage: {
-                "count": agg.count,
-                "mean_us": agg.mean_us,
-                "p50_us": agg.p50_us,
-                "p95_us": agg.p95_us,
-            }
-            for stage, agg in self.stages.items()
+    Stages with no samples are absent, not zero.
+    """
+    return {
+        stage: {
+            "count": len(samples),
+            "mean_us": sum(samples) / len(samples),
+            "p50_us": percentile_nearest_rank(samples, 50),
+            "p95_us": percentile_nearest_rank(samples, 95),
         }
-
-
-def latency_aggregate(samples_by_stage: dict[str, list[int | float]]) -> LatencyReport:
-    """Aggregate per-stage wall-time samples into mean/p50/p95."""
-    report = LatencyReport()
-    for stage, samples in samples_by_stage.items():
-        if not samples:
-            continue
-        report.stages[stage] = StageAggregate(
-            count=len(samples),
-            mean_us=sum(samples) / len(samples),
-            p50_us=percentile_nearest_rank(samples, 50),
-            p95_us=percentile_nearest_rank(samples, 95),
-        )
-    return report
+        for stage, samples in samples_by_stage.items() if samples
+    }

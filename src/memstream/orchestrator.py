@@ -18,7 +18,8 @@ Checkpoints only group results, so they are planned before the run:
 ``checkpoint_plan`` reads the schedule and the manifest once and returns
 the insert counts after which a checkpoint closes. The loop closes one
 just before the insert that follows a planned count, so the queries that
-arrive after that count land in it, and once more at the end of the stream.
+arrive after that count land in it, and once more at the end of the stream,
+or when a store error aborts the run with answered queries not yet reported.
 
 Stage walls per request are measured at contiguous monotonic-clock
 boundaries, so the per-request stage sum equals end-to-end exactly. Each
@@ -86,7 +87,6 @@ from .metrics import (
     STAGE_PRE_RETRIEVE,
     STAGE_SEARCH,
     STAGE_STATE_UPDATE,
-    LatencyReport,
     degradation,
     latency_aggregate,
     token_f1,
@@ -199,7 +199,7 @@ class CheckpointReport:
     results: list[QueryResult]
     mean_f1: float
     category_f1: dict[str, float]
-    latency: LatencyReport
+    latency: dict[str, dict]
     store: StoreStats
 
     def as_dict(self) -> dict:
@@ -210,12 +210,12 @@ class CheckpointReport:
             "mean_f1": self.mean_f1,
             "category_f1": self.category_f1,
             "store": self.store.as_dict(),
-            "latency": self.latency.as_dict(),
+            "latency": self.latency,
         }
 
 
 def rollup(results: list[QueryResult],
-           traces: list[RequestTrace]) -> tuple[dict[str, float], LatencyReport, dict[str, int]]:
+           traces: list[RequestTrace]) -> tuple[dict[str, float], dict[str, dict], dict[str, int]]:
     """Per-category mean F1, per-stage latency and flag counts.
 
     F1 comes from ``results``; stage walls and flags come from ``traces``,
@@ -262,15 +262,14 @@ class ExperimentResult:
             for timing in trace.gateway_calls:
                 bucket = chat_us if timing.call_kind == "chat" else embed_us
                 bucket[timing.stage] = bucket.get(timing.stage, 0.0) + timing.wall_us
-        inserts = sum(1 for t in self.traces if t.kind == KIND_INSERT)
-        retrieves = sum(1 for t in self.traces if t.kind == KIND_RETRIEVE)
+        kinds = Counter(trace.kind for trace in self.traces)
         return {
             "config": self.config,
             "status": self.status,
             "error": self.error,
             "counts": {
-                "inserts": inserts,
-                "retrieves": retrieves,
+                "inserts": kinds[KIND_INSERT],
+                "retrieves": kinds[KIND_RETRIEVE],
                 "checkpoints": len(self.reports),
             },
             "round_mean_f1": round_means,
@@ -279,7 +278,7 @@ class ExperimentResult:
             "category_f1": category_f1,
             "flags": flags,
             "latency": {
-                "stages": latency.as_dict(),
+                "stages": latency,
                 "gateway_chat_us_by_stage": dict(sorted(chat_us.items())),
                 "gateway_embed_us_by_stage": dict(sorted(embed_us.items())),
             },
@@ -322,7 +321,7 @@ class _Pipeline:
         self.result = ExperimentResult(config=config_to_dict(cfg))
         self.pending: list[QueryResult] = []  # scored, not yet reported
         self.inserts_consumed = 0
-        self.window_traces: list[RequestTrace] = []
+        self.window_start = 0  # index of the open checkpoint's first trace
 
     # -- tracing ----------------------------------------------------------
     def _enter(self, stage: str) -> int:
@@ -342,7 +341,6 @@ class _Pipeline:
             flags=flags,
         )
         self.result.traces.append(trace)
-        self.window_traces.append(trace)
         return trace
 
     # -- insert path ------------------------------------------------------
@@ -424,8 +422,9 @@ class _Pipeline:
             for res in results)
 
         mean_f1 = sum(r.f1 for r in results) / len(results) if results else 0.0
-        category_f1, latency, _ = rollup(results, self.window_traces)
-        self.window_traces = []
+        traces = self.result.traces
+        category_f1, latency, _ = rollup(results, traces[self.window_start:])
+        self.window_start = len(traces)
         self.result.reports.append(CheckpointReport(
             checkpoint_index=index,
             inserts_consumed=self.inserts_consumed,
@@ -453,6 +452,9 @@ class _Pipeline:
         except StoreError as err:
             self.result.status = "aborted"
             self.result.error = f"{type(err).__name__}: {err}"
+            # the queries answered since the last checkpoint are results too
+            if self.pending:
+                self._flush_checkpoint()
         return self.result
 
 
@@ -496,13 +498,17 @@ def experiment_sink(result: ExperimentResult, out_dir: str | Path,
                     force: bool = False) -> list[Path]:
     """Write checkpoints.jsonl / queries.jsonl / summary.json / actions.log.
 
-    Refuses to overwrite existing result files unless force is set. Each
+    Refuses to overwrite existing result files unless force is set, and
+    raises SinkExists, too, when ``out_dir`` or a parent is a file. Each
     file is replaced atomically, and the summary is computed before any file
     is touched. Wall clock readings only ever appear under "latency" keys,
     so consumers can strip those for byte comparisons.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as err:  # it, or a parent, is a file
+        raise SinkExists(f"cannot create result directory {out}: {err.strerror}") from err
     targets = [out / name for name in SINK_FILES]
     if not force:
         existing = [str(p) for p in targets if p.exists()]

@@ -19,6 +19,17 @@ def _is_run_dir(path: Path) -> bool:
     return (path / "checkpoints.jsonl").exists() and (path / "summary.json").exists()
 
 
+def _read_json(path: Path, per_line: bool = False):
+    """``path`` parsed as one JSON value, or one per non-blank line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            if per_line:
+                return [json.loads(line) for line in handle if line.strip()]
+            return json.load(handle)
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise MissingFiles(f"{path}: not valid JSON: {err}") from err
+
+
 def gather_runs(results_dir: str | Path) -> list[tuple[str, dict, list[dict]]]:
     """(run_name, summary, checkpoint rows) per run found under results_dir."""
     root = Path(results_dir)
@@ -33,14 +44,8 @@ def gather_runs(results_dir: str | Path) -> list[tuple[str, dict, list[dict]]]:
             f"{root} holds no run results (checkpoints.jsonl + summary.json)")
     runs = []
     for directory in dirs:
-        with open(directory / "summary.json", "r", encoding="utf-8") as handle:
-            summary = json.load(handle)
-        checkpoints = []
-        with open(directory / "checkpoints.jsonl", "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    checkpoints.append(json.loads(line))
+        summary = _read_json(directory / "summary.json")
+        checkpoints = _read_json(directory / "checkpoints.jsonl", per_line=True)
         name = "run" if directory == root else directory.name
         runs.append((name, summary, checkpoints))
     return runs

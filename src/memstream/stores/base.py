@@ -36,8 +36,13 @@ visible rows; freed rows are reused.
 Upkeep is deferred: ``insert`` and ``reindex`` only queue the record and
 ``remove`` frees its row, and each queued row is written in place at the
 next ``nearest`` call (its embedding, ts and norm), so a store that never
-runs a vector scan never builds the matrix. The cached norm is
-``vector_norm`` of the written row, the bits of ``float(np.linalg.norm(row))``.
+runs a vector scan never builds the matrix. The stage that runs that scan
+pays the row writes of every insert since the last one: Search on the first
+query after a run of inserts, or an insert's own PostIns under a policy
+that scans neighbours (crud, semantic_consolidation, link_evolution), never
+StateUpdate. Eager upkeep would move that cost to StateUpdate, not cut it.
+The cached norm is ``vector_norm`` of the written row, the bits of
+``float(np.linalg.norm(row))``.
 The visibility test, ``exclude`` and ``rows`` make one mask. ``nearest``
 screens the rows it keeps with a matrix-vector product divided by the query
 norm times the cached norms (0 where that is 0, as in a per-pair cosine). The
@@ -70,11 +75,12 @@ sums the scores from the postings: for each distinct index token of the
 query it adds the counts in that token's postings to a running total per
 record. That is each record's term-frequency sum over the query's distinct
 tokens, and only records sharing a token get a total; the others would
-score 0 and be dropped anyway. ``_lexical_ranking`` keeps the visible totals (``ts < now``) and
-sorts them as ``(-total, record_id)``, so lexical search returns what a scan
-over every record would. ``_keyed_scores`` maps the visible records to
-their totals; property_graph's entity keys are a set, so each count is 1 and a
-record's score is the number of distinct query entities it mentions.
+score 0 and be dropped anyway. ``_lexical_ranking`` keeps the visible totals
+(``ts < now``) and sorts them as ``(-total, record_id)``, so lexical search
+returns what a scan over every record would. Every keyed ranking reads it:
+lexical search, inverted_vector's fusion and property_graph's entity points.
+property_graph's entity keys are a set, so each count is 1 and a record's
+points are the number of distinct query entities it mentions.
 
 Insert returns the new record ids and retrieve the candidates; neither times
 itself, because the orchestrator times every stage at its own boundaries.
@@ -393,9 +399,6 @@ class MemoryStore(ABC):
             record.last_access = now
         record.strength *= self.strength_gain
 
-    def _is_visible(self, record: MemoryRecord, now: Optional[int]) -> bool:
-        return now is None or record.ts < now
-
     def nearest(self, query: np.ndarray, now: Optional[int] = None,
                 exclude: Iterable[str] = (), top: Optional[int] = None,
                 floor: Optional[float] = None, rows: Optional[Iterable[str]] = None,
@@ -436,12 +439,6 @@ class MemoryStore(ABC):
             for record_id, count in postings.get(token, {}).items():
                 totals[record_id] = totals.get(record_id, 0) + count
         return totals
-
-    def _keyed_scores(self, signal: RetrievalSignal, now: Optional[int]) -> dict[str, float]:
-        """record_id -> summed key counts, for the visible records sharing a query token."""
-        records = self._records
-        return {record_id: float(total) for record_id, total in self._key_totals(signal).items()
-                if self._is_visible(records[record_id], now)}
 
     def _lexical_ranking(self, signal: RetrievalSignal,
                          now: Optional[int]) -> list[tuple[int, str]]:
@@ -524,7 +521,7 @@ class MemoryStore(ABC):
             if rec_id is None:
                 continue
             record = self._records[rec_id]
-            if self._is_visible(record, now):
+            if now is None or record.ts < now:
                 out.append(record)
         out.sort(key=lambda r: r.turn_index)
         return out

@@ -28,18 +28,6 @@ class InvertedVectorStore(MemoryStore):
         self.rrf_k = rrf_k
         self.mode = mode
 
-    def _lexical_ranked(self, signal: RetrievalSignal, now: Optional[int],
-                        pool: int) -> list[str]:
-        # the order _lexical_search gives, without normalised candidates
-        return [record_id for _, record_id in self._lexical_ranking(signal, now)[:pool]]
-
-    def _vector_ranked(self, signal: RetrievalSignal, now: Optional[int],
-                       pool: int) -> list[str]:
-        if signal.embedding is None:
-            return []
-        scored = self.nearest(signal.embedding, now, top=pool)
-        return [record.record_id for record, _ in scored[:pool]]
-
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
         pool = max(k * self.POOL_FACTOR, self.POOL_MIN)
@@ -50,8 +38,11 @@ class InvertedVectorStore(MemoryStore):
                 return []
             return self._vector_search(signal, k, now)
 
-        lexical = self._lexical_ranked(signal, now, pool)
-        vector = self._vector_ranked(signal, now, pool)
+        # each signal's first ``pool`` ids, in the order its own search ranks them
+        lexical = [record_id for _, record_id in self._lexical_ranking(signal, now)[:pool]]
+        vector = [] if signal.embedding is None else [
+            record.record_id
+            for record, _ in self.nearest(signal.embedding, now, top=pool)[:pool]]
         return fused_candidates([lexical, vector], self.get, "fused", k, self.rrf_k)
 
     def _index_sizes(self) -> dict[str, int]:

@@ -36,7 +36,8 @@ class PropertyGraphStore(MemoryStore):
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
         # one point per distinct query entity the record's triplet mentions
-        bonus = self._keyed_scores(signal, now)
+        bonus = {rec_id: float(-negated)
+                 for negated, rec_id in self._lexical_ranking(signal, now)}
         scores: dict[str, float] = {}
         if signal.embedding is not None:
             for rec, sim in self.nearest(signal.embedding, now, top=k, bonus=bonus):

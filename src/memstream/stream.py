@@ -19,12 +19,13 @@ violation it can find rather than stopping at the first.
 Wire format: one JSON object per line, UTF-8. ``read_stream_file`` skips a
 byte order mark at the start of the file, strips each line and skips blank
 ones; a malformed line raises SchemaError naming its physical line number,
-blank lines counted. A payload's text fields (context, session_id, speaker,
-query, gold_answer, query_id, category) must be strings, speaker may be
-null, and any other value is a malformed line. The clock fields (seq, ts_us
-and an insert's turn_index) must be JSON integers: a bool, a float (2.0 and
-NaN included) or a string is a malformed line, never truncated or converted,
-because a truncated timestamp can change which inserts a retrieve may see.
+blank lines counted, and so does a line that is not UTF-8. A payload's text
+fields (context, session_id, speaker, query, gold_answer, query_id,
+category) must be strings, speaker may be null, and any other value is a
+malformed line. The clock fields (seq, ts_us and an insert's turn_index)
+must be JSON integers: a bool, a float (2.0 and NaN included) or a string
+is a malformed line, never truncated or converted, because a truncated
+timestamp can change which inserts a retrieve may see.
 ``line_to_request`` first decodes a line with one ``raw_decode`` call and
 takes the value only when it spans the whole line. Any other input
 (surrounding whitespace, trailing data, a byte order mark, invalid JSON,
@@ -414,10 +415,21 @@ def write_stream_file(manifest: StreamManifest, path: str):
 
 def read_stream_file(path: str, source: Optional[str] = None) -> StreamManifest:
     requests = []
-    with open(path, encoding="utf-8-sig") as fh:  # skips a leading byte order mark
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            requests.append(line_to_request(line, lineno))
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # skips a leading byte order mark
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                requests.append(line_to_request(line, lineno))
+    except UnicodeDecodeError:
+        # text mode decodes chunk-wise, so its error cannot name the line;
+        # bytes.splitlines ends lines where text mode does (LF, CRLF, CR)
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise SchemaError(f"line {lineno}: not valid UTF-8: {exc}") from exc
+        raise
     return StreamManifest(requests=tuple(requests), source=source or path)

@@ -111,8 +111,11 @@ def _parse_dia_id(raw: str, path: str) -> tuple[int, int]:
 
 def load_locomo(path: str | Path) -> StreamManifest:
     path = str(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except ValueError as exc:  # not JSON, or not UTF-8 (which JSON text must be)
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

@@ -201,6 +201,23 @@ def test_validate_reads_a_byte_order_mark_like_its_absence(runner, tmp_path):
     assert plain.output.startswith("ok: ")
 
 
+def test_a_line_that_is_not_utf8_fails_validate_and_run_naming_it(runner, tmp_path):
+    stream = make_stream(runner, tmp_path)
+    lines = stream.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"context": "', b'"context": "\xe9', 1)
+    assert b"\xe9" in lines[2]
+    stream.write_bytes(b"".join(lines))
+    result = runner.invoke(main, ["validate", str(stream)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "invalid stream: line 3: not valid UTF-8: " in result.output
+    config = make_config(tmp_path, stream)
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"dataset error ({stream}): line 3: not valid UTF-8: " in result.output
+
+
 # ----------------------------------------------------------------------
 # run
 # ----------------------------------------------------------------------
@@ -242,6 +259,52 @@ def test_run_missing_dataset(runner, tmp_path):
     result = runner.invoke(main, ["run", "-c", str(config)])
     assert result.exit_code == 2
     assert "dataset error" in result.output
+
+
+def test_run_dataset_that_is_a_directory_is_dataset_error(runner, tmp_path):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    config = make_config(tmp_path, folder)
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"dataset error ({folder}): Is a directory" in result.output
+
+
+def test_run_locomo_file_that_is_not_json_is_dataset_error(runner, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text('[{"sample_id": ')
+    config = make_config(tmp_path, f"locomo:{corpus}")
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"dataset error (locomo:{corpus}): {corpus}: not valid JSON: " in result.output
+
+
+def test_run_config_that_is_not_utf8_is_config_error(runner, tmp_path):
+    stream = make_stream(runner, tmp_path)
+    config = make_config(tmp_path, stream)
+    config.write_bytes(config.read_bytes() + b"# caf\xe9\n")
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"config error ({config}): not valid UTF-8: " in result.output
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_run_output_dir_that_is_a_file_fails_like_an_existing_sink(runner, tmp_path, grid):
+    # the file itself, or a grid variant's directory beneath it
+    stream = make_stream(runner, tmp_path)
+    extra = {"ablate": {"store.backend": ["fifo_queue", "inverted_vector"]}} if grid else {}
+    config = make_config(tmp_path, stream, **extra)
+    blocker = tmp_path / "results"
+    blocker.write_text("not a directory\n")
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    target = blocker / "backend-fifo_queue" if grid else blocker
+    assert f"cannot create result directory {target}: " in result.output
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_run_unknown_backend_lists_valid_names(runner, tmp_path):
@@ -465,6 +528,16 @@ def test_report_markdown_and_csv_agree(runner, tmp_path):
 def test_report_missing_directory(runner, tmp_path):
     result = runner.invoke(main, ["report", str(tmp_path / "void")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("name", ["summary.json", "checkpoints.jsonl"])
+def test_report_names_a_result_file_that_is_not_json(runner, tmp_path, name):
+    results = finished_run(runner, tmp_path)
+    (results / name).write_text("{truncated\n")
+    result = runner.invoke(main, ["report", str(results)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{results / name}: not valid JSON: " in result.output
 
 
 def test_report_aggregates_grid_variants(runner, tmp_path):

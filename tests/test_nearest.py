@@ -7,7 +7,7 @@ each of them replaced; two stores fed the same operations, one per
 implementation, must return the same candidate ids and bit-identical scores
 and log the same consolidation actions. The lexical parts of the
 references score every visible record from its current text, so a fault in
-the postings or in ``_lexical_ranked`` shows. A second property checks
+the postings or in ``_lexical_ranking`` shows. A second property checks
 that the index rows, with their cached norms, always mirror the live
 embedded records, and that every free row carries ``FREE_TS``. The last
 tests pin the index's numerics on random rows: cached norms and rescored

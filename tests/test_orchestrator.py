@@ -296,6 +296,28 @@ def test_store_failure_mid_run_aborts_with_partial_results():
     assert [r.inserts_consumed for r in result.reports] == [1, 2]
 
 
+def test_aborted_run_reports_queries_answered_after_last_checkpoint(tmp_path):
+    # the third insert overflows the 2-record store before the first every_n
+    # checkpoint closes; the query answered after the second insert must
+    # still reach the results, in a checkpoint of its own
+    manifest = make_manifest(n_inserts=5, queries=[("q0", "fact number 1", "1", 2)])
+    cfg = base_config(
+        store=StoreConfig(backend="fifo_queue",
+                          params={"capacity": 2, "overflow": "error"}),
+        checkpoint=CheckpointSchedule(every_n=10),
+    )
+    result = run_experiment(cfg, manifest, MockGateway(dim=32))
+    assert result.status == "aborted"
+    assert result.summary()["counts"] == {"inserts": 2, "retrieves": 1, "checkpoints": 1}
+    assert [r.inserts_consumed for r in result.reports] == [2]
+    assert [res.query_id for res in result.query_results] == ["q0"]
+    assert result.query_results[0].checkpoint_index == 1
+    experiment_sink(result, tmp_path)
+    assert len((tmp_path / "queries.jsonl").read_text().splitlines()) == 1
+    assert any(" QUERY q0 -> " in line
+               for line in (tmp_path / "actions.log").read_text().splitlines())
+
+
 class ThreadCountingGateway(MockGateway):
     """Mock gateway that records the live thread count at every call."""
 
@@ -392,8 +414,8 @@ def test_summary_rollup_agrees_with_checkpoints_and_traces():
     assert len(result.reports) > 2
     assert set(summary["latency"]["stages"]) == set(ALL_STAGES)
     for stage, agg in summary["latency"]["stages"].items():
-        per_checkpoint = sum(report.latency.stages[stage].count
-                             for report in result.reports if stage in report.latency.stages)
+        per_checkpoint = sum(report.latency[stage]["count"]
+                             for report in result.reports if stage in report.latency)
         kind = KIND_INSERT if stage in INSERT_STAGES else KIND_RETRIEVE
         assert agg["count"] == per_checkpoint
         assert agg["count"] == sum(1 for trace in result.traces if trace.kind == kind)

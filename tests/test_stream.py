@@ -359,6 +359,17 @@ def test_errors_name_the_physical_line_counting_blank_ones(tmp_path, ending):
         read_stream_file(str(path))
 
 
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+def test_a_line_that_is_not_utf8_fails_naming_it(tmp_path, ending):
+    # past the first chunk the text decoder reads, behind a byte order mark
+    good = request_to_line(serialize_stream([session("s0", 1)]).requests[0]).encode("utf-8")
+    bad = good.replace(b"turn", b"tu\xe9rn", 1)
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + ending.join([good] * 400 + [b"", bad, good]) + ending)
+    with pytest.raises(SchemaError, match=r"^line 402: not valid UTF-8: .* byte 0xe9"):
+        read_stream_file(str(path))
+
+
 @st.composite
 def random_workload(draw):
     n_sessions = draw(st.integers(1, 4))
