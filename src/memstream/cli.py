@@ -22,7 +22,7 @@ from .config import (
     parse_set_option,
 )
 from .errors import MissingFiles, SchemaError, SinkExists, StoreError, StreamError
-from .orchestrator import SINK_FILES, experiment_sink, run_experiment
+from .orchestrator import check_sink, clear_memos, experiment_sink, run_experiment
 from .reporting import render_report
 from .stream import read_stream_file, validate_stream, write_stream_file
 from .workloads import (
@@ -100,19 +100,17 @@ def run(config_path, overrides, force):
         out_dir = Path(cfg.output_dir)
         if len(variants) > 1:
             out_dir = out_dir / name
+        try:
+            check_sink(out_dir, force)
+        except SinkExists as err:
+            _fail(str(err), 2)
         work.append((name, cfg, out_dir))
-
-    if not force:
-        blocked = [str(out / item)
-                   for _, _, out in work
-                   for item in SINK_FILES if (out / item).exists()]
-        if blocked:
-            _fail("refusing to overwrite " + ", ".join(blocked) + " (use --force)", 2)
 
     lines = []
     aborted = False
     for name, cfg, out_dir in work:
         try:
+            clear_memos()
             result = run_experiment(cfg, manifests[cfg.dataset])
             experiment_sink(result, out_dir, force=force)
         except StoreError as err:
@@ -141,13 +139,13 @@ def validate(stream):
         _fail(f"io error: {err}", 1)
     except StreamError as err:
         _fail(f"invalid stream: {err}", 2)
-    report = validate_stream(manifest)
-    if report.ok:
+    violations = validate_stream(manifest)
+    if not violations:
         click.echo(f"ok: {len(manifest.requests)} requests")
         sys.exit(0)
-    for violation in report.violations:
+    for violation in violations:
         click.echo(f"[{violation.kind}] index {violation.index}: {violation.detail}")
-    _fail(f"{len(report.violations)} violation(s)", 2)
+    _fail(f"{len(violations)} violation(s)", 2)
 
 
 @main.command()

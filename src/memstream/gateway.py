@@ -2,8 +2,8 @@
 
 Two implementations share the interface:
 
-* MockGateway — fully deterministic, offline. Chat dispatches on the
-  request's template_id to a fixed rule; embeddings hash character
+* MockGateway — fully deterministic, offline. Chat dispatches on its
+  template_id to a fixed rule over the variables; embeddings hash character
   trigrams of the stemmed text into signed buckets. Same input, same
   output, across processes and platforms (hashing is crc32-based, not
   Python's seeded hash()). A text's trigrams are its tokens' padded
@@ -28,10 +28,12 @@ Two implementations share the interface:
   shape, including an embedding whose length is not ``dim``, is posted once
   and raises GatewayError("malformed"), so the fail-open paths catch it.
 
-``embed`` and ``chat`` share one timed path, ``Gateway._call``: it takes the
-rate-limit token, runs the implementation and appends exactly one
-GatewayTiming, also on failure, billed to ``Gateway.stage``. A GatewayTiming
-is an immutable ``NamedTuple``, cheap to build once per call. Each
+``embed(texts)`` and ``chat(template_id, variables)`` share one timed path,
+``Gateway._call``: it takes the rate-limit token, runs the implementation
+and appends exactly one GatewayTiming, also on failure, billed to
+``Gateway.stage``. The clock starts before the token is taken, so a
+throttle wait counts as gateway time. A GatewayTiming is an immutable
+``NamedTuple``, cheap to build once per call. Each
 implementation reports its own retries, as the second item of its return
 value or as ``GatewayError.retries``. The orchestrator sets ``stage`` as each
 lifecycle stage opens, so per-stage model-inference time can be separated
@@ -55,7 +57,6 @@ import threading
 import time
 import traceback
 import zlib
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -72,12 +73,6 @@ from .text import (
 )
 
 DEFAULT_EMBED_DIM = 256
-
-
-@dataclass(frozen=True)
-class ChatRequest:
-    template_id: str
-    variables: dict
 
 
 class GatewayTiming(NamedTuple):
@@ -139,12 +134,12 @@ class Gateway:
     def _embed_impl(self, texts: list[str]) -> tuple[list[np.ndarray], int]:
         raise NotImplementedError
 
-    def _chat_impl(self, request: ChatRequest) -> tuple[str, int]:
+    def _chat_impl(self, template_id: str, variables: dict) -> tuple[str, int]:
         raise NotImplementedError
 
     # -- public surface -------------------------------------------------
     def embed(self, texts: list[str]) -> list[np.ndarray]:
-        return self._call("embed", self._embed_impl, texts, None)
+        return self._call("embed", None, self._embed_impl, texts)
 
     def vectors_for(self, texts: list[str]) -> list[Optional[np.ndarray]]:
         """``embed(texts)`` when the run reads vectors, else one ``None`` per text."""
@@ -152,22 +147,23 @@ class Gateway:
             return [None] * len(texts)
         return self.embed(texts)
 
-    def chat(self, request: ChatRequest) -> str:
-        return self._call("chat", self._chat_impl, request, request.template_id)
+    def chat(self, template_id: str, variables: dict) -> str:
+        """The reply of template ``template_id`` filled in with ``variables``."""
+        return self._call("chat", template_id, self._chat_impl, template_id, variables)
 
     def answer(self, query: str, context: str) -> str:
         """Answer generation over an assembled context. Empty context is legal."""
-        return self.chat(ChatRequest("answer", {"query": query, "context": context}))
+        return self.chat("answer", {"query": query, "context": context})
 
     # -- the one timed path -----------------------------------------------
-    def _call(self, kind: str, impl: Callable, arg, template_id: Optional[str]):
-        """Run ``impl(arg)`` under the rate limit and record exactly one timing."""
+    def _call(self, kind: str, template_id: Optional[str], impl: Callable, *args):
+        """Run ``impl(*args)`` under the rate limit and record exactly one timing."""
+        t0 = time.perf_counter_ns()
         if self.rate_limit is not None:
             self.rate_limit.acquire()
         ok, retries = False, 0
-        t0 = time.perf_counter_ns()
         try:
-            value, retries = impl(arg)
+            value, retries = impl(*args)
             ok = True
         except GatewayError as err:
             retries = err.retries
@@ -390,7 +386,7 @@ def _tpl_answer(variables: dict, memo: dict) -> str:
     return best_sentence if best_sentence is not None else "unknown"
 
 
-# Each template takes the request's variables and the gateway's template
+# Each template takes the call's variables and the gateway's template
 # memo; only answer and paraphrase use the memo.
 _MOCK_TEMPLATES: dict[str, Callable[[dict, dict], str]] = {
     "summarize": _tpl_summarize,
@@ -430,13 +426,13 @@ class MockGateway(Gateway):
             raise GatewayError("injected", "embed fault injected")
         return [mock_embed_text(text, self.dim) for text in texts], 0
 
-    def _chat_impl(self, request: ChatRequest) -> tuple[str, int]:
-        if request.template_id in self.failing:
-            raise GatewayError("injected", f"chat fault injected: {request.template_id}")
-        template = _MOCK_TEMPLATES.get(request.template_id)
+    def _chat_impl(self, template_id: str, variables: dict) -> tuple[str, int]:
+        if template_id in self.failing:
+            raise GatewayError("injected", f"chat fault injected: {template_id}")
+        template = _MOCK_TEMPLATES.get(template_id)
         if template is None:
-            raise GatewayError("malformed", f"unregistered template: {request.template_id}")
-        return template(request.variables, self._memo), 0
+            raise GatewayError("malformed", f"unregistered template: {template_id}")
+        return template(variables, self._memo), 0
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +575,14 @@ class RemoteGateway(Gateway):
             out.append(vec / norm if norm > 0 else vec)
         return out, retries
 
-    def _chat_impl(self, request: ChatRequest) -> tuple[str, int]:
-        prompt = _REMOTE_PROMPTS.get(request.template_id)
+    def _chat_impl(self, template_id: str, variables: dict) -> tuple[str, int]:
+        prompt = _REMOTE_PROMPTS.get(template_id)
         if prompt is None:
-            raise GatewayError("malformed", f"unregistered template: {request.template_id}")
+            raise GatewayError("malformed", f"unregistered template: {template_id}")
         content = prompt.format(**{**{"max_sentences": 2, "max_triplets": 5,
                                       "max_keywords": 5, "max_subqueries": 3,
                                       "index": 0},
-                                   **request.variables})
+                                   **variables})
         body, retries = self._post_with_retries(
             f"{self.base_url}/chat/completions",
             {

@@ -3,6 +3,8 @@ policies, plus the pipeline wrappers the orchestrator calls.
 
 Normalization turns one inbound turn into records, each built by ``_unit``,
 before the tentative insert; consolidation mutates the store right after it.
+``run_normalize`` returns ``(records, flags)`` and ``run_consolidate``
+``(actions, flags)``; the flags name each fallback the request took.
 Operators call the gateway without naming a stage: the orchestrator bills
 their calls to the stage it has open.
 """
@@ -10,14 +12,13 @@ their calls to the stage it has open.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .config import ConsolidateConfig, NormalizeConfig
 from .errors import GatewayError, UnparseableExtraction, UnsupportedBackend
-from .gateway import ChatRequest, Gateway
+from .gateway import Gateway
 from .records import (
     KIND_SUMMARY,
     KIND_TRIPLET,
@@ -53,7 +54,7 @@ def normalize_enrich(h: InsertPayload, ts: int, gateway: Gateway,
                      max_sentences: int) -> list[MemoryRecord]:
     """Raw record plus a gateway-written summary record."""
     summary_text = gateway.chat(
-        ChatRequest("summarize", {"text": h.context, "max_sentences": max_sentences})).strip()
+        "summarize", {"text": h.context, "max_sentences": max_sentences}).strip()
     if not summary_text:
         raise GatewayError("empty", "summarizer returned an empty completion")
     raw_vec, summary_vec = gateway.vectors_for([h.context, summary_text])
@@ -65,10 +66,9 @@ def normalize_rewrite(h: InsertPayload, gateway: Gateway,
                       max_triplets: int) -> list[Triplet]:
     """Extract at most max_triplets facts; the raw text is NOT kept."""
     reply = gateway.chat(
-        ChatRequest("triplets", {"text": h.context, "max_triplets": max_triplets})).strip()
+        "triplets", {"text": h.context, "max_triplets": max_triplets}).strip()
     if reply.lower() == "no facts" or not reply:
         return []
-    source = f"turn/{h.session_id}/{h.turn_index}"
     triplets = []
     for line in reply.splitlines():
         line = line.strip()
@@ -78,8 +78,7 @@ def normalize_rewrite(h: InsertPayload, gateway: Gateway,
         if len(parts) != 3 or not all(parts):
             raise UnparseableExtraction(
                 f"expected 'subject | relation | object', got {line!r}")
-        triplets.append(Triplet(subject=parts[0], relation=parts[1],
-                                object=parts[2], source_record=source))
+        triplets.append(Triplet(subject=parts[0], relation=parts[1], object=parts[2]))
         if len(triplets) >= max_triplets:
             break
     return triplets
@@ -126,12 +125,6 @@ def run_normalize(h: InsertPayload, ts: int, cfg: NormalizeConfig,
 VECTOR_POLICIES = frozenset({"crud", "semantic_consolidation", "link_evolution"})
 
 
-@dataclass
-class ConsolidationOutcome:
-    actions: list[str] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
-
-
 def _nearest_existing(store: MemoryStore, record: MemoryRecord,
                       exclude: set[str], limit: int) -> list[MemoryRecord]:
     """Top existing records by embedding cosine, lexical overlap fallback."""
@@ -151,14 +144,15 @@ def _nearest_existing(store: MemoryStore, record: MemoryRecord,
 
 
 def consolidate_crud(store: MemoryStore, new_ids: list[str], gateway: Gateway,
-                     neighbor_count: int = 3) -> ConsolidationOutcome:
+                     neighbor_count: int = 3) -> tuple[list[str], list[str]]:
     """Ask the gateway for one ADD/UPDATE/DELETE/NOOP decision per new unit.
 
     New units are already inserted, so ADD and NOOP both leave them in
     place; UPDATE removes the superseded record; DELETE removes its target.
     A gateway failure keeps everything (NOOP) and flags the request.
     """
-    outcome = ConsolidationOutcome()
+    actions: list[str] = []
+    flags: list[str] = []
     exclude = set(new_ids)
     for new_id in new_ids:
         record = store.get(new_id)
@@ -166,30 +160,30 @@ def consolidate_crud(store: MemoryStore, new_ids: list[str], gateway: Gateway,
         neighbor_lines = "\n".join(f"{n.record_id}\t{n.text}" for n in neighbors)
         try:
             reply = gateway.chat(
-                ChatRequest("crud", {"new": record.text, "neighbors": neighbor_lines})).strip()
+                "crud", {"new": record.text, "neighbors": neighbor_lines}).strip()
         except GatewayError:
-            outcome.actions.append(f"NOOP {new_id}")
-            outcome.flags.append("crud_fallback")
+            actions.append(f"NOOP {new_id}")
+            flags.append("crud_fallback")
             continue
         parts = reply.split()
         verb = parts[0].upper() if parts else ""
         target = parts[1] if len(parts) > 1 else ""
         if verb == "ADD":
-            outcome.actions.append(f"ADD {new_id}")
+            actions.append(f"ADD {new_id}")
         elif verb == "NOOP":
-            outcome.actions.append(f"NOOP {new_id}")
+            actions.append(f"NOOP {new_id}")
         elif verb in ("UPDATE", "DELETE") and target:
             if target in {n.record_id for n in neighbors}:
                 store.remove(target)
-                outcome.actions.append(
+                actions.append(
                     f"UPDATE {target}<-{new_id}" if verb == "UPDATE" else f"DELETE {target}")
             else:
-                outcome.actions.append(f"NOOP {new_id}")
-                outcome.flags.append("crud_unknown_target")
+                actions.append(f"NOOP {new_id}")
+                flags.append("crud_unknown_target")
         else:
-            outcome.actions.append(f"NOOP {new_id}")
-            outcome.flags.append("crud_unparseable")
-    return outcome
+            actions.append(f"NOOP {new_id}")
+            flags.append("crud_unparseable")
+    return actions, flags
 
 
 def retention(record: MemoryRecord, now: int) -> float:
@@ -314,25 +308,21 @@ def semantic_consolidation(store: MemoryStore, new_ids: list[str],
 
 def run_consolidate(store: MemoryStore, new_ids: list[str], now: int,
                     cfg: ConsolidateConfig, gateway: Gateway,
-                    insert_index: int) -> ConsolidationOutcome:
+                    insert_index: int) -> tuple[list[str], list[str]]:
     """Dispatch by strategy; fires only on every_n boundaries."""
-    if cfg.strategy == "none":
-        return ConsolidationOutcome()
-    if insert_index % cfg.every_n != 0:
-        return ConsolidationOutcome()
+    if cfg.strategy == "none" or insert_index % cfg.every_n != 0:
+        return [], []
     # capacity eviction during a multi-unit insert can take out a sibling
     new_ids = [record_id for record_id in new_ids if store.is_live(record_id)]
     if cfg.strategy == "crud":
         return consolidate_crud(store, new_ids, gateway)
     if cfg.strategy == "forgetting_curve":
         evicted = forgetting_curve(store, now, cfg.retention_threshold)
-        return ConsolidationOutcome(actions=[f"EVICT {rid}" for rid in evicted])
+        return [f"EVICT {rid}" for rid in evicted], []
     if cfg.strategy == "heat_migration":
-        return ConsolidationOutcome(actions=heat_migration(store, now, cfg))
+        return heat_migration(store, now, cfg), []
     if cfg.strategy == "link_evolution":
-        return ConsolidationOutcome(
-            actions=link_evolution(store, new_ids, cfg.link_top_m, cfg.link_threshold))
+        return link_evolution(store, new_ids, cfg.link_top_m, cfg.link_threshold), []
     if cfg.strategy == "semantic_consolidation":
-        return ConsolidationOutcome(
-            actions=semantic_consolidation(store, new_ids, cfg.dedup_threshold))
+        return semantic_consolidation(store, new_ids, cfg.dedup_threshold), []
     raise ValueError(f"unknown consolidation strategy {cfg.strategy!r}")

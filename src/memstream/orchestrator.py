@@ -75,7 +75,7 @@ from .errors import (
     SinkExists,
     StoreError,
 )
-from .gateway import Gateway, GatewayTiming, MockGateway, RemoteGateway, TokenBucket
+from .gateway import Gateway, GatewayTiming, MockGateway, RemoteGateway, TokenBucket, _token_codes
 from .ingest import VECTOR_POLICIES, run_consolidate, run_normalize
 from .metrics import (
     INSERT_STAGES,
@@ -91,7 +91,7 @@ from .metrics import (
     latency_aggregate,
     token_f1,
 )
-from .records import StoreStats
+from .records import StoreStats, ts_to_iso
 from .retrieve import execute_search, run_formulate, run_integrate
 from .stores import build_store
 from .stores.base import MemoryStore
@@ -104,6 +104,7 @@ from .stream import (
     validate_stream,
     write_atomic,
 )
+from .text import _word
 
 
 # ----------------------------------------------------------------------
@@ -358,34 +359,31 @@ class _Pipeline:
 
         stamps.append(self._enter(STAGE_POST_INSERT))
         self.inserts_consumed += 1
-        outcome = run_consolidate(self.store, ids, request.ts, ops.consolidate,
-                                  self.gateway, self.inserts_consumed)
+        actions, post_flags = run_consolidate(self.store, ids, request.ts, ops.consolidate,
+                                              self.gateway, self.inserts_consumed)
         stamps.append(time.perf_counter_ns())
 
-        self._close_request(request, INSERT_STAGES, stamps, flags + outcome.flags)
+        self._close_request(request, INSERT_STAGES, stamps, flags + post_flags)
         prefix = f"{request.seq} ts={request.ts}"
         self.result.action_log.append(f"{prefix} INSERT {','.join(ids) if ids else '-'}")
-        self.result.action_log.extend(f"{prefix} {action}" for action in outcome.actions)
+        self.result.action_log.extend(f"{prefix} {action}" for action in actions)
 
     # -- evaluation path --------------------------------------------------
     def _evaluate_query(self, request: Request, checkpoint_index: int) -> QueryResult:
         payload = request.payload
         ops = self.cfg.operators
-        flags: list[str] = []
 
         stamps = [self._enter(STAGE_PRE_RETRIEVE)]
-        fq = run_formulate(payload, ops.formulate, self.gateway)
-        flags.extend(fq.flags)
+        fq, flags = run_formulate(payload, ops.formulate, self.gateway)
 
         stamps.append(self._enter(STAGE_SEARCH))
         candidates = execute_search(self.store, fq, ops.k, now=request.ts)
 
         stamps.append(self._enter(STAGE_POST_RETRIEVE))
-        integration = run_integrate(payload.query, candidates, self.store,
-                                    self.gateway, ops.integrate, ops.k,
-                                    now=request.ts)
-        flags.extend(integration.flags)
-        bundle = integration.bundle
+        bundle, post_flags = run_integrate(payload.query, candidates, self.store,
+                                           self.gateway, ops.integrate, ops.k,
+                                           now=request.ts)
+        flags = flags + post_flags
 
         stamps.append(self._enter(STAGE_GENERATION))
         try:
@@ -464,11 +462,11 @@ _COLLECTOR_LOCK = threading.Lock()
 def run_experiment(cfg: ExperimentConfig, manifest: StreamManifest,
                    gateway: Optional[Gateway] = None) -> ExperimentResult:
     """Validate the stream, then run the blocking protocol over it."""
-    report = validate_stream(manifest)
-    if not report.ok:
-        first = report.violations[0]
+    violations = validate_stream(manifest)
+    if violations:
+        first = violations[0]
         raise SchemaError(
-            f"stream failed validation with {len(report.violations)} violation(s); "
+            f"stream failed validation with {len(violations)} violation(s); "
             f"first: [{first.kind}] at index {first.index}: {first.detail}")
     # see "Garbage collection" in the module docstring; the lock keeps a run
     # on another thread from turning the collector on between check and act
@@ -483,6 +481,19 @@ def run_experiment(cfg: ExperimentConfig, manifest: StreamManifest,
                 gc.enable()
 
 
+def clear_memos():
+    """Empty the process-wide memos that a run fills as it goes.
+
+    ``text._word``, ``gateway._token_codes`` and ``records.ts_to_iso`` outlive
+    a run, so a run that follows another in the same process finds them warm
+    and bills less time per request. ``memstream run`` calls this before each
+    variant, so every variant of a grid starts cold; ``run_experiment`` leaves
+    them as they are.
+    """
+    for memo in (_word, _token_codes, ts_to_iso):
+        memo.cache_clear()
+
+
 # ----------------------------------------------------------------------
 # persistence
 # ----------------------------------------------------------------------
@@ -494,27 +505,39 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def check_sink(out_dir: str | Path, force: bool = False):
+    """Raise SinkExists unless ``experiment_sink`` may write to ``out_dir``.
+
+    ``out_dir`` and each of its parents must be a directory or not exist,
+    and unless ``force`` is set no result file may exist in it yet. Creates
+    nothing, so a run can be checked before it starts.
+    """
+    out = Path(out_dir)
+    for path in (out, *out.parents):
+        if path.is_dir():
+            break
+        if path.exists() or path.is_symlink():  # a file, or a dangling link
+            raise SinkExists(f"cannot create result directory {out}: {path} is not a directory")
+    if not force:
+        existing = [str(out / name) for name in SINK_FILES if (out / name).exists()]
+        if existing:
+            raise SinkExists(
+                f"refusing to overwrite {', '.join(existing)} (use --force)")
+
+
 def experiment_sink(result: ExperimentResult, out_dir: str | Path,
                     force: bool = False) -> list[Path]:
     """Write checkpoints.jsonl / queries.jsonl / summary.json / actions.log.
 
-    Refuses to overwrite existing result files unless force is set, and
-    raises SinkExists, too, when ``out_dir`` or a parent is a file. Each
-    file is replaced atomically, and the summary is computed before any file
-    is touched. Wall clock readings only ever appear under "latency" keys,
-    so consumers can strip those for byte comparisons.
+    Raises SinkExists when ``check_sink`` refuses ``out_dir``. Each file is
+    replaced atomically, and the summary is computed before any file is
+    touched. Wall clock readings only ever appear under "latency" keys, so
+    consumers can strip those for byte comparisons.
     """
+    check_sink(out_dir, force)
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as err:  # it, or a parent, is a file
-        raise SinkExists(f"cannot create result directory {out}: {err.strerror}") from err
+    out.mkdir(parents=True, exist_ok=True)
     targets = [out / name for name in SINK_FILES]
-    if not force:
-        existing = [str(p) for p in targets if p.exists()]
-        if existing:
-            raise SinkExists(
-                f"refusing to overwrite {', '.join(existing)} (use --force)")
     summary = json.dumps(result.summary(), sort_keys=True, indent=2)
     write_atomic(targets[0], (_dump(report.as_dict()) for report in result.reports))
     write_atomic(targets[1], (_dump(res.as_dict()) for res in result.query_results))

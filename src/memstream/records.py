@@ -49,7 +49,6 @@ class Triplet:
     subject: str
     relation: str
     object: str
-    source_record: str = ""
 
     def __post_init__(self):
         for name in ("subject", "relation", "object"):
@@ -98,7 +97,6 @@ class RetrievalSignal:
     embedding: Optional[np.ndarray] = None
     keywords: tuple[str, ...] = ()
     skip: bool = False
-    flags: tuple[str, ...] = ()
 
     def lexical_text(self) -> str:
         """Text used for lexical matching: keywords replace the raw query."""
@@ -117,7 +115,6 @@ class Candidate:
 
     record: MemoryRecord
     score: float
-    source: str = ""  # which index produced it (diagnostic)
 
     @property
     def record_id(self) -> str:

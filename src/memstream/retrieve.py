@@ -3,6 +3,8 @@ context integration strategies, and bundle assembly.
 
 Formulation produces RetrievalSignals, search runs against the store, and
 integration reshapes the candidate list and builds the final ContextBundle.
+``run_formulate`` returns ``(FormulatedQuery, flags)`` and ``run_integrate``
+``(ContextBundle, flags)``; the flags name each fallback the request took.
 Operators call the gateway without naming a stage: the orchestrator bills
 their calls to the stage it has open. Sub-query and paraphrase rankings are
 fused by ``fused_candidates``, the store layer's reciprocal-rank fusion.
@@ -11,12 +13,12 @@ fused by ``fused_candidates``, the store layer's reciprocal-rank fusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .config import FormulateConfig, IntegrateConfig
 from .errors import GatewayError
-from .gateway import ChatRequest, Gateway
+from .gateway import Gateway
 from .records import (
     KIND_RAW,
     TIER_NAMES,
@@ -39,7 +41,6 @@ class FormulatedQuery:
 
     signal: RetrievalSignal
     sub_signals: tuple[RetrievalSignal, ...] = ()
-    flags: tuple[str, ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -53,43 +54,38 @@ def formulate_none(q: RetrievePayload, gateway: Gateway) -> RetrievalSignal:
 
 def formulate_validate(q: RetrievePayload, gateway: Gateway) -> RetrievalSignal:
     """Ask whether retrieval is needed at all; small talk skips the search."""
-    reply = gateway.chat(ChatRequest("validate", {"query": q.query})).strip().upper()
+    reply = gateway.chat("validate", {"query": q.query}).strip().upper()
     if reply == "SKIP":
         return RetrievalSignal(raw_query=q.query, skip=True)
     return formulate_none(q, gateway)
 
 
 def formulate_keyword(q: RetrievePayload, gateway: Gateway, max_keywords: int,
-                      augments: bool = False) -> RetrievalSignal:
+                      augments: bool = False) -> tuple[RetrievalSignal, list[str]]:
     """Keywords replace the raw query as the lexical signal.
 
     With augments=True they extend it instead: the signal text becomes
     the raw query plus the keywords (flagged so reports can tell).
+    An empty reply falls back to the plain signal, flagged.
     """
     reply = gateway.chat(
-        ChatRequest("keywords", {"query": q.query, "max_keywords": max_keywords})).strip()
+        "keywords", {"query": q.query, "max_keywords": max_keywords}).strip()
     if not reply:
-        signal = formulate_none(q, gateway)
-        return RetrievalSignal(
-            raw_query=signal.raw_query, embedding=signal.embedding,
-            flags=("keyword_fallback",),
-        )
+        return formulate_none(q, gateway), ["keyword_fallback"]
     keywords = tuple(reply.split())
     if augments:
         joined = f"{q.query} {' '.join(keywords)}"
         embedding = gateway.vectors_for([joined])[0]
-        return RetrievalSignal(raw_query=joined, embedding=embedding,
-                               flags=("keyword_augmented",))
+        return RetrievalSignal(raw_query=joined, embedding=embedding), ["keyword_augmented"]
     embedding = gateway.vectors_for([" ".join(keywords)])[0]
-    return RetrievalSignal(raw_query=q.query, embedding=embedding,
-                           keywords=keywords)
+    return RetrievalSignal(raw_query=q.query, embedding=embedding, keywords=keywords), []
 
 
 def formulate_decompose(q: RetrievePayload, gateway: Gateway,
                         max_subqueries: int) -> tuple[RetrievalSignal, tuple[RetrievalSignal, ...]]:
     """Split a compound question; each part gets its own embedded signal."""
     reply = gateway.chat(
-        ChatRequest("decompose", {"query": q.query, "max_subqueries": max_subqueries})).strip()
+        "decompose", {"query": q.query, "max_subqueries": max_subqueries}).strip()
     parts = [line.strip() for line in reply.splitlines() if line.strip()]
     if not parts:
         parts = [q.query]
@@ -103,35 +99,32 @@ def formulate_decompose(q: RetrievePayload, gateway: Gateway,
 
 
 def run_formulate(q: RetrievePayload, cfg: FormulateConfig,
-                  gateway: Gateway) -> FormulatedQuery:
+                  gateway: Gateway) -> tuple[FormulatedQuery, list[str]]:
     """Dispatch by strategy; gateway failures fall back to plain embedding."""
     flags: list[str] = []
     if cfg.strategy == "validate":
         try:
-            return FormulatedQuery(signal=formulate_validate(q, gateway))
+            return FormulatedQuery(formulate_validate(q, gateway)), flags
         except GatewayError:
             flags.append("validate_fallback")
     elif cfg.strategy == "keyword":
         try:
-            signal = formulate_keyword(q, gateway, cfg.max_keywords,
-                                       cfg.keyword_augments)
-            return FormulatedQuery(signal=signal, flags=signal.flags)
+            signal, flags = formulate_keyword(q, gateway, cfg.max_keywords,
+                                              cfg.keyword_augments)
+            return FormulatedQuery(signal), flags
         except GatewayError:
             flags.append("keyword_fallback")
     elif cfg.strategy == "decompose":
         try:
             primary, subs = formulate_decompose(q, gateway, cfg.max_subqueries)
-            sub_signals = subs if len(subs) > 1 else ()
-            return FormulatedQuery(signal=primary, sub_signals=sub_signals)
+            return FormulatedQuery(primary, subs if len(subs) > 1 else ()), flags
         except GatewayError:
             flags.append("decompose_fallback")
     try:
-        return FormulatedQuery(signal=formulate_none(q, gateway),
-                               flags=tuple(flags))
+        return FormulatedQuery(formulate_none(q, gateway)), flags
     except GatewayError:
         flags.append("embed_failed")
-        return FormulatedQuery(signal=RetrievalSignal(raw_query=q.query),
-                               flags=tuple(flags))
+        return FormulatedQuery(RetrievalSignal(raw_query=q.query)), flags
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +139,7 @@ def execute_search(store: MemoryStore, fq: FormulatedQuery, k: int,
     per_sub = math.ceil(k / len(fq.sub_signals))
     rankings = [[c.record_id for c in store.retrieve(signal, per_sub, now=now)]
                 for signal in fq.sub_signals]
-    return fused_candidates(rankings, store.get, "decompose", k)
+    return fused_candidates(rankings, store.get, k)
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +153,6 @@ def integrate_time_weighted(cands: list[Candidate], now: int,
         Candidate(
             record=c.record,
             score=c.score * math.exp(-decay_lambda * max(0, now - c.record.ts) / US_PER_DAY),
-            source=c.source,
         )
         for c in cands
     ]
@@ -209,7 +201,7 @@ def integrate_augment(cands: list[Candidate], store: MemoryStore, window: int,
             if neighbor.record_id in seen:
                 continue
             seen.add(neighbor.record_id)
-            out.append(Candidate(record=neighbor, score=0.0, source="augment"))
+            out.append(Candidate(record=neighbor, score=0.0))
     return out
 
 
@@ -225,8 +217,7 @@ def integrate_multi_query(query: str, cands: list[Candidate],
     rankings = [[c.record_id for c in cands]]
     try:
         for index in range(n_queries):
-            paraphrase = gateway.chat(
-                ChatRequest("paraphrase", {"query": query, "index": index})).strip()
+            paraphrase = gateway.chat("paraphrase", {"query": query, "index": index}).strip()
             if not paraphrase:
                 continue
             embedding = gateway.vectors_for([paraphrase])[0]
@@ -235,7 +226,7 @@ def integrate_multi_query(query: str, cands: list[Candidate],
     except GatewayError:
         flags.append("multi_query_fallback")
         return list(cands), flags
-    return fused_candidates(rankings, store.get, "multi_query", max(k, len(cands))), flags
+    return fused_candidates(rankings, store.get, max(k, len(cands))), flags
 
 
 # ----------------------------------------------------------------------
@@ -280,15 +271,9 @@ def build_bundle(cands: list[Candidate],
     return bundle, truncated
 
 
-@dataclass
-class IntegrationResult:
-    bundle: ContextBundle
-    flags: list[str] = field(default_factory=list)
-
-
 def run_integrate(query: str, cands: list[Candidate], store: MemoryStore,
                   gateway: Gateway, cfg: IntegrateConfig, k: int,
-                  now: Optional[int]) -> IntegrationResult:
+                  now: Optional[int]) -> tuple[ContextBundle, list[str]]:
     """Dispatch by strategy, then assemble the bundle under the budget."""
     flags: list[str] = []
     working = list(cands)
@@ -310,4 +295,4 @@ def run_integrate(query: str, cands: list[Candidate], store: MemoryStore,
     bundle, truncated = build_bundle(working, cfg.budget_tokens)
     if truncated:
         flags.append("budget_truncated")
-    return IntegrationResult(bundle=bundle, flags=flags)
+    return bundle, flags

@@ -125,16 +125,15 @@ def normalize_ratio(scored: list[tuple[MemoryRecord, float]]) -> list[tuple[Memo
     return [(rec, score / top) for rec, score in scored]
 
 
-def rank_candidates(scored: Iterable[tuple[MemoryRecord, float]], k: int,
-                    source: str) -> list[Candidate]:
+def rank_candidates(scored: Iterable[tuple[MemoryRecord, float]], k: int) -> list[Candidate]:
     """The ``k`` best of distinct records by descending score, then record_id."""
     ranked = sorted([(-score, record.record_id, record) for record, score in scored])
-    return [Candidate(record=record, score=-negated, source=source)
+    return [Candidate(record=record, score=-negated)
             for negated, _, record in ranked[:k]]
 
 
 def fused_candidates(rankings: Iterable[list[str]], record_of: Callable[[str], MemoryRecord],
-                     source: str, limit: int, k_rrf: int = DEFAULT_RRF_K) -> list[Candidate]:
+                     limit: int, k_rrf: int = DEFAULT_RRF_K) -> list[Candidate]:
     """RRF-fuse ranked id lists into the ``limit`` best candidates, best first.
 
     A ranked id scores sum over lists of 1 / (k_rrf + rank), ranks 1-based,
@@ -153,7 +152,7 @@ def fused_candidates(rankings: Iterable[list[str]], record_of: Callable[[str], M
         return []
     ranked = sorted([(-score, doc_id) for doc_id, score in fused.items()])
     top = -ranked[0][0]
-    return [Candidate(record=record_of(doc_id), score=-negated / top, source=source)
+    return [Candidate(record=record_of(doc_id), score=-negated / top)
             for negated, doc_id in ranked[:limit]]
 
 
@@ -457,8 +456,7 @@ class MemoryStore(ABC):
             return []
         top = float(-ranked[0][0])
         records = self._records
-        return [Candidate(record=records[record_id], score=float(-negated) / top,
-                          source="lexical")
+        return [Candidate(record=records[record_id], score=float(-negated) / top)
                 for negated, record_id in ranked[:k]]
 
     def _vector_search(self, signal: RetrievalSignal, k: int, now: Optional[int],
@@ -466,7 +464,7 @@ class MemoryStore(ABC):
         """Top ``k`` by folded cosine to the signal's embedding."""
         scored = [(record, fold_cosine(sim))
                   for record, sim in self.nearest(signal.embedding, now, top=k, rows=rows)]
-        return rank_candidates(scored, k, source="vector")
+        return rank_candidates(scored, k)
 
     # ------------------------------------------------------------------
     # maintenance surface (used by consolidation policies)

@@ -43,7 +43,7 @@ class InvertedVectorStore(MemoryStore):
         vector = [] if signal.embedding is None else [
             record.record_id
             for record, _ in self.nearest(signal.embedding, now, top=pool)[:pool]]
-        return fused_candidates([lexical, vector], self.get, "fused", k, self.rrf_k)
+        return fused_candidates([lexical, vector], self.get, k, self.rrf_k)
 
     def _index_sizes(self) -> dict[str, int]:
         return {

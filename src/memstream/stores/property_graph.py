@@ -47,7 +47,7 @@ class PropertyGraphStore(MemoryStore):
                 scores[rec_id] = points
         scored = [(self._records[rec_id], score)
                   for rec_id, score in scores.items() if score > 0.0]
-        return rank_candidates(normalize_ratio(scored), k, source="graph")
+        return rank_candidates(normalize_ratio(scored), k)
 
     def _index_sizes(self) -> dict[str, int]:
         return {

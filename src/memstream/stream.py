@@ -13,8 +13,9 @@ workloads use logical ticks (request index * 1 second). Equal-timestamp
 requests are ordered (inserts first, then retrieves), then by (session_id,
 turn_index).
 
-Validation findings are data, not exceptions: validate_stream returns every
-violation it can find rather than stopping at the first.
+Validation findings are data, not exceptions: validate_stream returns the
+list of every violation it can find rather than stopping at the first, and
+an empty list for a valid stream.
 
 Wire format: one JSON object per line, UTF-8. ``read_stream_file`` skips a
 byte order mark at the start of the file, strips each line and skips blank
@@ -39,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .errors import DanglingEvidence, MissingTimestamp, SchemaError
@@ -121,7 +122,6 @@ class Request:
 @dataclass(frozen=True)
 class StreamManifest:
     requests: tuple[Request, ...]
-    source: str = "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +188,7 @@ def fraction_count(fraction: float, total: int) -> int:
 
 
 def serialize_stream(sessions: Iterable[SessionTurns],
-                     queries: Iterable[QuerySpec] = (),
-                     source: str = "inline") -> StreamManifest:
+                     queries: Iterable[QuerySpec] = ()) -> StreamManifest:
     """Lay sessions and triggered queries out as one causal request stream.
 
     Each query's trigger resolves to a timestamp strictly greater than its
@@ -261,7 +260,7 @@ def serialize_stream(sessions: Iterable[SessionTurns],
         Request(seq=i, ts=ts, kind=kind, payload=payload)
         for i, (_, kind, ts, payload) in enumerate(merged)
     )
-    return StreamManifest(requests=requests, source=source)
+    return StreamManifest(requests=requests)
 
 
 # ---------------------------------------------------------------------------
@@ -275,45 +274,34 @@ class Violation:
     detail: str
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_stream(manifest: StreamManifest) -> ValidationReport:
-    report = ValidationReport()
+def validate_stream(manifest: StreamManifest) -> list[Violation]:
+    """Every ordering and shape violation in ``manifest``, in request order."""
+    violations: list[Violation] = []
     seen_seq: set[int] = set()
     prev_ts: Optional[int] = None
     prev_seq: Optional[int] = None
     for i, request in enumerate(manifest.requests):
         if request.seq in seen_seq:
-            report.violations.append(Violation(i, "seq_duplicate",
-                                               f"seq {request.seq} repeats"))
+            violations.append(Violation(i, "seq_duplicate", f"seq {request.seq} repeats"))
         seen_seq.add(request.seq)
         if prev_seq is not None and request.seq <= prev_seq:
-            report.violations.append(Violation(i, "seq_order",
-                                               f"seq {request.seq} after {prev_seq}"))
+            violations.append(Violation(i, "seq_order", f"seq {request.seq} after {prev_seq}"))
         prev_seq = request.seq
         ts = request.ts
         if not TS_MIN <= ts < TS_END:
-            report.violations.append(Violation(i, "ts_range", f"ts {ts} outside [{TS_MIN}, {TS_END})"))
+            violations.append(Violation(i, "ts_range", f"ts {ts} outside [{TS_MIN}, {TS_END})"))
         if prev_ts is not None and ts < prev_ts:
-            report.violations.append(Violation(i, "ts_order", f"ts {ts} after {prev_ts}"))
+            violations.append(Violation(i, "ts_order", f"ts {ts} after {prev_ts}"))
         prev_ts = ts
         expected = InsertPayload if request.kind == KIND_INSERT else (
             RetrievePayload if request.kind == KIND_RETRIEVE else None)
         if expected is None:
-            report.violations.append(Violation(i, "kind_unknown",
-                                               f"kind {request.kind!r}"))
+            violations.append(Violation(i, "kind_unknown", f"kind {request.kind!r}"))
         elif not isinstance(request.payload, expected):
-            report.violations.append(Violation(
+            violations.append(Violation(
                 i, "payload_mismatch",
                 f"kind {request.kind} with {type(request.payload).__name__}"))
-    return report
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +401,7 @@ def write_stream_file(manifest: StreamManifest, path: str):
     write_atomic(path, (request_to_line(request) for request in manifest.requests))
 
 
-def read_stream_file(path: str, source: Optional[str] = None) -> StreamManifest:
+def read_stream_file(path: str) -> StreamManifest:
     requests = []
     try:
         with open(path, encoding="utf-8-sig") as fh:  # skips a leading byte order mark
@@ -432,4 +420,4 @@ def read_stream_file(path: str, source: Optional[str] = None) -> StreamManifest:
                 except UnicodeDecodeError as exc:
                     raise SchemaError(f"line {lineno}: not valid UTF-8: {exc}") from exc
         raise
-    return StreamManifest(requests=tuple(requests), source=source or path)
+    return StreamManifest(requests=tuple(requests))

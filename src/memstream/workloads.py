@@ -33,6 +33,7 @@ from .stream import (
     read_stream_file,
     serialize_stream,
     validate_stream,
+    write_atomic,
 )
 from .text import SYNONYMS, apply_synonyms
 
@@ -40,11 +41,11 @@ from .text import SYNONYMS, apply_synonyms
 def load_generic(path: str | Path) -> StreamManifest:
     """Native stream format, parsed then validated."""
     manifest = read_stream_file(str(path))
-    report = validate_stream(manifest)
-    if not report.ok:
-        first = report.violations[0]
+    violations = validate_stream(manifest)
+    if violations:
+        first = violations[0]
         raise SchemaError(
-            f"{path}: stream invalid ({len(report.violations)} violations; "
+            f"{path}: stream invalid ({len(violations)} violations; "
             f"first: [{first.kind}] index {first.index}: {first.detail})")
     return manifest
 
@@ -206,7 +207,7 @@ def load_locomo(path: str | Path) -> StreamManifest:
             )
             queries.append(QuerySpec(payload=payload,
                                      trigger=AfterEvidence(tuple(evidence))))
-    return serialize_stream(sessions, queries, source=path)
+    return serialize_stream(sessions, queries)
 
 
 # ----------------------------------------------------------------------
@@ -379,12 +380,9 @@ def synth_workload(spec: SyntheticSpec) -> tuple[StreamManifest, dict]:
                 ),
                 trigger=AfterCount(boundary),
             ))
-    manifest = serialize_stream(sessions, queries,
-                                source=f"synth(seed={spec.seed})")
-    return manifest, key
+    return serialize_stream(sessions, queries), key
 
 
 def write_answer_key(key: dict, path: str | Path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(key, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write ``key`` as indented JSON, atomically (see ``stream.write_atomic``)."""
+    write_atomic(path, [json.dumps(key, indent=2, sort_keys=True)])

@@ -81,8 +81,8 @@ def divided_by_top(scored):
     return [(record, score / top) for record, score in scored]
 
 
-def as_candidates(scored, source):
-    return [Candidate(record=record, score=score, source=source) for record, score in scored]
+def as_candidates(scored):
+    return [Candidate(record=record, score=score) for record, score in scored]
 
 
 def fuse_scores(rankings, k_rrf=DEFAULT_RRF_K):
@@ -100,10 +100,10 @@ def fuse_scores(rankings, k_rrf=DEFAULT_RRF_K):
     return sorted(fused.items(), key=lambda item: (-item[1], item[0]))
 
 
-def ref_fused(rankings, record_of, source, limit, k_rrf=DEFAULT_RRF_K):
+def ref_fused(rankings, record_of, limit, k_rrf=DEFAULT_RRF_K):
     """The ``limit`` best fused ids as candidates, scores divided by the best one."""
     fused = [(record_of(doc_id), score) for doc_id, score in fuse_scores(rankings, k_rrf)]
-    return as_candidates(divided_by_top(fused)[:limit], source)
+    return as_candidates(divided_by_top(fused)[:limit])
 
 
 def ref_lexical_ranked(store, signal, now):
@@ -119,12 +119,12 @@ def ref_cosine_ranked(store, signal, now):
 
 
 def ref_lexical_search(store, signal, k, now):
-    return as_candidates(divided_by_top(ref_lexical_ranked(store, signal, now))[:k], "lexical")
+    return as_candidates(divided_by_top(ref_lexical_ranked(store, signal, now))[:k])
 
 
 def ref_vector_search(store, signal, k, now):
     folded = [(r, (1.0 + sim) / 2.0) for r, sim in ref_cosine_ranked(store, signal, now)]
-    return as_candidates(ranked(folded)[:k], "vector")
+    return as_candidates(ranked(folded)[:k])
 
 
 def ref_retrieve(store, signal, k, now):
@@ -142,7 +142,7 @@ def ref_retrieve(store, signal, k, now):
             vector = [r.record_id for r, _ in ref_cosine_ranked(store, signal, now)]
         pool = max(k * store.POOL_FACTOR, store.POOL_MIN)
         lexical = [r.record_id for r, _ in ref_lexical_ranked(store, signal, now)]
-        return ref_fused([lexical[:pool], vector[:pool]], store.get, "fused", k, store.rrf_k)
+        return ref_fused([lexical[:pool], vector[:pool]], store.get, k, store.rrf_k)
     if isinstance(store, QueueSegmentStore) and signal.embedding is not None:
         return ref_vector_search(store, signal, k, now)
     return ref_lexical_search(store, signal, k, now)  # fifo_queue
@@ -216,7 +216,7 @@ def ref_consolidate(store, new_ids, cfg, gateway):
     new_ids = [record_id for record_id in new_ids if record_id in live]
     if cfg.strategy == "crud":
         with mock.patch.object(ingest, "_nearest_existing", ref_nearest_existing):
-            return ingest.consolidate_crud(store, new_ids, gateway).actions
+            return ingest.consolidate_crud(store, new_ids, gateway)[0]
     if cfg.strategy == "link_evolution":
         return ref_link_evolution(store, new_ids, cfg.link_top_m, cfg.link_threshold)
     return ref_semantic_consolidation(store, new_ids, cfg.dedup_threshold)
@@ -388,8 +388,8 @@ def ref_tpl_paraphrase(variables):
 
 
 def as_bits(candidates):
-    """Candidates as (record id, exact score bits, source) triples."""
-    return [(c.record_id, c.score.hex(), c.source) for c in candidates]
+    """Candidates as (record id, exact score bits) pairs."""
+    return [(c.record_id, c.score.hex()) for c in candidates]
 
 
 def trigram_loop_embed(text, dim):

@@ -213,7 +213,7 @@ def fuzz_manifest(rng):
             trigger=AfterCount(count=rng.randint(1, total)))
         for qn in range(rng.randint(2, 3))
     ]
-    return serialize_stream(sessions, queries, source="fuzz")
+    return serialize_stream(sessions, queries)
 
 
 def test_03_no_retrieved_evidence_from_the_future():
@@ -265,7 +265,7 @@ def test_03_merged_content_stays_invisible_to_earlier_queries():
         query = QuerySpec(payload=RetrievePayload(query="what is the harbor password?",
                                                   gold_answer="zebra", query_id="q0"),
                           trigger=AfterCount(count=1))
-        manifest = serialize_stream([session], [query], source="merge-leak")
+        manifest = serialize_stream([session], [query])
         cfg = make_config(checkpoint=CheckpointSchedule(fraction=1.0))
         cfg.operators.consolidate = ConsolidateConfig(
             strategy="semantic_consolidation", dedup_threshold=0.5)
@@ -457,7 +457,7 @@ def test_04_no_query_depends_on_a_later_request():
                     for r, o in zip(manifest.requests[cut + 1:], other.requests[cut + 1:]))
                 assert swapped != manifest.requests
                 for requests in (head, swapped):
-                    cut_run = run(cfg, StreamManifest(requests, source="prefix"), dim=16)
+                    cut_run = run(cfg, StreamManifest(requests), dim=16)
                     assert prefix_outcome(cut_run, last_seq) == expected, (
                         backend, strategy, cut, len(requests))
 
@@ -782,7 +782,7 @@ def test_11_golden_replay_reproduces_handwritten_log():
                       trigger=AfterCount(count=count))
             for qid, text, gold, count in GOLDEN_QUERIES
         ]
-        manifest = serialize_stream([session], queries, source="golden")
+        manifest = serialize_stream([session], queries)
         assert len(manifest.requests) == 12
         result = run(make_config("fifo_queue"), manifest)
         assert result.status == "complete"

@@ -8,6 +8,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from memstream import cli, gateway, records, text
 from memstream.cli import main
 
 
@@ -292,19 +293,49 @@ def test_run_config_that_is_not_utf8_is_config_error(runner, tmp_path):
 
 
 @pytest.mark.parametrize("grid", [False, True])
-def test_run_output_dir_that_is_a_file_fails_like_an_existing_sink(runner, tmp_path, grid):
-    # the file itself, or a grid variant's directory beneath it
+def test_run_output_dir_that_is_a_file_fails_like_an_existing_sink(runner, tmp_path, grid,
+                                                                   monkeypatch):
+    # the file itself, or a grid variant's directory beneath it; no variant runs
     stream = make_stream(runner, tmp_path)
     extra = {"ablate": {"store.backend": ["fifo_queue", "inverted_vector"]}} if grid else {}
     config = make_config(tmp_path, stream, **extra)
     blocker = tmp_path / "results"
     blocker.write_text("not a directory\n")
+    runs = []
+    run_experiment = cli.run_experiment
+
+    def counted_run(*args):
+        runs.append(args)
+        return run_experiment(*args)
+
+    monkeypatch.setattr(cli, "run_experiment", counted_run)
     result = runner.invoke(main, ["run", "-c", str(config)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     target = blocker / "backend-fifo_queue" if grid else blocker
     assert f"cannot create result directory {target}: " in result.output
     assert blocker.read_text() == "not a directory\n"
+    assert runs == []
+
+
+def test_every_variant_of_a_grid_starts_with_cold_memos(runner, tmp_path, monkeypatch):
+    # the process-wide memos are emptied before each variant, so a variant
+    # does not bill less for running after another
+    stream = make_stream(runner, tmp_path)
+    config = make_config(tmp_path, stream,
+                         ablate={"store.backend": ["inverted_vector", "fifo_queue"]})
+    memos = (text._word, gateway._token_codes, records.ts_to_iso)
+    sizes = []
+    run_experiment = cli.run_experiment
+
+    def sized_run(*args):
+        sizes.append([memo.cache_info().currsize for memo in memos])
+        return run_experiment(*args)
+
+    monkeypatch.setattr(cli, "run_experiment", sized_run)
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 0, result.output
+    assert sizes == [[0, 0, 0], [0, 0, 0]]
 
 
 def test_run_unknown_backend_lists_valid_names(runner, tmp_path):

@@ -16,7 +16,6 @@ from memstream import gateway
 from memstream.gateway import (
     TEMPLATE_MEMO_SIZE,
     TOKEN_CODE_MEMO_SIZE,
-    ChatRequest,
     MockGateway,
     RemoteGateway,
     TokenBucket,
@@ -182,7 +181,7 @@ def test_every_call_records_exactly_one_timing():
     gw = make_gateway()
     gw.stage = "PreIns"
     gw.embed(["a"])
-    gw.chat(ChatRequest("summarize", {"text": "One. Two."}))
+    gw.chat("summarize", {"text": "One. Two."})
     gw.stage = "Generation"
     gw.answer("q", "ctx sentence.")
     timings = gw.drain_timings()
@@ -197,11 +196,11 @@ def test_every_call_records_exactly_one_timing():
 def test_failed_calls_still_record_one_timing():
     gw = make_gateway(failing={"summarize", "embed"})
     with pytest.raises(GatewayError):
-        gw.chat(ChatRequest("summarize", {"text": "x."}))
+        gw.chat("summarize", {"text": "x."})
     with pytest.raises(GatewayError):
         gw.embed(["x"])
     with pytest.raises(GatewayError):
-        gw.chat(ChatRequest("no_such_template", {}))
+        gw.chat("no_such_template", {})
     timings = gw.drain_timings()
     assert len(timings) == 3
     assert [t.ok for t in timings] == [False, False, False]
@@ -211,7 +210,7 @@ def test_failed_calls_still_record_one_timing():
 # -- chat templates -----------------------------------------------------------
 
 def chat(gw, template_id, **variables):
-    return gw.chat(ChatRequest(template_id, variables))
+    return gw.chat(template_id, variables)
 
 
 def test_summarize_returns_first_sentence():
@@ -398,6 +397,17 @@ def test_token_bucket_throttles():
     assert elapsed >= 0.015
 
 
+def test_a_rate_limit_wait_is_billed_as_gateway_time():
+    class SlowBucket:
+        def acquire(self):
+            time.sleep(0.01)
+
+    gw = make_gateway(rate_limit=SlowBucket())
+    gw.embed(["x"])
+    (timing,) = gw.drain_timings()
+    assert timing.wall_ns >= 10_000_000
+
+
 # -- remote construction ------------------------------------------------------
 
 def test_remote_gateway_requires_base_url(monkeypatch):
@@ -463,7 +473,7 @@ def reply(content):
 
 def test_remote_retries_a_server_error_then_succeeds():
     gw = remote(FakeResponse(500), reply("  Paris.  "))
-    assert gw.chat(ChatRequest("answer", {"query": "q", "context": "c"})) == "Paris."
+    assert gw.chat("answer", {"query": "q", "context": "c"}) == "Paris."
     (timing,) = gw.drain_timings()
     assert timing.ok and timing.retries == 1
     (url, payload), _ = gw._session.posts
@@ -474,7 +484,7 @@ def test_remote_retries_a_server_error_then_succeeds():
 def test_remote_exhausted_retries_raise_http():
     gw = remote(ConnectionError("refused"), FakeResponse(503), FakeResponse(503), retries=2)
     with pytest.raises(GatewayError, match="http 503") as err:
-        gw.chat(ChatRequest("answer", {"query": "q", "context": "c"}))
+        gw.chat("answer", {"query": "q", "context": "c"})
     assert err.value.kind == "http" and err.value.retries == 2
     assert len(gw._session.posts) == 3
     (timing,) = gw.drain_timings()
@@ -528,7 +538,7 @@ def test_remote_malformed_responses(call, response):
         if call == "embed":
             gw.embed(["a", "b"])
         else:
-            gw.chat(ChatRequest("answer", {"query": "q", "context": "c"}))
+            gw.chat("answer", {"query": "q", "context": "c"})
     assert err.value.kind == "malformed" and err.value.retries == 0
     assert len(gw._session.posts) == 1
     (timing,) = gw.drain_timings()
@@ -550,8 +560,7 @@ def one_query_manifest():
         [SessionTurns(session_id="s0", turns=(Turn(text="the sky is blue"),), base_ts=0)],
         [QuerySpec(payload=RetrievePayload(query="sky colour", gold_answer="blue",
                                            query_id="q0"),
-                   trigger=AfterCount(count=1))],
-        source="test")
+                   trigger=AfterCount(count=1))])
 
 
 def one_query_config(backend="inverted_vector", kind="remote"):
@@ -634,5 +643,5 @@ def test_vectors_for_calls_the_model_only_when_the_run_reads_vectors():
 def test_remote_blank_completion_raises_empty():
     gw = remote(reply("   "))
     with pytest.raises(GatewayError) as err:
-        gw.chat(ChatRequest("answer", {"query": "q", "context": "c"}))
+        gw.chat("answer", {"query": "q", "context": "c"})
     assert err.value.kind == "empty"

@@ -189,7 +189,7 @@ def aborted_config():
 
 class InterruptingGateway(MockGateway):
     # every run reaches a chat call, the answer, whatever its store embeds
-    def _chat_impl(self, request):
+    def _chat_impl(self, template_id, variables):
         raise KeyboardInterrupt
 
 

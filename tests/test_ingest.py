@@ -59,11 +59,11 @@ class ScriptedGateway(MockGateway):
         super().__init__(**kwargs)
         self.script = {k: list(v) for k, v in (script or {}).items()}
 
-    def _chat_impl(self, request):
-        queue = self.script.get(request.template_id)
+    def _chat_impl(self, template_id, variables):
+        queue = self.script.get(template_id)
         if queue:
             return queue.pop(0), 0
-        return super()._chat_impl(request)
+        return super()._chat_impl(template_id, variables)
 
 
 def turn(text, sid="s1", ti=0, speaker=None):
@@ -128,7 +128,6 @@ def test_normalize_rewrite_extracts_triplets():
     assert len(triplets) == 1
     t = triplets[0]
     assert (t.subject, t.relation, t.object) == ("alice", "likes", "tea")
-    assert t.source_record == "turn/sB/5"
 
 
 def test_normalize_rewrite_small_talk_yields_nothing():
@@ -237,9 +236,9 @@ def test_crud_add_for_unrelated_unit():
     gw = MockGateway(dim=64)
     put(store, "the cat sat on the mat", ts=0, ti=0)
     new_id = put(store, "quantum flux capacitor hums", ts=1, ti=1)
-    outcome = consolidate_crud(store, [new_id], gw)
-    assert outcome.actions == [f"ADD {new_id}"]
-    assert outcome.flags == []
+    actions, flags = consolidate_crud(store, [new_id], gw)
+    assert actions == [f"ADD {new_id}"]
+    assert flags == []
 
 
 def test_crud_noop_for_exact_duplicate():
@@ -247,8 +246,8 @@ def test_crud_noop_for_exact_duplicate():
     gw = MockGateway(dim=64)
     old_id = put(store, "alice | age | 30", ts=0, ti=0)
     new_id = put(store, "alice | age | 30", ts=1, ti=1)
-    outcome = consolidate_crud(store, [new_id], gw)
-    assert outcome.actions == [f"NOOP {new_id}"]
+    actions, _ = consolidate_crud(store, [new_id], gw)
+    assert actions == [f"NOOP {new_id}"]
     # both records stay live
     assert store.get(old_id).record_id == old_id
     assert store.get(new_id).record_id == new_id
@@ -259,8 +258,8 @@ def test_crud_update_removes_superseded_record():
     gw = MockGateway(dim=64)
     old_id = put(store, "alice | age | 30", ts=0, ti=0)
     new_id = put(store, "alice | age | 31", ts=1, ti=1)
-    outcome = consolidate_crud(store, [new_id], gw)
-    assert outcome.actions == [f"UPDATE {old_id}<-{new_id}"]
+    actions, _ = consolidate_crud(store, [new_id], gw)
+    assert actions == [f"UPDATE {old_id}<-{new_id}"]
     with pytest.raises(UnknownRecord):
         store.get(old_id)
     assert store.get(new_id).text == "alice | age | 31"
@@ -271,8 +270,8 @@ def test_crud_delete_removes_target():
     old_id = put(store, "bob lives in dallas", ts=0, ti=0)
     new_id = put(store, "forget where bob lives", ts=1, ti=1)
     gw = ScriptedGateway(script={"crud": [f"DELETE {old_id}"]}, dim=64)
-    outcome = consolidate_crud(store, [new_id], gw)
-    assert outcome.actions == [f"DELETE {old_id}"]
+    actions, _ = consolidate_crud(store, [new_id], gw)
+    assert actions == [f"DELETE {old_id}"]
     with pytest.raises(UnknownRecord):
         store.get(old_id)
 
@@ -283,9 +282,9 @@ def test_crud_unknown_target_degrades_to_noop():
     new_id = put(store, "bob lives in austin", ts=1, ti=1)
     for reply in ("UPDATE m999999", "DELETE m999999"):
         gw = ScriptedGateway(script={"crud": [reply]}, dim=64)
-        outcome = consolidate_crud(store, [new_id], gw)
-        assert outcome.actions == [f"NOOP {new_id}"]
-        assert outcome.flags == ["crud_unknown_target"]
+        actions, flags = consolidate_crud(store, [new_id], gw)
+        assert actions == [f"NOOP {new_id}"]
+        assert flags == ["crud_unknown_target"]
     assert len(store.all_records()) == 2
 
 
@@ -293,9 +292,9 @@ def test_crud_unparseable_reply_degrades_to_noop():
     store = build_store("fifo_queue")
     new_id = put(store, "bob lives in austin", ts=0, ti=0)
     gw = ScriptedGateway(script={"crud": ["REFORMAT please"]}, dim=64)
-    outcome = consolidate_crud(store, [new_id], gw)
-    assert outcome.actions == [f"NOOP {new_id}"]
-    assert outcome.flags == ["crud_unparseable"]
+    actions, flags = consolidate_crud(store, [new_id], gw)
+    assert actions == [f"NOOP {new_id}"]
+    assert flags == ["crud_unparseable"]
 
 
 def test_crud_gateway_fault_keeps_everything():
@@ -303,9 +302,9 @@ def test_crud_gateway_fault_keeps_everything():
     a = put(store, "alpha beta gamma", ts=0, ti=0)
     b = put(store, "delta epsilon zeta", ts=1, ti=1)
     gw = MockGateway(dim=64, failing={"crud"})
-    outcome = consolidate_crud(store, [a, b], gw)
-    assert outcome.actions == [f"NOOP {a}", f"NOOP {b}"]
-    assert outcome.flags == ["crud_fallback", "crud_fallback"]
+    actions, flags = consolidate_crud(store, [a, b], gw)
+    assert actions == [f"NOOP {a}", f"NOOP {b}"]
+    assert flags == ["crud_fallback", "crud_fallback"]
     assert len(store.all_records()) == 2
 
 
@@ -403,8 +402,8 @@ def test_run_consolidate_forgetting_emits_evict_actions():
     stale = put(store, "stale record", ts=0,
                 strength=DAY_S, last_access=now - 10 * DAY_US)
     cfg = ConsolidateConfig(strategy="forgetting_curve", retention_threshold=0.3)
-    outcome = run_consolidate(store, [], now, cfg, MockGateway(dim=64), insert_index=1)
-    assert outcome.actions == [f"EVICT {stale}"]
+    actions, _ = run_consolidate(store, [], now, cfg, MockGateway(dim=64), insert_index=1)
+    assert actions == [f"EVICT {stale}"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -601,9 +600,9 @@ def test_run_consolidate_strategy_none_is_inert():
     put(store, "anything at all", ts=0)
     gw = MockGateway(dim=64)
     gw.drain_timings()
-    outcome = run_consolidate(store, [], 10, ConsolidateConfig(strategy="none"),
-                              gw, insert_index=1)
-    assert outcome.actions == [] and outcome.flags == []
+    actions, flags = run_consolidate(store, [], 10, ConsolidateConfig(strategy="none"),
+                                     gw, insert_index=1)
+    assert actions == [] and flags == []
     assert gw.drain_timings() == []
 
 
@@ -619,13 +618,13 @@ def test_run_consolidate_every_n_gate():
         return store
 
     store = stale_store()
-    skipped = run_consolidate(store, [], now, cfg, MockGateway(dim=64), insert_index=1)
-    assert skipped.actions == []
+    skipped, _ = run_consolidate(store, [], now, cfg, MockGateway(dim=64), insert_index=1)
+    assert skipped == []
     assert len(store.all_records()) == 1
 
     store = stale_store()
-    fired = run_consolidate(store, [], now, cfg, MockGateway(dim=64), insert_index=3)
-    assert len(fired.actions) == 1
+    fired, _ = run_consolidate(store, [], now, cfg, MockGateway(dim=64), insert_index=3)
+    assert len(fired) == 1
     assert store.all_records() == []
 
 
@@ -637,8 +636,8 @@ def test_run_consolidate_filters_dead_new_ids():
     gone = put(store, "will be evicted first", ts=2, ti=2)
     store.remove(gone)
     cfg = ConsolidateConfig(strategy="crud")
-    outcome = run_consolidate(store, [kept, gone], 3, cfg, gw, insert_index=1)
-    assert outcome.actions == [f"ADD {kept}"]
+    actions, _ = run_consolidate(store, [kept, gone], 3, cfg, gw, insert_index=1)
+    assert actions == [f"ADD {kept}"]
 
 
 def test_run_consolidate_rejects_unknown_strategy():

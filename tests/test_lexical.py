@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from memstream import ingest
 from memstream.config import ConsolidateConfig, config_from_dict
-from memstream.gateway import ChatRequest, MockGateway, mock_embed_text
+from memstream.gateway import MockGateway, mock_embed_text
 from memstream.orchestrator import run_experiment
 from memstream.records import KIND_RAW, KIND_SUMMARY, MemoryRecord, RetrievalSignal, Triplet
 from memstream.retrieve import FormulatedQuery, execute_search, integrate_multi_query
@@ -197,11 +197,11 @@ def test_multi_query_and_decompose_fusion_match_the_reference(config):
                 got, flags = integrate_multi_query(text, cands, store, gateway, 3, k, now)
                 rankings = [[c.record_id for c in cands]]
                 for index in range(3):
-                    paraphrase = gateway.chat(ChatRequest(
-                        "paraphrase", {"query": text, "index": index})).strip()
+                    paraphrase = gateway.chat(
+                        "paraphrase", {"query": text, "index": index}).strip()
                     rankings.append([c.record_id for c in ref_retrieve(
                         store, tie_signal(paraphrase), k, now)])
-                want = ref_fused(rankings, store.get, "multi_query", max(k, len(cands)))
+                want = ref_fused(rankings, store.get, max(k, len(cands)))
                 assert not flags and as_bits(got) == as_bits(want)
 
                 subs = tuple(tie_signal(part) for part in text.split(" and "))
@@ -212,7 +212,7 @@ def test_multi_query_and_decompose_fusion_match_the_reference(config):
                 per_sub = -(-k // len(subs))
                 rankings = [[c.record_id for c in ref_retrieve(store, sub, per_sub, now)]
                             for sub in subs]
-                assert as_bits(got) == as_bits(ref_fused(rankings, store.get, "decompose", k))
+                assert as_bits(got) == as_bits(ref_fused(rankings, store.get, k))
 
 
 class LookupLog(dict):

@@ -95,7 +95,7 @@ def ref_search(store, signal, k, now):
                   for record in visible_records(store, now)
                   if any(lsh_signature(record.embedding, planes) == sig
                          for planes, sig in zip(store._planes, query_sigs))]
-        return as_candidates(ranked(scored)[:k], "vector")
+        return as_candidates(ranked(scored)[:k])
     query_entities = set(index_tokens(signal.lexical_text()))  # property_graph
     scored = []
     for record in visible_records(store, now):
@@ -105,7 +105,7 @@ def ref_search(store, signal, k, now):
             sim = (1.0 + ref_cosine(signal.embedding, record.embedding)) / 2.0
         if bonus + sim > 0.0:
             scored.append((record, bonus + sim))
-    return as_candidates(ranked(divided_by_top(scored))[:k], "graph")
+    return as_candidates(ranked(divided_by_top(scored))[:k])
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_nearest_matches_per_record_scan(config, strategy, ops):
             ids = [s.insert([make_record(op, clock, turn, lsh)]) for s in stores]
             assert ids[0] == ids[1]
             if strategy != "none":
-                actions = ingest.run_consolidate(real, ids[0], clock, cfg, gateway, turn).actions
+                actions, _ = ingest.run_consolidate(real, ids[0], clock, cfg, gateway, turn)
                 assert actions == ref_consolidate(ref, ids[1], cfg, gateway)
         elif kind == "query":
             _, text_i, when, k, embedded = op

@@ -53,7 +53,7 @@ from memstream.stream import (
 )
 
 
-def make_manifest(n_inserts=10, queries=(), sessions=1, source="test"):
+def make_manifest(n_inserts=10, queries=(), sessions=1):
     """n_inserts spread over equally sized sessions, plus AfterCount queries.
 
     queries: iterable of (query_id, text, gold, count) tuples.
@@ -73,7 +73,7 @@ def make_manifest(n_inserts=10, queries=(), sessions=1, source="test"):
                   trigger=AfterCount(count=count))
         for qid, text, gold, count in queries
     ]
-    return serialize_stream(session_list, specs, source=source)
+    return serialize_stream(session_list, specs)
 
 
 def base_config(**overrides):
@@ -351,8 +351,7 @@ def test_runs_start_no_thread(store_capacity, status):
 
 def test_run_experiment_rejects_invalid_stream():
     good = make_manifest(n_inserts=3)
-    shuffled = StreamManifest(requests=tuple(reversed(good.requests)),
-                              source="test")
+    shuffled = StreamManifest(requests=tuple(reversed(good.requests)))
     with pytest.raises(SchemaError, match="violation"):
         run_experiment(base_config(), shuffled, MockGateway(dim=32))
 
@@ -395,6 +394,49 @@ def test_summary_counts_every_keyword_augmented_query():
     summary = run_experiment(base_config(operators=ops), manifest, MockGateway(dim=32)).summary()
     assert summary["counts"]["retrieves"] == 4
     assert summary["flags"] == {"keyword_augmented": 4}
+
+
+# (flag, operator settings, failing templates, sides whose requests it flags)
+FALLBACKS = [
+    ("validate_fallback", {"formulate": FormulateConfig(strategy="validate")},
+     {"validate"}, {KIND_RETRIEVE}),
+    ("keyword_fallback", {"formulate": FormulateConfig(strategy="keyword")},
+     {"keywords"}, {KIND_RETRIEVE}),
+    ("decompose_fallback", {"formulate": FormulateConfig(strategy="decompose")},
+     {"decompose"}, {KIND_RETRIEVE}),
+    ("multi_query_fallback", {"integrate": IntegrateConfig(strategy="multi_query")},
+     {"paraphrase"}, {KIND_RETRIEVE}),
+    ("enrich_fallback", {"normalize": NormalizeConfig(strategy="enrich")},
+     {"summarize"}, {KIND_INSERT}),
+    ("rewrite_fallback", {"normalize": NormalizeConfig(strategy="rewrite")},
+     {"triplets"}, {KIND_INSERT}),
+    ("crud_fallback", {"consolidate": ConsolidateConfig(strategy="crud")},
+     {"crud"}, {KIND_INSERT}),
+    ("embed_failed", {}, {"embed"}, {KIND_INSERT, KIND_RETRIEVE}),
+    ("answer_failed", {}, {"answer"}, {KIND_RETRIEVE}),
+]
+
+
+@pytest.mark.parametrize("flag, ops, failing, sides", FALLBACKS,
+                         ids=[case[0] for case in FALLBACKS])
+def test_each_fallback_flags_every_affected_request_once(tmp_path, flag, ops, failing, sides):
+    # a flag list shared or extended across requests would count a flag twice
+    queries = [(f"q{i}", f"where is fact number {i}", f"fact number {i}", i + 1)
+               for i in range(4)]
+    manifest = make_manifest(n_inserts=6, queries=queries)
+    cfg = base_config(store=StoreConfig(backend="inverted_vector"),
+                      operators=OperatorConfig(**ops))
+    result = run_experiment(cfg, manifest, MockGateway(dim=32, failing=failing))
+    assert result.status == "complete", result.error
+    experiment_sink(result, tmp_path)
+    rows = [json.loads(line) for line in (tmp_path / "queries.jsonl").read_text().splitlines()]
+    inserts = [trace.flags for trace in result.traces if trace.kind == KIND_INSERT]
+    affected = {KIND_INSERT: inserts, KIND_RETRIEVE: [row["flags"] for row in rows]}
+    assert (len(inserts), len(rows)) == (6, 4)
+    for side, flag_lists in affected.items():
+        assert [flags.count(flag) for flags in flag_lists] == [int(side in sides)] * len(flag_lists)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["flags"][flag] == sum(len(affected[side]) for side in sides)
 
 
 def test_summary_rollup_agrees_with_checkpoints_and_traces():

@@ -64,11 +64,11 @@ class ScriptedGateway(MockGateway):
         super().__init__(**kwargs)
         self.script = {k: list(v) for k, v in (script or {}).items()}
 
-    def _chat_impl(self, request):
-        queue = self.script.get(request.template_id)
+    def _chat_impl(self, template_id, variables):
+        queue = self.script.get(template_id)
         if queue:
             return queue.pop(0), 0
-        return super()._chat_impl(request)
+        return super()._chat_impl(template_id, variables)
 
 
 def query(text, qid="q0"):
@@ -95,7 +95,7 @@ def cand(text, score, *, ts=0, sid="s1", ti=0, tier=TIER_FLAT, kind="raw_turn",
     rec = MemoryRecord(record_id="", text=text, ts=ts, session_id=sid,
                        turn_index=ti, kind=kind, tier=tier)
     rec.record_id = rid
-    return Candidate(record=rec, score=score, source="test")
+    return Candidate(record=rec, score=score)
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_formulate_validate_skips_small_talk():
 
 def test_formulate_keyword_replaces_lexical_signal():
     gw = MockGateway(dim=64)
-    signal = formulate_keyword(query("alpha beta alpha"), gw, max_keywords=5)
+    signal, _ = formulate_keyword(query("alpha beta alpha"), gw, max_keywords=5)
     assert signal.keywords == ("alpha", "beta")
     assert signal.raw_query == "alpha beta alpha"
     # the embedding follows the keywords, not the raw text
@@ -131,34 +131,34 @@ def test_formulate_keyword_replaces_lexical_signal():
 
 def test_formulate_keyword_cap():
     gw = MockGateway(dim=64)
-    signal = formulate_keyword(query("alpha beta alpha"), gw, max_keywords=1)
+    signal, _ = formulate_keyword(query("alpha beta alpha"), gw, max_keywords=1)
     assert signal.keywords == ("alpha",)
 
 
 def test_formulate_keyword_augment_mode_extends_query():
     gw = MockGateway(dim=64)
-    signal = formulate_keyword(query("alpha beta alpha"), gw, max_keywords=5,
-                               augments=True)
+    signal, flags = formulate_keyword(query("alpha beta alpha"), gw, max_keywords=5,
+                                      augments=True)
     assert signal.raw_query == "alpha beta alpha alpha beta"
-    assert signal.flags == ("keyword_augmented",)
+    assert flags == ["keyword_augmented"]
     assert np.allclose(signal.embedding, mock_embed_text(signal.raw_query, 64))
     # the same through the config key
     cfg = config_from_dict({"operators": {"formulate": {
         "strategy": "keyword", "keyword_augments": True}}}).operators.formulate
     q = query("where does alice live now")
-    keywords = formulate_keyword(q, gw, max_keywords=cfg.max_keywords).keywords
+    keywords = formulate_keyword(q, gw, max_keywords=cfg.max_keywords)[0].keywords
     assert keywords and " ".join(keywords) != q.query
-    fq = run_formulate(q, cfg, gw)
+    fq, flags = run_formulate(q, cfg, gw)
     joined = f"{q.query} {' '.join(keywords)}"
     assert fq.signal.raw_query == joined and fq.signal.keywords == ()
     assert np.array_equal(fq.signal.embedding, mock_embed_text(joined, 64))
-    assert fq.flags == fq.signal.flags == ("keyword_augmented",)
+    assert flags == ["keyword_augmented"]
 
 
 def test_formulate_keyword_empty_reply_falls_back():
     gw = ScriptedGateway(script={"keywords": [""]}, dim=64)
-    signal = formulate_keyword(query("alpha beta"), gw, max_keywords=5)
-    assert signal.flags == ("keyword_fallback",)
+    signal, flags = formulate_keyword(query("alpha beta"), gw, max_keywords=5)
+    assert flags == ["keyword_fallback"]
     assert signal.keywords == ()
     assert np.allclose(signal.embedding, mock_embed_text("alpha beta", 64))
 
@@ -195,8 +195,8 @@ def test_formulate_decompose_batches_embeddings():
 
 def test_run_formulate_atomic_decompose_has_no_sub_signals():
     gw = MockGateway(dim=64)
-    fq = run_formulate(query("where does alice live"),
-                       FormulateConfig(strategy="decompose"), gw)
+    fq, _ = run_formulate(query("where does alice live"),
+                          FormulateConfig(strategy="decompose"), gw)
     assert fq.sub_signals == ()
 
 
@@ -207,18 +207,18 @@ def test_run_formulate_fallback_flags():
         ("decompose", "decompose", "decompose_fallback"),
     ):
         gw = MockGateway(dim=64, failing={template})
-        fq = run_formulate(query("where does alice live"),
-                           FormulateConfig(strategy=strategy), gw)
-        assert fq.flags == (flag,)
+        fq, flags = run_formulate(query("where does alice live"),
+                                  FormulateConfig(strategy=strategy), gw)
+        assert flags == [flag]
         assert fq.signal.embedding is not None
         assert fq.signal.raw_query == "where does alice live"
 
 
 def test_run_formulate_survives_total_gateway_outage():
     gw = MockGateway(dim=64, failing={"validate", "embed"})
-    fq = run_formulate(query("where does alice live"),
-                       FormulateConfig(strategy="validate"), gw)
-    assert fq.flags == ("validate_fallback", "embed_failed")
+    fq, flags = run_formulate(query("where does alice live"),
+                              FormulateConfig(strategy="validate"), gw)
+    assert flags == ["validate_fallback", "embed_failed"]
     assert fq.signal.embedding is None
     assert fq.signal.raw_query == "where does alice live"
 
@@ -261,7 +261,6 @@ def test_execute_search_fuses_sub_queries():
     )
     hits = execute_search(store, fq, k=4, now=None)
     assert {h.record_id for h in hits} == {a, b}
-    assert all(h.source == "decompose" for h in hits)
     # each record ranked first in exactly one route, so RRF ties them
     assert hits[0].score == hits[1].score == 1.0
 
@@ -329,19 +328,19 @@ def test_integrate_augment_attaches_anchored_neighbors():
     store = build_store("fifo_queue")
     ids = [put(store, f"turn number {i}", ts=i * 10, sid="sA", ti=i)
            for i in range(5)]
-    anchor = Candidate(record=store.get(ids[2]), score=0.8, source="lexical")
+    anchor = Candidate(record=store.get(ids[2]), score=0.8, )
     out = integrate_augment([anchor], store, window=1, now=None)
     assert [c.record_id for c in out] == [ids[2], ids[1], ids[3]]
     assert out[0].score == 0.8
-    assert all(c.score == 0.0 and c.source == "augment" for c in out[1:])
+    assert all(c.score == 0.0 for c in out[1:])
 
 
 def test_integrate_augment_respects_visibility_and_dedup():
     store = build_store("fifo_queue")
     ids = [put(store, f"turn number {i}", ts=i * 10, sid="sA", ti=i)
            for i in range(3)]
-    anchors = [Candidate(record=store.get(ids[1]), score=0.8, source="lexical"),
-               Candidate(record=store.get(ids[0]), score=0.4, source="lexical")]
+    anchors = [Candidate(record=store.get(ids[1]), score=0.8, ),
+               Candidate(record=store.get(ids[0]), score=0.4, )]
     # now=15 hides turn 2 (ts=20); turn 0 is already a candidate
     out = integrate_augment(anchors, store, window=1, now=15)
     assert [c.record_id for c in out] == [ids[1], ids[0]]
@@ -352,7 +351,7 @@ def test_integrate_augment_skips_derived_records():
     store = build_store("fifo_queue")
     put(store, "raw turn zero", ts=0, sid="sA", ti=0)
     summary_id = put(store, "a summary", ts=5, sid="sA", ti=1, kind=KIND_SUMMARY)
-    anchor = Candidate(record=store.get(summary_id), score=0.8, source="lexical")
+    anchor = Candidate(record=store.get(summary_id), score=0.8, )
     out = integrate_augment([anchor], store, window=2, now=None)
     assert [c.record_id for c in out] == [summary_id]
 
@@ -366,7 +365,7 @@ def test_integrate_multi_query_recovers_paraphrase_hits():
                                        n_queries=2, k=3, now=None)
     assert flags == []
     assert out and out[0].record_id == rid
-    assert out[0].source == "multi_query" and out[0].score == 1.0
+    assert out[0].score == 1.0
     timings = gw.drain_timings()
     assert sum(1 for t in timings if t.call_kind == "chat") == 2
 
@@ -480,17 +479,17 @@ def test_run_integrate_flags_budget_truncation():
     store = build_store("fifo_queue")
     gw = MockGateway(dim=64)
     cands = [cand(f"record {i} text", 1.0 - i / 10, rid=f"r{i}") for i in range(4)]
-    result = run_integrate("q", cands, store, gw,
-                           IntegrateConfig(strategy="none", budget_tokens=8),
-                           k=4, now=None)
-    assert "budget_truncated" in result.flags
-    assert len(result.bundle.provenance) < 4
+    bundle, flags = run_integrate("q", cands, store, gw,
+                                  IntegrateConfig(strategy="none", budget_tokens=8),
+                                  k=4, now=None)
+    assert "budget_truncated" in flags
+    assert len(bundle.provenance) < 4
 
-    result = run_integrate("q", cands, store, gw,
-                           IntegrateConfig(strategy="none", budget_tokens=4096),
-                           k=4, now=None)
-    assert result.flags == []
-    assert [p[0] for p in result.bundle.provenance] == ["r0", "r1", "r2", "r3"]
+    bundle, flags = run_integrate("q", cands, store, gw,
+                                  IntegrateConfig(strategy="none", budget_tokens=4096),
+                                  k=4, now=None)
+    assert flags == []
+    assert [p[0] for p in bundle.provenance] == ["r0", "r1", "r2", "r3"]
 
 
 def test_run_integrate_multi_tier_default_quota_is_k():
@@ -498,6 +497,6 @@ def test_run_integrate_multi_tier_default_quota_is_k():
     gw = MockGateway(dim=64)
     cands = [cand(f"s{i}", 0.9 - i / 100, tier=TIER_SHORT, rid=f"r{i}")
              for i in range(5)]
-    result = run_integrate("q", cands, store, gw,
-                           IntegrateConfig(strategy="multi_tier"), k=2, now=None)
-    assert [p[0] for p in result.bundle.provenance] == ["r0", "r1"]
+    bundle, _ = run_integrate("q", cands, store, gw,
+                              IntegrateConfig(strategy="multi_tier"), k=2, now=None)
+    assert [p[0] for p in bundle.provenance] == ["r0", "r1"]

@@ -207,17 +207,16 @@ def test_fuse_scores_rrf():
     records = {rid: record(f"{rid}.") for rid in "abc"}
     for rid, rec in records.items():
         rec.record_id = rid
-    fused = fused_candidates([["a", "b"], ["a", "c"]], records.__getitem__, "fused", 3,
-                             k_rrf=60)
+    fused = fused_candidates([["a", "b"], ["a", "c"]], records.__getitem__, 3, k_rrf=60)
     # a at rank 1 twice, b and c at rank 2 once: tie broken by id
     assert [c.record_id for c in fused] == ["a", "b", "c"]
     tail = (1.0 / 62.0) / (2.0 / 61.0)
     assert [c.score for c in fused] == [1.0, tail, tail]
     assert [c.record_id for c in fused_candidates([["a", "b"], ["a", "c"]],
-                                                  records.__getitem__, "fused", 2)] == ["a", "b"]
-    assert fused_candidates([[], []], records.__getitem__, "fused", 3) == []
+                                                  records.__getitem__, 2)] == ["a", "b"]
+    assert fused_candidates([[], []], records.__getitem__, 3) == []
     with pytest.raises(ValueError):
-        fused_candidates([["a"]], records.__getitem__, "fused", 1, k_rrf=-1)
+        fused_candidates([["a"]], records.__getitem__, 1, k_rrf=-1)
 
 
 POSTINGS_KEYS = ["b", "a", "b", (0, 5), "c", "b", (0, 5)]

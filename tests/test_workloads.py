@@ -73,7 +73,7 @@ def test_synth_streams_validate():
                       needle_depths=(0, 3)),
     ):
         manifest, _ = synth_workload(spec)
-        assert validate_stream(manifest).ok
+        assert validate_stream(manifest) == []
 
 
 def test_synth_golds_match_replay_oracle():
@@ -200,6 +200,17 @@ def test_write_answer_key_round_trips(tmp_path):
     assert json.loads(path.read_text()) == key
 
 
+def test_a_failing_answer_key_write_leaves_the_earlier_key(tmp_path):
+    path = tmp_path / "stream.jsonl.key.json"
+    write_answer_key({"q0": {"gold": "paris"}}, path)
+    before = path.read_text()
+    assert before == json.dumps({"q0": {"gold": "paris"}}, indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError):
+        write_answer_key({"q0": {"gold": "paris"}, "q1": {"gold": {"a set"}}}, path)
+    assert path.read_text() == before
+    assert list(tmp_path.iterdir()) == [path]  # no .tmp file left
+
+
 # ----------------------------------------------------------------------
 # generic loader
 # ----------------------------------------------------------------------
@@ -270,7 +281,7 @@ def write_locomo(tmp_path, payload, name="corpus.json"):
 
 def test_load_locomo_builds_causal_stream(tmp_path):
     manifest = load_locomo(write_locomo(tmp_path, [locomo_sample()]))
-    assert validate_stream(manifest).ok
+    assert validate_stream(manifest) == []
     inserts = [r for r in manifest.requests if r.kind == KIND_INSERT]
     retrieves = [r for r in manifest.requests if r.kind == KIND_RETRIEVE]
     assert len(inserts) == 4 and len(retrieves) == 4
