@@ -2,8 +2,12 @@
 
 Each reads only record, trace and request fields, never a store's indexes,
 so a fault in an index or a fast path cannot hide in its own reference.
+The last section builds the operator grid the run-level tests replay, and
+the digests ``tests/data/golden_digests.json`` holds for it.
 """
 
+import hashlib
+import itertools
 import json
 import zlib
 from collections import Counter
@@ -12,8 +16,25 @@ from unittest import mock
 import numpy as np
 
 from memstream import ingest
+from memstream.config import (
+    CONSOLIDATE_STRATEGIES,
+    FORMULATE_STRATEGIES,
+    INTEGRATE_STRATEGIES,
+    NORMALIZE_STRATEGIES,
+    CheckpointSchedule,
+    ConsolidateConfig,
+    ExperimentConfig,
+    FormulateConfig,
+    GatewayConfig,
+    IntegrateConfig,
+    NormalizeConfig,
+    OperatorConfig,
+    StoreConfig,
+)
 from memstream.errors import SchemaError, UnsupportedBackend
+from memstream.orchestrator import run_experiment
 from memstream.records import KIND_RAW, TIER_ORDER, Candidate
+from memstream.stores import BACKENDS
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.queue_segment import QueueSegmentStore
 from memstream.stream import (
@@ -31,6 +52,7 @@ from memstream.text import (
     metric_tokens,
     split_sentences,
 )
+from memstream.workloads import SyntheticSpec, synth_workload
 
 DEFAULT_RRF_K = 60
 
@@ -422,3 +444,108 @@ def chat_ns_by_stage(trace) -> dict[str, int]:
 def insert_count(manifest) -> int:
     """Insert requests in a stream manifest."""
     return sum(1 for r in manifest.requests if r.kind == KIND_INSERT)
+
+
+# ----------------------------------------------------------------------
+# the operator grid and its run-level digests
+# ----------------------------------------------------------------------
+
+GRID_DIM = 32
+
+
+def small_stream(n_facts=40):
+    manifest, _key = synth_workload(SyntheticSpec(seed=3, n_facts=n_facts, rounds=2,
+                                                  queries_per_round=3))
+    return manifest
+
+
+def make_config(backend, consolidate, normalize, formulate, integrate):
+    return ExperimentConfig(
+        store=StoreConfig(backend),
+        operators=OperatorConfig(
+            normalize=NormalizeConfig(strategy=normalize),
+            consolidate=ConsolidateConfig(strategy=consolidate),
+            formulate=FormulateConfig(strategy=formulate),
+            integrate=IntegrateConfig(strategy=integrate),
+        ),
+        checkpoint=CheckpointSchedule(per_round=True),
+        gateway=GatewayConfig(embed_dim=GRID_DIM),
+        output_dir="unused",
+    )
+
+
+def grid_configs():
+    """backend x consolidation x normalize, with formulate x integrate cycled: 108 configs."""
+    cycled = itertools.cycle(itertools.product(FORMULATE_STRATEGIES, INTEGRATE_STRATEGIES))
+    for backend, consolidate, normalize in itertools.product(
+            sorted(BACKENDS), CONSOLIDATE_STRATEGIES, NORMALIZE_STRATEGIES):
+        yield make_config(backend, consolidate, normalize, *next(cycled))
+
+
+def fifo_configs():
+    """fifo_queue, consolidating with none or forgetting_curve, x every
+    normalize x formulate x integrate: 144 configs."""
+    for consolidate, *operators in itertools.product(
+            ("none", "forgetting_curve"), NORMALIZE_STRATEGIES,
+            FORMULATE_STRATEGIES, INTEGRATE_STRATEGIES):
+        yield make_config("fifo_queue", consolidate, *operators)
+
+
+def retrieval_configs():
+    """Every backend x normalize x formulate x integrate, consolidating with none: 432 configs."""
+    for backend, *operators in itertools.product(
+            sorted(BACKENDS), NORMALIZE_STRATEGIES, FORMULATE_STRATEGIES,
+            INTEGRATE_STRATEGIES):
+        yield make_config(backend, "none", *operators)
+
+
+def config_key(cfg) -> str:
+    """``backend/consolidate/normalize/formulate/integrate``."""
+    ops = cfg.operators
+    return "/".join((cfg.store.backend, ops.consolidate.strategy, ops.normalize.strategy,
+                     ops.formulate.strategy, ops.integrate.strategy))
+
+
+def golden_configs() -> dict:
+    """The three grids above without repeats, by ``config_key``: 591 configs."""
+    configs = {}
+    for cfg in itertools.chain(grid_configs(), fifo_configs(), retrieval_configs()):
+        configs.setdefault(config_key(cfg), cfg)
+    return configs
+
+
+def _strip_latency(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_latency(v) for k, v in obj.items() if k != "latency"}
+    if isinstance(obj, list):
+        return [_strip_latency(v) for v in obj]
+    return obj
+
+
+def result_digest(result):
+    """Hash of every result file's content outside ``latency`` keys, as perfbench takes it."""
+    h = hashlib.sha256()
+    for report in result.reports:
+        h.update(json.dumps(_strip_latency(report.as_dict()), sort_keys=True).encode())
+    for res in result.query_results:
+        h.update(json.dumps(_strip_latency(res.as_dict()), sort_keys=True).encode())
+    h.update(json.dumps(_strip_latency(result.summary()), sort_keys=True).encode())
+    h.update("\n".join(result.action_log).encode())
+    return h.hexdigest()
+
+
+def golden_digests() -> dict:
+    """``config_key`` -> the run's outcome on ``small_stream()`` under the mock gateway.
+
+    A complete run is named by its ``result_digest``, an aborted one by its
+    status and error.
+    """
+    manifest = small_stream()
+    out = {}
+    for key, cfg in golden_configs().items():
+        result = run_experiment(cfg, manifest)
+        if result.status == "complete":
+            out[key] = {"status": result.status, "digest": result_digest(result)}
+        else:
+            out[key] = {"status": result.status, "error": result.error}
+    return out

@@ -14,9 +14,7 @@ of the same run with every backend declared to read vectors.
 """
 
 import gc
-import hashlib
 import itertools
-import json
 import socket
 import sys
 import threading
@@ -24,87 +22,15 @@ from contextlib import contextmanager
 
 import pytest
 
-from memstream.config import (
-    CONSOLIDATE_STRATEGIES,
-    FORMULATE_STRATEGIES,
-    INTEGRATE_STRATEGIES,
-    NORMALIZE_STRATEGIES,
-    CheckpointSchedule,
-    ConsolidateConfig,
-    ExperimentConfig,
-    FormulateConfig,
-    GatewayConfig,
-    IntegrateConfig,
-    NormalizeConfig,
-    OperatorConfig,
-    StoreConfig,
-)
+from memstream.config import ConsolidateConfig, StoreConfig
 from memstream.errors import GatewayError, StoreError
 from memstream.gateway import _MOCK_TEMPLATES, MockGateway, RemoteGateway
 from memstream.ingest import VECTOR_POLICIES
 from memstream.orchestrator import run_experiment
 from memstream.stores import BACKENDS
 from memstream.workloads import SyntheticSpec, synth_workload
-
-DIM = 32
-
-
-def small_stream(n_facts=40):
-    manifest, _key = synth_workload(SyntheticSpec(seed=3, n_facts=n_facts, rounds=2,
-                                                  queries_per_round=3))
-    return manifest
-
-
-def make_config(backend, consolidate, normalize, formulate, integrate):
-    return ExperimentConfig(
-        store=StoreConfig(backend),
-        operators=OperatorConfig(
-            normalize=NormalizeConfig(strategy=normalize),
-            consolidate=ConsolidateConfig(strategy=consolidate),
-            formulate=FormulateConfig(strategy=formulate),
-            integrate=IntegrateConfig(strategy=integrate),
-        ),
-        checkpoint=CheckpointSchedule(per_round=True),
-        gateway=GatewayConfig(embed_dim=DIM),
-        output_dir="unused",
-    )
-
-
-def grid_configs():
-    """backend x consolidation x normalize, with formulate x integrate cycled: 108 configs."""
-    cycled = itertools.cycle(itertools.product(FORMULATE_STRATEGIES, INTEGRATE_STRATEGIES))
-    for backend, consolidate, normalize in itertools.product(
-            sorted(BACKENDS), CONSOLIDATE_STRATEGIES, NORMALIZE_STRATEGIES):
-        yield make_config(backend, consolidate, normalize, *next(cycled))
-
-
-def fifo_configs():
-    """fifo_queue, consolidating with none or forgetting_curve, x every
-    normalize x formulate x integrate: 144 configs."""
-    for consolidate, *operators in itertools.product(
-            ("none", "forgetting_curve"), NORMALIZE_STRATEGIES,
-            FORMULATE_STRATEGIES, INTEGRATE_STRATEGIES):
-        yield make_config("fifo_queue", consolidate, *operators)
-
-
-def _strip_latency(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_latency(v) for k, v in obj.items() if k != "latency"}
-    if isinstance(obj, list):
-        return [_strip_latency(v) for v in obj]
-    return obj
-
-
-def result_digest(result):
-    """Hash of every result file's content outside ``latency`` keys, as perfbench takes it."""
-    h = hashlib.sha256()
-    for report in result.reports:
-        h.update(json.dumps(_strip_latency(report.as_dict()), sort_keys=True).encode())
-    for res in result.query_results:
-        h.update(json.dumps(_strip_latency(res.as_dict()), sort_keys=True).encode())
-    h.update(json.dumps(_strip_latency(result.summary()), sort_keys=True).encode())
-    h.update("\n".join(result.action_log).encode())
-    return h.hexdigest()
+from reference import GRID_DIM as DIM
+from reference import fifo_configs, grid_configs, result_digest, small_stream
 
 
 def embed_calls(result):

@@ -341,9 +341,13 @@ def random_rows(rng, n, dim):
     return rows
 
 
-def churned_store(rng, dim):
-    """A vector store whose rows were built, freed, reused and rewritten in place."""
+def churned_store(rng, dim, counter=0):
+    """A vector store whose rows were built, freed, reused and rewritten in place.
+
+    Its record ids start after ``counter``.
+    """
     store = build_store("inverted_vector", embed_dim=dim, params={"mode": "vector"})
+    store._counter = counter
     store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i, session_id="s0",
                                embedding=row)
                   for i, row in enumerate(random_rows(rng, 60, dim))])
@@ -363,10 +367,7 @@ def churned_store(rng, dim):
 DIMS = [1, 3, 17, 64, 256]
 
 
-@pytest.mark.parametrize("dim", DIMS)
-def test_batched_rescore_equals_per_pair_cosine_bitwise(dim):
-    rng = np.random.default_rng(dim)
-    store = churned_store(rng, dim)
+def assert_rescore_equals_per_pair_cosine(rng, dim, store):
     queries = list(random_rows(rng, 12, dim)) + [store.all_records()[1].embedding]
     for query in queries:
         want = sorted(((r.record_id, ref_cosine(query, r.embedding)) for r in store.all_records()),
@@ -376,6 +377,23 @@ def test_batched_rescore_equals_per_pair_cosine_bitwise(dim):
         top = store.nearest(query, top=5)
         assert [(r.record_id, s.hex()) for r, s in top[:5]] == \
                [(i, s.hex()) for i, s in want[:5]]
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_batched_rescore_equals_per_pair_cosine_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    assert_rescore_equals_per_pair_cosine(rng, dim, churned_store(rng, dim))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_rescore_ties_past_the_seventh_id_digit_rank_like_a_scan(dim):
+    # ids m999961 to m1000040, duplicate rows among them: ties break in
+    # string order, where "m1000000" < "m999999"
+    rng = np.random.default_rng(dim)
+    store = churned_store(rng, dim, counter=999_960)
+    ids = {r.record_id for r in store.all_records()}
+    assert "m999999" in ids and "m1000001" in ids
+    assert_rescore_equals_per_pair_cosine(rng, dim, store)
 
 
 def flushed_norms(store):
@@ -485,6 +503,26 @@ def test_exact_cosine_ties_rank_by_record_id():
     assert [r.record_id for r, _ in store.nearest(shared, floor=got[0][1])] == tied
     assert [r.record_id for r, _ in store.nearest(shared, exclude=["m000004"], top=3)][:3] \
         == ["m000002", "m000005", "m000006"]
+
+
+def test_fused_ties_past_the_seventh_id_digit_rank_like_a_scan():
+    # four copies of each text: equal cosines and equal lexical totals, with
+    # ids on both sides of m999999, more of them than a signal's fusion pool
+    store = build_store("inverted_vector", embed_dim=DIM)
+    store._counter = 999_970
+    for copy in range(4):
+        store.insert([MemoryRecord(record_id="", text=text, ts=copy + 1, session_id="s0",
+                                   embedding=mock_embed_text(text, DIM))
+                      for text in TEXTS])
+    ids = [r.record_id for r in store.all_records()]
+    assert "m999999" in ids and "m1000000" in ids and len(ids) > store.POOL_MIN
+    for text in TEXTS:
+        for embedded in (True, False):
+            signal = RetrievalSignal(raw_query=text,
+                                     embedding=mock_embed_text(text, DIM) if embedded else None)
+            for k, now in ((1, None), (5, None), (6, 3), (10, None)):
+                want = ref_retrieve(store, signal, k, now)
+                assert as_bits(store.retrieve(signal, k, now=now)) == as_bits(want)
 
 
 class ProductLog(np.ndarray):
