@@ -7,11 +7,13 @@ All backends guarantee, via this base class:
 * a strictly-earlier visibility rule — retrieval at time ``now`` never
   returns a record with ``record.ts >= now`` (causality is enforced here
   again, independently of the protocol's request ordering);
-* candidate ordering by descending score with record_id as the tie-break.
-  Each ranking sorts decorated ``(-score, record_id)`` tuples once, with no
-  key function, and builds only what its caller reads: lexical search its
-  top ``k`` candidates, fusion its first ``limit`` (``rank_candidates``
-  ranks scored records the same way);
+* candidate ordering by descending score with record_id as the tie-break,
+  record ids compared as Python strings (so "m1000000" before "m999999").
+  Lexical search and ``rank_candidates`` sort decorated ``(-score,
+  record_id)`` tuples once, with no key function; fusion sorts its ids, then
+  stably by descending score; ``nearest`` orders its survivors with one
+  ``np.lexsort`` (below). Each builds only what its caller reads: lexical
+  search its top ``k`` candidates, fusion its first ``limit``;
 * scores normalized to [0, 1]: cosine folded via (1+cos)/2; lexical totals
   divided by the best one, for the ``k`` kept only (``float(total) /
   float(top)``, the bits ``normalize_ratio`` gives); property_graph's scores
@@ -29,7 +31,8 @@ All backends guarantee, via this base class:
   entities and LSH buckets.
 
 The embedding index holds one float64 row per live embedded record, with the
-record's visibility ``ts`` and norm beside it. A freed row's ts is
+record's visibility ``ts``, its record_id and its norm and inverse norm
+beside it. A freed row's ts is
 ``FREE_TS`` (``stream.TS_END``, past every valid timestamp), which no
 ``now`` reaches, so the one test ``ts < now`` keeps exactly the live,
 visible rows; freed rows are reused.
@@ -42,10 +45,12 @@ query after a run of inserts, or an insert's own PostIns under a policy
 that scans neighbours (crud, semantic_consolidation, link_evolution), never
 StateUpdate. Eager upkeep would move that cost to StateUpdate, not cut it.
 The cached norm is ``vector_norm`` of the written row, the bits of
-``float(np.linalg.norm(row))``.
+``float(np.linalg.norm(row))``; the inverse norm is ``1 / norm``, 0 where
+the norm is 0.
 The visibility test, ``exclude`` and ``rows`` make one mask. ``nearest``
-screens the rows it keeps with a matrix-vector product divided by the query
-norm times the cached norms (0 where that is 0, as in a per-pair cosine). The
+screens the rows it keeps with a matrix-vector product times the cached
+inverse norms and the query's inverse norm (0 where a norm is 0, as in a
+per-pair cosine). The
 product spans every row, or only the kept rows when ``rows`` restricts the
 scan, so lsh_hash's bucket candidates do not pay for the whole store. Of the
 screened rows at or above the ``floor`` (less ``SCREEN_MARGIN``), those
@@ -55,13 +60,17 @@ survivor row (1 x d) with the query (d x 1), divided by the same
 denominator. numpy computes each of those 1 x d by d x 1 products with the
 dot loop ``np.dot`` uses, so every rescored score has the bits of the
 per-pair cosine, ``float(np.dot(a, b))`` divided by
-``float(np.linalg.norm(a)) * float(np.linalg.norm(b))``. Survivors are sorted
-as decorated ``(-score, record_id, row)`` tuples, with no key function, so by
-descending score with record_id as the tie-break. A matrix-vector product
-may differ from the per-pair dot product in the last ulp, and a product
-over some rows from one over all of them, so the screen alone would flip
-near-ties; the rescore keeps every score and order exactly those of a
-per-record scan.
+``float(np.linalg.norm(a)) * float(np.linalg.norm(b))``. Survivors are
+ordered by one ``np.lexsort`` over the negated scores and the index's row ->
+record_id column, an object array whose items compare as Python strings: by
+descending score with record_id as the tie-break, the order of a sort over
+decorated ``(-score, record_id)`` tuples. ``nearest`` pairs each ordered
+row's record with its score; inverted_vector's fusion reads the ordered
+rows' ids from that column. A matrix-vector product, and the screen's
+multiplication by inverse norms, may differ from the per-pair cosine in the
+last ulps, and a product over some rows from one over all of them, so the
+screen alone would flip near-ties; the rescore keeps every score and order
+exactly those of a per-record scan.
 
 ``Postings`` holds each record's key counts, a plain dict counted in one
 pass over its keys, plus postings (key -> {record_id: count}). What a key
@@ -150,10 +159,12 @@ def fused_candidates(rankings: Iterable[list[str]], record_of: Callable[[str], M
             fused[doc_id] = fused.get(doc_id, 0.0) + 1.0 / rank
     if not fused:
         return []
-    ranked = sorted([(-score, doc_id) for doc_id, score in fused.items()])
-    top = -ranked[0][0]
-    return [Candidate(record=record_of(doc_id), score=-negated / top)
-            for negated, doc_id in ranked[:limit]]
+    # by id, then stably by descending score: ties keep their id order
+    ranked = sorted(fused)
+    ranked.sort(key=fused.__getitem__, reverse=True)
+    top = fused[ranked[0]]
+    return [Candidate(record=record_of(doc_id), score=fused[doc_id] / top)
+            for doc_id in ranked[:limit]]
 
 
 # Screened scores within this distance of a cut are rescored exactly; a
@@ -187,6 +198,8 @@ class EmbeddingIndex:
         self.matrix: Optional[np.ndarray] = None  # (capacity, dim), built on first flush
         self.ts = np.zeros(0, dtype=np.int64)  # FREE_TS on a free row
         self.norms = np.zeros(0)
+        self.inverse_norms = np.zeros(0)  # 1 / norm, 0 where the norm is 0
+        self.ids = np.zeros(0, dtype=object)  # row -> record_id, stale on a free row
         self.records: list[Optional[MemoryRecord]] = []  # row -> record, None when free
         self.row_of: dict[str, int] = {}
         self._free: list[int] = []
@@ -218,9 +231,12 @@ class EmbeddingIndex:
                 row = self._allocate(record.embedding.shape[0])
                 self.row_of[record_id] = row
             self.records[row] = record
+            self.ids[row] = record_id
             self.matrix[row] = record.embedding
             self.ts[row] = record.ts
-            self.norms[row] = vector_norm(self.matrix[row])
+            norm = vector_norm(self.matrix[row])
+            self.norms[row] = norm
+            self.inverse_norms[row] = 1.0 / norm if norm else 0.0
 
     def _allocate(self, dim: int) -> int:
         if self._free:
@@ -230,19 +246,20 @@ class EmbeddingIndex:
         row = len(self.records)
         if row == self.matrix.shape[0]:
             capacity = max(64, 2 * row)
-            self.matrix, self.ts, self.norms = (
-                _grown(a, capacity) for a in (self.matrix, self.ts, self.norms))
+            self.matrix, self.ts, self.norms, self.inverse_norms, self.ids = (
+                _grown(a, capacity)
+                for a in (self.matrix, self.ts, self.norms, self.inverse_norms, self.ids))
         self.records.append(None)
         return row
 
     def screen(self, query: np.ndarray, query_norm: float, now: Optional[int],
                exclude: Iterable[str], top: Optional[int], floor: Optional[float],
-               rows: Optional[Iterable[str]], bonus: Optional[dict[str, float]]) -> list[int]:
+               rows: Optional[Iterable[str]], bonus: Optional[dict[str, float]]) -> np.ndarray:
         """Rows of the visible records whose screened score may reach the exact top or floor."""
         self.flush()
         n = len(self.records)
         if n == 0:
-            return []
+            return np.zeros(0, dtype=np.intp)
         # live and visible in one test; clamped to FREE_TS, no now passes a free row
         mask = np.less(self.ts[:n], FREE_TS if now is None else min(now, FREE_TS))
         if rows is not None:
@@ -253,12 +270,12 @@ class EmbeddingIndex:
             row = self.row_of.get(record_id)
             if row is not None:
                 mask[row] = False
-        # the rescore's formula with a matrix-vector product: over every row,
-        # or over the kept rows only when ``rows`` restricts the scan
+        # the cosine by a matrix-vector product, over every row or over the
+        # kept rows only when ``rows`` restricts the scan; 0 where a norm is 0
         span = slice(0, n) if rows is None else mask.nonzero()[0]
-        denom = self.norms[span] * query_norm
-        scores = np.divide(self.matrix[span].dot(query), denom, out=np.zeros(denom.size),
-                           where=denom != 0.0)
+        scores = self.matrix[span].dot(query)
+        scores *= self.inverse_norms[span]
+        scores *= 1.0 / query_norm if query_norm else 0.0
         mask = mask[span]
         if bonus is not None:
             points = np.zeros(n)
@@ -274,7 +291,7 @@ class EmbeddingIndex:
             kept = scores[candidates]
             cut = np.partition(kept, kept.size - top)[kept.size - top]
             candidates = candidates[kept >= cut - SCREEN_MARGIN]
-        return (candidates if rows is None else span[candidates]).tolist()
+        return candidates if rows is None else span[candidates]
 
 
 class Postings:
@@ -414,21 +431,30 @@ class MemoryStore(ABC):
         """
         if top is not None and top < 1:
             return []
+        ranked, sims = self._ranked_rows(query, now, exclude, top, floor, rows, bonus)
+        records = self._index.records
+        return [(records[row], sim) for row, sim in zip(ranked.tolist(), sims.tolist())]
+
+    def _ranked_rows(self, query: np.ndarray, now: Optional[int], exclude: Iterable[str],
+                     top: Optional[int], floor: Optional[float], rows: Optional[Iterable[str]],
+                     bonus: Optional[dict[str, float]]) -> tuple[np.ndarray, np.ndarray]:
+        """The index rows of what ``nearest`` returns, best first, and their exact cosines."""
         index = self._index
         query_norm = vector_norm(query)
         survivors = index.screen(query, query_norm, now, exclude, top, floor, rows, bonus)
-        if not survivors:
-            return []
+        if not survivors.size:
+            return survivors, np.zeros(0)
         # a stack of 1xd @ dx1 products: each goes through the dot loop
         # np.dot uses, so every score has the bits of a per-pair cosine
         dots = np.matmul(index.matrix[survivors][:, None, :], query[:, None])[:, 0, 0]
         denom = query_norm * index.norms[survivors]
-        sims = np.divide(dots, denom, out=np.zeros(len(survivors)), where=denom != 0)
-        records = index.records
-        ranked = sorted([(-sim, records[row].record_id, row)
-                         for row, sim in zip(survivors, sims.tolist())
-                         if floor is None or sim >= floor])
-        return [(records[row], -negated) for negated, _, row in ranked]
+        sims = np.divide(dots, denom, out=np.zeros(survivors.size), where=denom != 0)
+        if floor is not None:
+            kept = sims >= floor
+            survivors, sims = survivors[kept], sims[kept]
+        # by descending cosine, then record_id in str order: the last key leads
+        order = np.lexsort((index.ids[survivors], -sims))
+        return survivors[order], sims[order]
 
     def _key_totals(self, signal: RetrievalSignal) -> dict[str, int]:
         """Summed key counts of every record sharing a query token, visible or not."""

@@ -40,9 +40,10 @@ class InvertedVectorStore(MemoryStore):
 
         # each signal's first ``pool`` ids, in the order its own search ranks them
         lexical = [record_id for _, record_id in self._lexical_ranking(signal, now)[:pool]]
-        vector = [] if signal.embedding is None else [
-            record.record_id
-            for record, _ in self.nearest(signal.embedding, now, top=pool)[:pool]]
+        vector = []
+        if signal.embedding is not None:
+            ranked, _ = self._ranked_rows(signal.embedding, now, (), pool, None, None, None)
+            vector = self._index.ids[ranked[:pool]].tolist()
         return fused_candidates([lexical, vector], self.get, k, self.rrf_k)
 
     def _index_sizes(self) -> dict[str, int]:

@@ -9,7 +9,8 @@ and log the same consolidation actions. The lexical parts of the
 references score every visible record from its current text, so a fault in
 the postings or in ``_lexical_ranking`` shows. A second property checks
 that the index rows, with their cached norms, always mirror the live
-embedded records, and that every free row carries ``FREE_TS``. The last
+embedded records, with each row's record id and inverse norm beside it,
+and that every free row carries ``FREE_TS``. The last
 tests pin the index's numerics on random rows: cached norms and rescored
 scores bit for bit, a floor at exactly the best cosine, freed rows that
 never come back, and a screen restricted to some rows that multiplies only
@@ -254,8 +255,10 @@ def index_rows(store):
             assert index.ts[row] == FREE_TS  # no now reaches a free row
             continue
         assert index.row_of[record.record_id] == row
-        rows[record.record_id] = (int(index.ts[row]), index.matrix[row].tobytes(),
-                                  float(index.norms[row]))
+        assert index.ids[row] == record.record_id
+        norm = float(index.norms[row])
+        assert index.inverse_norms[row] == (1.0 / norm if norm else 0.0)
+        rows[record.record_id] = (int(index.ts[row]), index.matrix[row].tobytes(), norm)
     assert len(index.row_of) == len(rows)
     return rows
 
