@@ -22,7 +22,9 @@ arrive after that count land in it, and once more at the end of the stream,
 or when a store error aborts the run with answered queries not yet reported.
 
 Stage walls per request are measured at contiguous monotonic-clock
-boundaries, so the per-request stage sum equals end-to-end exactly. Each
+boundaries, so the per-request stage sum equals end-to-end exactly. An
+insert that raises a store error, and so aborts the run, is traced with the
+stages it finished and the flags it raised, so the summary counts it. Each
 boundary is opened by ``_Pipeline._enter``, which also points
 ``Gateway.stage`` at the new stage, so every gateway call bills to the stage
 ``_enter`` opened last and no operator names its own stage. The logical
@@ -354,13 +356,19 @@ class _Pipeline:
         for unit in units:
             unit.strength = ops.consolidate.initial_strength_s
 
-        stamps.append(self._enter(STAGE_STATE_UPDATE))
-        ids = self.store.insert(units)
+        try:
+            stamps.append(self._enter(STAGE_STATE_UPDATE))
+            ids = self.store.insert(units)
 
-        stamps.append(self._enter(STAGE_POST_INSERT))
-        self.inserts_consumed += 1
-        actions, post_flags = run_consolidate(self.store, ids, request.ts, ops.consolidate,
-                                              self.gateway, self.inserts_consumed)
+            stamps.append(self._enter(STAGE_POST_INSERT))
+            self.inserts_consumed += 1
+            actions, post_flags = run_consolidate(self.store, ids, request.ts,
+                                                  ops.consolidate, self.gateway,
+                                                  self.inserts_consumed)
+        except StoreError:
+            # the insert that aborts the run is traced too, with the stages it finished
+            self._close_request(request, INSERT_STAGES, stamps, flags)
+            raise
         stamps.append(time.perf_counter_ns())
 
         self._close_request(request, INSERT_STAGES, stamps, flags + post_flags)

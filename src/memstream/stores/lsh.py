@@ -5,6 +5,8 @@ hyperplane: 1 iff the projection is >= 0). Retrieval unions the query's
 bucket across tables and rescores the collected candidates with exact
 cosine, so result ordering is exact within whatever the buckets recall.
 Hyperplanes are drawn once from the store seed; same seed, same buckets.
+A record without an embedding (its embed call failed open) is kept under no
+bucket, so no vector probe reaches it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import StoreError
 from ..records import Candidate, MemoryRecord, RetrievalSignal
 from .base import MemoryStore
 
@@ -46,7 +47,7 @@ class LshStore(MemoryStore):
 
     def _index_keys(self, record: MemoryRecord) -> list[tuple[int, int]]:
         if record.embedding is None:
-            raise StoreError("lsh_hash stores embedded records only")
+            return []
         return self._bucket_keys(record.embedding)
 
     def _search(self, signal: RetrievalSignal, k: int,

@@ -37,6 +37,7 @@ from memstream.orchestrator import (
     fraction_boundaries,
     run_experiment,
 )
+from memstream.stores import BACKENDS
 from memstream.stream import (
     AfterCount,
     AtFraction,
@@ -51,6 +52,7 @@ from memstream.stream import (
     serialize_stream,
     write_atomic,
 )
+from reference import GRID_DIM, insert_count, make_config, small_stream
 
 
 def make_manifest(n_inserts=10, queries=(), sessions=1):
@@ -308,7 +310,8 @@ def test_aborted_run_reports_queries_answered_after_last_checkpoint(tmp_path):
     )
     result = run_experiment(cfg, manifest, MockGateway(dim=32))
     assert result.status == "aborted"
-    assert result.summary()["counts"] == {"inserts": 2, "retrieves": 1, "checkpoints": 1}
+    # the third insert, which aborted the run, is counted; it was never consumed
+    assert result.summary()["counts"] == {"inserts": 3, "retrieves": 1, "checkpoints": 1}
     assert [r.inserts_consumed for r in result.reports] == [2]
     assert [res.query_id for res in result.query_results] == ["q0"]
     assert result.query_results[0].checkpoint_index == 1
@@ -316,6 +319,47 @@ def test_aborted_run_reports_queries_answered_after_last_checkpoint(tmp_path):
     assert len((tmp_path / "queries.jsonl").read_text().splitlines()) == 1
     assert any(" QUERY q0 -> " in line
                for line in (tmp_path / "actions.log").read_text().splitlines())
+
+
+def test_an_aborted_run_counts_the_request_that_aborted_it():
+    # every insert falls back from the failing triplet extraction; the third
+    # overflows the 2-record store, and its flag and finished stage count too
+    manifest = make_manifest(n_inserts=5, queries=[("q0", "fact number 1", "1", 2)])
+    cfg = base_config(
+        store=StoreConfig(backend="fifo_queue",
+                          params={"capacity": 2, "overflow": "error"}),
+        operators=OperatorConfig(normalize=NormalizeConfig(strategy="rewrite")),
+        checkpoint=CheckpointSchedule(every_n=10),
+    )
+    result = run_experiment(cfg, manifest, MockGateway(dim=32, failing={"triplets"}))
+    assert result.status == "aborted" and result.error.startswith("CapacityExceeded")
+    summary = result.summary()
+    assert summary["flags"] == {"rewrite_fallback": 3}
+    assert summary["counts"]["inserts"] == 3
+    aborting = result.traces[-1]
+    assert (aborting.seq, aborting.kind) == (manifest.requests[3].seq, KIND_INSERT)
+    assert list(aborting.stage_ns) == [STAGE_PRE_INSERT]
+    assert aborting.e2e_ns == aborting.stage_ns[STAGE_PRE_INSERT]
+    assert [call.template_id for call in aborting.gateway_calls] == ["triplets"]
+    assert summary["latency"]["stages"][STAGE_PRE_INSERT]["count"] == 3
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_every_backend_fails_open_when_every_embed_call_fails(backend):
+    # each failed embed call leaves its turn or query unembedded and flagged;
+    # the run goes on, and lsh_hash keeps such turns under no bucket
+    manifest = small_stream()
+    result = run_experiment(make_config(backend, "none", "none", "none", "none"), manifest,
+                            MockGateway(dim=GRID_DIM, failing={"embed"}))
+    assert result.status == "complete", result.error
+    embedding = [trace for trace in result.traces
+                 if any(call.call_kind == "embed" for call in trace.gateway_calls)]
+    assert all("embed_failed" in trace.flags for trace in embedding)
+    assert result.summary()["flags"].get("embed_failed", 0) == len(embedding)
+    assert bool(embedding) is BACKENDS[backend].reads_vectors
+    if backend == "lsh_hash":
+        assert result.reports[-1].store.record_count == insert_count(manifest)
+        assert not any(res.provenance for res in result.query_results)
 
 
 class ThreadCountingGateway(MockGateway):

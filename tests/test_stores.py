@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memstream.errors import (
@@ -38,7 +38,7 @@ from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.queue_segment import QueueSegmentStore
 from memstream.stores.summary_vector import SummaryVectorStore, mean_embedding
-from reference import as_bits, ref_cosine
+from reference import as_bits, ref_cosine, ref_fused
 
 DIM = 64
 
@@ -219,56 +219,31 @@ def test_fuse_scores_rrf():
         fused_candidates([["a"]], records.__getitem__, 1, k_rrf=-1)
 
 
-def decorated_fusion(rankings, limit, k_rrf):
-    """(id, score bits) of the ``limit`` best fused ids by a decorated ``(-score, id)`` sort."""
-    fused = {}
-    for ranking in rankings:
-        for rank, doc_id in enumerate(ranking, start=k_rrf + 1):
-            fused[doc_id] = fused.get(doc_id, 0.0) + 1.0 / rank
-    ranked = sorted([(-score, doc_id) for doc_id, score in fused.items()])
-    if not ranked:
-        return []
-    top = -ranked[0][0]
-    return [(doc_id, (-negated / top).hex()) for negated, doc_id in ranked[:limit]]
-
-
 # past m999999 the ids gain a digit, and "m1000000" < "m999999" as strings
 FUSION_IDS = ["m000001", "m000002", "m000010", "m999998", "m999999", "m1000000",
               "m1000001", "m1000010"]
-TIED_RANKINGS = [
-    # the same ranks in swapped lists: equal sums, broken by id
-    [["m999999", "m1000000"], ["m1000000", "m999999"]],
-    # one list only: every id apart from rank 1 ties with none, ids reversed
-    [sorted(FUSION_IDS, reverse=True)],
-    # rank r in one list ties rank r in the other
-    [["m1000001", "m000002", "m999998"], ["m000001", "m1000000", "m999999"]],
-    # ties across three lists, and an empty list
-    [["m000010", "m1000010"], [], ["m1000010", "m000010"], ["m999999"]],
-]
-
-
-@pytest.mark.parametrize("rankings", TIED_RANKINGS)
-@pytest.mark.parametrize("k_rrf", [0, 1, 60])
-def test_fused_ties_order_like_the_decorated_sort(rankings, k_rrf):
-    records = {}
-    for doc_id in FUSION_IDS:
-        records[doc_id] = record(f"{doc_id}.")
-        records[doc_id].record_id = doc_id
-    for limit in range(1, len(FUSION_IDS) + 1):
-        got = fused_candidates(rankings, records.__getitem__, limit, k_rrf=k_rrf)
-        assert as_bits(got) == decorated_fusion(rankings, limit, k_rrf)
 
 
 @settings(max_examples=200, deadline=None)
 @given(rankings=st.lists(st.lists(st.sampled_from(FUSION_IDS), unique=True), max_size=4),
        limit=st.integers(1, 10), k_rrf=st.sampled_from([0, 1, 2, 60]))
-def test_fused_order_and_bits_equal_the_decorated_sort(rankings, limit, k_rrf):
+# the same ranks in swapped lists: equal sums, broken by id
+@example(rankings=[["m999999", "m1000000"], ["m1000000", "m999999"]], limit=2, k_rrf=60)
+# one list in reverse id order
+@example(rankings=[sorted(FUSION_IDS, reverse=True)], limit=8, k_rrf=0)
+# rank r in one list ties rank r in the other
+@example(rankings=[["m1000001", "m000002", "m999998"], ["m000001", "m1000000", "m999999"]],
+         limit=6, k_rrf=1)
+# ties across three lists, and an empty list
+@example(rankings=[["m000010", "m1000010"], [], ["m1000010", "m000010"], ["m999999"]],
+         limit=3, k_rrf=60)
+def test_fused_order_and_bits_equal_the_reference_sort(rankings, limit, k_rrf):
     records = {}
     for doc_id in FUSION_IDS:
         records[doc_id] = record(f"{doc_id}.")
         records[doc_id].record_id = doc_id
     got = fused_candidates(rankings, records.__getitem__, limit, k_rrf=k_rrf)
-    assert as_bits(got) == decorated_fusion(rankings, limit, k_rrf)
+    assert as_bits(got) == as_bits(ref_fused(rankings, records.__getitem__, limit, k_rrf))
 
 
 POSTINGS_KEYS = ["b", "a", "b", (0, 5), "c", "b", (0, 5)]
@@ -376,10 +351,16 @@ def test_migrate_unsupported_on_flat_backends():
 
 # -- lsh_hash -------------------------------------------------------------------
 
-def test_lsh_requires_embeddings():
+def test_lsh_keeps_an_unembedded_record_under_no_bucket():
+    # a turn whose embed call failed open is stored, but no probe reaches it
     store = build_store("lsh_hash", embed_dim=DIM, seed=3)
-    with pytest.raises(StoreError):
-        store.insert([record("no vector.", embed=False)])
+    (bare,) = store.insert([record("no vector.", embed=False)])
+    (embedded,) = store.insert([record("no vector.")])
+    assert store.is_live(bare) and store.stats().record_count == 2
+    assert bare not in store._postings.counts and bare not in store._index.row_of
+    got = store.retrieve(signal("no vector."), k=5)
+    assert [c.record_id for c in got] == [embedded]
+    assert [r.record_id for r, _ in store.nearest(signal("no vector.").embedding)] == [embedded]
 
 
 def test_lsh_signature_packs_sign_bits():
