@@ -435,9 +435,10 @@ class MemoryStore(ABC):
         records = self._index.records
         return [(records[row], sim) for row, sim in zip(ranked.tolist(), sims.tolist())]
 
-    def _ranked_rows(self, query: np.ndarray, now: Optional[int], exclude: Iterable[str],
-                     top: Optional[int], floor: Optional[float], rows: Optional[Iterable[str]],
-                     bonus: Optional[dict[str, float]]) -> tuple[np.ndarray, np.ndarray]:
+    def _ranked_rows(self, query: np.ndarray, now: Optional[int], exclude: Iterable[str] = (),
+                     top: Optional[int] = None, floor: Optional[float] = None,
+                     rows: Optional[Iterable[str]] = None,
+                     bonus: Optional[dict[str, float]] = None) -> tuple[np.ndarray, np.ndarray]:
         """The index rows of what ``nearest`` returns, best first, and their exact cosines."""
         index = self._index
         query_norm = vector_norm(query)

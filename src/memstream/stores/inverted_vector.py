@@ -42,7 +42,7 @@ class InvertedVectorStore(MemoryStore):
         lexical = [record_id for _, record_id in self._lexical_ranking(signal, now)[:pool]]
         vector = []
         if signal.embedding is not None:
-            ranked, _ = self._ranked_rows(signal.embedding, now, (), pool, None, None, None)
+            ranked, _ = self._ranked_rows(signal.embedding, now, top=pool)
             vector = self._index.ids[ranked[:pool]].tolist()
         return fused_candidates([lexical, vector], self.get, k, self.rrf_k)
 
