@@ -36,14 +36,14 @@ beside it. A freed row's ts is
 ``FREE_TS`` (``stream.TS_END``, past every valid timestamp), which no
 ``now`` reaches, so the one test ``ts < now`` keeps exactly the live,
 visible rows; freed rows are reused.
-Upkeep is deferred: ``insert`` and ``reindex`` only queue the record and
-``remove`` frees its row, and each queued row is written in place at the
-next ``nearest`` call (its embedding, ts and norm), so a store that never
-runs a vector scan never builds the matrix. The stage that runs that scan
-pays the row writes of every insert since the last one: Search on the first
-query after a run of inserts, or an insert's own PostIns under a policy
-that scans neighbours (crud, semantic_consolidation, link_evolution), never
-StateUpdate. Eager upkeep would move that cost to StateUpdate, not cut it.
+A row is written when its record is: ``insert`` and ``reindex`` write the
+record's embedding, ts, id and norm into its row, or free the row of a
+record without an embedding, and ``remove`` frees it. So the stage that
+writes a record pays for its row (StateUpdate for an insert, PostIns for a
+merge's reindex), and an unembedded record gets no row; a store that holds
+no embedding never builds the matrix. The first allocation reserves 1,024
+rows and each later one doubles the capacity. Rows map to record ids through
+the ``ids`` column, and ids to records through the store.
 The cached norm is ``vector_norm`` of the written row, the bits of
 ``float(np.linalg.norm(row))``; the inverse norm is ``1 / norm``, 0 where
 the norm is 0.
@@ -64,9 +64,9 @@ per-pair cosine, ``float(np.dot(a, b))`` divided by
 ordered by one ``np.lexsort`` over the negated scores and the index's row ->
 record_id column, an object array whose items compare as Python strings: by
 descending score with record_id as the tie-break, the order of a sort over
-decorated ``(-score, record_id)`` tuples. ``nearest`` pairs each ordered
-row's record with its score; inverted_vector's fusion reads the ordered
-rows' ids from that column. A matrix-vector product, and the screen's
+decorated ``(-score, record_id)`` tuples. ``nearest`` pairs the record of
+each ordered row's id with its score; inverted_vector's fusion reads the
+ordered rows' ids from that column. A matrix-vector product, and the screen's
 multiplication by inverse norms, may differ from the per-pair cosine in the
 last ulps, and a product over some rows from one over all of them, so the
 screen alone would flip near-ties; the rescore keeps every score and order
@@ -192,72 +192,58 @@ def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
 
 
 class EmbeddingIndex:
-    """Row-per-record embedding matrix with deferred upkeep (see module docstring)."""
+    """Row-per-record embedding matrix, written with its record (see module docstring)."""
 
     def __init__(self):
-        self.matrix: Optional[np.ndarray] = None  # (capacity, dim), built on first flush
+        self.matrix: Optional[np.ndarray] = None  # (capacity, dim), built at the first row write
         self.ts = np.zeros(0, dtype=np.int64)  # FREE_TS on a free row
         self.norms = np.zeros(0)
         self.inverse_norms = np.zeros(0)  # 1 / norm, 0 where the norm is 0
         self.ids = np.zeros(0, dtype=object)  # row -> record_id, stale on a free row
-        self.records: list[Optional[MemoryRecord]] = []  # row -> record, None when free
         self.row_of: dict[str, int] = {}
         self._free: list[int] = []
-        self._pending: dict[str, MemoryRecord] = {}
 
-    def queue(self, record: MemoryRecord):
-        """Mark a record's row stale; it is rewritten at the next flush."""
-        self._pending[record.record_id] = record
+    def write(self, record: MemoryRecord):
+        """Write the record's embedding, ts, id and norm into its row; free it if unembedded."""
+        if record.embedding is None:
+            self.drop(record.record_id)
+            return
+        row = self.row_of.get(record.record_id)
+        if row is None:
+            row = self._allocate(record.embedding.shape[0])
+            self.row_of[record.record_id] = row
+        self.ids[row] = record.record_id
+        self.matrix[row] = record.embedding
+        self.ts[row] = record.ts
+        norm = vector_norm(self.matrix[row])
+        self.norms[row] = norm
+        self.inverse_norms[row] = 1.0 / norm if norm else 0.0
 
     def drop(self, record_id: str):
-        self._pending.pop(record_id, None)
         row = self.row_of.pop(record_id, None)
         if row is not None:
             self.ts[row] = FREE_TS
-            self.records[row] = None
             self._free.append(row)
-
-    def flush(self):
-        """Write each queued record's embedding, ts and norm into its row."""
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, {}
-        for record_id, record in pending.items():
-            if record.embedding is None:
-                self.drop(record_id)
-                continue
-            row = self.row_of.get(record_id)
-            if row is None:
-                row = self._allocate(record.embedding.shape[0])
-                self.row_of[record_id] = row
-            self.records[row] = record
-            self.ids[row] = record_id
-            self.matrix[row] = record.embedding
-            self.ts[row] = record.ts
-            norm = vector_norm(self.matrix[row])
-            self.norms[row] = norm
-            self.inverse_norms[row] = 1.0 / norm if norm else 0.0
 
     def _allocate(self, dim: int) -> int:
         if self._free:
             return self._free.pop()
         if self.matrix is None:
             self.matrix = np.zeros((0, dim))
-        row = len(self.records)
+        row = len(self.row_of)  # no row is free, so every allocated row is mapped
         if row == self.matrix.shape[0]:
-            capacity = max(64, 2 * row)
+            # 1,024 rows first, then doubling; pages never written stay unmapped
+            capacity = max(1024, 2 * row)
             self.matrix, self.ts, self.norms, self.inverse_norms, self.ids = (
                 _grown(a, capacity)
                 for a in (self.matrix, self.ts, self.norms, self.inverse_norms, self.ids))
-        self.records.append(None)
         return row
 
     def screen(self, query: np.ndarray, query_norm: float, now: Optional[int],
                exclude: Iterable[str], top: Optional[int], floor: Optional[float],
-               rows: Optional[Iterable[str]], bonus: Optional[dict[str, float]]) -> np.ndarray:
+               rows: Optional[Iterable[str]]) -> np.ndarray:
         """Rows of the visible records whose screened score may reach the exact top or floor."""
-        self.flush()
-        n = len(self.records)
+        n = len(self.row_of) + len(self._free)
         if n == 0:
             return np.zeros(0, dtype=np.intp)
         # live and visible in one test; clamped to FREE_TS, no now passes a free row
@@ -277,13 +263,6 @@ class EmbeddingIndex:
         scores *= self.inverse_norms[span]
         scores *= 1.0 / query_norm if query_norm else 0.0
         mask = mask[span]
-        if bonus is not None:
-            points = np.zeros(n)
-            for record_id, value in bonus.items():
-                row = self.row_of.get(record_id)
-                if row is not None:
-                    points[row] = value
-            scores = points[span] + (1.0 + scores) / 2.0
         if floor is not None:
             mask &= scores >= floor - SCREEN_MARGIN
         candidates = mask.nonzero()[0]
@@ -373,7 +352,7 @@ class MemoryStore(ABC):
             if record.kind == KIND_RAW:
                 self._turn_map[(record.session_id, record.turn_index)] = record.record_id
             self._postings.add(record.record_id, self._index_keys(record))
-            self._index.queue(record)
+            self._index.write(record)
             self._after_add(record)
             ids.append(record.record_id)
         return ids
@@ -417,32 +396,30 @@ class MemoryStore(ABC):
 
     def nearest(self, query: np.ndarray, now: Optional[int] = None,
                 exclude: Iterable[str] = (), top: Optional[int] = None,
-                floor: Optional[float] = None, rows: Optional[Iterable[str]] = None,
-                bonus: Optional[dict[str, float]] = None) -> list[tuple[MemoryRecord, float]]:
+                floor: Optional[float] = None,
+                rows: Optional[Iterable[str]] = None) -> list[tuple[MemoryRecord, float]]:
         """Live embedded records by exact cosine to ``query``, best first.
 
         Visible at ``now`` (all live records when None), minus ``exclude``,
         restricted to the ids in ``rows`` when given. The result holds every
         record with ``cosine >= floor`` that can rank among the ``top`` best,
         plus any within ``SCREEN_MARGIN`` of that cut, so callers slice or
-        re-rank it. ``bonus`` (record_id -> points) makes the cut rank by
-        ``points + fold_cosine(cosine)`` instead; returned scores stay exact
-        cosines.
+        re-rank it.
         """
         if top is not None and top < 1:
             return []
-        ranked, sims = self._ranked_rows(query, now, exclude, top, floor, rows, bonus)
-        records = self._index.records
-        return [(records[row], sim) for row, sim in zip(ranked.tolist(), sims.tolist())]
+        ranked, sims = self._ranked_rows(query, now, exclude, top, floor, rows)
+        records = self._records
+        return [(records[record_id], sim)
+                for record_id, sim in zip(self._index.ids[ranked].tolist(), sims.tolist())]
 
     def _ranked_rows(self, query: np.ndarray, now: Optional[int], exclude: Iterable[str] = (),
                      top: Optional[int] = None, floor: Optional[float] = None,
-                     rows: Optional[Iterable[str]] = None,
-                     bonus: Optional[dict[str, float]] = None) -> tuple[np.ndarray, np.ndarray]:
+                     rows: Optional[Iterable[str]] = None) -> tuple[np.ndarray, np.ndarray]:
         """The index rows of what ``nearest`` returns, best first, and their exact cosines."""
         index = self._index
         query_norm = vector_norm(query)
-        survivors = index.screen(query, query_norm, now, exclude, top, floor, rows, bonus)
+        survivors = index.screen(query, query_norm, now, exclude, top, floor, rows)
         if not survivors.size:
             return survivors, np.zeros(0)
         # a stack of 1xd @ dx1 products: each goes through the dot loop
@@ -530,7 +507,7 @@ class MemoryStore(ABC):
         """Refresh index entries after an in-place text/embedding/ts change."""
         self._check_dim(record)
         self._postings.add(record.record_id, self._index_keys(record))
-        self._index.queue(record)
+        self._index.write(record)
 
     def migrate(self, record_id: str, to_tier: str):
         raise UnsupportedBackend(f"{self.name} has no tiers")

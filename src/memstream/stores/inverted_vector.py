@@ -49,5 +49,5 @@ class InvertedVectorStore(MemoryStore):
     def _index_sizes(self) -> dict[str, int]:
         return {
             "tokens": len(self._postings.postings),
-            "vectors": sum(1 for r in self.all_records() if r.embedding is not None),
+            "vectors": len(self._index.row_of),  # a row per live embedded record
         }

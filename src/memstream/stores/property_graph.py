@@ -4,8 +4,9 @@ Triplet records index their subject and object entities; a query earns one
 bonus point per distinct matched entity on top of the folded cosine, so
 entity-anchored facts outrank near-duplicates in embedding space. Records
 without a triplet (raw turns, summaries) still participate through the
-cosine term alone. Link maintenance is supported so the link-evolution
-consolidation pass can attach neighbors.
+cosine term alone. Two exact scans find the top ``k``: every matched record,
+and the ``k`` best of the others by cosine. Link maintenance is supported
+so the link-evolution consolidation pass can attach neighbors.
 """
 
 from __future__ import annotations
@@ -36,15 +37,14 @@ class PropertyGraphStore(MemoryStore):
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
         # one point per distinct query entity the record's triplet mentions
-        bonus = {rec_id: float(-negated)
-                 for negated, rec_id in self._lexical_ranking(signal, now)}
-        scores: dict[str, float] = {}
+        points = {rec_id: float(-negated)
+                  for negated, rec_id in self._lexical_ranking(signal, now)}
+        scores = dict(points)
         if signal.embedding is not None:
-            for rec, sim in self.nearest(signal.embedding, now, top=k, bonus=bonus):
-                scores[rec.record_id] = bonus.get(rec.record_id, 0.0) + fold_cosine(sim)
-        for rec_id, points in bonus.items():
-            if signal.embedding is None or self._records[rec_id].embedding is None:
-                scores[rec_id] = points
+            # an unmatched record outside the k best ranks below k others
+            for rec, sim in (self.nearest(signal.embedding, now, rows=points)
+                             + self.nearest(signal.embedding, now, top=k, exclude=points)):
+                scores[rec.record_id] = points.get(rec.record_id, 0.0) + fold_cosine(sim)
         scored = [(self._records[rec_id], score)
                   for rec_id, score in scores.items() if score > 0.0]
         return rank_candidates(normalize_ratio(scored), k)

@@ -10,14 +10,18 @@ references score every visible record from its current text, so a fault in
 the postings or in ``_lexical_ranking`` shows. A second property checks
 that the index rows, with their cached norms, always mirror the live
 embedded records, with each row's record id and inverse norm beside it,
-and that every free row carries ``FREE_TS``. The last
-tests pin the index's numerics on random rows: cached norms and rescored
-scores bit for bit, a floor at exactly the best cosine, freed rows that
-never come back, and a screen restricted to some rows that multiplies only
-those rows and returns what the all-rows screen keeps of them.
+and that every free row carries ``FREE_TS``. They do so right after each
+insert and reindex, with no scan in between, and a replay bills every row
+write to the stage that writes the record: StateUpdate, or PostIns for a
+merge, never Search. The last tests pin the index's numerics on random
+rows, in a store grown past the index's first reserve: cached norms and
+rescored scores bit for bit, a floor at exactly the best cosine, freed rows
+that never come back, and a screen restricted to some rows that multiplies
+only those rows and returns what the all-rows screen keeps of them.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,10 +31,11 @@ from hypothesis import strategies as st
 from memstream import ingest
 from memstream.config import ConsolidateConfig, config_from_dict
 from memstream.gateway import MockGateway, mock_embed_text
-from memstream.orchestrator import _Pipeline
+from memstream.metrics import STAGE_POST_INSERT, STAGE_STATE_UPDATE
+from memstream.orchestrator import _Pipeline, run_experiment
 from memstream.records import KIND_TRIPLET, MemoryRecord, RetrievalSignal, Triplet
 from memstream.stores import BACKENDS, build_store
-from memstream.stores.base import FREE_TS
+from memstream.stores.base import FREE_TS, EmbeddingIndex
 from memstream.stores.fifo import FifoQueueStore
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.lsh import LshStore, lsh_signature
@@ -43,6 +48,7 @@ from reference import (
     as_bits,
     as_candidates,
     divided_by_top,
+    insert_count,
     ranked,
     ref_consolidate,
     ref_cosine,
@@ -224,7 +230,7 @@ def test_nearest_matches_per_record_scan(config, strategy, ops):
 
 def test_entity_bonus_lifts_a_far_embedding_past_the_cosine_cut():
     # the triplet record is far from the query in embedding space, but its
-    # entity bonus ranks it first; a screen on cosine alone would drop it
+    # entity bonus ranks it first; a top-k scan on cosine alone would drop it
     real, ref = (build_store("property_graph", embed_dim=DIM) for _ in range(2))
     triplet = TRIPLETS[1]
     for store in (real, ref):
@@ -247,19 +253,18 @@ def test_entity_bonus_lifts_a_far_embedding_past_the_cosine_cut():
 # ----------------------------------------------------------------------
 
 def index_rows(store):
+    """record_id -> (ts, row bytes, cached norm) of every mapped row, read as they stand."""
     index = store._index
-    index.flush()
+    for row in index._free:
+        assert index.ts[row] == FREE_TS  # no now reaches a free row
+    allocated = len(index.row_of) + len(index._free)
+    assert sorted(index._free + list(index.row_of.values())) == list(range(allocated))
     rows = {}
-    for row, record in enumerate(index.records):
-        if record is None:
-            assert index.ts[row] == FREE_TS  # no now reaches a free row
-            continue
-        assert index.row_of[record.record_id] == row
-        assert index.ids[row] == record.record_id
+    for record_id, row in index.row_of.items():
+        assert index.ids[row] == record_id
         norm = float(index.norms[row])
         assert index.inverse_norms[row] == (1.0 / norm if norm else 0.0)
-        rows[record.record_id] = (int(index.ts[row]), index.matrix[row].tobytes(), norm)
-    assert len(index.row_of) == len(rows)
+        rows[record_id] = (int(index.ts[row]), index.matrix[row].tobytes(), norm)
     return rows
 
 
@@ -315,6 +320,50 @@ def test_index_rows_mirror_live_embedded_records(config, ops):
     assert index_rows(store) == live_embedded(store)
 
 
+def test_rows_are_written_with_their_records():
+    # no scan runs in between: each insert and reindex writes its row at once
+    store = build_store("inverted_vector", embed_dim=DIM)
+    for text_i in range(len(TEXTS)):
+        store.insert([MemoryRecord(record_id="", text=TEXTS[text_i], ts=text_i + 1,
+                                   session_id="s0",
+                                   embedding=scaled_embedding(text_i) if text_i % 3 else None)])
+        assert index_rows(store) == live_embedded(store)
+    for record, text_i in zip(store.all_records()[::2], range(len(TEXTS))):
+        record.ts += 100
+        record.embedding = None if text_i % 4 == 0 else scaled_embedding(text_i)
+        store.reindex(record)
+        assert index_rows(store) == live_embedded(store)
+
+
+@pytest.mark.parametrize("consolidate", ["none", "semantic_consolidation"])
+def test_row_writes_bill_to_the_stage_that_writes_the_record(monkeypatch, consolidate):
+    # an insert's row bills to its StateUpdate, a merge's reindex to its
+    # PostIns, and no row write waits for a query's Search
+    manifest, _key = synth_workload(SyntheticSpec(seed=3, n_facts=40, rounds=2,
+                                                  queries_per_round=4))
+    cfg = config_from_dict({
+        "store": {"backend": "inverted_vector"},
+        "operators": {"consolidate": {"strategy": consolidate, "dedup_threshold": 0.85}},
+        "gateway": {"kind": "mock", "embed_dim": DIM},
+    })
+    gateway = MockGateway(dim=DIM)
+    stages = []
+    write = EmbeddingIndex.write
+
+    def billed_write(index, record):
+        stages.append(gateway.stage)
+        write(index, record)
+
+    monkeypatch.setattr(EmbeddingIndex, "write", billed_write)
+    result = run_experiment(cfg, manifest, gateway=gateway)
+    assert result.status == "complete", result.error
+    merges = sum(" MERGE " in line for line in result.action_log)
+    assert (merges > 0) is (consolidate != "none")
+    # one write per insert and one per merge, in no other stage
+    assert Counter(stages) == +Counter({STAGE_STATE_UPDATE: insert_count(manifest),
+                                        STAGE_POST_INSERT: merges})
+
+
 def test_lexical_fifo_replay_never_builds_the_matrix():
     manifest, _key = synth_workload(SyntheticSpec(seed=3, n_facts=40, rounds=2,
                                                   queries_per_round=4))
@@ -344,8 +393,12 @@ def random_rows(rng, n, dim):
     return rows
 
 
+# past the index's 1,024-row first reserve, so its arrays grow once
+CHURNED_ROWS = 1100
+
+
 def churned_store(rng, dim, counter=0):
-    """A vector store whose rows were built, freed, reused and rewritten in place.
+    """A vector store whose rows were grown, freed, reused and rewritten in place.
 
     Its record ids start after ``counter``.
     """
@@ -353,13 +406,12 @@ def churned_store(rng, dim, counter=0):
     store._counter = counter
     store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i, session_id="s0",
                                embedding=row)
-                  for i, row in enumerate(random_rows(rng, 60, dim))])
-    store.nearest(rng.normal(size=dim))  # build the matrix before rows are freed
+                  for i, row in enumerate(random_rows(rng, CHURNED_ROWS, dim))])
     for record in store.all_records()[::3]:
         store.remove(record.record_id)
     # new inserts reuse the freed rows; reindexed records are rewritten in place
-    store.insert([MemoryRecord(record_id="", text=f"reused {i}", ts=100 + i, session_id="s0",
-                               embedding=row)
+    store.insert([MemoryRecord(record_id="", text=f"reused {i}", ts=CHURNED_ROWS + i,
+                               session_id="s0", embedding=row)
                   for i, row in enumerate(random_rows(rng, 20, dim))])
     for record, row in zip(store.all_records()[::4], random_rows(rng, 20, dim)):
         record.embedding = row
@@ -382,6 +434,15 @@ def assert_rescore_equals_per_pair_cosine(rng, dim, store):
                [(i, s.hex()) for i, s in want[:5]]
 
 
+def test_a_store_grown_past_the_reserve_mirrors_its_records():
+    rng = np.random.default_rng(5)
+    store = churned_store(rng, DIM)
+    assert store._index.matrix.shape[0] == 2048  # the 1,024-row reserve, doubled once
+    assert store._index._free  # rows freed and not all reused
+    assert index_rows(store) == live_embedded(store)
+    assert_rescore_equals_per_pair_cosine(rng, DIM, store)
+
+
 @pytest.mark.parametrize("dim", DIMS)
 def test_batched_rescore_equals_per_pair_cosine_bitwise(dim):
     rng = np.random.default_rng(dim)
@@ -399,11 +460,9 @@ def test_rescore_ties_past_the_seventh_id_digit_rank_like_a_scan(dim):
     assert_rescore_equals_per_pair_cosine(rng, dim, store)
 
 
-def flushed_norms(store):
+def cached_norms(store):
     index = store._index
-    index.flush()
-    return {record.record_id: index.norms[row].hex()
-            for row, record in enumerate(index.records) if record is not None}
+    return {record_id: index.norms[row].hex() for record_id, row in index.row_of.items()}
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -418,9 +477,9 @@ def test_cached_norms_have_the_bits_of_linalg_norm(dim):
         return {r.record_id: float(np.linalg.norm(r.embedding)).hex()
                 for r in store.all_records()}
 
-    assert flushed_norms(store) == linalg_norms()
+    assert cached_norms(store) == linalg_norms()
     store = churned_store(rng, dim)
-    assert flushed_norms(store) == linalg_norms()
+    assert cached_norms(store) == linalg_norms()
 
 
 def best_by_cosine(store, query, exclude=()):
@@ -453,12 +512,11 @@ def test_a_freed_row_never_comes_back(dim):
     store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i, session_id="s0",
                                embedding=row)
                   for i, row in enumerate(random_rows(rng, 30, dim))])
-    store.nearest(rng.normal(size=dim))  # build the matrix before rows are freed
     removed = {}
     for record in store.all_records()[1::2]:
         removed[record.record_id] = record.embedding
         store.remove(record.record_id)
-    # the last removal is queued for a rewrite first, so its row is stale too
+    # the last removal is rewritten in place first
     last = store.all_records()[-1]
     last.embedding = rng.normal(size=dim)
     store.reindex(last)
@@ -491,7 +549,6 @@ def test_exact_cosine_ties_rank_by_record_id():
     store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i, session_id="s0",
                                embedding=vector.copy())
                   for i, vector in enumerate([shared, shared, far, shared, shared])])
-    store.nearest(shared)  # build the matrix before a row is freed
     store.remove("m000001")
     store.insert([MemoryRecord(record_id="", text="reused", ts=9, session_id="s0",
                                embedding=shared.copy())])
@@ -544,7 +601,6 @@ def test_restricted_screen_multiplies_only_the_chosen_rows():
     store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i + 1, session_id="s0",
                                embedding=row)
                   for i, row in enumerate(random_rows(rng, 200, DIM))])
-    store.nearest(rng.normal(size=DIM))  # build the matrix
     index = store._index
     index.matrix = index.matrix.view(ProductLog)
     ids = [r.record_id for r in store.all_records()]
