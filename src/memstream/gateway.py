@@ -62,6 +62,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import GatewayError
+from .stores.base import vector_norm
 from .text import (
     STOPWORDS,
     SYNONYMS_BIDIRECTIONAL,
@@ -571,7 +572,7 @@ class RemoteGateway(Gateway):
                                f"embeddings response: a vector is not {self.dim}-dim", retries)
         out = []
         for vec in vectors:
-            norm = float(np.linalg.norm(vec))
+            norm = vector_norm(vec)
             out.append(vec / norm if norm > 0 else vec)
         return out, retries
 

@@ -26,7 +26,7 @@ from .records import (
     TIER_ORDER,
     Triplet,
 )
-from .stores.base import MemoryStore
+from .stores.base import MemoryStore, vector_norm
 from .stream import InsertPayload
 from .text import index_tokens
 
@@ -279,7 +279,7 @@ def merge_records(store: MemoryStore, older: MemoryRecord,
         older.text = f"{older.text} {newer.text}"
     if older.embedding is not None and newer.embedding is not None:
         merged = older.embedding + newer.embedding
-        norm = float(np.linalg.norm(merged))
+        norm = vector_norm(merged)
         if norm > 0.0:
             older.embedding = merged / norm
     elif older.embedding is None:

@@ -74,22 +74,28 @@ def percentile_nearest_rank(samples: list[int | float], p: float) -> int | float
         raise DegenerateInput("percentile of an empty sample set")
     if not 0 < p <= 100:
         raise DegenerateInput(f"percentile p out of range: {p}")
-    ordered = sorted(samples)
-    rank = ceil(p / 100.0 * len(ordered))
-    return ordered[rank - 1]
+    return _nearest_rank(sorted(samples), p)
+
+
+def _nearest_rank(ordered: list[int | float], p: float) -> int | float:
+    """The ceil(p/100 * N)-th smallest of the ascending ``ordered``."""
+    return ordered[ceil(p / 100.0 * len(ordered)) - 1]
 
 
 def latency_aggregate(samples_by_stage: dict[str, list[int | float]]) -> dict[str, dict]:
     """Per-stage ``{"count", "mean_us", "p50_us", "p95_us"}`` of wall-time samples.
 
-    Stages with no samples are absent, not zero.
+    Stages with no samples are absent, not zero. Each stage's samples are
+    sorted once for both percentiles.
     """
-    return {
-        stage: {
-            "count": len(samples),
-            "mean_us": sum(samples) / len(samples),
-            "p50_us": percentile_nearest_rank(samples, 50),
-            "p95_us": percentile_nearest_rank(samples, 95),
-        }
-        for stage, samples in samples_by_stage.items() if samples
-    }
+    out = {}
+    for stage, samples in samples_by_stage.items():
+        if samples:
+            ordered = sorted(samples)
+            out[stage] = {
+                "count": len(samples),
+                "mean_us": sum(samples) / len(samples),
+                "p50_us": _nearest_rank(ordered, 50),
+                "p95_us": _nearest_rank(ordered, 95),
+            }
+    return out

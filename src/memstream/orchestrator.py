@@ -232,7 +232,8 @@ def rollup(results: list[QueryResult],
     for trace in traces:
         for stage, ns in trace.stage_ns.items():
             samples.setdefault(stage, []).append(ns / 1000.0)
-        flags.update(trace.flags)
+        if trace.flags:
+            flags.update(trace.flags)
     category_f1 = {cat: sum(vals) / len(vals) for cat, vals in sorted(by_category.items())}
     return category_f1, latency_aggregate(samples), dict(sorted(flags.items()))
 

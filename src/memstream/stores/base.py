@@ -31,46 +31,65 @@ All backends guarantee, via this base class:
   entities and LSH buckets.
 
 The embedding index holds one float64 row per live embedded record, with the
-record's visibility ``ts``, its record_id and its norm and inverse norm
+record's visibility ``ts``, its record_id, its norm and a float32 unit row
 beside it. A freed row's ts is
 ``FREE_TS`` (``stream.TS_END``, past every valid timestamp), which no
 ``now`` reaches, so the one test ``ts < now`` keeps exactly the live,
 visible rows; freed rows are reused.
 A row is written when its record is: ``insert`` and ``reindex`` write the
-record's embedding, ts, id and norm into its row, or free the row of a
+record's embedding, ts, id and norms into its row, or free the row of a
 record without an embedding, and ``remove`` frees it. So the stage that
 writes a record pays for its row (StateUpdate for an insert, PostIns for a
 merge's reindex), and an unembedded record gets no row; a store that holds
 no embedding never builds the matrix. The first allocation reserves 1,024
 rows and each later one doubles the capacity. Rows map to record ids through
 the ``ids`` column, and ids to records through the store.
-The cached norm is ``vector_norm`` of the written row, the bits of
-``float(np.linalg.norm(row))``; the inverse norm is ``1 / norm``, 0 where
-the norm is 0.
-The visibility test, ``exclude`` and ``rows`` make one mask. ``nearest``
-screens the rows it keeps with a matrix-vector product times the cached
-inverse norms and the query's inverse norm (0 where a norm is 0, as in a
-per-pair cosine). The
-product spans every row, or only the kept rows when ``rows`` restricts the
-scan, so lsh_hash's bucket candidates do not pay for the whole store. Of the
-screened rows at or above the ``floor`` (less ``SCREEN_MARGIN``), those
-within ``SCREEN_MARGIN`` of the ``top``-th screened score survive. All
-survivors are then rescored in one batch: a stacked ``np.matmul`` of each
-survivor row (1 x d) with the query (d x 1), divided by the same
-denominator. numpy computes each of those 1 x d by d x 1 products with the
-dot loop ``np.dot`` uses, so every rescored score has the bits of the
-per-pair cosine, ``float(np.dot(a, b))`` divided by
-``float(np.linalg.norm(a)) * float(np.linalg.norm(b))``. Survivors are
-ordered by one ``np.lexsort`` over the negated scores and the index's row ->
-record_id column, an object array whose items compare as Python strings: by
-descending score with record_id as the tie-break, the order of a sort over
-decorated ``(-score, record_id)`` tuples. ``nearest`` pairs the record of
-each ordered row's id with its score; inverted_vector's fusion reads the
-ordered rows' ids from that column. A matrix-vector product, and the screen's
-multiplication by inverse norms, may differ from the per-pair cosine in the
-last ulps, and a product over some rows from one over all of them, so the
-screen alone would flip near-ties; the rescore keeps every score and order
-exactly those of a per-record scan.
+The cached norm is ``vector_norm`` of the embedding, the bits of
+``float(np.linalg.norm(row))``. The unit row is the embedding times the
+float64 inverse norm, cast to float32, or the embedding cast as it stands
+when its norm is within ``UNIT_SLACK`` (2**-30) of 1, as every mock, remote,
+merged and summary vector's is; a zero row stays zero.
+
+``nearest`` screens with one float32 matrix-vector product of the unit rows
+and the query times its float64 inverse norm, cast to float32. Each
+screened score ``s`` lies within ``margin = gamma(d + 2) + 2**-29`` of the
+exact cosine ``c`` of a ``d``-dim row, ``gamma(k) = k u / (1 - k u)`` with
+``u = 2**-24``: rounding the two unit vectors to float32 and the product's
+``d`` float32 multiply-adds, in any order and with or without fused
+multiply-add, perturb each term of the dot product by at most ``d + 2``
+roundings, so by ``gamma(d + 2)`` of the sum of the terms' magnitudes,
+which is at most 1 by Cauchy-Schwarz; a unit row cast as it stands moves
+``s`` by at most its norm's distance from 1, 2**-30; the other 2**-30
+covers the float64 steps, float32 underflow and the thresholds' own
+rounding. So the screen keeps every row with ``s >= floor - margin``, and
+of those every row with ``s`` at least the ``top``-th screened score
+minus ``2 margin`` (the exact ``top``-th cosine is at least that score
+minus ``margin``): every row that can pass the exact floor or rank among
+the exact top survives. Comparing float32 scores with a threshold rounded
+to float32 keeps every score at or above the unrounded one.
+The store keeps one upper bound on its live records' timestamps, raised by
+``insert`` and ``reindex`` and never lowered. When the bound lies below
+``now`` (or ``now`` is None) and no row is free, every row is live and
+visible: the screen builds no mask, excluded rows score -inf, and
+``_lexical_ranking`` skips its per-record ``ts < now`` test. Otherwise the
+visibility test, ``exclude`` and ``rows`` make one mask; the product spans
+every row, or only the kept rows when ``rows`` restricts the scan, so
+lsh_hash's bucket candidates do not pay for the whole store.
+All survivors are then rescored in float64 in one batch: a stacked
+``np.matmul`` of each survivor row (1 x d) with the query (d x 1), divided
+by the query norm times the cached row norm. numpy computes each of those
+1 x d by d x 1 products with the dot loop ``np.dot`` uses, so every
+rescored score has the bits of the per-pair cosine, ``float(np.dot(a,
+b))`` divided by ``float(np.linalg.norm(a)) * float(np.linalg.norm(b))``.
+Survivors are ordered by one ``np.lexsort`` over the negated scores and
+the index's row -> record_id column, an object array whose items compare
+as Python strings: by descending score with record_id as the tie-break,
+the order of a sort over decorated ``(-score, record_id)`` tuples.
+``nearest`` pairs the record of each ordered row's id with its score;
+inverted_vector's fusion reads the ordered rows' ids from that column. The
+screen alone would flip near-ties and exact ties, which are common (every
+search_heavy query meets one among its top 50); the rescore keeps every
+score and order exactly those of a per-record scan.
 
 ``Postings`` holds each record's key counts, a plain dict counted in one
 pass over its keys, plus postings (key -> {record_id: count}). What a key
@@ -113,7 +132,7 @@ from ..records import (
     StoreStats,
     TIER_FLAT,
 )
-from ..stream import TS_END
+from ..stream import TS_END, TS_MIN
 from ..text import index_tokens
 
 DEFAULT_RRF_K = 60
@@ -167,12 +186,12 @@ def fused_candidates(rankings: Iterable[list[str]], record_of: Callable[[str], M
             for doc_id in ranked[:limit]]
 
 
-# Screened scores within this distance of a cut are rescored exactly; a
-# matrix product strays from the per-pair cosine by a few ulps at most.
-SCREEN_MARGIN = 1e-9
-
 # the ts of a free row: no ``now`` reaches it, so ``ts < now`` drops the row
 FREE_TS = TS_END
+
+# a row whose norm is this close to 1 is screened as it stands: the norm's
+# distance from 1 moves no screened score by more than this
+UNIT_SLACK = 2.0 ** -30
 
 
 def vector_norm(vec: np.ndarray) -> float:
@@ -182,6 +201,16 @@ def vector_norm(vec: np.ndarray) -> float:
     dispatch around it.
     """
     return math.sqrt(vec.dot(vec))
+
+
+def screen_margin(dim: int) -> float:
+    """Bound on how far a screened score of ``dim``-dim rows strays from the exact cosine.
+
+    ``gamma(d + 2) + 2**-29``, with ``gamma(k) = k * 2**-24 / (1 - k * 2**-24)``
+    (see the module docstring).
+    """
+    rounded = (dim + 2) * 2.0 ** -24
+    return rounded / (1.0 - rounded) + 2.0 * UNIT_SLACK
 
 
 def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
@@ -196,28 +225,34 @@ class EmbeddingIndex:
 
     def __init__(self):
         self.matrix: Optional[np.ndarray] = None  # (capacity, dim), built at the first row write
+        self.unit: Optional[np.ndarray] = None  # float32 rows of norm 1, or 0 where the norm is
+        self.margin = 0.0  # screen_margin of the dim, set with the matrix
         self.ts = np.zeros(0, dtype=np.int64)  # FREE_TS on a free row
         self.norms = np.zeros(0)
-        self.inverse_norms = np.zeros(0)  # 1 / norm, 0 where the norm is 0
         self.ids = np.zeros(0, dtype=object)  # row -> record_id, stale on a free row
         self.row_of: dict[str, int] = {}
         self._free: list[int] = []
 
     def write(self, record: MemoryRecord):
-        """Write the record's embedding, ts, id and norm into its row; free it if unembedded."""
-        if record.embedding is None:
+        """Write the record's embedding, ts, id and norms into its row; free it if unembedded."""
+        embedding = record.embedding
+        if embedding is None:
             self.drop(record.record_id)
             return
         row = self.row_of.get(record.record_id)
         if row is None:
-            row = self._allocate(record.embedding.shape[0])
+            row = self._allocate(embedding.shape[0])
             self.row_of[record.record_id] = row
         self.ids[row] = record.record_id
-        self.matrix[row] = record.embedding
+        self.matrix[row] = embedding
         self.ts[row] = record.ts
-        norm = vector_norm(self.matrix[row])
+        norm = vector_norm(embedding)
         self.norms[row] = norm
-        self.inverse_norms[row] = 1.0 / norm if norm else 0.0
+        # mock, remote, merged and summary vectors are unit already: a plain cast
+        if abs(norm - 1.0) <= UNIT_SLACK:
+            self.unit[row] = embedding
+        else:
+            self.unit[row] = embedding * (1.0 / norm if norm else 0.0)
 
     def drop(self, record_id: str):
         row = self.row_of.pop(record_id, None)
@@ -229,48 +264,63 @@ class EmbeddingIndex:
         if self._free:
             return self._free.pop()
         if self.matrix is None:
-            self.matrix = np.zeros((0, dim))
+            self.matrix, self.unit = np.zeros((0, dim)), np.zeros((0, dim), dtype=np.float32)
+            self.margin = screen_margin(dim)
         row = len(self.row_of)  # no row is free, so every allocated row is mapped
         if row == self.matrix.shape[0]:
             # 1,024 rows first, then doubling; pages never written stay unmapped
             capacity = max(1024, 2 * row)
-            self.matrix, self.ts, self.norms, self.inverse_norms, self.ids = (
+            self.matrix, self.unit, self.ts, self.norms, self.ids = (
                 _grown(a, capacity)
-                for a in (self.matrix, self.ts, self.norms, self.inverse_norms, self.ids))
+                for a in (self.matrix, self.unit, self.ts, self.norms, self.ids))
         return row
 
     def screen(self, query: np.ndarray, query_norm: float, now: Optional[int],
                exclude: Iterable[str], top: Optional[int], floor: Optional[float],
                rows: Optional[Iterable[str]]) -> np.ndarray:
-        """Rows of the visible records whose screened score may reach the exact top or floor."""
+        """Rows of the visible records whose screened score may reach the exact top or floor.
+
+        ``now`` None means every live record is visible.
+        """
         n = len(self.row_of) + len(self._free)
         if n == 0:
             return np.zeros(0, dtype=np.intp)
-        # live and visible in one test; clamped to FREE_TS, no now passes a free row
-        mask = np.less(self.ts[:n], FREE_TS if now is None else min(now, FREE_TS))
-        if rows is not None:
-            chosen = np.zeros(n, dtype=bool)
-            chosen[[self.row_of[r] for r in rows if r in self.row_of]] = True
-            mask &= chosen
-        for record_id in exclude:
-            row = self.row_of.get(record_id)
-            if row is not None:
-                mask[row] = False
-        # the cosine by a matrix-vector product, over every row or over the
-        # kept rows only when ``rows`` restricts the scan; 0 where a norm is 0
-        span = slice(0, n) if rows is None else mask.nonzero()[0]
-        scores = self.matrix[span].dot(query)
-        scores *= self.inverse_norms[span]
-        scores *= 1.0 / query_norm if query_norm else 0.0
-        mask = mask[span]
-        if floor is not None:
-            mask &= scores >= floor - SCREEN_MARGIN
-        candidates = mask.nonzero()[0]
-        if top is not None and candidates.size > top:
+        unit_query = (query * (1.0 / query_norm if query_norm else 0.0)).astype(np.float32)
+        excluded = [row for row in map(self.row_of.get, exclude) if row is not None]
+        span = None  # the product spans every row
+        if rows is None and now is None and not self._free:
+            # every row is live and visible: no mask, excluded rows score -inf
+            scores = self.unit[:n].dot(unit_query)
+            dropped = bool(excluded)  # some rows score -inf
+            if dropped:
+                scores[excluded] = -np.inf
+        else:
+            # live and visible in one test; clamped to FREE_TS, no now passes a free row
+            mask = np.less(self.ts[:n], FREE_TS if now is None else min(now, FREE_TS))
+            mask[excluded] = False
+            if rows is None:
+                scores = self.unit[:n].dot(unit_query)
+                scores[~mask] = -np.inf
+            else:
+                # only the kept rows, so lsh_hash's probes do not pay for the store
+                chosen = np.zeros(n, dtype=bool)
+                chosen[[self.row_of[r] for r in rows if r in self.row_of]] = True
+                span = (mask & chosen).nonzero()[0]
+                scores = self.unit[span].dot(unit_query)
+            dropped = rows is None
+        if floor is not None or dropped:
+            # a screened score lies within margin of its cosine, so above -2
+            candidates = (scores >= (-2.0 if floor is None else floor - self.margin)).nonzero()[0]
             kept = scores[candidates]
-            cut = np.partition(kept, kept.size - top)[kept.size - top]
-            candidates = candidates[kept >= cut - SCREEN_MARGIN]
-        return candidates if rows is None else span[candidates]
+        else:
+            candidates, kept = None, scores
+        if top is not None and kept.size > top:
+            cut = float(np.partition(kept, kept.size - top)[kept.size - top])
+            best = (kept >= cut - 2.0 * self.margin).nonzero()[0]
+            candidates = best if candidates is None else candidates[best]
+        elif candidates is None:
+            candidates = np.arange(kept.size)
+        return candidates if span is None else span[candidates]
 
 
 class Postings:
@@ -333,6 +383,8 @@ class MemoryStore(ABC):
         self.evicted_total = 0
         self._index = EmbeddingIndex()
         self._postings = Postings()
+        # at or above every live record's ts: raised by insert and reindex, never lowered
+        self._ts_bound = TS_MIN
 
     # ------------------------------------------------------------------
     # insertion
@@ -351,11 +403,17 @@ class MemoryStore(ABC):
             self._records[record.record_id] = record
             if record.kind == KIND_RAW:
                 self._turn_map[(record.session_id, record.turn_index)] = record.record_id
-            self._postings.add(record.record_id, self._index_keys(record))
-            self._index.write(record)
+            self._write_indexes(record)
             self._after_add(record)
             ids.append(record.record_id)
         return ids
+
+    def _write_indexes(self, record: MemoryRecord):
+        """Key the record, write its embedding row and raise the ts bound to its ts."""
+        self._postings.add(record.record_id, self._index_keys(record))
+        self._index.write(record)
+        if record.ts > self._ts_bound:
+            self._ts_bound = record.ts
 
     def _check_dim(self, record: MemoryRecord):
         if record.embedding is None:
@@ -403,12 +461,15 @@ class MemoryStore(ABC):
         Visible at ``now`` (all live records when None), minus ``exclude``,
         restricted to the ids in ``rows`` when given. The result holds every
         record with ``cosine >= floor`` that can rank among the ``top`` best,
-        plus any within ``SCREEN_MARGIN`` of that cut, so callers slice or
+        plus any whose float32 screened score lies within twice the screen's
+        error bound of the ``top``-th screened score, so callers slice or
         re-rank it.
         """
         if top is not None and top < 1:
             return []
         ranked, sims = self._ranked_rows(query, now, exclude, top, floor, rows)
+        if not ranked.size:
+            return []
         records = self._records
         return [(records[record_id], sim)
                 for record_id, sim in zip(self._index.ids[ranked].tolist(), sims.tolist())]
@@ -419,7 +480,8 @@ class MemoryStore(ABC):
         """The index rows of what ``nearest`` returns, best first, and their exact cosines."""
         index = self._index
         query_norm = vector_norm(query)
-        survivors = index.screen(query, query_norm, now, exclude, top, floor, rows)
+        survivors = index.screen(query, query_norm, self._visible_before(now), exclude, top,
+                                 floor, rows)
         if not survivors.size:
             return survivors, np.zeros(0)
         # a stack of 1xd @ dx1 products: each goes through the dot loop
@@ -434,6 +496,10 @@ class MemoryStore(ABC):
         order = np.lexsort((index.ids[survivors], -sims))
         return survivors[order], sims[order]
 
+    def _visible_before(self, now: Optional[int]) -> Optional[int]:
+        """``now``, or None when every live record is visible at it."""
+        return None if now is None or self._ts_bound < now else now
+
     def _key_totals(self, signal: RetrievalSignal) -> dict[str, int]:
         """Summed key counts of every record sharing a query token, visible or not."""
         totals: dict[str, int] = {}
@@ -446,9 +512,14 @@ class MemoryStore(ABC):
     def _lexical_ranking(self, signal: RetrievalSignal,
                          now: Optional[int]) -> list[tuple[int, str]]:
         """``(-total, record_id)`` of the visible records sharing a query token, best first."""
-        records = self._records
-        ranked = [(-total, record_id) for record_id, total in self._key_totals(signal).items()
-                  if now is None or records[record_id].ts < now]
+        totals = self._key_totals(signal)
+        now = self._visible_before(now)
+        if now is None:
+            ranked = [(-total, record_id) for record_id, total in totals.items()]
+        else:
+            records = self._records
+            ranked = [(-total, record_id) for record_id, total in totals.items()
+                      if records[record_id].ts < now]
         ranked.sort()
         return ranked
 
@@ -506,8 +577,7 @@ class MemoryStore(ABC):
     def reindex(self, record: MemoryRecord):
         """Refresh index entries after an in-place text/embedding/ts change."""
         self._check_dim(record)
-        self._postings.add(record.record_id, self._index_keys(record))
-        self._index.write(record)
+        self._write_indexes(record)
 
     def migrate(self, record_id: str, to_tier: str):
         raise UnsupportedBackend(f"{self.name} has no tiers")

@@ -22,7 +22,7 @@ from ..records import (
     RetrievalSignal,
 )
 from ..text import split_sentences
-from .base import MemoryStore
+from .base import MemoryStore, vector_norm
 
 
 def mean_embedding(vectors: list[np.ndarray]) -> Optional[np.ndarray]:
@@ -30,7 +30,7 @@ def mean_embedding(vectors: list[np.ndarray]) -> Optional[np.ndarray]:
     if not vectors:
         return None
     mean = np.mean(np.stack(vectors), axis=0)
-    norm = float(np.linalg.norm(mean))
+    norm = vector_norm(mean)
     if norm == 0.0:
         return None
     return (mean / norm).astype(np.float64)

@@ -6,6 +6,7 @@ vector-checked stemmer with the library. 500 seeded random pairs must agree
 to 1e-12.
 """
 
+import math
 import random
 import unicodedata
 
@@ -146,6 +147,18 @@ def test_latency_aggregate_shape():
     assert out["Search"]["mean_us"] == 20.0
     assert out["Search"]["p50_us"] == 20
     assert out["Search"]["p95_us"] == 30
+
+
+@given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=60))
+def test_latency_aggregate_takes_nearest_rank_percentiles_of_each_stage(samples):
+    # both percentiles come from one sort; the mean sums in arrival order
+    ordered = sorted(samples)
+    assert latency_aggregate({"Search": samples}) == {"Search": {
+        "count": len(samples),
+        "mean_us": sum(samples) / len(samples),
+        "p50_us": ordered[math.ceil(0.50 * len(samples)) - 1],
+        "p95_us": ordered[math.ceil(0.95 * len(samples)) - 1],
+    }}
 
 
 texts = st.lists(st.sampled_from(VOCAB), min_size=0, max_size=8).map(" ".join)

@@ -8,8 +8,8 @@ implementation, must return the same candidate ids and bit-identical scores
 and log the same consolidation actions. The lexical parts of the
 references score every visible record from its current text, so a fault in
 the postings or in ``_lexical_ranking`` shows. A second property checks
-that the index rows, with their cached norms, always mirror the live
-embedded records, with each row's record id and inverse norm beside it,
+that the index rows, with their cached norms and float32 unit rows, always
+mirror the live embedded records, with each row's record id beside it,
 and that every free row carries ``FREE_TS``. They do so right after each
 insert and reindex, with no scan in between, and a replay bills every row
 write to the stage that writes the record: StateUpdate, or PostIns for a
@@ -17,7 +17,11 @@ merge, never Search. The last tests pin the index's numerics on random
 rows, in a store grown past the index's first reserve: cached norms and
 rescored scores bit for bit, a floor at exactly the best cosine, freed rows
 that never come back, and a screen restricted to some rows that multiplies
-only those rows and returns what the all-rows screen keeps of them.
+only those rows and returns what the all-rows screen keeps of them. A
+property test holds every float32 screened score within the screen's error
+bound of the per-pair cosine and checks that the screen keeps every exact
+winner; a last test moves a record's ts past every insert and checks that
+no ranking sees it before then.
 """
 
 import dataclasses
@@ -252,8 +256,17 @@ def test_entity_bonus_lifts_a_far_embedding_past_the_cosine_cut():
 # index coherence
 # ----------------------------------------------------------------------
 
+def unit_row(embedding):
+    """The float32 row the screen reads: the embedding over its norm, cast as it
+    stands when the norm is within 2**-30 of 1, zero when the norm is 0."""
+    embedding = np.asarray(embedding, dtype=np.float64)
+    norm = float(np.linalg.norm(embedding))
+    scale = 1.0 if abs(norm - 1.0) <= 2.0 ** -30 else 1.0 / norm if norm else 0.0
+    return (embedding * scale).astype(np.float32).tobytes()
+
+
 def index_rows(store):
-    """record_id -> (ts, row bytes, cached norm) of every mapped row, read as they stand."""
+    """record_id -> (ts, row bytes, cached norm, unit row bytes) of every mapped row."""
     index = store._index
     for row in index._free:
         assert index.ts[row] == FREE_TS  # no now reaches a free row
@@ -262,15 +275,14 @@ def index_rows(store):
     rows = {}
     for record_id, row in index.row_of.items():
         assert index.ids[row] == record_id
-        norm = float(index.norms[row])
-        assert index.inverse_norms[row] == (1.0 / norm if norm else 0.0)
-        rows[record_id] = (int(index.ts[row]), index.matrix[row].tobytes(), norm)
+        rows[record_id] = (int(index.ts[row]), index.matrix[row].tobytes(),
+                           float(index.norms[row]), index.unit[row].tobytes())
     return rows
 
 
 def live_embedded(store):
     return {r.record_id: (r.ts, np.asarray(r.embedding, dtype=np.float64).tobytes(),
-                          float(np.linalg.norm(r.embedding)))
+                          float(np.linalg.norm(r.embedding)), unit_row(r.embedding))
             for r in store.all_records() if r.embedding is not None}
 
 
@@ -462,7 +474,8 @@ def test_rescore_ties_past_the_seventh_id_digit_rank_like_a_scan(dim):
 
 def cached_norms(store):
     index = store._index
-    return {record_id: index.norms[row].hex() for record_id, row in index.row_of.items()}
+    return {record_id: (index.norms[row].hex(), index.unit[row].tobytes())
+            for record_id, row in index.row_of.items()}
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -474,7 +487,7 @@ def test_cached_norms_have_the_bits_of_linalg_norm(dim):
                   for i, row in enumerate(random_rows(rng, 40, dim))])
 
     def linalg_norms():
-        return {r.record_id: float(np.linalg.norm(r.embedding)).hex()
+        return {r.record_id: (float(np.linalg.norm(r.embedding)).hex(), unit_row(r.embedding))
                 for r in store.all_records()}
 
     assert cached_norms(store) == linalg_norms()
@@ -586,13 +599,16 @@ def test_fused_ties_past_the_seventh_id_digit_rank_like_a_scan():
 
 
 class ProductLog(np.ndarray):
-    """An index matrix that logs how many rows each matrix-vector product spans."""
+    """A float32 screen array that logs each matrix-vector product: its rows and its scores."""
 
     spans: list = []
+    products: list = []
 
     def dot(self, other, *args, **kwargs):
+        out = np.asarray(self).dot(other, *args, **kwargs)
         ProductLog.spans.append(self.shape[0])
-        return np.asarray(self).dot(other, *args, **kwargs)
+        ProductLog.products.append(out.copy())
+        return out
 
 
 def test_restricted_screen_multiplies_only_the_chosen_rows():
@@ -602,7 +618,7 @@ def test_restricted_screen_multiplies_only_the_chosen_rows():
                                embedding=row)
                   for i, row in enumerate(random_rows(rng, 200, DIM))])
     index = store._index
-    index.matrix = index.matrix.view(ProductLog)
+    index.unit = index.unit.view(ProductLog)
     ids = [r.record_id for r in store.all_records()]
     for query in list(random_rows(rng, 20, DIM)) + [store.all_records()[5].embedding]:
         for rows in (ids[::7], ids[3:40], [ids[11]], [], ids):
@@ -625,3 +641,120 @@ def test_restricted_screen_multiplies_only_the_chosen_rows():
     ProductLog.spans = []
     store.retrieve(RetrievalSignal(raw_query="q", embedding=query), k=3, now=None)
     assert ProductLog.spans[0] == len(probed) < len(ids)
+
+
+# ----------------------------------------------------------------------
+# the float32 screen's error bound, and visibility under the ts bound
+# ----------------------------------------------------------------------
+
+SCREEN_DIMS = [1, 3, 64, 256, 1536]
+ROW_KINDS = ("scaled", "scaled", "unit", "near_unit", "off_unit", "zero", "duplicate", "ulp",
+             "one_ulp")
+
+
+@st.composite
+def screened_rows(draw):
+    """(rows, query): norms from 1e-30 to 1e30, zero rows, unit rows, rows
+    just inside and just outside the 2**-30 band around norm 1, exact
+    duplicates and one-ulp neighbours; the query may be zero or a row or a
+    row's neighbour."""
+    dim = draw(st.sampled_from(SCREEN_DIMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=30))
+    rows = []
+    for kind in kinds:
+        direction = rng.normal(size=dim)
+        direction /= np.linalg.norm(direction)
+        earlier = rows[rng.integers(len(rows))] if rows else direction
+        if kind == "scaled":
+            rows.append(direction * 10.0 ** rng.uniform(-30, 30))
+        elif kind == "unit":
+            rows.append(direction)
+        elif kind == "near_unit":  # screened as it stands, norm 1 -+ 2**-31
+            rows.append(direction * (1.0 + rng.choice([-1.0, 1.0]) * 2.0 ** -31))
+        elif kind == "off_unit":  # divided by its norm, 1 -+ 2**-26
+            rows.append(direction * (1.0 + rng.choice([-1.0, 1.0]) * 2.0 ** -26))
+        elif kind == "zero":
+            rows.append(np.zeros(dim))
+        elif kind == "duplicate":
+            rows.append(earlier.copy())
+        elif kind == "ulp":  # every component one ulp up
+            rows.append(np.nextafter(earlier, np.inf))
+        else:  # one component one ulp down
+            row, j = earlier.copy(), rng.integers(dim)
+            row[j] = np.nextafter(row[j], -np.inf)
+            rows.append(row)
+    query_kind = draw(st.sampled_from(("scaled", "zero", "row", "ulp")))
+    if query_kind == "scaled":
+        query = rng.normal(size=dim) * 10.0 ** rng.uniform(-30, 30)
+    elif query_kind == "zero":
+        query = np.zeros(dim)
+    else:
+        query = rows[rng.integers(len(rows))].copy()
+        if query_kind == "ulp":
+            query = np.nextafter(query, -np.inf)
+    return np.array(rows), query
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=screened_rows(), k=st.integers(1, 6))
+def test_screened_scores_lie_within_the_bound_and_keep_every_exact_winner(case, k):
+    rows, query = case
+    n, dim = rows.shape
+    store = build_store("inverted_vector", embed_dim=dim, params={"mode": "vector"})
+    store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i + 1, session_id="s0",
+                               embedding=row) for i, row in enumerate(rows)])
+    records = store.all_records()
+    assert index_rows(store) == live_embedded(store)
+    index = store._index
+    index.unit = index.unit.view(ProductLog)
+    bound = (dim + 2) * 2.0 ** -24 + 2.0 ** -30
+    assert index.margin >= bound
+    ProductLog.products = []
+    store.nearest(query)
+    screened = ProductLog.products[0]
+    for record in records:
+        exact = ref_cosine(query, record.embedding)
+        assert abs(float(screened[index.row_of[record.record_id]]) - exact) <= bound
+
+    def bits(scored):
+        return [(record_id, sim.hex()) for record_id, sim in scored]
+
+    # every visible row of the exact top k and of the floor set survives,
+    # with or without a visibility mask, an excluded row or a restriction
+    rng = np.random.default_rng(n)
+    for now, exclude, rows_in in ((None, (), None), (n // 2 + 1, (), None),
+                                  (None, (records[0].record_id,), None),
+                                  (None, (), [r.record_id for r in records[::2]])):
+        want = sorted(((r.record_id, ref_cosine(query, r.embedding)) for r in records
+                       if (now is None or r.ts < now) and r.record_id not in exclude
+                       and (rows_in is None or r.record_id in rows_in)),
+                      key=lambda item: (-item[1], item[0]))
+        got = store.nearest(query, now=now, exclude=exclude, top=k, rows=rows_in)
+        assert bits((r.record_id, s) for r, s in got[:k]) == bits(want[:k])
+        for floor in [sim for _, sim in want][:3] + [float(rng.uniform(-1, 1))]:
+            got = store.nearest(query, now=now, exclude=exclude, floor=floor, rows=rows_in)
+            assert bits((r.record_id, s) for r, s in got) == \
+                bits(item for item in want if item[1] >= floor)
+
+
+def test_a_record_reindexed_past_every_insert_stays_hidden_until_its_ts():
+    # the moved record's ts is past every inserted ts, so a query between
+    # the two finds every other record visible; it must still skip the
+    # moved one in both rankings, which it only can if reindex raised the
+    # store's ts bound
+    store = build_store("inverted_vector", embed_dim=DIM)
+    store.insert([MemoryRecord(record_id="", text=text, ts=i + 1, session_id="s0",
+                               embedding=mock_embed_text(text, DIM))
+                  for i, text in enumerate(TEXTS)])
+    moved = store.all_records()[2]
+    moved.ts = len(TEXTS) + 10
+    store.reindex(moved)
+    signal = RetrievalSignal(raw_query=moved.text, embedding=moved.embedding)
+    for now, seen in ((len(TEXTS) + 5, False), (moved.ts, False), (moved.ts + 1, True)):
+        lexical = [record_id for _, record_id in store._lexical_ranking(signal, now)]
+        vector = [r.record_id for r, _ in store.nearest(moved.embedding, now=now)]
+        assert (moved.record_id in lexical) is seen and (moved.record_id in vector) is seen
+        assert len(vector) == len(TEXTS) - (not seen)
+        got = [c.record.record_id for c in store.retrieve(signal, k=len(TEXTS), now=now)]
+        assert (moved.record_id in got) is seen
