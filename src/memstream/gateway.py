@@ -62,7 +62,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import GatewayError
-from .stores.base import vector_norm
+from .records import vector_norm
 from .text import (
     STOPWORDS,
     SYNONYMS_BIDIRECTIONAL,

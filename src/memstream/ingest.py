@@ -25,8 +25,9 @@ from .records import (
     MemoryRecord,
     TIER_ORDER,
     Triplet,
+    vector_norm,
 )
-from .stores.base import MemoryStore, vector_norm
+from .stores.base import MemoryStore
 from .stream import InsertPayload
 from .text import index_tokens
 

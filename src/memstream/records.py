@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Optional
@@ -40,6 +41,15 @@ def ts_to_iso(ts_us: int) -> str:
     costs one dict lookup for a record cited before.
     """
     return (EPOCH + timedelta(microseconds=ts_us)).isoformat().replace("+00:00", "Z")
+
+
+def vector_norm(vec: np.ndarray) -> float:
+    """``float(np.linalg.norm(vec))`` for a 1-D float64 ``vec``, bit for bit.
+
+    numpy computes that norm as ``sqrt(vec.dot(vec))``; this skips the
+    dispatch around it.
+    """
+    return math.sqrt(vec.dot(vec))
 
 
 @dataclass(frozen=True)

@@ -60,19 +60,19 @@ multiply-add, perturb each term of the dot product by at most ``d + 2``
 roundings, so by ``gamma(d + 2)`` of the sum of the terms' magnitudes,
 which is at most 1 by Cauchy-Schwarz; a unit row cast as it stands moves
 ``s`` by at most its norm's distance from 1, 2**-30; the other 2**-30
-covers the float64 steps, float32 underflow and the thresholds' own
-rounding. So the screen keeps every row with ``s >= floor - margin``, and
-of those every row with ``s`` at least the ``top``-th screened score
-minus ``2 margin`` (the exact ``top``-th cosine is at least that score
-minus ``margin``): every row that can pass the exact floor or rank among
-the exact top survives. Comparing float32 scores with a threshold rounded
-to float32 keeps every score at or above the unrounded one.
+covers the float64 steps before each cast and float32 underflow. So the
+screen keeps every row with ``s >= floor - margin``, and of those every
+row with ``s`` at least the ``top``-th screened score minus ``2 margin``
+(the exact ``top``-th cosine is at least that score minus ``margin``):
+every row that can pass the exact floor or rank among the exact top
+survives. Comparing float32 scores with a threshold rounded to float32
+keeps every score at or above the unrounded one.
 The store keeps one upper bound on its live records' timestamps, raised by
-``insert`` and ``reindex`` and never lowered. When the bound lies below
-``now`` (or ``now`` is None) and no row is free, every row is live and
-visible: the screen builds no mask, excluded rows score -inf, and
-``_lexical_ranking`` skips its per-record ``ts < now`` test. Otherwise the
-visibility test, ``exclude`` and ``rows`` make one mask; the product spans
+``insert`` and ``reindex`` and never lowered. A ``now`` past that bound
+hides no record, so both rankings treat it as None: ``_lexical_ranking``
+then reads no record's ts, and when no row is free and ``exclude`` names
+no row either, the screen builds no mask. Otherwise the visibility test
+and ``exclude`` make one mask, narrowed by ``rows``. The product spans
 every row, or only the kept rows when ``rows`` restricts the scan, so
 lsh_hash's bucket candidates do not pay for the whole store.
 All survivors are then rescored in float64 in one batch: a stacked
@@ -116,7 +116,6 @@ itself, because the orchestrator times every stage at its own boundaries.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -131,6 +130,7 @@ from ..records import (
     RetrievalSignal,
     StoreStats,
     TIER_FLAT,
+    vector_norm,
 )
 from ..stream import TS_END, TS_MIN
 from ..text import index_tokens
@@ -192,15 +192,6 @@ FREE_TS = TS_END
 # a row whose norm is this close to 1 is screened as it stands: the norm's
 # distance from 1 moves no screened score by more than this
 UNIT_SLACK = 2.0 ** -30
-
-
-def vector_norm(vec: np.ndarray) -> float:
-    """``float(np.linalg.norm(vec))`` for a 1-D float64 ``vec``, bit for bit.
-
-    numpy computes that norm as ``sqrt(vec.dot(vec))``; this skips the
-    dispatch around it.
-    """
-    return math.sqrt(vec.dot(vec))
 
 
 def screen_margin(dim: int) -> float:
@@ -285,42 +276,30 @@ class EmbeddingIndex:
         n = len(self.row_of) + len(self._free)
         if n == 0:
             return np.zeros(0, dtype=np.intp)
-        unit_query = (query * (1.0 / query_norm if query_norm else 0.0)).astype(np.float32)
         excluded = [row for row in map(self.row_of.get, exclude) if row is not None]
-        span = None  # the product spans every row
-        if rows is None and now is None and not self._free:
-            # every row is live and visible: no mask, excluded rows score -inf
-            scores = self.unit[:n].dot(unit_query)
-            dropped = bool(excluded)  # some rows score -inf
-            if dropped:
-                scores[excluded] = -np.inf
-        else:
+        mask = None  # every row is kept
+        if now is not None or self._free or excluded:
             # live and visible in one test; clamped to FREE_TS, no now passes a free row
             mask = np.less(self.ts[:n], FREE_TS if now is None else min(now, FREE_TS))
-            mask[excluded] = False
-            if rows is None:
-                scores = self.unit[:n].dot(unit_query)
-                scores[~mask] = -np.inf
-            else:
-                # only the kept rows, so lsh_hash's probes do not pay for the store
-                chosen = np.zeros(n, dtype=bool)
-                chosen[[self.row_of[r] for r in rows if r in self.row_of]] = True
-                span = (mask & chosen).nonzero()[0]
-                scores = self.unit[span].dot(unit_query)
-            dropped = rows is None
-        if floor is not None or dropped:
-            # a screened score lies within margin of its cosine, so above -2
-            candidates = (scores >= (-2.0 if floor is None else floor - self.margin)).nonzero()[0]
-            kept = scores[candidates]
-        else:
-            candidates, kept = None, scores
-        if top is not None and kept.size > top:
+            for row in excluded:
+                mask[row] = False
+        span = slice(0, n)
+        if rows is not None:
+            # only the kept rows, so lsh_hash's probes do not pay for the store
+            chosen = np.zeros(n, dtype=bool)
+            chosen[[self.row_of[r] for r in rows if r in self.row_of]] = True
+            span, mask = (chosen if mask is None else mask & chosen).nonzero()[0], None
+        unit_query = (query * (1.0 / query_norm if query_norm else 0.0)).astype(np.float32)
+        scores = self.unit[span].dot(unit_query)
+        if floor is not None:
+            above = scores >= floor - self.margin
+            mask = above if mask is None else mask & above
+        candidates = np.arange(scores.size) if mask is None else mask.nonzero()[0]
+        if top is not None and candidates.size > top:
+            kept = scores if mask is None else scores[candidates]
             cut = float(np.partition(kept, kept.size - top)[kept.size - top])
-            best = (kept >= cut - 2.0 * self.margin).nonzero()[0]
-            candidates = best if candidates is None else candidates[best]
-        elif candidates is None:
-            candidates = np.arange(kept.size)
-        return candidates if span is None else span[candidates]
+            candidates = candidates[kept >= cut - 2.0 * self.margin]
+        return candidates if rows is None else span[candidates]
 
 
 class Postings:
@@ -403,17 +382,12 @@ class MemoryStore(ABC):
             self._records[record.record_id] = record
             if record.kind == KIND_RAW:
                 self._turn_map[(record.session_id, record.turn_index)] = record.record_id
-            self._write_indexes(record)
+            self._postings.add(record.record_id, self._index_keys(record))
+            self._index.write(record)
+            self._ts_bound = max(self._ts_bound, record.ts)
             self._after_add(record)
             ids.append(record.record_id)
         return ids
-
-    def _write_indexes(self, record: MemoryRecord):
-        """Key the record, write its embedding row and raise the ts bound to its ts."""
-        self._postings.add(record.record_id, self._index_keys(record))
-        self._index.write(record)
-        if record.ts > self._ts_bound:
-            self._ts_bound = record.ts
 
     def _check_dim(self, record: MemoryRecord):
         if record.embedding is None:
@@ -497,7 +471,7 @@ class MemoryStore(ABC):
         return survivors[order], sims[order]
 
     def _visible_before(self, now: Optional[int]) -> Optional[int]:
-        """``now``, or None when every live record is visible at it."""
+        """``now``, or None when no live record's ts reaches it."""
         return None if now is None or self._ts_bound < now else now
 
     def _key_totals(self, signal: RetrievalSignal) -> dict[str, int]:
@@ -512,14 +486,10 @@ class MemoryStore(ABC):
     def _lexical_ranking(self, signal: RetrievalSignal,
                          now: Optional[int]) -> list[tuple[int, str]]:
         """``(-total, record_id)`` of the visible records sharing a query token, best first."""
-        totals = self._key_totals(signal)
         now = self._visible_before(now)
-        if now is None:
-            ranked = [(-total, record_id) for record_id, total in totals.items()]
-        else:
-            records = self._records
-            ranked = [(-total, record_id) for record_id, total in totals.items()
-                      if records[record_id].ts < now]
+        records = self._records
+        ranked = [(-total, record_id) for record_id, total in self._key_totals(signal).items()
+                  if now is None or records[record_id].ts < now]
         ranked.sort()
         return ranked
 
@@ -577,7 +547,9 @@ class MemoryStore(ABC):
     def reindex(self, record: MemoryRecord):
         """Refresh index entries after an in-place text/embedding/ts change."""
         self._check_dim(record)
-        self._write_indexes(record)
+        self._postings.add(record.record_id, self._index_keys(record))
+        self._index.write(record)
+        self._ts_bound = max(self._ts_bound, record.ts)
 
     def migrate(self, record_id: str, to_tier: str):
         raise UnsupportedBackend(f"{self.name} has no tiers")

@@ -20,9 +20,10 @@ from ..records import (
     Candidate,
     MemoryRecord,
     RetrievalSignal,
+    vector_norm,
 )
 from ..text import split_sentences
-from .base import MemoryStore, vector_norm
+from .base import MemoryStore
 
 
 def mean_embedding(vectors: list[np.ndarray]) -> Optional[np.ndarray]:
