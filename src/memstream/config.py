@@ -329,6 +329,8 @@ def expand_ablation(data: dict) -> list[tuple[str, ExperimentConfig]]:
     keys = list(ablate.keys())
     value_lists = []
     for key in keys:
+        if not isinstance(key, str):
+            raise ConfigError(f"ablate key {key!r} must be a dotted config key")
         values = ablate[key]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"ablate.{key} must be a non-empty list")

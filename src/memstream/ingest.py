@@ -224,15 +224,14 @@ def heat_migration(store: MemoryStore, now: int,
                    cfg: ConsolidateConfig) -> list[str]:
     """Promote hot records one tier toward short_term, demote cold ones.
 
-    Only meaningful on tiered backends; others raise UnsupportedBackend.
+    Only meaningful on tiered backends; others raise UnsupportedBackend. A
+    tiered backend keeps every record in a tier of ``TIER_ORDER``.
     """
     if not store.supports_tiers:
         raise UnsupportedBackend(
             f"backend {store.name!r} has no tiers to migrate between")
     migrations = []
     for record in store.all_records():
-        if record.tier not in TIER_ORDER:
-            continue
         idx = TIER_ORDER.index(record.tier)
         score = heat(record, now, cfg.heat_alpha, cfg.heat_beta, cfg.heat_tau_s)
         if score >= cfg.hot_heat and idx > 0:

@@ -68,15 +68,6 @@ def degradation(round_means: list[float]) -> float:
     return round(100.0 * (last - first) / first, 1)
 
 
-def percentile_nearest_rank(samples: list[int | float], p: float) -> int | float:
-    """Nearest-rank percentile: ceil(p/100 * N)-th smallest, 1-indexed."""
-    if not samples:
-        raise DegenerateInput("percentile of an empty sample set")
-    if not 0 < p <= 100:
-        raise DegenerateInput(f"percentile p out of range: {p}")
-    return _nearest_rank(sorted(samples), p)
-
-
 def _nearest_rank(ordered: list[int | float], p: float) -> int | float:
     """The ceil(p/100 * N)-th smallest of the ascending ``ordered``."""
     return ordered[ceil(p / 100.0 * len(ordered)) - 1]

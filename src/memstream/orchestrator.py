@@ -102,7 +102,6 @@ from .stream import (
     KIND_RETRIEVE,
     Request,
     StreamManifest,
-    fraction_count,
     validate_stream,
     write_atomic,
 )
@@ -113,12 +112,21 @@ from .text import _word
 # checkpoint scheduling
 # ----------------------------------------------------------------------
 
+def fraction_count(fraction: float, total: int) -> int:
+    """How many of ``total`` inserts make up ``fraction`` of them.
+
+    ``ceil(fraction * total)`` clamped to [1, total], less 1e-9 so an exact
+    decimal product survives float representation: 0.07 * 100 is
+    7.000000000000001 in binary, and still counts 7.
+    """
+    return min(max(math.ceil(fraction * total - 1e-9), 1), total)
+
+
 def fraction_boundaries(fraction: float, total_inserts: int) -> list[int]:
     """Insert counts at which a fraction schedule checkpoints.
 
     f = 0.2 over 10 inserts gives [2, 4, 6, 8, 10]: the ``fraction_count`` of
-    each multiple of f, so a checkpoint closes where an ``AtFraction``
-    trigger of that multiple anchors its query.
+    each multiple of f.
     """
     if total_inserts <= 0:
         return []
@@ -164,19 +172,17 @@ class RequestTrace:
 
 
 @dataclass
-class QueryResult:
+class QueryResult(RequestTrace):
+    """A query's trace plus its answer, one record from formulation to report."""
+
     query_id: str
     category: str
     prediction: str
     gold: str
     f1: float
-    seq: int
-    ts: int
     checkpoint_index: int
     provenance: tuple[tuple[str, float, int], ...]
     token_estimate: int
-    flags: list[str]
-    stage_us: dict[str, float]
 
     def as_dict(self) -> dict:
         return {
@@ -191,7 +197,7 @@ class QueryResult:
             "provenance": [list(entry) for entry in self.provenance],
             "token_estimate": self.token_estimate,
             "flags": sorted(self.flags),
-            "latency": {stage: us for stage, us in sorted(self.stage_us.items())},
+            "latency": {stage: ns / 1000.0 for stage, ns in sorted(self.stage_ns.items())},
         }
 
 
@@ -217,19 +223,18 @@ class CheckpointReport:
         }
 
 
-def rollup(results: list[QueryResult],
-           traces: list[RequestTrace]) -> tuple[dict[str, float], dict[str, dict], dict[str, int]]:
-    """Per-category mean F1, per-stage latency and flag counts.
+def rollup(traces: list[RequestTrace]) -> tuple[dict[str, float], dict[str, dict], dict[str, int]]:
+    """Per-category mean F1, per-stage latency and flag counts of ``traces``.
 
-    F1 comes from ``results``; stage walls and flags come from ``traces``,
+    F1 comes from the query traces; stage walls and flags from every trace,
     one per request, so each request's flags count once.
     """
     by_category: dict[str, list[float]] = {}
-    for res in results:
-        by_category.setdefault(res.category, []).append(res.f1)
     samples: dict[str, list[float]] = {}
     flags: Counter = Counter()
     for trace in traces:
+        if isinstance(trace, QueryResult):
+            by_category.setdefault(trace.category, []).append(trace.f1)
         for stage, ns in trace.stage_ns.items():
             samples.setdefault(stage, []).append(ns / 1000.0)
         if trace.flags:
@@ -259,7 +264,7 @@ class ExperimentResult:
             deg = degradation(round_means) if len(round_means) >= 2 else None
         except DegenerateInput:
             deg = None
-        category_f1, latency, flags = rollup(self.query_results, self.traces)
+        category_f1, latency, flags = rollup(self.traces)
         chat_us: dict[str, float] = {}
         embed_us: dict[str, float] = {}
         for trace in self.traces:
@@ -334,15 +339,20 @@ class _Pipeline:
         return time.perf_counter_ns()
 
     def _close_request(self, request: Request, stages: tuple[str, ...],
-                       stamps: list[int], flags: list[str]) -> RequestTrace:
-        """Trace one finished request; ``stages[i]`` ran from ``stamps[i]`` to ``stamps[i + 1]``."""
-        trace = RequestTrace(
+                       stamps: list[int], flags: list[str],
+                       record: type[RequestTrace] = RequestTrace, **answer) -> RequestTrace:
+        """Trace one finished request; ``stages[i]`` ran from ``stamps[i]`` to ``stamps[i + 1]``.
+
+        A query passes ``QueryResult`` as ``record`` with its answer fields.
+        """
+        trace = record(
             seq=request.seq, ts=request.ts, kind=request.kind,
             stage_ns={stage: end - start
                       for stage, start, end in zip(stages, stamps, stamps[1:])},
             e2e_ns=stamps[-1] - stamps[0],
             gateway_calls=self.gateway.drain_timings(),
             flags=flags,
+            **answer,
         )
         self.result.traces.append(trace)
         return trace
@@ -383,10 +393,10 @@ class _Pipeline:
         ops = self.cfg.operators
 
         stamps = [self._enter(STAGE_PRE_RETRIEVE)]
-        fq, flags = run_formulate(payload, ops.formulate, self.gateway)
+        signals, flags = run_formulate(payload, ops.formulate, self.gateway)
 
         stamps.append(self._enter(STAGE_SEARCH))
-        candidates = execute_search(self.store, fq, ops.k, now=request.ts)
+        candidates = execute_search(self.store, signals, ops.k, now=request.ts)
 
         stamps.append(self._enter(STAGE_POST_RETRIEVE))
         bundle, post_flags = run_integrate(payload.query, candidates, self.store,
@@ -402,21 +412,16 @@ class _Pipeline:
             flags.append("answer_failed")
         stamps.append(time.perf_counter_ns())
 
-        f1 = token_f1(prediction, payload.gold_answer)
-        trace = self._close_request(request, QUERY_STAGES, stamps, list(flags))
-        return QueryResult(
+        return self._close_request(
+            request, QUERY_STAGES, stamps, flags, QueryResult,
             query_id=payload.query_id,
             category=payload.category,
             prediction=prediction,
             gold=payload.gold_answer,
-            f1=f1,
-            seq=request.seq,
-            ts=request.ts,
+            f1=token_f1(prediction, payload.gold_answer),
             checkpoint_index=checkpoint_index,
             provenance=bundle.provenance,
             token_estimate=bundle.token_estimate,
-            flags=flags,
-            stage_us={stage: ns / 1000.0 for stage, ns in trace.stage_ns.items()},
         )
 
     def _flush_checkpoint(self):
@@ -430,7 +435,7 @@ class _Pipeline:
 
         mean_f1 = sum(r.f1 for r in results) / len(results) if results else 0.0
         traces = self.result.traces
-        category_f1, latency, _ = rollup(results, traces[self.window_start:])
+        category_f1, latency, _ = rollup(traces[self.window_start:])
         self.window_start = len(traces)
         self.result.reports.append(CheckpointReport(
             checkpoint_index=index,

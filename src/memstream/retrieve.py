@@ -1,19 +1,22 @@
 """Retrieval-side operators: query formulation strategies, search execution,
 context integration strategies, and bundle assembly.
 
-Formulation produces RetrievalSignals, search runs against the store, and
-integration reshapes the candidate list and builds the final ContextBundle.
-``run_formulate`` returns ``(FormulatedQuery, flags)`` and ``run_integrate``
-``(ContextBundle, flags)``; the flags name each fallback the request took.
-Operators call the gateway without naming a stage: the orchestrator bills
-their calls to the stage it has open. Sub-query and paraphrase rankings are
-fused by ``fused_candidates``, the store layer's reciprocal-rank fusion.
+Formulation produces the RetrievalSignals a query searches, search runs them
+against the store, and integration reshapes the candidate list and builds
+the final ContextBundle. ``run_formulate`` returns ``(signals, flags)``, a
+tuple of one signal per part of a compound question and one signal
+otherwise, and ``run_integrate`` ``(ContextBundle, flags)``; the flags name
+each fallback the request took. Operators call the gateway without naming a
+stage: the orchestrator bills their calls to the stage it has open.
+``execute_search`` makes one store retrieve for a single signal; the
+rankings of several signals, like the paraphrase rankings of
+``multi_query``, are fused by ``fused_candidates``, the store layer's
+reciprocal-rank fusion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .config import FormulateConfig, IntegrateConfig
@@ -33,14 +36,6 @@ from .stream import RetrievePayload
 
 US_PER_DAY = 86_400.0 * 1_000_000.0
 TOKEN_FACTOR = 1.3  # whitespace tokens to budget-token estimate
-
-
-@dataclass
-class FormulatedQuery:
-    """A primary signal plus optional per-sub-query signals (decompose)."""
-
-    signal: RetrievalSignal
-    sub_signals: tuple[RetrievalSignal, ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -82,8 +77,12 @@ def formulate_keyword(q: RetrievePayload, gateway: Gateway, max_keywords: int,
 
 
 def formulate_decompose(q: RetrievePayload, gateway: Gateway,
-                        max_subqueries: int) -> tuple[RetrievalSignal, tuple[RetrievalSignal, ...]]:
-    """Split a compound question; each part gets its own embedded signal."""
+                        max_subqueries: int) -> tuple[RetrievalSignal, ...]:
+    """Split a compound question; each part gets its own embedded signal.
+
+    An atomic question gives one signal: the raw query text with its one
+    part's embedding.
+    """
     reply = gateway.chat(
         "decompose", {"query": q.query, "max_subqueries": max_subqueries}).strip()
     parts = [line.strip() for line in reply.splitlines() if line.strip()]
@@ -91,54 +90,52 @@ def formulate_decompose(q: RetrievePayload, gateway: Gateway,
         parts = [q.query]
     parts = parts[:max_subqueries]
     vectors = gateway.vectors_for(parts)
-    subs = tuple(
-        RetrievalSignal(raw_query=part, embedding=vec)
-        for part, vec in zip(parts, vectors)
-    )
-    return RetrievalSignal(raw_query=q.query, embedding=vectors[0]), subs
+    if len(parts) == 1:
+        return (RetrievalSignal(raw_query=q.query, embedding=vectors[0]),)
+    return tuple(RetrievalSignal(raw_query=part, embedding=vec)
+                 for part, vec in zip(parts, vectors))
 
 
 def run_formulate(q: RetrievePayload, cfg: FormulateConfig,
-                  gateway: Gateway) -> tuple[FormulatedQuery, list[str]]:
+                  gateway: Gateway) -> tuple[tuple[RetrievalSignal, ...], list[str]]:
     """Dispatch by strategy; gateway failures fall back to plain embedding."""
     flags: list[str] = []
     if cfg.strategy == "validate":
         try:
-            return FormulatedQuery(formulate_validate(q, gateway)), flags
+            return (formulate_validate(q, gateway),), flags
         except GatewayError:
             flags.append("validate_fallback")
     elif cfg.strategy == "keyword":
         try:
             signal, flags = formulate_keyword(q, gateway, cfg.max_keywords,
                                               cfg.keyword_augments)
-            return FormulatedQuery(signal), flags
+            return (signal,), flags
         except GatewayError:
             flags.append("keyword_fallback")
     elif cfg.strategy == "decompose":
         try:
-            primary, subs = formulate_decompose(q, gateway, cfg.max_subqueries)
-            return FormulatedQuery(primary, subs if len(subs) > 1 else ()), flags
+            return formulate_decompose(q, gateway, cfg.max_subqueries), flags
         except GatewayError:
             flags.append("decompose_fallback")
     try:
-        return FormulatedQuery(formulate_none(q, gateway)), flags
+        return (formulate_none(q, gateway),), flags
     except GatewayError:
         flags.append("embed_failed")
-        return FormulatedQuery(RetrievalSignal(raw_query=q.query)), flags
+        return (RetrievalSignal(raw_query=q.query),), flags
 
 
 # ----------------------------------------------------------------------
 # search execution
 # ----------------------------------------------------------------------
 
-def execute_search(store: MemoryStore, fq: FormulatedQuery, k: int,
+def execute_search(store: MemoryStore, signals: tuple[RetrievalSignal, ...], k: int,
                    now: Optional[int]) -> list[Candidate]:
-    """Single retrieve, or per-sub-query retrieves fused by RRF."""
-    if not fq.sub_signals:
-        return store.retrieve(fq.signal, k, now=now)
-    per_sub = math.ceil(k / len(fq.sub_signals))
-    rankings = [[c.record_id for c in store.retrieve(signal, per_sub, now=now)]
-                for signal in fq.sub_signals]
+    """One retrieve for a single signal; several signals' retrieves fused by RRF."""
+    if len(signals) == 1:
+        return store.retrieve(signals[0], k, now=now)
+    per_signal = math.ceil(k / len(signals))
+    rankings = [[c.record_id for c in store.retrieve(signal, per_signal, now=now)]
+                for signal in signals]
     return fused_candidates(rankings, store.get, k)
 
 

@@ -38,7 +38,6 @@ or the message a bad line gets.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -151,20 +150,13 @@ class AfterEvidence:
 
 
 @dataclass(frozen=True)
-class AtFraction:
-    """Place the query right after a fraction of all inserts has streamed."""
-
-    fraction: float
-
-
-@dataclass(frozen=True)
 class AfterCount:
     """Place the query right after the nth insert (1-based, clamped)."""
 
     count: int
 
 
-Trigger = Union[AfterEvidence, AtFraction, AfterCount]
+Trigger = Union[AfterEvidence, AfterCount]
 
 
 @dataclass(frozen=True)
@@ -176,16 +168,6 @@ class QuerySpec:
 # ---------------------------------------------------------------------------
 # Serialization into a causal stream
 # ---------------------------------------------------------------------------
-
-def fraction_count(fraction: float, total: int) -> int:
-    """How many of ``total`` inserts make up ``fraction`` of them.
-
-    ``ceil(fraction * total)`` clamped to [1, total], less 1e-9 so an exact
-    decimal product survives float representation: 0.07 * 100 is
-    7.000000000000001 in binary, and still counts 7.
-    """
-    return min(max(math.ceil(fraction * total - 1e-9), 1), total)
-
 
 def serialize_stream(sessions: Iterable[SessionTurns],
                      queries: Iterable[QuerySpec] = ()) -> StreamManifest:
@@ -234,12 +216,6 @@ def serialize_stream(sessions: Iterable[SessionTurns],
                 raise DanglingEvidence(
                     f"query {spec.payload.query_id!r} references missing turn {exc.args[0]}"
                 ) from exc
-        elif isinstance(trigger, AtFraction):
-            if not 0 < trigger.fraction <= 1:
-                raise SchemaError(f"fraction out of (0, 1]: {trigger.fraction}")
-            if not inserts:
-                raise DanglingEvidence("fraction trigger on a stream with no inserts")
-            anchor_ts = inserts[fraction_count(trigger.fraction, len(inserts)) - 1][0]
         elif isinstance(trigger, AfterCount):
             if not inserts:
                 raise DanglingEvidence("count trigger on a stream with no inserts")

@@ -178,16 +178,27 @@ def load_locomo(path: str | Path) -> StreamManifest:
             for t in conversation[f"session_{n}"]
             if isinstance(t, dict) and t.get("dia_id") is not None
         }
-        for qa_index, qa in enumerate(sample.get("qa", [])):
+        qas = sample.get("qa", [])
+        if not isinstance(qas, list):
+            raise SchemaError(f"{path}: {sample_id} qa is not a list")
+        for qa_index, qa in enumerate(qas):
             if not isinstance(qa, dict) or "question" not in qa:
                 raise SchemaError(f"{path}: {sample_id} qa {qa_index} has no question")
             answer = qa.get("answer", qa.get("adversarial_answer", ""))
             answer = "" if answer is None else str(answer).strip()
-            category = CATEGORY_NAMES.get(qa.get("category"), "unknown")
+            code = qa.get("category")
+            if isinstance(code, (list, dict)):  # the JSON values a dict cannot key
+                raise SchemaError(
+                    f"{path}: {sample_id} qa {qa_index} category {code!r} is not a scalar")
+            category = CATEGORY_NAMES.get(code, "unknown")
             if not answer:
                 category = "abstention"
+            evidence_ids = qa.get("evidence") or []
+            if not isinstance(evidence_ids, list):
+                raise SchemaError(
+                    f"{path}: {sample_id} qa {qa_index} evidence is not a list")
             evidence = []
-            for ev in qa.get("evidence", []) or []:
+            for ev in evidence_ids:
                 number, turn_number = _parse_dia_id(str(ev), path)
                 ev_key = (f"{sample_id}/session_{number}", turn_number)
                 if ev_key not in turn_keys:
@@ -266,6 +277,11 @@ class SyntheticSpec:
             raise ValueError("rounds and queries_per_round must be >= 1")
         if self.turns_per_session < 0:
             raise ValueError("turns_per_session must be >= 0")
+        if self.needle_depths is not None:
+            if not self.needle_depths:
+                raise ValueError("needle_depths must name at least one depth")
+            if min(self.needle_depths) < 0:
+                raise ValueError(f"needle_depths must be >= 0, got {min(self.needle_depths)}")
 
 
 def _fact_sentence(attr: str, entity: str, value: str) -> str:

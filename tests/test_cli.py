@@ -78,6 +78,16 @@ def test_synth_rejects_malformed_depths(runner, tmp_path):
     assert "--depths" in result.output
 
 
+def test_synth_rejects_negative_depth(runner, tmp_path):
+    # a negative distance points past the round's last insert
+    result = runner.invoke(main, ["synth", "--out", str(tmp_path / "x.jsonl"),
+                                  "--depths=-1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.startswith("invalid spec: needle_depths")
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 @pytest.mark.parametrize("blocked", ["stream", "key"])
 def test_synth_unwritable_output_is_io_error(runner, tmp_path, blocked):
     out = tmp_path / "s.jsonl"
@@ -426,6 +436,16 @@ def test_run_duplicate_variant_names_is_config_error(runner, tmp_path, force):
     result = runner.invoke(main, ["run", "-c", str(config)] + (["--force"] if force else []))
     assert result.exit_code == 2
     assert "config error" in result.output and "backend-fifo_queue" in result.output
+    assert not (tmp_path / "results").exists()
+
+
+def test_run_non_string_ablate_key_is_config_error(runner, tmp_path):
+    stream = make_stream(runner, tmp_path)
+    config = make_config(tmp_path, stream, ablate={1: ["a"]})
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "config error" in result.output and "ablate key 1" in result.output
     assert not (tmp_path / "results").exists()
 
 

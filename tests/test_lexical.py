@@ -27,7 +27,7 @@ from memstream.config import ConsolidateConfig, config_from_dict
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.orchestrator import run_experiment
 from memstream.records import KIND_RAW, KIND_SUMMARY, MemoryRecord, RetrievalSignal, Triplet
-from memstream.retrieve import FormulatedQuery, execute_search, integrate_multi_query
+from memstream.retrieve import execute_search, integrate_multi_query
 from memstream.stores import BACKENDS, build_store
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.property_graph import PropertyGraphStore, entity_keys
@@ -207,8 +207,7 @@ def test_multi_query_and_decompose_fusion_match_the_reference(config):
                 subs = tuple(tie_signal(part) for part in text.split(" and "))
                 if len(subs) < 2:
                     subs = (tie_signal(text), tie_signal("red"))
-                got = execute_search(store, FormulatedQuery(signal=subs[0], sub_signals=subs),
-                                     k, now)
+                got = execute_search(store, subs, k, now)
                 per_sub = -(-k // len(subs))
                 rankings = [[c.record_id for c in ref_retrieve(store, sub, per_sub, now)]
                             for sub in subs]

@@ -18,7 +18,6 @@ from memstream.errors import DegenerateInput
 from memstream.metrics import (
     degradation,
     latency_aggregate,
-    percentile_nearest_rank,
     token_f1,
 )
 from memstream.porter import porter_stem
@@ -124,20 +123,15 @@ def test_degradation_degenerate_inputs():
         degradation([0.0, 0.5])
 
 
-def test_percentile_nearest_rank():
+def test_latency_aggregate_nearest_rank_edges():
     samples = list(range(1, 101))
     random.Random(3).shuffle(samples)
-    assert percentile_nearest_rank(samples, 50) == 50
-    assert percentile_nearest_rank(samples, 95) == 95
-    assert percentile_nearest_rank(samples, 100) == 100
-    assert percentile_nearest_rank(samples, 0.5) == 1
-    assert percentile_nearest_rank([7], 50) == 7
-    with pytest.raises(DegenerateInput):
-        percentile_nearest_rank([], 50)
-    with pytest.raises(DegenerateInput):
-        percentile_nearest_rank([1], 0)
-    with pytest.raises(DegenerateInput):
-        percentile_nearest_rank([1], 101)
+    out = latency_aggregate({"Search": samples, "PreRet": [7], "PostRet": [2, 1]})
+    assert (out["Search"]["p50_us"], out["Search"]["p95_us"]) == (50, 95)
+    # one sample is every percentile
+    assert (out["PreRet"]["p50_us"], out["PreRet"]["p95_us"]) == (7, 7)
+    # ranks round up: p50 of two samples is the smallest (rank 1), p95 the largest
+    assert (out["PostRet"]["p50_us"], out["PostRet"]["p95_us"]) == (1, 2)
 
 
 def test_latency_aggregate_shape():

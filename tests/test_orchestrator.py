@@ -40,7 +40,6 @@ from memstream.orchestrator import (
 from memstream.stores import BACKENDS
 from memstream.stream import (
     AfterCount,
-    AtFraction,
     KIND_INSERT,
     KIND_RETRIEVE,
     QuerySpec,
@@ -95,23 +94,11 @@ def base_config(**overrides):
 # checkpoint scheduling
 # ----------------------------------------------------------------------
 
-def test_at_fraction_queries_anchor_where_the_fraction_schedule_closes():
-    # a query placed at fraction f follows exactly the inserts a fraction-f
-    # schedule's first checkpoint closes over, for every f = i/100 and n < 200
-    fractions = [i / 100 for i in range(1, 101)]
-    specs = [QuerySpec(RetrievePayload(f"q{f}", "g", f"q{f}"), AtFraction(f))
-             for f in fractions]
-    for n in range(1, 200):
-        turns = tuple(Turn(text=f"turn {t}") for t in range(n))
-        manifest = serialize_stream([SessionTurns("s0", turns, base_ts=0)], specs)
-        inserts_before, seen = {}, 0
-        for request in manifest.requests:
-            if request.kind == KIND_INSERT:
-                seen += 1
-            else:
-                inserts_before[request.payload.query_id] = seen
-        for f in fractions:
-            assert inserts_before[f"q{f}"] == fraction_boundaries(f, n)[0], (f, n)
+def test_fraction_boundaries_first_checkpoint_is_the_exact_integer_ceiling():
+    # float products such as 0.07 * 100 = 7.000000000000001 still count 7
+    for i in range(1, 101):
+        for n in range(1, 200):
+            assert fraction_boundaries(i / 100, n)[0] == max(1, -(-i * n // 100)), (i, n)
 
 
 def test_fraction_boundaries_hand_values():
@@ -360,6 +347,20 @@ def test_every_backend_fails_open_when_every_embed_call_fails(backend):
     if backend == "lsh_hash":
         assert result.reports[-1].store.record_count == insert_count(manifest)
         assert not any(res.provenance for res in result.query_results)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_each_query_result_is_the_trace_of_its_request(backend):
+    # one record per query: no field is copied from the trace into the result
+    result = run_experiment(make_config(backend, "none", "none", "decompose", "none"),
+                            small_stream(), MockGateway(dim=GRID_DIM))
+    by_seq = {trace.seq: trace for trace in result.traces}
+    assert len(result.query_results) == sum(
+        1 for trace in result.traces if trace.kind == KIND_RETRIEVE) > 0
+    for res in result.query_results:
+        assert res is by_seq[res.seq]
+        assert res.as_dict()["latency"] == {
+            stage: ns / 1000.0 for stage, ns in res.stage_ns.items()}
 
 
 class ThreadCountingGateway(MockGateway):

@@ -29,7 +29,6 @@ from memstream.records import (
     ts_to_iso,
 )
 from memstream.retrieve import (
-    FormulatedQuery,
     build_bundle,
     context_line,
     estimate_tokens,
@@ -148,10 +147,10 @@ def test_formulate_keyword_augment_mode_extends_query():
     q = query("where does alice live now")
     keywords = formulate_keyword(q, gw, max_keywords=cfg.max_keywords)[0].keywords
     assert keywords and " ".join(keywords) != q.query
-    fq, flags = run_formulate(q, cfg, gw)
+    (signal,), flags = run_formulate(q, cfg, gw)
     joined = f"{q.query} {' '.join(keywords)}"
-    assert fq.signal.raw_query == joined and fq.signal.keywords == ()
-    assert np.array_equal(fq.signal.embedding, mock_embed_text(joined, 64))
+    assert signal.raw_query == joined and signal.keywords == ()
+    assert np.array_equal(signal.embedding, mock_embed_text(joined, 64))
     assert flags == ["keyword_augmented"]
 
 
@@ -165,24 +164,26 @@ def test_formulate_keyword_empty_reply_falls_back():
 
 def test_formulate_decompose_splits_compound_question():
     gw = MockGateway(dim=64)
-    primary, subs = formulate_decompose(
+    subs = formulate_decompose(
         query("where does alice live and what does bob eat"), gw, max_subqueries=3)
-    assert primary.raw_query == "where does alice live and what does bob eat"
     assert len(subs) == 2
     assert subs[0].raw_query == "where does alice live"
     assert subs[1].raw_query == "what does bob eat"
     for sub in subs:
         assert np.allclose(sub.embedding, mock_embed_text(sub.raw_query, 64))
-    # the primary signal reuses the first part's vector
-    assert np.allclose(primary.embedding, subs[0].embedding)
 
 
 def test_formulate_decompose_atomic_passthrough():
     gw = MockGateway(dim=64)
-    primary, subs = formulate_decompose(query("where does alice live"), gw,
-                                        max_subqueries=3)
-    assert primary.raw_query == "where does alice live"
-    assert len(subs) == 1
+    (signal,) = formulate_decompose(query("where does alice live"), gw,
+                                    max_subqueries=3)
+    assert signal.raw_query == "where does alice live"
+    # a reworded single part: the raw query text searches, with the part's vector
+    gw = ScriptedGateway(script={"decompose": ["alice home"]}, dim=64)
+    (signal,) = formulate_decompose(query("where does alice live"), gw,
+                                    max_subqueries=3)
+    assert signal.raw_query == "where does alice live"
+    assert np.array_equal(signal.embedding, mock_embed_text("alice home", 64))
 
 
 def test_formulate_decompose_batches_embeddings():
@@ -195,9 +196,9 @@ def test_formulate_decompose_batches_embeddings():
 
 def test_run_formulate_atomic_decompose_has_no_sub_signals():
     gw = MockGateway(dim=64)
-    fq, _ = run_formulate(query("where does alice live"),
-                          FormulateConfig(strategy="decompose"), gw)
-    assert fq.sub_signals == ()
+    signals, _ = run_formulate(query("where does alice live"),
+                               FormulateConfig(strategy="decompose"), gw)
+    assert len(signals) == 1
 
 
 def test_run_formulate_fallback_flags():
@@ -207,20 +208,20 @@ def test_run_formulate_fallback_flags():
         ("decompose", "decompose", "decompose_fallback"),
     ):
         gw = MockGateway(dim=64, failing={template})
-        fq, flags = run_formulate(query("where does alice live"),
-                                  FormulateConfig(strategy=strategy), gw)
+        (signal,), flags = run_formulate(query("where does alice live"),
+                                         FormulateConfig(strategy=strategy), gw)
         assert flags == [flag]
-        assert fq.signal.embedding is not None
-        assert fq.signal.raw_query == "where does alice live"
+        assert signal.embedding is not None
+        assert signal.raw_query == "where does alice live"
 
 
 def test_run_formulate_survives_total_gateway_outage():
     gw = MockGateway(dim=64, failing={"validate", "embed"})
-    fq, flags = run_formulate(query("where does alice live"),
-                              FormulateConfig(strategy="validate"), gw)
+    (signal,), flags = run_formulate(query("where does alice live"),
+                                     FormulateConfig(strategy="validate"), gw)
     assert flags == ["validate_fallback", "embed_failed"]
-    assert fq.signal.embedding is None
-    assert fq.signal.raw_query == "where does alice live"
+    assert signal.embedding is None
+    assert signal.raw_query == "where does alice live"
 
 
 def test_formulate_gateway_calls_are_pre_retrieve_stage():
@@ -245,8 +246,7 @@ def test_execute_search_single_signal():
     store = build_store("fifo_queue")
     put(store, "alice lives in oslo", ts=0, ti=0)
     put(store, "bob eats noodles", ts=1, ti=1)
-    fq = FormulatedQuery(signal=RetrievalSignal(raw_query="alice oslo"))
-    hits = execute_search(store, fq, k=2, now=None)
+    hits = execute_search(store, (RetrievalSignal(raw_query="alice oslo"),), k=2, now=None)
     assert hits and hits[0].record.text == "alice lives in oslo"
 
 
@@ -254,12 +254,9 @@ def test_execute_search_fuses_sub_queries():
     store = build_store("fifo_queue")
     a = put(store, "alice lives in oslo", ts=0, ti=0)
     b = put(store, "bob eats noodles", ts=1, ti=1)
-    fq = FormulatedQuery(
-        signal=RetrievalSignal(raw_query="alice oslo bob noodles"),
-        sub_signals=(RetrievalSignal(raw_query="alice oslo"),
-                     RetrievalSignal(raw_query="bob noodles")),
-    )
-    hits = execute_search(store, fq, k=4, now=None)
+    signals = (RetrievalSignal(raw_query="alice oslo"),
+               RetrievalSignal(raw_query="bob noodles"))
+    hits = execute_search(store, signals, k=4, now=None)
     assert {h.record_id for h in hits} == {a, b}
     # each record ranked first in exactly one route, so RRF ties them
     assert hits[0].score == hits[1].score == 1.0

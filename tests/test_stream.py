@@ -19,7 +19,6 @@ from memstream.stream import (
     TS_MIN,
     AfterCount,
     AfterEvidence,
-    AtFraction,
     InsertPayload,
     QuerySpec,
     Request,
@@ -82,16 +81,16 @@ def test_serialize_multi_evidence_uses_latest():
     assert position == 4  # after turn 3, before turn 4
 
 
-def test_serialize_fraction_and_count_triggers():
+def test_serialize_count_triggers():
     queries = [
-        QuerySpec(RetrievePayload("q half", "g", "qf"), AtFraction(0.5)),
+        QuerySpec(RetrievePayload("q two", "g", "q2"), AfterCount(2)),
         QuerySpec(RetrievePayload("q count", "g", "qc"), AfterCount(999)),
     ]
     manifest = serialize_stream([session("s0", 4)], queries)
     assert validate_stream(manifest) == []
     by_id = {r.payload.query_id: i for i, r in enumerate(manifest.requests)
              if r.kind == KIND_RETRIEVE}
-    assert by_id["qf"] == 2       # after 2 of 4 inserts
+    assert by_id["q2"] == 2       # after 2 of 4 inserts
     assert by_id["qc"] == 5       # clamped to after the last insert
 
 
@@ -115,12 +114,9 @@ def test_serialize_error_cases():
         serialize_stream([session()], [query("q0", evidence=[("nope", 9)])])
     with pytest.raises(DanglingEvidence):
         serialize_stream([session()], [query("q0", evidence=[])])
-    with pytest.raises(SchemaError):
-        serialize_stream([session()], [QuerySpec(
-            RetrievePayload("q", "g", "q0"), AtFraction(1.5))])
     with pytest.raises(DanglingEvidence):
         serialize_stream([], [QuerySpec(
-            RetrievePayload("q", "g", "q0"), AtFraction(0.5))])
+            RetrievePayload("q", "g", "q0"), AfterCount(1))])
 
 
 def test_payload_validation():

@@ -186,6 +186,8 @@ def test_synth_explicit_turns_per_session():
     {"paraphrase_rate": -0.1},
     {"n_sessions": 0},
     {"turns_per_session": -1},
+    {"needle_depths": ()},
+    {"needle_depths": (3, -1)},
 ])
 def test_synth_spec_validation(bad):
     with pytest.raises(ValueError):
@@ -336,6 +338,9 @@ def test_load_locomo_accepts_single_sample_dict(tmp_path):
     (lambda s: s["conversation"].update(session_1=[]), "empty or not a list"),
     (lambda s: s["conversation"]["session_1"][0].update(text="   "), "text is empty"),
     (lambda s: s.pop("conversation"), "no conversation"),
+    (lambda s: s.update(qa=7), "conv7 qa is not a list"),
+    (lambda s: s["qa"][1].update(evidence=5), "conv7 qa 1 evidence is not a list"),
+    (lambda s: s["qa"][1].update(category=[2]), r"conv7 qa 1 category \[2\]"),
 ])
 def test_load_locomo_schema_errors(tmp_path, mutate, message):
     sample = locomo_sample()
