@@ -96,7 +96,7 @@ from .metrics import (
 from .records import StoreStats, ts_to_iso
 from .retrieve import execute_search, run_formulate, run_integrate
 from .stores import build_store
-from .stores.base import MemoryStore
+from .stores.base import MemoryStore, _rrf_weights
 from .stream import (
     KIND_INSERT,
     KIND_RETRIEVE,
@@ -126,11 +126,18 @@ def fraction_boundaries(fraction: float, total_inserts: int) -> list[int]:
     """Insert counts at which a fraction schedule checkpoints.
 
     f = 0.2 over 10 inserts gives [2, 4, 6, 8, 10]: the ``fraction_count`` of
-    each multiple of f.
+    each multiple of f, up to the first at or past 1. The counts never
+    decrease. When ``f * total_inserts < 1/2``, each multiple adds less than
+    1 to the product, float rounding included, so the counts take every
+    integer from the first to the last and the ``1 / f`` multiples are not
+    walked; otherwise there are at most about ``2 * total_inserts`` of them.
     """
     if total_inserts <= 0:
         return []
     steps = math.ceil(round(1.0 / fraction, 9))
+    if fraction * total_inserts < 0.5:
+        return list(range(fraction_count(fraction, total_inserts),
+                          fraction_count(steps * fraction, total_inserts) + 1))
     return sorted({fraction_count(j * fraction, total_inserts) for j in range(1, steps + 1)})
 
 
@@ -498,13 +505,13 @@ def run_experiment(cfg: ExperimentConfig, manifest: StreamManifest,
 def clear_memos():
     """Empty the process-wide memos that a run fills as it goes.
 
-    ``text._word``, ``gateway._token_codes`` and ``records.ts_to_iso`` outlive
-    a run, so a run that follows another in the same process finds them warm
-    and bills less time per request. ``memstream run`` calls this before each
-    variant, so every variant of a grid starts cold; ``run_experiment`` leaves
-    them as they are.
+    ``text._word``, ``gateway._token_codes``, ``records.ts_to_iso`` and
+    ``stores.base._rrf_weights`` outlive a run, so a run that follows another
+    in the same process finds them warm and bills less time per request.
+    ``memstream run`` calls this before each variant, so every variant of a
+    grid starts cold; ``run_experiment`` leaves them as they are.
     """
-    for memo in (_word, _token_codes, ts_to_iso):
+    for memo in (_word, _token_codes, ts_to_iso, _rrf_weights):
         memo.cache_clear()
 
 

@@ -9,11 +9,15 @@ All backends guarantee, via this base class:
   again, independently of the protocol's request ordering);
 * candidate ordering by descending score with record_id as the tie-break,
   record ids compared as Python strings (so "m1000000" before "m999999").
-  Lexical search and ``rank_candidates`` sort decorated ``(-score,
-  record_id)`` tuples once, with no key function; fusion sorts its ids, then
-  stably by descending score; ``nearest`` orders its survivors with one
-  ``np.lexsort`` (below). Each builds only what its caller reads: lexical
-  search its top ``k`` candidates, fusion its first ``limit``;
+  An id ranking is built one way: the ids are sorted, then sorted stably by
+  descending score (``list.sort`` with the score dict's ``__getitem__`` as
+  key, ``reverse=True``), both sorts in C. The lexical ranking sorts every
+  visible match so; fusion first keeps only the ids scoring at least the
+  ``limit``-th best fused score, so ties at the cut stay in id order.
+  ``rank_candidates`` sorts decorated ``(-score, record_id)`` tuples of
+  records and ``nearest`` orders its survivors with one ``np.lexsort``
+  (below). Each builds only what its caller reads: lexical search its top
+  ``k`` candidates, fusion its first ``limit``;
 * scores normalized to [0, 1]: cosine folded via (1+cos)/2; lexical totals
   divided by the best one, for the ``k`` kept only (``float(total) /
   float(top)``, the bits ``normalize_ratio`` gives); property_graph's scores
@@ -99,14 +103,16 @@ property_graph keys the triplet's entity tokens, lsh_hash one ``(table,
 signature)`` pair per LSH table, and summary_vector nothing. The base keeps
 the postings current eagerly in ``insert``, ``reindex`` and ``remove``, so a
 record is keyed once per write, never per query. ``MemoryStore._key_totals``
-sums the scores from the postings: for each distinct index token of the
-query it adds the counts in that token's postings to a running total per
-record. That is each record's term-frequency sum over the query's distinct
-tokens, and only records sharing a token get a total; the others would
-score 0 and be dropped anyway. ``_lexical_ranking`` keeps the visible totals
-(``ts < now``) and sorts them as ``(-total, record_id)``, so lexical search
-returns what a scan over every record would. Every keyed ranking reads it:
-lexical search, inverted_vector's fusion and property_graph's entity points.
+sums the scores from the postings: it copies the largest posting among the
+query's distinct index tokens, then adds the counts of each other one to a
+running total per record. That is each record's term-frequency sum over
+the query's distinct tokens, and only records sharing a token get a total;
+the others would score 0 and be dropped anyway. ``_lexical_ranking``
+returns the ids of the visible records (``ts < now``), sorted, then sorted
+stably by descending total, plus the totals dict they are read from, so
+lexical search returns what a scan over every record would. Every keyed
+ranking reads it: lexical search, inverted_vector's fusion and
+property_graph's entity points.
 property_graph's entity keys are a set, so each count is 1 and a record's
 points are the number of distinct query entities it mentions.
 
@@ -116,6 +122,7 @@ itself, because the orchestrator times every stage at its own boundaries.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from collections import Counter
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -136,6 +143,8 @@ from ..stream import TS_END, TS_MIN
 from ..text import index_tokens
 
 DEFAULT_RRF_K = 60
+# (k_rrf, ranking length) pairs whose reciprocal-rank weights are kept
+RRF_WEIGHT_MEMO_SIZE = 256
 
 
 def fold_cosine(value: float) -> float:
@@ -160,26 +169,42 @@ def rank_candidates(scored: Iterable[tuple[MemoryRecord, float]], k: int) -> lis
             for negated, _, record in ranked[:k]]
 
 
+@functools.lru_cache(maxsize=RRF_WEIGHT_MEMO_SIZE)
+def _rrf_weights(k_rrf: int, count: int) -> tuple[float, ...]:
+    """``1.0 / (k_rrf + rank)`` for ranks 1 to ``count``, computed once per pair."""
+    return tuple([1.0 / rank for rank in range(k_rrf + 1, k_rrf + 1 + count)])
+
+
 def fused_candidates(rankings: Iterable[list[str]], record_of: Callable[[str], MemoryRecord],
                      limit: int, k_rrf: int = DEFAULT_RRF_K) -> list[Candidate]:
     """RRF-fuse ranked id lists into the ``limit`` best candidates, best first.
 
-    A ranked id scores sum over lists of 1 / (k_rrf + rank), ranks 1-based,
-    so a document at rank 1 in two lists scores 2/(k_rrf+1). Ids are ordered
-    by descending fused score, then id; ``record_of`` looks up the first
-    ``limit`` ids' records (``MemoryStore.get``) and their scores are divided
-    by the best one.
+    Each ranking lists distinct ids, as every caller's does. A ranked id
+    scores sum over lists of 1 / (k_rrf + rank), ranks 1-based, added in
+    list order, so a document at rank 1 in two lists scores 2/(k_rrf+1).
+    Ids are ordered by descending fused score, then id; only the ids scoring
+    at least the ``limit``-th best score are sorted. ``record_of`` looks up
+    the first ``limit`` ids' records (``MemoryStore.get``) and their scores
+    are divided by the best one.
     """
     if k_rrf < 0:
         raise ValueError(f"k_rrf must be >= 0, got {k_rrf}")
     fused: dict[str, float] = {}
     for ranking in rankings:
-        for rank, doc_id in enumerate(ranking, start=k_rrf + 1):
-            fused[doc_id] = fused.get(doc_id, 0.0) + 1.0 / rank
+        weights = _rrf_weights(k_rrf, len(ranking))
+        if not fused:
+            fused = dict(zip(ranking, weights))  # 0.0 + w is w
+            continue
+        for doc_id, weight in zip(ranking, weights):
+            fused[doc_id] = fused.get(doc_id, 0.0) + weight
     if not fused:
         return []
+    if 0 < limit < len(fused):
+        cut = sorted(fused.values(), reverse=True)[limit - 1]
+        ranked = sorted([doc_id for doc_id, score in fused.items() if score >= cut])
+    else:
+        ranked = sorted(fused)
     # by id, then stably by descending score: ties keep their id order
-    ranked = sorted(fused)
     ranked.sort(key=fused.__getitem__, reverse=True)
     top = fused[ranked[0]]
     return [Candidate(record=record_of(doc_id), score=fused[doc_id] / top)
@@ -294,11 +319,15 @@ class EmbeddingIndex:
         if floor is not None:
             above = scores >= floor - self.margin
             mask = above if mask is None else mask & above
-        candidates = np.arange(scores.size) if mask is None else mask.nonzero()[0]
-        if top is not None and candidates.size > top:
-            kept = scores if mask is None else scores[candidates]
-            cut = float(np.partition(kept, kept.size - top)[kept.size - top])
-            candidates = candidates[kept >= cut - 2.0 * self.margin]
+        candidates = None if mask is None else mask.nonzero()[0]  # None: every row
+        count = scores.size if candidates is None else candidates.size
+        if top is not None and count > top:
+            kept = scores if candidates is None else scores[candidates]
+            cut = float(np.partition(kept, count - top)[count - top])
+            near = kept >= cut - 2.0 * self.margin
+            candidates = np.flatnonzero(near) if candidates is None else candidates[near]
+        elif candidates is None:
+            candidates = np.arange(scores.size)
         return candidates if rows is None else span[candidates]
 
 
@@ -460,7 +489,7 @@ class MemoryStore(ABC):
             return survivors, np.zeros(0)
         # a stack of 1xd @ dx1 products: each goes through the dot loop
         # np.dot uses, so every score has the bits of a per-pair cosine
-        dots = np.matmul(index.matrix[survivors][:, None, :], query[:, None])[:, 0, 0]
+        dots = np.matmul(index.matrix[survivors, None, :], query[:, None])[:, 0, 0]
         denom = query_norm * index.norms[survivors]
         sims = np.divide(dots, denom, out=np.zeros(survivors.size), where=denom != 0)
         if floor is not None:
@@ -476,33 +505,46 @@ class MemoryStore(ABC):
 
     def _key_totals(self, signal: RetrievalSignal) -> dict[str, int]:
         """Summed key counts of every record sharing a query token, visible or not."""
-        totals: dict[str, int] = {}
         postings = self._postings.postings
-        for token in dict.fromkeys(index_tokens(signal.lexical_text())):
-            for record_id, count in postings.get(token, {}).items():
-                totals[record_id] = totals.get(record_id, 0) + count
+        buckets = [postings[token] for token in dict.fromkeys(index_tokens(signal.lexical_text()))
+                   if token in postings]
+        if not buckets:
+            return {}
+        largest = max(buckets, key=len)
+        totals = dict(largest)
+        for bucket in buckets:
+            if bucket is not largest:
+                for record_id, count in bucket.items():
+                    totals[record_id] = totals.get(record_id, 0) + count
         return totals
 
     def _lexical_ranking(self, signal: RetrievalSignal,
-                         now: Optional[int]) -> list[tuple[int, str]]:
-        """``(-total, record_id)`` of the visible records sharing a query token, best first."""
+                         now: Optional[int]) -> tuple[list[str], dict[str, int]]:
+        """Ids of the visible records sharing a query token, best first, and their totals.
+
+        The totals also hold any hidden record sharing a token; read them by
+        the ids.
+        """
+        totals = self._key_totals(signal)
         now = self._visible_before(now)
-        records = self._records
-        ranked = [(-total, record_id) for record_id, total in self._key_totals(signal).items()
-                  if now is None or records[record_id].ts < now]
-        ranked.sort()
-        return ranked
+        if now is None:
+            ranked = sorted(totals)
+        else:
+            records = self._records
+            ranked = sorted([record_id for record_id in totals if records[record_id].ts < now])
+        ranked.sort(key=totals.__getitem__, reverse=True)
+        return ranked, totals
 
     def _lexical_search(self, signal: RetrievalSignal, k: int,
                         now: Optional[int]) -> list[Candidate]:
         """Top ``k`` by term frequency, divided by the best total."""
-        ranked = self._lexical_ranking(signal, now)
+        ranked, totals = self._lexical_ranking(signal, now)
         if not ranked:
             return []
-        top = float(-ranked[0][0])
+        top = float(totals[ranked[0]])
         records = self._records
-        return [Candidate(record=records[record_id], score=float(-negated) / top)
-                for negated, record_id in ranked[:k]]
+        return [Candidate(record=records[record_id], score=float(totals[record_id]) / top)
+                for record_id in ranked[:k]]
 
     def _vector_search(self, signal: RetrievalSignal, k: int, now: Optional[int],
                        rows: Optional[Iterable[str]] = None) -> list[Candidate]:

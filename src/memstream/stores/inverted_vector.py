@@ -39,7 +39,7 @@ class InvertedVectorStore(MemoryStore):
             return self._vector_search(signal, k, now)
 
         # each signal's first ``pool`` ids, in the order its own search ranks them
-        lexical = [record_id for _, record_id in self._lexical_ranking(signal, now)[:pool]]
+        lexical = self._lexical_ranking(signal, now)[0][:pool]
         vector = []
         if signal.embedding is not None:
             ranked, _ = self._ranked_rows(signal.embedding, now, top=pool)

@@ -37,8 +37,8 @@ class PropertyGraphStore(MemoryStore):
     def _search(self, signal: RetrievalSignal, k: int,
                 now: Optional[int]) -> list[Candidate]:
         # one point per distinct query entity the record's triplet mentions
-        points = {rec_id: float(-negated)
-                  for negated, rec_id in self._lexical_ranking(signal, now)}
+        ranked, totals = self._lexical_ranking(signal, now)
+        points = {rec_id: float(totals[rec_id]) for rec_id in ranked}
         scores = dict(points)
         if signal.embedding is not None:
             # an unmatched record outside the k best ranks below k others

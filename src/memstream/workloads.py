@@ -184,6 +184,10 @@ def load_locomo(path: str | Path) -> StreamManifest:
         for qa_index, qa in enumerate(qas):
             if not isinstance(qa, dict) or "question" not in qa:
                 raise SchemaError(f"{path}: {sample_id} qa {qa_index} has no question")
+            question = qa["question"]
+            question = "" if question is None else str(question).strip()
+            if not question:
+                raise SchemaError(f"{path}: {sample_id} qa {qa_index} question is null or blank")
             answer = qa.get("answer", qa.get("adversarial_answer", ""))
             answer = "" if answer is None else str(answer).strip()
             code = qa.get("category")
@@ -211,7 +215,7 @@ def load_locomo(path: str | Path) -> StreamManifest:
                     raise SchemaError(f"{path}: {sample_id} has no turns for qa anchor")
                 evidence = [last_turn]
             payload = RetrievePayload(
-                query=str(qa["question"]).strip(),
+                query=question,
                 gold_answer=answer,
                 query_id=f"{sample_id}/qa{qa_index}",
                 category=category,

@@ -9,6 +9,7 @@ the digests ``tests/data/golden_digests.json`` holds for it.
 import hashlib
 import itertools
 import json
+import math
 import zlib
 from collections import Counter
 from unittest import mock
@@ -300,6 +301,19 @@ def ref_session_summary(store, session_id, max_sentences):
         if norm != 0.0:
             embedding = (mean / norm).astype(np.float64)
     return " ".join(leads), max(m.ts for m in members), embedding
+
+
+def ref_fraction_boundaries(fraction, total_inserts):
+    """Checkpoint insert counts of a fraction schedule, one per multiple of ``fraction``.
+
+    Walks all ``ceil(1 / fraction)`` multiples, as many for 100 inserts as
+    for a million.
+    """
+    if total_inserts <= 0:
+        return []
+    steps = math.ceil(round(1.0 / fraction, 9))
+    return sorted({min(max(math.ceil(j * fraction * total_inserts - 1e-9), 1), total_inserts)
+                   for j in range(1, steps + 1)})
 
 
 # a payload's text fields in field order; speaker alone may be None

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from memstream import cli, gateway, records, text
 from memstream.cli import main
+from memstream.stores.base import _rrf_weights
 
 
 @pytest.fixture()
@@ -292,6 +293,24 @@ def test_run_locomo_file_that_is_not_json_is_dataset_error(runner, tmp_path):
     assert f"dataset error (locomo:{corpus}): {corpus}: not valid JSON: " in result.output
 
 
+def test_run_locomo_blank_question_is_dataset_error(runner, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{
+        "sample_id": "conv7",
+        "conversation": {
+            "session_1": [{"speaker": "Ana", "dia_id": "D1:0", "text": "I adopted a kitten."}],
+            "session_1_date_time": "1:56 pm on 8 May, 2023",
+        },
+        "qa": [{"question": "  ", "answer": "a kitten", "evidence": ["D1:0"]}],
+    }]))
+    config = make_config(tmp_path, f"locomo:{corpus}")
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert (f"dataset error (locomo:{corpus}): {corpus}: conv7 qa 0 question is null or blank"
+            in result.output)
+
+
 def test_run_config_that_is_not_utf8_is_config_error(runner, tmp_path):
     stream = make_stream(runner, tmp_path)
     config = make_config(tmp_path, stream)
@@ -334,7 +353,7 @@ def test_every_variant_of_a_grid_starts_with_cold_memos(runner, tmp_path, monkey
     stream = make_stream(runner, tmp_path)
     config = make_config(tmp_path, stream,
                          ablate={"store.backend": ["inverted_vector", "fifo_queue"]})
-    memos = (text._word, gateway._token_codes, records.ts_to_iso)
+    memos = (text._word, gateway._token_codes, records.ts_to_iso, _rrf_weights)
     sizes = []
     run_experiment = cli.run_experiment
 
@@ -345,7 +364,7 @@ def test_every_variant_of_a_grid_starts_with_cold_memos(runner, tmp_path, monkey
     monkeypatch.setattr(cli, "run_experiment", sized_run)
     result = runner.invoke(main, ["run", "-c", str(config)])
     assert result.exit_code == 0, result.output
-    assert sizes == [[0, 0, 0], [0, 0, 0]]
+    assert sizes == [[0, 0, 0, 0], [0, 0, 0, 0]]
 
 
 def test_run_unknown_backend_lists_valid_names(runner, tmp_path):

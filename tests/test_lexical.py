@@ -19,7 +19,7 @@ import dataclasses
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from memstream import ingest
@@ -49,7 +49,9 @@ TEXTS = (
     "bob works at the mill in the garden.",
     "it is what it is.",
 )
-QUERIES = TEXTS + ("harbor garden", "what color is the harbour?", "nothing matches here")
+# the last query repeats its tokens, and its first token's posting is the smaller
+QUERIES = TEXTS + ("harbor garden", "what color is the harbour?", "nothing matches here",
+                   "the mill, the harbor, the mill")
 
 # name -> build_store keyword arguments; small bounds so fifo_queue evicts
 # and queue_segment demotes within a short sequence
@@ -106,6 +108,13 @@ OPS = st.lists(st.one_of(
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=OPS)
+# "mill" is in one record, "harbor" in three: the small posting comes first,
+# and "mill" twice, so the totals start from the larger posting and count
+# each posting once
+@example(ops=[("insert", 0, 1), ("insert", 5, 1), ("insert", 1, 1), ("insert", 4, 1),
+              ("query", len(QUERIES) - 1, "unbounded", 6, False),
+              ("query", len(QUERIES) - 1, "now", 2, True),
+              ("query", len(QUERIES) - 1, "past", 6, True)])
 def test_postings_search_matches_full_scan(config, merge, ops):
     store = build_store(config.split("/")[0], embed_dim=DIM, **CONFIGS[config])
     gateway = MockGateway(dim=DIM)

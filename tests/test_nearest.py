@@ -752,7 +752,7 @@ def test_a_record_reindexed_past_every_insert_stays_hidden_until_its_ts():
     store.reindex(moved)
     signal = RetrievalSignal(raw_query=moved.text, embedding=moved.embedding)
     for now, seen in ((len(TEXTS) + 5, False), (moved.ts, False), (moved.ts + 1, True)):
-        lexical = [record_id for _, record_id in store._lexical_ranking(signal, now)]
+        lexical = store._lexical_ranking(signal, now)[0]
         vector = [r.record_id for r, _ in store.nearest(moved.embedding, now=now)]
         assert (moved.record_id in lexical) is seen and (moved.record_id in vector) is seen
         assert len(vector) == len(TEXTS) - (not seen)

@@ -2,6 +2,7 @@
 determinism of persisted results, and stage-wall accounting."""
 
 import json
+import math
 import re
 import threading
 from pathlib import Path
@@ -51,7 +52,13 @@ from memstream.stream import (
     serialize_stream,
     write_atomic,
 )
-from reference import GRID_DIM, insert_count, make_config, small_stream
+from reference import (
+    GRID_DIM,
+    insert_count,
+    make_config,
+    ref_fraction_boundaries,
+    small_stream,
+)
 
 
 def make_manifest(n_inserts=10, queries=(), sessions=1):
@@ -107,6 +114,49 @@ def test_fraction_boundaries_hand_values():
     assert fraction_boundaries(1.0, 7) == [7]
     assert fraction_boundaries(0.5, 1) == [1]
     assert fraction_boundaries(0.2, 0) == []
+
+
+def fraction_grid(total):
+    """Fractions whose products with ``total`` sit on or beside 1 and 1/2, plus exact decimals."""
+    grid = {i / 100 for i in range(1, 101)}  # 0.07 * 100 is 7.000000000000001
+    for target in (1.0, 0.5):
+        exact = target / total
+        grid |= {exact, math.nextafter(exact, 0.0), math.nextafter(exact, 1.0),
+                 exact * (1 - 1e-9), exact * (1 + 1e-9)}
+    return sorted(f for f in grid if 0.0 < f <= 1.0)
+
+
+def test_fraction_boundaries_equal_the_walk_over_every_multiple():
+    for total in list(range(0, 60)) + [97, 100, 128, 199]:
+        for fraction in fraction_grid(total or 1):
+            assert fraction_boundaries(fraction, total) == \
+                ref_fraction_boundaries(fraction, total), (fraction, total)
+    for fraction in (1e-4, 3.3e-4, 1 / 3000):
+        for total in (1, 2, 7, 100, 1000, 2999, 3000, 3001):
+            assert fraction_boundaries(fraction, total) == \
+                ref_fraction_boundaries(fraction, total), (fraction, total)
+
+
+def test_fraction_boundaries_work_is_bounded_by_the_insert_count(monkeypatch):
+    from memstream import orchestrator
+
+    calls = []
+    original = orchestrator.fraction_count
+
+    def counted(fraction, total):
+        calls.append(fraction)
+        return original(fraction, total)
+
+    monkeypatch.setattr(orchestrator, "fraction_count", counted)
+    for fraction, total in ((1e-6, 100), (0.004, 100), (0.3, 1000), (1.0, 5)):
+        calls.clear()
+        want = ref_fraction_boundaries(fraction, total)
+        assert fraction_boundaries(fraction, total) == want
+        assert len(calls) <= 2 * total + 2, (fraction, total, len(calls))
+    # the reference would walk a billion multiples
+    calls.clear()
+    assert fraction_boundaries(1e-9, 100) == list(range(1, 101))
+    assert len(calls) <= 2
 
 
 def test_checkpoint_plan():

@@ -224,9 +224,18 @@ FUSION_IDS = ["m000001", "m000002", "m000010", "m999998", "m999999", "m1000000",
               "m1000001", "m1000010"]
 
 
-@settings(max_examples=200, deadline=None)
-@given(rankings=st.lists(st.lists(st.sampled_from(FUSION_IDS), unique=True), max_size=4),
-       limit=st.integers(1, 10), k_rrf=st.sampled_from([0, 1, 2, 60]))
+# 150 ids across the same boundary, "m999925" to "m1000074", for pool-sized
+# rankings: a small limit then cuts through runs of equal fused scores
+POOL_IDS = [f"m{n:06d}" for n in range(999925, 1000075)]
+POOL_RANKINGS = st.lists(st.lists(st.sampled_from(POOL_IDS), unique=True, max_size=60),
+                         min_size=2, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rankings=st.one_of(
+           st.lists(st.lists(st.sampled_from(FUSION_IDS), unique=True), max_size=4),
+           POOL_RANKINGS),
+       limit=st.integers(1, len(POOL_IDS) + 5), k_rrf=st.sampled_from([0, 1, 2, 60]))
 # the same ranks in swapped lists: equal sums, broken by id
 @example(rankings=[["m999999", "m1000000"], ["m1000000", "m999999"]], limit=2, k_rrf=60)
 # one list in reverse id order
@@ -237,9 +246,11 @@ FUSION_IDS = ["m000001", "m000002", "m000010", "m999998", "m999999", "m1000000",
 # ties across three lists, and an empty list
 @example(rankings=[["m000010", "m1000010"], [], ["m1000010", "m000010"], ["m999999"]],
          limit=3, k_rrf=60)
+# pool-sized disjoint lists tie rank for rank, so limit 5 cuts through a tie
+@example(rankings=[POOL_IDS[:60], POOL_IDS[60:120][::-1]], limit=5, k_rrf=60)
 def test_fused_order_and_bits_equal_the_reference_sort(rankings, limit, k_rrf):
     records = {}
-    for doc_id in FUSION_IDS:
+    for doc_id in FUSION_IDS + POOL_IDS:
         records[doc_id] = record(f"{doc_id}.")
         records[doc_id].record_id = doc_id
     got = fused_candidates(rankings, records.__getitem__, limit, k_rrf=k_rrf)

@@ -341,6 +341,8 @@ def test_load_locomo_accepts_single_sample_dict(tmp_path):
     (lambda s: s.update(qa=7), "conv7 qa is not a list"),
     (lambda s: s["qa"][1].update(evidence=5), "conv7 qa 1 evidence is not a list"),
     (lambda s: s["qa"][1].update(category=[2]), r"conv7 qa 1 category \[2\]"),
+    (lambda s: s["qa"][1].update(question=" \t "), "conv7 qa 1 question is null or blank"),
+    (lambda s: s["qa"][2].update(question=None), "conv7 qa 2 question is null or blank"),
 ])
 def test_load_locomo_schema_errors(tmp_path, mutate, message):
     sample = locomo_sample()
