@@ -109,6 +109,7 @@ def run_normalize(h: InsertPayload, ts: int, cfg: NormalizeConfig,
                     for triplet, text, vec in zip(triplets, texts, vectors)], flags
         except (GatewayError, UnparseableExtraction):
             flags.append("rewrite_fallback")
+    # "none", and the fallback of a failed enrich or rewrite
     try:
         return normalize_none(h, ts, gateway), flags
     except GatewayError:
@@ -130,7 +131,7 @@ def _nearest_existing(store: MemoryStore, record: MemoryRecord,
                       exclude: set[str], limit: int) -> list[MemoryRecord]:
     """Top existing records by embedding cosine, lexical overlap fallback."""
     if record.embedding is not None:
-        scored = store.nearest(record.embedding, exclude=exclude, top=limit)
+        scored = store.nearest(record, exclude=exclude, top=limit)
         return [r for r, _ in scored[:limit]]
     tokens = set(index_tokens(record.text))
     scored = []
@@ -258,8 +259,7 @@ def link_evolution(store: MemoryStore, new_ids: list[str],
         record = store.get(new_id)
         if record.embedding is None:
             continue
-        scored = store.nearest(record.embedding, exclude=exclude,
-                               top=link_top_m, floor=link_threshold)
+        scored = store.nearest(record, exclude=exclude, top=link_top_m, floor=link_threshold)
         for other, _sim in scored[:link_top_m]:
             record.links.add(other.record_id)
             other.links.add(new_id)
@@ -297,8 +297,7 @@ def semantic_consolidation(store: MemoryStore, new_ids: list[str],
         newer = store.get(new_id)
         if newer.embedding is None:
             continue
-        scored = store.nearest(newer.embedding, exclude=exclude, top=1,
-                               floor=dedup_threshold)
+        scored = store.nearest(newer, exclude=exclude, top=1, floor=dedup_threshold)
         if scored:
             best = scored[0][0]
             merge_records(store, best, newer)
@@ -309,7 +308,8 @@ def semantic_consolidation(store: MemoryStore, new_ids: list[str],
 def run_consolidate(store: MemoryStore, new_ids: list[str], now: int,
                     cfg: ConsolidateConfig, gateway: Gateway,
                     insert_index: int) -> tuple[list[str], list[str]]:
-    """Dispatch by strategy; fires only on every_n boundaries."""
+    """Dispatch by strategy, one of ``CONSOLIDATE_STRATEGIES`` (``run_experiment``
+    validates it); fires only on every_n boundaries."""
     if cfg.strategy == "none" or insert_index % cfg.every_n != 0:
         return [], []
     # capacity eviction during a multi-unit insert can take out a sibling
@@ -323,6 +323,5 @@ def run_consolidate(store: MemoryStore, new_ids: list[str], now: int,
         return heat_migration(store, now, cfg), []
     if cfg.strategy == "link_evolution":
         return link_evolution(store, new_ids, cfg.link_top_m, cfg.link_threshold), []
-    if cfg.strategy == "semantic_consolidation":
-        return semantic_consolidation(store, new_ids, cfg.dedup_threshold), []
-    raise ValueError(f"unknown consolidation strategy {cfg.strategy!r}")
+    # semantic_consolidation, the last strategy
+    return semantic_consolidation(store, new_ids, cfg.dedup_threshold), []

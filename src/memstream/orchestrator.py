@@ -134,10 +134,11 @@ def fraction_boundaries(fraction: float, total_inserts: int) -> list[int]:
     """
     if total_inserts <= 0:
         return []
-    steps = math.ceil(round(1.0 / fraction, 9))
     if fraction * total_inserts < 0.5:
-        return list(range(fraction_count(fraction, total_inserts),
-                          fraction_count(steps * fraction, total_inserts) + 1))
+        # the first multiple at or past 1 counts every insert; no reciprocal
+        # is formed, so a fraction whose 1 / f overflows takes this branch
+        return list(range(fraction_count(fraction, total_inserts), total_inserts + 1))
+    steps = math.ceil(round(1.0 / fraction, 9))
     return sorted({fraction_count(j * fraction, total_inserts) for j in range(1, steps + 1)})
 
 
@@ -482,7 +483,12 @@ _COLLECTOR_LOCK = threading.Lock()
 
 def run_experiment(cfg: ExperimentConfig, manifest: StreamManifest,
                    gateway: Optional[Gateway] = None) -> ExperimentResult:
-    """Validate the stream, then run the blocking protocol over it."""
+    """Validate the config and the stream, then run the blocking protocol over it.
+
+    An invalid config raises ``ConfigError`` naming its key, as ``memstream
+    run`` reports it, so no dispatcher meets a strategy it does not know.
+    """
+    cfg.validate()
     violations = validate_stream(manifest)
     if violations:
         first = violations[0]

@@ -117,6 +117,7 @@ def run_formulate(q: RetrievePayload, cfg: FormulateConfig,
             return formulate_decompose(q, gateway, cfg.max_subqueries), flags
         except GatewayError:
             flags.append("decompose_fallback")
+    # "none", and the fallback of a failed validate, keyword or decompose
     try:
         return (formulate_none(q, gateway),), flags
     except GatewayError:
@@ -273,7 +274,7 @@ def run_integrate(query: str, cands: list[Candidate], store: MemoryStore,
                   now: Optional[int]) -> tuple[ContextBundle, list[str]]:
     """Dispatch by strategy, then assemble the bundle under the budget."""
     flags: list[str] = []
-    working = list(cands)
+    working = list(cands)  # "none" bundles the candidates as retrieved
     if cfg.strategy == "time_weighted":
         working = integrate_time_weighted(working, now, cfg.decay_lambda)
     elif cfg.strategy == "threshold":

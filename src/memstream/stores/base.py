@@ -49,42 +49,61 @@ no embedding never builds the matrix. The first allocation reserves 1,024
 rows and each later one doubles the capacity. Rows map to record ids through
 the ``ids`` column, and ids to records through the store.
 The cached norm is ``vector_norm`` of the embedding, the bits of
-``float(np.linalg.norm(row))``. The unit row is the embedding times the
-float64 inverse norm, cast to float32, or the embedding cast as it stands
-when its norm is within ``UNIT_SLACK`` (2**-30) of 1, as every mock, remote,
-merged and summary vector's is; a zero row stays zero.
+``float(np.linalg.norm(row))``. The unit row is the float32 cast of
+``to_unit``: the embedding as it stands when its norm is within
+``UNIT_SLACK`` (2**-30) of 1, as every mock, remote, merged and summary
+vector's is, else the embedding times its float64 inverse norm; a zero row
+stays zero.
 
 ``nearest`` screens with one float32 matrix-vector product of the unit rows
-and the query times its float64 inverse norm, cast to float32. Each
-screened score ``s`` lies within ``margin = gamma(d + 2) + 2**-29`` of the
-exact cosine ``c`` of a ``d``-dim row, ``gamma(k) = k u / (1 - k u)`` with
-``u = 2**-24``: rounding the two unit vectors to float32 and the product's
-``d`` float32 multiply-adds, in any order and with or without fused
-multiply-add, perturb each term of the dot product by at most ``d + 2``
-roundings, so by ``gamma(d + 2)`` of the sum of the terms' magnitudes,
-which is at most 1 by Cauchy-Schwarz; a unit row cast as it stands moves
-``s`` by at most its norm's distance from 1, 2**-30; the other 2**-30
-covers the float64 steps before each cast and float32 underflow. So the
-screen keeps every row with ``s >= floor - margin``, and of those every
-row with ``s`` at least the ``top``-th screened score minus ``2 margin``
-(the exact ``top``-th cosine is at least that score minus ``margin``):
-every row that can pass the exact floor or rank among the exact top
+and the query's float32 form. A vector query's form is made by the rule of
+a row's, from its ``vector_norm``. A record query (each consolidation
+policy queries with the record it has just inserted, and excludes it)
+reads its own row instead: its float64 embedding, its cached norm and its
+unit row, the same bits the rule would give. Each screened score ``s``
+lies within ``margin = gamma(d + 2) + 3 * 2**-30`` of the exact cosine
+``c`` of a ``d``-dim row, ``gamma(k) = k u / (1 - k u)`` with ``u =
+2**-24``: rounding the two unit vectors to float32 and the product's ``d``
+float32 multiply-adds, in any order and with or without fused multiply-add,
+perturb each term of the dot product by at most ``d + 2`` roundings, so by
+``gamma(d + 2)`` of the sum of the terms' magnitudes, which is at most 1 by
+Cauchy-Schwarz; a row cast as it stands moves ``s`` by at most its norm's
+distance from 1, 2**-30, and a query cast as it stands by another 2**-30;
+the last 2**-30 covers the float64 steps before each cast and float32
+underflow.
+Rows are hidden by score: after the product, the score of each excluded
+row is set to ``-inf``, and so is each row with ``ts >= now`` when ``now``
+can hide a row (a free row's ``FREE_TS`` passes no ``now``), or else each
+free row. Every live row screens at least ``-1 - margin``, so the cuts read
+the scores alone and never keep a hidden row. A floor screen first compares
+its best score (one ``argmax``) with ``floor - margin`` and keeps no row
+when it misses, as most insert-time screens do; otherwise it keeps every
+row with ``s >= floor - margin``. A ``top`` screen then keeps, of those,
+every row with ``s`` at least the ``top``-th screened score minus ``2
+margin`` (the exact ``top``-th cosine is at least that score minus
+``margin``); with fewer than ``top`` rows not hidden it keeps them all.
+Every row that can pass the exact floor or rank among the exact top
 survives. Comparing float32 scores with a threshold rounded to float32
 keeps every score at or above the unrounded one.
 The store keeps one upper bound on its live records' timestamps, raised by
 ``insert`` and ``reindex`` and never lowered. A ``now`` past that bound
 hides no record, so both rankings treat it as None: ``_lexical_ranking``
-then reads no record's ts, and when no row is free and ``exclude`` names
-no row either, the screen builds no mask. Otherwise the visibility test
-and ``exclude`` make one mask, narrowed by ``rows``. The product spans
-every row, or only the kept rows when ``rows`` restricts the scan, so
-lsh_hash's bucket candidates do not pay for the whole store.
+then reads no record's ts, and the screen reads no ts column. When ``rows``
+restricts the scan, the product spans only the chosen rows that are
+visible and not excluded, so lsh_hash's bucket candidates do not pay for
+the whole store.
 All survivors are then rescored in float64 in one batch: a stacked
 ``np.matmul`` of each survivor row (1 x d) with the query (d x 1), divided
 by the query norm times the cached row norm. numpy computes each of those
 1 x d by d x 1 products with the dot loop ``np.dot`` uses, so every
 rescored score has the bits of the per-pair cosine, ``float(np.dot(a,
 b))`` divided by ``float(np.linalg.norm(a)) * float(np.linalg.norm(b))``.
+Those bits are the host's, not every host's: numpy's bundled OpenBLAS picks
+its dot kernel by CPU, and another kernel (``OPENBLAS_CORETYPE=Haswell`` or
+``Zen`` on a SkylakeX host) sums in another order, which moves last bits,
+some rankings and the golden digests; under ``Prescott`` the batched
+rescore no longer matches the per-pair ``np.dot`` at every dim. The
+screen's bound holds under any kernel.
 Survivors are ordered by one ``np.lexsort`` over the negated scores and
 the index's row -> record_id column, an object array whose items compare
 as Python strings: by descending score with record_id as the tie-break,
@@ -214,6 +233,10 @@ def fused_candidates(rankings: Iterable[list[str]], record_of: Callable[[str], M
 # the ts of a free row: no ``now`` reaches it, so ``ts < now`` drops the row
 FREE_TS = TS_END
 
+# what a screen that keeps no row returns; read-only, so sharing it is safe
+NO_ROWS = np.zeros(0, dtype=np.intp)
+NO_ROWS.flags.writeable = False
+
 # a row whose norm is this close to 1 is screened as it stands: the norm's
 # distance from 1 moves no screened score by more than this
 UNIT_SLACK = 2.0 ** -30
@@ -222,11 +245,24 @@ UNIT_SLACK = 2.0 ** -30
 def screen_margin(dim: int) -> float:
     """Bound on how far a screened score of ``dim``-dim rows strays from the exact cosine.
 
-    ``gamma(d + 2) + 2**-29``, with ``gamma(k) = k * 2**-24 / (1 - k * 2**-24)``
+    ``gamma(d + 2) + 3 * 2**-30``, with ``gamma(k) = k * 2**-24 / (1 - k * 2**-24)``
     (see the module docstring).
     """
     rounded = (dim + 2) * 2.0 ** -24
-    return rounded / (1.0 - rounded) + 2.0 * UNIT_SLACK
+    return rounded / (1.0 - rounded) + 3.0 * UNIT_SLACK
+
+
+def to_unit(vector: np.ndarray, norm: float) -> np.ndarray:
+    """The vector, of norm ``norm``, whose float32 cast the screen multiplies.
+
+    ``vector`` as it stands when ``norm`` is within ``UNIT_SLACK`` of 1, as
+    every mock, remote, merged and summary vector's is; otherwise ``vector``
+    times its float64 inverse norm. A zero vector stays zero. Rows and
+    queries are cast by this one rule.
+    """
+    if abs(norm - 1.0) <= UNIT_SLACK:
+        return vector
+    return vector * (1.0 / norm if norm else 0.0)
 
 
 def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
@@ -264,11 +300,7 @@ class EmbeddingIndex:
         self.ts[row] = record.ts
         norm = vector_norm(embedding)
         self.norms[row] = norm
-        # mock, remote, merged and summary vectors are unit already: a plain cast
-        if abs(norm - 1.0) <= UNIT_SLACK:
-            self.unit[row] = embedding
-        else:
-            self.unit[row] = embedding * (1.0 / norm if norm else 0.0)
+        self.unit[row] = to_unit(embedding, norm)  # cast to float32 as it is stored
 
     def drop(self, record_id: str):
         row = self.row_of.pop(record_id, None)
@@ -291,44 +323,56 @@ class EmbeddingIndex:
                 for a in (self.matrix, self.unit, self.ts, self.norms, self.ids))
         return row
 
-    def screen(self, query: np.ndarray, query_norm: float, now: Optional[int],
-               exclude: Iterable[str], top: Optional[int], floor: Optional[float],
+    def screen(self, unit_query: np.ndarray, now: Optional[int], exclude: Iterable[str],
+               top: Optional[int], floor: Optional[float],
                rows: Optional[Iterable[str]]) -> np.ndarray:
         """Rows of the visible records whose screened score may reach the exact top or floor.
 
-        ``now`` None means every live record is visible.
+        ``unit_query`` is the query's float32 ``to_unit`` form; ``now`` None means every
+        live record is visible.
         """
         n = len(self.row_of) + len(self._free)
         if n == 0:
-            return np.zeros(0, dtype=np.intp)
-        excluded = [row for row in map(self.row_of.get, exclude) if row is not None]
-        mask = None  # every row is kept
-        if now is not None or self._free or excluded:
-            # live and visible in one test; clamped to FREE_TS, no now passes a free row
-            mask = np.less(self.ts[:n], FREE_TS if now is None else min(now, FREE_TS))
-            for row in excluded:
-                mask[row] = False
-        span = slice(0, n)
-        if rows is not None:
-            # only the kept rows, so lsh_hash's probes do not pay for the store
-            chosen = np.zeros(n, dtype=bool)
-            chosen[[self.row_of[r] for r in rows if r in self.row_of]] = True
-            span, mask = (chosen if mask is None else mask & chosen).nonzero()[0], None
-        unit_query = (query * (1.0 / query_norm if query_norm else 0.0)).astype(np.float32)
-        scores = self.unit[span].dot(unit_query)
+            return NO_ROWS
+        row_of = self.row_of
+        if rows is None:
+            span = None
+            scores = self.unit[:n].dot(unit_query)
+            # a hidden row scores -inf, below any live row's screened score;
+            # a free row's FREE_TS passes no now
+            if now is not None:
+                scores[self.ts[:n] >= now] = -np.inf
+            elif self._free:
+                scores[self._free] = -np.inf
+            for row in map(row_of.get, exclude):
+                if row is not None:
+                    scores[row] = -np.inf
+        else:
+            # only the chosen visible rows, so lsh_hash's probes do not pay for the store
+            chosen = {row_of[r] for r in rows if r in row_of}.difference(map(row_of.get, exclude))
+            span = np.fromiter(sorted(chosen), dtype=np.intp, count=len(chosen))
+            if now is not None:
+                span = span[self.ts[span] < now]
+            scores = self.unit[span].dot(unit_query)
+        if not scores.size:
+            return NO_ROWS
+        kept = None  # every row not hidden
         if floor is not None:
-            above = scores >= floor - self.margin
-            mask = above if mask is None else mask & above
-        candidates = None if mask is None else mask.nonzero()[0]  # None: every row
-        count = scores.size if candidates is None else candidates.size
-        if top is not None and count > top:
-            kept = scores if candidates is None else scores[candidates]
-            cut = float(np.partition(kept, count - top)[count - top])
-            near = kept >= cut - 2.0 * self.margin
-            candidates = np.flatnonzero(near) if candidates is None else candidates[near]
-        elif candidates is None:
-            candidates = np.arange(scores.size)
-        return candidates if rows is None else span[candidates]
+            # no live row screens below -1 - margin, so a lower floor screens as -1
+            threshold = max(floor, -1.0) - self.margin
+            if scores[scores.argmax()] < threshold:
+                return NO_ROWS
+            kept = np.flatnonzero(scores >= threshold)
+        if top is not None:
+            pool = scores if kept is None else scores[kept]
+            if pool.size > top:
+                cut = float(np.partition(pool, pool.size - top)[pool.size - top])
+                if cut > -np.inf:  # at least ``top`` rows are not hidden
+                    near = np.flatnonzero(pool >= cut - 2.0 * self.margin)
+                    kept = near if kept is None else kept[near]
+        if kept is None:
+            kept = np.flatnonzero(scores > -np.inf)
+        return kept if span is None else span[kept]
 
 
 class Postings:
@@ -455,18 +499,21 @@ class MemoryStore(ABC):
             record.last_access = now
         record.strength *= self.strength_gain
 
-    def nearest(self, query: np.ndarray, now: Optional[int] = None,
+    def nearest(self, query: np.ndarray | MemoryRecord, now: Optional[int] = None,
                 exclude: Iterable[str] = (), top: Optional[int] = None,
                 floor: Optional[float] = None,
                 rows: Optional[Iterable[str]] = None) -> list[tuple[MemoryRecord, float]]:
         """Live embedded records by exact cosine to ``query``, best first.
 
-        Visible at ``now`` (all live records when None), minus ``exclude``,
-        restricted to the ids in ``rows`` when given. The result holds every
-        record with ``cosine >= floor`` that can rank among the ``top`` best,
-        plus any whose float32 screened score lies within twice the screen's
-        error bound of the ``top``-th screened score, so callers slice or
-        re-rank it.
+        ``query`` is a vector, or a live embedded record of this store, whose
+        own index row (embedding, norm and float32 form) is read in place of
+        its vector's: the scores are the same bits. Visible at ``now`` (all
+        live records when None), minus ``exclude``, restricted to the ids in
+        ``rows`` when given. The result holds every record with ``cosine >=
+        floor`` that can rank among the ``top`` best, plus any whose float32
+        screened score lies within twice the screen's error bound of the
+        ``top``-th screened score, so callers slice or re-rank it. A floor
+        that no screened score can reach returns ``[]`` after the product.
         """
         if top is not None and top < 1:
             return []
@@ -477,20 +524,25 @@ class MemoryStore(ABC):
         return [(records[record_id], sim)
                 for record_id, sim in zip(self._index.ids[ranked].tolist(), sims.tolist())]
 
-    def _ranked_rows(self, query: np.ndarray, now: Optional[int], exclude: Iterable[str] = (),
-                     top: Optional[int] = None, floor: Optional[float] = None,
+    def _ranked_rows(self, query: np.ndarray | MemoryRecord, now: Optional[int],
+                     exclude: Iterable[str] = (), top: Optional[int] = None,
+                     floor: Optional[float] = None,
                      rows: Optional[Iterable[str]] = None) -> tuple[np.ndarray, np.ndarray]:
         """The index rows of what ``nearest`` returns, best first, and their exact cosines."""
         index = self._index
-        query_norm = vector_norm(query)
-        survivors = index.screen(query, query_norm, self._visible_before(now), exclude, top,
-                                 floor, rows)
+        if isinstance(query, MemoryRecord):
+            row = index.row_of[query.record_id]
+            vector, norm, unit = index.matrix[row], index.norms[row], index.unit[row]
+        else:
+            vector, norm = query, vector_norm(query)
+            unit = to_unit(query, norm).astype(np.float32)
+        survivors = index.screen(unit, self._visible_before(now), exclude, top, floor, rows)
         if not survivors.size:
             return survivors, np.zeros(0)
         # a stack of 1xd @ dx1 products: each goes through the dot loop
         # np.dot uses, so every score has the bits of a per-pair cosine
-        dots = np.matmul(index.matrix[survivors, None, :], query[:, None])[:, 0, 0]
-        denom = query_norm * index.norms[survivors]
+        dots = np.matmul(index.matrix[survivors, None, :], vector[:, None])[:, 0, 0]
+        denom = norm * index.norms[survivors]
         sims = np.divide(dots, denom, out=np.zeros(survivors.size), where=denom != 0)
         if floor is not None:
             kept = sims >= floor

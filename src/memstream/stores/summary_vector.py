@@ -3,9 +3,21 @@
 Every raw turn is stored with its embedding; alongside, the store keeps a
 session-level summary record whose text is the first sentence of each member
 turn (capped) and whose embedding is the L2-normalized mean of the member
-embeddings. The summary is rebuilt in place on every raw insert for that
+embeddings. The summary is rewritten in place on every raw insert for that
 session, keeping its record_id stable, so retrieval sees the session gist
 and the raw turns side by side under plain cosine ranking.
+
+Each session keeps its summary as running state: its member ids in insert
+order, the lead sentences up to ``summary_max_sentences``, the float64 sum
+of the embedded members' embeddings added in insert order, and the newest
+member ts. A raw insert folds the new member into that state, so a refresh
+after it reads no other member. numpy's ``np.mean(np.stack(vectors),
+axis=0)`` adds the rows of a 2-D stack in order, so the running sum divided
+by the count has its bits; a 1-dim stack is one column, which numpy sums
+pairwise, so a 1-dim store rebuilds instead. A member's ``remove`` or
+``reindex`` (a merge rewrites the older record's text, ts and embedding,
+even across sessions) marks its session stale, and the session's next
+refresh rebuilds the state from its live members.
 """
 
 from __future__ import annotations
@@ -22,19 +34,40 @@ from ..records import (
     RetrievalSignal,
     vector_norm,
 )
+from ..stream import TS_MIN
 from ..text import split_sentences
 from .base import MemoryStore
+
+
+def unit_mean(total: np.ndarray, count: int) -> Optional[np.ndarray]:
+    """``total / count`` L2-normalized; None when that mean is zero."""
+    mean = total / count
+    norm = vector_norm(mean)
+    if norm == 0.0:
+        return None
+    return (mean / norm).astype(np.float64)
 
 
 def mean_embedding(vectors: list[np.ndarray]) -> Optional[np.ndarray]:
     """L2-normalized mean; None when no vectors or the mean is zero."""
     if not vectors:
         return None
-    mean = np.mean(np.stack(vectors), axis=0)
-    norm = vector_norm(mean)
-    if norm == 0.0:
-        return None
-    return (mean / norm).astype(np.float64)
+    # np.mean's own sum: add.reduce over the stack's first axis
+    return unit_mean(np.add.reduce(np.stack(vectors)), len(vectors))
+
+
+class _Session:
+    """One session's running summary state (see module docstring)."""
+
+    __slots__ = ("members", "leads", "total", "embedded", "newest_ts", "stale")
+
+    def __init__(self):
+        self.members: dict[str, None] = {}  # member ids in insert order
+        self.leads: list[str] = []
+        self.total: Optional[np.ndarray] = None  # float64 sum of the embedded members'
+        self.embedded = 0
+        self.newest_ts = TS_MIN
+        self.stale = False  # a member was removed or rewritten: rebuild at the next refresh
 
 
 class SummaryVectorStore(MemoryStore):
@@ -44,39 +77,63 @@ class SummaryVectorStore(MemoryStore):
         super().__init__(**kwargs)
         self.summary_max_sentences = summary_max_sentences
         self._session_summary: dict[str, str] = {}  # session_id -> summary record_id
-        self._session_members: dict[str, list[str]] = {}
+        self._sessions: dict[str, _Session] = {}
 
     def _after_add(self, record: MemoryRecord):
         if record.kind != KIND_RAW or not record.session_id:
             return
-        members = self._session_members.setdefault(record.session_id, [])
-        members.append(record.record_id)
+        state = self._sessions.setdefault(record.session_id, _Session())
+        self._fold(state, record)
+        embedding = record.embedding
+        if embedding is not None and not state.stale:
+            if embedding.shape[0] == 1:
+                state.stale = True
+            elif state.total is None:
+                state.total, state.embedded = embedding.astype(np.float64), 1
+            else:
+                state.total += embedding
+                state.embedded += 1
         self._refresh_summary(record.session_id)
 
-    def _summary_text(self, members: list[MemoryRecord]) -> str:
-        leads = []
-        for member in members:
+    def _fold(self, state: _Session, member: MemoryRecord):
+        """Add the newest member's id, lead sentence and ts to the session's state."""
+        # the leads stop after the first member that brings them to the cap
+        if not (state.members and len(state.leads) >= self.summary_max_sentences):
             sentences = split_sentences(member.text)
             if sentences:
-                leads.append(sentences[0])
-            if len(leads) >= self.summary_max_sentences:
-                break
-        return " ".join(leads)
+                state.leads.append(sentences[0])
+        state.members[member.record_id] = None
+        state.newest_ts = max(state.newest_ts, member.ts)
+
+    def _rebuild(self, state: _Session):
+        """Recompute the session's state from its live members."""
+        members = [self._records[mid] for mid in state.members]
+        state.members, state.leads, state.newest_ts = {}, [], TS_MIN
+        for member in members:
+            self._fold(state, member)
+        vectors = [m.embedding for m in members if m.embedding is not None]
+        # np.mean's own sum: add.reduce over the stack's first axis
+        state.total = np.add.reduce(np.stack(vectors)) if vectors else None
+        state.embedded = len(vectors)
+        state.stale = False
 
     def _refresh_summary(self, session_id: str):
         # _after_remove drops removed members and an evicted summary's
         # mapping, so every id here is live; an evicted summary is rebuilt
         # under a fresh id
-        members = [self._records[mid] for mid in self._session_members.get(session_id, [])]
+        state = self._sessions.get(session_id)
         summary_id = self._session_summary.get(session_id)
-        if not members:
+        if state is None or not state.members:
+            self._sessions.pop(session_id, None)
             if summary_id is not None:
                 # _after_remove drops the session mapping
                 self.remove(summary_id)
             return
-        text = self._summary_text(members)
-        embedding = mean_embedding([m.embedding for m in members if m.embedding is not None])
-        newest_ts = max(m.ts for m in members)
+        if state.stale:
+            self._rebuild(state)
+        text = " ".join(state.leads)
+        embedding = unit_mean(state.total, state.embedded) if state.embedded else None
+        newest_ts = state.newest_ts
         if summary_id is None:
             (self._session_summary[session_id],) = self.insert([MemoryRecord(
                 record_id="", text=text, ts=newest_ts, session_id=session_id,
@@ -93,14 +150,20 @@ class SummaryVectorStore(MemoryStore):
 
     def _after_remove(self, record: MemoryRecord):
         session_id = record.session_id
-        if record.kind == KIND_RAW and session_id in self._session_members:
-            self._session_members[session_id] = [
-                mid for mid in self._session_members[session_id] if mid != record.record_id
-            ]
+        state = self._sessions.get(session_id)
+        if state is not None and record.record_id in state.members:
+            del state.members[record.record_id]
+            state.stale = True
             self._refresh_summary(session_id)
         elif self._session_summary.get(session_id) == record.record_id:
             # matched by id: enrich normalization inserts summaries of its own
             del self._session_summary[session_id]
+
+    def reindex(self, record: MemoryRecord):
+        super().reindex(record)
+        state = self._sessions.get(record.session_id)
+        if state is not None and record.record_id in state.members:
+            state.stale = True
 
     def _index_keys(self, record: MemoryRecord) -> tuple:
         # retrieval ranks by cosine alone, so nothing is keyed

@@ -34,10 +34,12 @@ from memstream.config import (
 )
 from memstream.errors import SchemaError, UnsupportedBackend
 from memstream.orchestrator import run_experiment
-from memstream.records import KIND_RAW, TIER_ORDER, Candidate
+from memstream.records import KIND_RAW, KIND_SUMMARY, TIER_ORDER, Candidate, MemoryRecord
 from memstream.stores import BACKENDS
+from memstream.stores.base import MemoryStore
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.queue_segment import QueueSegmentStore
+from memstream.stores.summary_vector import SummaryVectorStore
 from memstream.stream import (
     KIND_INSERT,
     KIND_RETRIEVE,
@@ -301,6 +303,47 @@ def ref_session_summary(store, session_id, max_sentences):
         if norm != 0.0:
             embedding = (mean / norm).astype(np.float64)
     return " ".join(leads), max(m.ts for m in members), embedding
+
+
+class RefSummaryVectorStore(SummaryVectorStore):
+    """summary_vector that rebuilds a session's summary from all of its live
+    raw turns (``ref_session_summary``) after each raw insert or removal.
+
+    It keeps no running state, so a member rewritten in place by a merge
+    reaches its session's summary at that session's next raw insert or
+    removal, as in the store it checks.
+    """
+
+    def _after_add(self, record):
+        if record.kind == KIND_RAW and record.session_id:
+            self._rebuild_summary(record.session_id)
+
+    def _after_remove(self, record):
+        if record.kind == KIND_RAW and record.session_id:
+            self._rebuild_summary(record.session_id)
+        elif self._session_summary.get(record.session_id) == record.record_id:
+            del self._session_summary[record.session_id]
+
+    def reindex(self, record):
+        MemoryStore.reindex(self, record)
+
+    def _rebuild_summary(self, session_id):
+        want = ref_session_summary(self, session_id, self.summary_max_sentences)
+        summary_id = self._session_summary.get(session_id)
+        if want is None:
+            if summary_id is not None:
+                self.remove(summary_id)
+            return
+        text, ts, embedding = want
+        if summary_id is None:
+            (self._session_summary[session_id],) = self.insert([MemoryRecord(
+                record_id="", text=text, ts=ts, session_id=session_id, kind=KIND_SUMMARY,
+                embedding=embedding, strength=self.initial_strength_s)])
+            return
+        summary = self.get(summary_id)
+        summary.text, summary.embedding, summary.ts = text, embedding, ts
+        summary.last_access = max(summary.last_access, ts)
+        self.reindex(summary)
 
 
 def ref_fraction_boundaries(fraction, total_inserts):

@@ -311,6 +311,16 @@ def test_run_locomo_blank_question_is_dataset_error(runner, tmp_path):
             in result.output)
 
 
+def test_run_with_a_fraction_whose_reciprocal_overflows_checkpoints_every_insert(runner, tmp_path):
+    stream = make_stream(runner, tmp_path)
+    config = make_config(tmp_path, stream, checkpoint={"fraction": 1.0e-320})
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None and "Traceback" not in result.output
+    checkpoints = (tmp_path / "results" / "checkpoints.jsonl").read_text().splitlines()
+    assert len(checkpoints) == 10  # one per insert
+
+
 def test_run_config_that_is_not_utf8_is_config_error(runner, tmp_path):
     stream = make_stream(runner, tmp_path)
     config = make_config(tmp_path, stream)

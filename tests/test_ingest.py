@@ -640,13 +640,6 @@ def test_run_consolidate_filters_dead_new_ids():
     assert actions == [f"ADD {kept}"]
 
 
-def test_run_consolidate_rejects_unknown_strategy():
-    cfg = ConsolidateConfig(strategy="bogus")
-    with pytest.raises(ValueError):
-        run_consolidate(build_store("fifo_queue"), [], 0, cfg,
-                        MockGateway(dim=64), insert_index=1)
-
-
 def test_fuzz_removals_never_leak_into_retrieval():
     rng = random.Random(20260816)
     store = build_store("inverted_vector", embed_dim=32)

@@ -18,10 +18,15 @@ rows, in a store grown past the index's first reserve: cached norms and
 rescored scores bit for bit, a floor at exactly the best cosine, freed rows
 that never come back, and a screen restricted to some rows that multiplies
 only those rows and returns what the all-rows screen keeps of them. A
-property test holds every float32 screened score within the screen's error
-bound of the per-pair cosine and checks that the screen keeps every exact
-winner; a last test moves a record's ts past every insert and checks that
-no ranking sees it before then.
+property test holds every float32 screened score, of a vector query or of a
+record queried with its own row, within the screen's error bound of the
+per-pair cosine and checks that the screen keeps every exact winner;
+another mixes free rows, exclusions, a hiding ``now`` and restrictions
+under top, floor and top-and-floor screens, and checks that no hidden row
+survives and that a record query returns its vector's bits. A spy pins
+that a floor screen whose best score misses builds no candidate array; a
+last test moves a record's ts past every insert and checks that no ranking
+sees it before then.
 """
 
 import dataclasses
@@ -656,8 +661,8 @@ ROW_KINDS = ("scaled", "scaled", "unit", "near_unit", "off_unit", "zero", "dupli
 def screened_rows(draw):
     """(rows, query): norms from 1e-30 to 1e30, zero rows, unit rows, rows
     just inside and just outside the 2**-30 band around norm 1, exact
-    duplicates and one-ulp neighbours; the query may be zero or a row or a
-    row's neighbour."""
+    duplicates and one-ulp neighbours; the query may be zero, just inside or
+    outside that band, a row or a row's neighbour."""
     dim = draw(st.sampled_from(SCREEN_DIMS))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=30))
@@ -684,11 +689,17 @@ def screened_rows(draw):
             row, j = earlier.copy(), rng.integers(dim)
             row[j] = np.nextafter(row[j], -np.inf)
             rows.append(row)
-    query_kind = draw(st.sampled_from(("scaled", "zero", "row", "ulp")))
+    query_kind = draw(st.sampled_from(("scaled", "zero", "row", "ulp", "near_unit", "off_unit")))
+    direction = rng.normal(size=dim)
+    direction /= np.linalg.norm(direction)
     if query_kind == "scaled":
-        query = rng.normal(size=dim) * 10.0 ** rng.uniform(-30, 30)
+        query = direction * 10.0 ** rng.uniform(-30, 30)
     elif query_kind == "zero":
         query = np.zeros(dim)
+    elif query_kind == "near_unit":  # cast as it stands
+        query = direction * (1.0 + rng.choice([-1.0, 1.0]) * 2.0 ** -31)
+    elif query_kind == "off_unit":  # divided by its norm
+        query = direction * (1.0 + rng.choice([-1.0, 1.0]) * 2.0 ** -26)
     else:
         query = rows[rng.integers(len(rows))].copy()
         if query_kind == "ulp":
@@ -708,14 +719,18 @@ def test_screened_scores_lie_within_the_bound_and_keep_every_exact_winner(case, 
     assert index_rows(store) == live_embedded(store)
     index = store._index
     index.unit = index.unit.view(ProductLog)
-    bound = (dim + 2) * 2.0 ** -24 + 2.0 ** -30
+    # a row and a query cast as they stand, 2**-30 each
+    bound = (dim + 2) * 2.0 ** -24 + 2.0 * 2.0 ** -30
     assert index.margin >= bound
-    ProductLog.products = []
-    store.nearest(query)
-    screened = ProductLog.products[0]
-    for record in records:
-        exact = ref_cosine(query, record.embedding)
-        assert abs(float(screened[index.row_of[record.record_id]]) - exact) <= bound
+    # a vector query, and each record as a query with its own row
+    for source in [query] + records:
+        vector = source if isinstance(source, np.ndarray) else source.embedding
+        ProductLog.products = []
+        store.nearest(source)
+        screened = ProductLog.products[0]
+        for record in records:
+            exact = ref_cosine(vector, record.embedding)
+            assert abs(float(screened[index.row_of[record.record_id]]) - exact) <= bound
 
     def bits(scored):
         return [(record_id, sim.hex()) for record_id, sim in scored]
@@ -736,6 +751,97 @@ def test_screened_scores_lie_within_the_bound_and_keep_every_exact_winner(case, 
             got = store.nearest(query, now=now, exclude=exclude, floor=floor, rows=rows_in)
             assert bits((r.record_id, s) for r, s in got) == \
                 bits(item for item in want if item[1] >= floor)
+
+
+@st.composite
+def screen_cases(draw):
+    """(store, removed ids, query, exclude, now, rows): the rows of
+    ``screened_rows`` at ts 1..n, some of them removed and their rows left
+    free; a vector query or a live record; a hiding ``now`` or none, some
+    exclusions and an optional restriction, both of which may name removed
+    records."""
+    rows, vector = draw(screened_rows())
+    n, dim = rows.shape
+    store = build_store("inverted_vector", embed_dim=dim, params={"mode": "vector"})
+    ids = store.insert([MemoryRecord(record_id="", text=f"row {i}", ts=i + 1, session_id="s0",
+                                     embedding=row) for i, row in enumerate(rows)])
+    removed = draw(st.lists(st.sampled_from(ids), unique=True, max_size=n - 1))
+    for record_id in removed:
+        store.remove(record_id)
+    live = [record_id for record_id in ids if record_id not in removed]
+    query = draw(st.sampled_from([vector] + [store.get(record_id) for record_id in live]))
+    some_ids = st.lists(st.sampled_from(ids), unique=True, max_size=n)
+    exclude = draw(some_ids)
+    if not isinstance(query, np.ndarray) and draw(st.booleans()):
+        exclude.append(query.record_id)  # as every consolidation policy does
+    now = draw(st.sampled_from([None, 2 ** 70]) | st.integers(1, n + 1))
+    rows_in = draw(st.none() | some_ids)
+    return store, removed, query, exclude, now, rows_in
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=screen_cases(), k=st.integers(1, 6), screen=st.sampled_from(["top", "floor", "both"]))
+def test_hidden_rows_never_survive_a_screen_and_every_exact_winner_does(case, k, screen):
+    store, removed, query, exclude, now, rows_in = case
+    vector = query if isinstance(query, np.ndarray) else query.embedding
+    want = sorted(((r.record_id, ref_cosine(vector, r.embedding)) for r in store.all_records()
+                   if (now is None or r.ts < now) and r.record_id not in exclude
+                   and (rows_in is None or r.record_id in rows_in)),
+                  key=lambda item: (-item[1], item[0]))
+    rng = np.random.default_rng(len(want))
+    floors = [sim for _, sim in want][:2] + [float(rng.uniform(-1, 1)), -1.5, -np.inf]
+    for floor in floors if screen != "top" else [None]:
+        top = None if screen == "floor" else k
+        got = [(r.record_id, s.hex()) for r, s in
+               store.nearest(query, now=now, exclude=exclude, top=top, floor=floor,
+                             rows=rows_in)]
+        passed = [(i, s.hex()) for i, s in want if floor is None or s >= floor]
+        assert got[:len(passed) if top is None else top] == passed[:top]
+        # no hidden, excluded, removed or unchosen record, whatever the cut
+        assert {i for i, _ in got} <= {i for i, _ in passed}
+        if not isinstance(query, np.ndarray):
+            # a record query scores like its embedding, bit for bit
+            assert got == [(r.record_id, s.hex()) for r, s in
+                           store.nearest(vector, now=now, exclude=exclude, top=top,
+                                         floor=floor, rows=rows_in)]
+
+
+class ScoreLog(np.ndarray):
+    """Screened scores that log each comparison of the whole array; each builds a mask."""
+
+    compared: list = []
+
+    def __ge__(self, other):
+        ScoreLog.compared.append(">=")
+        return np.asarray(self) >= other
+
+    def __gt__(self, other):
+        ScoreLog.compared.append(">")
+        return np.asarray(self) > other
+
+
+class ScoredProducts(np.ndarray):
+    """A float32 screen array whose products come back as ``ScoreLog``s."""
+
+    def dot(self, other, *args, **kwargs):
+        return np.asarray(self).dot(other, *args, **kwargs).view(ScoreLog)
+
+
+def test_a_floor_screen_whose_best_score_misses_builds_no_candidates():
+    # most insert-time screens keep no row: one argmax decides, with no
+    # mask and no candidate array, and nothing is rescored
+    rng = np.random.default_rng(17)
+    store = churned_store(rng, DIM)
+    store._index.unit = store._index.unit.view(ScoredProducts)
+    records = store.all_records()
+    for record in records[:20]:
+        exclude = (record.record_id,)
+        best = best_by_cosine(store, record.embedding, exclude)[1]
+        ScoreLog.compared = []
+        assert store.nearest(record, exclude=exclude, top=1, floor=best + 0.01) == []
+        assert ScoreLog.compared == []
+        got = store.nearest(record, exclude=exclude, top=1, floor=best)
+        assert got[0][1] == best and ScoreLog.compared[0] == ">="
 
 
 def test_a_record_reindexed_past_every_insert_stays_hidden_until_its_ts():

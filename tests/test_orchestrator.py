@@ -11,6 +11,7 @@ import pytest
 
 from memstream.config import (
     CheckpointSchedule,
+    ConfigError,
     ConsolidateConfig,
     ExperimentConfig,
     FormulateConfig,
@@ -114,6 +115,9 @@ def test_fraction_boundaries_hand_values():
     assert fraction_boundaries(1.0, 7) == [7]
     assert fraction_boundaries(0.5, 1) == [1]
     assert fraction_boundaries(0.2, 0) == []
+    # 1 / f overflows a float: every insert closes a checkpoint
+    assert fraction_boundaries(1e-320, 10) == list(range(1, 11))
+    assert fraction_boundaries(5e-324, 3) == [1, 2, 3]
 
 
 def fraction_grid(total):
@@ -157,6 +161,16 @@ def test_fraction_boundaries_work_is_bounded_by_the_insert_count(monkeypatch):
     calls.clear()
     assert fraction_boundaries(1e-9, 100) == list(range(1, 101))
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("operator", ["normalize", "consolidate", "formulate", "integrate"])
+def test_run_experiment_rejects_a_misspelled_strategy_naming_its_key(operator):
+    # a config built in code is validated like one read from a file, so no
+    # dispatcher falls through to "none" and no echo names a bogus strategy
+    cfg = ExperimentConfig(gateway=GatewayConfig(embed_dim=GRID_DIM))
+    getattr(cfg.operators, operator).strategy = "bogus"
+    with pytest.raises(ConfigError, match=rf"^{operator}\.strategy must be one of .*'bogus'"):
+        run_experiment(cfg, small_stream())
 
 
 def test_checkpoint_plan():

@@ -12,6 +12,8 @@ text, same ts and the same embedding bits.
 
 import dataclasses
 
+import numpy as np
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,13 @@ from memstream.config import ConsolidateConfig
 from memstream.gateway import mock_embed_text
 from memstream.records import KIND_RAW, KIND_SUMMARY, MemoryRecord
 from memstream.stores import BACKENDS, build_store
-from reference import ref_forgetting_curve, ref_heat_migration, ref_session_summary
+from memstream.stores import summary_vector
+from reference import (
+    RefSummaryVectorStore,
+    ref_forgetting_curve,
+    ref_heat_migration,
+    ref_session_summary,
+)
 
 DIM = 16
 US = 1_000_000
@@ -169,3 +177,119 @@ def test_session_summaries_match_a_rebuild_without_consolidation(ops):
     # nothing is removed, so every session with a raw turn keeps a summary
     replay("summary_vector", ops, lambda store, now: [], lambda store, now: [],
            every_session=True)
+
+
+# low enough that repeated and overlapping texts merge, across sessions too
+MERGE_AT = 0.5
+
+
+@pytest.mark.parametrize("dim", [DIM, 1])
+@pytest.mark.parametrize("strategy", ["semantic_consolidation", "forgetting_curve"])
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=LONG_OPS)
+def test_running_summaries_equal_full_rebuilds_through_merges_and_evictions(dim, strategy, ops):
+    # a merge rewrites the older member in place, in its own session, and
+    # a removal takes a member out; a 1-dim store always rebuilds
+    real = build_store("summary_vector", embed_dim=dim, params=PARAMS["summary_vector"])
+    ref = RefSummaryVectorStore(embed_dim=dim, summary_max_sentences=MAX_SENTENCES)
+    clock, turn = 10 * US, 0
+    for op in ops:
+        new_ids = []
+        if op[0] == "insert":
+            _, text_i, session, advance, strength, embedded = op
+            clock += advance * US
+            turn += 1
+            text = TEXTS[text_i]
+            ids = [s.insert([MemoryRecord(
+                record_id="", text=text, ts=clock, session_id=f"s{session}", turn_index=turn,
+                strength=strength, embedding=mock_embed_text(text, dim) if embedded else None)])
+                for s in (real, ref)]
+            assert ids[0] == ids[1]
+            new_ids = ids[0]
+        elif op[0] == "touch":
+            _, index, advance = op
+            clock += advance * US
+            live = real.all_records()
+            if live:
+                target = live[index % len(live)].record_id
+                for s in (real, ref):
+                    s._touch(s.get(target), clock)
+        else:
+            clock += op[1] * US
+        if strategy == "semantic_consolidation":
+            actions = [ingest.semantic_consolidation(s, new_ids, MERGE_AT)
+                       for s in (real, ref)]
+        else:
+            actions = [ingest.forgetting_curve(s, clock, FORGET) for s in (real, ref)]
+        assert actions[0] == actions[1]
+        same_records(real, ref)
+
+
+class CountingRecords(dict):
+    """A store's record map that counts the records read by key."""
+
+    reads = 0
+
+    def __getitem__(self, record_id):
+        CountingRecords.reads += 1
+        return super().__getitem__(record_id)
+
+
+def test_a_refresh_after_an_insert_reads_no_other_member(monkeypatch):
+    split_calls, split = [], summary_vector.split_sentences
+
+    def counting_split(text):
+        split_calls.append(text)
+        return split(text)
+
+    monkeypatch.setattr(summary_vector, "split_sentences", counting_split)
+    store = build_store("summary_vector", embed_dim=DIM, params=PARAMS["summary_vector"])
+    store._records = CountingRecords()
+    for turn in range(200):
+        text = TEXTS[turn % len(TEXTS)]
+        CountingRecords.reads, split_calls[:] = 0, []
+        store.insert([MemoryRecord(record_id="", text=text, ts=turn + 1, session_id="s0",
+                                   turn_index=turn, embedding=mock_embed_text(text, DIM))])
+        # the summary itself, and the new member's lead while the cap is open
+        assert CountingRecords.reads <= 1
+        assert split_calls == ([text] if turn < MAX_SENTENCES else [])
+    summaries_rebuild_from_scratch(store, every_session=True)
+    # a removal rebuilds from the live members, once
+    members = [r.record_id for r in store.all_records() if r.kind == KIND_RAW]
+    CountingRecords.reads = 0
+    store.remove(members[0])
+    assert CountingRecords.reads == len(members)  # the other members and the summary
+    summaries_rebuild_from_scratch(store, every_session=True)
+
+
+def test_a_merge_across_sessions_reaches_the_older_members_summary():
+    # merge_records rewrites the older member (session s0) and removes the
+    # newer one (s1); s0's summary is rewritten at its next insert, from
+    # the older member's new text, ts and embedding
+    store = build_store("summary_vector", embed_dim=DIM, params=PARAMS["summary_vector"])
+    texts = ("bob works at the mill", "the garden is large.", "alice lives in paris.")
+    older, newer = (store.get(store.insert([MemoryRecord(
+        record_id="", text=text, ts=ts, session_id=session, turn_index=ts,
+        embedding=mock_embed_text(text, DIM))])[0])
+        for text, ts, session in zip(texts, (1, 2), ("s0", "s1")))
+    ingest.merge_records(store, older, newer)
+    store.insert([MemoryRecord(record_id="", text=texts[2], ts=3, session_id="s0",
+                               turn_index=3, embedding=mock_embed_text(texts[2], DIM))])
+    summaries_rebuild_from_scratch(store, every_session=True)
+    (summary,) = [r for r in store.all_records() if r.kind == KIND_SUMMARY]
+    assert summary.text == "bob works at the mill the garden is large. alice lives in paris."
+
+
+def test_a_one_dim_summary_sums_its_members_like_np_mean():
+    # numpy sums a lone column pairwise: this one to 4, in insert order to 0
+    values = (2.0, -1.0, 1e16, 2.0, -1.0, -1.0, -1e16, -1e16, 1e16)
+    store = build_store("summary_vector", embed_dim=1)
+    for turn, value in enumerate(values):
+        store.insert([MemoryRecord(record_id="", text=f"turn {turn}.", ts=turn + 1,
+                                   session_id="s0", turn_index=turn,
+                                   embedding=np.array([value]))])
+    (summary,) = [r for r in store.all_records() if r.kind == KIND_SUMMARY]
+    assert summary.embedding.tolist() == [1.0]
+    _, _, want = ref_session_summary(store, "s0", store.summary_max_sentences)
+    assert want.tolist() == [1.0]
