@@ -27,7 +27,7 @@ from .records import (
     Triplet,
     vector_norm,
 )
-from .stores.base import MemoryStore
+from .stores.base import MemoryStore, rank_ids
 from .stream import InsertPayload
 from .text import index_tokens
 
@@ -134,15 +134,14 @@ def _nearest_existing(store: MemoryStore, record: MemoryRecord,
         scored = store.nearest(record, exclude=exclude, top=limit)
         return [r for r, _ in scored[:limit]]
     tokens = set(index_tokens(record.text))
-    scored = []
+    overlaps = {}
     for r in store.all_records():
         if r.record_id in exclude:
             continue
         overlap = len(tokens & set(index_tokens(r.text)))
         if overlap:
-            scored.append((r, float(overlap)))
-    scored.sort(key=lambda item: (-item[1], item[0].record_id))
-    return [r for r, _ in scored[:limit]]
+            overlaps[r.record_id] = overlap
+    return [store.get(record_id) for record_id in rank_ids(overlaps)[:limit]]
 
 
 def consolidate_crud(store: MemoryStore, new_ids: list[str], gateway: Gateway,

@@ -31,7 +31,7 @@ from .records import (
     RetrievalSignal,
     ts_to_iso,
 )
-from .stores.base import MemoryStore, fused_candidates
+from .stores.base import MemoryStore, fused_candidates, rank_ids
 from .stream import RetrievePayload
 
 US_PER_DAY = 86_400.0 * 1_000_000.0
@@ -175,7 +175,8 @@ def integrate_multi_tier(cands: list[Candidate],
             held = best.get(cand.record_id)
             if held is None or cand.score > held.score:
                 best[cand.record_id] = cand
-    return sorted(best.values(), key=lambda c: (-c.score, c.record_id))
+    return [best[record_id]
+            for record_id in rank_ids({record_id: c.score for record_id, c in best.items()})]
 
 
 def integrate_augment(cands: list[Candidate], store: MemoryStore, window: int,

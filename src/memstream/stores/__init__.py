@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import StoreError
-from .base import MemoryStore, fold_cosine, rank_candidates
+from .base import MemoryStore, fold_cosine
 from .fifo import FifoQueueStore
 from .inverted_vector import InvertedVectorStore
 from .lsh import LshStore, lsh_signature
@@ -27,23 +27,20 @@ def build_store(backend: str, *, embed_dim: Optional[int] = None, seed: int = 0,
                 params: Optional[dict] = None) -> MemoryStore:
     """Instantiate a backend by registry name.
 
-    ``params`` carries backend-specific knobs (capacity, bits, rrf_k, ...).
-    The lsh_hash backend additionally receives the run seed for its
-    projection planes unless params pins one.
+    ``params`` carries backend-specific knobs (capacity, bits, rrf_k, ...),
+    checked by the backend as it is built. Every backend receives the run's
+    ``embed_dim``, and lsh_hash the run's ``seed`` for its projection planes;
+    a param naming either is a bad parameter like any unknown key.
     """
     cls = BACKENDS.get(backend)
     if cls is None:
         known = ", ".join(sorted(BACKENDS))
         raise StoreError(f"unknown backend {backend!r} (known: {known})")
-    kwargs = dict(params or {})
-    if backend == "lsh_hash":
-        kwargs.setdefault("seed", seed)
-        if embed_dim is not None:
-            kwargs.setdefault("dim", embed_dim)
-    elif embed_dim is not None:
-        kwargs.setdefault("embed_dim", embed_dim)
+    run = {"embed_dim": embed_dim}
+    if cls is LshStore:
+        run["seed"] = seed
     try:
-        return cls(**kwargs)
+        return cls(**(params or {}), **run)
     except (TypeError, ValueError) as exc:
         raise StoreError(f"bad parameters for backend {backend!r}: {exc}") from exc
 
@@ -60,5 +57,4 @@ __all__ = [
     "build_store",
     "fold_cosine",
     "lsh_signature",
-    "rank_candidates",
 ]

@@ -9,20 +9,25 @@ All backends guarantee, via this base class:
   again, independently of the protocol's request ordering);
 * candidate ordering by descending score with record_id as the tie-break,
   record ids compared as Python strings (so "m1000000" before "m999999").
-  An id ranking is built one way: the ids are sorted, then sorted stably by
-  descending score (``list.sort`` with the score dict's ``__getitem__`` as
-  key, ``reverse=True``), both sorts in C. The lexical ranking sorts every
-  visible match so; fusion first keeps only the ids scoring at least the
-  ``limit``-th best fused score, so ties at the cut stay in id order.
-  ``rank_candidates`` sorts decorated ``(-score, record_id)`` tuples of
-  records and ``nearest`` orders its survivors with one ``np.lexsort``
-  (below). Each builds only what its caller reads: lexical search its top
-  ``k`` candidates, fusion its first ``limit``;
-* scores normalized to [0, 1]: cosine folded via (1+cos)/2; lexical totals
-  divided by the best one, for the ``k`` kept only (``float(total) /
-  float(top)``, the bits ``normalize_ratio`` gives); property_graph's scores
-  divided by the list maximum by ``normalize_ratio``; reciprocal-rank fusion
-  scores by the best one in ``fused_candidates``;
+  One function builds every such order, ``rank_ids``: it sorts the ids,
+  then sorts them stably by descending score (``list.sort`` with the score
+  dict's ``__getitem__`` as key, ``reverse=True``), both sorts in C. Lexical
+  search, fusion, vector search, property_graph's search, multi-tier
+  integration and the lexical fallback of the consolidation policies all
+  rank through it. The lexical ranking ranks every visible match; fusion
+  first keeps only the ids scoring at least the ``limit``-th best fused
+  score, so ties at the cut stay in id order. There are two exceptions:
+  ``nearest`` orders its survivors with one ``np.lexsort`` over index rows
+  (below), the same order without building a dict, and time-weighted
+  integration re-sorts by its decayed score alone, stably, so its ties keep
+  retrieval order;
+* scores normalized to [0, 1]: cosine folded via (1+cos)/2, and vector
+  search ranks the folded scores, so two cosines that fold to one score
+  tie to the id; lexical totals and reciprocal-rank fusion scores are
+  ranked raw, then only the kept ones are divided by the best
+  (``float(total) / float(top)`` for totals); property_graph divides its
+  positive scores by their maximum first and ranks the quotients, so a tie
+  made by the division goes to the id;
 * access bookkeeping on hits: access_count += 1, last_access = now, and the
   retention strength multiplied by ``strength_gain`` (a run sets it to
   ``operators.consolidate.strength_gain``);
@@ -107,7 +112,7 @@ screen's bound holds under any kernel.
 Survivors are ordered by one ``np.lexsort`` over the negated scores and
 the index's row -> record_id column, an object array whose items compare
 as Python strings: by descending score with record_id as the tie-break,
-the order of a sort over decorated ``(-score, record_id)`` tuples.
+the order ``rank_ids`` gives.
 ``nearest`` pairs the record of each ordered row's id with its score;
 inverted_vector's fusion reads the ordered rows' ids from that column. The
 screen alone would flip near-ties and exact ties, which are common (every
@@ -127,8 +132,8 @@ query's distinct index tokens, then adds the counts of each other one to a
 running total per record. That is each record's term-frequency sum over
 the query's distinct tokens, and only records sharing a token get a total;
 the others would score 0 and be dropped anyway. ``_lexical_ranking``
-returns the ids of the visible records (``ts < now``), sorted, then sorted
-stably by descending total, plus the totals dict they are read from, so
+returns the ids of the visible records (``ts < now``) ranked by their totals
+with ``rank_ids``, plus the totals dict they are read from, so
 lexical search returns what a scan over every record would. Every keyed
 ranking reads it: lexical search, inverted_vector's fusion and
 property_graph's entity points.
@@ -144,7 +149,7 @@ from __future__ import annotations
 import functools
 from abc import ABC, abstractmethod
 from collections import Counter
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -171,21 +176,19 @@ def fold_cosine(value: float) -> float:
     return (1.0 + value) / 2.0
 
 
-def normalize_ratio(scored: list[tuple[MemoryRecord, float]]) -> list[tuple[MemoryRecord, float]]:
-    """Divide positive raw scores by the list maximum."""
-    if not scored:
-        return scored
-    top = max(score for _, score in scored)
-    if top <= 0:
-        return []
-    return [(rec, score / top) for rec, score in scored]
+def rank_ids(scores: Mapping[str, float], ids: Optional[Iterable[str]] = None) -> list[str]:
+    """``ids`` (every key of ``scores`` when None) by descending score, then id."""
+    ranked = sorted(scores if ids is None else ids)
+    # by id, then stably by descending score: ties keep their id order
+    ranked.sort(key=scores.__getitem__, reverse=True)
+    return ranked
 
 
-def rank_candidates(scored: Iterable[tuple[MemoryRecord, float]], k: int) -> list[Candidate]:
-    """The ``k`` best of distinct records by descending score, then record_id."""
-    ranked = sorted([(-score, record.record_id, record) for record, score in scored])
-    return [Candidate(record=record, score=-negated)
-            for negated, _, record in ranked[:k]]
+def int_at_least(name: str, value, least: int = 1) -> int:
+    """``value`` when it is an int (not a bool) of at least ``least``, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
 
 
 @functools.lru_cache(maxsize=RRF_WEIGHT_MEMO_SIZE)
@@ -218,13 +221,11 @@ def fused_candidates(rankings: Iterable[list[str]], record_of: Callable[[str], M
             fused[doc_id] = fused.get(doc_id, 0.0) + weight
     if not fused:
         return []
+    kept = None
     if 0 < limit < len(fused):
         cut = sorted(fused.values(), reverse=True)[limit - 1]
-        ranked = sorted([doc_id for doc_id, score in fused.items() if score >= cut])
-    else:
-        ranked = sorted(fused)
-    # by id, then stably by descending score: ties keep their id order
-    ranked.sort(key=fused.__getitem__, reverse=True)
+        kept = [doc_id for doc_id, score in fused.items() if score >= cut]
+    ranked = rank_ids(fused, kept)
     top = fused[ranked[0]]
     return [Candidate(record=record_of(doc_id), score=fused[doc_id] / top)
             for doc_id in ranked[:limit]]
@@ -579,13 +580,11 @@ class MemoryStore(ABC):
         """
         totals = self._key_totals(signal)
         now = self._visible_before(now)
-        if now is None:
-            ranked = sorted(totals)
-        else:
+        visible = None
+        if now is not None:
             records = self._records
-            ranked = sorted([record_id for record_id in totals if records[record_id].ts < now])
-        ranked.sort(key=totals.__getitem__, reverse=True)
-        return ranked, totals
+            visible = [record_id for record_id in totals if records[record_id].ts < now]
+        return rank_ids(totals, visible), totals
 
     def _lexical_search(self, signal: RetrievalSignal, k: int,
                         now: Optional[int]) -> list[Candidate]:
@@ -600,10 +599,12 @@ class MemoryStore(ABC):
 
     def _vector_search(self, signal: RetrievalSignal, k: int, now: Optional[int],
                        rows: Optional[Iterable[str]] = None) -> list[Candidate]:
-        """Top ``k`` by folded cosine to the signal's embedding."""
-        scored = [(record, fold_cosine(sim))
-                  for record, sim in self.nearest(signal.embedding, now, top=k, rows=rows)]
-        return rank_candidates(scored, k)
+        """Top ``k`` by folded cosine to the signal's embedding, ranked after folding."""
+        ranked, sims = self._ranked_rows(signal.embedding, now, top=k, rows=rows)
+        scores = dict(zip(self._index.ids[ranked].tolist(), map(fold_cosine, sims.tolist())))
+        records = self._records
+        return [Candidate(record=records[record_id], score=scores[record_id])
+                for record_id in rank_ids(scores)[:k]]
 
     # ------------------------------------------------------------------
     # maintenance surface (used by consolidation policies)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..errors import CapacityExceeded
 from ..records import Candidate, MemoryRecord, RetrievalSignal
-from .base import MemoryStore
+from .base import MemoryStore, int_at_least
 
 
 class FifoQueueStore(MemoryStore):
@@ -22,11 +22,9 @@ class FifoQueueStore(MemoryStore):
 
     def __init__(self, capacity: int = 128, overflow: str = "evict", **kwargs):
         super().__init__(**kwargs)
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = int_at_least("capacity", capacity)
         if overflow not in ("evict", "error"):
             raise ValueError(f"overflow must be 'evict' or 'error', got {overflow!r}")
-        self.capacity = capacity
         self.overflow = overflow
 
     def _after_add(self, record: MemoryRecord):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..records import Candidate, RetrievalSignal
-from .base import DEFAULT_RRF_K, MemoryStore, fused_candidates
+from .base import DEFAULT_RRF_K, MemoryStore, fused_candidates, int_at_least
 
 
 class InvertedVectorStore(MemoryStore):
@@ -25,7 +25,7 @@ class InvertedVectorStore(MemoryStore):
         super().__init__(**kwargs)
         if mode not in ("fused", "lexical", "vector"):
             raise ValueError(f"mode must be fused/lexical/vector, got {mode!r}")
-        self.rrf_k = rrf_k
+        self.rrf_k = int_at_least("rrf_k", rrf_k, 0)
         self.mode = mode
 
     def _search(self, signal: RetrievalSignal, k: int,

@@ -4,7 +4,8 @@ Each of T tables hashes an embedding to an H-bit signature (one bit per
 hyperplane: 1 iff the projection is >= 0). Retrieval unions the query's
 bucket across tables and rescores the collected candidates with exact
 cosine, so result ordering is exact within whatever the buckets recall.
-Hyperplanes are drawn once from the store seed; same seed, same buckets.
+Hyperplanes are drawn once, at build, from the store seed for the store's
+``embed_dim``; same seed, same buckets.
 A record without an embedding (its embed call failed open) is kept under no
 bucket, so no vector probe reaches it.
 """
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..records import Candidate, MemoryRecord, RetrievalSignal
-from .base import MemoryStore
+from .base import MemoryStore, int_at_least
 
 
 def lsh_signature(vector: np.ndarray, planes: np.ndarray) -> int:
@@ -31,15 +32,14 @@ def lsh_signature(vector: np.ndarray, planes: np.ndarray) -> int:
 class LshStore(MemoryStore):
     name = "lsh_hash"
 
-    def __init__(self, bits: int = 16, tables: int = 8, dim: int = 256,
-                 seed: int = 0, **kwargs):
-        super().__init__(embed_dim=dim, **kwargs)
-        if bits < 1 or tables < 1:
-            raise ValueError("bits and tables must both be >= 1")
-        self.bits = bits
-        self.tables = tables
+    def __init__(self, bits: int = 16, tables: int = 8, seed: int = 0, **kwargs):
+        super().__init__(**kwargs)
+        if self.embed_dim is None:
+            raise ValueError("lsh_hash draws its hyperplanes at build and needs embed_dim")
+        self.bits = int_at_least("bits", bits)
+        self.tables = int_at_least("tables", tables)
         rng = np.random.default_rng(seed)
-        self._planes = [rng.standard_normal((bits, dim)) for _ in range(tables)]
+        self._planes = [rng.standard_normal((bits, self.embed_dim)) for _ in range(tables)]
 
     def _bucket_keys(self, vector: np.ndarray) -> list[tuple[int, int]]:
         """One (table, signature) pair per table."""

@@ -5,8 +5,9 @@ bonus point per distinct matched entity on top of the folded cosine, so
 entity-anchored facts outrank near-duplicates in embedding space. Records
 without a triplet (raw turns, summaries) still participate through the
 cosine term alone. Two exact scans find the top ``k``: every matched record,
-and the ``k`` best of the others by cosine. Link maintenance is supported
-so the link-evolution consolidation pass can attach neighbors.
+and the ``k`` best of the others by cosine. Positive scores are divided by
+the best one, then ranked. Link maintenance is supported so the
+link-evolution consolidation pass can attach neighbors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 from ..records import Candidate, MemoryRecord, RetrievalSignal
 from ..text import index_tokens
-from .base import MemoryStore, fold_cosine, normalize_ratio, rank_candidates
+from .base import MemoryStore, fold_cosine, rank_ids
 
 
 def entity_keys(record: MemoryRecord) -> set[str]:
@@ -45,9 +46,14 @@ class PropertyGraphStore(MemoryStore):
             for rec, sim in (self.nearest(signal.embedding, now, rows=points)
                              + self.nearest(signal.embedding, now, top=k, exclude=points)):
                 scores[rec.record_id] = points.get(rec.record_id, 0.0) + fold_cosine(sim)
-        scored = [(self._records[rec_id], score)
-                  for rec_id, score in scores.items() if score > 0.0]
-        return rank_candidates(normalize_ratio(scored), k)
+        top = max(scores.values(), default=0.0)
+        if top <= 0.0:
+            return []
+        # divided before ranking: a tie the division makes goes to the id
+        ratios = {rec_id: score / top for rec_id, score in scores.items() if score > 0.0}
+        records = self._records
+        return [Candidate(record=records[rec_id], score=ratios[rec_id])
+                for rec_id in rank_ids(ratios)[:k]]
 
     def _index_sizes(self) -> dict[str, int]:
         return {

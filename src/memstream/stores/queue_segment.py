@@ -22,7 +22,7 @@ from ..records import (
     TIER_ORDER,
     TIER_SHORT,
 )
-from .base import MemoryStore
+from .base import MemoryStore, int_at_least
 
 
 class QueueSegmentStore(MemoryStore):
@@ -31,9 +31,7 @@ class QueueSegmentStore(MemoryStore):
 
     def __init__(self, short_capacity: int = 32, **kwargs):
         super().__init__(**kwargs)
-        if short_capacity < 1:
-            raise ValueError(f"short_capacity must be >= 1, got {short_capacity}")
-        self.short_capacity = short_capacity
+        self.short_capacity = int_at_least("short_capacity", short_capacity)
         self._short: deque[str] = deque()
 
     def _default_tier(self) -> str:

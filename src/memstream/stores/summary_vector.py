@@ -36,7 +36,7 @@ from ..records import (
 )
 from ..stream import TS_MIN
 from ..text import split_sentences
-from .base import MemoryStore
+from .base import MemoryStore, int_at_least
 
 
 def unit_mean(total: np.ndarray, count: int) -> Optional[np.ndarray]:
@@ -46,14 +46,6 @@ def unit_mean(total: np.ndarray, count: int) -> Optional[np.ndarray]:
     if norm == 0.0:
         return None
     return (mean / norm).astype(np.float64)
-
-
-def mean_embedding(vectors: list[np.ndarray]) -> Optional[np.ndarray]:
-    """L2-normalized mean; None when no vectors or the mean is zero."""
-    if not vectors:
-        return None
-    # np.mean's own sum: add.reduce over the stack's first axis
-    return unit_mean(np.add.reduce(np.stack(vectors)), len(vectors))
 
 
 class _Session:
@@ -75,7 +67,7 @@ class SummaryVectorStore(MemoryStore):
 
     def __init__(self, summary_max_sentences: int = 12, **kwargs):
         super().__init__(**kwargs)
-        self.summary_max_sentences = summary_max_sentences
+        self.summary_max_sentences = int_at_least("summary_max_sentences", summary_max_sentences)
         self._session_summary: dict[str, str] = {}  # session_id -> summary record_id
         self._sessions: dict[str, _Session] = {}
 

@@ -296,13 +296,18 @@ def ref_session_summary(store, session_id, max_sentences):
         if len(leads) >= max_sentences:
             break
     vectors = [member.embedding for member in members if member.embedding is not None]
-    embedding = None
-    if vectors:
-        mean = np.mean(np.stack(vectors), axis=0)
-        norm = float(np.linalg.norm(mean))
-        if norm != 0.0:
-            embedding = (mean / norm).astype(np.float64)
-    return " ".join(leads), max(m.ts for m in members), embedding
+    return " ".join(leads), max(m.ts for m in members), mean_embedding(vectors)
+
+
+def mean_embedding(vectors):
+    """L2-normalized ``np.mean`` of the vectors; None when there are none or it is zero."""
+    if not vectors:
+        return None
+    mean = np.mean(np.stack(vectors), axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm == 0.0:
+        return None
+    return (mean / norm).astype(np.float64)
 
 
 class RefSummaryVectorStore(SummaryVectorStore):

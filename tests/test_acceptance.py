@@ -615,7 +615,7 @@ def test_08_bucketed_index_matches_brute_force_neighbors():
         for i in range(1000):
             v = centers[i % 50] + sigma * rng.normal(size=dim)
             vectors.append(v / np.linalg.norm(v))
-        store = build_store("lsh_hash", seed=7, params={"dim": dim})
+        store = build_store("lsh_hash", embed_dim=dim, seed=7)
         ids = []
         for i, v in enumerate(vectors):
             record = MemoryRecord(record_id="", text=f"vector {i}", ts=i,

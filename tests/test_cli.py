@@ -398,6 +398,36 @@ def test_run_store_level_strength_gain_is_store_error(runner, tmp_path):
     assert not (tmp_path / "results" / "summary.json").exists()
 
 
+# each is one store error line at build: a fraction or a bool once ran as
+# a truncated capacity, a bad rrf_k or summary_max_sentences failed with a
+# traceback at the first query or merge, embed_dim or lsh_hash's dim aborted
+# the run at the first insert (exit 3), and lsh_hash's seed overrode the run's
+BAD_STORE_PARAMS = [
+    ("inverted_vector", {"rrf_k": -1}),
+    ("inverted_vector", {"rrf_k": "x"}),
+    ("summary_vector", {"summary_max_sentences": "x"}),
+    ("fifo_queue", {"capacity": 2.5}),
+    ("fifo_queue", {"capacity": True}),
+    ("fifo_queue", {"embed_dim": 32}),
+    ("lsh_hash", {"dim": 32}),
+    ("lsh_hash", {"seed": 3}),
+]
+
+
+@pytest.mark.parametrize("backend, params", BAD_STORE_PARAMS,
+                         ids=[f"{b}-{k}-{v}" for b, p in BAD_STORE_PARAMS for k, v in p.items()])
+def test_run_bad_store_param_is_a_store_error(runner, tmp_path, backend, params):
+    stream = make_stream(runner, tmp_path)
+    config = make_config(tmp_path, stream, store={"backend": backend, "params": params},
+                         gateway={"embed_dim": 16})
+    result = runner.invoke(main, ["run", "-c", str(config)])
+    assert result.exit_code == 2, result.output
+    (key,) = params
+    (line,) = result.output.splitlines()
+    assert "store error" in line and key in line, line
+    assert not (tmp_path / "results" / "summary.json").exists()
+
+
 def test_run_mid_stream_store_failure_exits_3(runner, tmp_path):
     stream = make_stream(runner, tmp_path)
     config = make_config(

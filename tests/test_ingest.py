@@ -17,6 +17,7 @@ from memstream.errors import (
 )
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.ingest import (
+    _nearest_existing,
     consolidate_crud,
     forgetting_curve,
     heat,
@@ -480,6 +481,21 @@ def test_heat_migration_requires_tiered_backend():
     cfg = ConsolidateConfig(strategy="heat_migration")
     with pytest.raises(UnsupportedBackend):
         heat_migration(store, 0, cfg)
+
+
+def test_nearest_existing_falls_back_to_overlap_with_ties_by_id_as_a_string():
+    # unembedded records across "m999999" / "m1000000": insertion order is
+    # not string order, and equal overlaps go to the id
+    store = build_store("fifo_queue")
+    store._counter = 999_997
+    ids = [put(store, text, ts=i, ti=i) for i, text in enumerate(
+        ("red fox", "red fox", "red fox runs", "blue whale", "red fox"))]
+    assert ids == ["m999998", "m999999", "m1000000", "m1000001", "m1000002"]
+    new = store.get(ids[-1])
+    got = _nearest_existing(store, new, {new.record_id}, limit=3)
+    assert [r.record_id for r in got] == ["m1000000", "m999998", "m999999"]
+    got = _nearest_existing(store, new, {new.record_id, "m999998"}, limit=5)
+    assert [r.record_id for r in got] == ["m1000000", "m999999"]
 
 
 # ----------------------------------------------------------------------

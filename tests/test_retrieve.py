@@ -321,6 +321,17 @@ def test_integrate_multi_tier_dedups_by_max_score():
     assert len(out) == 1 and out[0].score == 0.7
 
 
+def test_integrate_multi_tier_breaks_exact_ties_by_id_as_a_string():
+    # "m1000000" sorts before "m999999"; neither the input order nor the
+    # tier order decides a tie
+    cands = [cand("a", 0.5, tier=TIER_SHORT, rid="m999999"),
+             cand("b", 0.9, tier=TIER_SHORT, rid="m000002"),
+             cand("c", 0.5, tier=TIER_MID, rid="m1000000"),
+             cand("d", 0.5, tier=TIER_MID, rid="m000001")]
+    out = integrate_multi_tier(cands, {TIER_SHORT: 2, TIER_MID: 2})
+    assert [c.record_id for c in out] == ["m000002", "m000001", "m1000000", "m999999"]
+
+
 def test_integrate_augment_attaches_anchored_neighbors():
     store = build_store("fifo_queue")
     ids = [put(store, f"turn number {i}", ts=i * 10, sid="sA", ti=i)

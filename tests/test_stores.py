@@ -32,13 +32,13 @@ from memstream.stores.base import (
     Postings,
     fold_cosine,
     fused_candidates,
-    normalize_ratio,
+    rank_ids,
 )
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.lsh import LshStore, lsh_signature
 from memstream.stores.queue_segment import QueueSegmentStore
-from memstream.stores.summary_vector import SummaryVectorStore, mean_embedding
-from reference import as_bits, ref_cosine, ref_fused
+from memstream.stores.summary_vector import SummaryVectorStore
+from reference import as_bits, mean_embedding, ref_cosine, ref_fused
 
 DIM = 64
 
@@ -181,6 +181,36 @@ def test_build_store_errors():
         build_store("fifo_queue", params={"nonsense_knob": 3})
 
 
+@pytest.mark.parametrize("params", [{"embed_dim": 8}, {"dim": 8}, {"seed": 1}],
+                         ids=["embed_dim", "dim", "seed"])
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_build_store_takes_embed_dim_and_seed_from_the_run_only(name, params):
+    (key,) = params
+    with pytest.raises(StoreError, match=key):
+        build_store(name, embed_dim=DIM, seed=0, params=params)
+
+
+# each backend's integer knobs, with the least value each takes
+COUNTS = [("fifo_queue", "capacity", 1), ("queue_segment", "short_capacity", 1),
+          ("summary_vector", "summary_max_sentences", 1), ("lsh_hash", "bits", 1),
+          ("lsh_hash", "tables", 1), ("inverted_vector", "rrf_k", 0)]
+
+
+@pytest.mark.parametrize("name, key, least", COUNTS, ids=[key for _, key, _ in COUNTS])
+def test_build_store_checks_integer_params(name, key, least):
+    assert getattr(build_store(name, embed_dim=DIM, params={key: least}), key) == least
+    for bad in (least - 1, 2.5, float(least), True, "3", None):
+        with pytest.raises(StoreError, match=key):
+            build_store(name, embed_dim=DIM, params={key: bad})
+
+
+def test_lsh_needs_an_embed_dim_for_its_planes():
+    with pytest.raises(StoreError, match="embed_dim"):
+        build_store("lsh_hash")
+    assert [planes.shape for planes in build_store("lsh_hash", embed_dim=3, params={
+        "bits": 2, "tables": 2})._planes] == [(2, 3), (2, 3)]
+
+
 # -- scoring helpers ----------------------------------------------------------
 
 def test_cosine_and_fold():
@@ -193,14 +223,6 @@ def test_cosine_and_fold():
     assert fold_cosine(1.0) == 1.0
     assert fold_cosine(-1.0) == 0.0
     assert fold_cosine(0.0) == 0.5
-
-
-def test_normalize_ratio():
-    rec = record("x.")
-    out = normalize_ratio([(rec, 2.0), (rec, 4.0)])
-    assert [s for _, s in out] == [0.5, 1.0]
-    assert normalize_ratio([]) == []
-    assert normalize_ratio([(rec, 0.0)]) == []
 
 
 def test_fuse_scores_rrf():
@@ -255,6 +277,26 @@ def test_fused_order_and_bits_equal_the_reference_sort(rankings, limit, k_rrf):
         records[doc_id].record_id = doc_id
     got = fused_candidates(rankings, records.__getitem__, limit, k_rrf=k_rrf)
     assert as_bits(got) == as_bits(ref_fused(rankings, records.__getitem__, limit, k_rrf))
+
+
+# scores with exact ties, and ids on both sides of "m999999" / "m1000000"
+RANK_SCORES = st.dictionaries(
+    st.sampled_from(FUSION_IDS + ["m999997", "m1000002", "a", "m"]),
+    st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0]),
+              st.floats(-1e6, 1e6, allow_nan=False)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=RANK_SCORES,
+       subset=st.one_of(st.none(), st.lists(st.sampled_from(FUSION_IDS), unique=True)))
+@example(scores={"m999999": 1.0, "m1000000": 1.0, "m000001": 1.0, "m1000001": 0.5},
+         subset=["m999999", "m000001", "m1000000"])
+def test_rank_ids_equals_the_decorated_sort(scores, subset):
+    want = [i for _, i in sorted((-s, i) for i, s in scores.items())]
+    assert rank_ids(scores) == want
+    if subset is not None:
+        ids = [i for i in subset if i in scores]  # in any order
+        assert rank_ids(scores, ids) == [i for i in want if i in ids]
 
 
 POSTINGS_KEYS = ["b", "a", "b", (0, 5), "c", "b", (0, 5)]
@@ -468,6 +510,76 @@ def test_property_graph_lexical_only_signal():
     # without an embedding only entity matches can score
     assert len(hits) == 1
     assert hits[0].record.triplet is not None
+
+
+def test_property_graph_divides_by_the_best_score():
+    store = build_store("property_graph", embed_dim=DIM)
+    (both,) = store.insert([record("alice knows bob", triplet=Triplet("alice", "knows", "bob"))])
+    (one,) = store.insert([record("alice likes tea", turn=1,
+                                  triplet=Triplet("alice", "likes", "tea"))])
+    hits = store.retrieve(RetrievalSignal(raw_query="alice bob"), k=5, now=10)
+    assert [(h.record_id, h.score) for h in hits] == [(both, 1.0), (one, 0.5)]
+
+
+def test_property_graph_without_a_positive_score_returns_nothing():
+    # an unmatched record at cosine -1 folds to 0.0, which is no score
+    store = build_store("property_graph", embed_dim=2)
+    store.insert([MemoryRecord(record_id="", text="plain words.", ts=0, session_id="s0",
+                               embedding=np.array([-1.0, 0.0]))])
+    query = RetrievalSignal(raw_query="alice", embedding=np.array([1.0, 0.0]))
+    assert store.retrieve(query, k=5, now=10) == []
+
+
+def two_cosines(premise):
+    """Embeddings ``low`` and ``high`` of 2 dims whose distinct cosines to
+    ``[1, 0]``, ``low`` below ``high``, satisfy ``premise(low, high)``.
+
+    ``[1, b]`` for ``b`` from 1 up, one double at a time: each step moves
+    the cosine by about one unit in the last place, so neighbouring cosines
+    come up in turn.
+    """
+    query = np.array([1.0, 0.0])
+    b = 1.0
+    for _ in range(10_000):
+        step = np.nextafter(b, 2.0)
+        high, low = np.array([1.0, b]), np.array([1.0, step])
+        cos_high, cos_low = ref_cosine(query, high), ref_cosine(query, low)
+        if cos_low < cos_high and premise(cos_low, cos_high):
+            return low, high
+        b = step
+    raise AssertionError("no pair of cosines satisfies the premise")
+
+
+def test_vector_search_ranks_the_folded_cosines():
+    # two cosines that fold to one score tie to the id, whatever their order
+    low, high = two_cosines(lambda lo, hi: fold_cosine(lo) == fold_cosine(hi))
+    store = build_store("inverted_vector", embed_dim=2, params={"mode": "vector"})
+    ids = store.insert([MemoryRecord(record_id="", text=f"vector {i}.", ts=0, session_id="s0",
+                                     turn_index=i, embedding=e)
+                        for i, e in enumerate((low, high))])
+    query = RetrievalSignal(raw_query="q", embedding=np.array([1.0, 0.0]))
+    assert [r.record_id for r, _ in store.nearest(query.embedding)] == ids[::-1]
+    hits = store.retrieve(query, k=2, now=10)
+    assert [h.record_id for h in hits] == ids
+    assert hits[0].score == hits[1].score
+
+
+def test_property_graph_ranks_after_it_divides():
+    # the best record scores 2 entity points + 1.0; two folded cosines that
+    # differ tie once divided by 3.0, and then go to the id
+    low, high = two_cosines(lambda lo, hi: fold_cosine(lo) != fold_cosine(hi)
+                            and fold_cosine(lo) / 3.0 == fold_cosine(hi) / 3.0)
+    store = build_store("property_graph", embed_dim=2)
+    (best,) = store.insert([MemoryRecord(
+        record_id="", text="alice knows bob", ts=0, session_id="s0",
+        triplet=Triplet("alice", "knows", "bob"), embedding=np.array([1.0, 0.0]))])
+    ids = store.insert([MemoryRecord(record_id="", text=f"vector {i}.", ts=0, session_id="s0",
+                                     turn_index=i + 1, embedding=e)
+                        for i, e in enumerate((low, high))])
+    query = RetrievalSignal(raw_query="alice bob", embedding=np.array([1.0, 0.0]))
+    hits = store.retrieve(query, k=3, now=10)
+    assert [h.record_id for h in hits] == [best] + ids
+    assert hits[0].score == 1.0 and hits[1].score == hits[2].score
 
 
 # -- summary_vector -----------------------------------------------------------------
