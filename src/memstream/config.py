@@ -19,7 +19,7 @@ from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .records import TIER_NAMES
+from .records import DEFAULT_STRENGTH_S, TIER_NAMES
 
 NORMALIZE_STRATEGIES = ("none", "enrich", "rewrite")
 CONSOLIDATE_STRATEGIES = (
@@ -32,7 +32,6 @@ INTEGRATE_STRATEGIES = (
 )
 
 DAY_S = 86_400.0
-WEEK_S = 604_800.0
 
 
 class ConfigError(ValueError):
@@ -62,7 +61,7 @@ class NormalizeConfig:
 class ConsolidateConfig:
     strategy: str = "none"
     retention_threshold: float = 0.3
-    initial_strength_s: float = WEEK_S
+    initial_strength_s: float = DEFAULT_STRENGTH_S
     strength_gain: float = 2.0
     heat_alpha: float = 1.0
     heat_beta: float = 1.0

@@ -122,11 +122,17 @@ class Gateway:
     says whether anything reads the embeddings: when it is false,
     ``vectors_for`` returns ``None`` for each text without calling the
     model. The orchestrator sets it once per run.
+
+    A gateway serves one run at a time: ``stage``, ``vectors`` and the
+    captured timings are plain attributes, taken and set without a lock.
+    ``run_experiment`` builds a gateway per run; a gateway passed to it must
+    not serve another run on another thread at the same time, or the two
+    runs bill calls to each other's stages. Only the rate limiter is shared
+    safely: ``TokenBucket`` takes its own lock.
     """
 
     def __init__(self, rate_limit: Optional[TokenBucket] = None):
         self._timings: list[GatewayTiming] = []
-        self._timings_lock = threading.Lock()
         self.rate_limit = rate_limit
         self.stage = ""
         self.vectors = True
@@ -170,17 +176,13 @@ class Gateway:
             retries = err.retries
             raise
         finally:
-            timing = GatewayTiming(kind, self.stage, time.perf_counter_ns() - t0,
-                                   ok, retries, template_id)
-            with self._timings_lock:
-                self._timings.append(timing)
+            self._timings.append(GatewayTiming(kind, self.stage, time.perf_counter_ns() - t0,
+                                               ok, retries, template_id))
         return value
 
     def drain_timings(self) -> list[GatewayTiming]:
         """Return and clear the captured timings."""
-        with self._timings_lock:
-            out = self._timings
-            self._timings = []
+        out, self._timings = self._timings, []
         return out
 
 

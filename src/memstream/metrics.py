@@ -14,6 +14,7 @@ N sorted samples is the ceil(p/100 * N)-th smallest, 1-indexed. For samples
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 from math import ceil
 
 from .errors import DegenerateInput
@@ -39,17 +40,21 @@ def token_f1(prediction: str, gold: str) -> float:
     Both sides empty after normalization -> 1.0 (vacuous match, used by
     abstention golds); exactly one side empty -> 0.0.
     """
-    pred = Counter(metric_tokens(prediction))
-    ref = Counter(metric_tokens(gold))
+    pred = metric_tokens(prediction)
+    ref = metric_tokens(gold)
     if not pred and not ref:
         return 1.0
     if not pred or not ref:
         return 0.0
-    overlap = sum((pred & ref).values())
+    # a token counts the lesser of its two counts; ``get`` reads a token the
+    # gold lacks as 0 without going through ``Counter.__missing__``
+    pred_counts = Counter(pred)
+    overlap = sum(map(min, pred_counts.values(),
+                      map(Counter(ref).get, pred_counts, repeat(0))))
     if overlap == 0:
         return 0.0
-    precision = overlap / sum(pred.values())
-    recall = overlap / sum(ref.values())
+    precision = overlap / len(pred)
+    recall = overlap / len(ref)
     return 2 * precision * recall / (precision + recall)
 
 

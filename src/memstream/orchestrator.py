@@ -53,8 +53,9 @@ and without injected gateway faults, and a full collection afterwards must
 find nothing. A change that makes a run build a cycle per request fails that
 test rather than growing memory unseen. The switch is process wide, and
 ``_COLLECTOR_LOCK`` serves library callers who run experiments on their own
-threads (``memstream run`` starts none): the run that turned it off turns
-it back on when it ends, so a run on another thread may finish with it on.
+threads, each with its own gateway (``memstream run`` starts none): the run
+that turned it off turns it back on when it ends, so a run on another thread
+may finish with it on.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import operator
 import threading
 import time
 from collections import Counter
@@ -166,7 +168,7 @@ def checkpoint_plan(schedule: CheckpointSchedule, manifest: StreamManifest) -> s
 # result containers
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class RequestTrace:
     """Instrumentation for one processed request."""
 
@@ -179,7 +181,7 @@ class RequestTrace:
     flags: list[str]
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult(RequestTrace):
     """A query's trace plus its answer, one record from formulation to report."""
 
@@ -330,7 +332,7 @@ class _Pipeline:
             cfg.store.backend, embed_dim=cfg.gateway.embed_dim,
             seed=cfg.seed, params=cfg.store.params)
         # set on every run, like ``stage``: an injected gateway may serve
-        # several runs
+        # several runs, one after another (see ``Gateway``)
         self.gateway.vectors = (self.store.reads_vectors
                                 or cfg.operators.consolidate.strategy in VECTOR_POLICIES)
         self.store.strength_gain = cfg.operators.consolidate.strength_gain
@@ -352,11 +354,11 @@ class _Pipeline:
         """Trace one finished request; ``stages[i]`` ran from ``stamps[i]`` to ``stamps[i + 1]``.
 
         A query passes ``QueryResult`` as ``record`` with its answer fields.
+        An aborted insert passes only the stamps of the stages it finished.
         """
         trace = record(
             seq=request.seq, ts=request.ts, kind=request.kind,
-            stage_ns={stage: end - start
-                      for stage, start, end in zip(stages, stamps, stamps[1:])},
+            stage_ns=dict(zip(stages, map(operator.sub, stamps[1:], stamps))),
             e2e_ns=stamps[-1] - stamps[0],
             gateway_calls=self.gateway.drain_timings(),
             flags=flags,
@@ -391,9 +393,11 @@ class _Pipeline:
         stamps.append(time.perf_counter_ns())
 
         self._close_request(request, INSERT_STAGES, stamps, flags + post_flags)
-        prefix = f"{request.seq} ts={request.ts}"
-        self.result.action_log.append(f"{prefix} INSERT {','.join(ids) if ids else '-'}")
-        self.result.action_log.extend(f"{prefix} {action}" for action in actions)
+        log = self.result.action_log
+        log.append(f"{request.seq} ts={request.ts} INSERT {','.join(ids) if ids else '-'}")
+        if actions:
+            prefix = f"{request.seq} ts={request.ts}"
+            log.extend(f"{prefix} {action}" for action in actions)
 
     # -- evaluation path --------------------------------------------------
     def _evaluate_query(self, request: Request, checkpoint_index: int) -> QueryResult:

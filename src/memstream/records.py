@@ -31,6 +31,10 @@ TS_MEMO_SIZE = 1 << 12
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
+# One week: the retention time constant, in seconds, a record starts with
+# unless a run sets ``operators.consolidate.initial_strength_s``.
+DEFAULT_STRENGTH_S = 604_800.0
+
 
 @functools.lru_cache(maxsize=TS_MEMO_SIZE)
 def ts_to_iso(ts_us: int) -> str:
@@ -52,7 +56,7 @@ def vector_norm(vec: np.ndarray) -> float:
     return math.sqrt(vec.dot(vec))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triplet:
     """A (subject, relation, object) unit; entities are stored lowercase."""
 
@@ -71,8 +75,17 @@ class Triplet:
         return f"{self.subject} {self.relation} {self.object}"
 
 
-@dataclass
-class MemoryRecord:
+class _WeakReferable:
+    """A ``__weakref__`` slot, so a slotted subclass can be weakly referenced.
+
+    ``dataclass(weakref_slot=True)`` does the same from Python 3.11 on.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(slots=True)
+class MemoryRecord(_WeakReferable):
     """One stored unit. Mutable: access stats and tier evolve in place."""
 
     record_id: str
@@ -87,7 +100,7 @@ class MemoryRecord:
     tier: str = TIER_FLAT
     access_count: int = 0
     last_access: int = 0  # microseconds; >= ts always
-    strength: float = 604_800.0  # retention time constant, seconds
+    strength: float = DEFAULT_STRENGTH_S  # retention time constant, seconds
     links: set = field(default_factory=set)
 
     def __post_init__(self):
@@ -95,7 +108,7 @@ class MemoryRecord:
             self.last_access = self.ts
 
 
-@dataclass
+@dataclass(slots=True)
 class RetrievalSignal:
     """What the query-formulation stage hands to a store.
 
@@ -119,7 +132,7 @@ class RetrievalSignal:
         return not has_text and not self.keywords and self.embedding is None
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     """One retrieval hit: record reference plus a score normalized to [0, 1]."""
 
@@ -149,7 +162,7 @@ class StoreStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class ContextBundle:
     """What the integration stage hands to answer generation."""
 

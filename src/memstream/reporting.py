@@ -30,8 +30,57 @@ def _read_json(path: Path, per_line: bool = False):
         raise MissingFiles(f"{path}: not valid JSON: {err}") from err
 
 
+def _check_summary(path: Path, summary):
+    """Raise MissingFiles naming the first field of ``summary`` the tables cannot read.
+
+    Each field may be absent. Present, a container must have its type and a
+    number must be one; the fields the tables print as "-" may be null.
+    """
+    def require(ok: bool, key: str, want: str):
+        if not ok:
+            raise MissingFiles(f"{path}: {key} is not {want}")
+
+    def number(value, key: str, nullable: bool = False):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        require(ok or (nullable and value is None), key,
+                "a number or null" if nullable else "a number")
+
+    def mapping(owner: dict, key: str, prefix: str = "") -> dict:
+        value = owner.get(key, {})
+        require(isinstance(value, dict), prefix + key, "an object")
+        return value
+
+    require(isinstance(summary, dict), "the top level", "an object")
+    means = summary.get("round_mean_f1", [])
+    require(isinstance(means, list), "round_mean_f1", "a list")
+    for i, mean in enumerate(means):
+        number(mean, f"round_mean_f1[{i}]", nullable=True)
+    for key in ("mean_f1", "degradation_pct"):
+        number(summary.get(key), key, nullable=True)
+    require(isinstance(summary.get("status", ""), str), "status", "a string")
+    mapping(summary, "flags")
+    counts = mapping(summary, "counts")
+    for key in ("inserts", "retrieves"):
+        number(counts.get(key, 0), f"counts.{key}")
+    latency = mapping(summary, "latency")
+    for stage, agg in mapping(latency, "stages", "latency.").items():
+        label = f"latency.stages.{stage}"
+        require(isinstance(agg, dict), label, "an object")
+        for key in ("count", "mean_us"):
+            number(agg.get(key, 0), f"{label}.{key}")
+        for key in ("p50_us", "p95_us"):
+            number(agg.get(key), f"{label}.{key}", nullable=True)
+    for side in ("gateway_embed_us_by_stage", "gateway_chat_us_by_stage"):
+        for stage, wall in mapping(latency, side, "latency.").items():
+            number(wall, f"latency.{side}.{stage}")
+
+
 def gather_runs(results_dir: str | Path) -> list[tuple[str, dict, list[dict]]]:
-    """(run_name, summary, checkpoint rows) per run found under results_dir."""
+    """(run_name, summary, checkpoint rows) per run found under results_dir.
+
+    Raises MissingFiles, naming the file and the field, for a result file
+    that is not JSON or a summary whose fields the tables cannot read.
+    """
     root = Path(results_dir)
     if not root.is_dir():
         raise MissingFiles(f"{root} is not a directory")
@@ -45,6 +94,7 @@ def gather_runs(results_dir: str | Path) -> list[tuple[str, dict, list[dict]]]:
     runs = []
     for directory in dirs:
         summary = _read_json(directory / "summary.json")
+        _check_summary(directory / "summary.json", summary)
         checkpoints = _read_json(directory / "checkpoints.jsonl", per_line=True)
         name = "run" if directory == root else directory.name
         runs.append((name, summary, checkpoints))

@@ -155,6 +155,7 @@ import numpy as np
 
 from ..errors import DimensionMismatch, EmptySignal, StoreError, UnknownRecord, UnsupportedBackend
 from ..records import (
+    DEFAULT_STRENGTH_S,
     KIND_RAW,
     Candidate,
     MemoryRecord,
@@ -432,7 +433,7 @@ class MemoryStore(ABC):
         # multiplies strength by, and the strength of the records a backend
         # builds itself (session summaries), like its inserts'
         self.strength_gain = 2.0
-        self.initial_strength_s = MemoryRecord.strength
+        self.initial_strength_s = DEFAULT_STRENGTH_S
         self.evicted_total = 0
         self._index = EmbeddingIndex()
         self._postings = Postings()

@@ -66,7 +66,7 @@ def _not_a_string(payload, *names: str) -> TypeError:
     return TypeError(f"{name} must be a string, got {type(getattr(payload, name)).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertPayload:
     context: str
     session_id: str
@@ -85,7 +85,7 @@ class InsertPayload:
             raise ValueError("turn_index must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievePayload:
     query: str
     gold_answer: str
@@ -110,7 +110,7 @@ class RetrievePayload:
 Payload = Union[InsertPayload, RetrievePayload]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     seq: int
     ts: int  # microseconds since epoch

@@ -650,6 +650,30 @@ def test_report_names_a_result_file_that_is_not_json(runner, tmp_path, name):
     assert f"{results / name}: not valid JSON: " in result.output
 
 
+@pytest.mark.parametrize("summary, field", [
+    ([], "the top level is not an object"),
+    ({"mean_f1": "x", "round_mean_f1": [0.5]}, "mean_f1 is not a number or null"),
+    ({"latency": {"stages": {"PreIns": 5}}}, "latency.stages.PreIns is not an object"),
+    ({"round_mean_f1": [0.5, "x"]}, "round_mean_f1[1] is not a number or null"),
+    ({"latency": {"stages": {"PreIns": {"count": 2, "mean_us": None}}}},
+     "latency.stages.PreIns.mean_us is not a number"),
+    ({"counts": {"retrieves": 1},
+      "latency": {"gateway_chat_us_by_stage": {"Generation": "x"}}},
+     "latency.gateway_chat_us_by_stage.Generation is not a number"),
+    ({"counts": {"inserts": "3"}}, "counts.inserts is not a number"),
+    ({"flags": 5}, "flags is not an object"),
+    ({"status": 5}, "status is not a string"),
+], ids=["list", "text-mean", "int-stage", "text-round", "null-mean-us", "text-wall",
+        "text-count", "int-flags", "int-status"])
+def test_report_names_a_summary_field_it_cannot_read(runner, tmp_path, summary, field):
+    results = finished_run(runner, tmp_path)
+    (results / "summary.json").write_text(json.dumps(summary))
+    result = runner.invoke(main, ["report", str(results)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"{results / 'summary.json'}: {field}\n"
+
+
 def test_report_aggregates_grid_variants(runner, tmp_path):
     stream = make_stream(runner, tmp_path)
     config = make_config(tmp_path, stream,

@@ -207,6 +207,23 @@ def test_failed_calls_still_record_one_timing():
     assert timings[0].template_id == "summarize"
 
 
+class InterruptingGateway(MockGateway):
+    def _chat_impl(self, template_id, variables):
+        raise KeyboardInterrupt
+
+
+def test_an_interrupted_call_still_records_one_timing():
+    # an exception that is no GatewayError passes through _call's finally
+    gw = InterruptingGateway()
+    gw.stage = "Generation"
+    with pytest.raises(KeyboardInterrupt):
+        gw.answer("q", "ctx sentence.")
+    (timing,) = gw.drain_timings()
+    assert (timing.call_kind, timing.stage, timing.ok, timing.retries, timing.template_id) \
+        == ("chat", "Generation", False, 0, "answer")
+    assert gw.drain_timings() == []
+
+
 # -- chat templates -----------------------------------------------------------
 
 def chat(gw, template_id, **variables):

@@ -39,6 +39,13 @@ from memstream.orchestrator import (
     fraction_boundaries,
     run_experiment,
 )
+from memstream.records import (
+    Candidate,
+    ContextBundle,
+    MemoryRecord,
+    RetrievalSignal,
+    Triplet,
+)
 from memstream.stores import BACKENDS
 from memstream.stream import (
     AfterCount,
@@ -285,6 +292,28 @@ def test_stage_walls_sum_to_end_to_end_exactly():
     for trace in result.traces:
         assert sum(trace.stage_ns.values()) == trace.e2e_ns
         assert all(ns >= 0 for ns in trace.stage_ns.values())
+
+
+def test_per_request_types_are_slotted():
+    # a type that loses its slots builds an instance dict for every request
+    queries = [("q0", "fact number 1", "x", 2)]
+    manifest = make_manifest(n_inserts=4, queries=queries)
+    result = run_experiment(base_config(), manifest, MockGateway(dim=32))
+    requests = [next(r for r in manifest.requests if r.kind == kind)
+                for kind in (KIND_INSERT, KIND_RETRIEVE)]
+    traces = [next(t for t in result.traces if t.kind == kind)
+              for kind in (KIND_INSERT, KIND_RETRIEVE)]
+    record = MemoryRecord("m1", "a fact.", 0, "s0")
+    instances = [
+        record, Triplet("cat", "is", "red"), RetrievalSignal("a query"),
+        Candidate(record, 0.5), ContextBundle("", (), 0),
+        *requests, *(request.payload for request in requests), *traces,
+    ]
+    assert {type(obj).__name__ for obj in instances} == {
+        "MemoryRecord", "Triplet", "RetrievalSignal", "Candidate", "ContextBundle",
+        "Request", "InsertPayload", "RetrievePayload", "RequestTrace", "QueryResult"}
+    for obj in instances:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 def test_gateway_free_strategies_spend_no_chat_outside_generation():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memstream.config import ConsolidateConfig
 from memstream.errors import (
     CapacityExceeded,
     DimensionMismatch,
@@ -19,6 +20,7 @@ from memstream.errors import (
 )
 from memstream.gateway import mock_embed_text
 from memstream.records import (
+    DEFAULT_STRENGTH_S,
     KIND_SUMMARY,
     MemoryRecord,
     RetrievalSignal,
@@ -351,6 +353,16 @@ def test_fifo_eviction_releases_the_record():
     assert store.evicted_total == 1
     gc.collect()
     assert evicted() is None
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_default_strength_is_the_configs_default(backend):
+    # one constant: a record, a store and the config start at one week
+    store = build_store(backend, embed_dim=DIM)
+    assert DEFAULT_STRENGTH_S == 604_800.0
+    assert store.initial_strength_s == DEFAULT_STRENGTH_S
+    assert record("a.").strength == DEFAULT_STRENGTH_S
+    assert ConsolidateConfig().initial_strength_s == DEFAULT_STRENGTH_S
 
 
 def test_fifo_overflow_error_mode():
