@@ -2,16 +2,23 @@
 policies, plus the pipeline wrappers the orchestrator calls.
 
 Normalization turns one inbound turn into records, each built by ``_unit``,
-before the tentative insert; consolidation mutates the store right after it.
-``run_normalize`` returns ``(records, flags)`` and ``run_consolidate``
-``(actions, flags)``; the flags name each fallback the request took.
-Operators call the gateway without naming a stage: the orchestrator bills
-their calls to the stage it has open.
+before the tentative insert; ``run_normalize`` returns ``(records, flags)``.
+Consolidation mutates the store right after the insert. Each strategy is a
+policy class in ``POLICIES``: ``build_policy`` makes one object per run,
+beside the store, and ``run_consolidate`` hands it each insert's live new
+ids on ``every_n`` boundaries; its ``consolidate`` returns ``(actions,
+flags)``. forgetting_curve and heat_migration keep deadline heaps from one
+pass to the next, fed by the ids the store reports changed
+(``MemoryStore.watch``), so a pass costs what changed or came due, not what
+the store holds. The flags name each fallback the request took. Operators
+call the gateway without naming a stage: the orchestrator bills their calls
+to the stage it has open.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 import numpy as np
@@ -27,8 +34,8 @@ from .records import (
     Triplet,
     vector_norm,
 )
-from .stores.base import MemoryStore, rank_ids
-from .stream import InsertPayload
+from .stores.base import MemoryStore, insert_order, rank_ids
+from .stream import TS_END, TS_MIN, InsertPayload
 from .text import index_tokens
 
 US_PER_S = 1_000_000.0
@@ -75,11 +82,15 @@ def normalize_rewrite(h: InsertPayload, gateway: Gateway,
         line = line.strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 3 or not all(parts):
+        parts = line.split("|")
+        try:
+            if len(parts) != 3:
+                raise ValueError(f"{len(parts)} fields")
+            # Triplet strips each field and refuses a blank one
+            triplets.append(Triplet(*parts))
+        except ValueError as exc:
             raise UnparseableExtraction(
-                f"expected 'subject | relation | object', got {line!r}")
-        triplets.append(Triplet(subject=parts[0], relation=parts[1], object=parts[2]))
+                f"expected 'subject | relation | object', got {line!r}") from exc
         if len(triplets) >= max_triplets:
             break
     return triplets
@@ -193,57 +204,32 @@ def retention(record: MemoryRecord, now: int) -> float:
     return math.exp(-dt_s / record.strength)
 
 
-def forgetting_curve(store: MemoryStore, now: int,
-                     retention_threshold: float) -> list[str]:
-    """Evict every record whose retention dropped below the threshold.
-
-    Returns the ids this pass removed. A victim already gone when its turn
-    comes is skipped: on summary_vector, removing a session's last member
-    also removes the session summary.
-    """
-    victims = [
-        record.record_id
-        for record in store.all_records()
-        if retention(record, now) < retention_threshold
-    ]
-    evicted = []
-    for record_id in victims:
-        if store.is_live(record_id):
-            store.remove(record_id)
-            evicted.append(record_id)
-    return evicted
-
-
 def heat(record: MemoryRecord, now: int, alpha: float, beta: float,
          tau_s: float) -> float:
     dt_s = max(0.0, (now - record.last_access) / US_PER_S)
     return alpha * record.access_count + beta * math.exp(-dt_s / tau_s)
 
 
-def heat_migration(store: MemoryStore, now: int,
-                   cfg: ConsolidateConfig) -> list[str]:
-    """Promote hot records one tier toward short_term, demote cold ones.
+# a deadline is set early by this share of its exponent, plus this much of
+# it, far more than the few roundings between it and the exact test
+DEADLINE_SLACK = 2.0 ** -30
 
-    Only meaningful on tiered backends; others raise UnsupportedBackend. A
-    tiered backend keeps every record in a tier of ``TIER_ORDER``.
+
+def decay_deadline(last_access: int, scale_s: float, level: float) -> Optional[int]:
+    """A time, in us, before which ``exp(-dt_s / scale_s)`` cannot test below ``level``.
+
+    ``dt_s`` is the seconds since ``last_access``, computed as ``retention``
+    and ``heat`` compute it. None when no valid timestamp reaches the time.
     """
-    if not store.supports_tiers:
-        raise UnsupportedBackend(
-            f"backend {store.name!r} has no tiers to migrate between")
-    migrations = []
-    for record in store.all_records():
-        idx = TIER_ORDER.index(record.tier)
-        score = heat(record, now, cfg.heat_alpha, cfg.heat_beta, cfg.heat_tau_s)
-        if score >= cfg.hot_heat and idx > 0:
-            target = TIER_ORDER[idx - 1]
-        elif score < cfg.cold_heat and idx < len(TIER_ORDER) - 1:
-            target = TIER_ORDER[idx + 1]
-        else:
-            continue
-        origin = record.tier
-        store.migrate(record.record_id, target)
-        migrations.append(f"MIGRATE {record.record_id} {origin}->{target}")
-    return migrations
+    if not level > 0.0:  # also NaN: nothing tests below it
+        return None
+    budget = -math.log(level) * (1.0 - DEADLINE_SLACK) - DEADLINE_SLACK
+    if not budget > 0.0:
+        return last_access
+    span = scale_s * budget * US_PER_S
+    if not span < TS_END - TS_MIN:
+        return None
+    return last_access + int(span)
 
 
 def link_evolution(store: MemoryStore, new_ids: list[str],
@@ -280,7 +266,8 @@ def merge_records(store: MemoryStore, older: MemoryRecord,
         merged = older.embedding + newer.embedding
         norm = vector_norm(merged)
         if norm > 0.0:
-            older.embedding = merged / norm
+            merged /= norm
+            older.embedding = merged
     elif older.embedding is None:
         older.embedding = newer.embedding
     store.reindex(older)
@@ -304,23 +291,211 @@ def semantic_consolidation(store: MemoryStore, new_ids: list[str],
     return merged
 
 
-def run_consolidate(store: MemoryStore, new_ids: list[str], now: int,
-                    cfg: ConsolidateConfig, gateway: Gateway,
+class Consolidation:
+    """One run's consolidation policy; this base is strategy ``none``.
+
+    ``build_policy`` makes one beside the store, and ``run_consolidate``
+    hands it each insert's new ids. A policy that keeps state between passes
+    calls ``store.watch()`` as it is built; the store then reports every id
+    it inserts, touches, reindexes, removes or moves between tiers in
+    ``store.changed``. The other policies leave that set off, so their runs
+    pay nothing per touch.
+    """
+
+    def __init__(self, store: MemoryStore, cfg: ConsolidateConfig,
+                 gateway: Optional[Gateway] = None):
+        self.store, self.cfg, self.gateway = store, cfg, gateway
+
+    def consolidate(self, new_ids: list[str], now: int) -> tuple[list[str], list[str]]:
+        """``(actions, flags)`` of one pass over the store after an insert."""
+        return [], []
+
+
+class Crud(Consolidation):
+    def consolidate(self, new_ids, now):
+        return consolidate_crud(self.store, new_ids, self.gateway)
+
+
+class LinkEvolution(Consolidation):
+    def consolidate(self, new_ids, now):
+        return link_evolution(self.store, new_ids, self.cfg.link_top_m,
+                              self.cfg.link_threshold), []
+
+
+class SemanticConsolidation(Consolidation):
+    def consolidate(self, new_ids, now):
+        return semantic_consolidation(self.store, new_ids, self.cfg.dedup_threshold), []
+
+
+class ForgettingCurve(Consolidation):
+    """Evict every record whose retention fell below the threshold.
+
+    Keeps one min-heap entry per live record: ``(deadline, insert order,
+    id)``, the deadline ``decay_deadline`` of its retention at the time it was
+    pushed. Retention falls only while a record is left alone, and a touch
+    or a merge only raises its last access and strength, so a deadline never
+    comes later than the record's real one. A pass pushes the records
+    inserted since the last one, then pops every entry due at ``now`` and
+    decides each on the exact ``retention`` test, before it removes any
+    record: a victim is kept for removal, any other is pushed again with its
+    fresh deadline, at least ``now + 1``. Victims are removed in store order;
+    one already gone when its turn comes is skipped (on summary_vector,
+    removing a session's last member also removes the session summary).
+    """
+
+    def __init__(self, store, cfg, gateway=None):
+        super().__init__(store, cfg, gateway)
+        self._heap: list[tuple[int, int, str]] = []
+        self._queued: set[str] = set()  # the ids with an entry in the heap
+        store.watch()
+
+    def _push(self, record: MemoryRecord, earliest: int):
+        """Queue the record at its deadline, or at ``earliest`` if that is later."""
+        deadline = decay_deadline(record.last_access, record.strength,
+                                  self.cfg.retention_threshold)
+        if deadline is not None:
+            record_id = record.record_id
+            heappush(self._heap, (max(deadline, earliest), insert_order(record_id), record_id))
+            self._queued.add(record_id)
+
+    def consolidate(self, new_ids, now):
+        store, heap, queued = self.store, self._heap, self._queued
+        for record_id in store.take_changed():
+            # a touched or merged record's entry is early, never late
+            if record_id not in queued and store.is_live(record_id):
+                self._push(store.get(record_id), TS_MIN)
+        victims = []
+        while heap and heap[0][0] <= now:
+            _, order, record_id = heappop(heap)
+            queued.discard(record_id)
+            if not store.is_live(record_id):
+                continue
+            record = store.get(record_id)
+            if retention(record, now) < self.cfg.retention_threshold:
+                victims.append((order, record_id))
+            else:
+                self._push(record, now + 1)
+        actions = []
+        for _, record_id in sorted(victims):
+            if store.is_live(record_id):
+                store.remove(record_id)
+                actions.append(f"EVICT {record_id}")
+        return actions, []
+
+
+class HeatMigration(Consolidation):
+    """Promote hot records one tier toward short_term, demote cold ones.
+
+    Only meaningful on tiered backends; others raise UnsupportedBackend at
+    the first pass. A tiered backend keeps every record in a tier of
+    ``TIER_ORDER``.
+
+    A pass decides, in store order and on the exact ``heat`` test, the
+    records the store reported changed since the last pass (touched,
+    inserted, or moved: by the last pass, or by queue_segment's overflow),
+    and each record whose cold deadline came. Any other record was decided
+    unchanged before, in the tier it still has, and moved nowhere. Its heat
+    has only decayed since (with ``heat_beta >= 0``), so it is not hot now
+    unless it was then, and it can only have turned cold, which its
+    deadline tells: ``decay_deadline`` of ``(cold_heat - alpha *
+    access_count) / beta``. One pass moves a record one tier, and a move
+    reports it, so a record that is still hot climbs on at the next pass. A
+    move made in this pass reports the record it pushed out of short_term
+    too; if that record comes later in store order this pass decides it, in
+    its new tier, else the next one does. A negative ``heat_beta`` makes heat
+    rise between touches, so such a run decides every record every pass.
+    """
+
+    def __init__(self, store, cfg, gateway=None):
+        super().__init__(store, cfg, gateway)
+        self._heap: list[tuple[int, int, str]] = []
+        self._deadline: dict[str, int] = {}  # id -> its live heap entry's deadline
+        if store.supports_tiers:
+            store.watch()
+
+    def _cold_deadline(self, record: MemoryRecord, now: int) -> Optional[int]:
+        """When a record just decided to stay may next move, at least ``now + 1``; None: never."""
+        cfg = self.cfg
+        if cfg.heat_beta < 0.0:
+            return now + 1
+        if not cfg.heat_beta > 0.0 or record.tier == TIER_ORDER[-1]:
+            return None  # heat stays put, or a cold record has nowhere to go
+        level = (cfg.cold_heat - cfg.heat_alpha * record.access_count) / cfg.heat_beta
+        deadline = decay_deadline(record.last_access, cfg.heat_tau_s, level)
+        return None if deadline is None else max(deadline, now + 1)
+
+    def consolidate(self, new_ids, now):
+        store, cfg = self.store, self.cfg
+        if not store.supports_tiers:
+            raise UnsupportedBackend(
+                f"backend {store.name!r} has no tiers to migrate between")
+        heap, deadline_of = self._heap, self._deadline
+        pending = store.take_changed()
+        while heap and heap[0][0] <= now:
+            deadline, _, record_id = heappop(heap)
+            if deadline_of.get(record_id) == deadline:
+                pending.add(record_id)
+        queue = []
+        for record_id in pending:
+            if store.is_live(record_id):
+                queue.append((insert_order(record_id), record_id))
+            else:
+                deadline_of.pop(record_id, None)
+        heapify(queue)
+        migrations, later = [], set()
+        while queue:
+            order, record_id = heappop(queue)
+            deadline_of.pop(record_id, None)
+            record = store.get(record_id)
+            idx = TIER_ORDER.index(record.tier)
+            score = heat(record, now, cfg.heat_alpha, cfg.heat_beta, cfg.heat_tau_s)
+            if score >= cfg.hot_heat and idx > 0:
+                target = TIER_ORDER[idx - 1]
+            elif score < cfg.cold_heat and idx < len(TIER_ORDER) - 1:
+                target = TIER_ORDER[idx + 1]
+            else:
+                deadline = self._cold_deadline(record, now)
+                if deadline is not None:
+                    deadline_of[record_id] = deadline
+                    heappush(heap, (deadline, order, record_id))
+                continue
+            origin = record.tier
+            store.migrate(record_id, target)
+            migrations.append(f"MIGRATE {record_id} {origin}->{target}")
+            for moved in store.take_changed():
+                moved_order = insert_order(moved)
+                if moved_order > order and moved not in pending:
+                    pending.add(moved)
+                    heappush(queue, (moved_order, moved))
+                else:
+                    later.add(moved)
+        store.changed |= later
+        return migrations, []
+
+
+POLICIES: dict[str, type[Consolidation]] = {
+    "none": Consolidation,
+    "crud": Crud,
+    "forgetting_curve": ForgettingCurve,
+    "heat_migration": HeatMigration,
+    "link_evolution": LinkEvolution,
+    "semantic_consolidation": SemanticConsolidation,
+}
+
+
+def build_policy(store: MemoryStore, cfg: ConsolidateConfig,
+                 gateway: Optional[Gateway] = None) -> Consolidation:
+    """The policy of ``cfg.strategy``, one of ``CONSOLIDATE_STRATEGIES`` (``run_experiment``
+    validates it), for one run on ``store``."""
+    return POLICIES[cfg.strategy](store, cfg, gateway)
+
+
+def run_consolidate(policy: Consolidation, new_ids: list[str], now: int,
                     insert_index: int) -> tuple[list[str], list[str]]:
-    """Dispatch by strategy, one of ``CONSOLIDATE_STRATEGIES`` (``run_experiment``
-    validates it); fires only on every_n boundaries."""
+    """One insert's pass of ``policy``; fires only on every_n boundaries."""
+    cfg = policy.cfg
     if cfg.strategy == "none" or insert_index % cfg.every_n != 0:
         return [], []
     # capacity eviction during a multi-unit insert can take out a sibling
-    new_ids = [record_id for record_id in new_ids if store.is_live(record_id)]
-    if cfg.strategy == "crud":
-        return consolidate_crud(store, new_ids, gateway)
-    if cfg.strategy == "forgetting_curve":
-        evicted = forgetting_curve(store, now, cfg.retention_threshold)
-        return [f"EVICT {rid}" for rid in evicted], []
-    if cfg.strategy == "heat_migration":
-        return heat_migration(store, now, cfg), []
-    if cfg.strategy == "link_evolution":
-        return link_evolution(store, new_ids, cfg.link_top_m, cfg.link_threshold), []
-    # semantic_consolidation, the last strategy
-    return semantic_consolidation(store, new_ids, cfg.dedup_threshold), []
+    is_live = policy.store.is_live
+    return policy.consolidate([record_id for record_id in new_ids if is_live(record_id)], now)

@@ -80,7 +80,7 @@ from .errors import (
     StoreError,
 )
 from .gateway import Gateway, GatewayTiming, MockGateway, RemoteGateway, TokenBucket, _token_codes
-from .ingest import VECTOR_POLICIES, run_consolidate, run_normalize
+from .ingest import VECTOR_POLICIES, build_policy, run_consolidate, run_normalize
 from .metrics import (
     INSERT_STAGES,
     QUERY_STAGES,
@@ -337,6 +337,7 @@ class _Pipeline:
                                 or cfg.operators.consolidate.strategy in VECTOR_POLICIES)
         self.store.strength_gain = cfg.operators.consolidate.strength_gain
         self.store.initial_strength_s = cfg.operators.consolidate.initial_strength_s
+        self.policy = build_policy(self.store, cfg.operators.consolidate, self.gateway)
         self.result = ExperimentResult(config=config_to_dict(cfg))
         self.pending: list[QueryResult] = []  # scored, not yet reported
         self.inserts_consumed = 0
@@ -383,8 +384,7 @@ class _Pipeline:
 
             stamps.append(self._enter(STAGE_POST_INSERT))
             self.inserts_consumed += 1
-            actions, post_flags = run_consolidate(self.store, ids, request.ts,
-                                                  ops.consolidate, self.gateway,
+            actions, post_flags = run_consolidate(self.policy, ids, request.ts,
                                                   self.inserts_consumed)
         except StoreError:
             # the insert that aborts the run is traced too, with the stages it finished

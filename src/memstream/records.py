@@ -56,20 +56,27 @@ def vector_norm(vec: np.ndarray) -> float:
     return math.sqrt(vec.dot(vec))
 
 
-@dataclass(frozen=True, slots=True)
+TRIPLET_FIELDS = ("subject", "relation", "object")
+_set_frozen = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Triplet:
-    """A (subject, relation, object) unit; entities are stored lowercase."""
+    """A (subject, relation, object) unit, each field stored stripped and lowercase."""
 
     subject: str
     relation: str
     object: str
 
-    def __post_init__(self):
-        for name in ("subject", "relation", "object"):
-            value = getattr(self, name)
-            if not value or not value.strip():
-                raise ValueError(f"triplet {name} must be non-empty")
-            object.__setattr__(self, name, value.strip().lower())
+    def __init__(self, subject: str, relation: str, object: str):
+        # sets each field once, normalized: a generated __init__ would set
+        # all three before a __post_init__ could set them again
+        fields = (subject.strip().lower(), relation.strip().lower(), object.strip().lower())
+        if not all(fields):
+            raise ValueError(f"triplet {TRIPLET_FIELDS[fields.index('')]} must be non-empty")
+        _set_frozen(self, "subject", fields[0])
+        _set_frozen(self, "relation", fields[1])
+        _set_frozen(self, "object", fields[2])
 
     def linearize(self) -> str:
         return f"{self.subject} {self.relation} {self.object}"

@@ -14,13 +14,14 @@ All backends guarantee, via this base class:
   dict's ``__getitem__`` as key, ``reverse=True``), both sorts in C. Lexical
   search, fusion, vector search, property_graph's search, multi-tier
   integration and the lexical fallback of the consolidation policies all
-  rank through it. The lexical ranking ranks every visible match; fusion
+  rank through it, and so does ``nearest`` for fewer than ``PAIRS_BELOW``
+  survivors. The lexical ranking ranks every visible match; fusion
   first keeps only the ids scoring at least the ``limit``-th best fused
   score, so ties at the cut stay in id order. There are two exceptions:
-  ``nearest`` orders its survivors with one ``np.lexsort`` over index rows
-  (below), the same order without building a dict, and time-weighted
-  integration re-sorts by its decayed score alone, stably, so its ties keep
-  retrieval order;
+  ``nearest`` orders a larger batch of survivors with one ``np.lexsort``
+  over index rows (below), the same order without building a dict, and
+  time-weighted integration re-sorts by its decayed score alone, stably, so
+  its ties keep retrieval order;
 * scores normalized to [0, 1]: cosine folded via (1+cos)/2, and vector
   search ranks the folded scores, so two cosines that fold to one score
   tie to the id; lexical totals and reciprocal-rank fusion scores are
@@ -97,24 +98,29 @@ then reads no record's ts, and the screen reads no ts column. When ``rows``
 restricts the scan, the product spans only the chosen rows that are
 visible and not excluded, so lsh_hash's bucket candidates do not pay for
 the whole store.
-All survivors are then rescored in float64 in one batch: a stacked
-``np.matmul`` of each survivor row (1 x d) with the query (d x 1), divided
-by the query norm times the cached row norm. numpy computes each of those
-1 x d by d x 1 products with the dot loop ``np.dot`` uses, so every
-rescored score has the bits of the per-pair cosine, ``float(np.dot(a,
-b))`` divided by ``float(np.linalg.norm(a)) * float(np.linalg.norm(b))``.
+The survivors are then rescored in float64, each as ``np.dot`` of its row
+and the query divided by the query norm times the cached row norm: the
+per-pair cosine, ``float(np.dot(a, b))`` divided by
+``float(np.linalg.norm(a)) * float(np.linalg.norm(b))``. Fewer than
+``PAIRS_BELOW`` (8) survivors, as a merge's or a link's screen keeps, are
+rescored one ``np.dot`` per pair (``pair_cosines``) and ranked with
+``rank_ids``; below that count the batch's fixed cost is larger. More are
+rescored in one batch (``batch_cosines``): a stacked ``np.matmul`` of each
+survivor row (1 x d) with the query (d x 1), then one division. numpy
+computes each of those 1 x d by d x 1 products with the dot loop ``np.dot``
+uses, so both paths give every score the same bits.
 Those bits are the host's, not every host's: numpy's bundled OpenBLAS picks
 its dot kernel by CPU, and another kernel (``OPENBLAS_CORETYPE=Haswell`` or
 ``Zen`` on a SkylakeX host) sums in another order, which moves last bits,
 some rankings and the golden digests; under ``Prescott`` the batched
 rescore no longer matches the per-pair ``np.dot`` at every dim. The
 screen's bound holds under any kernel.
-Survivors are ordered by one ``np.lexsort`` over the negated scores and
+A batch is ordered by one ``np.lexsort`` over the negated scores and
 the index's row -> record_id column, an object array whose items compare
 as Python strings: by descending score with record_id as the tie-break,
-the order ``rank_ids`` gives.
-``nearest`` pairs the record of each ordered row's id with its score;
-inverted_vector's fusion reads the ordered rows' ids from that column. The
+the order ``rank_ids`` gives. Either way ``_ranked_rows`` returns plain
+lists of ids and cosines, best first: ``nearest`` pairs the record of each
+id with its score, and inverted_vector's fusion reads the ids. The
 screen alone would flip near-ties and exact ties, which are common (every
 search_heavy query meets one among its top 50); the rescore keeps every
 score and order exactly those of a per-record scan.
@@ -139,6 +145,17 @@ ranking reads it: lexical search, inverted_vector's fusion and
 property_graph's entity points.
 property_graph's entity keys are a set, so each count is 1 and a record's
 points are the number of distinct query entities it mentions.
+
+The store reports its changes to a consolidation policy through one hook,
+``_note(record_id)``: ``insert``, ``_touch``, ``reindex``, ``remove`` and a
+tier move (queue_segment's ``migrate`` and its short-term overflow) call it
+for each record they write. It adds the id to ``changed`` only after a
+policy has called ``watch()``, which starts that set with every live id;
+the policy empties it with ``take_changed()``. ``changed`` is None until
+then, so a run whose policy keeps no state (``none``, ``crud``,
+``link_evolution``, ``semantic_consolidation``) pays one ``None`` test per
+write and per hit. Records are kept, and ids handed out, in insertion
+order, so ``insert_order`` of an id sorts ids in store order.
 
 Insert returns the new record ids and retrieve the candidates; neither times
 itself, because the orchestrator times every stage at its own boundaries.
@@ -183,6 +200,11 @@ def rank_ids(scores: Mapping[str, float], ids: Optional[Iterable[str]] = None) -
     # by id, then stably by descending score: ties keep their id order
     ranked.sort(key=scores.__getitem__, reverse=True)
     return ranked
+
+
+def insert_order(record_id: str) -> int:
+    """Sort key of a store's ids in insertion order: they count up as ``m000001``, ..."""
+    return int(record_id[1:])
 
 
 def int_at_least(name: str, value, least: int = 1) -> int:
@@ -265,6 +287,34 @@ def to_unit(vector: np.ndarray, norm: float) -> np.ndarray:
     if abs(norm - 1.0) <= UNIT_SLACK:
         return vector
     return vector * (1.0 / norm if norm else 0.0)
+
+
+# fewer survivors than this are rescored and ranked one ``np.dot`` per pair,
+# more in one batch: the batch's fixed cost (a gather, a stacked matmul, a
+# masked divide and ``np.lexsort``) is about 9-10 us at 64 dims on a 2-vCPU
+# x86-64 host, and the per-pair path passes it at 8-9 survivors
+PAIRS_BELOW = 8
+
+
+def pair_cosines(index: EmbeddingIndex, rows: list[int], vector: np.ndarray,
+                 norm: float) -> list[float]:
+    """Exact cosine of ``vector`` (of norm ``norm``) to each row, one ``np.dot`` per row."""
+    matrix, norms = index.matrix, index.norms
+    sims = []
+    for row in rows:
+        denom = norm * norms[row]
+        sims.append(float(matrix[row].dot(vector) / denom) if denom else 0.0)
+    return sims
+
+
+def batch_cosines(index: EmbeddingIndex, rows: np.ndarray, vector: np.ndarray,
+                  norm: float) -> np.ndarray:
+    """``pair_cosines`` in one batch, bit for bit (see the module docstring)."""
+    # a stack of 1xd @ dx1 products: each goes through the dot loop
+    # np.dot uses, so every score has the bits of a per-pair cosine
+    dots = np.matmul(index.matrix[rows, None, :], vector[:, None])[:, 0, 0]
+    denom = norm * index.norms[rows]
+    return np.divide(dots, denom, out=np.zeros(rows.size), where=denom != 0)
 
 
 def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
@@ -385,16 +435,30 @@ class Postings:
         self.postings: dict[Hashable, dict[str, int]] = {}
 
     def add(self, record_id: str, keys: Iterable[Hashable]):
-        """Index the record under ``keys``, replacing any earlier entry."""
-        self.drop(record_id)
+        """Index the record under ``keys``, replacing any earlier entry.
+
+        A record indexed before has only the keys whose count changed written.
+        """
         counts: dict[Hashable, int] = {}
         for key in keys:
             counts[key] = counts.get(key, 0) + 1
-        if not counts:
-            return
-        self.counts[record_id] = counts
-        for key, count in counts.items():
-            self.postings.setdefault(key, {})[record_id] = count
+        postings = self.postings
+        old = self.counts.pop(record_id, None)
+        if old is None:
+            for key, count in counts.items():
+                postings.setdefault(key, {})[record_id] = count
+        else:
+            for key in old:
+                if key not in counts:
+                    bucket = postings[key]
+                    del bucket[record_id]
+                    if not bucket:
+                        del postings[key]
+            for key, count in counts.items():
+                if old.get(key) != count:
+                    postings.setdefault(key, {})[record_id] = count
+        if counts:
+            self.counts[record_id] = counts
 
     def drop(self, record_id: str):
         for key in self.counts.pop(record_id, ()):
@@ -439,6 +503,9 @@ class MemoryStore(ABC):
         self._postings = Postings()
         # at or above every live record's ts: raised by insert and reindex, never lowered
         self._ts_bound = TS_MIN
+        # ids inserted, touched, reindexed, removed or moved between tiers
+        # since a policy last took them; None until a policy asks (``watch``)
+        self.changed: Optional[set[str]] = None
 
     # ------------------------------------------------------------------
     # insertion
@@ -460,6 +527,7 @@ class MemoryStore(ABC):
             self._postings.add(record.record_id, self._index_keys(record))
             self._index.write(record)
             self._ts_bound = max(self._ts_bound, record.ts)
+            self._note(record.record_id)
             self._after_add(record)
             ids.append(record.record_id)
         return ids
@@ -500,6 +568,7 @@ class MemoryStore(ABC):
         if now is not None and now > record.last_access:
             record.last_access = now
         record.strength *= self.strength_gain
+        self._note(record.record_id)
 
     def nearest(self, query: np.ndarray | MemoryRecord, now: Optional[int] = None,
                 exclude: Iterable[str] = (), top: Optional[int] = None,
@@ -520,17 +589,16 @@ class MemoryStore(ABC):
         if top is not None and top < 1:
             return []
         ranked, sims = self._ranked_rows(query, now, exclude, top, floor, rows)
-        if not ranked.size:
+        if not ranked:
             return []
         records = self._records
-        return [(records[record_id], sim)
-                for record_id, sim in zip(self._index.ids[ranked].tolist(), sims.tolist())]
+        return [(records[record_id], sim) for record_id, sim in zip(ranked, sims)]
 
     def _ranked_rows(self, query: np.ndarray | MemoryRecord, now: Optional[int],
                      exclude: Iterable[str] = (), top: Optional[int] = None,
                      floor: Optional[float] = None,
-                     rows: Optional[Iterable[str]] = None) -> tuple[np.ndarray, np.ndarray]:
-        """The index rows of what ``nearest`` returns, best first, and their exact cosines."""
+                     rows: Optional[Iterable[str]] = None) -> tuple[list[str], list[float]]:
+        """The ids of what ``nearest`` returns, best first, and their exact cosines."""
         index = self._index
         if isinstance(query, MemoryRecord):
             row = index.row_of[query.record_id]
@@ -539,19 +607,23 @@ class MemoryStore(ABC):
             vector, norm = query, vector_norm(query)
             unit = to_unit(query, norm).astype(np.float32)
         survivors = index.screen(unit, self._visible_before(now), exclude, top, floor, rows)
-        if not survivors.size:
-            return survivors, np.zeros(0)
-        # a stack of 1xd @ dx1 products: each goes through the dot loop
-        # np.dot uses, so every score has the bits of a per-pair cosine
-        dots = np.matmul(index.matrix[survivors, None, :], vector[:, None])[:, 0, 0]
-        denom = norm * index.norms[survivors]
-        sims = np.divide(dots, denom, out=np.zeros(survivors.size), where=denom != 0)
-        if floor is not None:
-            kept = sims >= floor
-            survivors, sims = survivors[kept], sims[kept]
-        # by descending cosine, then record_id in str order: the last key leads
-        order = np.lexsort((index.ids[survivors], -sims))
-        return survivors[order], sims[order]
+        if not survivors.size:  # as most insert-time screens keep
+            return [], []
+        if survivors.size >= PAIRS_BELOW:
+            sims = batch_cosines(index, survivors, vector, norm)
+            if floor is not None:
+                kept = sims >= floor
+                survivors, sims = survivors[kept], sims[kept]
+            # by descending cosine, then record_id in str order: the last key leads
+            order = np.lexsort((index.ids[survivors], -sims))
+            return index.ids[survivors[order]].tolist(), sims[order].tolist()
+        survivors = survivors.tolist()
+        ids = index.ids
+        sims = pair_cosines(index, survivors, vector, norm)
+        scores = {ids[row]: sim for row, sim in zip(survivors, sims)
+                  if floor is None or sim >= floor}
+        ranked = rank_ids(scores)
+        return ranked, [scores[record_id] for record_id in ranked]
 
     def _visible_before(self, now: Optional[int]) -> Optional[int]:
         """``now``, or None when no live record's ts reaches it."""
@@ -602,7 +674,7 @@ class MemoryStore(ABC):
                        rows: Optional[Iterable[str]] = None) -> list[Candidate]:
         """Top ``k`` by folded cosine to the signal's embedding, ranked after folding."""
         ranked, sims = self._ranked_rows(signal.embedding, now, top=k, rows=rows)
-        scores = dict(zip(self._index.ids[ranked].tolist(), map(fold_cosine, sims.tolist())))
+        scores = dict(zip(ranked, map(fold_cosine, sims)))
         records = self._records
         return [Candidate(record=records[record_id], score=scores[record_id])
                 for record_id in rank_ids(scores)[:k]]
@@ -638,6 +710,7 @@ class MemoryStore(ABC):
             if other is not None:
                 other.links.discard(record_id)
         self.evicted_total += 1
+        self._note(record_id)
         self._after_remove(record)
 
     def reindex(self, record: MemoryRecord):
@@ -646,6 +719,7 @@ class MemoryStore(ABC):
         self._postings.add(record.record_id, self._index_keys(record))
         self._index.write(record)
         self._ts_bound = max(self._ts_bound, record.ts)
+        self._note(record.record_id)
 
     def migrate(self, record_id: str, to_tier: str):
         raise UnsupportedBackend(f"{self.name} has no tiers")
@@ -665,6 +739,23 @@ class MemoryStore(ABC):
                 out.append(record)
         out.sort(key=lambda r: r.turn_index)
         return out
+
+    # ------------------------------------------------------------------
+    # change reports (read by consolidation policies)
+    # ------------------------------------------------------------------
+    def watch(self):
+        """Report changed ids in ``changed`` from now on, starting with every live one."""
+        self.changed = set(self._records)
+
+    def take_changed(self) -> set[str]:
+        """The ids changed since ``watch`` or the last take, and start a new set."""
+        changed, self.changed = self.changed, set()
+        return changed
+
+    def _note(self, record_id: str):
+        """The one hook: every insert, touch, reindex, removal and tier move calls it."""
+        if self.changed is not None:
+            self.changed.add(record_id)
 
     # ------------------------------------------------------------------
     # introspection

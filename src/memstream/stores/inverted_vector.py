@@ -42,8 +42,7 @@ class InvertedVectorStore(MemoryStore):
         lexical = self._lexical_ranking(signal, now)[0][:pool]
         vector = []
         if signal.embedding is not None:
-            ranked, _ = self._ranked_rows(signal.embedding, now, top=pool)
-            vector = self._index.ids[ranked[:pool]].tolist()
+            vector = self._ranked_rows(signal.embedding, now, top=pool)[0][:pool]
         return fused_candidates([lexical, vector], self.get, k, self.rrf_k)
 
     def _index_sizes(self) -> dict[str, int]:

@@ -50,7 +50,9 @@ class QueueSegmentStore(MemoryStore):
         """Queue a short-term record, overflowing the oldest into mid-term past the bound."""
         self._short.append(record_id)
         while len(self._short) > self.short_capacity:
-            self._records[self._short.popleft()].tier = TIER_MID
+            demoted = self._short.popleft()
+            self._records[demoted].tier = TIER_MID
+            self._note(demoted)
 
     def migrate(self, record_id: str, to_tier: str):
         """Move a record between tiers without losing it.
@@ -70,6 +72,7 @@ class QueueSegmentStore(MemoryStore):
             except ValueError:
                 pass
         record.tier = to_tier
+        self._note(record_id)
         if to_tier == TIER_SHORT:
             self._enter_short(record_id)
 

@@ -247,6 +247,15 @@ def ref_consolidate(store, new_ids, cfg, gateway):
     return ref_semantic_consolidation(store, new_ids, cfg.dedup_threshold)
 
 
+def forgetting_pass(store, now, retention_threshold):
+    """The ids one pass of the live forgetting_curve policy evicts. The policy
+    is built on the store as it stands, so every live record is new to it and
+    a test may have set any record's fields by hand."""
+    cfg = ConsolidateConfig(strategy="forgetting_curve", retention_threshold=retention_threshold)
+    actions, _ = ingest.build_policy(store, cfg).consolidate([], now)
+    return [action.removeprefix("EVICT ") for action in actions]
+
+
 def ref_forgetting_curve(store, now, retention_threshold):
     """Evict every record whose retention fell below the threshold, in store order."""
     victims = [record.record_id for record in store.all_records()
@@ -279,6 +288,25 @@ def ref_heat_migration(store, now, cfg):
         store.migrate(record.record_id, target)
         migrations.append(f"MIGRATE {record.record_id} {origin}->{target}")
     return migrations
+
+
+class RefForgettingCurve(ingest.Consolidation):
+    """forgetting_curve as ``ref_forgetting_curve``, in a run's policy seat."""
+
+    def consolidate(self, new_ids, now):
+        evicted = ref_forgetting_curve(self.store, now, self.cfg.retention_threshold)
+        return [f"EVICT {record_id}" for record_id in evicted], []
+
+
+class RefHeatMigration(ingest.Consolidation):
+    """heat_migration as ``ref_heat_migration``, in a run's policy seat."""
+
+    def consolidate(self, new_ids, now):
+        return ref_heat_migration(self.store, now, self.cfg), []
+
+
+# strategy -> the reference policy a run-level test puts in ``ingest.POLICIES``
+REF_POLICIES = {"forgetting_curve": RefForgettingCurve, "heat_migration": RefHeatMigration}
 
 
 def ref_session_summary(store, session_id, max_sentences):

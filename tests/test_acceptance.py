@@ -32,7 +32,6 @@ from memstream.config import (
 )
 from memstream.errors import UnknownRecord
 from memstream.gateway import MockGateway, mock_embed_text
-from memstream.ingest import forgetting_curve
 from memstream.metrics import (
     STAGE_GENERATION,
     STAGE_POST_RETRIEVE,
@@ -57,7 +56,7 @@ from memstream.stream import (
 )
 from memstream.text import SYNONYMS, apply_synonyms, split_sentences
 from memstream.workloads import SyntheticSpec, synth_workload
-from reference import chat_ns_by_stage
+from reference import chat_ns_by_stage, forgetting_pass
 
 
 @contextmanager
@@ -692,7 +691,7 @@ def test_10_retention_eviction_is_exact_and_permanent():
             stored.strength = strength
             stored.last_access = now - int(ratio * strength * 1_000_000)
             by_ratio[ratio] = inserted[0]
-        evicted = set(forgetting_curve(store, now, 0.3))
+        evicted = set(forgetting_pass(store, now, 0.3))
         expected = {rid for ratio, rid in by_ratio.items()
                     if ratio >= EVICT_FROM}
         assert len(expected) == 12
@@ -718,7 +717,7 @@ def test_10_retention_eviction_is_exact_and_permanent():
                 record.strength = strength
                 record.last_access = now - int(rng.uniform(0.0, 3.0)
                                                * strength * 1_000_000)
-            gone = forgetting_curve(fuzz_store, now, 0.3)
+            gone = forgetting_pass(fuzz_store, now, 0.3)
             tombstones.update(gone)
             live.difference_update(gone)
             for _ in range(2):

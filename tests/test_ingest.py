@@ -18,10 +18,9 @@ from memstream.errors import (
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.ingest import (
     _nearest_existing,
+    build_policy,
     consolidate_crud,
-    forgetting_curve,
     heat,
-    heat_migration,
     link_evolution,
     merge_records,
     normalize_enrich,
@@ -41,11 +40,13 @@ from memstream.records import (
     TIER_LONG,
     TIER_MID,
     TIER_SHORT,
+    Triplet,
 )
 from memstream.stores import build_store
 from memstream.records import RetrievalSignal
 from memstream.stream import KIND_INSERT, InsertPayload, Request, StreamManifest
 from memstream.workloads import SyntheticSpec, synth_workload
+from reference import forgetting_pass
 
 US = 1_000_000
 DAY_S = 86400.0
@@ -174,6 +175,23 @@ def test_run_normalize_rewrite_small_talk_stores_nothing():
     records, flags = run_normalize(
         turn("Ok thanks!"), 9, NormalizeConfig(strategy="rewrite"), gw)
     assert records == [] and flags == []
+
+
+def test_a_triplet_strips_and_lowercases_each_field():
+    t = Triplet(" Alice ", "Visited", " the Harbor ")
+    assert (t.subject, t.relation, t.object) == ("alice", "visited", "the harbor")
+    for blank, fields in (("subject", ("  ", "r", "o")), ("relation", ("s", "", "o")),
+                          ("object", ("s", "r", "\t"))):
+        with pytest.raises(ValueError, match=f"triplet {blank} must be non-empty"):
+            Triplet(*fields)
+
+
+def test_a_reply_line_with_a_blank_field_falls_back_to_the_raw_turn():
+    gw = ScriptedGateway(script={"triplets": ["alice | likes | tea\na |  | c"]}, dim=64)
+    records, flags = run_normalize(
+        turn("Alice likes tea."), 9, NormalizeConfig(strategy="rewrite"), gw)
+    assert flags == ["rewrite_fallback"]
+    assert [(r.kind, r.text) for r in records] == [("raw_turn", "Alice likes tea.")]
 
 
 def test_run_normalize_enrich_falls_back_to_raw():
@@ -342,7 +360,7 @@ def test_forgetting_curve_strict_inequality_keeps_boundary():
     rid = put(store, "boundary record", ts=0,
               strength=DAY_S, last_access=now - int(1.2 * DAY_S * US))
     threshold = retention(store.get(rid), now)
-    assert forgetting_curve(store, now, threshold) == []
+    assert forgetting_pass(store, now, threshold) == []
     assert store.get(rid).record_id == rid
 
 
@@ -356,7 +374,7 @@ def test_forgetting_curve_evicts_below_threshold():
     stale = put(store, "stale record", ts=0, ti=2,
                 strength=DAY_S, last_access=now - int(1.21 * DAY_S * US))
     # exp(-1.2) = 0.3012 stays above 0.3, exp(-1.21) = 0.2982 falls below
-    evicted = forgetting_curve(store, now, 0.3)
+    evicted = forgetting_pass(store, now, 0.3)
     assert evicted == [stale]
     assert {r.record_id for r in store.all_records()} == {fresh, edge}
     assert store.evicted_total == 1
@@ -371,7 +389,7 @@ def test_forgetting_curve_skips_a_summary_its_last_member_took_along():
     turn = put(store, "the harbor is red.", embedding=mock_embed_text("the harbor is red.", 8),
                strength=1.0)
     (summary,) = [r.record_id for r in store.all_records() if r.kind == KIND_SUMMARY]
-    assert forgetting_curve(store, 10**12, 0.5) == [turn]
+    assert forgetting_pass(store, 10**12, 0.5) == [turn]
     assert store.all_records() == []
     assert not store.is_live(summary)
 
@@ -403,7 +421,7 @@ def test_run_consolidate_forgetting_emits_evict_actions():
     stale = put(store, "stale record", ts=0,
                 strength=DAY_S, last_access=now - 10 * DAY_US)
     cfg = ConsolidateConfig(strategy="forgetting_curve", retention_threshold=0.3)
-    actions, _ = run_consolidate(store, [], now, cfg, MockGateway(dim=64), insert_index=1)
+    actions, _ = run_consolidate(build_policy(store, cfg), [], now, insert_index=1)
     assert actions == [f"EVICT {stale}"]
 
 
@@ -422,7 +440,7 @@ def test_forgetting_threshold_is_monotone(ratios, t_a, t_b):
         for i, ratio in enumerate(ratios):
             put(store, f"record {i}", ts=0, ti=i,
                 strength=DAY_S, last_access=now - int(ratio * DAY_S * US))
-        return set(forgetting_curve(store, now, threshold))
+        return set(forgetting_pass(store, now, threshold))
 
     assert evicted_at(lo) <= evicted_at(hi)
 
@@ -453,7 +471,7 @@ def test_heat_migration_promotes_and_demotes():
                last_access=now - 10 * DAY_US)
     warm = put(store, "warm record", ts=0, ti=2, access_count=0, last_access=now)
     store.migrate(hot, TIER_MID)
-    actions = heat_migration(store, now, cfg)
+    actions, _ = build_policy(store, cfg).consolidate([], now)
     assert actions == [
         f"MIGRATE {hot} {TIER_MID}->{TIER_SHORT}",
         f"MIGRATE {cold} {TIER_SHORT}->{TIER_MID}",
@@ -471,7 +489,7 @@ def test_heat_migration_respects_tier_bounds():
     coldest = put(store, "already long", ts=0, ti=1, access_count=0,
                   last_access=now - 10 * DAY_US)
     store.migrate(coldest, TIER_LONG)
-    assert heat_migration(store, now, cfg) == []
+    assert build_policy(store, cfg).consolidate([], now) == ([], [])
     assert store.get(hottest).tier == TIER_SHORT
     assert store.get(coldest).tier == TIER_LONG
 
@@ -480,7 +498,7 @@ def test_heat_migration_requires_tiered_backend():
     store = build_store("fifo_queue")
     cfg = ConsolidateConfig(strategy="heat_migration")
     with pytest.raises(UnsupportedBackend):
-        heat_migration(store, 0, cfg)
+        build_policy(store, cfg).consolidate([], 0)
 
 
 def test_nearest_existing_falls_back_to_overlap_with_ties_by_id_as_a_string():
@@ -616,8 +634,8 @@ def test_run_consolidate_strategy_none_is_inert():
     put(store, "anything at all", ts=0)
     gw = MockGateway(dim=64)
     gw.drain_timings()
-    actions, flags = run_consolidate(store, [], 10, ConsolidateConfig(strategy="none"),
-                                     gw, insert_index=1)
+    policy = build_policy(store, ConsolidateConfig(strategy="none"), gw)
+    actions, flags = run_consolidate(policy, [], 10, insert_index=1)
     assert actions == [] and flags == []
     assert gw.drain_timings() == []
 
@@ -634,12 +652,12 @@ def test_run_consolidate_every_n_gate():
         return store
 
     store = stale_store()
-    skipped, _ = run_consolidate(store, [], now, cfg, MockGateway(dim=64), insert_index=1)
+    skipped, _ = run_consolidate(build_policy(store, cfg), [], now, insert_index=1)
     assert skipped == []
     assert len(store.all_records()) == 1
 
     store = stale_store()
-    fired, _ = run_consolidate(store, [], now, cfg, MockGateway(dim=64), insert_index=3)
+    fired, _ = run_consolidate(build_policy(store, cfg), [], now, insert_index=3)
     assert len(fired) == 1
     assert store.all_records() == []
 
@@ -652,7 +670,7 @@ def test_run_consolidate_filters_dead_new_ids():
     gone = put(store, "will be evicted first", ts=2, ti=2)
     store.remove(gone)
     cfg = ConsolidateConfig(strategy="crud")
-    actions, _ = run_consolidate(store, [kept, gone], 3, cfg, gw, insert_index=1)
+    actions, _ = run_consolidate(build_policy(store, cfg, gw), [kept, gone], 3, insert_index=1)
     assert actions == [f"ADD {kept}"]
 
 

@@ -119,6 +119,7 @@ def test_postings_search_matches_full_scan(config, merge, ops):
     store = build_store(config.split("/")[0], embed_dim=DIM, **CONFIGS[config])
     gateway = MockGateway(dim=DIM)
     cfg = CONSOLIDATE if merge else dataclasses.replace(CONSOLIDATE, strategy="none")
+    policy = ingest.build_policy(store, cfg, gateway)
     clock = 10
     for op in ops:
         if op[0] == "insert":
@@ -127,7 +128,7 @@ def test_postings_search_matches_full_scan(config, merge, ops):
             text = TEXTS[text_i]
             ids = store.insert([MemoryRecord(record_id="", text=text, ts=clock, session_id="s0",
                                              embedding=mock_embed_text(text, DIM))])
-            ingest.run_consolidate(store, ids, clock, cfg, gateway, clock)
+            ingest.run_consolidate(policy, ids, clock, clock)
         elif op[0] == "query":
             _, text_i, when, k, embedded = op
             text = QUERIES[text_i]
@@ -307,6 +308,7 @@ def test_postings_equal_keys_rebuilt_on_every_backend(name, strategy, ops):
     gateway = MockGateway(dim=DIM)
     # records unread for about two seconds fall below the retention threshold
     cfg = dataclasses.replace(CONSOLIDATE, strategy=strategy, retention_threshold=0.5)
+    policy = ingest.build_policy(store, cfg, gateway)
     lsh = name == "lsh_hash"
     clock, turn = 10 * SECOND_US, 0
     for op in ops:
@@ -314,7 +316,7 @@ def test_postings_equal_keys_rebuilt_on_every_backend(name, strategy, ops):
             clock += op[5] * SECOND_US
             turn += 1
             ids = store.insert([key_record(op, clock, turn, lsh)])
-            ingest.run_consolidate(store, ids, clock, cfg, gateway, turn)
+            ingest.run_consolidate(policy, ids, clock, turn)
         elif op[0] == "query":
             text = QUERIES[op[1]]
             store.retrieve(RetrievalSignal(raw_query=text, embedding=mock_embed_text(text, DIM)),

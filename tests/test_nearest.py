@@ -42,9 +42,9 @@ from memstream.config import ConsolidateConfig, config_from_dict
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.metrics import STAGE_POST_INSERT, STAGE_STATE_UPDATE
 from memstream.orchestrator import _Pipeline, run_experiment
-from memstream.records import KIND_TRIPLET, MemoryRecord, RetrievalSignal, Triplet
-from memstream.stores import BACKENDS, build_store
-from memstream.stores.base import FREE_TS, EmbeddingIndex
+from memstream.records import KIND_TRIPLET, MemoryRecord, RetrievalSignal, Triplet, vector_norm
+from memstream.stores import BACKENDS, base, build_store
+from memstream.stores.base import FREE_TS, PAIRS_BELOW, EmbeddingIndex, batch_cosines, pair_cosines
 from memstream.stores.fifo import FifoQueueStore
 from memstream.stores.inverted_vector import InvertedVectorStore
 from memstream.stores.lsh import LshStore, lsh_signature
@@ -192,6 +192,7 @@ def test_nearest_matches_per_record_scan(config, strategy, ops):
     real, ref = stores
     gateway = MockGateway(dim=DIM)
     cfg = dataclasses.replace(CONSOLIDATE, strategy=strategy)
+    policy = ingest.build_policy(real, cfg, gateway)
     lsh = name == "lsh_hash"
     clock, turn = 10, 0
     for op in ops:
@@ -204,7 +205,7 @@ def test_nearest_matches_per_record_scan(config, strategy, ops):
             ids = [s.insert([make_record(op, clock, turn, lsh)]) for s in stores]
             assert ids[0] == ids[1]
             if strategy != "none":
-                actions, _ = ingest.run_consolidate(real, ids[0], clock, cfg, gateway, turn)
+                actions, _ = ingest.run_consolidate(policy, ids[0], clock, turn)
                 assert actions == ref_consolidate(ref, ids[1], cfg, gateway)
         elif kind == "query":
             _, text_i, when, k, embedded = op
@@ -464,6 +465,57 @@ def test_a_store_grown_past_the_reserve_mirrors_its_records():
 def test_batched_rescore_equals_per_pair_cosine_bitwise(dim):
     rng = np.random.default_rng(dim)
     assert_rescore_equals_per_pair_cosine(rng, dim, churned_store(rng, dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from([1, 3, 17, 64]), count=st.integers(1, 2 * PAIRS_BELOW),
+       seed=st.integers(0, 2 ** 32 - 1), own_row=st.booleans())
+def test_per_pair_and_batched_rescores_agree_bitwise(dim, count, seed, own_row):
+    # _ranked_rows takes the per-pair path below PAIRS_BELOW survivors and
+    # the batch from there up; both must give every survivor the same bits
+    rng = np.random.default_rng(seed)
+    index = EmbeddingIndex()
+    for i, row in enumerate(random_rows(rng, count + 4, dim)):
+        index.write(MemoryRecord(record_id=f"m{i + 1:06d}", text="", ts=i, session_id="s0",
+                                 embedding=row))
+    survivors = rng.permutation(count + 4)[:count]
+    # a record query reads its own row and cached norm, a vector query its own
+    query = index.matrix[survivors[0]] if own_row else random_rows(rng, 2, dim)[1]
+    norm = index.norms[survivors[0]] if own_row else vector_norm(query)
+    pairs = pair_cosines(index, survivors.tolist(), query, norm)
+    batch = batch_cosines(index, survivors, query, norm).tolist()
+    assert [s.hex() for s in pairs] == [s.hex() for s in batch]
+
+
+def merge_rescores(n_facts):
+    """Rows each rescore read while eight near-duplicates merge into a store of ``n_facts``."""
+    rng = np.random.default_rng(23)
+    store = build_store("inverted_vector", embed_dim=DIM)
+    rows = rng.normal(size=(n_facts, DIM))
+    store.insert([MemoryRecord(record_id="", text=f"fact {i}", ts=i + 1, session_id="s0",
+                               embedding=row) for i, row in enumerate(rows)])
+    policy = ingest.build_policy(store, ConsolidateConfig(strategy="semantic_consolidation"))
+    rescored = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for path in ("pair_cosines", "batch_cosines"):
+            def spy(index, rows, *args, _path=path, _rescore=getattr(base, path)):
+                rescored.append((_path, len(rows)))
+                return _rescore(index, rows, *args)
+            monkeypatch.setattr(base, path, spy)
+        for i in range(8):
+            ids = store.insert([MemoryRecord(record_id="", text=f"fact {i} again",
+                                             ts=n_facts + i + 1, session_id="s0",
+                                             embedding=rows[i] * 1.001)])
+            actions, _ = ingest.run_consolidate(policy, ids, n_facts + i + 2, i + 1)
+            assert actions == [f"MERGE {ids[0]}->m{i + 1:06d}"]
+    return rescored
+
+
+def test_a_semantic_merge_rescores_its_survivors_one_pair_at_a_time():
+    # a merge's screen keeps its one near-duplicate, at 250 records as at 1,000
+    rescored = merge_rescores(250)
+    assert rescored == merge_rescores(1000)
+    assert rescored == [("pair_cosines", 1)] * 8
 
 
 @pytest.mark.parametrize("dim", DIMS)

@@ -11,6 +11,7 @@ text, same ts and the same embedding bits.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -21,9 +22,10 @@ from hypothesis import strategies as st
 from memstream import ingest
 from memstream.config import ConsolidateConfig
 from memstream.gateway import mock_embed_text
-from memstream.records import KIND_RAW, KIND_SUMMARY, MemoryRecord
+from memstream.records import DEFAULT_STRENGTH_S, KIND_RAW, KIND_SUMMARY, MemoryRecord
 from memstream.stores import BACKENDS, build_store
 from memstream.stores import summary_vector
+from memstream.stream import TS_END, TS_MIN
 from reference import (
     RefSummaryVectorStore,
     ref_forgetting_curve,
@@ -107,11 +109,21 @@ def summaries_rebuild_from_scratch(store, every_session):
             assert summary.embedding.tobytes() == embedding.tobytes()
 
 
+def live_policy(cfg):
+    """``store -> (now -> action lines)``: the policy of ``cfg``, built once for the store."""
+    def build(store):
+        policy = ingest.build_policy(store, cfg)
+        return lambda now: policy.consolidate([], now)[0]
+    return build
+
+
 def replay(name, ops, policy, reference, every_session=False):
     """Drive two stores through ``ops``; after each one, consolidate one with
-    ``policy`` and the other with ``reference`` and compare."""
+    the pass ``policy(store)`` built for it and the other with ``reference``
+    and compare."""
     stores = [build_store(name, embed_dim=DIM, params=PARAMS[name]) for _ in range(2)]
     real, ref = stores
+    consolidate = policy(real)
     clock, turn = 10 * US, 0
     for op in ops:
         kind = op[0]
@@ -137,12 +149,13 @@ def replay(name, ops, policy, reference, every_session=False):
                     s._touch(s.get(target), clock)
         else:
             clock += op[1] * US
-        assert policy(real, clock) == reference(ref, clock)
+        assert consolidate(clock) == reference(ref, clock)
         same_records(real, ref)
         summaries_rebuild_from_scratch(real, every_session)
 
 
-FORGET = ConsolidateConfig(strategy="forgetting_curve").retention_threshold
+FORGET_CFG = ConsolidateConfig(strategy="forgetting_curve")
+FORGET = FORGET_CFG.retention_threshold
 HEAT = ConsolidateConfig(strategy="heat_migration")
 
 
@@ -151,9 +164,8 @@ HEAT = ConsolidateConfig(strategy="heat_migration")
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=OPS)
 def test_forgetting_curve_matches_per_record_loop(name, ops):
-    replay(name, ops,
-           lambda store, now: ingest.forgetting_curve(store, now, FORGET),
-           lambda store, now: ref_forgetting_curve(store, now, FORGET))
+    replay(name, ops, live_policy(FORGET_CFG),
+           lambda store, now: [f"EVICT {rid}" for rid in ref_forgetting_curve(store, now, FORGET)])
 
 
 @pytest.mark.parametrize("name", sorted(n for n, cls in BACKENDS.items() if cls.supports_tiers))
@@ -165,9 +177,7 @@ def test_heat_migration_matches_per_record_loop(name, cold_heat, ops):
     # a cold bar above the fresh-record heat of 1.0 demotes records that
     # have never been hit, so both tier moves happen often
     cfg = dataclasses.replace(HEAT, cold_heat=cold_heat)
-    replay(name, ops,
-           lambda store, now: ingest.heat_migration(store, now, cfg),
-           lambda store, now: ref_heat_migration(store, now, cfg))
+    replay(name, ops, live_policy(cfg), lambda store, now: ref_heat_migration(store, now, cfg))
 
 
 @settings(max_examples=30, deadline=None,
@@ -175,7 +185,7 @@ def test_heat_migration_matches_per_record_loop(name, cold_heat, ops):
 @given(ops=LONG_OPS)
 def test_session_summaries_match_a_rebuild_without_consolidation(ops):
     # nothing is removed, so every session with a raw turn keeps a summary
-    replay("summary_vector", ops, lambda store, now: [], lambda store, now: [],
+    replay("summary_vector", ops, lambda store: lambda now: [], lambda store, now: [],
            every_session=True)
 
 
@@ -193,6 +203,7 @@ def test_running_summaries_equal_full_rebuilds_through_merges_and_evictions(dim,
     # a removal takes a member out; a 1-dim store always rebuilds
     real = build_store("summary_vector", embed_dim=dim, params=PARAMS["summary_vector"])
     ref = RefSummaryVectorStore(embed_dim=dim, summary_max_sentences=MAX_SENTENCES)
+    forgetting = [live_policy(FORGET_CFG)(s) for s in (real, ref)]
     clock, turn = 10 * US, 0
     for op in ops:
         new_ids = []
@@ -221,7 +232,7 @@ def test_running_summaries_equal_full_rebuilds_through_merges_and_evictions(dim,
             actions = [ingest.semantic_consolidation(s, new_ids, MERGE_AT)
                        for s in (real, ref)]
         else:
-            actions = [ingest.forgetting_curve(s, clock, FORGET) for s in (real, ref)]
+            actions = [evict(clock) for evict in forgetting]
         assert actions[0] == actions[1]
         same_records(real, ref)
 
@@ -293,3 +304,119 @@ def test_a_one_dim_summary_sums_its_members_like_np_mean():
     assert summary.embedding.tolist() == [1.0]
     _, _, want = ref_session_summary(store, "s0", store.summary_max_sentences)
     assert want.tolist() == [1.0]
+
+
+# ----------------------------------------------------------------------
+# deadlines and the work a pass does
+# ----------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(last_access=st.integers(-10**15, 10**15),
+       scale_s=st.one_of(st.sampled_from(STRENGTHS_S + (2.0 ** 33, 3 * 2.0 ** 33)),
+                         st.floats(1e-3, 1e10)),
+       level=st.floats(1e-300, 1.0, exclude_max=True))
+def test_a_deadline_is_never_late_and_barely_early(last_access, scale_s, level):
+    # the exact test cannot pass before the deadline; it passes within a
+    # few parts per billion of it, or at the first microsecond after
+    record = MemoryRecord(record_id="r", text="", ts=last_access, session_id="s",
+                          last_access=last_access, strength=scale_s)
+    deadline = ingest.decay_deadline(last_access, scale_s, level)
+    exponent = -math.log(level)
+    if deadline is None:  # past every valid timestamp
+        assert scale_s * exponent * US >= (TS_END - TS_MIN) * (1 - 1e-9)
+        return
+    assert deadline >= last_access
+    if deadline > last_access:
+        assert ingest.retention(record, deadline - 1) >= level
+    # early by 2**-30 of the exponent and 2**-30 more, in units of scale_s
+    crossing = last_access + scale_s * exponent * US
+    slack = 1e-9 * (exponent + 1) * scale_s * US + 2
+    assert deadline >= crossing - slack
+    assert ingest.retention(record, int(crossing + slack)) < level
+
+
+class Counting:
+    """Counts the calls of the module functions it wraps, by name."""
+
+    def __init__(self, monkeypatch, module, *names):
+        self.calls = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(module, name, self._counted(name, getattr(module, name)))
+
+    def _counted(self, name, fn):
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def take(self) -> dict:
+        calls, self.calls = self.calls, dict.fromkeys(self.calls, 0)
+        return calls
+
+
+def filled_store(name, n_facts, strength_s, params=None):
+    """``n_facts`` records, inserted 1 us apart from ``US``, all at ``strength_s``."""
+    store = build_store(name, embed_dim=DIM, params=params)
+    for i in range(n_facts):
+        store.insert([MemoryRecord(record_id="", text=TEXTS[i % len(TEXTS)], ts=US + i,
+                                   session_id="s0", turn_index=i, strength=strength_s)])
+    return store
+
+
+def forgetting_work(monkeypatch, n_facts):
+    """Per pass: heap pops, evictions, re-pushes and ``retention`` calls."""
+    store = filled_store("inverted_vector", n_facts, strength_s=10.0 ** 9)
+    short_lived = [r.record_id for r in store.all_records()[:5]]
+    for record_id in short_lived:
+        store.get(record_id).strength = 60.0
+    policy = ingest.build_policy(store, FORGET_CFG)
+    policy.consolidate([], 2 * US)  # queues every record
+    spy = Counting(monkeypatch, ingest, "heappop", "heappush", "retention")
+    work = []
+    for step in range(1, 8):
+        now = US + step * 30 * US
+        # the same touches at every size: one short-lived record stays read
+        store._touch(store.get(short_lived[1]), now)
+        actions, _ = policy.consolidate([], now)
+        calls = spy.take()
+        work.append((calls["heappop"], len(actions), calls["heappush"], calls["retention"]))
+    return work
+
+
+def test_a_forgetting_pass_pops_only_its_evictions_and_re_pushes(monkeypatch):
+    work = forgetting_work(monkeypatch, 200)
+    assert work == forgetting_work(monkeypatch, 800)
+    for pops, evicted, re_pushed, decided in work:
+        assert pops <= evicted + re_pushed
+        assert decided == pops
+    assert sum(evicted for _, evicted, _, _ in work) == 4  # all but the one kept read
+    assert sum(re_pushed for _, _, re_pushed, _ in work) > 0
+
+
+def heat_work(monkeypatch, n_facts):
+    """Per pass: ``heat`` calls and the migrations, with three records read before each."""
+    store = filled_store("queue_segment", n_facts, strength_s=DEFAULT_STRENGTH_S,
+                         params={"short_capacity": 4})
+    policy = ingest.build_policy(store, HEAT)
+    policy.consolidate([], 2 * US)  # decides every record once
+    read = [r.record_id for r in store.all_records()[:3]]
+    spy = Counting(monkeypatch, ingest, "heat")
+    work = []
+    for step in range(1, 8):
+        now = US + step * 600 * US
+        if step % 3 == 1:
+            for record_id in read:
+                store._touch(store.get(record_id), now)
+        actions, _ = policy.consolidate([], now)
+        work.append((spy.take()["heat"], len(actions)))
+    return work
+
+
+def test_a_heat_pass_decides_only_touched_moved_and_due_records(monkeypatch):
+    # none of the idle records turns cold within the hour the passes span;
+    # each touched record climbs a tier a pass while it stays hot, and each
+    # climb into short_term pushes out a record later in store order, which
+    # the same pass decides in its new tier
+    work = heat_work(monkeypatch, 200)
+    assert work == heat_work(monkeypatch, 800)
+    assert work == [(6, 3), (3, 0), (0, 0), (3, 0), (0, 0), (0, 0), (3, 0)]
