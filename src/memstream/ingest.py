@@ -3,16 +3,19 @@ policies, plus the pipeline wrappers the orchestrator calls.
 
 Normalization turns one inbound turn into records, each built by ``_unit``,
 before the tentative insert; ``run_normalize`` returns ``(records, flags)``.
-Consolidation mutates the store right after the insert. Each strategy is a
-policy class in ``POLICIES``: ``build_policy`` makes one object per run,
-beside the store, and ``run_consolidate`` hands it each insert's live new
-ids on ``every_n`` boundaries; its ``consolidate`` returns ``(actions,
-flags)``. forgetting_curve and heat_migration keep deadline heaps from one
-pass to the next, fed by the ids the store reports changed
-(``MemoryStore.watch``), so a pass costs what changed or came due, not what
-the store holds. The flags name each fallback the request took. Operators
-call the gateway without naming a stage: the orchestrator bills their calls
-to the stage it has open.
+Consolidation mutates the store right after the insert. Each strategy is
+one policy class in ``POLICIES``, which holds its whole pass:
+``build_policy`` makes one object per run, beside the store, and
+``run_consolidate`` hands it each insert's live new ids on ``every_n``
+boundaries; its ``consolidate`` returns ``(actions, flags)``. crud,
+link_evolution and semantic_consolidation query ``MemoryStore.nearest``
+with each new record, so their classes set ``reads_vectors``.
+forgetting_curve and heat_migration keep deadline heaps from one pass to
+the next, fed by the ids the store reports changed (``MemoryStore.watch``),
+so a pass costs what changed or came due, not what the store holds. The
+flags name each fallback the request took. Operators call the gateway
+without naming a stage: the orchestrator bills their calls to the stage it
+has open.
 """
 
 from __future__ import annotations
@@ -133,69 +136,8 @@ def run_normalize(h: InsertPayload, ts: int, cfg: NormalizeConfig,
 # consolidation (runs right after the tentative insert)
 # ----------------------------------------------------------------------
 
-# The policies that read embeddings, through ``MemoryStore.nearest``: a run
-# with one of them embeds even on a store whose search reads no vectors.
-VECTOR_POLICIES = frozenset({"crud", "semantic_consolidation", "link_evolution"})
-
-
-def _nearest_existing(store: MemoryStore, record: MemoryRecord,
-                      exclude: set[str], limit: int) -> list[MemoryRecord]:
-    """Top existing records by embedding cosine, lexical overlap fallback."""
-    if record.embedding is not None:
-        scored = store.nearest(record, exclude=exclude, top=limit)
-        return [r for r, _ in scored[:limit]]
-    tokens = set(index_tokens(record.text))
-    overlaps = {}
-    for r in store.all_records():
-        if r.record_id in exclude:
-            continue
-        overlap = len(tokens & set(index_tokens(r.text)))
-        if overlap:
-            overlaps[r.record_id] = overlap
-    return [store.get(record_id) for record_id in rank_ids(overlaps)[:limit]]
-
-
-def consolidate_crud(store: MemoryStore, new_ids: list[str], gateway: Gateway,
-                     neighbor_count: int = 3) -> tuple[list[str], list[str]]:
-    """Ask the gateway for one ADD/UPDATE/DELETE/NOOP decision per new unit.
-
-    New units are already inserted, so ADD and NOOP both leave them in
-    place; UPDATE removes the superseded record; DELETE removes its target.
-    A gateway failure keeps everything (NOOP) and flags the request.
-    """
-    actions: list[str] = []
-    flags: list[str] = []
-    exclude = set(new_ids)
-    for new_id in new_ids:
-        record = store.get(new_id)
-        neighbors = _nearest_existing(store, record, exclude, neighbor_count)
-        neighbor_lines = "\n".join(f"{n.record_id}\t{n.text}" for n in neighbors)
-        try:
-            reply = gateway.chat(
-                "crud", {"new": record.text, "neighbors": neighbor_lines}).strip()
-        except GatewayError:
-            actions.append(f"NOOP {new_id}")
-            flags.append("crud_fallback")
-            continue
-        parts = reply.split()
-        verb = parts[0].upper() if parts else ""
-        target = parts[1] if len(parts) > 1 else ""
-        if verb == "ADD":
-            actions.append(f"ADD {new_id}")
-        elif verb == "NOOP":
-            actions.append(f"NOOP {new_id}")
-        elif verb in ("UPDATE", "DELETE") and target:
-            if target in {n.record_id for n in neighbors}:
-                store.remove(target)
-                actions.append(
-                    f"UPDATE {target}<-{new_id}" if verb == "UPDATE" else f"DELETE {target}")
-            else:
-                actions.append(f"NOOP {new_id}")
-                flags.append("crud_unknown_target")
-        else:
-            actions.append(f"NOOP {new_id}")
-            flags.append("crud_unparseable")
-    return actions, flags
+# the existing records crud shows the gateway beside each new unit
+CRUD_NEIGHBORS = 3
 
 
 def retention(record: MemoryRecord, now: int) -> float:
@@ -232,26 +174,6 @@ def decay_deadline(last_access: int, scale_s: float, level: float) -> Optional[i
     return last_access + int(span)
 
 
-def link_evolution(store: MemoryStore, new_ids: list[str],
-                   link_top_m: int, link_threshold: float) -> list[str]:
-    """Bidirectional links from each new record to its nearest neighbors."""
-    if not store.supports_links:
-        raise UnsupportedBackend(
-            f"backend {store.name!r} does not maintain links")
-    created = []
-    exclude = set(new_ids)
-    for new_id in new_ids:
-        record = store.get(new_id)
-        if record.embedding is None:
-            continue
-        scored = store.nearest(record, exclude=exclude, top=link_top_m, floor=link_threshold)
-        for other, _sim in scored[:link_top_m]:
-            record.links.add(other.record_id)
-            other.links.add(new_id)
-            created.append(f"LINK {new_id}<->{other.record_id}")
-    return created
-
-
 def merge_records(store: MemoryStore, older: MemoryRecord,
                   newer: MemoryRecord):
     """Older record absorbs the newer one; the newer one is removed."""
@@ -274,23 +196,6 @@ def merge_records(store: MemoryStore, older: MemoryRecord,
     store.remove(newer.record_id)
 
 
-def semantic_consolidation(store: MemoryStore, new_ids: list[str],
-                           dedup_threshold: float) -> list[str]:
-    """Merge each new record into its closest near-duplicate predecessor."""
-    merged = []
-    exclude = set(new_ids)
-    for new_id in new_ids:
-        newer = store.get(new_id)
-        if newer.embedding is None:
-            continue
-        scored = store.nearest(newer, exclude=exclude, top=1, floor=dedup_threshold)
-        if scored:
-            best = scored[0][0]
-            merge_records(store, best, newer)
-            merged.append(f"MERGE {new_id}->{best.record_id}")
-    return merged
-
-
 class Consolidation:
     """One run's consolidation policy; this base is strategy ``none``.
 
@@ -300,7 +205,13 @@ class Consolidation:
     it inserts, touches, reindexes, removes or moves between tiers in
     ``store.changed``. The other policies leave that set off, so their runs
     pay nothing per touch.
+
+    ``reads_vectors`` says whether the policy reads embeddings, through
+    ``MemoryStore.nearest``: a run with such a policy embeds even on a store
+    whose search reads no vectors.
     """
+
+    reads_vectors = False
 
     def __init__(self, store: MemoryStore, cfg: ConsolidateConfig,
                  gateway: Optional[Gateway] = None):
@@ -312,19 +223,114 @@ class Consolidation:
 
 
 class Crud(Consolidation):
+    """Ask the gateway for one ADD/UPDATE/DELETE/NOOP decision per new unit.
+
+    The gateway sees the unit beside its ``CRUD_NEIGHBORS`` nearest existing
+    records. New units are already inserted, so ADD and NOOP both leave them
+    in place; UPDATE removes the superseded record; DELETE removes its
+    target. A gateway failure keeps everything (NOOP) and flags the request.
+    """
+
+    reads_vectors = True
+
+    def neighbors(self, record: MemoryRecord, exclude: set[str]) -> list[MemoryRecord]:
+        """Top existing records by embedding cosine, lexical overlap fallback."""
+        store = self.store
+        if record.embedding is not None:
+            scored = store.nearest(record, exclude=exclude, top=CRUD_NEIGHBORS)
+            return [r for r, _ in scored[:CRUD_NEIGHBORS]]
+        tokens = set(index_tokens(record.text))
+        overlaps = {}
+        for r in store.all_records():
+            if r.record_id in exclude:
+                continue
+            overlap = len(tokens & set(index_tokens(r.text)))
+            if overlap:
+                overlaps[r.record_id] = overlap
+        return [store.get(record_id) for record_id in rank_ids(overlaps)[:CRUD_NEIGHBORS]]
+
     def consolidate(self, new_ids, now):
-        return consolidate_crud(self.store, new_ids, self.gateway)
+        store = self.store
+        actions: list[str] = []
+        flags: list[str] = []
+        exclude = set(new_ids)
+        for new_id in new_ids:
+            record = store.get(new_id)
+            neighbors = self.neighbors(record, exclude)
+            neighbor_lines = "\n".join(f"{n.record_id}\t{n.text}" for n in neighbors)
+            try:
+                reply = self.gateway.chat(
+                    "crud", {"new": record.text, "neighbors": neighbor_lines}).strip()
+            except GatewayError:
+                actions.append(f"NOOP {new_id}")
+                flags.append("crud_fallback")
+                continue
+            parts = reply.split()
+            verb = parts[0].upper() if parts else ""
+            target = parts[1] if len(parts) > 1 else ""
+            if verb == "ADD":
+                actions.append(f"ADD {new_id}")
+            elif verb == "NOOP":
+                actions.append(f"NOOP {new_id}")
+            elif verb in ("UPDATE", "DELETE") and target:
+                if target in {n.record_id for n in neighbors}:
+                    store.remove(target)
+                    actions.append(
+                        f"UPDATE {target}<-{new_id}" if verb == "UPDATE" else f"DELETE {target}")
+                else:
+                    actions.append(f"NOOP {new_id}")
+                    flags.append("crud_unknown_target")
+            else:
+                actions.append(f"NOOP {new_id}")
+                flags.append("crud_unparseable")
+        return actions, flags
 
 
 class LinkEvolution(Consolidation):
+    """Bidirectional links from each new record to its nearest neighbors."""
+
+    reads_vectors = True
+
     def consolidate(self, new_ids, now):
-        return link_evolution(self.store, new_ids, self.cfg.link_top_m,
-                              self.cfg.link_threshold), []
+        store, cfg = self.store, self.cfg
+        if not store.supports_links:
+            raise UnsupportedBackend(
+                f"backend {store.name!r} does not maintain links")
+        created = []
+        exclude = set(new_ids)
+        for new_id in new_ids:
+            record = store.get(new_id)
+            if record.embedding is None:
+                continue
+            scored = store.nearest(record, exclude=exclude, top=cfg.link_top_m,
+                                   floor=cfg.link_threshold)
+            for other, _sim in scored[:cfg.link_top_m]:
+                record.links.add(other.record_id)
+                other.links.add(new_id)
+                created.append(f"LINK {new_id}<->{other.record_id}")
+        return created, []
 
 
 class SemanticConsolidation(Consolidation):
+    """Merge each new record into its closest near-duplicate predecessor."""
+
+    reads_vectors = True
+
     def consolidate(self, new_ids, now):
-        return semantic_consolidation(self.store, new_ids, self.cfg.dedup_threshold), []
+        store = self.store
+        merged = []
+        exclude = set(new_ids)
+        for new_id in new_ids:
+            newer = store.get(new_id)
+            if newer.embedding is None:
+                continue
+            scored = store.nearest(newer, exclude=exclude, top=1,
+                                   floor=self.cfg.dedup_threshold)
+            if scored:
+                best = scored[0][0]
+                merge_records(store, best, newer)
+                merged.append(f"MERGE {new_id}->{best.record_id}")
+        return merged, []
 
 
 class ForgettingCurve(Consolidation):

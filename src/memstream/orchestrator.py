@@ -32,12 +32,13 @@ clock handed to stores and policies is always the request timestamp, never
 the wall clock.
 
 A run embeds only what some stage reads. ``_Pipeline`` sets
-``Gateway.vectors`` when it builds the store: true when the store's search
-reads vectors (``MemoryStore.reads_vectors``) or the consolidation policy
-does (``ingest.VECTOR_POLICIES``). When it is false, the operators'
-``Gateway.vectors_for`` calls return ``None`` vectors without calling the
-model, as if the embedder had failed open, but unflagged and untimed, so a
-``fifo_queue`` run with no such policy bills no embedding time to any stage.
+``Gateway.vectors`` when it builds the store and the policy: true when the
+store's search reads vectors (``MemoryStore.reads_vectors``) or the
+consolidation policy does (``ingest.Consolidation.reads_vectors``). When it
+is false, the operators' ``Gateway.vectors_for`` calls return ``None``
+vectors without calling the model, as if the embedder had failed open, but
+unflagged and untimed, so a ``fifo_queue`` run with no such policy bills no
+embedding time to any stage.
 
 Garbage collection
 ------------------
@@ -80,7 +81,7 @@ from .errors import (
     StoreError,
 )
 from .gateway import Gateway, GatewayTiming, MockGateway, RemoteGateway, TokenBucket, _token_codes
-from .ingest import VECTOR_POLICIES, build_policy, run_consolidate, run_normalize
+from .ingest import build_policy, run_consolidate, run_normalize
 from .metrics import (
     INSERT_STAGES,
     QUERY_STAGES,
@@ -331,13 +332,12 @@ class _Pipeline:
         self.store: MemoryStore = build_store(
             cfg.store.backend, embed_dim=cfg.gateway.embed_dim,
             seed=cfg.seed, params=cfg.store.params)
-        # set on every run, like ``stage``: an injected gateway may serve
-        # several runs, one after another (see ``Gateway``)
-        self.gateway.vectors = (self.store.reads_vectors
-                                or cfg.operators.consolidate.strategy in VECTOR_POLICIES)
         self.store.strength_gain = cfg.operators.consolidate.strength_gain
         self.store.initial_strength_s = cfg.operators.consolidate.initial_strength_s
         self.policy = build_policy(self.store, cfg.operators.consolidate, self.gateway)
+        # set on every run, like ``stage``: an injected gateway may serve
+        # several runs, one after another (see ``Gateway``)
+        self.gateway.vectors = self.store.reads_vectors or self.policy.reads_vectors
         self.result = ExperimentResult(config=config_to_dict(cfg))
         self.pending: list[QueryResult] = []  # scored, not yet reported
         self.inserts_consumed = 0

@@ -13,11 +13,11 @@ All backends guarantee, via this base class:
   then sorts them stably by descending score (``list.sort`` with the score
   dict's ``__getitem__`` as key, ``reverse=True``), both sorts in C. Lexical
   search, fusion, vector search, property_graph's search, multi-tier
-  integration and the lexical fallback of the consolidation policies all
-  rank through it, and so does ``nearest`` for fewer than ``PAIRS_BELOW``
-  survivors. The lexical ranking ranks every visible match; fusion
-  first keeps only the ids scoring at least the ``limit``-th best fused
-  score, so ties at the cut stay in id order. There are two exceptions:
+  integration and crud's lexical neighbour fallback all rank through it,
+  and so does ``nearest`` for fewer than ``PAIRS_BELOW`` survivors. The
+  lexical ranking ranks every visible match; fusion first keeps only the
+  ids scoring at least the ``limit``-th best fused score, so ties at the cut
+  stay in id order. There are two exceptions:
   ``nearest`` orders a larger batch of survivors with one ``np.lexsort``
   over index rows (below), the same order without building a dict, and
   time-weighted integration re-sorts by its decayed score alone, stably, so
@@ -46,10 +46,11 @@ beside it. A freed row's ts is
 ``FREE_TS`` (``stream.TS_END``, past every valid timestamp), which no
 ``now`` reaches, so the one test ``ts < now`` keeps exactly the live,
 visible rows; freed rows are reused.
-A row is written when its record is: ``insert`` and ``reindex`` write the
-record's embedding, ts, id and norms into its row, or free the row of a
-record without an embedding, and ``remove`` frees it. So the stage that
-writes a record pays for its row (StateUpdate for an insert, PostIns for a
+A row is written when its record is: ``insert`` and ``reindex`` both write
+a record through one method, ``_write``, which writes the record's
+embedding, ts, id and norms into its row, or frees the row of a record
+without an embedding, and ``remove`` frees it. So the stage that writes a
+record pays for its row (StateUpdate for an insert, PostIns for a
 merge's reindex), and an unembedded record gets no row; a store that holds
 no embedding never builds the matrix. The first allocation reserves 1,024
 rows and each later one doubles the capacity. Rows map to record ids through
@@ -92,9 +93,9 @@ Every row that can pass the exact floor or rank among the exact top
 survives. Comparing float32 scores with a threshold rounded to float32
 keeps every score at or above the unrounded one.
 The store keeps one upper bound on its live records' timestamps, raised by
-``insert`` and ``reindex`` and never lowered. A ``now`` past that bound
-hides no record, so both rankings treat it as None: ``_lexical_ranking``
-then reads no record's ts, and the screen reads no ts column. When ``rows``
+``_write`` and never lowered. A ``now`` past that bound hides no record, so
+both rankings treat it as None: ``_lexical_ranking`` then reads no record's
+ts, and the screen reads no ts column. When ``rows``
 restricts the scan, the product spans only the chosen rows that are
 visible and not excluded, so lsh_hash's bucket candidates do not pay for
 the whole store.
@@ -131,11 +132,12 @@ is belongs to the backend: ``_index_keys(record)`` returns the index
 tokens of the text by default (fifo_queue, queue_segment, inverted_vector);
 property_graph keys the triplet's entity tokens, lsh_hash one ``(table,
 signature)`` pair per LSH table, and summary_vector nothing. The base keeps
-the postings current eagerly in ``insert``, ``reindex`` and ``remove``, so a
-record is keyed once per write, never per query. ``MemoryStore._key_totals``
-sums the scores from the postings: it copies the largest posting among the
-query's distinct index tokens, then adds the counts of each other one to a
-running total per record. That is each record's term-frequency sum over
+the postings current eagerly in ``_write`` and ``remove``, so a record is
+keyed once per write, never per query; ``Postings.add`` writes only the keys
+whose count changed, all of them for a record keyed the first time.
+``MemoryStore._key_totals`` sums the scores from the postings: it copies the
+largest posting among the query's distinct index tokens, then adds the
+counts of each other one to a running total per record. That is each record's term-frequency sum over
 the query's distinct tokens, and only records sharing a token get a total;
 the others would score 0 and be dropped anyway. ``_lexical_ranking``
 returns the ids of the visible records (``ts < now``) ranked by their totals
@@ -147,12 +149,12 @@ property_graph's entity keys are a set, so each count is 1 and a record's
 points are the number of distinct query entities it mentions.
 
 The store reports its changes to a consolidation policy through one hook,
-``_note(record_id)``: ``insert``, ``_touch``, ``reindex``, ``remove`` and a
-tier move (queue_segment's ``migrate`` and its short-term overflow) call it
-for each record they write. It adds the id to ``changed`` only after a
-policy has called ``watch()``, which starts that set with every live id;
-the policy empties it with ``take_changed()``. ``changed`` is None until
-then, so a run whose policy keeps no state (``none``, ``crud``,
+``_note(record_id)``: ``_write`` (so ``insert`` and ``reindex``), ``_touch``,
+``remove`` and a tier move (queue_segment's ``migrate`` and its short-term
+overflow) call it for each record they write. It adds the id to ``changed``
+only after a policy has called ``watch()``, which starts that set with every
+live id; the policy empties it with ``take_changed()``. ``changed`` is None
+until then, so a run whose policy keeps no state (``none``, ``crud``,
 ``link_evolution``, ``semantic_consolidation``) pays one ``None`` test per
 write and per hit. Records are kept, and ids handed out, in insertion
 order, so ``insert_order`` of an id sorts ids in store order.
@@ -437,26 +439,23 @@ class Postings:
     def add(self, record_id: str, keys: Iterable[Hashable]):
         """Index the record under ``keys``, replacing any earlier entry.
 
-        A record indexed before has only the keys whose count changed written.
+        Only the keys whose count changed are written; a record indexed for
+        the first time had none.
         """
         counts: dict[Hashable, int] = {}
         for key in keys:
             counts[key] = counts.get(key, 0) + 1
         postings = self.postings
-        old = self.counts.pop(record_id, None)
-        if old is None:
-            for key, count in counts.items():
+        old = self.counts.pop(record_id, {})
+        for key in old:
+            if key not in counts:
+                bucket = postings[key]
+                del bucket[record_id]
+                if not bucket:
+                    del postings[key]
+        for key, count in counts.items():
+            if old.get(key) != count:
                 postings.setdefault(key, {})[record_id] = count
-        else:
-            for key in old:
-                if key not in counts:
-                    bucket = postings[key]
-                    del bucket[record_id]
-                    if not bucket:
-                        del postings[key]
-            for key, count in counts.items():
-                if old.get(key) != count:
-                    postings.setdefault(key, {})[record_id] = count
         if counts:
             self.counts[record_id] = counts
 
@@ -501,7 +500,7 @@ class MemoryStore(ABC):
         self.evicted_total = 0
         self._index = EmbeddingIndex()
         self._postings = Postings()
-        # at or above every live record's ts: raised by insert and reindex, never lowered
+        # at or above every live record's ts: raised by _write, never lowered
         self._ts_bound = TS_MIN
         # ids inserted, touched, reindexed, removed or moved between tiers
         # since a policy last took them; None until a policy asks (``watch``)
@@ -524,13 +523,17 @@ class MemoryStore(ABC):
             self._records[record.record_id] = record
             if record.kind == KIND_RAW:
                 self._turn_map[(record.session_id, record.turn_index)] = record.record_id
-            self._postings.add(record.record_id, self._index_keys(record))
-            self._index.write(record)
-            self._ts_bound = max(self._ts_bound, record.ts)
-            self._note(record.record_id)
+            self._write(record)
             self._after_add(record)
             ids.append(record.record_id)
         return ids
+
+    def _write(self, record: MemoryRecord):
+        """Write the record into its postings, its index row and the ts bound, and note it."""
+        self._postings.add(record.record_id, self._index_keys(record))
+        self._index.write(record)
+        self._ts_bound = max(self._ts_bound, record.ts)
+        self._note(record.record_id)
 
     def _check_dim(self, record: MemoryRecord):
         if record.embedding is None:
@@ -716,10 +719,7 @@ class MemoryStore(ABC):
     def reindex(self, record: MemoryRecord):
         """Refresh index entries after an in-place text/embedding/ts change."""
         self._check_dim(record)
-        self._postings.add(record.record_id, self._index_keys(record))
-        self._index.write(record)
-        self._ts_bound = max(self._ts_bound, record.ts)
-        self._note(record.record_id)
+        self._write(record)
 
     def migrate(self, record_id: str, to_tier: str):
         raise UnsupportedBackend(f"{self.name} has no tiers")

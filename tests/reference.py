@@ -12,7 +12,6 @@ import json
 import math
 import zlib
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 
@@ -234,19 +233,6 @@ def ref_semantic_consolidation(store, new_ids, dedup_threshold):
     return merged
 
 
-def ref_consolidate(store, new_ids, cfg, gateway):
-    """The action lines of ``cfg.strategy`` over the live ``new_ids``, by
-    per-record scans; crud keeps its own code with the reference neighbours."""
-    live = {record.record_id for record in store.all_records()}
-    new_ids = [record_id for record_id in new_ids if record_id in live]
-    if cfg.strategy == "crud":
-        with mock.patch.object(ingest, "_nearest_existing", ref_nearest_existing):
-            return ingest.consolidate_crud(store, new_ids, gateway)[0]
-    if cfg.strategy == "link_evolution":
-        return ref_link_evolution(store, new_ids, cfg.link_top_m, cfg.link_threshold)
-    return ref_semantic_consolidation(store, new_ids, cfg.dedup_threshold)
-
-
 def forgetting_pass(store, now, retention_threshold):
     """The ids one pass of the live forgetting_curve policy evicts. The policy
     is built on the store as it stands, so every live record is new to it and
@@ -305,8 +291,39 @@ class RefHeatMigration(ingest.Consolidation):
         return ref_heat_migration(self.store, now, self.cfg), []
 
 
-# strategy -> the reference policy a run-level test puts in ``ingest.POLICIES``
-REF_POLICIES = {"forgetting_curve": RefForgettingCurve, "heat_migration": RefHeatMigration}
+class RefCrud(ingest.Crud):
+    """crud with the neighbours of ``ref_nearest_existing``; the gateway's
+    decisions are applied by the policy's own code."""
+
+    def neighbors(self, record, exclude):
+        return ref_nearest_existing(self.store, record, exclude, ingest.CRUD_NEIGHBORS)
+
+
+class RefLinkEvolution(ingest.LinkEvolution):
+    """link_evolution as ``ref_link_evolution``, in a run's policy seat."""
+
+    def consolidate(self, new_ids, now):
+        cfg = self.cfg
+        return ref_link_evolution(self.store, new_ids, cfg.link_top_m, cfg.link_threshold), []
+
+
+class RefSemanticConsolidation(ingest.SemanticConsolidation):
+    """semantic_consolidation as ``ref_semantic_consolidation``, in a run's policy seat."""
+
+    def consolidate(self, new_ids, now):
+        return ref_semantic_consolidation(self.store, new_ids, self.cfg.dedup_threshold), []
+
+
+# strategy -> the reference policy a test builds, or puts in ``ingest.POLICIES``,
+# in place of the live one; the crud, link and merge references subclass their
+# live classes, so a run with one embeds what it does with the live policy
+REF_POLICIES = {
+    "crud": RefCrud,
+    "forgetting_curve": RefForgettingCurve,
+    "heat_migration": RefHeatMigration,
+    "link_evolution": RefLinkEvolution,
+    "semantic_consolidation": RefSemanticConsolidation,
+}
 
 
 def ref_session_summary(store, session_id, max_sentences):

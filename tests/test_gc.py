@@ -25,7 +25,7 @@ import pytest
 from memstream.config import ConsolidateConfig, StoreConfig
 from memstream.errors import GatewayError, StoreError
 from memstream.gateway import _MOCK_TEMPLATES, MockGateway, RemoteGateway
-from memstream.ingest import VECTOR_POLICIES
+from memstream.ingest import POLICIES
 from memstream.orchestrator import run_experiment
 from memstream.stores import BACKENDS
 from memstream.workloads import SyntheticSpec, synth_workload
@@ -54,7 +54,7 @@ def test_a_run_embeds_only_what_it_reads(monkeypatch):
         assert declared.action_log == embedding.action_log, where
         if declared.status == "complete":
             reads = (BACKENDS[cfg.store.backend].reads_vectors
-                     or cfg.operators.consolidate.strategy in VECTOR_POLICIES)
+                     or POLICIES[cfg.operators.consolidate.strategy].reads_vectors)
             assert (embed_calls(declared) > 0) is reads, where
             assert embed_calls(embedding) > 0, where
             vector_less += not reads

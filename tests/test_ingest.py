@@ -17,11 +17,8 @@ from memstream.errors import (
 )
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.ingest import (
-    _nearest_existing,
     build_policy,
-    consolidate_crud,
     heat,
-    link_evolution,
     merge_records,
     normalize_enrich,
     normalize_none,
@@ -29,7 +26,6 @@ from memstream.ingest import (
     retention,
     run_consolidate,
     run_normalize,
-    semantic_consolidation,
 )
 from memstream.metrics import STAGE_POST_INSERT, STAGE_PRE_INSERT
 from memstream.orchestrator import _Pipeline
@@ -246,6 +242,12 @@ def test_normalize_gateway_calls_are_pre_insert_stage():
     assert {t.stage for t in trace.gateway_calls} == {STAGE_PRE_INSERT}
 
 
+def consolidate(store, strategy, new_ids, gateway=None, **params):
+    """``(actions, flags)`` of one pass of the ``strategy`` policy built on ``store``."""
+    cfg = ConsolidateConfig(strategy=strategy, **params)
+    return build_policy(store, cfg, gateway).consolidate(new_ids, 0)
+
+
 # ----------------------------------------------------------------------
 # crud consolidation
 # ----------------------------------------------------------------------
@@ -255,7 +257,7 @@ def test_crud_add_for_unrelated_unit():
     gw = MockGateway(dim=64)
     put(store, "the cat sat on the mat", ts=0, ti=0)
     new_id = put(store, "quantum flux capacitor hums", ts=1, ti=1)
-    actions, flags = consolidate_crud(store, [new_id], gw)
+    actions, flags = consolidate(store, "crud", [new_id], gw)
     assert actions == [f"ADD {new_id}"]
     assert flags == []
 
@@ -265,7 +267,7 @@ def test_crud_noop_for_exact_duplicate():
     gw = MockGateway(dim=64)
     old_id = put(store, "alice | age | 30", ts=0, ti=0)
     new_id = put(store, "alice | age | 30", ts=1, ti=1)
-    actions, _ = consolidate_crud(store, [new_id], gw)
+    actions, _ = consolidate(store, "crud", [new_id], gw)
     assert actions == [f"NOOP {new_id}"]
     # both records stay live
     assert store.get(old_id).record_id == old_id
@@ -277,7 +279,7 @@ def test_crud_update_removes_superseded_record():
     gw = MockGateway(dim=64)
     old_id = put(store, "alice | age | 30", ts=0, ti=0)
     new_id = put(store, "alice | age | 31", ts=1, ti=1)
-    actions, _ = consolidate_crud(store, [new_id], gw)
+    actions, _ = consolidate(store, "crud", [new_id], gw)
     assert actions == [f"UPDATE {old_id}<-{new_id}"]
     with pytest.raises(UnknownRecord):
         store.get(old_id)
@@ -289,7 +291,7 @@ def test_crud_delete_removes_target():
     old_id = put(store, "bob lives in dallas", ts=0, ti=0)
     new_id = put(store, "forget where bob lives", ts=1, ti=1)
     gw = ScriptedGateway(script={"crud": [f"DELETE {old_id}"]}, dim=64)
-    actions, _ = consolidate_crud(store, [new_id], gw)
+    actions, _ = consolidate(store, "crud", [new_id], gw)
     assert actions == [f"DELETE {old_id}"]
     with pytest.raises(UnknownRecord):
         store.get(old_id)
@@ -301,7 +303,7 @@ def test_crud_unknown_target_degrades_to_noop():
     new_id = put(store, "bob lives in austin", ts=1, ti=1)
     for reply in ("UPDATE m999999", "DELETE m999999"):
         gw = ScriptedGateway(script={"crud": [reply]}, dim=64)
-        actions, flags = consolidate_crud(store, [new_id], gw)
+        actions, flags = consolidate(store, "crud", [new_id], gw)
         assert actions == [f"NOOP {new_id}"]
         assert flags == ["crud_unknown_target"]
     assert len(store.all_records()) == 2
@@ -311,7 +313,7 @@ def test_crud_unparseable_reply_degrades_to_noop():
     store = build_store("fifo_queue")
     new_id = put(store, "bob lives in austin", ts=0, ti=0)
     gw = ScriptedGateway(script={"crud": ["REFORMAT please"]}, dim=64)
-    actions, flags = consolidate_crud(store, [new_id], gw)
+    actions, flags = consolidate(store, "crud", [new_id], gw)
     assert actions == [f"NOOP {new_id}"]
     assert flags == ["crud_unparseable"]
 
@@ -321,7 +323,7 @@ def test_crud_gateway_fault_keeps_everything():
     a = put(store, "alpha beta gamma", ts=0, ti=0)
     b = put(store, "delta epsilon zeta", ts=1, ti=1)
     gw = MockGateway(dim=64, failing={"crud"})
-    actions, flags = consolidate_crud(store, [a, b], gw)
+    actions, flags = consolidate(store, "crud", [a, b], gw)
     assert actions == [f"NOOP {a}", f"NOOP {b}"]
     assert flags == ["crud_fallback", "crud_fallback"]
     assert len(store.all_records()) == 2
@@ -510,9 +512,10 @@ def test_nearest_existing_falls_back_to_overlap_with_ties_by_id_as_a_string():
         ("red fox", "red fox", "red fox runs", "blue whale", "red fox"))]
     assert ids == ["m999998", "m999999", "m1000000", "m1000001", "m1000002"]
     new = store.get(ids[-1])
-    got = _nearest_existing(store, new, {new.record_id}, limit=3)
+    crud = build_policy(store, ConsolidateConfig(strategy="crud"))
+    got = crud.neighbors(new, {new.record_id})
     assert [r.record_id for r in got] == ["m1000000", "m999998", "m999999"]
-    got = _nearest_existing(store, new, {new.record_id, "m999998"}, limit=5)
+    got = crud.neighbors(new, {new.record_id, "m999998"})
     assert [r.record_id for r in got] == ["m1000000", "m999999"]
 
 
@@ -530,7 +533,8 @@ def test_link_evolution_links_nearest_neighbors():
     fox_b = _embedded(store, "a red fox sprints quickly", 1)
     other = _embedded(store, "database index tuning guide", 2)
     new_id = _embedded(store, "the red fox runs very fast", 3)
-    actions = link_evolution(store, [new_id], link_top_m=2, link_threshold=0.1)
+    actions, _ = consolidate(store, "link_evolution", [new_id], link_top_m=2,
+                             link_threshold=0.1)
     assert len(actions) == 2
     linked = store.get(new_id).links
     assert linked == {fox_a, fox_b}
@@ -545,8 +549,9 @@ def test_link_evolution_threshold_and_top_m():
     store = build_store("property_graph", embed_dim=64)
     _embedded(store, "the red fox runs fast", 0)
     new_id = _embedded(store, "the red fox runs very fast", 1)
-    assert link_evolution(store, [new_id], link_top_m=3, link_threshold=0.999) == []
-    assert link_evolution(store, [new_id], link_top_m=0, link_threshold=0.1) == []
+    for top_m, threshold in ((3, 0.999), (0, 0.1)):
+        assert consolidate(store, "link_evolution", [new_id], link_top_m=top_m,
+                           link_threshold=threshold) == ([], [])
     assert store.get(new_id).links == set()
 
 
@@ -554,13 +559,13 @@ def test_link_evolution_skips_batch_siblings():
     store = build_store("property_graph", embed_dim=64)
     a = _embedded(store, "twin text here now", 0)
     b = _embedded(store, "twin text here now", 1)
-    assert link_evolution(store, [a, b], link_top_m=3, link_threshold=0.5) == []
+    assert consolidate(store, "link_evolution", [a, b], link_top_m=3, link_threshold=0.5)[0] == []
 
 
 def test_link_evolution_requires_link_support():
     store = build_store("fifo_queue")
     with pytest.raises(UnsupportedBackend):
-        link_evolution(store, [], link_top_m=3, link_threshold=0.5)
+        consolidate(store, "link_evolution", [], link_top_m=3, link_threshold=0.5)
 
 
 # ----------------------------------------------------------------------
@@ -611,7 +616,8 @@ def test_semantic_consolidation_merges_duplicates():
     old_id = _embedded(store, "the sky is blue today", 0)
     dup_id = _embedded(store, "the sky is blue today", 1)
     fresh_id = _embedded(store, "completely different topic altogether", 2)
-    actions = semantic_consolidation(store, [dup_id, fresh_id], dedup_threshold=0.95)
+    actions, _ = consolidate(store, "semantic_consolidation", [dup_id, fresh_id],
+                             dedup_threshold=0.95)
     assert actions == [f"MERGE {dup_id}->{old_id}"]
     with pytest.raises(UnknownRecord):
         store.get(dup_id)
@@ -622,7 +628,7 @@ def test_semantic_consolidation_ignores_unembedded():
     store = build_store("fifo_queue", embed_dim=64)
     _embedded(store, "the sky is blue today", 0)
     plain = put(store, "the sky is blue today", ts=1, ti=1)
-    assert semantic_consolidation(store, [plain], dedup_threshold=0.5) == []
+    assert consolidate(store, "semantic_consolidation", [plain], dedup_threshold=0.5)[0] == []
 
 
 # ----------------------------------------------------------------------

@@ -54,12 +54,12 @@ from memstream.stores.summary_vector import SummaryVectorStore
 from memstream.text import index_tokens
 from memstream.workloads import SyntheticSpec, synth_workload
 from reference import (
+    REF_POLICIES,
     as_bits,
     as_candidates,
     divided_by_top,
     insert_count,
     ranked,
-    ref_consolidate,
     ref_cosine,
     ref_retrieve,
     ref_vector_search,
@@ -193,6 +193,7 @@ def test_nearest_matches_per_record_scan(config, strategy, ops):
     gateway = MockGateway(dim=DIM)
     cfg = dataclasses.replace(CONSOLIDATE, strategy=strategy)
     policy = ingest.build_policy(real, cfg, gateway)
+    ref_policy = REF_POLICIES.get(strategy, ingest.Consolidation)(ref, cfg, gateway)
     lsh = name == "lsh_hash"
     clock, turn = 10, 0
     for op in ops:
@@ -205,8 +206,8 @@ def test_nearest_matches_per_record_scan(config, strategy, ops):
             ids = [s.insert([make_record(op, clock, turn, lsh)]) for s in stores]
             assert ids[0] == ids[1]
             if strategy != "none":
-                actions, _ = ingest.run_consolidate(policy, ids[0], clock, turn)
-                assert actions == ref_consolidate(ref, ids[1], cfg, gateway)
+                assert (ingest.run_consolidate(policy, ids[0], clock, turn)
+                        == ingest.run_consolidate(ref_policy, ids[1], clock, turn))
         elif kind == "query":
             _, text_i, when, k, embedded = op
             if not embedded and lsh:

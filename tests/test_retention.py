@@ -190,7 +190,7 @@ def test_session_summaries_match_a_rebuild_without_consolidation(ops):
 
 
 # low enough that repeated and overlapping texts merge, across sessions too
-MERGE_AT = 0.5
+MERGE_CFG = ConsolidateConfig(strategy="semantic_consolidation", dedup_threshold=0.5)
 
 
 @pytest.mark.parametrize("dim", [DIM, 1])
@@ -204,6 +204,7 @@ def test_running_summaries_equal_full_rebuilds_through_merges_and_evictions(dim,
     real = build_store("summary_vector", embed_dim=dim, params=PARAMS["summary_vector"])
     ref = RefSummaryVectorStore(embed_dim=dim, summary_max_sentences=MAX_SENTENCES)
     forgetting = [live_policy(FORGET_CFG)(s) for s in (real, ref)]
+    merging = [ingest.build_policy(s, MERGE_CFG) for s in (real, ref)]
     clock, turn = 10 * US, 0
     for op in ops:
         new_ids = []
@@ -229,8 +230,7 @@ def test_running_summaries_equal_full_rebuilds_through_merges_and_evictions(dim,
         else:
             clock += op[1] * US
         if strategy == "semantic_consolidation":
-            actions = [ingest.semantic_consolidation(s, new_ids, MERGE_AT)
-                       for s in (real, ref)]
+            actions = [policy.consolidate(new_ids, clock) for policy in merging]
         else:
             actions = [evict(clock) for evict in forgetting]
         assert actions[0] == actions[1]
