@@ -19,17 +19,15 @@ from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
+from .ingest import NORMALIZERS, POLICIES
 from .records import DEFAULT_STRENGTH_S, TIER_NAMES
+from .retrieve import FORMULATORS, INTEGRATORS
 
-NORMALIZE_STRATEGIES = ("none", "enrich", "rewrite")
-CONSOLIDATE_STRATEGIES = (
-    "none", "crud", "forgetting_curve", "heat_migration",
-    "link_evolution", "semantic_consolidation",
-)
-FORMULATE_STRATEGIES = ("none", "validate", "keyword", "decompose")
-INTEGRATE_STRATEGIES = (
-    "none", "time_weighted", "threshold", "multi_tier", "augment", "multi_query",
-)
+# each axis's strategy names, in the order of its table
+NORMALIZE_STRATEGIES = tuple(NORMALIZERS)
+CONSOLIDATE_STRATEGIES = tuple(POLICIES)
+FORMULATE_STRATEGIES = tuple(FORMULATORS)
+INTEGRATE_STRATEGIES = tuple(INTEGRATORS)
 
 DAY_S = 86_400.0
 

@@ -11,9 +11,9 @@ Two implementations share the interface:
   by the gram joining it to the token before, are hashed once and memoized
   per previous character, token and dim (``TOKEN_CODE_MEMO_SIZE`` entries at
   most), so a text is one memo lookup per token and hashes only the tokens
-  not yet seen after the same character. The unit norm is ``math.sqrt(vec.dot(vec))``,
-  which is how numpy computes a 1-D float64 ``np.linalg.norm``, so the
-  vector's bits are the same. Each instance also keeps a template memo of at
+  not yet seen after the same character. The unit norm is
+  ``records.vector_norm``, which computes a 1-D float64 ``np.linalg.norm``
+  as numpy does, so the vector's bits are the same. Each instance also keeps a template memo of at
   most ``TEMPLATE_MEMO_SIZE`` entries: the answer template's analysis of a
   context line (its ``(sentence, index-token frozenset)`` pairs, keyed on the
   line) and the paraphrase template's synonym-swapped words (keyed on
@@ -41,9 +41,10 @@ from store time downstream without any operator naming its stage.
 
 Operators ask for vectors through ``Gateway.vectors_for``, which calls
 ``embed`` only when ``Gateway.vectors`` is true. The orchestrator sets
-``vectors`` for each run: when no stage of the run reads a vector,
-``vectors_for`` returns one ``None`` per text and does nothing else, with no
-model call, no timing and no rate-limit token. ``embed`` itself always calls
+``vectors`` per request side: an insert's when the store's search or the
+consolidation policy reads vectors, a query's when the store's search does.
+When it is false, ``vectors_for`` returns one ``None`` per text and does
+nothing else, with no model call, no timing and no rate-limit token. ``embed`` itself always calls
 the model, so every ``embed`` call still records exactly one timing.
 """
 
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 import threading
 import time
@@ -121,7 +121,8 @@ class Gateway:
     set again; the orchestrator sets it at each stage boundary. ``vectors``
     says whether anything reads the embeddings: when it is false,
     ``vectors_for`` returns ``None`` for each text without calling the
-    model. The orchestrator sets it once per run.
+    model. The orchestrator sets it per request side, as each insert and
+    each query begins.
 
     A gateway serves one run at a time: ``stage``, ``vectors`` and the
     captured timings are plain attributes, taken and set without a lock.
@@ -149,7 +150,7 @@ class Gateway:
         return self._call("embed", None, self._embed_impl, texts)
 
     def vectors_for(self, texts: list[str]) -> list[Optional[np.ndarray]]:
-        """``embed(texts)`` when the run reads vectors, else one ``None`` per text."""
+        """``embed(texts)`` when the request side reads vectors, else one ``None`` per text."""
         if not self.vectors:
             return [None] * len(texts)
         return self.embed(texts)
@@ -268,8 +269,7 @@ def mock_embed_text(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
         codes = np.frombuffer(chunks, dtype=np.intp)[1:-1]
     counts = np.bincount(codes, minlength=2 * dim)
     vec = (counts[:dim] - counts[dim:]).astype(np.float64)
-    # how numpy computes a 1-D float64 np.linalg.norm, without its dispatch
-    norm = math.sqrt(vec.dot(vec))
+    norm = vector_norm(vec)
     if norm > 0:
         vec /= norm
     return vec

@@ -1,8 +1,12 @@
 """Insertion-side operators: normalization strategies and consolidation
 policies, plus the pipeline wrappers the orchestrator calls.
 
-Normalization turns one inbound turn into records, each built by ``_unit``,
-before the tentative insert; ``run_normalize`` returns ``(records, flags)``.
+Each axis is a table from strategy name to its implementation, and
+``config`` takes the axis's valid names from it. Normalization turns one
+inbound turn into records, each built by ``_unit``, before the tentative
+insert: ``NORMALIZERS`` maps each strategy to a function ``(h, ts, cfg,
+gateway) -> records``, and ``run_normalize`` looks it up and returns
+``(records, flags)``, falling back to ``none`` when the strategy fails.
 Consolidation mutates the store right after the insert. Each strategy is
 one policy class in ``POLICIES``, which holds its whole pass:
 ``build_policy`` makes one object per run, beside the store, and
@@ -22,11 +26,10 @@ from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .config import ConsolidateConfig, NormalizeConfig
 from .errors import GatewayError, UnparseableExtraction, UnsupportedBackend
 from .gateway import Gateway
 from .records import (
@@ -40,6 +43,9 @@ from .records import (
 from .stores.base import MemoryStore, insert_order, rank_ids
 from .stream import TS_END, TS_MIN, InsertPayload
 from .text import index_tokens
+
+if TYPE_CHECKING:  # config imports the tables below: annotations only, no cycle
+    from .config import ConsolidateConfig, NormalizeConfig
 
 US_PER_S = 1_000_000.0
 
@@ -55,17 +61,18 @@ def _unit(h: InsertPayload, ts: int, text: str, embedding: Optional[np.ndarray] 
                         turn_index=h.turn_index, embedding=embedding, **fields)
 
 
-def normalize_none(h: InsertPayload, ts: int, gateway: Gateway) -> list[MemoryRecord]:
+def normalize_none(h: InsertPayload, ts: int, cfg: NormalizeConfig,
+                   gateway: Gateway) -> list[MemoryRecord]:
     """Store the turn verbatim with its embedding."""
     embedding = gateway.vectors_for([h.context])[0]
     return [_unit(h, ts, h.context, embedding, speaker=h.speaker)]
 
 
-def normalize_enrich(h: InsertPayload, ts: int, gateway: Gateway,
-                     max_sentences: int) -> list[MemoryRecord]:
+def normalize_enrich(h: InsertPayload, ts: int, cfg: NormalizeConfig,
+                     gateway: Gateway) -> list[MemoryRecord]:
     """Raw record plus a gateway-written summary record."""
     summary_text = gateway.chat(
-        "summarize", {"text": h.context, "max_sentences": max_sentences}).strip()
+        "summarize", {"text": h.context, "max_sentences": cfg.summary_max_sentences}).strip()
     if not summary_text:
         raise GatewayError("empty", "summarizer returned an empty completion")
     raw_vec, summary_vec = gateway.vectors_for([h.context, summary_text])
@@ -73,9 +80,10 @@ def normalize_enrich(h: InsertPayload, ts: int, gateway: Gateway,
             _unit(h, ts, summary_text, summary_vec, kind=KIND_SUMMARY)]
 
 
-def normalize_rewrite(h: InsertPayload, gateway: Gateway,
-                      max_triplets: int) -> list[Triplet]:
-    """Extract at most max_triplets facts; the raw text is NOT kept."""
+def normalize_rewrite(h: InsertPayload, ts: int, cfg: NormalizeConfig,
+                      gateway: Gateway) -> list[MemoryRecord]:
+    """A triplet record per extracted fact, at most max_triplets; the raw text is NOT kept."""
+    max_triplets = cfg.max_triplets
     reply = gateway.chat(
         "triplets", {"text": h.context, "max_triplets": max_triplets}).strip()
     if reply.lower() == "no facts" or not reply:
@@ -96,36 +104,37 @@ def normalize_rewrite(h: InsertPayload, gateway: Gateway,
                 f"expected 'subject | relation | object', got {line!r}") from exc
         if len(triplets) >= max_triplets:
             break
-    return triplets
+    texts = [t.linearize() for t in triplets]
+    vectors = gateway.vectors_for(texts)
+    return [_unit(h, ts, text, vec, kind=KIND_TRIPLET, triplet=triplet)
+            for triplet, text, vec in zip(triplets, texts, vectors)]
+
+
+NORMALIZERS = {
+    "none": normalize_none,
+    "enrich": normalize_enrich,
+    "rewrite": normalize_rewrite,
+}
 
 
 def run_normalize(h: InsertPayload, ts: int, cfg: NormalizeConfig,
                   gateway: Gateway) -> tuple[list[MemoryRecord], list[str]]:
-    """Dispatch by strategy with the pipeline's fail-open policy.
+    """The records of ``cfg.strategy``, failing open to the raw record.
 
-    Gateway trouble downgrades to the raw record (never drop the turn);
-    the returned flags record that a downgrade happened.
+    A strategy that hits gateway trouble or an unparseable reply falls back
+    to ``none`` (never drop the turn), flagged ``<strategy>_fallback``; if
+    that embed fails too, the turn is kept unembedded, flagged
+    ``embed_failed``.
     """
     flags: list[str] = []
-    if cfg.strategy == "enrich":
+    strategy = cfg.strategy
+    if strategy != "none":
         try:
-            return normalize_enrich(h, ts, gateway, cfg.summary_max_sentences), flags
-        except GatewayError:
-            flags.append("enrich_fallback")
-    elif cfg.strategy == "rewrite":
-        try:
-            triplets = normalize_rewrite(h, gateway, cfg.max_triplets)
-            if not triplets:
-                return [], flags
-            texts = [t.linearize() for t in triplets]
-            vectors = gateway.vectors_for(texts)
-            return [_unit(h, ts, text, vec, kind=KIND_TRIPLET, triplet=triplet)
-                    for triplet, text, vec in zip(triplets, texts, vectors)], flags
+            return NORMALIZERS[strategy](h, ts, cfg, gateway), flags
         except (GatewayError, UnparseableExtraction):
-            flags.append("rewrite_fallback")
-    # "none", and the fallback of a failed enrich or rewrite
+            flags.append(f"{strategy}_fallback")
     try:
-        return normalize_none(h, ts, gateway), flags
+        return normalize_none(h, ts, cfg, gateway), flags
     except GatewayError:
         # embedding service down: keep the turn, lexical search still works
         flags.append("embed_failed")
@@ -207,8 +216,8 @@ class Consolidation:
     pay nothing per touch.
 
     ``reads_vectors`` says whether the policy reads embeddings, through
-    ``MemoryStore.nearest``: a run with such a policy embeds even on a store
-    whose search reads no vectors.
+    ``MemoryStore.nearest``: a run with such a policy embeds its inserts
+    even on a store whose search reads no vectors.
     """
 
     reads_vectors = False

@@ -31,14 +31,15 @@ boundary is opened by ``_Pipeline._enter``, which also points
 clock handed to stores and policies is always the request timestamp, never
 the wall clock.
 
-A run embeds only what some stage reads. ``_Pipeline`` sets
-``Gateway.vectors`` when it builds the store and the policy: true when the
-store's search reads vectors (``MemoryStore.reads_vectors``) or the
-consolidation policy does (``ingest.Consolidation.reads_vectors``). When it
-is false, the operators' ``Gateway.vectors_for`` calls return ``None``
-vectors without calling the model, as if the embedder had failed open, but
-unflagged and untimed, so a ``fifo_queue`` run with no such policy bills no
-embedding time to any stage.
+A request embeds only what its side reads. ``_Pipeline`` sets
+``Gateway.vectors`` per request side, as each request begins: an insert's
+is true when the store's search reads vectors
+(``MemoryStore.reads_vectors``) or the consolidation policy does
+(``ingest.Consolidation.reads_vectors``), a query's only when the store's
+search does. When it is false, the operators' ``Gateway.vectors_for`` calls
+return ``None`` vectors without calling the model, as if the embedder had
+failed open, but unflagged and untimed. So a ``fifo_queue`` run bills no
+embedding time to a query stage, and none at all with no such policy.
 
 Garbage collection
 ------------------
@@ -335,9 +336,9 @@ class _Pipeline:
         self.store.strength_gain = cfg.operators.consolidate.strength_gain
         self.store.initial_strength_s = cfg.operators.consolidate.initial_strength_s
         self.policy = build_policy(self.store, cfg.operators.consolidate, self.gateway)
-        # set on every run, like ``stage``: an injected gateway may serve
-        # several runs, one after another (see ``Gateway``)
-        self.gateway.vectors = self.store.reads_vectors or self.policy.reads_vectors
+        # an insert embeds for the store's search and the policy's neighbour
+        # screen, a query for the store's search only
+        self.insert_vectors = self.store.reads_vectors or self.policy.reads_vectors
         self.result = ExperimentResult(config=config_to_dict(cfg))
         self.pending: list[QueryResult] = []  # scored, not yet reported
         self.inserts_consumed = 0
@@ -373,6 +374,7 @@ class _Pipeline:
         payload = request.payload
         ops = self.cfg.operators
 
+        self.gateway.vectors = self.insert_vectors
         stamps = [self._enter(STAGE_PRE_INSERT)]
         units, flags = run_normalize(payload, request.ts, ops.normalize, self.gateway)
         for unit in units:
@@ -404,6 +406,7 @@ class _Pipeline:
         payload = request.payload
         ops = self.cfg.operators
 
+        self.gateway.vectors = self.store.reads_vectors
         stamps = [self._enter(STAGE_PRE_RETRIEVE)]
         signals, flags = run_formulate(payload, ops.formulate, self.gateway)
 

@@ -3,9 +3,16 @@ context integration strategies, and bundle assembly.
 
 Formulation produces the RetrievalSignals a query searches, search runs them
 against the store, and integration reshapes the candidate list and builds
-the final ContextBundle. ``run_formulate`` returns ``(signals, flags)``, a
-tuple of one signal per part of a compound question and one signal
-otherwise, and ``run_integrate`` ``(ContextBundle, flags)``; the flags name
+the final ContextBundle. Each strategy axis is a table from strategy name
+(``none`` included) to one function, and ``config`` takes the axis's valid
+names from it. A ``FORMULATORS`` function takes ``(q, cfg, gateway)`` and
+returns ``(signals, flags)``: one signal per part of a compound question,
+one otherwise. An ``INTEGRATORS`` function takes the arguments of
+``run_integrate``, those of ``integrate_none``, and returns ``(candidates,
+flags)``. Each reads its parameters from ``cfg``. ``run_formulate`` and
+``run_integrate`` look the strategy up, and a strategy that fails on the
+gateway falls back to ``none``, flagged ``<strategy>_fallback``;
+``run_integrate`` then returns ``(ContextBundle, flags)``. The flags name
 each fallback the request took. Operators call the gateway without naming a
 stage: the orchestrator bills their calls to the stage it has open.
 ``execute_search`` makes one store retrieve for a single signal; the
@@ -17,9 +24,8 @@ reciprocal-rank fusion.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .config import FormulateConfig, IntegrateConfig
 from .errors import GatewayError
 from .gateway import Gateway
 from .records import (
@@ -34,6 +40,9 @@ from .records import (
 from .stores.base import MemoryStore, fused_candidates, rank_ids
 from .stream import RetrievePayload
 
+if TYPE_CHECKING:  # config imports the tables below: annotations only, no cycle
+    from .config import FormulateConfig, IntegrateConfig
+
 US_PER_DAY = 86_400.0 * 1_000_000.0
 TOKEN_FACTOR = 1.3  # whitespace tokens to budget-token estimate
 
@@ -42,47 +51,51 @@ TOKEN_FACTOR = 1.3  # whitespace tokens to budget-token estimate
 # D4: query formulation
 # ----------------------------------------------------------------------
 
-def formulate_none(q: RetrievePayload, gateway: Gateway) -> RetrievalSignal:
+def formulate_none(q: RetrievePayload, cfg: FormulateConfig,
+                   gateway: Gateway) -> tuple[tuple[RetrievalSignal, ...], list[str]]:
+    """One signal: the raw query with its embedding."""
     embedding = gateway.vectors_for([q.query])[0]
-    return RetrievalSignal(raw_query=q.query, embedding=embedding)
+    return (RetrievalSignal(raw_query=q.query, embedding=embedding),), []
 
 
-def formulate_validate(q: RetrievePayload, gateway: Gateway) -> RetrievalSignal:
+def formulate_validate(q: RetrievePayload, cfg: FormulateConfig,
+                       gateway: Gateway) -> tuple[tuple[RetrievalSignal, ...], list[str]]:
     """Ask whether retrieval is needed at all; small talk skips the search."""
     reply = gateway.chat("validate", {"query": q.query}).strip().upper()
     if reply == "SKIP":
-        return RetrievalSignal(raw_query=q.query, skip=True)
-    return formulate_none(q, gateway)
+        return (RetrievalSignal(raw_query=q.query, skip=True),), []
+    return formulate_none(q, cfg, gateway)
 
 
-def formulate_keyword(q: RetrievePayload, gateway: Gateway, max_keywords: int,
-                      augments: bool = False) -> tuple[RetrievalSignal, list[str]]:
+def formulate_keyword(q: RetrievePayload, cfg: FormulateConfig,
+                      gateway: Gateway) -> tuple[tuple[RetrievalSignal, ...], list[str]]:
     """Keywords replace the raw query as the lexical signal.
 
-    With augments=True they extend it instead: the signal text becomes
-    the raw query plus the keywords (flagged so reports can tell).
+    With ``keyword_augments`` they extend it instead: the signal text
+    becomes the raw query plus the keywords (flagged so reports can tell).
     An empty reply falls back to the plain signal, flagged.
     """
     reply = gateway.chat(
-        "keywords", {"query": q.query, "max_keywords": max_keywords}).strip()
+        "keywords", {"query": q.query, "max_keywords": cfg.max_keywords}).strip()
     if not reply:
-        return formulate_none(q, gateway), ["keyword_fallback"]
+        return formulate_none(q, cfg, gateway)[0], ["keyword_fallback"]
     keywords = tuple(reply.split())
-    if augments:
+    if cfg.keyword_augments:
         joined = f"{q.query} {' '.join(keywords)}"
         embedding = gateway.vectors_for([joined])[0]
-        return RetrievalSignal(raw_query=joined, embedding=embedding), ["keyword_augmented"]
+        return (RetrievalSignal(raw_query=joined, embedding=embedding),), ["keyword_augmented"]
     embedding = gateway.vectors_for([" ".join(keywords)])[0]
-    return RetrievalSignal(raw_query=q.query, embedding=embedding, keywords=keywords), []
+    return (RetrievalSignal(raw_query=q.query, embedding=embedding, keywords=keywords),), []
 
 
-def formulate_decompose(q: RetrievePayload, gateway: Gateway,
-                        max_subqueries: int) -> tuple[RetrievalSignal, ...]:
+def formulate_decompose(q: RetrievePayload, cfg: FormulateConfig,
+                        gateway: Gateway) -> tuple[tuple[RetrievalSignal, ...], list[str]]:
     """Split a compound question; each part gets its own embedded signal.
 
     An atomic question gives one signal: the raw query text with its one
     part's embedding.
     """
+    max_subqueries = cfg.max_subqueries
     reply = gateway.chat(
         "decompose", {"query": q.query, "max_subqueries": max_subqueries}).strip()
     parts = [line.strip() for line in reply.splitlines() if line.strip()]
@@ -91,35 +104,36 @@ def formulate_decompose(q: RetrievePayload, gateway: Gateway,
     parts = parts[:max_subqueries]
     vectors = gateway.vectors_for(parts)
     if len(parts) == 1:
-        return (RetrievalSignal(raw_query=q.query, embedding=vectors[0]),)
+        return (RetrievalSignal(raw_query=q.query, embedding=vectors[0]),), []
     return tuple(RetrievalSignal(raw_query=part, embedding=vec)
-                 for part, vec in zip(parts, vectors))
+                 for part, vec in zip(parts, vectors)), []
+
+
+FORMULATORS = {
+    "none": formulate_none,
+    "validate": formulate_validate,
+    "keyword": formulate_keyword,
+    "decompose": formulate_decompose,
+}
 
 
 def run_formulate(q: RetrievePayload, cfg: FormulateConfig,
                   gateway: Gateway) -> tuple[tuple[RetrievalSignal, ...], list[str]]:
-    """Dispatch by strategy; gateway failures fall back to plain embedding."""
+    """The signals of ``cfg.strategy``, failing open to the plain embedded query.
+
+    A strategy that hits gateway trouble falls back to ``none``, flagged
+    ``<strategy>_fallback``; if that embed fails too, the raw query is
+    searched unembedded, flagged ``embed_failed``.
+    """
     flags: list[str] = []
-    if cfg.strategy == "validate":
+    strategy = cfg.strategy
+    if strategy != "none":
         try:
-            return (formulate_validate(q, gateway),), flags
+            return FORMULATORS[strategy](q, cfg, gateway)
         except GatewayError:
-            flags.append("validate_fallback")
-    elif cfg.strategy == "keyword":
-        try:
-            signal, flags = formulate_keyword(q, gateway, cfg.max_keywords,
-                                              cfg.keyword_augments)
-            return (signal,), flags
-        except GatewayError:
-            flags.append("keyword_fallback")
-    elif cfg.strategy == "decompose":
-        try:
-            return formulate_decompose(q, gateway, cfg.max_subqueries), flags
-        except GatewayError:
-            flags.append("decompose_fallback")
-    # "none", and the fallback of a failed validate, keyword or decompose
+            flags.append(f"{strategy}_fallback")
     try:
-        return (formulate_none(q, gateway),), flags
+        return formulate_none(q, cfg, gateway)[0], flags
     except GatewayError:
         flags.append("embed_failed")
         return (RetrievalSignal(raw_query=q.query),), flags
@@ -144,9 +158,16 @@ def execute_search(store: MemoryStore, signals: tuple[RetrievalSignal, ...], k: 
 # D5: context integration
 # ----------------------------------------------------------------------
 
-def integrate_time_weighted(cands: list[Candidate], now: int,
-                            decay_lambda: float) -> list[Candidate]:
+def integrate_none(query: str, cands: list[Candidate], store: MemoryStore,
+                   gateway: Gateway, cfg: IntegrateConfig, k: int,
+                   now: Optional[int]) -> tuple[list[Candidate], list[str]]:
+    """The candidates as retrieved."""
+    return list(cands), []
+
+
+def integrate_time_weighted(query, cands, store, gateway, cfg, k, now):
     """score' = score * exp(-lambda * age_days); stable on ties."""
+    decay_lambda = cfg.decay_lambda
     rescored = [
         Candidate(
             record=c.record,
@@ -154,17 +175,19 @@ def integrate_time_weighted(cands: list[Candidate], now: int,
         )
         for c in cands
     ]
-    return sorted(rescored, key=lambda c: -c.score)
+    return sorted(rescored, key=lambda c: -c.score), []
 
 
-def integrate_threshold(cands: list[Candidate],
-                        score_threshold: float) -> list[Candidate]:
-    return [c for c in cands if c.score >= score_threshold]
+def integrate_threshold(query, cands, store, gateway, cfg, k, now):
+    """The candidates scoring at least ``score_threshold``."""
+    return [c for c in cands if c.score >= cfg.score_threshold], []
 
 
-def integrate_multi_tier(cands: list[Candidate],
-                         quotas: dict[str, int]) -> list[Candidate]:
-    """Per-tier quotas in tier order, dedup by id keeping max score."""
+def integrate_multi_tier(query, cands, store, gateway, cfg, k, now):
+    """Per-tier quotas in tier order (``k`` a tier by default), dedup by id keeping max score."""
+    quotas = cfg.tier_quotas
+    if quotas is None:
+        quotas = {tier: k for tier in TIER_NAMES}
     by_tier: dict[str, list[Candidate]] = {}
     for cand in cands:
         by_tier.setdefault(cand.record.tier, []).append(cand)
@@ -176,18 +199,18 @@ def integrate_multi_tier(cands: list[Candidate],
             if held is None or cand.score > held.score:
                 best[cand.record_id] = cand
     return [best[record_id]
-            for record_id in rank_ids({record_id: c.score for record_id, c in best.items()})]
+            for record_id in rank_ids({record_id: c.score for record_id, c in best.items()})], []
 
 
-def integrate_augment(cands: list[Candidate], store: MemoryStore, window: int,
-                      now: Optional[int]) -> list[Candidate]:
-    """Attach +-window neighboring turns after each raw-turn candidate.
+def integrate_augment(query, cands, store, gateway, cfg, k, now):
+    """Attach +-``augment_window`` neighboring turns after each raw-turn candidate.
 
     Neighbors carry zero score (pure provenance) and are never duplicated
     against existing candidates or each other.
     """
+    window = cfg.augment_window
     if window <= 0:
-        return list(cands)
+        return list(cands), []
     seen = {c.record_id for c in cands}
     out: list[Candidate] = []
     for cand in cands:
@@ -201,31 +224,35 @@ def integrate_augment(cands: list[Candidate], store: MemoryStore, window: int,
                 continue
             seen.add(neighbor.record_id)
             out.append(Candidate(record=neighbor, score=0.0))
-    return out
+    return out, []
 
 
-def integrate_multi_query(query: str, cands: list[Candidate],
-                          store: MemoryStore, gateway: Gateway,
-                          n_queries: int, k: int,
-                          now: Optional[int]) -> tuple[list[Candidate], list[str]]:
-    """Paraphrase the query n times, re-retrieve, RRF-fuse with the original.
+def integrate_multi_query(query, cands, store, gateway, cfg, k, now):
+    """Paraphrase the query ``multi_query_count`` times, re-retrieve, RRF-fuse with the original.
 
-    Any gateway failure returns the original candidates, flagged.
+    Each paraphrase is embedded and retrieved before the next is asked for,
+    so a gateway failure midway keeps the access bookkeeping of the
+    retrieves already made.
     """
-    flags: list[str] = []
     rankings = [[c.record_id for c in cands]]
-    try:
-        for index in range(n_queries):
-            paraphrase = gateway.chat("paraphrase", {"query": query, "index": index}).strip()
-            if not paraphrase:
-                continue
-            embedding = gateway.vectors_for([paraphrase])[0]
-            signal = RetrievalSignal(raw_query=paraphrase, embedding=embedding)
-            rankings.append([c.record_id for c in store.retrieve(signal, k, now=now)])
-    except GatewayError:
-        flags.append("multi_query_fallback")
-        return list(cands), flags
-    return fused_candidates(rankings, store.get, max(k, len(cands))), flags
+    for index in range(cfg.multi_query_count):
+        paraphrase = gateway.chat("paraphrase", {"query": query, "index": index}).strip()
+        if not paraphrase:
+            continue
+        embedding = gateway.vectors_for([paraphrase])[0]
+        signal = RetrievalSignal(raw_query=paraphrase, embedding=embedding)
+        rankings.append([c.record_id for c in store.retrieve(signal, k, now=now)])
+    return fused_candidates(rankings, store.get, max(k, len(cands))), []
+
+
+INTEGRATORS = {
+    "none": integrate_none,
+    "time_weighted": integrate_time_weighted,
+    "threshold": integrate_threshold,
+    "multi_tier": integrate_multi_tier,
+    "augment": integrate_augment,
+    "multi_query": integrate_multi_query,
+}
 
 
 # ----------------------------------------------------------------------
@@ -273,24 +300,15 @@ def build_bundle(cands: list[Candidate],
 def run_integrate(query: str, cands: list[Candidate], store: MemoryStore,
                   gateway: Gateway, cfg: IntegrateConfig, k: int,
                   now: Optional[int]) -> tuple[ContextBundle, list[str]]:
-    """Dispatch by strategy, then assemble the bundle under the budget."""
-    flags: list[str] = []
-    working = list(cands)  # "none" bundles the candidates as retrieved
-    if cfg.strategy == "time_weighted":
-        working = integrate_time_weighted(working, now, cfg.decay_lambda)
-    elif cfg.strategy == "threshold":
-        working = integrate_threshold(working, cfg.score_threshold)
-    elif cfg.strategy == "multi_tier":
-        quotas = cfg.tier_quotas
-        if quotas is None:
-            quotas = {tier: k for tier in TIER_NAMES}
-        working = integrate_multi_tier(working, quotas)
-    elif cfg.strategy == "augment":
-        working = integrate_augment(working, store, cfg.augment_window, now)
-    elif cfg.strategy == "multi_query":
-        working, mq_flags = integrate_multi_query(
-            query, working, store, gateway, cfg.multi_query_count, k, now)
-        flags.extend(mq_flags)
+    """Reshape the candidates by ``cfg.strategy``, then bundle them under the budget.
+
+    A strategy that hits gateway trouble bundles the candidates as
+    retrieved, flagged ``<strategy>_fallback``.
+    """
+    try:
+        working, flags = INTEGRATORS[cfg.strategy](query, cands, store, gateway, cfg, k, now)
+    except GatewayError:
+        working, flags = list(cands), [f"{cfg.strategy}_fallback"]
     bundle, truncated = build_bundle(working, cfg.budget_tokens)
     if truncated:
         flags.append("budget_truncated")

@@ -478,8 +478,9 @@ class MemoryStore(ABC):
     """Abstract backend. Subclasses implement _search.
 
     ``reads_vectors`` says whether the backend's search may read a record's
-    or a signal's embedding; a run on a backend that never does, with no
-    consolidation policy that does either, embeds nothing.
+    or a signal's embedding; a query on a backend that never does embeds
+    nothing, and neither does an insert unless the consolidation policy
+    reads vectors.
     """
 
     name = "abstract"

@@ -141,6 +141,7 @@ def load_locomo(path: str | Path) -> StreamManifest:
             raise SchemaError(f"{path}: sample {sample_id} has no sessions")
 
         last_turn: Optional[tuple[str, int]] = None
+        turn_keys = set()  # the (session, turn) an evidence id may name
         for number in session_numbers:
             key = f"session_{number}"
             turns_raw = conversation[key]
@@ -157,8 +158,11 @@ def load_locomo(path: str | Path) -> StreamManifest:
                     raise SchemaError(
                         f"{path}: {sample_id}/{key} turn {position} has no text")
                 dia = turn.get("dia_id")
-                turn_number = (_parse_dia_id(str(dia), path)[1]
-                               if dia is not None else position)
+                if dia is None:
+                    turn_number = position
+                else:
+                    turn_number = _parse_dia_id(str(dia), path)[1]
+                    turn_keys.add((session_id, turn_number))
                 text = str(turn["text"]).strip()
                 if not text:
                     raise SchemaError(
@@ -172,12 +176,6 @@ def load_locomo(path: str | Path) -> StreamManifest:
                 last_turn = (session_id, turn_number)
             sessions.append(SessionTurns(session_id=session_id, turns=tuple(turns)))
 
-        turn_keys = {
-            (f"{sample_id}/session_{n}", _parse_dia_id(str(t["dia_id"]), path)[1])
-            for n in session_numbers
-            for t in conversation[f"session_{n}"]
-            if isinstance(t, dict) and t.get("dia_id") is not None
-        }
         qas = sample.get("qa", [])
         if not isinstance(qas, list):
             raise SchemaError(f"{path}: {sample_id} qa is not a list")

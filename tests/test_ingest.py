@@ -92,7 +92,7 @@ def insert_pipeline(operators, gw):
 def test_normalize_none_keeps_turn_verbatim():
     gw = MockGateway(dim=64)
     h = turn("Alice moved to Oslo last spring.", sid="sA", ti=3, speaker="alice")
-    records = normalize_none(h, 42, gw)
+    records = normalize_none(h, 42, NormalizeConfig(), gw)
     assert len(records) == 1
     rec = records[0]
     assert rec.text == h.context
@@ -107,7 +107,7 @@ def test_normalize_none_keeps_turn_verbatim():
 def test_normalize_enrich_adds_summary_record():
     gw = MockGateway(dim=64)
     h = turn("Alice moved to Oslo. She likes the winters there.")
-    records = normalize_enrich(h, 7, gw, max_sentences=2)
+    records = normalize_enrich(h, 7, NormalizeConfig(summary_max_sentences=2), gw)
     assert len(records) == 2
     raw, summary = records
     assert raw.text == h.context
@@ -122,7 +122,7 @@ def test_normalize_enrich_adds_summary_record():
 def test_normalize_rewrite_extracts_triplets():
     gw = MockGateway(dim=64)
     h = turn("Alice likes tea.", sid="sB", ti=5)
-    triplets = normalize_rewrite(h, gw, max_triplets=5)
+    triplets = [r.triplet for r in normalize_rewrite(h, 0, NormalizeConfig(max_triplets=5), gw)]
     assert len(triplets) == 1
     t = triplets[0]
     assert (t.subject, t.relation, t.object) == ("alice", "likes", "tea")
@@ -130,14 +130,14 @@ def test_normalize_rewrite_extracts_triplets():
 
 def test_normalize_rewrite_small_talk_yields_nothing():
     gw = MockGateway(dim=64)
-    triplets = normalize_rewrite(turn("Ok thanks!"), gw, max_triplets=5)
+    triplets = normalize_rewrite(turn("Ok thanks!"), 0, NormalizeConfig(max_triplets=5), gw)
     assert triplets == []
 
 
 def test_normalize_rewrite_caps_triplet_count():
     gw = MockGateway(dim=64)
     h = turn("Alice likes tea. Bob hates rain. Carol paints walls.")
-    triplets = normalize_rewrite(h, gw, max_triplets=2)
+    triplets = [r.triplet for r in normalize_rewrite(h, 0, NormalizeConfig(max_triplets=2), gw)]
     assert len(triplets) == 2
     assert triplets[0].subject == "alice"
     assert triplets[1].subject == "bob"
@@ -146,10 +146,10 @@ def test_normalize_rewrite_caps_triplet_count():
 def test_normalize_rewrite_rejects_garbage_reply():
     gw = ScriptedGateway(script={"triplets": ["alice | tea"]}, dim=64)
     with pytest.raises(UnparseableExtraction):
-        normalize_rewrite(turn("Alice likes tea."), gw, max_triplets=5)
+        normalize_rewrite(turn("Alice likes tea."), 0, NormalizeConfig(max_triplets=5), gw)
     gw = ScriptedGateway(script={"triplets": ["a |  | b"]}, dim=64)
     with pytest.raises(UnparseableExtraction):
-        normalize_rewrite(turn("Alice likes tea."), gw, max_triplets=5)
+        normalize_rewrite(turn("Alice likes tea."), 0, NormalizeConfig(max_triplets=5), gw)
 
 
 def test_run_normalize_rewrite_builds_triplet_records():

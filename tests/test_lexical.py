@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from memstream import ingest
-from memstream.config import ConsolidateConfig, config_from_dict
+from memstream.config import ConsolidateConfig, IntegrateConfig, config_from_dict
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.orchestrator import run_experiment
 from memstream.records import KIND_RAW, KIND_SUMMARY, MemoryRecord, RetrievalSignal, Triplet
@@ -204,7 +204,8 @@ def test_multi_query_and_decompose_fusion_match_the_reference(config):
         for now in (None, 4, 100):
             for k in (1, 3, 50):
                 cands = store.retrieve(tie_signal(text), k, now=now)
-                got, flags = integrate_multi_query(text, cands, store, gateway, 3, k, now)
+                got, flags = integrate_multi_query(text, cands, store, gateway,
+                                                   IntegrateConfig(multi_query_count=3), k, now)
                 rankings = [[c.record_id for c in cands]]
                 for index in range(3):
                     paraphrase = gateway.chat(

@@ -62,11 +62,15 @@ from memstream.stream import (
 )
 from reference import (
     GRID_DIM,
+    golden_configs,
     insert_count,
     make_config,
     ref_fraction_boundaries,
+    result_digest,
     small_stream,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
 
 
 def make_manifest(n_inserts=10, queries=(), sessions=1):
@@ -335,7 +339,9 @@ def test_gateway_calls_bill_to_the_stage_the_orchestrator_opened():
                          consolidate=ConsolidateConfig(strategy="crud"),
                          formulate=FormulateConfig(strategy="keyword"),
                          integrate=IntegrateConfig(strategy="multi_query"))
-    result = run_experiment(base_config(operators=ops), manifest, MockGateway(dim=32))
+    # a store whose search reads vectors, so queries embed too
+    cfg = base_config(store=StoreConfig(backend="inverted_vector"), operators=ops)
+    result = run_experiment(cfg, manifest, MockGateway(dim=32))
     calls = [timing for trace in result.traces for timing in trace.gateway_calls]
     chat = {(t.template_id, t.stage) for t in calls if t.call_kind == "chat"}
     assert chat == {("summarize", STAGE_PRE_INSERT), ("crud", STAGE_POST_INSERT),
@@ -440,6 +446,25 @@ def test_every_backend_fails_open_when_every_embed_call_fails(backend):
     if backend == "lsh_hash":
         assert result.reports[-1].store.record_count == insert_count(manifest)
         assert not any(res.provenance for res in result.query_results)
+
+
+@pytest.mark.parametrize("backend, query_embeds", [
+    ("fifo_queue", set()),
+    ("inverted_vector", {STAGE_PRE_RETRIEVE, STAGE_POST_RETRIEVE}),
+])
+def test_a_query_embeds_only_when_the_store_search_reads_vectors(backend, query_embeds):
+    # semantic_consolidation reads the inserted records' vectors, so every
+    # insert embeds; fifo_queue's search reads none, so its queries embed
+    # nothing, not even multi_query's paraphrases, and results stay the same
+    golden = json.loads(GOLDEN.read_text())
+    ((key, cfg),) = [(key, cfg) for key, cfg in golden_configs().items()
+                     if key.startswith(f"{backend}/semantic_consolidation/")
+                     and key.endswith("/multi_query")]
+    result = run_experiment(cfg, small_stream(), MockGateway(dim=GRID_DIM))
+    assert golden[key] == {"status": "complete", "digest": result_digest(result)}
+    embeds = {call.stage for trace in result.traces for call in trace.gateway_calls
+              if call.call_kind == "embed"}
+    assert embeds == {STAGE_PRE_INSERT} | query_embeds
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))

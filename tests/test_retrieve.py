@@ -13,6 +13,7 @@ from memstream.config import (
     IntegrateConfig,
     config_from_dict,
 )
+from memstream.errors import GatewayError
 from memstream.gateway import MockGateway, mock_embed_text
 from memstream.metrics import STAGE_PRE_RETRIEVE
 from memstream.orchestrator import _Pipeline
@@ -89,6 +90,12 @@ def put(store, text, *, ts=0, sid="s1", ti=0, speaker=None, embed=False, dim=64,
     return ids[0]
 
 
+def integrate(strategy, cands, store=None, gw=None, k=5, now=None, **params):
+    """The candidates ``strategy`` returns for ``cands`` under ``IntegrateConfig(**params)``."""
+    out, _ = strategy("q", cands, store, gw, IntegrateConfig(**params), k, now)
+    return out
+
+
 def cand(text, score, *, ts=0, sid="s1", ti=0, tier=TIER_FLAT, kind="raw_turn",
          rid="r0"):
     rec = MemoryRecord(record_id="", text=text, ts=ts, session_id=sid,
@@ -103,7 +110,7 @@ def cand(text, score, *, ts=0, sid="s1", ti=0, tier=TIER_FLAT, kind="raw_turn",
 
 def test_formulate_none_embeds_raw_query():
     gw = MockGateway(dim=64)
-    signal = formulate_none(query("where does alice live"), gw)
+    (signal,), _ = formulate_none(query("where does alice live"), FormulateConfig(), gw)
     assert signal.raw_query == "where does alice live"
     assert np.allclose(signal.embedding, mock_embed_text(signal.raw_query, 64))
     assert not signal.skip
@@ -111,17 +118,18 @@ def test_formulate_none_embeds_raw_query():
 
 def test_formulate_validate_skips_small_talk():
     gw = MockGateway(dim=64)
-    signal = formulate_validate(query("Ok thanks!"), gw)
+    (signal,), _ = formulate_validate(query("Ok thanks!"), FormulateConfig(), gw)
     assert signal.skip
     assert signal.embedding is None
-    signal = formulate_validate(query("where does alice live"), gw)
+    (signal,), _ = formulate_validate(query("where does alice live"), FormulateConfig(), gw)
     assert not signal.skip
     assert signal.embedding is not None
 
 
 def test_formulate_keyword_replaces_lexical_signal():
     gw = MockGateway(dim=64)
-    signal, _ = formulate_keyword(query("alpha beta alpha"), gw, max_keywords=5)
+    (signal,), _ = formulate_keyword(query("alpha beta alpha"),
+                                     FormulateConfig(max_keywords=5), gw)
     assert signal.keywords == ("alpha", "beta")
     assert signal.raw_query == "alpha beta alpha"
     # the embedding follows the keywords, not the raw text
@@ -130,14 +138,15 @@ def test_formulate_keyword_replaces_lexical_signal():
 
 def test_formulate_keyword_cap():
     gw = MockGateway(dim=64)
-    signal, _ = formulate_keyword(query("alpha beta alpha"), gw, max_keywords=1)
+    (signal,), _ = formulate_keyword(query("alpha beta alpha"),
+                                     FormulateConfig(max_keywords=1), gw)
     assert signal.keywords == ("alpha",)
 
 
 def test_formulate_keyword_augment_mode_extends_query():
     gw = MockGateway(dim=64)
-    signal, flags = formulate_keyword(query("alpha beta alpha"), gw, max_keywords=5,
-                                      augments=True)
+    (signal,), flags = formulate_keyword(
+        query("alpha beta alpha"), FormulateConfig(max_keywords=5, keyword_augments=True), gw)
     assert signal.raw_query == "alpha beta alpha alpha beta"
     assert flags == ["keyword_augmented"]
     assert np.allclose(signal.embedding, mock_embed_text(signal.raw_query, 64))
@@ -145,7 +154,8 @@ def test_formulate_keyword_augment_mode_extends_query():
     cfg = config_from_dict({"operators": {"formulate": {
         "strategy": "keyword", "keyword_augments": True}}}).operators.formulate
     q = query("where does alice live now")
-    keywords = formulate_keyword(q, gw, max_keywords=cfg.max_keywords)[0].keywords
+    keywords = formulate_keyword(
+        q, FormulateConfig(max_keywords=cfg.max_keywords), gw)[0][0].keywords
     assert keywords and " ".join(keywords) != q.query
     (signal,), flags = run_formulate(q, cfg, gw)
     joined = f"{q.query} {' '.join(keywords)}"
@@ -156,7 +166,8 @@ def test_formulate_keyword_augment_mode_extends_query():
 
 def test_formulate_keyword_empty_reply_falls_back():
     gw = ScriptedGateway(script={"keywords": [""]}, dim=64)
-    signal, flags = formulate_keyword(query("alpha beta"), gw, max_keywords=5)
+    (signal,), flags = formulate_keyword(query("alpha beta"),
+                                         FormulateConfig(max_keywords=5), gw)
     assert flags == ["keyword_fallback"]
     assert signal.keywords == ()
     assert np.allclose(signal.embedding, mock_embed_text("alpha beta", 64))
@@ -164,8 +175,9 @@ def test_formulate_keyword_empty_reply_falls_back():
 
 def test_formulate_decompose_splits_compound_question():
     gw = MockGateway(dim=64)
-    subs = formulate_decompose(
-        query("where does alice live and what does bob eat"), gw, max_subqueries=3)
+    subs, _ = formulate_decompose(
+        query("where does alice live and what does bob eat"),
+        FormulateConfig(max_subqueries=3), gw)
     assert len(subs) == 2
     assert subs[0].raw_query == "where does alice live"
     assert subs[1].raw_query == "what does bob eat"
@@ -175,13 +187,13 @@ def test_formulate_decompose_splits_compound_question():
 
 def test_formulate_decompose_atomic_passthrough():
     gw = MockGateway(dim=64)
-    (signal,) = formulate_decompose(query("where does alice live"), gw,
-                                    max_subqueries=3)
+    (signal,), _ = formulate_decompose(query("where does alice live"),
+                                       FormulateConfig(max_subqueries=3), gw)
     assert signal.raw_query == "where does alice live"
     # a reworded single part: the raw query text searches, with the part's vector
     gw = ScriptedGateway(script={"decompose": ["alice home"]}, dim=64)
-    (signal,) = formulate_decompose(query("where does alice live"), gw,
-                                    max_subqueries=3)
+    (signal,), _ = formulate_decompose(query("where does alice live"),
+                                       FormulateConfig(max_subqueries=3), gw)
     assert signal.raw_query == "where does alice live"
     assert np.array_equal(signal.embedding, mock_embed_text("alice home", 64))
 
@@ -189,7 +201,8 @@ def test_formulate_decompose_atomic_passthrough():
 def test_formulate_decompose_batches_embeddings():
     gw = MockGateway(dim=64)
     gw.drain_timings()
-    formulate_decompose(query("a1 b1 and a2 b2 and a3 b3"), gw, max_subqueries=3)
+    formulate_decompose(query("a1 b1 and a2 b2 and a3 b3"),
+                        FormulateConfig(max_subqueries=3), gw)
     embeds = [t for t in gw.drain_timings() if t.call_kind == "embed"]
     assert len(embeds) == 1
 
@@ -270,7 +283,7 @@ def test_integrate_time_weighted_decays_by_age():
     now = 10 * US_PER_DAY
     old = cand("old", 1.0, ts=now - 2 * US_PER_DAY, rid="r_old")
     new = cand("new", 1.0, ts=now, rid="r_new")
-    out = integrate_time_weighted([old, new], now, decay_lambda=0.5)
+    out = integrate(integrate_time_weighted, [old, new], now=now, decay_lambda=0.5)
     assert [c.record_id for c in out] == ["r_new", "r_old"]
     assert out[0].score == 1.0
     assert out[1].score == pytest.approx(math.exp(-1.0))
@@ -279,7 +292,7 @@ def test_integrate_time_weighted_decays_by_age():
 def test_integrate_time_weighted_zero_lambda_keeps_order():
     now = 10 * US_PER_DAY
     cands = [cand("a", 0.9, ts=0, rid="ra"), cand("b", 0.5, ts=now, rid="rb")]
-    out = integrate_time_weighted(cands, now, decay_lambda=0.0)
+    out = integrate(integrate_time_weighted, cands, now=now, decay_lambda=0.0)
     assert [c.record_id for c in out] == ["ra", "rb"]
     assert [c.score for c in out] == [0.9, 0.5]
 
@@ -287,7 +300,7 @@ def test_integrate_time_weighted_zero_lambda_keeps_order():
 def test_integrate_threshold_keeps_boundary():
     cands = [cand("a", 0.9, rid="ra"), cand("b", 0.5, rid="rb"),
              cand("c", 0.49, rid="rc")]
-    out = integrate_threshold(cands, 0.5)
+    out = integrate(integrate_threshold, cands, score_threshold=0.5)
     assert [c.record_id for c in out] == ["ra", "rb"]
 
 
@@ -300,7 +313,7 @@ def test_integrate_multi_tier_applies_quotas():
         cand("f1", 0.5, tier=TIER_FLAT, rid="r5"),
     ]
     quotas = {TIER_SHORT: 1, TIER_MID: 1, TIER_LONG: 0, TIER_FLAT: 1}
-    out = integrate_multi_tier(cands, quotas)
+    out = integrate(integrate_multi_tier, cands, tier_quotas=quotas)
     assert [c.record_id for c in out] == ["r1", "r3", "r5"]
 
 
@@ -317,7 +330,7 @@ def test_tier_quotas_name_only_tiers_a_record_can_carry():
 def test_integrate_multi_tier_dedups_by_max_score():
     low = cand("x", 0.2, tier=TIER_SHORT, rid="dup")
     high = cand("x", 0.7, tier=TIER_SHORT, rid="dup")
-    out = integrate_multi_tier([low, high], {TIER_SHORT: 5})
+    out = integrate(integrate_multi_tier, [low, high], tier_quotas={TIER_SHORT: 5})
     assert len(out) == 1 and out[0].score == 0.7
 
 
@@ -328,7 +341,7 @@ def test_integrate_multi_tier_breaks_exact_ties_by_id_as_a_string():
              cand("b", 0.9, tier=TIER_SHORT, rid="m000002"),
              cand("c", 0.5, tier=TIER_MID, rid="m1000000"),
              cand("d", 0.5, tier=TIER_MID, rid="m000001")]
-    out = integrate_multi_tier(cands, {TIER_SHORT: 2, TIER_MID: 2})
+    out = integrate(integrate_multi_tier, cands, tier_quotas={TIER_SHORT: 2, TIER_MID: 2})
     assert [c.record_id for c in out] == ["m000002", "m000001", "m1000000", "m999999"]
 
 
@@ -337,7 +350,7 @@ def test_integrate_augment_attaches_anchored_neighbors():
     ids = [put(store, f"turn number {i}", ts=i * 10, sid="sA", ti=i)
            for i in range(5)]
     anchor = Candidate(record=store.get(ids[2]), score=0.8, )
-    out = integrate_augment([anchor], store, window=1, now=None)
+    out = integrate(integrate_augment, [anchor], store, augment_window=1)
     assert [c.record_id for c in out] == [ids[2], ids[1], ids[3]]
     assert out[0].score == 0.8
     assert all(c.score == 0.0 for c in out[1:])
@@ -350,9 +363,9 @@ def test_integrate_augment_respects_visibility_and_dedup():
     anchors = [Candidate(record=store.get(ids[1]), score=0.8, ),
                Candidate(record=store.get(ids[0]), score=0.4, )]
     # now=15 hides turn 2 (ts=20); turn 0 is already a candidate
-    out = integrate_augment(anchors, store, window=1, now=15)
+    out = integrate(integrate_augment, anchors, store, now=15, augment_window=1)
     assert [c.record_id for c in out] == [ids[1], ids[0]]
-    assert integrate_augment(anchors, store, window=0, now=None) == anchors
+    assert integrate(integrate_augment, anchors, store, augment_window=0) == anchors
 
 
 def test_integrate_augment_skips_derived_records():
@@ -360,7 +373,7 @@ def test_integrate_augment_skips_derived_records():
     put(store, "raw turn zero", ts=0, sid="sA", ti=0)
     summary_id = put(store, "a summary", ts=5, sid="sA", ti=1, kind=KIND_SUMMARY)
     anchor = Candidate(record=store.get(summary_id), score=0.8, )
-    out = integrate_augment([anchor], store, window=2, now=None)
+    out = integrate(integrate_augment, [anchor], store, augment_window=2)
     assert [c.record_id for c in out] == [summary_id]
 
 
@@ -370,7 +383,7 @@ def test_integrate_multi_query_recovers_paraphrase_hits():
     gw = MockGateway(dim=64)
     gw.drain_timings()
     out, flags = integrate_multi_query("what color is the sea", [], store, gw,
-                                       n_queries=2, k=3, now=None)
+                                       IntegrateConfig(multi_query_count=2), 3, None)
     assert flags == []
     assert out and out[0].record_id == rid
     assert out[0].score == 1.0
@@ -383,10 +396,13 @@ def test_integrate_multi_query_falls_back_on_fault():
     put(store, "the colour of the sea stays deep blue", ts=0, ti=0)
     gw = MockGateway(dim=64, failing={"paraphrase"})
     original = [cand("kept", 0.5, rid="keep0")]
-    out, flags = integrate_multi_query("what color is the sea", original, store,
-                                       gw, n_queries=2, k=3, now=None)
+    cfg = IntegrateConfig(strategy="multi_query", multi_query_count=2)
+    # the strategy raises; run_integrate falls back to the candidates as retrieved
+    with pytest.raises(GatewayError):
+        integrate_multi_query("what color is the sea", original, store, gw, cfg, 3, None)
+    bundle, flags = run_integrate("what color is the sea", original, store, gw, cfg, 3, None)
     assert flags == ["multi_query_fallback"]
-    assert out == original
+    assert bundle == build_bundle(original, cfg.budget_tokens)[0]
 
 
 # ----------------------------------------------------------------------

@@ -331,6 +331,8 @@ def test_load_locomo_accepts_single_sample_dict(tmp_path):
 
 @pytest.mark.parametrize("mutate, message", [
     (lambda s: s["qa"][0].update(evidence=["D9:9"]), "does not resolve"),
+    # qa 0's evidence D1:1 names a turn that has no dia_id
+    (lambda s: s["conversation"]["session_1"][1].pop("dia_id"), "does not resolve to a turn"),
     (lambda s: s["conversation"].pop("session_1_date_time"), "missing"),
     (lambda s: s["qa"][0].update(evidence=["garbage"]), "malformed dialogue id"),
     (lambda s: s["conversation"].update(session_1_date_time="sometime in May"),
